@@ -15,6 +15,7 @@ from .errors import (
     Infeasible,
     InfeasibleFixedCycle,
     InvalidBounds,
+    InvariantViolation,
     NotASpanningTree,
     NotATension,
     PeritropeError,

@@ -17,6 +17,10 @@ class EnumerationCapExceeded(PeritropeError):
     """An enumeration (trees, arborescences, lattice points) outgrew its cap."""
 
 
+class InvariantViolation(PeritropeError):
+    """An internal consistency check failed; a bug, not a property of the input."""
+
+
 class InvalidBounds(PeritropeError):
     """An arc violates the bound invariants 0 <= l < T, 0 <= u - l < T."""
 

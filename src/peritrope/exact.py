@@ -10,10 +10,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import CrosscheckMismatch, EnumerationCapExceeded, Infeasible
+from .errors import CrosscheckMismatch, EnumerationCapExceeded, Infeasible, InvariantViolation
 from .fixedlp import minimize_over_polytrope
 from .graphs import default_basis
-from .parallel import pmap
 from .polytropes import offset_from_cycle_offset, offset_zero, timetable_to_tension
 from .search import Solution, solution_from_timetable
 from .zonotopes import DEFAULT_WIDTH_CAP, lattice_points
@@ -32,10 +31,14 @@ def solve_exact(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP, tree_cap=None):
         p = offset_zero(inst) if basis.mu == 0 else offset_from_cycle_offset(basis, z)
         return minimize_over_polytrope(inst, p, tree_cap=tree_cap)
 
-    results = pmap(solve_one, points)
+    results = [solve_one(z) for z in points]
     best_z, best = min(zip(points, results), key=lambda zr: (zr[1].objective, zr[0]))
     sol = solution_from_timetable(inst, basis, best.timetable)
-    assert sol.cycle_offset == best_z and sol.objective == best.objective
+    if sol.cycle_offset != best_z or sol.objective != best.objective:
+        raise InvariantViolation(
+            f"the optimum of {best_z} (objective {best.objective}) rebuilt into "
+            f"{sol.cycle_offset} (objective {sol.objective})"
+        )
     return sol
 
 

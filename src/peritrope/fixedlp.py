@@ -1,10 +1,19 @@
 """Exact minimization of a linear objective over one polytrope.
 
-The feasible tensions for a fixed periodic offset form a box slice of an
-affine lattice; its vertices are exactly the spanning tree structures
-(tree arcs pinned to a bound, the rest propagated).  Desk-scale instances
-allow enumerating those structures outright, which keeps the solver free
-of floating point and yields the vertex certificate for free.
+With the periodic offset p fixed, minimizing w.x over the tensions
+x = B^T pi + T p with l <= x <= u is a minimum-cost tension problem on
+the doubled graph kappa(p): minimize sum_v d_v pi_v subject to
+pi_h - pi_t <= c for every edge (t, h, c), where d_v is the weight on the
+arcs into v minus the weight on the arcs out of v.  Its LP dual is an
+uncapacitated minimum-cost flow with supplies d, solved by successive
+shortest paths with Bellman-Ford, in integers only.
+
+By complementary slackness the optimal face is the kappa constraints
+plus equality on every edge that carries flow.  Ties break toward the
+lexicographically smallest normalized timetable among the optimal
+vertices, which are the vertices of that face: a point is its own
+answer, and a larger face has its vertices enumerated as spanning tree
+structures on the quotient graph of its equality classes.
 """
 
 from __future__ import annotations
@@ -12,9 +21,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import EnumerationCapExceeded, Infeasible
-from .graphs import DEFAULT_ENUMERATION_CAP, greedy_spanning_tree, spanning_trees
-from .polytropes import normalize_timetable, polytrope_nonempty, timetable_to_tension
+from .errors import EnumerationCapExceeded, Infeasible, InvariantViolation
+from .graphs import DEFAULT_ENUMERATION_CAP, Digraph, greedy_spanning_tree, spanning_trees
+from .polytropes import (
+    equality_classes,
+    kappa,
+    normalize_timetable,
+    polytrope_nonempty,
+    shortest_path_matrix,
+    timetable_to_tension,
+)
 from .zonotopes import SpanningTreeStructure
 
 
@@ -35,70 +51,128 @@ def _tree_adjacency(g, tree):
     return adj
 
 
-def _propagate(g, adj, values, p, period, root_index=0):
-    """Potentials from pinned tree tensions: pi_head = pi_tail + x - T p."""
+def _propagate(g, adj, differences):
+    """Potentials from pinned tree arcs, pi_head - pi_tail = differences[a],
+    with vertex 0 at 0."""
     pi = [None] * g.n
-    pi[root_index] = 0
-    stack = [root_index]
+    pi[0] = 0
+    stack = [0]
     while stack:
         v = stack.pop()
         for w, a, s in adj[v]:
             if pi[w] is None:
-                pi[w] = pi[v] + s * (values[a] - period * p[a])
+                pi[w] = pi[v] + s * differences[a]
                 stack.append(w)
     return pi
 
 
+def _min_cost_flow(n, edges, supply):
+    """Flow per edge of a min-cost flow on ``edges`` (tail, head, cost),
+    uncapacitated, where vertex v sends out supply[v] more than it takes
+    in.  The edges must be strongly connected without a negative cycle
+    and the supplies must sum to zero.
+
+    Each round runs Bellman-Ford on the residual graph from every vertex
+    with excess and augments along a shortest path to the first vertex in
+    deficit, by at least one unit.
+    """
+    flow = [0] * len(edges)
+    excess = list(supply)
+    while any(e > 0 for e in excess):
+        residual = [(t, h, c, k, 1) for k, (t, h, c) in enumerate(edges)]
+        residual += [(h, t, -c, k, -1) for k, (t, h, c) in enumerate(edges) if flow[k]]
+        dist = [0 if e > 0 else None for e in excess]
+        pred = [None] * n
+        for _ in range(n - 1):
+            changed = False
+            for arc in residual:
+                t, h, c = arc[0], arc[1], arc[2]
+                if dist[t] is not None and (dist[h] is None or dist[t] + c < dist[h]):
+                    dist[h] = dist[t] + c
+                    pred[h] = arc
+                    changed = True
+            if not changed:
+                break
+        sink = next(v for v in range(n) if excess[v] < 0)
+        path = []
+        source = sink
+        while pred[source] is not None:
+            path.append(pred[source])
+            source = pred[source][0]
+        amount = min(
+            [excess[source], -excess[sink]] + [flow[k] for _, _, _, k, s in path if s < 0]
+        )
+        for _, _, _, k, s in path:
+            flow[k] += s * amount
+        excess[source] -= amount
+        excess[sink] += amount
+    return flow
+
+
+def _face_vertices(inst, p, dist, tree_cap):
+    """Timetables at the vertices of the face whose canonical distance
+    matrix is ``dist``.
+
+    Vertices tied by a zero cycle move together (pi_v = P_c + delta_v for
+    a potential P per equality class c), so the face is a polytope over the
+    classes, bounded by the arcs that join two classes.  Its vertices are
+    the feasible spanning tree structures of that quotient graph.
+    """
+    g = inst.graph
+    T = inst.period
+    rep = equality_classes(dist)
+    reps = sorted(set(rep))
+    cls = [reps.index(r) for r in rep]
+    delta = [dist[r][v] for v, r in enumerate(rep)]
+    if len(reps) == 1:
+        yield tuple(delta)
+        return
+    arcs, lower, upper = [], [], []
+    for a, (i, j) in enumerate(g.arc_index_pairs):
+        if cls[i] != cls[j]:
+            shift = T * p[a] + delta[j] - delta[i]
+            arcs.append((cls[i], cls[j]))
+            lower.append(inst.lower[a] - shift)
+            upper.append(inst.upper[a] - shift)
+    q = Digraph(tuple(range(len(reps))), tuple(arcs))
+    for tree in spanning_trees(q, DEFAULT_ENUMERATION_CAP if tree_cap is None else tree_cap):
+        adj = _tree_adjacency(q, tree)
+        for mask in range(1 << len(tree)):
+            pinned = [None] * q.m
+            for k, b in enumerate(tree):
+                pinned[b] = upper[b] if mask >> k & 1 else lower[b]
+            P = _propagate(q, adj, pinned)
+            if all(lo <= P[h] - P[t] <= hi for (t, h), lo, hi in zip(arcs, lower, upper)):
+                yield tuple(P[c] + d for c, d in zip(cls, delta))
+
+
 def minimize_over_polytrope(inst, p, objective=None, tree_cap=None):
-    """Optimal vertex of the fixed-offset tension polytope, found by
-    enumerating spanning tree structures.  Ties break toward the
-    lexicographically smallest normalized timetable."""
+    """Optimal vertex of the fixed-offset tension polytope.  Ties break
+    toward the lexicographically smallest normalized timetable; ``tree_cap``
+    bounds the spanning trees enumerated on the optimal face."""
     if not polytrope_nonempty(inst, p):
         raise Infeasible("polytrope is empty for this periodic offset")
     g = inst.graph
     T = inst.period
     obj = inst.weight if objective is None else tuple(objective)
-    cap = DEFAULT_ENUMERATION_CAP if tree_cap is None else tree_cap
-    best = None
-    best_key = None
-    for tree in spanning_trees(g, cap):
-        adj = _tree_adjacency(g, tree)
-        for mask in range(1 << len(tree)):
-            x = [None] * g.m
-            lower_side, upper_side = [], []
-            for k, a in enumerate(tree):
-                if mask >> k & 1:
-                    x[a] = inst.upper[a]
-                    upper_side.append(a)
-                else:
-                    x[a] = inst.lower[a]
-                    lower_side.append(a)
-            pi = _propagate(g, adj, x, p, T)
-            feasible = True
-            for a, (i, j) in enumerate(g.arc_index_pairs):
-                if x[a] is None:
-                    x[a] = pi[j] - pi[i] + T * p[a]
-                    if not inst.lower[a] <= x[a] <= inst.upper[a]:
-                        feasible = False
-                        break
-            if not feasible:
-                continue
-            value = sum(c * v for c, v in zip(obj, x))
-            timetable = normalize_timetable(pi, 0, T)
-            key = (value, timetable)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = FixedOffsetResult(
-                    timetable=timetable,
-                    tension=tuple(x),
-                    objective=value,
-                    tight_structure=SpanningTreeStructure(
-                        tuple(tree), frozenset(lower_side), frozenset(upper_side)
-                    ),
-                )
-    # A nonempty bounded polytope has a vertex, so some structure is feasible.
-    assert best is not None, "no feasible spanning tree structure on a nonempty polytrope"
-    return best
+    edges = kappa(inst, p)
+    supply = [0] * g.n
+    for w, (i, j) in zip(obj, g.arc_index_pairs):
+        supply[j] += w
+        supply[i] -= w
+    flow = _min_cost_flow(g.n, edges, supply)
+    face = edges + [(h, t, -c) for (t, h, c), f in zip(edges, flow) if f]
+    vertices = _face_vertices(inst, p, shortest_path_matrix(g.n, face), tree_cap)
+    pi = min(vertices, key=lambda v: normalize_timetable(v, 0, T), default=None)
+    if pi is None:
+        raise InvariantViolation("the optimal face of a nonempty polytrope has no vertex")
+    x = tuple(pi[j] - pi[i] + T * p[a] for a, (i, j) in enumerate(g.arc_index_pairs))
+    return FixedOffsetResult(
+        timetable=normalize_timetable(pi, 0, T),
+        tension=x,
+        objective=sum(c * v for c, v in zip(obj, x)),
+        tight_structure=_extract_tight_structure(inst, x),
+    )
 
 
 def _offsets_equivalent(g, tree, p_a, p_b):

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 from .errors import EmptyPolytrope, Infeasible, NotATension
 
-INF = float("inf")
-
 
 def kappa(inst, p):
     """Weighted edge list of the doubled graph for offset p.
@@ -44,19 +42,37 @@ def _has_negative_cycle(n, edges):
     return any(dist[i] + w < dist[j] for i, j, w in edges)
 
 
-def _single_source_distances(n, edges, source):
-    dist = [INF] * n
-    dist[source] = 0
-    for _ in range(n - 1):
-        changed = False
-        for i, j, w in edges:
-            d = dist[i] + w
-            if d < dist[j]:
-                dist[j] = d
-                changed = True
-        if not changed:
-            break
-    return dist
+def shortest_path_matrix(n, edges):
+    """All-pairs shortest path lengths by Floyd-Warshall, in integers.
+
+    The caller guarantees no negative cycle and a strongly connected
+    edge set, so every entry ends up finite (None marks "no path yet").
+    """
+    dist = [[None] * n for _ in range(n)]
+    for i in range(n):
+        dist[i][i] = 0
+    for i, j, w in edges:
+        if dist[i][j] is None or w < dist[i][j]:
+            dist[i][j] = w
+    for k in range(n):
+        row_k = dist[k]
+        for row in dist:
+            d_ik = row[k]
+            if d_ik is None:
+                continue
+            for j, d_kj in enumerate(row_k):
+                if d_kj is not None and (row[j] is None or d_ik + d_kj < row[j]):
+                    row[j] = d_ik + d_kj
+    return tuple(tuple(row) for row in dist)
+
+
+def equality_classes(dist):
+    """For each vertex, the smallest vertex tied to it by a zero cycle
+    (dist[u][v] + dist[v][u] == 0), which is an equivalence relation."""
+    n = len(dist)
+    return tuple(
+        next(u for u in range(v + 1) if dist[u][v] + dist[v][u] == 0) for v in range(n)
+    )
 
 
 def tension_system_feasible(inst, base):
@@ -111,34 +127,10 @@ def polytrope_build(inst, basis, p):
     edges = kappa(inst, p)
     if _has_negative_cycle(n, edges):
         return Polytrope(p, z, None, -1, inst.period, inst.graph.vertices)
-    dist = []
-    for source in range(n):
-        row = _single_source_distances(n, edges, source)
-        # The doubled graph is strongly connected, so all entries are finite.
-        dist.append(tuple(int(d) for d in row))
-    dist = tuple(dist)
-    return Polytrope(p, z, dist, _dimension_from_dist(dist), inst.period, inst.graph.vertices)
-
-
-def _dimension_from_dist(dist):
-    n = len(dist)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist[i][j] + dist[j][i] == 0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-                    comps -= 1
-    return comps - 1
+    # The doubled graph is strongly connected, so all entries are finite.
+    dist = shortest_path_matrix(n, edges)
+    dimension = len(set(equality_classes(dist))) - 1
+    return Polytrope(p, z, dist, dimension, inst.period, inst.graph.vertices)
 
 
 def polytrope_dimension(poly):

@@ -12,10 +12,9 @@ import json
 import random
 from dataclasses import dataclass
 
-from .errors import EnumerationCapExceeded, Infeasible, RetriesExhausted
+from .errors import EnumerationCapExceeded, Infeasible, InvariantViolation, RetriesExhausted
 from .fixedlp import _propagate, _tree_adjacency, minimize_over_polytrope
 from .graphs import DEFAULT_ENUMERATION_CAP, default_basis, greedy_spanning_tree, spanning_trees
-from .parallel import pmap
 from .polytropes import (
     neighbors,
     normalize_timetable,
@@ -58,7 +57,6 @@ def initial_solution(inst, seed=0, basis=None, tree=None, retries=200):
     then retry with random trees and random tree tensions.  Failure after
     all retries is a heuristic give-up, not an infeasibility proof."""
     g = inst.graph
-    T = inst.period
     if basis is None:
         basis = default_basis(g)
     rng = random.Random(seed)
@@ -66,7 +64,6 @@ def initial_solution(inst, seed=0, basis=None, tree=None, retries=200):
         pool = spanning_trees(g, DEFAULT_ENUMERATION_CAP)
     except EnumerationCapExceeded:
         pool = (greedy_spanning_tree(g),)
-    zero_offset = (0,) * g.m
     for attempt in range(retries):
         if attempt == 0:
             chosen = tuple(sorted(tree)) if tree is not None else greedy_spanning_tree(g)
@@ -76,7 +73,7 @@ def initial_solution(inst, seed=0, basis=None, tree=None, retries=200):
         if attempt % 2 == 1:
             for a in chosen:
                 x[a] = rng.randint(inst.lower[a], inst.upper[a])
-        pi = _propagate(g, _tree_adjacency(g, chosen), x, zero_offset, T)
+        pi = _propagate(g, _tree_adjacency(g, chosen), x)
         try:
             return solution_from_timetable(inst, basis, pi)
         except Infeasible:
@@ -116,10 +113,7 @@ def tns(inst, basis, start, config=None):
         )
         if not candidates:
             break
-        results = pmap(
-            lambda z: minimize_over_polytrope(inst, _offset_for(inst, basis, z)),
-            candidates,
-        )
+        results = [minimize_over_polytrope(inst, _offset_for(inst, basis, z)) for z in candidates]
         scored = sorted(zip(candidates, results), key=lambda zr: (zr[1].objective, zr[0]))
         chosen = None
         for z, res in scored if config.strategy == "best-improvement" else zip(candidates, results):
@@ -132,7 +126,10 @@ def tns(inst, basis, start, config=None):
             break
         z, res, move = chosen
         current = solution_from_timetable(inst, basis, res.timetable)
-        assert current.cycle_offset == z, "offset drift while rebuilding the solution"
+        if current.cycle_offset != z:
+            raise InvariantViolation(
+                f"offset drift: the optimum of {z} rebuilt into {current.cycle_offset}"
+            )
         visited.add(z)
         trace.append({"z": list(z), "objective": current.objective, "move": move})
     return current, tuple(trace)

@@ -21,7 +21,6 @@ from .graphs import (
     count_spanning_trees_determinant,
     spanning_trees,
 )
-from .parallel import pmap
 from .polytropes import (
     anchor_timetable,
     offset_from_cycle_offset,
@@ -134,9 +133,9 @@ def lattice_points(inst, basis, cap=DEFAULT_WIDTH_CAP):
         count *= max(len(r), 0)
     if count > cap:
         raise EnumerationCapExceeded(f"box holds {count} integer points, cap is {cap}")
-    candidates = list(itertools.product(*ranges))
-    member = pmap(lambda z: zonotope_membership(inst, basis, z), candidates)
-    return tuple(z for z, ok in zip(candidates, member) if ok)
+    return tuple(
+        z for z in itertools.product(*ranges) if zonotope_membership(inst, basis, z)
+    )
 
 
 def volume(inst, basis):

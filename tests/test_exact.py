@@ -9,6 +9,7 @@ from peritrope import (
     Digraph,
     EnumerationCapExceeded,
     Infeasible,
+    InvariantViolation,
     PespInstance,
     brute_force_timetable,
     crosscheck,
@@ -141,3 +142,21 @@ def test_verify_solution_spots_corruption():
     assert verify_solution(inst, basis, bad_offset)
     bad_value = dataclasses.replace(sol, objective=13)
     assert verify_solution(inst, basis, bad_value)
+
+
+def test_offset_drift_in_solve_exact_is_an_invariant_violation(monkeypatch):
+    # A per-polytrope optimum whose timetable lies in another class, or
+    # whose objective is misreported, must not be returned silently.
+    inst, basis = _triangle()
+    honest = peritrope.exact.minimize_over_polytrope
+    for corrupt in (
+        lambda res: dataclasses.replace(res, timetable=(0, 9, 2)),
+        lambda res: dataclasses.replace(res, objective=res.objective - 1),
+    ):
+        monkeypatch.setattr(
+            peritrope.exact,
+            "minimize_over_polytrope",
+            lambda *a, **k: corrupt(honest(*a, **k)),
+        )
+        with pytest.raises(InvariantViolation):
+            solve_exact(inst, basis)

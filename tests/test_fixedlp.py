@@ -2,16 +2,85 @@ import random
 
 import pytest
 
+import peritrope.fixedlp
 from peritrope import (
     EnumerationCapExceeded,
     Infeasible,
+    InvariantViolation,
     brute_force_fixed_offset,
     default_basis,
     enumerate_polytropes,
     minimize_over_polytrope,
     timetable_to_tension,
 )
-from helpers import random_instance, square_basis, square_instance, triangle_instance
+from helpers import (
+    enumerate_fixed_offset,
+    random_instance,
+    square_basis,
+    square_instance,
+    triangle_instance,
+)
+
+
+def _random_cases():
+    """Seeded (instance, offset, objective) cases for the differential
+    tests.  Offsets are class representatives, the same classes shifted by
+    a random potential, and raw random vectors (often empty).  Objectives
+    cycle through the instance weights, zero (the optimal face is the
+    whole polytrope), one unit on a single arc (faces of dimension >= 1)
+    and random signed weights."""
+    for seed in range(120):
+        rng = random.Random(3000 + seed)
+        inst = random_instance(rng, max_vertices=5, max_arcs=7, max_period=10)
+        g = inst.graph
+        offsets = [poly.offset for poly in enumerate_polytropes(inst, default_basis(g))][:3]
+        for p in offsets[:2]:
+            shift = [rng.randint(-2, 2) for _ in range(g.n)]
+            offsets.append(tuple(pa + shift[j] - shift[i] for pa, (i, j) in zip(p, g.arc_index_pairs)))
+        offsets.append(tuple(rng.randint(-1, 2) for _ in range(g.m)))
+        for k, p in enumerate(offsets):
+            kind = (seed + k) % 4
+            if kind == 0:
+                objective = None
+            elif kind == 1:
+                objective = (0,) * g.m
+            elif kind == 2:
+                objective = tuple(int(a == rng.randrange(g.m)) for a in range(g.m))
+            else:
+                objective = tuple(rng.randint(-3, 5) for _ in range(g.m))
+            yield inst, p, objective
+
+
+def _certifies(inst, p, res):
+    """Does the tight structure pin a spanning tree whose bounds rebuild
+    the whole tension?"""
+    g = inst.graph
+    s = res.tight_structure
+    if s is None or len(s.tree) != g.n - 1:
+        return False
+    if any(res.tension[a] != inst.lower[a] for a in s.at_lower):
+        return False
+    if any(res.tension[a] != inst.upper[a] for a in s.at_upper):
+        return False
+    pinned = {a: inst.lower[a] for a in s.at_lower}
+    pinned.update({a: inst.upper[a] for a in s.at_upper})
+    pi = [None] * g.n
+    pi[0] = 0
+    changed = True
+    while changed:
+        changed = False
+        for a in s.tree:
+            i, j = g.arc_index_pairs[a]
+            if pi[i] is not None and pi[j] is None:
+                pi[j] = pi[i] + pinned[a] - inst.period * p[a]
+                changed = True
+            elif pi[j] is not None and pi[i] is None:
+                pi[i] = pi[j] - pinned[a] + inst.period * p[a]
+                changed = True
+    rebuilt = tuple(
+        pi[j] - pi[i] + inst.period * p[a] for a, (i, j) in enumerate(g.arc_index_pairs)
+    )
+    return rebuilt == res.tension
 
 
 def test_triangle_optimum_per_offset():
@@ -89,45 +158,56 @@ def test_custom_objective_targets_one_arc():
 
 def test_tight_structure_certifies_the_vertex():
     inst = triangle_instance()
-    g = inst.graph
     for z in (0, 1, 2):
         p = (0, 0, z)
-        res = minimize_over_polytrope(inst, p)
-        s = res.tight_structure
-        assert s is not None
-        assert len(s.tree) == g.n - 1
-        for a in s.at_lower:
-            assert res.tension[a] == inst.lower[a]
-        for a in s.at_upper:
-            assert res.tension[a] == inst.upper[a]
-        # re-solving from the pinned tree arcs reproduces the whole tension
-        pinned = {a: inst.lower[a] for a in s.at_lower}
-        pinned.update({a: inst.upper[a] for a in s.at_upper})
-        pi = [None] * g.n
-        pi[0] = 0
-        changed = True
-        while changed:
-            changed = False
-            for a in s.tree:
-                i, j = g.arc_index_pairs[a]
-                if pi[i] is not None and pi[j] is None:
-                    pi[j] = pi[i] + pinned[a] - inst.period * p[a]
-                    changed = True
-                elif pi[j] is not None and pi[i] is None:
-                    pi[i] = pi[j] - pinned[a] + inst.period * p[a]
-                    changed = True
-        rebuilt = tuple(
-            pi[j] - pi[i] + inst.period * p[a]
-            for a, (i, j) in enumerate(g.arc_index_pairs)
-        )
-        assert rebuilt == res.tension
+        assert _certifies(inst, p, minimize_over_polytrope(inst, p))
+    checked = 0
+    for inst, p, objective in _random_cases():
+        try:
+            res = minimize_over_polytrope(inst, p, objective)
+        except Infeasible:
+            continue
+        assert _certifies(inst, p, res), (inst, p, objective)
+        checked += 1
+    assert checked >= 250
 
 
 def test_tree_cap_propagates():
+    # The cap bounds the trees of the optimal face.  A zero objective makes
+    # that face the whole polytrope; a full-dimensional one has no tied
+    # vertices, so its quotient is the 12-tree square itself.
     inst = square_instance()
-    p = enumerate_polytropes(inst, square_basis())[0].offset
+    polys = enumerate_polytropes(inst, square_basis())
+    p = next(poly.offset for poly in polys if poly.dimension == inst.graph.n - 1)
     with pytest.raises(EnumerationCapExceeded):
-        minimize_over_polytrope(inst, p, tree_cap=3)
+        minimize_over_polytrope(inst, p, objective=(0,) * inst.graph.m, tree_cap=3)
+
+
+def test_matches_the_structure_enumeration_on_random_cases():
+    checked = empty = 0
+    for inst, p, objective in _random_cases():
+        try:
+            fast = minimize_over_polytrope(inst, p, objective)
+        except Infeasible:
+            with pytest.raises(Infeasible):
+                enumerate_fixed_offset(inst, p, objective)
+            empty += 1
+            continue
+        slow = enumerate_fixed_offset(inst, p, objective)
+        assert (fast.timetable, fast.tension, fast.objective) == (
+            slow.timetable,
+            slow.tension,
+            slow.objective,
+        ), (inst, p, objective)
+        checked += 1
+    assert checked >= 300 and empty >= 10
+
+
+def test_a_face_without_a_vertex_is_an_invariant_violation(monkeypatch):
+    inst = triangle_instance()
+    monkeypatch.setattr(peritrope.fixedlp, "spanning_trees", lambda g, cap: ())
+    with pytest.raises(InvariantViolation):
+        minimize_over_polytrope(inst, (0, 0, 1), objective=(0, 0, 0))
 
 
 def test_tightening_an_upper_bound_never_helps():

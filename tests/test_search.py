@@ -3,8 +3,11 @@ import random
 
 import pytest
 
+import peritrope.search
 from peritrope import (
     Digraph,
+    FixedOffsetResult,
+    InvariantViolation,
     PespInstance,
     RetriesExhausted,
     TnsConfig,
@@ -190,3 +193,13 @@ def test_neighbourhood_graph_square():
         assert a in nodes and b in nodes
         assert a < b
     assert min(graph.objective.values()) == 26
+
+
+def test_offset_drift_in_tns_is_an_invariant_violation(monkeypatch):
+    # A neighbour's optimum that rebuilds into the start's own class.
+    inst, basis = _triangle()
+    start = solution_from_timetable(inst, basis, (0, 9, 2))
+    drifted = FixedOffsetResult(start.timetable, start.tension, start.objective - 1, None)
+    monkeypatch.setattr(peritrope.search, "minimize_over_polytrope", lambda *a, **k: drifted)
+    with pytest.raises(InvariantViolation):
+        tns(inst, basis, start)
