@@ -32,7 +32,6 @@ from .zonotopes import (
     lattice_points,
     odijk_box,
     validate_tiling,
-    volume,
     width,
     width_bound_report,
 )
@@ -182,10 +181,11 @@ def cmd_analyze(args):
     root = _resolve_root(args, vertex_map, inst.graph)
     basis = _basis_for(args, inst.graph)
     T = inst.period
+    bounds = width_bound_report(inst, basis)
     report = {
         "mu": basis.mu,
         "num_spanning_trees": count_spanning_trees_determinant(inst.graph),
-        "volume": _frac(volume(inst, basis)),
+        "volume": _frac(bounds.volume),
         "width": width(inst, basis),
     }
     capped = False
@@ -195,7 +195,6 @@ def cmd_analyze(args):
     except EnumerationCapExceeded:
         capped = True
     report["box"] = [[_frac(Fraction(lo, T)), _frac(Fraction(hi, T))] for lo, hi in odijk_box(inst, basis)]
-    bounds = width_bound_report(inst, basis)
     report["bound_chain"] = {
         "width": bounds.width,
         "num_spanning_trees": bounds.num_spanning_trees,
@@ -230,7 +229,7 @@ def cmd_analyze(args):
                 "at_most_one_point": tiling_report.at_most_one_point,
                 "ok": tiling_report.ok,
             }
-            duality = duality_check(inst, basis, root, width_cap=args.cap_width)
+            duality = duality_check(inst, basis, root, tiles=tiles)
             report["duality"] = {"checked": duality.checked, "ok": duality.ok}
         except EnumerationCapExceeded:
             capped = True
@@ -272,7 +271,7 @@ def cmd_tile(args):
     T = inst.period
     tiles = fine_tiling(inst, basis, root, width_cap=args.cap_width)
     tiling_report = validate_tiling(inst, basis, tiles, width_cap=args.cap_width)
-    duality = duality_check(inst, basis, root, width_cap=args.cap_width)
+    duality = duality_check(inst, basis, root, tiles=tiles)
     payload = {
         "root": root if root is not None else inst.graph.vertices[0],
         "tiles": [

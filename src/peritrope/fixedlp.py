@@ -22,7 +22,13 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import EnumerationCapExceeded, Infeasible, InvariantViolation
-from .graphs import DEFAULT_ENUMERATION_CAP, Digraph, greedy_spanning_tree, spanning_trees
+from .graphs import (
+    DEFAULT_ENUMERATION_CAP,
+    Digraph,
+    greedy_spanning_tree,
+    spanning_trees,
+    tree_potentials,
+)
 from .polytropes import (
     equality_classes,
     kappa,
@@ -40,30 +46,6 @@ class FixedOffsetResult:
     tension: tuple
     objective: int
     tight_structure: SpanningTreeStructure | None
-
-
-def _tree_adjacency(g, tree):
-    adj = [[] for _ in range(g.n)]
-    for a in tree:
-        i, j = g.arc_index_pairs[a]
-        adj[i].append((j, a, +1))
-        adj[j].append((i, a, -1))
-    return adj
-
-
-def _propagate(g, adj, differences):
-    """Potentials from pinned tree arcs, pi_head - pi_tail = differences[a],
-    with vertex 0 at 0."""
-    pi = [None] * g.n
-    pi[0] = 0
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w, a, s in adj[v]:
-            if pi[w] is None:
-                pi[w] = pi[v] + s * differences[a]
-                stack.append(w)
-    return pi
 
 
 def _min_cost_flow(n, edges, supply):
@@ -136,12 +118,11 @@ def _face_vertices(inst, p, dist, tree_cap):
             upper.append(inst.upper[a] - shift)
     q = Digraph(tuple(range(len(reps))), tuple(arcs))
     for tree in spanning_trees(q, DEFAULT_ENUMERATION_CAP if tree_cap is None else tree_cap):
-        adj = _tree_adjacency(q, tree)
         for mask in range(1 << len(tree)):
             pinned = [None] * q.m
             for k, b in enumerate(tree):
                 pinned[b] = upper[b] if mask >> k & 1 else lower[b]
-            P = _propagate(q, adj, pinned)
+            P = tree_potentials(q, tree, pinned)
             if all(lo <= P[h] - P[t] <= hi for (t, h), lo, hi in zip(arcs, lower, upper)):
                 yield tuple(P[c] + d for c, d in zip(cls, delta))
 
@@ -178,16 +159,7 @@ def minimize_over_polytrope(inst, p, objective=None, tree_cap=None):
 def _offsets_equivalent(g, tree, p_a, p_b):
     """Do two offset vectors differ by an integer potential difference?
     Decides whether they describe the same polytrope on the torus."""
-    adj = _tree_adjacency(g, tree)
-    q = [None] * g.n
-    q[0] = 0
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w, a, s in adj[v]:
-            if q[w] is None:
-                q[w] = q[v] - s * (p_a[a] - p_b[a])
-                stack.append(w)
+    q = tree_potentials(g, tree, [b - a for a, b in zip(p_a, p_b)])
     return all(
         q[i] - q[j] == p_a[a] - p_b[a] for a, (i, j) in enumerate(g.arc_index_pairs)
     )

@@ -326,6 +326,28 @@ def greedy_spanning_tree(g):
     return tuple(tree)
 
 
+def tree_potentials(g, tree, differences, root=0):
+    """Vertex potentials with pi[root] = 0 and pi_head - pi_tail =
+    differences[a] along every arc a of ``tree`` (arc indices;
+    ``differences`` is indexed by arc).  Vertices the tree does not reach
+    keep None."""
+    adj = [[] for _ in range(g.n)]
+    for a in tree:
+        i, j = g.arc_index_pairs[a]
+        adj[i].append((j, a, 1))
+        adj[j].append((i, a, -1))
+    pi = [None] * g.n
+    pi[root] = 0
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for w, a, s in adj[v]:
+            if pi[w] is None:
+                pi[w] = pi[v] + s * differences[a]
+                stack.append(w)
+    return pi
+
+
 def default_basis(g):
     """Fundamental basis of the greedy spanning tree."""
     return fundamental_cycle_basis(g, greedy_spanning_tree(g))

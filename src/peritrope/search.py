@@ -13,8 +13,14 @@ import random
 from dataclasses import dataclass
 
 from .errors import EnumerationCapExceeded, Infeasible, InvariantViolation, RetriesExhausted
-from .fixedlp import _propagate, _tree_adjacency, minimize_over_polytrope
-from .graphs import DEFAULT_ENUMERATION_CAP, default_basis, greedy_spanning_tree, spanning_trees
+from .fixedlp import minimize_over_polytrope
+from .graphs import (
+    DEFAULT_ENUMERATION_CAP,
+    default_basis,
+    greedy_spanning_tree,
+    spanning_trees,
+    tree_potentials,
+)
 from .polytropes import (
     neighbors,
     normalize_timetable,
@@ -73,7 +79,7 @@ def initial_solution(inst, seed=0, basis=None, tree=None, retries=200):
         if attempt % 2 == 1:
             for a in chosen:
                 x[a] = rng.randint(inst.lower[a], inst.upper[a])
-        pi = _propagate(g, _tree_adjacency(g, chosen), x)
+        pi = tree_potentials(g, chosen, x)
         try:
             return solution_from_timetable(inst, basis, pi)
         except Infeasible:

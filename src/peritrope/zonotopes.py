@@ -5,6 +5,12 @@ Every coordinate in this module is stored scaled by the period T so that
 all arithmetic stays on integers; the real value is the stored value
 divided by T.  A point is a lattice point exactly when every scaled
 coordinate is divisible by T.
+
+Tile containment is integer-only too: each tile's generator matrix G is
+inverted once, fraction-free, into a frame (d, d * G^-1) with |d| = |det G|,
+and a point lies in the tile when every coordinate of d * G^-1 applied to
+its offset from the translation falls between 0 and d.  Fractions appear
+only in volumes and the width bound chain.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from .graphs import (
     _bareiss_det,
     count_spanning_trees_determinant,
     spanning_trees,
+    tree_potentials,
 )
 from .polytropes import (
     anchor_timetable,
@@ -57,14 +64,19 @@ def zonotope_descriptor(inst, basis):
     for a in range(inst.graph.m):
         if inst.lower[a] == inst.upper[a]:
             raise FixedArcPresent(f"arc {a} has zero span; contract fixed arcs first")
-    span = inst.span
-    generators = tuple(
-        tuple(row[a] * span[a] for row in basis.gamma) for a in range(inst.graph.m)
-    )
+    generators = _scaled_columns(inst, basis)
     translation = tuple(
         sum(row[a] * inst.lower[a] for a in range(inst.graph.m)) for row in basis.gamma
     )
     return ZonotopeDescriptor(basis, inst.period, generators, translation)
+
+
+def _scaled_columns(inst, basis):
+    """The T-scaled generator of every arc: its basis column times its span."""
+    span = inst.span
+    return tuple(
+        tuple(row[a] * span[a] for row in basis.gamma) for a in range(inst.graph.m)
+    )
 
 
 def odijk_box(inst, basis):
@@ -146,11 +158,9 @@ def volume(inst, basis):
     mu = basis.mu
     if mu == 0:
         return Fraction(1)
-    span = inst.span
-    m = inst.graph.m
-    cols = [tuple(row[a] * span[a] for row in basis.gamma) for a in range(m)]
+    cols = _scaled_columns(inst, basis)
     total = 0
-    for subset in itertools.combinations(range(m), mu):
+    for subset in itertools.combinations(range(inst.graph.m), mu):
         mat = [[cols[c][k] for c in subset] for k in range(mu)]
         total += abs(_bareiss_det(mat))
     return Fraction(total, inst.period**mu)
@@ -231,60 +241,75 @@ class Tile:
 
 def _tile_translation(inst, basis, structure):
     v = [inst.upper[a] if a in structure.at_upper else inst.lower[a] for a in range(inst.graph.m)]
-    return tuple(sum(row[a] * v[a] for a in range(inst.graph.m)) for row in basis.gamma)
+    return tuple(sum(r * x for r, x in zip(row, v)) for row in basis.gamma)
 
 
-def _solve_parallelotope_coords(generators, translation, scaled_point):
-    """Barycentric-style coordinates of a scaled point in the parallelotope;
-    None when the generator matrix is singular."""
+def _tile_frame(generators):
+    """(d, d * G^-1) for the matrix G whose columns are ``generators``, by
+    fraction-free (Bareiss) Gauss-Jordan elimination on [G | I]: every
+    division is exact and |d| = |det G|.  None when G is singular."""
     mu = len(generators)
-    rhs = [Fraction(p - t) for p, t in zip(scaled_point, translation)]
-    mat = [[Fraction(generators[c][k]) for c in range(mu)] for k in range(mu)]
-    for col in range(mu):
-        pivot = next((r for r in range(col, mu) if mat[r][col] != 0), None)
+    rows = [
+        [col[k] for col in generators] + [int(k == c) for c in range(mu)]
+        for k in range(mu)
+    ]
+    prev = 1
+    for k in range(mu):
+        pivot = next((r for r in range(k, mu) if rows[r][k]), None)
         if pivot is None:
             return None
-        mat[col], mat[pivot] = mat[pivot], mat[col]
-        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
-        inv = 1 / mat[col][col]
-        mat[col] = [x * inv for x in mat[col]]
-        rhs[col] *= inv
-        for r in range(mu):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-                rhs[r] -= f * rhs[col]
-    return rhs
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = rows[k]
+        d = top[k]
+        for i in range(mu):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(d * x - f * y) // prev for x, y in zip(rows[i], top)]
+        prev = d
+    return prev, tuple(tuple(row[mu:]) for row in rows)
+
+
+def _frame_contains(frame, translation, scaled_point):
+    """Is the scaled point in the tile whose generator frame is ``frame``:
+    every coordinate of (d * G^-1)(point - translation) between 0 and d."""
+    d, adj = frame
+    lo, hi = (0, d) if d > 0 else (d, 0)
+    offset = [p - t for p, t in zip(scaled_point, translation)]
+    for row in adj:
+        v = sum(a * x for a, x in zip(row, offset))
+        if v < lo or v > hi:
+            return False
+    return True
 
 
 def tile_contains_scaled(tile, scaled_point):
-    coords = _solve_parallelotope_coords(tile.generators, tile.translation, scaled_point)
-    if coords is None:
-        return False
-    return all(0 <= lam <= 1 for lam in coords)
+    frame = _tile_frame(tile.generators)
+    return frame is not None and _frame_contains(frame, tile.translation, scaled_point)
 
 
 def fine_tiling(inst, basis, root=None, tree_cap=None, width_cap=DEFAULT_WIDTH_CAP):
     """One tile per spanning tree, pinned by the root orientation.  Each
-    tile records the lattice point it contains, if any."""
+    tile records the first lattice point (in sorted order) it contains, if
+    any."""
     cap = DEFAULT_ENUMERATION_CAP if tree_cap is None else tree_cap
     trees = spanning_trees(inst.graph, cap)
     points = lattice_points(inst, basis, cap=width_cap)
     T = inst.period
+    scaled = [tuple(T * v for v in z) for z in points]
+    columns = _scaled_columns(inst, basis)
+    arcs = set(range(inst.graph.m))
     tiles = []
     for tree in trees:
         structure = structure_for_tree(inst.graph, tree, root)
-        cotree = sorted(set(range(inst.graph.m)) - set(tree))
-        generators = tuple(
-            tuple(row[a] * inst.span[a] for row in basis.gamma) for a in cotree
-        )
+        generators = tuple(columns[a] for a in sorted(arcs.difference(tree)))
         translation = _tile_translation(inst, basis, structure)
+        frame = _tile_frame(generators)
         contained = None
-        probe = Tile(structure, generators, translation, None)
-        for z in points:
-            if tile_contains_scaled(probe, tuple(T * v for v in z)):
-                contained = z
-                break
+        if frame is not None:
+            contained = next(
+                (z for z, s in zip(points, scaled) if _frame_contains(frame, translation, s)),
+                None,
+            )
         tiles.append(Tile(structure, generators, translation, contained))
     return tuple(tiles)
 
@@ -317,18 +342,15 @@ def validate_tiling(inst, basis, tiles, width_cap=DEFAULT_WIDTH_CAP):
     zonotope volume, every tile inside the zonotope, every lattice point
     covered, and no tile holding two lattice points."""
     T = inst.period
-    mu = basis.mu
     vol = volume(inst, basis)
-    tile_sum = Fraction(0)
-    nondegenerate = True
-    for tile in tiles:
-        mat = [[tile.generators[c][k] for c in range(len(tile.generators))] for k in range(mu)]
-        det = _bareiss_det(mat) if mu else 1
-        if det == 0:
-            nondegenerate = False
-        tile_sum += Fraction(abs(det), T**mu)
+    frames = [_tile_frame(tile.generators) for tile in tiles]
+    nondegenerate = all(frame is not None for frame in frames)
+    tile_sum = Fraction(
+        sum(abs(frame[0]) for frame in frames if frame is not None), T**basis.mu
+    )
 
-    tiles_inside = all(_tile_inside(inst, basis, tile) for tile in tiles)
+    columns = _scaled_columns(inst, basis)
+    tiles_inside = all(_tile_inside(inst, basis, tile, columns) for tile in tiles)
 
     points = lattice_points(inst, basis, cap=width_cap)
     incidences = []
@@ -337,8 +359,8 @@ def validate_tiling(inst, basis, tiles, width_cap=DEFAULT_WIDTH_CAP):
     for z in points:
         scaled = tuple(T * v for v in z)
         hit = False
-        for t, tile in enumerate(tiles):
-            if _in_tile_bbox(tile, scaled) and tile_contains_scaled(tile, scaled):
+        for t, (tile, frame) in enumerate(zip(tiles, frames)):
+            if frame is not None and _frame_contains(frame, tile.translation, scaled):
                 incidences.append((t, z))
                 per_tile_counts[t] += 1
                 hit = True
@@ -357,29 +379,22 @@ def validate_tiling(inst, basis, tiles, width_cap=DEFAULT_WIDTH_CAP):
     )
 
 
-def _in_tile_bbox(tile, scaled_point):
-    for k in range(len(scaled_point)):
-        lo = hi = tile.translation[k]
-        for col in tile.generators:
-            if col[k] > 0:
-                hi += col[k]
-            else:
-                lo += col[k]
-        if not lo <= scaled_point[k] <= hi:
-            return False
-    return True
+def _tile_inside(inst, basis, tile, columns):
+    """Every vertex of the tile lies in the zonotope; ``columns`` are the
+    zonotope's generators, ``_scaled_columns(inst, basis)``.
 
-
-def _tile_inside(inst, basis, tile):
-    """Every vertex of the tile lies in the zonotope.
-
-    Vertices of a structure tile are images of bound-box corners, which is
-    checked directly by reconstructing the corner; a tile with a tampered
-    translation falls back to the exact membership test.
+    A tile whose translation and generators are the ones its structure
+    implies is inside: each vertex is the image of a corner of the bound
+    box.  Any other tile has its vertices checked one by one, by
+    reconstructing the corner or, failing that, by the exact membership
+    test.
     """
     m = inst.graph.m
     structure = tile.structure
     cotree = sorted(set(range(m)) - set(structure.tree))
+    implied = tuple(columns[a] for a in cotree)
+    if tile.generators == implied and tile.translation == _tile_translation(inst, basis, structure):
+        return True
     base = [inst.upper[a] if a in structure.at_upper else inst.lower[a] for a in range(m)]
     span = inst.span
     for picks in itertools.product((0, 1), repeat=len(cotree)):
@@ -426,14 +441,18 @@ class DualityReport:
         return all(e.feasible_vertex and e.matches_tropical_vertex for e in self.entries)
 
 
-def duality_check(inst, basis, root=None, tree_cap=None, width_cap=DEFAULT_WIDTH_CAP):
+def duality_check(
+    inst, basis, root=None, tree_cap=None, width_cap=DEFAULT_WIDTH_CAP, tiles=None
+):
     """For every tile holding a lattice point z: pinning the tree arcs to
     their bounds extends to a feasible tension whose timetable is the
-    root's tropical vertex of the offset class of z."""
+    root's tropical vertex of the offset class of z.  ``tiles`` is the
+    ``fine_tiling`` for the same root, built here when not given."""
     g = inst.graph
     T = inst.period
     ridx = g.vindex[root] if root is not None else 0
-    tiles = fine_tiling(inst, basis, root, tree_cap=tree_cap, width_cap=width_cap)
+    if tiles is None:
+        tiles = fine_tiling(inst, basis, root, tree_cap=tree_cap, width_cap=width_cap)
     entries = []
     for t, tile in enumerate(tiles):
         z = tile.lattice_point
@@ -449,20 +468,8 @@ def duality_check(inst, basis, root=None, tree_cap=None, width_cap=DEFAULT_WIDTH
             x[a] = inst.lower[a]
         for a in structure.at_upper:
             x[a] = inst.upper[a]
-        adj = [[] for _ in range(g.n)]
-        for a in structure.tree:
-            i, j = g.arc_index_pairs[a]
-            adj[i].append((j, a, +1))
-            adj[j].append((i, a, -1))
-        pi = [None] * g.n
-        pi[ridx] = 0
-        stack = [ridx]
-        while stack:
-            v = stack.pop()
-            for w, a, s in adj[v]:
-                if pi[w] is None:
-                    pi[w] = pi[v] + s * (x[a] - T * p[a])
-                    stack.append(w)
+        differences = {a: x[a] - T * p[a] for a in structure.tree}
+        pi = tree_potentials(g, structure.tree, differences, ridx)
         feasible = True
         for a, (i, j) in enumerate(g.arc_index_pairs):
             if x[a] is None:

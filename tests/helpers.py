@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from fractions import Fraction
 
+import peritrope
 from peritrope import (
     Digraph,
     FixedOffsetResult,
@@ -43,6 +48,19 @@ def square_basis(g=None):
     if g is None:
         g = square_graph()
     return fundamental_cycle_basis(g, (0, 2, 3)).permuted((1, 0, 2))
+
+
+def run_cli(args):
+    """Run ``python -m peritrope.cli`` in a subprocess on the package source
+    that the tests import, whatever the caller's PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(peritrope.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "peritrope.cli", *args],
+        capture_output=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
 
 
 def random_connected_digraph(rng, max_vertices=5, max_arcs=8):
@@ -127,3 +145,28 @@ def enumerate_fixed_offset(inst, p, objective=None):
                     ),
                 )
     return best
+
+
+def solve_parallelotope_coords(generators, translation, scaled_point):
+    """Reference for tile containment: the coordinates lambda with
+    point = translation + sum of lambda_c * generators[c], by Gauss-Jordan
+    elimination over Fractions; None when the generator matrix is
+    singular.  The point is in the tile when every lambda is in [0, 1]."""
+    mu = len(generators)
+    rhs = [Fraction(p - t) for p, t in zip(scaled_point, translation)]
+    mat = [[Fraction(generators[c][k]) for c in range(mu)] for k in range(mu)]
+    for col in range(mu):
+        pivot = next((r for r in range(col, mu) if mat[r][col] != 0), None)
+        if pivot is None:
+            return None
+        mat[col], mat[pivot] = mat[pivot], mat[col]
+        rhs[col], rhs[pivot] = rhs[pivot], rhs[col]
+        inv = 1 / mat[col][col]
+        mat[col] = [x * inv for x in mat[col]]
+        rhs[col] *= inv
+        for r in range(mu):
+            if r != col and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
+                rhs[r] -= f * rhs[col]
+    return rhs

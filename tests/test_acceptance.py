@@ -7,8 +7,6 @@ PASS/FAIL line per criterion via conftest.
 
 import json
 import random
-import subprocess
-import sys
 from fractions import Fraction
 
 import pytest
@@ -44,7 +42,7 @@ from peritrope import (
     width_bound_report,
     zonotope_descriptor,
 )
-from helpers import random_instance, square_basis, square_instance, triangle_instance
+from helpers import random_instance, run_cli, square_basis, square_instance, triangle_instance
 
 TRIANGLE_TEXT = """\
 PERIOD 10
@@ -247,11 +245,7 @@ def test_criterion_9_determinism(tmp_path):
     path.write_text(TRIANGLE_TEXT)
 
     def run(args):
-        proc = subprocess.run(
-            [sys.executable, "-m", "peritrope.cli", *args],
-            capture_output=True,
-            timeout=120,
-        )
+        proc = run_cli(args)
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout
 

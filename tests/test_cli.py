@@ -1,9 +1,8 @@
 import json
-import subprocess
-import sys
 
 import pytest
 
+from helpers import run_cli
 from peritrope.cli import main
 
 TRIANGLE = """\
@@ -166,6 +165,25 @@ def test_tile_command(tri, capsys):
     assert payload["duality"]["ok"] is True
 
 
+@pytest.mark.parametrize("command", ["analyze", "tile"])
+def test_one_tiling_per_command(tri, command, monkeypatch, capsys):
+    from peritrope import cli, zonotopes
+
+    calls = []
+    real = zonotopes.fine_tiling
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fine_tiling", counting)
+    monkeypatch.setattr(zonotopes, "fine_tiling", counting)
+    assert main([command, tri, "--root", "v1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["duality"] == {"checked": 3, "ok": True}
+    assert len(calls) == 1
+
+
 def test_render_to_file(tri, tmp_path):
     out = tmp_path / "torus.svg"
     assert main(["render", tri, "--out", str(out)]) == 0
@@ -218,21 +236,13 @@ def test_contracted_instance_is_flagged(tmp_path, capsys):
     assert payload["validation"]["ok"] is True
 
 
-def _run(args):
-    return subprocess.run(
-        [sys.executable, "-m", "peritrope.cli", *args],
-        capture_output=True,
-        timeout=120,
-    )
-
-
 def test_repeated_runs_are_byte_identical(tri, tmp_path):
-    first = _run(["solve", tri])
-    second = _run(["solve", tri])
+    first = run_cli(["solve", tri])
+    second = run_cli(["solve", tri])
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     out_a = tmp_path / "a.svg"
     out_b = tmp_path / "b.svg"
-    assert _run(["render", tri, "--out", str(out_a)]).returncode == 0
-    assert _run(["render", tri, "--out", str(out_b)]).returncode == 0
+    assert run_cli(["render", tri, "--out", str(out_a)]).returncode == 0
+    assert run_cli(["render", tri, "--out", str(out_b)]).returncode == 0
     assert out_a.read_bytes() == out_b.read_bytes()

@@ -18,6 +18,7 @@ from peritrope import (
     spanning_trees,
     verify_kernel_property,
 )
+from peritrope.graphs import tree_potentials
 from helpers import random_connected_digraph, square_graph, triangle_graph
 
 
@@ -174,3 +175,19 @@ def test_unimodular_cotree_minors():
         cotree = sorted(set(range(g.m)) - set(tree))
         mat = [[basis.gamma[k][a] for a in cotree] for k in range(basis.mu)]
         assert abs(_bareiss_det(mat)) == 1
+
+
+def test_tree_potentials_follow_the_pinned_differences():
+    rng = random.Random(11)
+    for _ in range(30):
+        g = random_connected_digraph(rng, max_vertices=6, max_arcs=9)
+        tree = rng.choice(spanning_trees(g))
+        differences = [rng.randint(-9, 9) for _ in range(g.m)]
+        root = rng.randrange(g.n)
+        pi = tree_potentials(g, tree, differences, root)
+        assert pi[root] == 0
+        for a in tree:
+            i, j = g.arc_index_pairs[a]
+            assert pi[j] - pi[i] == differences[a]
+    # arcs outside the tree are ignored; vertices it misses stay None
+    assert tree_potentials(triangle_graph(), (0,), {0: 5}) == [0, 5, None]

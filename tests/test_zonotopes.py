@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
 
@@ -9,6 +10,8 @@ from peritrope import (
     EnumerationCapExceeded,
     FixedArcPresent,
     PespInstance,
+    SpanningTreeStructure,
+    Tile,
     default_basis,
     duality_check,
     fine_tiling,
@@ -17,8 +20,11 @@ from peritrope import (
     odijk_box,
     parse_instance,
     scaled_point_in_zonotope,
+    offset_from_cycle_offset,
+    offset_zero,
     spanning_trees,
     structure_for_tree,
+    tile_contains_scaled,
     validate_tiling,
     volume,
     volume_by_tree_sum,
@@ -27,8 +33,12 @@ from peritrope import (
     zonotope_descriptor,
     zonotope_membership,
 )
+from peritrope import zonotopes
+from peritrope.graphs import _bareiss_det, tree_potentials
+from peritrope.zonotopes import _tile_frame
 from helpers import (
     random_instance,
+    solve_parallelotope_coords,
     square_basis,
     square_instance,
     triangle_graph,
@@ -243,6 +253,147 @@ def test_validate_tiling_flags_a_shifted_tile():
     assert not report.tiles_inside
 
 
+def test_validate_tiling_flags_tampered_generators(monkeypatch):
+    calls = []
+    real = zonotopes.scaled_point_in_zonotope
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(zonotopes, "scaled_point_in_zonotope", counting)
+    inst, basis = _triangle()
+    tiles = list(fine_tiling(inst, basis, root="v1"))
+    assert validate_tiling(inst, basis, tiles).ok
+    assert calls == []  # untampered tiles are inside without a membership test
+    tiles[0] = dataclasses.replace(tiles[0], generators=((40,),))
+    report = validate_tiling(inst, basis, tiles)
+    assert calls
+    assert not report.tiles_inside
+    assert not report.ok
+    # the same parallelotope with its generators listed in another order
+    # takes the per-vertex fallback and is still inside
+    sq, sq_basis = square_instance(), square_basis()
+    tiles = list(fine_tiling(sq, sq_basis))
+    tiles[0] = dataclasses.replace(tiles[0], generators=tiles[0].generators[::-1])
+    calls.clear()
+    report = validate_tiling(sq, sq_basis, tiles)
+    assert calls
+    assert report.tiles_inside
+    assert report.ok
+
+
+def _random_generators(rng, mu, singular):
+    """Random integer columns; a singular draw makes one column an integer
+    combination of the others (the zero column when mu = 1)."""
+    cols = [[rng.randint(-5, 5) for _ in range(mu)] for _ in range(mu)]
+    if singular:
+        i = rng.randrange(mu)
+        others = [col for k, col in enumerate(cols) if k != i] or [[0] * mu]
+        x, y = rng.choice(others), rng.choice(others)
+        a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+        cols[i] = [a * u + b * v for u, v in zip(x, y)]
+    return tuple(tuple(col) for col in cols)
+
+
+def _frame_cases(count, seed):
+    rng = random.Random(seed)
+    for k in range(count):
+        mu = k % 7
+        yield rng, mu, _random_generators(rng, mu, singular=mu > 0 and rng.random() < 0.2)
+
+
+def test_tile_frame_is_a_scaled_inverse():
+    kinds = {"singular": 0, "negative": 0, "positive": 0}
+    for _, mu, gens in _frame_cases(700, 41):
+        det = _bareiss_det([[col[k] for col in gens] for k in range(mu)])
+        frame = _tile_frame(gens)
+        if det == 0:
+            assert frame is None
+            kinds["singular"] += 1
+            continue
+        d, adj = frame
+        assert abs(d) == abs(det)
+        for i in range(mu):
+            for c in range(mu):
+                assert sum(adj[i][j] * gens[c][j] for j in range(mu)) == (d if i == c else 0)
+        kinds["negative" if det < 0 else "positive"] += 1
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_tile_containment_matches_the_fraction_oracle():
+    """Points t + G c / q for integer c in [-1, q + 1]^mu put lambda = c / q
+    inside, on a facet (lambda = 0 or 1) and just outside the tile."""
+    seen = dict.fromkeys(("singular", "negative", "lambda=0", "lambda=1", "inside", "outside"), 0)
+    cases = 0
+    for rng, mu, base in _frame_cases(600, 43):
+        q = rng.randint(1, 4)
+        gens = tuple(tuple(q * v for v in col) for col in base)
+        translation = tuple(rng.randint(-20, 20) for _ in range(mu))
+        tile = Tile(SpanningTreeStructure((), (), ()), gens, translation, None)
+        det = _bareiss_det([[col[k] for col in gens] for k in range(mu)])
+        seen["singular"] += det == 0
+        seen["negative"] += det < 0
+        for _ in range(4):
+            c = [rng.choice((-1, 0, q, q + 1, rng.randint(0, q))) for _ in range(mu)]
+            point = tuple(
+                t + sum(ck * col[k] for ck, col in zip(c, base)) for k, t in enumerate(translation)
+            )
+            if rng.random() < 0.25:
+                point = tuple(v + rng.randint(-3, 3) for v in point)
+            coords = solve_parallelotope_coords(gens, translation, point)
+            expected = coords is not None and all(0 <= lam <= 1 for lam in coords)
+            assert tile_contains_scaled(tile, point) == expected, (gens, translation, point)
+            seen["inside" if expected else "outside"] += 1
+            if expected:
+                seen["lambda=0"] += 0 in coords
+                seen["lambda=1"] += 1 in coords
+            cases += 1
+    assert cases >= 500
+    assert min(seen.values()) >= 50, seen
+
+
+def test_tiles_hold_the_offsets_whose_pinned_tree_extends():
+    """Tile/tension correspondence: T z lies in a tree's tile exactly when
+    pinning the tree arcs to their bounds and propagating potentials under
+    the offset p(z) puts every co-tree arc within its bounds.  The tile's
+    lattice point is the first such z in sorted order."""
+    checked = 0
+    for seed in range(40):
+        rng = random.Random(700 + seed)
+        inst = random_instance(rng, max_vertices=5, max_arcs=7, max_period=10)
+        g, T = inst.graph, inst.period
+        basis = default_basis(g)
+        if width(inst, basis) > 200:
+            continue
+        if basis.mu and rng.random() < 0.5:
+            basis = fundamental_cycle_basis(g, rng.choice(spanning_trees(g)))
+        offsets = list(
+            itertools.product(*(range(-(-lo // T), hi // T + 1) for lo, hi in odijk_box(inst, basis)))
+        )
+        for tile in fine_tiling(inst, basis, root=rng.choice(g.vertices)):
+            s = tile.structure
+            holding = []
+            for z in offsets:
+                p = offset_from_cycle_offset(basis, z) if basis.mu else offset_zero(inst)
+                pinned = {
+                    a: (inst.upper[a] if a in s.at_upper else inst.lower[a]) - T * p[a]
+                    for a in s.tree
+                }
+                pi = tree_potentials(g, s.tree, pinned)
+                extends = all(
+                    inst.lower[a] <= pi[j] - pi[i] + T * p[a] <= inst.upper[a]
+                    for a, (i, j) in enumerate(g.arc_index_pairs)
+                    if a not in s.tree
+                )
+                assert tile_contains_scaled(tile, tuple(T * v for v in z)) == extends
+                if extends:
+                    holding.append(z)
+            assert tile.lattice_point == (holding[0] if holding else None)
+        checked += 1
+    assert checked >= 25
+
+
 def test_duality_triangle_values():
     inst, basis = _triangle()
     report = duality_check(inst, basis, root="v1")
@@ -266,6 +417,8 @@ def test_duality_holds_for_every_root():
         rep = duality_check(sq, square_basis(), root=root)
         assert rep.ok
         assert rep.checked == 12
+        tiles = fine_tiling(sq, square_basis(), root=root)
+        assert duality_check(sq, square_basis(), root=root, tiles=tiles) == rep
 
 
 def test_width_bound_report_triangle():
