@@ -56,6 +56,7 @@ from .polytropes import (
     kappa,
     neighbors,
     normalize_timetable,
+    offset_for,
     offset_from_cycle_offset,
     offset_zero,
     polytrope_build,

@@ -20,7 +20,7 @@ from .errors import (
     RetriesExhausted,
 )
 from .exact import solve_exact
-from .graphs import count_spanning_trees_determinant, default_basis, fundamental_cycle_basis
+from .graphs import default_basis, fundamental_cycle_basis
 from .instances import contract_fixed_arcs, parse_instance
 from .polytropes import enumerate_polytropes
 from .render import render_torus, render_zonotope
@@ -32,7 +32,6 @@ from .zonotopes import (
     lattice_points,
     odijk_box,
     validate_tiling,
-    width,
     width_bound_report,
 )
 
@@ -175,6 +174,33 @@ def _frac(value):
     return str(Fraction(value))
 
 
+def _tiling_section(inst, basis, root, width_cap):
+    """The tile list, validation and duality payloads of one fine tiling."""
+    T = inst.period
+    tiles = fine_tiling(inst, basis, root, width_cap=width_cap)
+    tiling_report = validate_tiling(inst, basis, tiles, width_cap=width_cap)
+    duality = duality_check(inst, basis, root, tiles=tiles)
+    listed = [
+        {
+            "tree": list(t.structure.tree),
+            "L": sorted(t.structure.at_lower),
+            "U": sorted(t.structure.at_upper),
+            "translation": [_frac(Fraction(v, T)) for v in t.translation],
+            "lattice_point": list(t.lattice_point) if t.lattice_point is not None else None,
+        }
+        for t in tiles
+    ]
+    validation = {
+        "tile_count": tiling_report.tile_count,
+        "volume_match": tiling_report.volume_match,
+        "tiles_inside": tiling_report.tiles_inside,
+        "all_points_covered": tiling_report.all_points_covered,
+        "at_most_one_point": tiling_report.at_most_one_point,
+        "ok": tiling_report.ok,
+    }
+    return listed, validation, {"checked": duality.checked, "ok": duality.ok}
+
+
 def cmd_analyze(args):
     raw = _load_instance(args)
     inst, vertex_map, contracted = _contract_if_needed(raw)
@@ -184,9 +210,9 @@ def cmd_analyze(args):
     bounds = width_bound_report(inst, basis)
     report = {
         "mu": basis.mu,
-        "num_spanning_trees": count_spanning_trees_determinant(inst.graph),
+        "num_spanning_trees": bounds.num_spanning_trees,
         "volume": _frac(bounds.volume),
-        "width": width(inst, basis),
+        "width": bounds.width,
     }
     capped = False
     try:
@@ -209,28 +235,9 @@ def cmd_analyze(args):
     }
     if not capped:
         try:
-            tiles = fine_tiling(inst, basis, root, width_cap=args.cap_width)
-            report["tiling"] = [
-                {
-                    "tree": list(t.structure.tree),
-                    "L": sorted(t.structure.at_lower),
-                    "U": sorted(t.structure.at_upper),
-                    "translation": [_frac(Fraction(v, T)) for v in t.translation],
-                    "lattice_point": list(t.lattice_point) if t.lattice_point is not None else None,
-                }
-                for t in tiles
-            ]
-            tiling_report = validate_tiling(inst, basis, tiles, width_cap=args.cap_width)
-            report["validation"] = {
-                "tile_count": tiling_report.tile_count,
-                "volume_match": tiling_report.volume_match,
-                "tiles_inside": tiling_report.tiles_inside,
-                "all_points_covered": tiling_report.all_points_covered,
-                "at_most_one_point": tiling_report.at_most_one_point,
-                "ok": tiling_report.ok,
-            }
-            duality = duality_check(inst, basis, root, tiles=tiles)
-            report["duality"] = {"checked": duality.checked, "ok": duality.ok}
+            report["tiling"], report["validation"], report["duality"] = _tiling_section(
+                inst, basis, root, args.cap_width
+            )
         except EnumerationCapExceeded:
             capped = True
     if contracted:
@@ -268,31 +275,12 @@ def cmd_tile(args):
     inst, vertex_map, contracted = _contract_if_needed(raw)
     root = _resolve_root(args, vertex_map, inst.graph)
     basis = _basis_for(args, inst.graph)
-    T = inst.period
-    tiles = fine_tiling(inst, basis, root, width_cap=args.cap_width)
-    tiling_report = validate_tiling(inst, basis, tiles, width_cap=args.cap_width)
-    duality = duality_check(inst, basis, root, tiles=tiles)
+    tiles, validation, duality = _tiling_section(inst, basis, root, args.cap_width)
     payload = {
         "root": root if root is not None else inst.graph.vertices[0],
-        "tiles": [
-            {
-                "tree": list(t.structure.tree),
-                "L": sorted(t.structure.at_lower),
-                "U": sorted(t.structure.at_upper),
-                "translation": [_frac(Fraction(v, T)) for v in t.translation],
-                "lattice_point": list(t.lattice_point) if t.lattice_point is not None else None,
-            }
-            for t in tiles
-        ],
-        "validation": {
-            "tile_count": tiling_report.tile_count,
-            "volume_match": tiling_report.volume_match,
-            "tiles_inside": tiling_report.tiles_inside,
-            "all_points_covered": tiling_report.all_points_covered,
-            "at_most_one_point": tiling_report.at_most_one_point,
-            "ok": tiling_report.ok,
-        },
-        "duality": {"checked": duality.checked, "ok": duality.ok},
+        "tiles": tiles,
+        "validation": validation,
+        "duality": duality,
     }
     if contracted:
         payload["contracted"] = True

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .errors import CrosscheckMismatch, EnumerationCapExceeded, Infeasible, InvariantViolation
 from .fixedlp import minimize_over_polytrope
 from .graphs import default_basis
-from .polytropes import offset_from_cycle_offset, offset_zero, timetable_to_tension
+from .polytropes import offset_for, timetable_to_tension
 from .search import Solution, solution_from_timetable
 from .zonotopes import DEFAULT_WIDTH_CAP, lattice_points
 
@@ -27,11 +27,10 @@ def solve_exact(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP, tree_cap=None):
     if not points:
         raise Infeasible("no feasible cycle offset: the zonotope holds no lattice point")
 
-    def solve_one(z):
-        p = offset_zero(inst) if basis.mu == 0 else offset_from_cycle_offset(basis, z)
-        return minimize_over_polytrope(inst, p, tree_cap=tree_cap)
-
-    results = [solve_one(z) for z in points]
+    results = [
+        minimize_over_polytrope(inst, offset_for(inst, basis, z), tree_cap=tree_cap)
+        for z in points
+    ]
     best_z, best = min(zip(points, results), key=lambda zr: (zr[1].objective, zr[0]))
     sol = solution_from_timetable(inst, basis, best.timetable)
     if sol.cycle_offset != best_z or sol.objective != best.objective:

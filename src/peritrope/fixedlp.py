@@ -25,6 +25,7 @@ from .errors import EnumerationCapExceeded, Infeasible, InvariantViolation
 from .graphs import (
     DEFAULT_ENUMERATION_CAP,
     Digraph,
+    greedy_forest,
     greedy_spanning_tree,
     spanning_trees,
     tree_potentials,
@@ -207,22 +208,14 @@ def _extract_tight_structure(inst, x):
     """Greedy spanning tree among the arcs sitting at a bound, or None if
     they do not span (the optimum landed off a vertex)."""
     g = inst.graph
-    parent = list(range(g.n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    chosen = []
-    for a, (i, j) in enumerate(g.arc_index_pairs):
-        if x[a] != inst.lower[a] and x[a] != inst.upper[a]:
-            continue
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            chosen.append(a)
+    chosen = greedy_forest(
+        g.n,
+        [
+            (a, i, j)
+            for a, (i, j) in enumerate(g.arc_index_pairs)
+            if x[a] == inst.lower[a] or x[a] == inst.upper[a]
+        ],
+    )
     if len(chosen) != g.n - 1:
         return None
     lower_side = frozenset(a for a in chosen if x[a] == inst.lower[a])

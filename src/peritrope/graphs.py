@@ -53,22 +53,7 @@ class Digraph:
 
     def is_connected(self):
         """Connectivity of the underlying undirected graph."""
-        if self.n == 0:
-            return False
-        adj = [[] for _ in range(self.n)]
-        for i, j in self.arc_index_pairs:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = [False] * self.n
-        seen[0] = True
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        return all(seen)
+        return self.n > 0 and None not in tree_potentials(self, range(self.m), (0,) * self.m)
 
 
 @dataclass(frozen=True)
@@ -111,6 +96,11 @@ class CycleBasis:
 
     def column(self, a):
         return tuple(row[a] for row in self.gamma)
+
+    def apply(self, v):
+        """Gamma v for a vector v with one entry per arc (offsets, tensions,
+        bounds); a vector of another length raises ValueError."""
+        return tuple(sum(s * x for s, x in zip(row, v, strict=True)) for row in self.gamma)
 
     @cached_property
     def row_cotree_arcs(self):
@@ -163,55 +153,24 @@ def fundamental_cycle_basis(g, tree):
     if len(tree_ids) != g.n - 1:
         raise NotASpanningTree(f"{len(tree_ids)} arcs cannot span {g.n} vertices")
 
-    pairs = g.arc_index_pairs
-    adj = [[] for _ in range(g.n)]
-    for a in tree_ids:
-        i, j = pairs[a]
-        adj[i].append((j, a, +1))
-        adj[j].append((i, a, -1))
-
-    reached = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w, _, _ in adj[v]:
-            if w not in reached:
-                reached.add(w)
-                stack.append(w)
-    if len(reached) != g.n:
-        raise NotASpanningTree("arc set does not span all vertices")
-
-    def tree_path(src, dst):
-        """Arcs of the unique tree path src -> dst as (arc, traversal sign)."""
-        prev = {src: None}
-        queue = [src]
-        while queue:
-            v = queue.pop(0)
-            if v == dst:
-                break
-            for w, a, s in adj[v]:
-                if w not in prev:
-                    prev[w] = (v, a, s)
-                    queue.append(w)
-        path = []
-        v = dst
-        while prev[v] is not None:
-            u, a, s = prev[v]
-            path.append((a, s))
-            v = u
-        path.reverse()
-        return path
+    # pi_b[v] is the signed number of times the tree path from the root to
+    # v runs along tree arc b, so the path j -> i closing co-tree arc
+    # (i, j) runs along b pi_b[i] - pi_b[j] times.
+    paths = {}
+    for b in tree_ids:
+        pi_b = tree_potentials(g, tree_ids, [int(a == b) for a in range(g.m)])
+        if None in pi_b:
+            raise NotASpanningTree("arc set does not span all vertices")
+        paths[b] = pi_b
 
     cycles = []
-    tree_set = set(tree_ids)
-    for a in range(g.m):
-        if a in tree_set:
+    for a, (i, j) in enumerate(g.arc_index_pairs):
+        if a in paths:
             continue
-        i, j = pairs[a]
         sig = [0] * g.m
         sig[a] = 1
-        for b, s in tree_path(j, i):
-            sig[b] += s
+        for b, pi_b in paths.items():
+            sig[b] = pi_b[i] - pi_b[j]
         cycles.append(OrientedCycle(tuple(sig)))
     return CycleBasis(tuple(cycles), tuple(tree_ids))
 
@@ -263,23 +222,6 @@ def spanning_trees(g, cap=DEFAULT_ENUMERATION_CAP):
     edges = [(a, i, j) for a, (i, j) in enumerate(g.arc_index_pairs)]
     found = []
 
-    def still_spans(edge_list, labels):
-        parent = {x: x for x in labels}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        comps = len(labels)
-        for _, i, j in edge_list:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-                comps -= 1
-        return comps == 1
-
     def recurse(edge_list, labels, chosen):
         if len(labels) == 1:
             found.append(tuple(sorted(chosen)))
@@ -299,17 +241,21 @@ def spanning_trees(g, cap=DEFAULT_ENUMERATION_CAP):
         recurse(contracted, labels - {y}, chosen)
         chosen.pop()
         rest = edge_list[1:]
-        if still_spans(rest, labels):
+        if len(greedy_forest(g.n, rest)) == len(labels) - 1:
             recurse(rest, labels, chosen)
 
     recurse(edges, frozenset(range(g.n)), [])
     return tuple(sorted(found))
 
 
-def greedy_spanning_tree(g):
-    """First spanning tree in arc order (union-find sweep)."""
-    _require_connected(g)
-    parent = list(range(g.n))
+def greedy_forest(n, edges):
+    """The arcs of a spanning forest on vertices 0..n-1, chosen greedily.
+
+    ``edges`` are (arc, tail_index, head_index) triples in the order they
+    are tried; an arc is kept when it joins two components of the arcs
+    kept before it (one union-find sweep).
+    """
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
@@ -317,20 +263,35 @@ def greedy_spanning_tree(g):
             x = parent[x]
         return x
 
-    tree = []
-    for a, (i, j) in enumerate(g.arc_index_pairs):
+    chosen = []
+    for a, i, j in edges:
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[ri] = rj
-            tree.append(a)
-    return tuple(tree)
+            chosen.append(a)
+    return chosen
+
+
+def greedy_spanning_tree(g):
+    """First spanning tree in arc order."""
+    _require_connected(g)
+    return tuple(greedy_forest(g.n, [(a, i, j) for a, (i, j) in enumerate(g.arc_index_pairs)]))
 
 
 def tree_potentials(g, tree, differences, root=0):
     """Vertex potentials with pi[root] = 0 and pi_head - pi_tail =
     differences[a] along every arc a of ``tree`` (arc indices;
     ``differences`` is indexed by arc).  Vertices the tree does not reach
-    keep None."""
+    keep None, and callers rely on that to detect an arc set that does not
+    span.
+
+    This is the package's one root-outward potential walk: connectivity,
+    cycle bases, timetables from tensions or pinned trees, and fixed-arc
+    contraction all go through it.  (``zonotopes.structure_for_tree`` keeps
+    its own walk, since it needs the direction each arc is used in.)  An arc
+    set with cycles is walked depth-first, in the order of ``tree``, and an
+    arc that closes a cycle is ignored.
+    """
     adj = [[] for _ in range(g.n)]
     for a in tree:
         i, j = g.arc_index_pairs[a]

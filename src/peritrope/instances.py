@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DisconnectedGraph, InfeasibleFixedCycle, InvalidBounds
-from .graphs import Digraph
+from .graphs import Digraph, tree_potentials
 
 
 @dataclass(frozen=True)
@@ -190,39 +190,16 @@ def contract_fixed_arcs(inst):
     pairs = g.arc_index_pairs
     fixed = [a for a in range(g.m) if inst.lower[a] == inst.upper[a]]
 
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a in fixed:
-        i, j = pairs[a]
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
-    # Offset of each vertex inside its fixed component, propagated along
-    # fixed arcs from the component representative.
-    comp_adj = [[] for _ in range(g.n)]
-    for a in fixed:
-        i, j = pairs[a]
-        comp_adj[i].append((j, inst.lower[a], a))
-        comp_adj[j].append((i, -inst.lower[a], a))
+    # The ascending sweep reaches each fixed component first at its smallest
+    # vertex, which becomes the representative; delta is the offset of each
+    # vertex inside its component, propagated along fixed arcs from there.
+    rep = [None] * g.n
     delta = [None] * g.n
     for v in range(g.n):
-        root = find(v)
-        if delta[root] is None:
-            delta[root] = 0
-            stack = [root]
-            while stack:
-                x = stack.pop()
-                for y, step, _ in comp_adj[x]:
-                    if delta[y] is None:
-                        delta[y] = delta[x] + step
-                        stack.append(y)
+        if rep[v] is None:
+            for w, d in enumerate(tree_potentials(g, fixed, inst.lower, v)):
+                if d is not None:
+                    rep[w], delta[w] = v, d
     for a in fixed:
         i, j = pairs[a]
         if (delta[j] - delta[i] - inst.lower[a]) % T != 0:
@@ -230,9 +207,9 @@ def contract_fixed_arcs(inst):
                 f"fixed arcs force an inconsistent cycle through arc {a}"
             )
 
-    reps = sorted(set(find(v) for v in range(g.n)))
+    reps = sorted(set(rep))
     rep_name = {r: g.vertices[r] for r in reps}
-    vertex_map = {g.vertices[v]: rep_name[find(v)] for v in range(g.n)}
+    vertex_map = {g.vertices[v]: rep_name[rep[v]] for v in range(g.n)}
 
     offset = sum(inst.weight[a] * inst.lower[a] for a in fixed)
     new_arcs = []
@@ -241,7 +218,7 @@ def contract_fixed_arcs(inst):
         if inst.lower[a] == inst.upper[a]:
             continue
         i, j = pairs[a]
-        ri, rj = find(i), find(j)
+        ri, rj = rep[i], rep[j]
         shift = delta[i] - delta[j]
         lo_raw = inst.lower[a] + shift
         lo = lo_raw % T

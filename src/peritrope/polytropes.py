@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import EmptyPolytrope, Infeasible, NotATension
+from .graphs import tree_potentials
 
 
 def kappa(inst, p):
@@ -117,12 +118,11 @@ class Polytrope:
 
 
 def polytrope_build(inst, basis, p):
-    p = tuple(int(x) for x in p)
-    z = tuple(sum(row[a] * p[a] for a in range(inst.graph.m)) for row in basis.gamma)
+    z = basis.apply(tuple(int(x) for x in p))
     # Offsets with the same cycle offset describe the same torus region, so
     # build from the canonical class representative; dist then depends on z
     # only, not on which preimage the caller happened to pass.
-    p = offset_from_cycle_offset(basis, z) if basis.mu else offset_zero(inst)
+    p = offset_for(inst, basis, z)
     n = inst.graph.n
     edges = kappa(inst, p)
     if _has_negative_cycle(n, edges):
@@ -219,24 +219,12 @@ def tension_to_timetable(inst, x, root=None):
     for a in range(g.m):
         if not inst.lower[a] <= x[a] <= inst.upper[a]:
             raise NotATension(f"arc {a}: {x[a]} outside [{inst.lower[a]}, {inst.upper[a]}]")
-    r = g.vindex[root] if root is not None else 0
-    adj = [[] for _ in range(g.n)]
-    for a, (i, j) in enumerate(g.arc_index_pairs):
-        adj[i].append((j, a, +1))
-        adj[j].append((i, a, -1))
-    pi = [None] * g.n
-    pi[r] = 0
-    stack = [r]
-    while stack:
-        v = stack.pop()
-        for w, a, s in adj[v]:
-            if pi[w] is None:
-                pi[w] = (pi[v] + s * x[a]) % T
-                stack.append(w)
+    pi = tree_potentials(g, range(g.m), x, g.vindex[root] if root is not None else 0)
     for a, (i, j) in enumerate(g.arc_index_pairs):
         if (pi[j] - pi[i] - x[a]) % T != 0:
             raise NotATension(f"arc {a} does not close up modulo {T}")
-    return tuple(pi)
+    # A vertex no arc reaches (a disconnected graph) keeps None.
+    return tuple(v if v is None else v % T for v in pi)
 
 
 def offset_from_cycle_offset(basis, z):
@@ -259,6 +247,12 @@ def offset_from_cycle_offset(basis, z):
 
 def offset_zero(inst):
     return (0,) * inst.graph.m
+
+
+def offset_for(inst, basis, z):
+    """The canonical offset of cycle offset z: ``offset_from_cycle_offset``,
+    or the zero offset when the basis is empty (a tree instance)."""
+    return offset_from_cycle_offset(basis, z) if basis.mu else offset_zero(inst)
 
 
 def _integer_preimage(gamma, z):
@@ -341,10 +335,7 @@ def enumerate_polytropes(inst, basis, cap=None):
     points = lattice_points(inst, basis, cap=DEFAULT_WIDTH_CAP if cap is None else cap)
     out = []
     for z in points:
-        if basis.mu == 0:
-            poly = polytrope_build(inst, basis, offset_zero(inst))
-        else:
-            poly = polytrope_build(inst, basis, offset_from_cycle_offset(basis, z))
+        poly = polytrope_build(inst, basis, offset_for(inst, basis, z))
         if poly.nonempty:
             out.append(poly)
     return tuple(out)

@@ -24,8 +24,7 @@ from .graphs import (
 from .polytropes import (
     neighbors,
     normalize_timetable,
-    offset_from_cycle_offset,
-    offset_zero,
+    offset_for,
     timetable_to_tension,
 )
 from .zonotopes import DEFAULT_WIDTH_CAP, lattice_points
@@ -47,15 +46,9 @@ def solution_from_timetable(inst, basis, pi, root=None):
     ridx = inst.graph.vindex[root] if root is not None else 0
     timetable = normalize_timetable(pi, ridx, inst.period)
     x, p = timetable_to_tension(inst, timetable)
-    z = tuple(sum(row[a] * p[a] for a in range(inst.graph.m)) for row in basis.gamma)
+    z = basis.apply(p)
     value = sum(w * v for w, v in zip(inst.weight, x))
     return Solution(timetable, x, p, z, value)
-
-
-def _offset_for(inst, basis, z):
-    if basis.mu == 0:
-        return offset_zero(inst)
-    return offset_from_cycle_offset(basis, z)
 
 
 def initial_solution(inst, seed=0, basis=None, tree=None, retries=200):
@@ -119,7 +112,7 @@ def tns(inst, basis, start, config=None):
         )
         if not candidates:
             break
-        results = [minimize_over_polytrope(inst, _offset_for(inst, basis, z)) for z in candidates]
+        results = [minimize_over_polytrope(inst, offset_for(inst, basis, z)) for z in candidates]
         scored = sorted(zip(candidates, results), key=lambda zr: (zr[1].objective, zr[0]))
         chosen = None
         for z, res in scored if config.strategy == "best-improvement" else zip(candidates, results):
@@ -167,7 +160,7 @@ def neighbourhood_graph(inst, basis, width_cap=DEFAULT_WIDTH_CAP):
                 if z2 in node_set and z2 != z:
                     edges.add(tuple(sorted((z, z2))))
     objective = {
-        z: minimize_over_polytrope(inst, _offset_for(inst, basis, z)).objective
+        z: minimize_over_polytrope(inst, offset_for(inst, basis, z)).objective
         for z in nodes
     }
     return NeighbourhoodGraph(nodes, tuple(sorted(edges)), objective)

@@ -30,7 +30,7 @@ from .graphs import (
 )
 from .polytropes import (
     anchor_timetable,
-    offset_from_cycle_offset,
+    offset_for,
     offset_zero,
     polytrope_build,
     polytrope_nonempty,
@@ -65,10 +65,7 @@ def zonotope_descriptor(inst, basis):
         if inst.lower[a] == inst.upper[a]:
             raise FixedArcPresent(f"arc {a} has zero span; contract fixed arcs first")
     generators = _scaled_columns(inst, basis)
-    translation = tuple(
-        sum(row[a] * inst.lower[a] for a in range(inst.graph.m)) for row in basis.gamma
-    )
-    return ZonotopeDescriptor(basis, inst.period, generators, translation)
+    return ZonotopeDescriptor(basis, inst.period, generators, basis.apply(inst.lower))
 
 
 def _scaled_columns(inst, basis):
@@ -118,9 +115,7 @@ def width(inst, basis):
 def zonotope_membership(inst, basis, z):
     """Is the integer point z a feasible cycle offset (some tension in the
     bound box maps onto it)?"""
-    if basis.mu == 0:
-        return polytrope_nonempty(inst, offset_zero(inst))
-    return polytrope_nonempty(inst, offset_from_cycle_offset(basis, z))
+    return polytrope_nonempty(inst, offset_for(inst, basis, z))
 
 
 def scaled_point_in_zonotope(inst, basis, point):
@@ -240,8 +235,9 @@ class Tile:
 
 
 def _tile_translation(inst, basis, structure):
-    v = [inst.upper[a] if a in structure.at_upper else inst.lower[a] for a in range(inst.graph.m)]
-    return tuple(sum(r * x for r, x in zip(row, v)) for row in basis.gamma)
+    return basis.apply(
+        [inst.upper[a] if a in structure.at_upper else inst.lower[a] for a in range(inst.graph.m)]
+    )
 
 
 def _tile_frame(generators):
@@ -402,9 +398,7 @@ def _tile_inside(inst, basis, tile, columns):
         for take, a in zip(picks, cotree):
             if take:
                 corner[a] += span[a]
-        expected = tuple(
-            sum(row[a] * corner[a] for a in range(m)) for row in basis.gamma
-        )
+        expected = basis.apply(corner)
         vertex = tuple(
             t + sum(col[k] for col, take in zip(tile.generators, picks) if take)
             for k, t in enumerate(tile.translation)
@@ -458,10 +452,7 @@ def duality_check(
         z = tile.lattice_point
         if z is None:
             continue
-        if basis.mu == 0:
-            p = offset_zero(inst)
-        else:
-            p = offset_from_cycle_offset(basis, z)
+        p = offset_for(inst, basis, z)
         structure = tile.structure
         x = [None] * g.m
         for a in structure.at_lower:

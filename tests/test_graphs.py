@@ -18,7 +18,7 @@ from peritrope import (
     spanning_trees,
     verify_kernel_property,
 )
-from peritrope.graphs import tree_potentials
+from peritrope.graphs import greedy_forest, tree_potentials
 from helpers import random_connected_digraph, square_graph, triangle_graph
 
 
@@ -77,10 +77,34 @@ def test_fundamental_basis_rows_ordered_by_cotree_arc():
         assert basis.gamma[k][a] == 1
 
 
+def test_apply_multiplies_by_the_cycle_matrix():
+    basis = fundamental_cycle_basis(square_graph(), (0, 2, 3))
+    v = (2, -1, 0, 5, 3, 7)
+    assert basis.apply(v) == (2, 5, 7)
+    with pytest.raises(ValueError):
+        basis.apply(v[:5])
+
+
 def test_kernel_property_on_every_square_tree():
     g = square_graph()
     for tree in spanning_trees(g):
         assert verify_kernel_property(fundamental_cycle_basis(g, tree), g)
+
+
+def test_fundamental_basis_on_every_tree_of_random_multigraphs():
+    rng = random.Random(21)
+    for _ in range(30):
+        g = random_connected_digraph(rng, max_vertices=5, max_arcs=7)
+        t, h = rng.choice(g.arcs)
+        g = Digraph(g.vertices, g.arcs + ((t, h), (h, t)))  # a parallel and an antiparallel arc
+        for tree in spanning_trees(g):
+            basis = fundamental_cycle_basis(g, tree)
+            cotree = tuple(a for a in range(g.m) if a not in tree)
+            assert verify_kernel_property(basis, g)
+            assert basis.tree == tree
+            assert basis.row_cotree_arcs == cotree
+            for a, cycle in zip(cotree, basis.cycles):
+                assert set(cycle.support) <= set(tree) | {a}
 
 
 def test_kernel_property_rejects_non_circuit():
@@ -136,6 +160,26 @@ def test_greedy_tree_is_a_tree():
         tree = greedy_spanning_tree(g)
         assert len(tree) == g.n - 1
         fundamental_cycle_basis(g, tree)  # raises if not spanning
+
+
+def test_greedy_forest_spans_each_component():
+    # components {0, 1, 2}, {3, 4} and {5}: a parallel arc, an antiparallel
+    # arc and an arc closing a cycle are skipped, in the order tried
+    edges = [(7, 0, 1), (8, 0, 1), (9, 1, 2), (10, 2, 0), (11, 4, 3), (12, 3, 4)]
+    assert greedy_forest(6, edges) == [7, 9, 11]
+    assert greedy_forest(3, []) == []
+    rng = random.Random(4)
+    for _ in range(20):
+        parts = [random_connected_digraph(rng, max_vertices=4, max_arcs=6) for _ in range(3)]
+        pairs, base = [], 0
+        for part in parts:
+            pairs += [(base + i, base + j) for i, j in part.arc_index_pairs]
+            base += part.n
+        edges = [(a, i, j) for a, (i, j) in enumerate(pairs)]
+        rng.shuffle(edges)
+        forest = greedy_forest(base + 2, edges)  # plus two isolated vertices
+        assert len(forest) == base + 2 - 5
+        assert forest == [a for a, _, _ in edges if a in set(forest)]
 
 
 def test_gbar_doubles_arcs():

@@ -141,6 +141,23 @@ def test_contract_detects_inconsistent_fixed_cycle():
         contract_fixed_arcs(parse_instance(text))
 
 
+def test_contract_maps_each_fixed_component_to_its_smallest_vertex():
+    # fixed components {a, b} and {c, d, e}, each reached first from a
+    # larger vertex in arc order
+    text = (
+        "PERIOD 10\nEVENT a\nEVENT b\nEVENT c\nEVENT d\nEVENT e\n"
+        "ARC e d 1 1 1\nARC a c 1 8 1\nARC d c 3 3 2\nARC b a 2 2 1\n"
+        "ARC b d 0 7 2\nARC c a 3 9 1\n"
+    )
+    inst = parse_instance(text)
+    result = contract_fixed_arcs(inst)
+    assert result.vertex_map == {"a": "a", "b": "a", "c": "c", "d": "c", "e": "c"}
+    assert result.instance.graph.vertices == ("a", "c")
+    before = brute_force_timetable(inst).objective
+    after = brute_force_timetable(result.instance).objective + result.objective_offset
+    assert before == after
+
+
 def test_contract_fixed_objective_matches_oracle_on_random_instances():
     checked = 0
     for seed in range(60):
