@@ -26,14 +26,11 @@ from .fixedlp import FixedOffsetResult, brute_force_fixed_offset, minimize_over_
 from .graphs import (
     CycleBasis,
     Digraph,
-    Gbar,
     OrientedCycle,
-    arborescences_rooted,
     count_spanning_trees_determinant,
     cyclomatic_number,
     default_basis,
     fundamental_cycle_basis,
-    gbar,
     greedy_spanning_tree,
     spanning_trees,
     verify_kernel_property,
@@ -70,12 +67,14 @@ from .polytropes import (
 from .render import polytrope_polygon, render_torus, render_zonotope
 from .search import (
     NeighbourhoodGraph,
+    OffsetMemo,
     Solution,
     TnsConfig,
     initial_solution,
     neighbourhood_graph,
     solution_from_timetable,
     tns,
+    tns_restarts,
     trace_to_jsonl,
 )
 from .zonotopes import (

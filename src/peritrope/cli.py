@@ -24,7 +24,7 @@ from .graphs import default_basis, fundamental_cycle_basis
 from .instances import contract_fixed_arcs, parse_instance
 from .polytropes import enumerate_polytropes
 from .render import render_torus, render_zonotope
-from .search import TnsConfig, initial_solution, tns, trace_to_jsonl
+from .search import TnsConfig, tns_restarts, trace_to_jsonl
 from .zonotopes import (
     DEFAULT_WIDTH_CAP,
     fine_tiling,
@@ -131,21 +131,8 @@ def cmd_solve(args):
     if args.method == "exact":
         sol = solve_exact(inst, basis, width_cap=args.cap_width)
     else:
-        sol = None
-        failures = 0
-        for attempt in range(max(args.restarts, 1)):
-            seed = args.seed + attempt
-            try:
-                start = initial_solution(inst, seed=seed, basis=basis)
-            except RetriesExhausted:
-                failures += 1
-                continue
-            config = TnsConfig(max_iterations=args.max_iter, seed=seed)
-            candidate, candidate_trace = tns(inst, basis, start, config)
-            if sol is None or candidate.objective < sol.objective:
-                sol, trace = candidate, candidate_trace
-        if sol is None:
-            raise RetriesExhausted(f"all {failures} restarts failed to find a feasible start")
+        config = TnsConfig(max_iterations=args.max_iter, seed=args.seed)
+        sol, trace = tns_restarts(inst, basis, args.restarts, config)
     if args.trace and trace is not None:
         with open(args.trace, "w", encoding="utf-8") as handle:
             handle.write(trace_to_jsonl(trace))
@@ -301,10 +288,17 @@ def cmd_render(args):
     return 0
 
 
+# Built by the first ``main`` call and reused by every later one in the
+# process; ``parse_args`` does not change it.
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

@@ -14,7 +14,7 @@ class NotASpanningTree(PeritropeError):
 
 
 class EnumerationCapExceeded(PeritropeError):
-    """An enumeration (trees, arborescences, lattice points) outgrew its cap."""
+    """An enumeration (spanning trees, lattice points) outgrew its cap."""
 
 
 class InvariantViolation(PeritropeError):

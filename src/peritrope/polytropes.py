@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EmptyPolytrope, Infeasible, NotATension
+from .errors import DisconnectedGraph, EmptyPolytrope, Infeasible, NotATension
 from .graphs import tree_potentials
 
 
@@ -213,18 +213,20 @@ def timetable_to_tension(inst, pi):
 def tension_to_timetable(inst, x, root=None):
     """Recover a timetable from a periodic tension by propagating along a
     spanning tree from the root; raises NotATension if x is out of bounds
-    or fails to close up modulo T on some arc."""
+    or fails to close up modulo T on some arc, and DisconnectedGraph if
+    the arcs do not reach every vertex."""
     g = inst.graph
     T = inst.period
     for a in range(g.m):
         if not inst.lower[a] <= x[a] <= inst.upper[a]:
             raise NotATension(f"arc {a}: {x[a]} outside [{inst.lower[a]}, {inst.upper[a]}]")
     pi = tree_potentials(g, range(g.m), x, g.vindex[root] if root is not None else 0)
+    if None in pi:
+        raise DisconnectedGraph(f"graph on {g.n} vertices with {g.m} arcs is not connected")
     for a, (i, j) in enumerate(g.arc_index_pairs):
         if (pi[j] - pi[i] - x[a]) % T != 0:
             raise NotATension(f"arc {a} does not close up modulo {T}")
-    # A vertex no arc reaches (a disconnected graph) keeps None.
-    return tuple(v if v is None else v % T for v in pi)
+    return tuple(v % T for v in pi)
 
 
 def offset_from_cycle_offset(basis, z):

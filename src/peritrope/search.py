@@ -4,18 +4,25 @@ A solution lives in one polytrope; its neighbours are the offset classes
 reached by shifting the cycle offset along a single basis column.  Each
 visited class is optimized exactly, so the search walks from vertex
 optimum to vertex optimum.
+
+A polytrope's optimum and its set of nonempty neighbours depend only on
+the instance, the basis and the cycle offset z, so one ``OffsetMemo``
+holds both per z for a whole solve: ``tns_restarts`` shares it between
+all its walks, and ``tns`` builds a fresh one when it is not given one.
+The tabu set stays per walk.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import EnumerationCapExceeded, Infeasible, InvariantViolation, RetriesExhausted
 from .fixedlp import minimize_over_polytrope
 from .graphs import (
     DEFAULT_ENUMERATION_CAP,
+    _require_connected,
     default_basis,
     greedy_spanning_tree,
     spanning_trees,
@@ -58,15 +65,18 @@ def initial_solution(inst, seed=0, basis=None, tree=None, retries=200):
     g = inst.graph
     if basis is None:
         basis = default_basis(g)
+    _require_connected(g)  # no start exists on a disconnected graph, whatever the tree
     rng = random.Random(seed)
-    try:
-        pool = spanning_trees(g, DEFAULT_ENUMERATION_CAP)
-    except EnumerationCapExceeded:
-        pool = (greedy_spanning_tree(g),)
+    pool = None  # every spanning tree, enumerated when a retry first needs one
     for attempt in range(retries):
         if attempt == 0:
             chosen = tuple(sorted(tree)) if tree is not None else greedy_spanning_tree(g)
         else:
+            if pool is None:
+                try:
+                    pool = spanning_trees(g, DEFAULT_ENUMERATION_CAP)
+                except EnumerationCapExceeded:
+                    pool = (greedy_spanning_tree(g),)
             chosen = rng.choice(pool)
         x = list(inst.lower)
         if attempt % 2 == 1:
@@ -95,24 +105,57 @@ class TnsConfig:
             raise ValueError("max_iterations must be at least 1")
 
 
-def tns(inst, basis, start, config=None):
+class OffsetMemo:
+    """The per-cycle-offset answers of one instance and basis: the
+    ``minimize_over_polytrope`` result of each z and its ``neighbors``
+    set, each computed on first use.  Both depend on (inst, basis, z)
+    only, so every answer is exact.  Build one per solve; it grows with
+    the offsets that solve visits."""
+
+    def __init__(self, inst, basis):
+        self.inst = inst
+        self.basis = basis
+        self._optima = {}
+        self._neighbours = {}
+
+    def optimum(self, z):
+        result = self._optima.get(z)
+        if result is None:
+            result = minimize_over_polytrope(self.inst, offset_for(self.inst, self.basis, z))
+            self._optima[z] = result
+        return result
+
+    def neighbours(self, z):
+        found = self._neighbours.get(z)
+        if found is None:
+            found = frozenset(neighbors(self.inst, self.basis, z))
+            self._neighbours[z] = found
+        return found
+
+
+def tns(inst, basis, start, config=None, memo=None):
     """Walk the offset neighbourhood from a feasible start, exactly
     optimizing each visited polytrope, until no neighbour improves or the
     iteration cap is reached.  Returns the best solution and the visit
-    trace."""
+    trace.  ``memo`` is an ``OffsetMemo`` of the same instance and basis
+    to reuse; a fresh one is used when it is None."""
     if config is None:
         config = TnsConfig()
+    if memo is None:
+        memo = OffsetMemo(inst, basis)
+    elif memo.inst is not inst or memo.basis is not basis:
+        raise ValueError("the offset memo belongs to another instance or basis")
     current = start
     trace = [{"z": list(current.cycle_offset), "objective": current.objective, "move": "start"}]
     visited = {current.cycle_offset}
     for _ in range(config.max_iterations):
         candidates = sorted(
-            z for z in neighbors(inst, basis, current.cycle_offset)
+            z for z in memo.neighbours(current.cycle_offset)
             if not (config.tabu and z in visited)
         )
         if not candidates:
             break
-        results = [minimize_over_polytrope(inst, offset_for(inst, basis, z)) for z in candidates]
+        results = [memo.optimum(z) for z in candidates]
         scored = sorted(zip(candidates, results), key=lambda zr: (zr[1].objective, zr[0]))
         chosen = None
         for z, res in scored if config.strategy == "best-improvement" else zip(candidates, results):
@@ -132,6 +175,31 @@ def tns(inst, basis, start, config=None):
         visited.add(z)
         trace.append({"z": list(z), "objective": current.objective, "move": move})
     return current, tuple(trace)
+
+
+def tns_restarts(inst, basis, restarts=1, config=None):
+    """Best of ``restarts`` tns walks (at least one), all sharing one
+    ``OffsetMemo``.  Walk k starts from ``initial_solution`` with seed
+    ``config.seed + k`` and runs under ``config`` with that seed.  Returns
+    the solution and trace of the first walk that reaches the lowest
+    objective; raises RetriesExhausted when no walk finds a start."""
+    if config is None:
+        config = TnsConfig()
+    memo = OffsetMemo(inst, basis)
+    best = None
+    walks = max(restarts, 1)
+    for attempt in range(walks):
+        walk_config = replace(config, seed=config.seed + attempt)
+        try:
+            start = initial_solution(inst, seed=walk_config.seed, basis=basis)
+        except RetriesExhausted:
+            continue
+        walk = tns(inst, basis, start, walk_config, memo)
+        if best is None or walk[0].objective < best[0].objective:
+            best = walk
+    if best is None:
+        raise RetriesExhausted(f"all {walks} restarts failed to find a feasible start")
+    return best
 
 
 def trace_to_jsonl(trace):

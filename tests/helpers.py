@@ -6,11 +6,14 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 import peritrope
 from peritrope import (
     Digraph,
+    DisconnectedGraph,
+    EnumerationCapExceeded,
     FixedOffsetResult,
     Infeasible,
     PespInstance,
@@ -20,6 +23,7 @@ from peritrope import (
     polytrope_nonempty,
     spanning_trees,
 )
+from peritrope.graphs import DEFAULT_ENUMERATION_CAP
 
 
 def triangle_graph():
@@ -170,3 +174,76 @@ def solve_parallelotope_coords(generators, translation, scaled_point):
                 mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
                 rhs[r] -= f * rhs[col]
     return rhs
+
+
+@dataclass(frozen=True)
+class Gbar:
+    """The doubled graph: a forward and a reverse copy of every arc.
+
+    Arc k < m is the forward copy of arc k; arc m + k is the reverse copy.
+    ``origin[k]`` is (source arc index, is_forward).
+    """
+
+    graph: Digraph
+    origin: tuple
+
+    @property
+    def m(self):
+        return self.graph.m
+
+
+def gbar(g):
+    forward = list(g.arcs)
+    reverse = [(h, t) for t, h in g.arcs]
+    origin = tuple([(a, True) for a in range(g.m)] + [(a, False) for a in range(g.m)])
+    return Gbar(Digraph(g.vertices, tuple(forward + reverse)), origin)
+
+
+def arborescences_rooted(g, root, cap=DEFAULT_ENUMERATION_CAP):
+    """Tree-count oracle: all spanning arborescences directed away from
+    ``root``.  In the doubled graph every spanning tree orients uniquely
+    away from any root, so their number is the spanning tree count.
+
+    Works on any digraph (typically a doubled graph); each non-root vertex
+    picks one incoming arc, and any choice without a directed cycle is a
+    spanning arborescence.  Returns sorted tuples of arc indices.
+    """
+    graph = g.graph if isinstance(g, Gbar) else g
+    if not graph.is_connected():
+        raise DisconnectedGraph(f"graph on {graph.n} vertices with {graph.m} arcs is not connected")
+    ridx = graph.vindex[root]
+    in_arcs = [[] for _ in range(graph.n)]
+    for a, (i, j) in enumerate(graph.arc_index_pairs):
+        in_arcs[j].append((a, i))
+    order = [v for v in range(graph.n) if v != ridx]
+    for v in order:
+        if not in_arcs[v]:
+            return ()
+    found = []
+    parent = {}
+
+    def creates_cycle(v, u):
+        while u in parent:
+            u = parent[u]
+            if u == v:
+                return True
+        return False
+
+    def assign(k, chosen):
+        if k == len(order):
+            found.append(tuple(sorted(chosen)))
+            if len(found) > cap:
+                raise EnumerationCapExceeded(f"more than {cap} arborescences")
+            return
+        v = order[k]
+        for a, u in in_arcs[v]:
+            if creates_cycle(v, u):
+                continue
+            parent[v] = u
+            chosen.append(a)
+            assign(k + 1, chosen)
+            chosen.pop()
+            del parent[v]
+
+    assign(0, [])
+    return tuple(sorted(found))

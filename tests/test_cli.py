@@ -3,6 +3,7 @@ import json
 import pytest
 
 from helpers import run_cli
+from peritrope import cli
 from peritrope.cli import main
 
 TRIANGLE = """\
@@ -246,3 +247,37 @@ def test_repeated_runs_are_byte_identical(tri, tmp_path):
     assert run_cli(["render", tri, "--out", str(out_a)]).returncode == 0
     assert run_cli(["render", tri, "--out", str(out_b)]).returncode == 0
     assert out_a.read_bytes() == out_b.read_bytes()
+
+
+def test_one_parser_serves_every_call(tri, tmp_path, monkeypatch, capsys):
+    trace = tmp_path / "trace.jsonl"
+    calls = [
+        ["solve", tri, "--method", "tns", "--restarts", "2", "--trace", str(trace)],
+        ["analyze", tri, "--root", "v1"],
+        ["solve", tri, "--max-iter", "many"],
+        ["solve", tri],
+    ]
+
+    def run(argv):
+        trace.unlink(missing_ok=True)
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        return rc, out, err, trace.read_text() if trace.exists() else None
+
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(run(argv))
+    assert [rc for rc, *_ in fresh] == [0, 0, 1, 0]
+
+    builds = []
+    build_parser = cli.build_parser
+
+    def counting():
+        builds.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting)
+    assert [run(argv) for argv in calls] == fresh
+    assert len(builds) == 1

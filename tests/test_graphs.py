@@ -8,18 +8,22 @@ from peritrope import (
     EnumerationCapExceeded,
     NotASpanningTree,
     OrientedCycle,
-    arborescences_rooted,
     count_spanning_trees_determinant,
     cyclomatic_number,
     default_basis,
     fundamental_cycle_basis,
-    gbar,
     greedy_spanning_tree,
     spanning_trees,
     verify_kernel_property,
 )
 from peritrope.graphs import greedy_forest, tree_potentials
-from helpers import random_connected_digraph, square_graph, triangle_graph
+from helpers import (
+    arborescences_rooted,
+    gbar,
+    random_connected_digraph,
+    square_graph,
+    triangle_graph,
+)
 
 
 def test_digraph_rejects_self_loops():

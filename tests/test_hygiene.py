@@ -1,17 +1,65 @@
 """Checks on the package source itself: no ``assert`` (``python -O`` strips
-it, so invariants raise typed errors) and no floating point outside the
-SVG renderer."""
+it, so invariants raise typed errors), no floating point outside the SVG
+renderer, and no state that outlives a call (a module-level container or a
+``functools`` cache would grow with its inputs across calls)."""
 
 import ast
 import pathlib
+
+import pytest
 
 import peritrope
 
 MODULES = sorted(pathlib.Path(peritrope.__file__).parent.glob("*.py"))
 
+CONTAINERS = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"}
+CACHES = {"cache", "lru_cache"}
+
 
 def _nodes(path):
     return ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+
+
+def _import_time_statements(body):
+    """Statements that run on import: the module body and the bodies of
+    its classes and blocks, but not of its functions."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        yield node
+        for field in ("body", "orelse", "finalbody", "handlers"):
+            yield from _import_time_statements(getattr(node, field, []))
+
+
+def _is_container(value):
+    if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)):
+        return True
+    if isinstance(value, ast.Call):
+        func = value.func
+        return (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in CONTAINERS
+    return False
+
+
+def state_across_calls(source):
+    """Line numbers of module-level container bindings and of every use of
+    ``functools.cache`` or ``functools.lru_cache``."""
+    tree = ast.parse(source)
+    found = [
+        node.lineno
+        for node in _import_time_statements(tree.body)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_container(node.value)
+    ]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [node.lineno for alias in node.names if alias.name in CACHES]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in CACHES
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        ):
+            found.append(node.lineno)
+    return sorted(found)
 
 
 def test_every_module_is_checked():
@@ -33,3 +81,39 @@ def test_no_floating_point_outside_render():
         or (isinstance(n, ast.Constant) and isinstance(n.value, float))
     ]
     assert found == []
+
+
+def test_no_state_outlives_a_call():
+    found = [
+        f"{p.name}:{line}"
+        for p in MODULES
+        for line in state_across_calls(p.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "SEEN = {}",
+        "SEEN: list = []",
+        "SEEN = set()",
+        "SEEN = collections.defaultdict(int)",
+        "SEEN = {k: 0 for k in range(3)}",
+        "class Solver:\n    seen = dict()",
+        "try:\n    pass\nexcept ImportError:\n    SEEN = []",
+        "import functools\n@functools.lru_cache(maxsize=None)\ndef f(x):\n    return x",
+        "from functools import cache\n@cache\ndef f(x):\n    return x",
+    ],
+)
+def test_state_across_calls_is_found(source):
+    assert state_across_calls(source) != []
+
+
+def test_constants_and_per_call_state_pass():
+    source = (
+        "CAP = 10\nPALETTE = ('#fff',)\n_parser = None\n"
+        "def f(x):\n    seen = {}\n    return seen\n"
+        "class Memo:\n    def __init__(self):\n        self.seen = {}\n"
+    )
+    assert state_across_calls(source) == []

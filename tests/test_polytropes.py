@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from peritrope import (
     CycleBasis,
     Digraph,
+    DisconnectedGraph,
     EmptyPolytrope,
     Infeasible,
     NotATension,
@@ -166,6 +167,20 @@ def test_tension_to_timetable():
         tension_to_timetable(inst, (13, 2, 4))
     with pytest.raises(NotATension):
         tension_to_timetable(inst, (8, 2, 5))
+
+
+@pytest.mark.parametrize(
+    "vertices, arcs",
+    [
+        (("a", "b", "c"), (("a", "b"),)),  # c is isolated
+        (("a", "b", "c", "d"), (("a", "b"), ("c", "d"), ("d", "c"))),  # c, d have arcs
+    ],
+)
+def test_tension_to_timetable_rejects_a_disconnected_graph(vertices, arcs):
+    g = Digraph(vertices, arcs)
+    inst = PespInstance(g, 10, (2,) * g.m, (8,) * g.m, (1,) * g.m)
+    with pytest.raises(DisconnectedGraph):
+        tension_to_timetable(inst, (5,) * g.m)
 
 
 def test_tension_roundtrip_on_random_instances():

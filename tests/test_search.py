@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -8,15 +9,18 @@ from peritrope import (
     Digraph,
     FixedOffsetResult,
     InvariantViolation,
+    OffsetMemo,
     PespInstance,
     RetriesExhausted,
     TnsConfig,
     default_basis,
     initial_solution,
     neighbourhood_graph,
+    neighbors,
     parse_instance,
     solution_from_timetable,
     tns,
+    tns_restarts,
     trace_to_jsonl,
     verify_solution,
 )
@@ -51,6 +55,35 @@ def test_initial_solution_with_an_explicit_tree():
     inst, basis = _triangle()
     sol = initial_solution(inst, seed=0, tree=(0, 1))
     assert sol.timetable == (0, 3, 2)
+
+
+def test_initial_solution_enumerates_no_tree_when_the_first_attempt_lands(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the first attempt uses the greedy tree only")
+
+    monkeypatch.setattr(peritrope.search, "spanning_trees", refuse)
+    assert initial_solution(triangle_instance(), seed=0).timetable == (0, 3, 2)
+    sq = initial_solution(square_instance(), seed=0)
+    assert sq.timetable == (0, 7, 0, 7)
+    assert sq.objective == 26
+
+
+def test_initial_solution_enumerates_the_tree_pool_once_for_its_retries(monkeypatch):
+    # The greedy tree (arcs 0, 1) at its lower bounds puts arc 2 at 11 > 10,
+    # so every start below comes from a retry over the tree pool.
+    inst = parse_instance("PERIOD 10\nARC v1 v0 2 8 1\nARC v0 v2 1 7 3\nARC v0 v2 5 10 3\n")
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return peritrope.graphs.spanning_trees(*args, **kwargs)
+
+    monkeypatch.setattr(peritrope.search, "spanning_trees", counting)
+    expected = {0: (0, 2, 7), 1: (0, 6, 3), 2: (0, 2, 7), 3: (0, 6, 1)}
+    for seed, timetable in expected.items():
+        calls.clear()
+        assert initial_solution(inst, seed=seed).timetable == timetable
+        assert len(calls) == 1
 
 
 def test_initial_solution_gives_up_on_an_infeasible_instance():
@@ -203,3 +236,99 @@ def test_offset_drift_in_tns_is_an_invariant_violation(monkeypatch):
     monkeypatch.setattr(peritrope.search, "minimize_over_polytrope", lambda *a, **k: drifted)
     with pytest.raises(InvariantViolation):
         tns(inst, basis, start)
+
+
+def _restart_instances(count):
+    """Seeded random instances with 5 to 7 events, each with its default
+    basis."""
+    rng = random.Random(9000)
+    while count:
+        inst = random_instance(rng, max_vertices=7, max_arcs=10, max_period=10, min_span=3)
+        if inst.graph.n >= 5:
+            count -= 1
+            yield inst, default_basis(inst.graph)
+
+
+def _restarts_without_a_memo(inst, basis, restarts, config):
+    """Reference for tns_restarts: each walk solves every offset afresh."""
+    best = None
+    for k in range(max(restarts, 1)):
+        walk_config = dataclasses.replace(config, seed=config.seed + k)
+        try:
+            start = initial_solution(inst, seed=walk_config.seed, basis=basis)
+        except RetriesExhausted:
+            continue
+        walk = tns(inst, basis, start, walk_config)
+        if best is None or walk[0].objective < best[0].objective:
+            best = walk
+    if best is None:
+        raise RetriesExhausted("no start")
+    return best
+
+
+def test_shared_offset_memo_changes_no_result():
+    compared = 0
+    moved = 0
+    for k, (inst, basis) in enumerate(_restart_instances(36)):
+        config = TnsConfig(
+            strategy=("best-improvement", "first-improvement")[k % 2],
+            tabu=k % 4 < 2,
+            allow_sideways=k % 3 == 0,
+            max_iterations=6,
+            seed=k,
+        )
+        restarts = 1 + k % 3
+        try:
+            expected = _restarts_without_a_memo(inst, basis, restarts, config)
+        except RetriesExhausted:
+            with pytest.raises(RetriesExhausted):
+                tns_restarts(inst, basis, restarts, config)
+            continue
+        assert tns_restarts(inst, basis, restarts, config) == expected
+        compared += 1
+        moved += len(expected[1]) > 1
+    assert compared >= 30
+    assert moved >= 10
+
+
+def test_each_offset_is_solved_once_per_restart_solve(monkeypatch):
+    solved, scanned = [], []
+
+    def minimize(inst, p, *args, **kwargs):
+        solved.append(tuple(p))
+        return peritrope.fixedlp.minimize_over_polytrope(inst, p, *args, **kwargs)
+
+    def neighbours(inst, basis, z):
+        scanned.append(tuple(z))
+        return neighbors(inst, basis, z)
+
+    monkeypatch.setattr(peritrope.search, "minimize_over_polytrope", minimize)
+    monkeypatch.setattr(peritrope.search, "neighbors", neighbours)
+    solves = 0
+    repeated_without_sharing = 0
+    for k, (inst, basis) in enumerate(_restart_instances(12)):
+        config = TnsConfig(tabu=k % 2 == 0, seed=k)
+        solved.clear()
+        scanned.clear()
+        try:
+            _restarts_without_a_memo(inst, basis, 3, config)
+        except RetriesExhausted:
+            continue
+        repeated_without_sharing += len(solved) - len(set(solved))
+        solved.clear()
+        scanned.clear()
+        tns_restarts(inst, basis, 3, config)
+        assert len(solved) == len(set(solved))
+        assert len(scanned) == len(set(scanned))
+        solves += 1
+    assert solves >= 10
+    assert repeated_without_sharing > 0
+
+
+def test_a_memo_serves_only_its_own_instance_and_basis():
+    inst, basis = _triangle()
+    start = solution_from_timetable(inst, basis, (0, 9, 2))
+    memo = OffsetMemo(inst, basis)
+    assert tns(inst, basis, start, memo=memo) == tns(inst, basis, start)
+    with pytest.raises(ValueError):
+        tns(triangle_instance(weights=(1, 2, 3)), basis, start, memo=memo)
