@@ -94,7 +94,6 @@ from .zonotopes import (
     tile_contains_scaled,
     validate_tiling,
     volume,
-    volume_by_tree_sum,
     width,
     width_bound_report,
     zonotope_descriptor,

@@ -164,7 +164,7 @@ def _frac(value):
 def _tiling_section(inst, basis, root, width_cap):
     """The tile list, validation and duality payloads of one fine tiling."""
     T = inst.period
-    tiles = fine_tiling(inst, basis, root, width_cap=width_cap)
+    tiles = fine_tiling(inst, basis, root)
     tiling_report = validate_tiling(inst, basis, tiles, width_cap=width_cap)
     duality = duality_check(inst, basis, root, tiles=tiles)
     listed = [

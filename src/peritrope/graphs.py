@@ -286,7 +286,8 @@ def tree_potentials(g, tree, differences, root=0):
     span.
 
     This is the package's one root-outward potential walk: connectivity,
-    cycle bases, timetables from tensions or pinned trees, and fixed-arc
+    cycle bases, timetables from tensions or pinned trees, the lattice
+    point of each tile in ``zonotopes.fine_tiling``, and fixed-arc
     contraction all go through it.  (``zonotopes.structure_for_tree`` keeps
     its own walk, since it needs the direction each arc is used in.)  An arc
     set with cycles is walked depth-first, in the order of ``tree``, and an

@@ -213,8 +213,8 @@ def render_zonotope(inst, basis, root=None, width_cap=DEFAULT_WIDTH_CAP):
     if mu > 2:
         raise ValueError("zonotope rendering supports dimension at most 2")
     T = inst.period
-    tiles = fine_tiling(inst, basis, root, width_cap=width_cap)
     points = lattice_points(inst, basis, cap=width_cap)
+    tiles = fine_tiling(inst, basis, root)
     if mu == 0:
         lines = _svg_header(60, 60)
         lines.append('<rect width="60" height="60" fill="white"/>')

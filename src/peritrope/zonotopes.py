@@ -6,11 +6,14 @@ all arithmetic stays on integers; the real value is the stored value
 divided by T.  A point is a lattice point exactly when every scaled
 coordinate is divisible by T.
 
-Tile containment is integer-only too: each tile's generator matrix G is
-inverted once, fraction-free, into a frame (d, d * G^-1) with |d| = |det G|,
-and a point lies in the tile when every coordinate of d * G^-1 applied to
-its offset from the translation falls between 0 and d.  Fractions appear
-only in volumes and the width bound chain.
+The volume is one Gram determinant, and each tile's lattice point comes
+from one potential walk along its pinned tree.  Tile containment, which
+only validation and ``tile_contains_scaled`` need, is integer-only too:
+each tile's generator matrix G is inverted, fraction-free, into a frame
+(d, d * G^-1) with |d| = |det G|, and a point lies in the tile when every
+coordinate of d * G^-1 applied to its offset from the translation falls
+between 0 and d.  Fractions appear only in volumes and the width bound
+chain.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .graphs import (
     DEFAULT_ENUMERATION_CAP,
     _bareiss_det,
     count_spanning_trees_determinant,
+    greedy_spanning_tree,
     spanning_trees,
     tree_potentials,
 )
@@ -106,10 +110,7 @@ def _box_integer_ranges(inst, basis):
 def width(inst, basis):
     """Product over basis cycles of how many integers the cycle offset can
     take inside the box; equals the number of lattice points of the box."""
-    total = 1
-    for r in _box_integer_ranges(inst, basis):
-        total *= max(len(r), 0)
-    return total
+    return math.prod(len(r) for r in _box_integer_ranges(inst, basis))
 
 
 def zonotope_membership(inst, basis, z):
@@ -135,9 +136,7 @@ def lattice_points(inst, basis, cap=DEFAULT_WIDTH_CAP):
     if basis.mu == 0:
         return ((),) if polytrope_nonempty(inst, offset_zero(inst)) else ()
     ranges = _box_integer_ranges(inst, basis)
-    count = 1
-    for r in ranges:
-        count *= max(len(r), 0)
+    count = math.prod(len(r) for r in ranges)
     if count > cap:
         raise EnumerationCapExceeded(f"box holds {count} integer points, cap is {cap}")
     return tuple(
@@ -146,35 +145,20 @@ def lattice_points(inst, basis, cap=DEFAULT_WIDTH_CAP):
 
 
 def volume(inst, basis):
-    """Exact volume: sum of the absolute minor determinants of the scaled
-    generator matrix over all column subsets of full size, divided by the
-    period power.  Coincides with summing the co-tree span products over
-    spanning trees."""
-    mu = basis.mu
-    if mu == 0:
-        return Fraction(1)
-    cols = _scaled_columns(inst, basis)
-    total = 0
-    for subset in itertools.combinations(range(inst.graph.m), mu):
-        mat = [[cols[c][k] for c in subset] for k in range(mu)]
-        total += abs(_bareiss_det(mat))
-    return Fraction(total, inst.period**mu)
-
-
-def volume_by_tree_sum(inst, tree_cap=None):
-    """Independent volume computation: span products over co-tree arcs,
-    summed over all spanning trees."""
-    cap = DEFAULT_ENUMERATION_CAP if tree_cap is None else tree_cap
-    T = inst.period
+    """Exact volume |det(G diag(s) G^t)| / (d * T^mu): G is the basis
+    matrix, s the arc spans, and d = |det G_C| on the co-tree columns C of
+    the basis tree (or of the greedy tree).  By Cauchy-Binet the
+    determinant sums det(G_C)^2 times the spans in C over all mu-column
+    sets C, and |det G_C| is d on every co-tree and 0 elsewhere, so the
+    quotient is the sum of the tile volumes.  d = 1 for integral bases."""
+    gamma = basis.gamma
     span = inst.span
-    arcs = set(range(inst.graph.m))
-    total = Fraction(0)
-    for tree in spanning_trees(inst.graph, cap):
-        term = Fraction(1)
-        for a in sorted(arcs - set(tree)):
-            term *= Fraction(span[a], T)
-        total += term
-    return total
+    gram = [[sum(x * s * y for x, s, y in zip(r, span, q)) for q in gamma] for r in gamma]
+    tree = greedy_spanning_tree(inst.graph) if basis.tree is None else basis.tree
+    cotree = sorted(set(range(inst.graph.m)).difference(tree))
+    d = abs(_bareiss_det([[row[a] for a in cotree] for row in gamma]))
+    # Dependent rows make every minor vanish, d included.
+    return Fraction(abs(_bareiss_det(gram)), d * inst.period**basis.mu) if d else Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -234,10 +218,11 @@ class Tile:
         return len(self.generators)
 
 
-def _tile_translation(inst, basis, structure):
-    return basis.apply(
-        [inst.upper[a] if a in structure.at_upper else inst.lower[a] for a in range(inst.graph.m)]
-    )
+def _pinned_tensions(inst, structure):
+    """Tree arcs at the bound their structure pins them to, co-tree arcs at
+    their lower bound."""
+    up = structure.at_upper
+    return [inst.upper[a] if a in up else inst.lower[a] for a in range(inst.graph.m)]
 
 
 def _tile_frame(generators):
@@ -283,31 +268,45 @@ def tile_contains_scaled(tile, scaled_point):
     return frame is not None and _frame_contains(frame, tile.translation, scaled_point)
 
 
-def fine_tiling(inst, basis, root=None, tree_cap=None, width_cap=DEFAULT_WIDTH_CAP):
+def fine_tiling(inst, basis, root=None, tree_cap=None):
     """One tile per spanning tree, pinned by the root orientation.  Each
     tile records the first lattice point (in sorted order) it contains, if
-    any."""
+    any, by ``_tile_lattice_point``."""
     cap = DEFAULT_ENUMERATION_CAP if tree_cap is None else tree_cap
-    trees = spanning_trees(inst.graph, cap)
-    points = lattice_points(inst, basis, cap=width_cap)
-    T = inst.period
-    scaled = [tuple(T * v for v in z) for z in points]
     columns = _scaled_columns(inst, basis)
     arcs = set(range(inst.graph.m))
     tiles = []
-    for tree in trees:
+    for tree in spanning_trees(inst.graph, cap):
         structure = structure_for_tree(inst.graph, tree, root)
-        generators = tuple(columns[a] for a in sorted(arcs.difference(tree)))
-        translation = _tile_translation(inst, basis, structure)
-        frame = _tile_frame(generators)
-        contained = None
-        if frame is not None:
-            contained = next(
-                (z for z, s in zip(points, scaled) if _frame_contains(frame, translation, s)),
-                None,
-            )
-        tiles.append(Tile(structure, generators, translation, contained))
+        cotree = sorted(arcs.difference(tree))
+        pinned = _pinned_tensions(inst, structure)
+        point = _tile_lattice_point(inst, basis, structure.tree, cotree, pinned)
+        tiles.append(Tile(structure, tuple(columns[a] for a in cotree), basis.apply(pinned), point))
     return tuple(tiles)
+
+
+def _tile_lattice_point(inst, basis, tree, cotree, pinned):
+    """The smallest lattice point of a tile, by one potential walk: with pi
+    the potentials of the ``pinned`` tree, the tile's lattice points are
+    basis.apply(p) for the offsets p that are 0 on the tree and have
+    l_a <= pi_j - pi_i + T p_a <= u_a on each co-tree arc a = (i, j).  A
+    zero-span co-tree arc makes the tile flat, and it holds no point."""
+    T = inst.period
+    pi = tree_potentials(inst.graph, tree, pinned)
+    choices = []
+    for a in cotree:
+        if inst.lower[a] == inst.upper[a]:
+            return None
+        i, j = inst.graph.arc_index_pairs[a]
+        delta = pi[j] - pi[i]
+        choices.append(range(-((delta - inst.lower[a]) // T), (inst.upper[a] - delta) // T + 1))
+    offset = [0] * inst.graph.m
+    points = []
+    for picks in itertools.product(*choices):
+        for a, p in zip(cotree, picks):
+            offset[a] = p
+        points.append(basis.apply(offset))
+    return min(points, default=None)
 
 
 @dataclass
@@ -320,6 +319,7 @@ class TilingReport:
     tiles_inside: bool
     all_points_covered: bool
     at_most_one_point: bool
+    lattice_points_recorded: bool
     incidences: tuple
 
     @property
@@ -330,13 +330,18 @@ class TilingReport:
             and self.tiles_inside
             and self.all_points_covered
             and self.at_most_one_point
+            and self.lattice_points_recorded
         )
 
 
 def validate_tiling(inst, basis, tiles, width_cap=DEFAULT_WIDTH_CAP):
     """Certify a tiling: nonzero tile volumes summing exactly to the
     zonotope volume, every tile inside the zonotope, every lattice point
-    covered, and no tile holding two lattice points."""
+    covered, no tile holding two lattice points, and each tile's recorded
+    ``lattice_point`` the first point its frame holds (None when none).
+
+    Containment is tested with frames, independently of the potential walk
+    that ``fine_tiling`` records its points by."""
     T = inst.period
     vol = volume(inst, basis)
     frames = [_tile_frame(tile.generators) for tile in tiles]
@@ -350,17 +355,13 @@ def validate_tiling(inst, basis, tiles, width_cap=DEFAULT_WIDTH_CAP):
 
     points = lattice_points(inst, basis, cap=width_cap)
     incidences = []
-    per_tile_counts = [0] * len(tiles)
-    covered = []
+    held = [[] for _ in tiles]
     for z in points:
         scaled = tuple(T * v for v in z)
-        hit = False
         for t, (tile, frame) in enumerate(zip(tiles, frames)):
             if frame is not None and _frame_contains(frame, tile.translation, scaled):
                 incidences.append((t, z))
-                per_tile_counts[t] += 1
-                hit = True
-        covered.append(hit)
+                held[t].append(z)
 
     return TilingReport(
         tile_count=len(tiles),
@@ -369,8 +370,11 @@ def validate_tiling(inst, basis, tiles, width_cap=DEFAULT_WIDTH_CAP):
         zonotope_volume=vol,
         volume_match=tile_sum == vol,
         tiles_inside=tiles_inside,
-        all_points_covered=all(covered),
-        at_most_one_point=all(c <= 1 for c in per_tile_counts),
+        all_points_covered=len({z for _, z in incidences}) == len(points),
+        at_most_one_point=all(len(h) <= 1 for h in held),
+        lattice_points_recorded=all(
+            tile.lattice_point == (h[0] if h else None) for tile, h in zip(tiles, held)
+        ),
         incidences=tuple(incidences),
     )
 
@@ -389,9 +393,9 @@ def _tile_inside(inst, basis, tile, columns):
     structure = tile.structure
     cotree = sorted(set(range(m)) - set(structure.tree))
     implied = tuple(columns[a] for a in cotree)
-    if tile.generators == implied and tile.translation == _tile_translation(inst, basis, structure):
+    base = _pinned_tensions(inst, structure)
+    if tile.generators == implied and tile.translation == basis.apply(base):
         return True
-    base = [inst.upper[a] if a in structure.at_upper else inst.lower[a] for a in range(m)]
     span = inst.span
     for picks in itertools.product((0, 1), repeat=len(cotree)):
         corner = list(base)
@@ -435,9 +439,7 @@ class DualityReport:
         return all(e.feasible_vertex and e.matches_tropical_vertex for e in self.entries)
 
 
-def duality_check(
-    inst, basis, root=None, tree_cap=None, width_cap=DEFAULT_WIDTH_CAP, tiles=None
-):
+def duality_check(inst, basis, root=None, tree_cap=None, tiles=None):
     """For every tile holding a lattice point z: pinning the tree arcs to
     their bounds extends to a feasible tension whose timetable is the
     root's tropical vertex of the offset class of z.  ``tiles`` is the
@@ -446,7 +448,7 @@ def duality_check(
     T = inst.period
     ridx = g.vindex[root] if root is not None else 0
     if tiles is None:
-        tiles = fine_tiling(inst, basis, root, tree_cap=tree_cap, width_cap=width_cap)
+        tiles = fine_tiling(inst, basis, root, tree_cap=tree_cap)
     entries = []
     for t, tile in enumerate(tiles):
         z = tile.lattice_point
@@ -523,43 +525,25 @@ def width_bound_report(inst, basis):
     lower = trees * Fraction(eps, T) ** mu if mu else Fraction(trees)
     slack_product = math.prod(slacks, start=Fraction(1))
     length_product = math.prod(lengths, start=1)
-    if w == 0:
-        # The chain needs W >= 1; report the empty box rows as
-        # infeasibility evidence instead (the tree/length comparison and
-        # the volume sandwich below W are unconditional, so keep them).
-        bad = tuple(
-            (k, Fraction(lo, T), Fraction(hi, T))
-            for k, (lo, hi) in enumerate(box)
-            if hi // T - (-((-lo) // T)) + 1 <= 0
-        )
-        return WidthBoundReport(
-            width=0,
-            mu=mu,
-            num_spanning_trees=trees,
-            epsilon=eps,
-            volume=vol,
-            cycle_slacks=slacks,
-            cycle_lengths=lengths,
-            lower_bound=lower,
-            slack_product=slack_product,
-            refined_upper=Fraction(0),
-            coarse_upper=Fraction(0),
-            chain_holds=False,
-            strict_upper_vacuous=False,
-            trees_within_length_product=trees <= length_product,
-            infeasible=True,
-            infeasible_cycles=bad,
-        )
-    refined = w * math.prod(
-        (s / max(math.floor(s), 1) for s in slacks), start=Fraction(1)
+    # The chain needs W >= 1.  A width of zero reports the empty box rows
+    # as infeasibility evidence instead (the tree/length comparison and the
+    # volume sandwich below W are unconditional, so they stay).
+    bad = tuple(
+        (k, Fraction(lo, T), Fraction(hi, T))
+        for k, ((lo, hi), r) in enumerate(zip(box, _box_integer_ranges(inst, basis)))
+        if not r
     )
-    coarse = Fraction(w * 2**mu)
-    strict_vacuous = mu == 0
-    chain = lower <= vol <= slack_product <= refined
-    if not strict_vacuous:
-        chain = chain and refined < coarse
-    else:
-        chain = chain and refined <= coarse
+    refined = coarse = Fraction(0)
+    chain = strict_vacuous = False
+    if w:
+        refined = w * math.prod(
+            (s / max(math.floor(s), 1) for s in slacks), start=Fraction(1)
+        )
+        coarse = Fraction(w * 2**mu)
+        strict_vacuous = mu == 0
+        chain = lower <= vol <= slack_product <= refined and (
+            refined <= coarse if strict_vacuous else refined < coarse
+        )
     return WidthBoundReport(
         width=w,
         mu=mu,
@@ -575,6 +559,6 @@ def width_bound_report(inst, basis):
         chain_holds=chain,
         strict_upper_vacuous=strict_vacuous,
         trees_within_length_product=trees <= length_product,
-        infeasible=False,
-        infeasible_cycles=(),
+        infeasible=w == 0,
+        infeasible_cycles=bad,
     )

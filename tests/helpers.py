@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
@@ -23,7 +24,7 @@ from peritrope import (
     polytrope_nonempty,
     spanning_trees,
 )
-from peritrope.graphs import DEFAULT_ENUMERATION_CAP
+from peritrope.graphs import DEFAULT_ENUMERATION_CAP, _bareiss_det
 
 
 def triangle_graph():
@@ -149,6 +150,32 @@ def enumerate_fixed_offset(inst, p, objective=None):
                     ),
                 )
     return best
+
+
+def volume_by_minor_sum(inst, basis):
+    """Reference for ``zonotopes.volume``: the absolute mu x mu minors of the
+    span-scaled basis matrix summed over every column subset, divided by
+    the period power.  Valid for any cycle basis, integral or not."""
+    mu = basis.mu
+    span = inst.span
+    total = 0
+    for subset in itertools.combinations(range(inst.graph.m), mu):
+        mat = [[row[a] * span[a] for a in subset] for row in basis.gamma]
+        total += abs(_bareiss_det(mat))
+    return Fraction(total, inst.period**mu)
+
+
+def volume_by_tree_sum(inst):
+    """Reference for ``zonotopes.volume`` under an integral basis: the
+    co-tree span products summed over all spanning trees."""
+    T = inst.period
+    total = Fraction(0)
+    for tree in spanning_trees(inst.graph):
+        term = Fraction(1)
+        for a in set(range(inst.graph.m)).difference(tree):
+            term *= Fraction(inst.span[a], T)
+        total += term
+    return total
 
 
 def solve_parallelotope_coords(generators, translation, scaled_point):

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -220,12 +221,44 @@ def test_infeasible_exit_code(tmp_path):
     assert main(["solve", str(path), "--method", "tns"]) == 2
 
 
-def test_cap_exceeded_analyze(tri, capsys):
-    assert main(["analyze", tri, "--cap-width", "2"]) == 3
-    payload = json.loads(capsys.readouterr().out)
+@pytest.mark.parametrize(
+    "command", [["analyze"], ["tile"], ["render", "--what", "zonotope"]], ids=" ".join
+)
+def test_cap_exceeded_analyze(tri, command, capsys):
+    """The triangle's box holds 3 points; every command that enumerates
+    them exits 3 under a cap of 2, analyze with a partial report."""
+    assert main([command[0], tri, "--cap-width", "2", *command[1:]]) == 3
+    captured = capsys.readouterr()
+    if command[0] != "analyze":
+        assert captured.out == ""
+        assert captured.err.startswith("error: box holds 3 integer points")
+        return
+    payload = json.loads(captured.out)
     assert payload["cap_exceeded"] is True
     assert payload["width"] == 3
     assert "lattice_points" not in payload
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "command, flags", [("analyze", ["--json"]), ("tile", [])], ids=("analyze", "tile")
+)
+@pytest.mark.parametrize(
+    "name, root",
+    [("triangle", []), ("square", []), ("bench7", ["--root", "e4"])],
+    ids=("triangle", "square", "bench7"),
+)
+def test_golden_outputs_are_byte_identical(name, root, command, flags):
+    """``tests/golden/<name>.<command>.json`` is the stdout of the command
+    on ``<name>.pesp``.  bench7 is the benchmark generator's n = 7, m = 10
+    instance of ``random.Random(7)`` with one vertex split off by a fixed
+    arc (e4 -> e7), so it is contracted, e7 into e4, before the tiling;
+    the root is the merged vertex."""
+    result = run_cli([command, str(GOLDEN / f"{name}.pesp"), *flags, *root])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (GOLDEN / f"{name}.{command}.json").read_bytes()
 
 
 def test_contracted_instance_is_flagged(tmp_path, capsys):

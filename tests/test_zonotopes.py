@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 
 from peritrope import (
+    CycleBasis,
     Digraph,
     EnumerationCapExceeded,
     FixedArcPresent,
+    OrientedCycle,
     PespInstance,
     SpanningTreeStructure,
     Tile,
@@ -27,7 +29,6 @@ from peritrope import (
     tile_contains_scaled,
     validate_tiling,
     volume,
-    volume_by_tree_sum,
     width,
     width_bound_report,
     zonotope_descriptor,
@@ -43,6 +44,8 @@ from helpers import (
     square_instance,
     triangle_graph,
     triangle_instance,
+    volume_by_minor_sum,
+    volume_by_tree_sum,
 )
 
 TREE_TEXT = "PERIOD 10\nARC a b 2 6 1\n"
@@ -128,6 +131,59 @@ def test_volume_values():
     sq = square_instance()
     assert volume(sq, square_basis()) == Fraction(2187, 250)
     assert volume_by_tree_sum(sq) == Fraction(2187, 250)
+
+
+def _multigraph_instance(rng):
+    """A random instance plus a parallel copy of one arc and a reversed copy
+    of another, each with bounds of its own; in one instance of four a
+    random arc gets zero span."""
+    base = random_instance(rng, max_vertices=5, max_arcs=6, max_period=10)
+    g, T = base.graph, base.period
+    arcs, lower, upper = list(g.arcs), list(base.lower), list(base.upper)
+    for reverse in (False, True):
+        tail, head = rng.choice(g.arcs)
+        arcs.append((head, tail) if reverse else (tail, head))
+        lower.append(rng.randrange(T))
+        upper.append(lower[-1] + rng.randint(1, T - 1))
+    if rng.random() < 0.25:
+        a = rng.randrange(len(arcs))
+        upper[a] = lower[a]
+    return PespInstance(
+        Digraph(g.vertices, tuple(arcs)), T, tuple(lower), tuple(upper), (1,) * len(arcs)
+    )
+
+
+def test_volume_matches_the_minor_and_tree_sums():
+    """The Gram determinant equals both oracles on fundamental bases of
+    random trees, their row permutations and a unimodular non-fundamental
+    basis (row 0 added to row 1).  On the rational basis {c0 + c1, c0 - c1}
+    only the minor sum applies: it is twice the tree sum, since every
+    co-tree minor is +-2 there.  Rows that are not independent span no
+    volume."""
+    seen = dict.fromkeys(("zero span", "parallel", "antiparallel"), 0)
+    for seed in range(80):
+        rng = random.Random(900 + seed)
+        inst = _multigraph_instance(rng)
+        g = inst.graph
+        pairs = set(g.arcs)
+        seen["zero span"] += 0 in inst.span
+        seen["parallel"] += len(pairs) < g.m
+        seen["antiparallel"] += any((h, t) in pairs for t, h in pairs)
+        tree_sum = volume_by_tree_sum(inst)
+        basis = fundamental_cycle_basis(g, rng.choice(spanning_trees(g)))
+        order = list(range(basis.mu))
+        rng.shuffle(order)
+        c0, c1, *rest = basis.gamma
+        plus = [x + y for x, y in zip(c0, c1)]
+        minus = [x - y for x, y in zip(c0, c1)]
+        unimodular = CycleBasis(tuple(map(OrientedCycle, (c0, plus, *rest))))
+        rational = CycleBasis(tuple(map(OrientedCycle, (plus, minus, *rest))))
+        for b in (basis, basis.permuted(tuple(order)), unimodular):
+            assert volume(inst, b) == volume_by_minor_sum(inst, b) == tree_sum
+        assert volume(inst, rational) == volume_by_minor_sum(inst, rational) == 2 * tree_sum
+        repeated = CycleBasis(tuple(map(OrientedCycle, (c0, c0, *rest))))
+        assert volume(inst, repeated) == volume_by_minor_sum(inst, repeated) == 0
+    assert min(seen.values()) >= 10, seen
 
 
 def test_tree_instance_conventions():
@@ -242,6 +298,60 @@ def test_validate_tiling_flags_a_missing_tile():
     report = validate_tiling(inst, basis, tiles[:-1])
     assert not report.ok
     assert not report.volume_match
+
+
+def test_validate_tiling_flags_a_tampered_lattice_point():
+    inst, basis = _triangle()
+    tiles = list(fine_tiling(inst, basis, root="v1"))
+    assert validate_tiling(inst, basis, tiles).lattice_points_recorded
+    for point in ((1,), None):
+        tampered = list(tiles)
+        tampered[0] = dataclasses.replace(tiles[0], lattice_point=point)
+        report = validate_tiling(inst, basis, tampered)
+        assert not report.lattice_points_recorded
+        assert not report.ok
+        assert report.volume_match and report.tiles_inside
+        assert report.all_points_covered and report.at_most_one_point
+
+
+def test_tiles_flat_on_a_zero_span_arc_record_no_point():
+    """The triangle plus a zero-span arc parallel to arc 0, tiled without
+    contraction: a tile whose co-tree holds that arc is flat and records no
+    point, although its pinned tree can put the arc at its one admissible
+    tension.  Every other tile records the first point its frame holds."""
+    inst = parse_instance(
+        "PERIOD 10\nARC v0 v1 3 12 1\nARC v0 v2 2 10 1\nARC v1 v2 4 13 1\nARC v0 v1 3 3 1\n"
+    )
+    basis = default_basis(inst.graph)
+    points = lattice_points(inst, basis)
+    flat = 0
+    for tile in fine_tiling(inst, basis, root="v1"):
+        if 3 not in tile.structure.tree:
+            assert tile.lattice_point is None
+            flat += 1
+            continue
+        held = [z for z in points if tile_contains_scaled(tile, tuple(10 * v for v in z))]
+        assert tile.lattice_point == (held[0] if held else None)
+    assert flat == 3
+    report = validate_tiling(inst, basis, fine_tiling(inst, basis, root="v1"))
+    assert report.lattice_points_recorded
+    assert not report.nondegenerate
+
+
+def test_a_tile_holding_two_points_records_the_first():
+    """Spans of one whole period (allowed on relaxed limit instances) give
+    each co-tree arc two admissible offsets, so every tile of this triangle
+    holds two lattice points and records the smaller one."""
+    inst = PespInstance(triangle_graph(), 10, (0, 0, 0), (10, 10, 10), (1, 1, 1), span_relaxed=True)
+    basis = default_basis(inst.graph)
+    tiles = fine_tiling(inst, basis, root="v1")
+    assert [t.lattice_point for t in tiles] == [(-1,), (0,), (1,)]
+    report = validate_tiling(inst, basis, tiles)
+    assert report.incidences == (
+        (0, (-1,)), (0, (0,)), (1, (0,)), (1, (1,)), (2, (1,)), (2, (2,))
+    )
+    assert report.lattice_points_recorded
+    assert not report.at_most_one_point
 
 
 def test_validate_tiling_flags_a_shifted_tile():
