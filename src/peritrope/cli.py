@@ -161,11 +161,12 @@ def _frac(value):
     return str(Fraction(value))
 
 
-def _tiling_section(inst, basis, root, width_cap):
-    """The tile list, validation and duality payloads of one fine tiling."""
+def _tiling_section(inst, basis, root, points):
+    """The tile list, validation and duality payloads of one fine tiling;
+    ``points`` are the instance's lattice points."""
     T = inst.period
     tiles = fine_tiling(inst, basis, root)
-    tiling_report = validate_tiling(inst, basis, tiles, width_cap=width_cap)
+    tiling_report = validate_tiling(inst, basis, tiles, points)
     duality = duality_check(inst, basis, root, tiles=tiles)
     listed = [
         {
@@ -223,7 +224,7 @@ def cmd_analyze(args):
     if not capped:
         try:
             report["tiling"], report["validation"], report["duality"] = _tiling_section(
-                inst, basis, root, args.cap_width
+                inst, basis, root, points
             )
         except EnumerationCapExceeded:
             capped = True
@@ -262,7 +263,8 @@ def cmd_tile(args):
     inst, vertex_map, contracted = _contract_if_needed(raw)
     root = _resolve_root(args, vertex_map, inst.graph)
     basis = _basis_for(args, inst.graph)
-    tiles, validation, duality = _tiling_section(inst, basis, root, args.cap_width)
+    points = lattice_points(inst, basis, cap=args.cap_width)
+    tiles, validation, duality = _tiling_section(inst, basis, root, points)
     payload = {
         "root": root if root is not None else inst.graph.vertices[0],
         "tiles": tiles,

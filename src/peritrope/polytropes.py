@@ -220,7 +220,7 @@ def tension_to_timetable(inst, x, root=None):
     for a in range(g.m):
         if not inst.lower[a] <= x[a] <= inst.upper[a]:
             raise NotATension(f"arc {a}: {x[a]} outside [{inst.lower[a]}, {inst.upper[a]}]")
-    pi = tree_potentials(g, range(g.m), x, g.vindex[root] if root is not None else 0)
+    pi = tree_potentials(g, range(g.m), x, _root_index(g, root))
     if None in pi:
         raise DisconnectedGraph(f"graph on {g.n} vertices with {g.m} arcs is not connected")
     for a, (i, j) in enumerate(g.arc_index_pairs):

@@ -29,6 +29,7 @@ from .graphs import (
     tree_potentials,
 )
 from .polytropes import (
+    _root_index,
     neighbors,
     normalize_timetable,
     offset_for,
@@ -50,7 +51,7 @@ class Solution:
 
 def solution_from_timetable(inst, basis, pi, root=None):
     """Normalize a timetable and derive tension, offsets and objective."""
-    ridx = inst.graph.vindex[root] if root is not None else 0
+    ridx = _root_index(inst.graph, root)
     timetable = normalize_timetable(pi, ridx, inst.period)
     x, p = timetable_to_tension(inst, timetable)
     z = basis.apply(p)

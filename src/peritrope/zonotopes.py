@@ -6,14 +6,14 @@ all arithmetic stays on integers; the real value is the stored value
 divided by T.  A point is a lattice point exactly when every scaled
 coordinate is divisible by T.
 
-The volume is one Gram determinant, and each tile's lattice point comes
-from one potential walk along its pinned tree.  Tile containment, which
-only validation and ``tile_contains_scaled`` need, is integer-only too:
-each tile's generator matrix G is inverted, fraction-free, into a frame
-(d, d * G^-1) with |d| = |det G|, and a point lies in the tile when every
-coordinate of d * G^-1 applied to its offset from the translation falls
-between 0 and d.  Fractions appear only in volumes and the width bound
-chain.
+The volume is one Gram determinant, and each tile's lattice points come
+from one potential walk along its pinned tree.  Validation trusts that
+walk only for implied tiles, the ones ``fine_tiling`` builds from their
+structure.  A foreign tile, and ``tile_contains_scaled``, invert the
+generator matrix G fraction-free into a frame (d, d * G^-1) with
+|d| = |det G|; a point lies in the tile when every coordinate of
+d * G^-1 applied to its offset from the translation is between 0 and d.
+Fractions appear only in volumes and the width bound chain.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from .graphs import (
     tree_potentials,
 )
 from .polytropes import (
+    _root_index,
     anchor_timetable,
     offset_for,
     offset_zero,
@@ -154,11 +155,23 @@ def volume(inst, basis):
     gamma = basis.gamma
     span = inst.span
     gram = [[sum(x * s * y for x, s, y in zip(r, span, q)) for q in gamma] for r in gamma]
-    tree = greedy_spanning_tree(inst.graph) if basis.tree is None else basis.tree
-    cotree = sorted(set(range(inst.graph.m)).difference(tree))
-    d = abs(_bareiss_det([[row[a] for a in cotree] for row in gamma]))
+    d = _cotree_det(inst, basis)
     # Dependent rows make every minor vanish, d included.
     return Fraction(abs(_bareiss_det(gram)), d * inst.period**basis.mu) if d else Fraction(0)
+
+
+def _cotree_det(inst, basis):
+    """d = |det G_C| on the co-tree columns C of the basis tree (or of the
+    greedy tree).  The rows of G are an integer matrix M times a
+    fundamental basis, whose co-tree minors are all +-1, so every co-tree
+    has |det G_C| = |det M| = d; dependent rows give d = 0."""
+    tree = greedy_spanning_tree(inst.graph) if basis.tree is None else basis.tree
+    cotree = _cotree(inst, tree)
+    return abs(_bareiss_det([[row[a] for a in cotree] for row in basis.gamma]))
+
+
+def _cotree(inst, tree):
+    return sorted(set(range(inst.graph.m)).difference(tree))
 
 
 @dataclass(frozen=True)
@@ -181,7 +194,7 @@ def structure_for_tree(g, tree, root=None):
     """Pin each tree arc by orienting the tree away from the root: arcs
     used in their native direction go to the upper side, reversed ones to
     the lower side."""
-    ridx = g.vindex[root] if root is not None else 0
+    ridx = _root_index(g, root)
     adj = [[] for _ in range(g.n)]
     for a in tree:
         i, j = g.arc_index_pairs[a]
@@ -252,7 +265,10 @@ def _tile_frame(generators):
 
 def _frame_contains(frame, translation, scaled_point):
     """Is the scaled point in the tile whose generator frame is ``frame``:
-    every coordinate of (d * G^-1)(point - translation) between 0 and d."""
+    every coordinate of (d * G^-1)(point - translation) between 0 and d.
+    A singular tile (``frame`` None) contains nothing."""
+    if frame is None:
+        return False
     d, adj = frame
     lo, hi = (0, d) if d > 0 else (d, 0)
     offset = [p - t for p, t in zip(scaled_point, translation)]
@@ -264,39 +280,40 @@ def _frame_contains(frame, translation, scaled_point):
 
 
 def tile_contains_scaled(tile, scaled_point):
-    frame = _tile_frame(tile.generators)
-    return frame is not None and _frame_contains(frame, tile.translation, scaled_point)
+    return _frame_contains(_tile_frame(tile.generators), tile.translation, scaled_point)
 
 
 def fine_tiling(inst, basis, root=None, tree_cap=None):
     """One tile per spanning tree, pinned by the root orientation.  Each
     tile records the first lattice point (in sorted order) it contains, if
-    any, by ``_tile_lattice_point``."""
+    any, by ``_tile_points``."""
     cap = DEFAULT_ENUMERATION_CAP if tree_cap is None else tree_cap
     columns = _scaled_columns(inst, basis)
-    arcs = set(range(inst.graph.m))
+    d = _cotree_det(inst, basis)
     tiles = []
     for tree in spanning_trees(inst.graph, cap):
         structure = structure_for_tree(inst.graph, tree, root)
-        cotree = sorted(arcs.difference(tree))
+        cotree = _cotree(inst, tree)
         pinned = _pinned_tensions(inst, structure)
-        point = _tile_lattice_point(inst, basis, structure.tree, cotree, pinned)
-        tiles.append(Tile(structure, tuple(columns[a] for a in cotree), basis.apply(pinned), point))
+        points = _tile_points(inst, basis, structure.tree, cotree, pinned, d)
+        generators = tuple(columns[a] for a in cotree)
+        tiles.append(Tile(structure, generators, basis.apply(pinned), next(iter(points), None)))
     return tuple(tiles)
 
 
-def _tile_lattice_point(inst, basis, tree, cotree, pinned):
-    """The smallest lattice point of a tile, by one potential walk: with pi
-    the potentials of the ``pinned`` tree, the tile's lattice points are
+def _tile_points(inst, basis, tree, cotree, pinned, d):
+    """Every lattice point of a tile, sorted, by one potential walk: with
+    pi the potentials of the ``pinned`` tree, the tile's lattice points are
     basis.apply(p) for the offsets p that are 0 on the tree and have
     l_a <= pi_j - pi_i + T p_a <= u_a on each co-tree arc a = (i, j).  A
-    zero-span co-tree arc makes the tile flat, and it holds no point."""
+    tile with a zero-span co-tree arc, or of a basis with d =
+    ``_cotree_det`` = 0, is flat and holds no point."""
+    if not d or any(inst.lower[a] == inst.upper[a] for a in cotree):
+        return []
     T = inst.period
     pi = tree_potentials(inst.graph, tree, pinned)
     choices = []
     for a in cotree:
-        if inst.lower[a] == inst.upper[a]:
-            return None
         i, j = inst.graph.arc_index_pairs[a]
         delta = pi[j] - pi[i]
         choices.append(range(-((delta - inst.lower[a]) // T), (inst.upper[a] - delta) // T + 1))
@@ -306,7 +323,7 @@ def _tile_lattice_point(inst, basis, tree, cotree, pinned):
         for a, p in zip(cotree, picks):
             offset[a] = p
         points.append(basis.apply(offset))
-    return min(points, default=None)
+    return sorted(points)
 
 
 @dataclass
@@ -334,86 +351,67 @@ class TilingReport:
         )
 
 
-def validate_tiling(inst, basis, tiles, width_cap=DEFAULT_WIDTH_CAP):
+def validate_tiling(inst, basis, tiles, points=None):
     """Certify a tiling: nonzero tile volumes summing exactly to the
-    zonotope volume, every tile inside the zonotope, every lattice point
-    covered, no tile holding two lattice points, and each tile's recorded
-    ``lattice_point`` the first point its frame holds (None when none).
+    zonotope volume, every tile inside the zonotope, the tiles' lattice
+    points exactly ``points`` (the sorted ``lattice_points``, computed
+    here when not given), no tile holding two of them, and each tile's
+    recorded ``lattice_point`` the first it holds (None when none).
 
-    Containment is tested with frames, independently of the potential walk
-    that ``fine_tiling`` records its points by."""
+    An implied tile, one ``fine_tiling`` would build from its structure,
+    is inside by construction, has |det| d * (its co-tree spans) with
+    d = ``_cotree_det``, and holds its walk's points.  Any other, foreign,
+    tile takes |det| and points from its frame and has its vertices tested
+    one by one.  Independent of the walk: the volume match (Cauchy-Binet
+    sums d * (co-tree spans) over all co-trees), the cover (equality with
+    the Bellman-Ford ``lattice_points``), and ``duality_check``."""
     T = inst.period
+    if points is None:
+        points = lattice_points(inst, basis)
     vol = volume(inst, basis)
-    frames = [_tile_frame(tile.generators) for tile in tiles]
-    nondegenerate = all(frame is not None for frame in frames)
-    tile_sum = Fraction(
-        sum(abs(frame[0]) for frame in frames if frame is not None), T**basis.mu
-    )
-
+    d = _cotree_det(inst, basis)
     columns = _scaled_columns(inst, basis)
-    tiles_inside = all(_tile_inside(inst, basis, tile, columns) for tile in tiles)
-
-    points = lattice_points(inst, basis, cap=width_cap)
-    incidences = []
-    held = [[] for _ in tiles]
-    for z in points:
-        scaled = tuple(T * v for v in z)
-        for t, (tile, frame) in enumerate(zip(tiles, frames)):
-            if frame is not None and _frame_contains(frame, tile.translation, scaled):
-                incidences.append((t, z))
-                held[t].append(z)
-
+    span = inst.span
+    scaled = [(z, tuple(T * v for v in z)) for z in points]
+    dets, inside, held = [], [], []
+    for tile in tiles:
+        structure = tile.structure
+        cotree = _cotree(inst, structure.tree)
+        pinned = _pinned_tensions(inst, structure)
+        implied = tuple(columns[a] for a in cotree), basis.apply(pinned)
+        if (tile.generators, tile.translation) == implied:
+            dets.append(d * math.prod(span[a] for a in cotree))
+            inside.append(True)
+            held.append(_tile_points(inst, basis, structure.tree, cotree, pinned, d))
+            continue
+        frame = _tile_frame(tile.generators)
+        dets.append(abs(frame[0]) if frame else 0)
+        inside.append(_tile_inside(inst, basis, tile))
+        held.append([z for z, x in scaled if _frame_contains(frame, tile.translation, x)])
+    tile_sum = Fraction(sum(dets), T**basis.mu)
+    by_point = sorted((z, t) for t, h in enumerate(held) for z in h)
     return TilingReport(
         tile_count=len(tiles),
-        nondegenerate=nondegenerate,
+        nondegenerate=all(dets),
         tile_volume_sum=tile_sum,
         zonotope_volume=vol,
         volume_match=tile_sum == vol,
-        tiles_inside=tiles_inside,
-        all_points_covered=len({z for _, z in incidences}) == len(points),
+        tiles_inside=all(inside),
+        all_points_covered={z for z, _ in by_point} == set(points),
         at_most_one_point=all(len(h) <= 1 for h in held),
         lattice_points_recorded=all(
-            tile.lattice_point == (h[0] if h else None) for tile, h in zip(tiles, held)
+            tile.lattice_point == next(iter(h), None) for tile, h in zip(tiles, held)
         ),
-        incidences=tuple(incidences),
+        incidences=tuple((t, z) for z, t in by_point),
     )
 
 
-def _tile_inside(inst, basis, tile, columns):
-    """Every vertex of the tile lies in the zonotope; ``columns`` are the
-    zonotope's generators, ``_scaled_columns(inst, basis)``.
-
-    A tile whose translation and generators are the ones its structure
-    implies is inside: each vertex is the image of a corner of the bound
-    box.  Any other tile has its vertices checked one by one, by
-    reconstructing the corner or, failing that, by the exact membership
-    test.
-    """
-    m = inst.graph.m
-    structure = tile.structure
-    cotree = sorted(set(range(m)) - set(structure.tree))
-    implied = tuple(columns[a] for a in cotree)
-    base = _pinned_tensions(inst, structure)
-    if tile.generators == implied and tile.translation == basis.apply(base):
-        return True
-    span = inst.span
-    for picks in itertools.product((0, 1), repeat=len(cotree)):
-        corner = list(base)
-        for take, a in zip(picks, cotree):
-            if take:
-                corner[a] += span[a]
-        expected = basis.apply(corner)
-        vertex = tuple(
-            t + sum(col[k] for col, take in zip(tile.generators, picks) if take)
-            for k, t in enumerate(tile.translation)
-        )
-        if vertex != expected and not scaled_point_in_zonotope(inst, basis, vertex):
-            return False
-        if vertex == expected and not all(
-            inst.lower[a] <= corner[a] <= inst.upper[a] for a in range(m)
-        ):
-            return False
-    return True
+def _tile_inside(inst, basis, tile):
+    """Every vertex of the tile, and so the tile, lies in the zonotope."""
+    vertices = [tile.translation]
+    for col in tile.generators:
+        vertices += [tuple(v + c for v, c in zip(vertex, col)) for vertex in vertices]
+    return all(scaled_point_in_zonotope(inst, basis, vertex) for vertex in vertices)
 
 
 @dataclass
@@ -446,7 +444,7 @@ def duality_check(inst, basis, root=None, tree_cap=None, tiles=None):
     ``fine_tiling`` for the same root, built here when not given."""
     g = inst.graph
     T = inst.period
-    ridx = g.vindex[root] if root is not None else 0
+    ridx = _root_index(g, root)
     if tiles is None:
         tiles = fine_tiling(inst, basis, root, tree_cap=tree_cap)
     entries = []
@@ -456,16 +454,11 @@ def duality_check(inst, basis, root=None, tree_cap=None, tiles=None):
             continue
         p = offset_for(inst, basis, z)
         structure = tile.structure
-        x = [None] * g.m
-        for a in structure.at_lower:
-            x[a] = inst.lower[a]
-        for a in structure.at_upper:
-            x[a] = inst.upper[a]
-        differences = {a: x[a] - T * p[a] for a in structure.tree}
-        pi = tree_potentials(g, structure.tree, differences, ridx)
+        x = _pinned_tensions(inst, structure)
+        pi = tree_potentials(g, structure.tree, [v - T * q for v, q in zip(x, p)], ridx)
         feasible = True
         for a, (i, j) in enumerate(g.arc_index_pairs):
-            if x[a] is None:
+            if a not in structure.tree:
                 x[a] = pi[j] - pi[i] + T * p[a]
             if not inst.lower[a] <= x[a] <= inst.upper[a]:
                 feasible = False

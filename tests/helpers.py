@@ -25,6 +25,17 @@ from peritrope import (
     spanning_trees,
 )
 from peritrope.graphs import DEFAULT_ENUMERATION_CAP, _bareiss_det
+from peritrope.zonotopes import (
+    DEFAULT_WIDTH_CAP,
+    TilingReport,
+    _frame_contains,
+    _pinned_tensions,
+    _scaled_columns,
+    _tile_frame,
+    lattice_points,
+    scaled_point_in_zonotope,
+    volume,
+)
 
 
 def triangle_graph():
@@ -201,6 +212,85 @@ def solve_parallelotope_coords(generators, translation, scaled_point):
                 mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
                 rhs[r] -= f * rhs[col]
     return rhs
+
+
+def validate_tiling_by_frame_scan(inst, basis, tiles, width_cap=DEFAULT_WIDTH_CAP):
+    """Reference for ``zonotopes.validate_tiling``: every tile is treated
+    as foreign.  Its |det| is its frame's, it is inside when each of its
+    vertices is (``tile_inside_by_corners``), and it holds the lattice
+    points its frame contains, found by scanning tiles x points."""
+    T = inst.period
+    vol = volume(inst, basis)
+    frames = [_tile_frame(tile.generators) for tile in tiles]
+    nondegenerate = all(frame is not None for frame in frames)
+    tile_sum = Fraction(
+        sum(abs(frame[0]) for frame in frames if frame is not None), T**basis.mu
+    )
+
+    columns = _scaled_columns(inst, basis)
+    tiles_inside = all(tile_inside_by_corners(inst, basis, tile, columns) for tile in tiles)
+
+    points = lattice_points(inst, basis, cap=width_cap)
+    incidences = []
+    held = [[] for _ in tiles]
+    for z in points:
+        scaled = tuple(T * v for v in z)
+        for t, (tile, frame) in enumerate(zip(tiles, frames)):
+            if frame is not None and _frame_contains(frame, tile.translation, scaled):
+                incidences.append((t, z))
+                held[t].append(z)
+
+    return TilingReport(
+        tile_count=len(tiles),
+        nondegenerate=nondegenerate,
+        tile_volume_sum=tile_sum,
+        zonotope_volume=vol,
+        volume_match=tile_sum == vol,
+        tiles_inside=tiles_inside,
+        all_points_covered=len({z for _, z in incidences}) == len(points),
+        at_most_one_point=all(len(h) <= 1 for h in held),
+        lattice_points_recorded=all(
+            tile.lattice_point == (h[0] if h else None) for tile, h in zip(tiles, held)
+        ),
+        incidences=tuple(incidences),
+    )
+
+
+def tile_inside_by_corners(inst, basis, tile, columns):
+    """Every vertex of the tile lies in the zonotope; ``columns`` are the
+    zonotope's generators, ``_scaled_columns(inst, basis)``.
+
+    A tile whose translation and generators are the ones its structure
+    implies is inside: each vertex is the image of a corner of the bound
+    box.  Any other tile has its vertices checked one by one, by
+    reconstructing the corner or, failing that, by the exact membership
+    test.
+    """
+    m = inst.graph.m
+    structure = tile.structure
+    cotree = sorted(set(range(m)) - set(structure.tree))
+    implied = tuple(columns[a] for a in cotree)
+    base = _pinned_tensions(inst, structure)
+    if tile.generators == implied and tile.translation == basis.apply(base):
+        return True
+    span = inst.span
+    for picks in itertools.product((0, 1), repeat=len(cotree)):
+        corner = list(base)
+        for take, a in zip(picks, cotree):
+            if take:
+                corner[a] += span[a]
+        expected = basis.apply(corner)
+        vertex = tuple(
+            t + sum(col[k] for col, take in zip(tile.generators, picks) if take)
+            for k, t in enumerate(tile.translation)
+        )
+        if vertex != expected and not scaled_point_in_zonotope(inst, basis, vertex):
+            return False
+        if vertex == expected and not all(
+            inst.lower[a] <= corner[a] <= inst.upper[a] for a in range(m)
+        ):
+            return False
+    return True
 
 
 @dataclass(frozen=True)

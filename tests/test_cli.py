@@ -169,21 +169,24 @@ def test_tile_command(tri, capsys):
 
 @pytest.mark.parametrize("command", ["analyze", "tile"])
 def test_one_tiling_per_command(tri, command, monkeypatch, capsys):
+    """One ``fine_tiling`` call and one ``lattice_points`` enumeration per
+    command, shared by the report, the validation and the duality check."""
     from peritrope import cli, zonotopes
 
-    calls = []
-    real = zonotopes.fine_tiling
+    calls = {"fine_tiling": 0, "lattice_points": 0}
+    for name in calls:
+        real = getattr(zonotopes, name)
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+        def counting(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "fine_tiling", counting)
-    monkeypatch.setattr(zonotopes, "fine_tiling", counting)
+        monkeypatch.setattr(cli, name, counting)
+        monkeypatch.setattr(zonotopes, name, counting)
     assert main([command, tri, "--root", "v1"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["duality"] == {"checked": 3, "ok": True}
-    assert len(calls) == 1
+    assert calls == {"fine_tiling": 1, "lattice_points": 1}
 
 
 def test_render_to_file(tri, tmp_path):
@@ -246,17 +249,24 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
     "command, flags", [("analyze", ["--json"]), ("tile", [])], ids=("analyze", "tile")
 )
 @pytest.mark.parametrize(
-    "name, root",
-    [("triangle", []), ("square", []), ("bench7", ["--root", "e4"])],
-    ids=("triangle", "square", "bench7"),
+    "name, instance, options",
+    [
+        ("triangle", "triangle", []),
+        ("square", "square", []),
+        ("bench7", "bench7", ["--root", "e4"]),
+        ("bench7-tree", "bench7", ["--root", "e6", "--basis-tree", "1,4,6,7,8,9"]),
+    ],
+    ids=("triangle", "square", "bench7", "bench7-tree"),
 )
-def test_golden_outputs_are_byte_identical(name, root, command, flags):
+def test_golden_outputs_are_byte_identical(name, instance, options, command, flags):
     """``tests/golden/<name>.<command>.json`` is the stdout of the command
-    on ``<name>.pesp``.  bench7 is the benchmark generator's n = 7, m = 10
-    instance of ``random.Random(7)`` with one vertex split off by a fixed
-    arc (e4 -> e7), so it is contracted, e7 into e4, before the tiling;
-    the root is the merged vertex."""
-    result = run_cli([command, str(GOLDEN / f"{name}.pesp"), *flags, *root])
+    on ``<instance>.pesp``.  bench7 is the benchmark generator's n = 7,
+    m = 10 instance of ``random.Random(7)`` with one vertex split off by a
+    fixed arc (e4 -> e7), so it is contracted, e7 into e4, before the
+    tiling; the root is the merged vertex.  bench7-tree tiles the same
+    instance under the basis of a tree that shares two arcs with the
+    greedy one, from another root."""
+    result = run_cli([command, str(GOLDEN / f"{instance}.pesp"), *flags, *options])
     assert result.returncode == 0, result.stderr
     assert result.stdout == (GOLDEN / f"{name}.{command}.json").read_bytes()
 

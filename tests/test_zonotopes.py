@@ -23,6 +23,8 @@ from peritrope import (
     parse_instance,
     scaled_point_in_zonotope,
     offset_from_cycle_offset,
+    solution_from_timetable,
+    tension_to_timetable,
     offset_zero,
     spanning_trees,
     structure_for_tree,
@@ -44,6 +46,7 @@ from helpers import (
     square_instance,
     triangle_graph,
     triangle_instance,
+    validate_tiling_by_frame_scan,
     volume_by_minor_sum,
     volume_by_tree_sum,
 )
@@ -153,6 +156,24 @@ def _multigraph_instance(rng):
     )
 
 
+def _bases(rng, g):
+    """A fundamental basis of a random tree, a row permutation of it, the
+    unimodular non-fundamental basis with row 0 added to row 1, and the
+    rational basis {c0 + c1, c0 - c1, ...}."""
+    basis = fundamental_cycle_basis(g, rng.choice(spanning_trees(g)))
+    order = list(range(basis.mu))
+    rng.shuffle(order)
+    c0, c1, *rest = basis.gamma
+    plus = [x + y for x, y in zip(c0, c1)]
+    minus = [x - y for x, y in zip(c0, c1)]
+    return (
+        basis,
+        basis.permuted(tuple(order)),
+        CycleBasis(tuple(map(OrientedCycle, (c0, plus, *rest)))),
+        CycleBasis(tuple(map(OrientedCycle, (plus, minus, *rest)))),
+    )
+
+
 def test_volume_matches_the_minor_and_tree_sums():
     """The Gram determinant equals both oracles on fundamental bases of
     random trees, their row permutations and a unimodular non-fundamental
@@ -170,17 +191,11 @@ def test_volume_matches_the_minor_and_tree_sums():
         seen["parallel"] += len(pairs) < g.m
         seen["antiparallel"] += any((h, t) in pairs for t, h in pairs)
         tree_sum = volume_by_tree_sum(inst)
-        basis = fundamental_cycle_basis(g, rng.choice(spanning_trees(g)))
-        order = list(range(basis.mu))
-        rng.shuffle(order)
-        c0, c1, *rest = basis.gamma
-        plus = [x + y for x, y in zip(c0, c1)]
-        minus = [x - y for x, y in zip(c0, c1)]
-        unimodular = CycleBasis(tuple(map(OrientedCycle, (c0, plus, *rest))))
-        rational = CycleBasis(tuple(map(OrientedCycle, (plus, minus, *rest))))
-        for b in (basis, basis.permuted(tuple(order)), unimodular):
+        *integral, rational = _bases(rng, g)
+        for b in integral:
             assert volume(inst, b) == volume_by_minor_sum(inst, b) == tree_sum
         assert volume(inst, rational) == volume_by_minor_sum(inst, rational) == 2 * tree_sum
+        c0, _, *rest = integral[0].gamma
         repeated = CycleBasis(tuple(map(OrientedCycle, (c0, c0, *rest))))
         assert volume(inst, repeated) == volume_by_minor_sum(inst, repeated) == 0
     assert min(seen.values()) >= 10, seen
@@ -393,6 +408,71 @@ def test_validate_tiling_flags_tampered_generators(monkeypatch):
     assert report.ok
 
 
+def test_a_reflected_tile_is_foreign_and_still_inside(monkeypatch):
+    """One generator of a square tile negated and the translation moved by
+    it: the same parallelotope, but not the tile its structure implies, so
+    only it builds a frame, and the report is the untampered one."""
+    frames = []
+    real = zonotopes._tile_frame
+    monkeypatch.setattr(zonotopes, "_tile_frame", lambda g: frames.append(g) or real(g))
+    sq, basis = square_instance(), square_basis()
+    tiles = list(fine_tiling(sq, basis))
+    untampered = validate_tiling(sq, basis, tiles)
+    assert untampered.ok
+    assert frames == []  # implied tiles never build a frame
+    first, *rest = tiles[0].generators
+    tiles[0] = dataclasses.replace(
+        tiles[0],
+        generators=(tuple(-v for v in first), *rest),
+        translation=tuple(t + v for t, v in zip(tiles[0].translation, first)),
+    )
+    assert validate_tiling(sq, basis, tiles) == untampered
+    assert frames == [tiles[0].generators]
+
+
+def _tiling_cases():
+    """Multigraph instances (zero-span, parallel and antiparallel arcs)
+    under the four ``_bases`` (the rational one has d = 2), each tiled from
+    a random root; then the span-relaxed triangle, whose tiles hold two
+    points each."""
+    for seed in range(60):
+        rng = random.Random(1300 + seed)
+        inst = _multigraph_instance(rng)
+        for b in _bases(rng, inst.graph):
+            yield inst, b, rng.choice(inst.graph.vertices)
+    inst = PespInstance(triangle_graph(), 10, (0, 0, 0), (10, 10, 10), (1, 1, 1), span_relaxed=True)
+    yield inst, default_basis(inst.graph), "v1"
+
+
+def _report_or_error(validate, inst, basis, tiles):
+    try:
+        return validate(inst, basis, tiles)
+    except ValueError as exc:
+        return repr(exc)
+
+
+def test_validate_tiling_matches_the_frame_scan():
+    """Deciding once per tile whether it is implied gives the report, field
+    by field, that treating every tile as foreign and scanning its frame
+    against every lattice point gives; a basis whose lattice points have no
+    integer offset raises the same error in both."""
+    seen = dict.fromkeys(("ok", "not ok", "error", "zero span", "d = 2", "two points"), 0)
+    for inst, basis, root in _tiling_cases():
+        tiles = fine_tiling(inst, basis, root)
+        report = _report_or_error(validate_tiling, inst, basis, tiles)
+        assert report == _report_or_error(validate_tiling_by_frame_scan, inst, basis, tiles)
+        if isinstance(report, str):
+            seen["error"] += 1
+            continue
+        seen["ok" if report.ok else "not ok"] += 1
+        seen["zero span"] += 0 in inst.span
+        seen["d = 2"] += report.tile_volume_sum != volume_by_tree_sum(inst)
+        seen["two points"] += not report.at_most_one_point
+    assert seen["ok"] >= 100 and seen["two points"] == 1, seen
+    assert min(seen["not ok"], seen["error"], seen["zero span"]) >= 25, seen
+    assert seen["d = 2"] >= 5, seen
+
+
 def _random_generators(rng, mu, singular):
     """Random integer columns; a singular draw makes one column an integer
     combination of the others (the zero column when mu = 1)."""
@@ -502,6 +582,29 @@ def test_tiles_hold_the_offsets_whose_pinned_tree_extends():
             assert tile.lattice_point == (holding[0] if holding else None)
         checked += 1
     assert checked >= 25
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda inst, basis, root: structure_for_tree(inst.graph, (0, 1), root),
+        lambda inst, basis, root: fine_tiling(inst, basis, root),
+        lambda inst, basis, root: duality_check(inst, basis, root),
+        lambda inst, basis, root: solution_from_timetable(inst, basis, (0, 3, 10), root),
+        lambda inst, basis, root: tension_to_timetable(inst, (8, 2, 4), root),
+    ],
+    ids=(
+        "structure_for_tree",
+        "fine_tiling",
+        "duality_check",
+        "solution_from_timetable",
+        "tension_to_timetable",
+    ),
+)
+def test_an_unknown_root_is_a_value_error(call):
+    inst, basis = _triangle()
+    with pytest.raises(ValueError, match="unknown vertex 'v9'"):
+        call(inst, basis, "v9")
 
 
 def test_duality_triangle_values():
