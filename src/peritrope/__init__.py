@@ -70,6 +70,7 @@ from .search import (
     OffsetMemo,
     Solution,
     TnsConfig,
+    TreePool,
     initial_solution,
     neighbourhood_graph,
     solution_from_timetable,

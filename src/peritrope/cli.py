@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -161,6 +162,12 @@ def _frac(value):
     return str(Fraction(value))
 
 
+def _ratio(v, T):
+    """``str(Fraction(v, T))`` for integers v and T > 0, by one gcd."""
+    g = math.gcd(v, T)
+    return str(v // g) if g == T else f"{v // g}/{T // g}"
+
+
 def _tiling_section(inst, basis, root, points):
     """The tile list, validation and duality payloads of one fine tiling;
     ``points`` are the instance's lattice points."""
@@ -173,7 +180,7 @@ def _tiling_section(inst, basis, root, points):
             "tree": list(t.structure.tree),
             "L": sorted(t.structure.at_lower),
             "U": sorted(t.structure.at_upper),
-            "translation": [_frac(Fraction(v, T)) for v in t.translation],
+            "translation": [_ratio(v, T) for v in t.translation],
             "lattice_point": list(t.lattice_point) if t.lattice_point is not None else None,
         }
         for t in tiles
@@ -208,7 +215,7 @@ def cmd_analyze(args):
         report["lattice_points"] = [list(z) for z in points]
     except EnumerationCapExceeded:
         capped = True
-    report["box"] = [[_frac(Fraction(lo, T)), _frac(Fraction(hi, T))] for lo, hi in odijk_box(inst, basis)]
+    report["box"] = [[_ratio(lo, T), _ratio(hi, T)] for lo, hi in odijk_box(inst, basis)]
     report["bound_chain"] = {
         "width": bounds.width,
         "num_spanning_trees": bounds.num_spanning_trees,

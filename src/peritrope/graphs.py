@@ -97,10 +97,21 @@ class CycleBasis:
     def column(self, a):
         return tuple(row[a] for row in self.gamma)
 
+    @cached_property
+    def _sparse_rows(self):
+        """The (arc, coefficient) pairs of each row's nonzero entries, and
+        the length every row shares (None when the lengths differ)."""
+        lengths = {len(row) for row in self.gamma}
+        rows = tuple(tuple((a, s) for a, s in enumerate(row) if s) for row in self.gamma)
+        return rows, lengths.pop() if len(lengths) == 1 else None
+
     def apply(self, v):
         """Gamma v for a vector v with one entry per arc (offsets, tensions,
         bounds); a vector of another length raises ValueError."""
-        return tuple(sum(s * x for s, x in zip(row, v, strict=True)) for row in self.gamma)
+        rows, m = self._sparse_rows
+        if rows and len(v) != m:
+            raise ValueError(f"a vector of length {len(v)} does not fit the cycle matrix")
+        return tuple([sum([s * v[a] for a, s in row]) for row in rows])
 
     @cached_property
     def row_cotree_arcs(self):
@@ -285,13 +296,14 @@ def tree_potentials(g, tree, differences, root=0):
     keep None, and callers rely on that to detect an arc set that does not
     span.
 
-    This is the package's one root-outward potential walk: connectivity,
-    cycle bases, timetables from tensions or pinned trees, the lattice
-    point of each tile in ``zonotopes.fine_tiling``, and fixed-arc
-    contraction all go through it.  (``zonotopes.structure_for_tree`` keeps
-    its own walk, since it needs the direction each arc is used in.)  An arc
-    set with cycles is walked depth-first, in the order of ``tree``, and an
-    arc that closes a cycle is ignored.
+    This is the package's root-outward potential walk: connectivity,
+    cycle bases, timetables from tensions or pinned trees, the tiles that
+    ``zonotopes.validate_tiling`` recomputes, and fixed-arc contraction all
+    go through it.  ``zonotopes.fine_tiling`` instead takes each tile's
+    pinned potentials from the walk that orients its tree away from the
+    root, the walk ``zonotopes.structure_for_tree`` also uses, so a tiling
+    walks each tree once.  An arc set with cycles is walked depth-first, in
+    the order of ``tree``, and an arc that closes a cycle is ignored.
     """
     adj = [[] for _ in range(g.n)]
     for a in tree:

@@ -59,26 +59,26 @@ def solution_from_timetable(inst, basis, pi, root=None):
     return Solution(timetable, x, p, z, value)
 
 
-def initial_solution(inst, seed=0, basis=None, tree=None, retries=200):
+def initial_solution(inst, seed=0, basis=None, tree=None, retries=200, *, pool=None):
     """Feasible starting point: pin a spanning tree to its lower bounds,
     then retry with random trees and random tree tensions.  Failure after
-    all retries is a heuristic give-up, not an infeasibility proof."""
+    all retries is a heuristic give-up, not an infeasibility proof.
+    ``pool`` is a ``TreePool`` of the instance's graph to draw the retry
+    trees from; a fresh one is used when it is None."""
     g = inst.graph
     if basis is None:
         basis = default_basis(g)
     _require_connected(g)  # no start exists on a disconnected graph, whatever the tree
+    if pool is None:
+        pool = TreePool(g)
+    elif pool.graph is not g:
+        raise ValueError("the tree pool belongs to another graph")
     rng = random.Random(seed)
-    pool = None  # every spanning tree, enumerated when a retry first needs one
     for attempt in range(retries):
         if attempt == 0:
             chosen = tuple(sorted(tree)) if tree is not None else greedy_spanning_tree(g)
         else:
-            if pool is None:
-                try:
-                    pool = spanning_trees(g, DEFAULT_ENUMERATION_CAP)
-                except EnumerationCapExceeded:
-                    pool = (greedy_spanning_tree(g),)
-            chosen = rng.choice(pool)
+            chosen = pool.choice(rng)
         x = list(inst.lower)
         if attempt % 2 == 1:
             for a in chosen:
@@ -89,6 +89,25 @@ def initial_solution(inst, seed=0, basis=None, tree=None, retries=200):
         except Infeasible:
             continue
     raise RetriesExhausted(f"no feasible start found in {retries} attempts")
+
+
+class TreePool:
+    """The trees ``initial_solution`` draws its retries from: every
+    spanning tree of the graph (the greedy tree alone beyond
+    ``DEFAULT_ENUMERATION_CAP``), enumerated on the first draw and kept.
+    Build one per solve."""
+
+    def __init__(self, g):
+        self.graph = g
+        self._trees = None
+
+    def choice(self, rng):
+        if self._trees is None:
+            try:
+                self._trees = spanning_trees(self.graph, DEFAULT_ENUMERATION_CAP)
+            except EnumerationCapExceeded:
+                self._trees = (greedy_spanning_tree(self.graph),)
+        return rng.choice(self._trees)
 
 
 @dataclass(frozen=True)
@@ -180,19 +199,21 @@ def tns(inst, basis, start, config=None, memo=None):
 
 def tns_restarts(inst, basis, restarts=1, config=None):
     """Best of ``restarts`` tns walks (at least one), all sharing one
-    ``OffsetMemo``.  Walk k starts from ``initial_solution`` with seed
-    ``config.seed + k`` and runs under ``config`` with that seed.  Returns
-    the solution and trace of the first walk that reaches the lowest
-    objective; raises RetriesExhausted when no walk finds a start."""
+    ``OffsetMemo`` and one ``TreePool``.  Walk k starts from
+    ``initial_solution`` with seed ``config.seed + k`` and runs under
+    ``config`` with that seed.  Returns the solution and trace of the first
+    walk that reaches the lowest objective; raises RetriesExhausted when no
+    walk finds a start."""
     if config is None:
         config = TnsConfig()
     memo = OffsetMemo(inst, basis)
+    pool = TreePool(inst.graph)
     best = None
     walks = max(restarts, 1)
     for attempt in range(walks):
         walk_config = replace(config, seed=config.seed + attempt)
         try:
-            start = initial_solution(inst, seed=walk_config.seed, basis=basis)
+            start = initial_solution(inst, seed=walk_config.seed, basis=basis, pool=pool)
         except RetriesExhausted:
             continue
         walk = tns(inst, basis, start, walk_config, memo)

@@ -6,10 +6,15 @@ all arithmetic stays on integers; the real value is the stored value
 divided by T.  A point is a lattice point exactly when every scaled
 coordinate is divisible by T.
 
-The volume is one Gram determinant, and each tile's lattice points come
-from one potential walk along its pinned tree.  Validation trusts that
-walk only for implied tiles, the ones ``fine_tiling`` builds from their
-structure.  A foreign tile, and ``tile_contains_scaled``, invert the
+The volume is one Gram determinant.  One helper, ``_implied_tile``,
+builds the tile a structure implies: its generators, its translation
+Gamma x for the pinned tensions x, and its lattice points, each a sum of
+the Gamma columns of co-tree arcs, read off the potentials of x.
+``fine_tiling`` takes those potentials from the walk that orients each
+tree away from the root, so it walks each tree once.  Validation
+recomputes each tile from its structure (one ``tree_potentials`` walk)
+and trusts the walk only for implied tiles, the ones equal to that
+recomputation.  A foreign tile, and ``tile_contains_scaled``, invert the
 generator matrix G fraction-free into a frame (d, d * G^-1) with
 |d| = |det G|; a point lies in the tile when every coordinate of
 d * G^-1 applied to its offset from the translation is between 0 and d.
@@ -194,14 +199,23 @@ def structure_for_tree(g, tree, root=None):
     """Pin each tree arc by orienting the tree away from the root: arcs
     used in their native direction go to the upper side, reversed ones to
     the lower side."""
-    ridx = _root_index(g, root)
-    adj = [[] for _ in range(g.n)]
+    steps = _walk_from_root(g, tree, _root_index(g, root))
+    return _structure(tree, steps)
+
+
+def _walk_from_root(g, tree, ridx):
+    """The tree arcs in the order a depth-first walk from the root reaches
+    them, as (v, w, a, native): arc a joins the reached vertex v to the new
+    vertex w and runs v -> w when native.  Raises NotASpanningTree when the
+    arcs do not reach every vertex."""
+    n, pairs = g.n, g.arc_index_pairs
+    adj = [[] for _ in range(n)]
     for a in tree:
-        i, j = g.arc_index_pairs[a]
+        i, j = pairs[a]
         adj[i].append((j, a, True))
         adj[j].append((i, a, False))
-    lower, upper = set(), set()
-    seen = [False] * g.n
+    steps = []
+    seen = [False] * n
     seen[ridx] = True
     stack = [ridx]
     while stack:
@@ -209,11 +223,21 @@ def structure_for_tree(g, tree, root=None):
         for w, a, native in adj[v]:
             if not seen[w]:
                 seen[w] = True
-                (upper if native else lower).add(a)
+                steps.append((v, w, a, native))
                 stack.append(w)
-    if not all(seen):
+    if len(steps) != n - 1:
         raise NotASpanningTree("arc set does not span all vertices")
-    return SpanningTreeStructure(tuple(tree), frozenset(lower), frozenset(upper))
+    return steps
+
+
+def _structure(tree, steps):
+    """The structure of a root walk's ``steps``: native arcs at their upper
+    bound, reversed ones at their lower bound."""
+    return SpanningTreeStructure(
+        tuple(tree),
+        frozenset(a for _, _, a, native in steps if not native),
+        frozenset(a for _, _, a, native in steps if native),
+    )
 
 
 @dataclass(frozen=True)
@@ -286,44 +310,60 @@ def tile_contains_scaled(tile, scaled_point):
 def fine_tiling(inst, basis, root=None, tree_cap=None):
     """One tile per spanning tree, pinned by the root orientation.  Each
     tile records the first lattice point (in sorted order) it contains, if
-    any, by ``_tile_points``."""
+    any.  One walk per tree both orients it and gives the potentials of
+    its pinned tensions."""
+    g = inst.graph
+    ridx = _root_index(g, root)
     cap = DEFAULT_ENUMERATION_CAP if tree_cap is None else tree_cap
     columns = _scaled_columns(inst, basis)
     d = _cotree_det(inst, basis)
+    lower, upper = inst.lower, inst.upper
     tiles = []
-    for tree in spanning_trees(inst.graph, cap):
-        structure = structure_for_tree(inst.graph, tree, root)
-        cotree = _cotree(inst, tree)
-        pinned = _pinned_tensions(inst, structure)
-        points = _tile_points(inst, basis, structure.tree, cotree, pinned, d)
-        generators = tuple(columns[a] for a in cotree)
-        tiles.append(Tile(structure, generators, basis.apply(pinned), next(iter(points), None)))
+    for tree in spanning_trees(g, cap):
+        steps = _walk_from_root(g, tree, ridx)
+        pi, pinned = [0] * g.n, list(lower)
+        for v, w, a, native in steps:
+            if native:
+                pinned[a] = upper[a]
+                pi[w] = pi[v] + upper[a]
+            else:
+                pi[w] = pi[v] - lower[a]
+        generators, translation, points = _implied_tile(inst, basis, columns, d, tree, pinned, pi)
+        first = points[0] if points else None
+        tiles.append(Tile(_structure(tree, steps), generators, translation, first))
     return tuple(tiles)
 
 
-def _tile_points(inst, basis, tree, cotree, pinned, d):
-    """Every lattice point of a tile, sorted, by one potential walk: with
-    pi the potentials of the ``pinned`` tree, the tile's lattice points are
-    basis.apply(p) for the offsets p that are 0 on the tree and have
-    l_a <= pi_j - pi_i + T p_a <= u_a on each co-tree arc a = (i, j).  A
-    tile with a zero-span co-tree arc, or of a basis with d =
-    ``_cotree_det`` = 0, is flat and holds no point."""
-    if not d or any(inst.lower[a] == inst.upper[a] for a in cotree):
-        return []
-    T = inst.period
-    pi = tree_potentials(inst.graph, tree, pinned)
+def _implied_tile(inst, basis, columns, d, tree, pinned, pi):
+    """The generators, translation and sorted lattice points of the tile a
+    structure implies, from its ``tree``, its ``pinned`` tensions x and
+    their potentials ``pi``: the co-tree ``columns`` (the
+    ``_scaled_columns``), Gamma x, and the points Gamma p for the offsets p
+    that are 0 on the tree and have l_a <= pi_j - pi_i + T p_a <= u_a on
+    each co-tree arc a = (i, j).  Each point is a sum of the Gamma columns
+    of its co-tree arcs.  A tile with a zero-span co-tree arc, or of a
+    basis with d = ``_cotree_det`` = 0, is flat and holds no point."""
+    T, lower, upper, pairs = inst.period, inst.lower, inst.upper, inst.graph.arc_index_pairs
+    cotree = _cotree(inst, tree)
+    generators = tuple(columns[a] for a in cotree)
+    translation = basis.apply(pinned)
+    if not d:
+        return generators, translation, []
     choices = []
     for a in cotree:
-        i, j = inst.graph.arc_index_pairs[a]
+        i, j = pairs[a]
         delta = pi[j] - pi[i]
-        choices.append(range(-((delta - inst.lower[a]) // T), (inst.upper[a] - delta) // T + 1))
-    offset = [0] * inst.graph.m
-    points = []
-    for picks in itertools.product(*choices):
-        for a, p in zip(cotree, picks):
-            offset[a] = p
-        points.append(basis.apply(offset))
-    return sorted(points)
+        picks = range(-((delta - lower[a]) // T), (upper[a] - delta) // T + 1)
+        if not picks or lower[a] == upper[a]:
+            return generators, translation, []
+        if picks != range(1):
+            choices.append((basis.column(a), picks))
+    points = [(0,) * basis.mu]
+    for column, picks in choices:
+        points = [
+            tuple(x + p * c for x, c in zip(point, column)) for point in points for p in picks
+        ]
+    return generators, translation, sorted(points)
 
 
 @dataclass
@@ -376,13 +416,16 @@ def validate_tiling(inst, basis, tiles, points=None):
     dets, inside, held = [], [], []
     for tile in tiles:
         structure = tile.structure
-        cotree = _cotree(inst, structure.tree)
         pinned = _pinned_tensions(inst, structure)
-        implied = tuple(columns[a] for a in cotree), basis.apply(pinned)
-        if (tile.generators, tile.translation) == implied:
-            dets.append(d * math.prod(span[a] for a in cotree))
+        pi = tree_potentials(inst.graph, structure.tree, pinned)
+        # A tree that does not reach every vertex implies no tile.
+        implied = None not in pi and _implied_tile(
+            inst, basis, columns, d, structure.tree, pinned, pi
+        )
+        if implied and implied[:2] == (tile.generators, tile.translation):
+            dets.append(d * math.prod(span[a] for a in _cotree(inst, structure.tree)))
             inside.append(True)
-            held.append(_tile_points(inst, basis, structure.tree, cotree, pinned, d))
+            held.append(implied[2])
             continue
         frame = _tile_frame(tile.generators)
         dets.append(abs(frame[0]) if frame else 0)

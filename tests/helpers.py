@@ -12,11 +12,13 @@ from fractions import Fraction
 
 import peritrope
 from peritrope import (
+    CycleBasis,
     Digraph,
     DisconnectedGraph,
     EnumerationCapExceeded,
     FixedOffsetResult,
     Infeasible,
+    OrientedCycle,
     PespInstance,
     SpanningTreeStructure,
     fundamental_cycle_basis,
@@ -24,10 +26,12 @@ from peritrope import (
     polytrope_nonempty,
     spanning_trees,
 )
-from peritrope.graphs import DEFAULT_ENUMERATION_CAP, _bareiss_det
+from peritrope.graphs import DEFAULT_ENUMERATION_CAP, _bareiss_det, tree_potentials
 from peritrope.zonotopes import (
     DEFAULT_WIDTH_CAP,
     TilingReport,
+    _cotree,
+    _cotree_det,
     _frame_contains,
     _pinned_tensions,
     _scaled_columns,
@@ -104,6 +108,24 @@ def random_instance(rng, max_vertices=5, max_arcs=8, max_period=12, min_span=1):
         upper.append(lo + span)
         weight.append(rng.randint(0, 5))
     return PespInstance(g, T, tuple(lower), tuple(upper), tuple(weight))
+
+
+def random_bases(rng, g):
+    """A fundamental basis of a random tree, a row permutation of it, the
+    unimodular non-fundamental basis with row 0 added to row 1, and the
+    rational basis {c0 + c1, c0 - c1, ...}.  g needs mu >= 2."""
+    basis = fundamental_cycle_basis(g, rng.choice(spanning_trees(g)))
+    order = list(range(basis.mu))
+    rng.shuffle(order)
+    c0, c1, *rest = basis.gamma
+    plus = [x + y for x, y in zip(c0, c1)]
+    minus = [x - y for x, y in zip(c0, c1)]
+    return (
+        basis,
+        basis.permuted(tuple(order)),
+        CycleBasis(tuple(map(OrientedCycle, (c0, plus, *rest)))),
+        CycleBasis(tuple(map(OrientedCycle, (plus, minus, *rest)))),
+    )
 
 
 def seeded_instances(count, base_seed=0, **kwargs):
@@ -187,6 +209,50 @@ def volume_by_tree_sum(inst):
             term *= Fraction(inst.span[a], T)
         total += term
     return total
+
+
+def dense_apply(basis, v):
+    """Reference for ``CycleBasis.apply``: each row times the whole vector,
+    zeros included; a vector of another length raises ValueError."""
+    return tuple(sum(s * x for s, x in zip(row, v, strict=True)) for row in basis.gamma)
+
+
+def implied_tile_by_dense_products(inst, basis, structure):
+    """Reference for the tile a structure implies, as ``fine_tiling`` builds
+    it and ``validate_tiling`` recomputes it: (generators, translation,
+    sorted lattice points), each tile on its own, with dense cycle-matrix
+    products and a potential walk of its pinned tensions."""
+    columns = _scaled_columns(inst, basis)
+    d = _cotree_det(inst, basis)
+    cotree = _cotree(inst, structure.tree)
+    pinned = _pinned_tensions(inst, structure)
+    points = _tile_points(inst, basis, structure.tree, cotree, pinned, d)
+    return tuple(columns[a] for a in cotree), dense_apply(basis, pinned), points
+
+
+def _tile_points(inst, basis, tree, cotree, pinned, d):
+    """Every lattice point of a tile, sorted, by one potential walk: with
+    pi the potentials of the ``pinned`` tree, the tile's lattice points are
+    basis.apply(p) for the offsets p that are 0 on the tree and have
+    l_a <= pi_j - pi_i + T p_a <= u_a on each co-tree arc a = (i, j).  A
+    tile with a zero-span co-tree arc, or of a basis with d =
+    ``_cotree_det`` = 0, is flat and holds no point."""
+    if not d or any(inst.lower[a] == inst.upper[a] for a in cotree):
+        return []
+    T = inst.period
+    pi = tree_potentials(inst.graph, tree, pinned)
+    choices = []
+    for a in cotree:
+        i, j = inst.graph.arc_index_pairs[a]
+        delta = pi[j] - pi[i]
+        choices.append(range(-((delta - inst.lower[a]) // T), (inst.upper[a] - delta) // T + 1))
+    offset = [0] * inst.graph.m
+    points = []
+    for picks in itertools.product(*choices):
+        for a, p in zip(cotree, picks):
+            offset[a] = p
+        points.append(dense_apply(basis, offset))
+    return sorted(points)
 
 
 def solve_parallelotope_coords(generators, translation, scaled_point):

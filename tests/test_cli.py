@@ -1,5 +1,6 @@
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -255,8 +256,9 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
         ("square", "square", []),
         ("bench7", "bench7", ["--root", "e4"]),
         ("bench7-tree", "bench7", ["--root", "e6", "--basis-tree", "1,4,6,7,8,9"]),
+        ("mu6", "mu6", []),
     ],
-    ids=("triangle", "square", "bench7", "bench7-tree"),
+    ids=("triangle", "square", "bench7", "bench7-tree", "mu6"),
 )
 def test_golden_outputs_are_byte_identical(name, instance, options, command, flags):
     """``tests/golden/<name>.<command>.json`` is the stdout of the command
@@ -265,10 +267,20 @@ def test_golden_outputs_are_byte_identical(name, instance, options, command, fla
     fixed arc (e4 -> e7), so it is contracted, e7 into e4, before the
     tiling; the root is the merged vertex.  bench7-tree tiles the same
     instance under the basis of a tree that shares two arcs with the
-    greedy one, from another root."""
+    greedy one, from another root.  mu6 is the generator's n = 6, m = 11
+    instance of ``random.Random(2)`` (mu = 6, 185 tiles, 35 lattice
+    points), with no fixed arc."""
     result = run_cli([command, str(GOLDEN / f"{instance}.pesp"), *flags, *options])
     assert result.returncode == 0, result.stderr
     assert result.stdout == (GOLDEN / f"{name}.{command}.json").read_bytes()
+
+
+def test_ratio_formats_like_a_fraction():
+    """Translations and box ends are written as v/T by one gcd, in the form
+    ``str(Fraction(v, T))`` gives, negatives and integers included."""
+    for T in range(1, 31):
+        for v in range(-5 * T, 5 * T + 1):
+            assert cli._ratio(v, T) == str(Fraction(v, T)), (v, T)
 
 
 def test_contracted_instance_is_flagged(tmp_path, capsys):

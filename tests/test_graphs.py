@@ -19,7 +19,9 @@ from peritrope import (
 from peritrope.graphs import greedy_forest, tree_potentials
 from helpers import (
     arborescences_rooted,
+    dense_apply,
     gbar,
+    random_bases,
     random_connected_digraph,
     square_graph,
     triangle_graph,
@@ -82,11 +84,38 @@ def test_fundamental_basis_rows_ordered_by_cotree_arc():
 
 
 def test_apply_multiplies_by_the_cycle_matrix():
+    """On the square, on a mu = 0 basis (no rows: every vector maps to (),
+    whatever its length), and on seeded random bases (fundamental,
+    permuted, unimodular, rational and with a repeated row) against the
+    dense row-by-row product.  With mu >= 1 a vector one entry too short or
+    too long raises ValueError."""
     basis = fundamental_cycle_basis(square_graph(), (0, 2, 3))
     v = (2, -1, 0, 5, 3, 7)
     assert basis.apply(v) == (2, 5, 7)
-    with pytest.raises(ValueError):
-        basis.apply(v[:5])
+    for wrong in (v[:5], v + (1,)):
+        with pytest.raises(ValueError):
+            basis.apply(wrong)
+    tree = fundamental_cycle_basis(Digraph(("a", "b"), (("a", "b"),)), (0,))
+    for empty in (tree, CycleBasis(())):
+        assert empty.mu == 0
+        assert empty.apply((4,)) == empty.apply(()) == empty.apply([1, 2]) == ()
+    rng = random.Random(31)
+    checked = 0
+    while checked < 40:
+        g = random_connected_digraph(rng, max_vertices=6, max_arcs=10)
+        if g.m - g.n + 1 < 2:
+            continue
+        bases = random_bases(rng, g)
+        c0, _, *rest = bases[0].gamma
+        repeated = CycleBasis(tuple(map(OrientedCycle, (c0, c0, *rest))))
+        for b in (*bases, repeated):
+            for _ in range(3):
+                x = [rng.randint(-20, 20) for _ in range(g.m)]
+                assert b.apply(x) == b.apply(tuple(x)) == dense_apply(b, x)
+            for wrong in (x[:-1], x + [0]):
+                with pytest.raises(ValueError):
+                    b.apply(wrong)
+        checked += 1
 
 
 def test_kernel_property_on_every_square_tree():

@@ -68,10 +68,12 @@ def test_initial_solution_enumerates_no_tree_when_the_first_attempt_lands(monkey
     assert sq.objective == 26
 
 
-def test_initial_solution_enumerates_the_tree_pool_once_for_its_retries(monkeypatch):
-    # The greedy tree (arcs 0, 1) at its lower bounds puts arc 2 at 11 > 10,
-    # so every start below comes from a retry over the tree pool.
-    inst = parse_instance("PERIOD 10\nARC v1 v0 2 8 1\nARC v0 v2 1 7 3\nARC v0 v2 5 10 3\n")
+# The greedy tree (arcs 0, 1) at its lower bounds puts arc 2 at 11 > 10,
+# so every start on this instance comes from a retry over the tree pool.
+RETRIED = "PERIOD 10\nARC v1 v0 2 8 1\nARC v0 v2 1 7 3\nARC v0 v2 5 10 3\n"
+
+
+def _count_spanning_trees(monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
@@ -79,11 +81,53 @@ def test_initial_solution_enumerates_the_tree_pool_once_for_its_retries(monkeypa
         return peritrope.graphs.spanning_trees(*args, **kwargs)
 
     monkeypatch.setattr(peritrope.search, "spanning_trees", counting)
+    return calls
+
+
+def test_initial_solution_enumerates_the_tree_pool_once_for_its_retries(monkeypatch):
+    inst = parse_instance(RETRIED)
+    calls = _count_spanning_trees(monkeypatch)
     expected = {0: (0, 2, 7), 1: (0, 6, 3), 2: (0, 2, 7), 3: (0, 6, 1)}
     for seed, timetable in expected.items():
         calls.clear()
         assert initial_solution(inst, seed=seed).timetable == timetable
         assert len(calls) == 1
+
+
+def test_tns_restarts_enumerate_the_tree_pool_at_most_once(monkeypatch):
+    """The restarts of one solve draw their retry trees from one pool: one
+    ``spanning_trees`` call when first attempts fail, none when every first
+    attempt lands.  The starts are those of a fresh pool per restart, also
+    when the pool falls back to the greedy tree beyond the cap."""
+    calls = _count_spanning_trees(monkeypatch)
+    inst = parse_instance(RETRIED)
+    basis = default_basis(inst.graph)
+    for restarts in (1, 3, 5):
+        calls.clear()
+        tns_restarts(inst, basis, restarts, TnsConfig(seed=restarts))
+        assert len(calls) == 1
+    for inst, basis in ((triangle_instance(), None), (square_instance(), square_basis())):
+        calls.clear()
+        tns_restarts(inst, basis or default_basis(inst.graph), 3)
+        assert calls == []
+    counts = []
+    for inst, basis in _restart_instances(12):
+        calls.clear()
+        try:
+            tns_restarts(inst, basis, 3, TnsConfig(max_iterations=2))
+        except RetriesExhausted:
+            pass
+        counts.append(len(calls))
+    assert set(counts) == {0, 1}, counts
+    monkeypatch.setattr(peritrope.search, "DEFAULT_ENUMERATION_CAP", 1)
+    inst = parse_instance(RETRIED)
+    pool = peritrope.search.TreePool(inst.graph)
+    calls.clear()
+    starts = [initial_solution(inst, seed=k, pool=pool) for k in range(4)]
+    assert len(calls) == 1  # the capped enumeration is not retried
+    assert starts == [initial_solution(inst, seed=k) for k in range(4)]
+    with pytest.raises(ValueError):
+        initial_solution(triangle_instance(), pool=pool)
 
 
 def test_initial_solution_gives_up_on_an_infeasible_instance():

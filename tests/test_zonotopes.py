@@ -40,6 +40,8 @@ from peritrope import zonotopes
 from peritrope.graphs import _bareiss_det, tree_potentials
 from peritrope.zonotopes import _tile_frame
 from helpers import (
+    implied_tile_by_dense_products,
+    random_bases,
     random_instance,
     solve_parallelotope_coords,
     square_basis,
@@ -156,24 +158,6 @@ def _multigraph_instance(rng):
     )
 
 
-def _bases(rng, g):
-    """A fundamental basis of a random tree, a row permutation of it, the
-    unimodular non-fundamental basis with row 0 added to row 1, and the
-    rational basis {c0 + c1, c0 - c1, ...}."""
-    basis = fundamental_cycle_basis(g, rng.choice(spanning_trees(g)))
-    order = list(range(basis.mu))
-    rng.shuffle(order)
-    c0, c1, *rest = basis.gamma
-    plus = [x + y for x, y in zip(c0, c1)]
-    minus = [x - y for x, y in zip(c0, c1)]
-    return (
-        basis,
-        basis.permuted(tuple(order)),
-        CycleBasis(tuple(map(OrientedCycle, (c0, plus, *rest)))),
-        CycleBasis(tuple(map(OrientedCycle, (plus, minus, *rest)))),
-    )
-
-
 def test_volume_matches_the_minor_and_tree_sums():
     """The Gram determinant equals both oracles on fundamental bases of
     random trees, their row permutations and a unimodular non-fundamental
@@ -191,7 +175,7 @@ def test_volume_matches_the_minor_and_tree_sums():
         seen["parallel"] += len(pairs) < g.m
         seen["antiparallel"] += any((h, t) in pairs for t, h in pairs)
         tree_sum = volume_by_tree_sum(inst)
-        *integral, rational = _bases(rng, g)
+        *integral, rational = random_bases(rng, g)
         for b in integral:
             assert volume(inst, b) == volume_by_minor_sum(inst, b) == tree_sum
         assert volume(inst, rational) == volume_by_minor_sum(inst, rational) == 2 * tree_sum
@@ -430,15 +414,28 @@ def test_a_reflected_tile_is_foreign_and_still_inside(monkeypatch):
     assert frames == [tiles[0].generators]
 
 
+def test_a_tile_on_a_non_spanning_tree_is_foreign():
+    """A structure whose tree does not reach every vertex (the square's
+    antiparallel arcs 0 and 4 close a 2-cycle, and v3 is left out) implies
+    no tile, so its tile is checked by its frame, which is the untampered
+    one: the report is unchanged."""
+    sq, basis = square_instance(), square_basis()
+    tiles = list(fine_tiling(sq, basis))
+    untampered = validate_tiling(sq, basis, tiles)
+    cyclic = SpanningTreeStructure((0, 1, 4), (0, 1), (4,))
+    tiles[0] = dataclasses.replace(tiles[0], structure=cyclic)
+    assert validate_tiling(sq, basis, tiles) == untampered
+
+
 def _tiling_cases():
     """Multigraph instances (zero-span, parallel and antiparallel arcs)
-    under the four ``_bases`` (the rational one has d = 2), each tiled from
+    under the four ``random_bases`` (the rational one has d = 2), each tiled from
     a random root; then the span-relaxed triangle, whose tiles hold two
     points each."""
     for seed in range(60):
         rng = random.Random(1300 + seed)
         inst = _multigraph_instance(rng)
-        for b in _bases(rng, inst.graph):
+        for b in random_bases(rng, inst.graph):
             yield inst, b, rng.choice(inst.graph.vertices)
     inst = PespInstance(triangle_graph(), 10, (0, 0, 0), (10, 10, 10), (1, 1, 1), span_relaxed=True)
     yield inst, default_basis(inst.graph), "v1"
@@ -471,6 +468,66 @@ def test_validate_tiling_matches_the_frame_scan():
     assert seen["ok"] >= 100 and seen["two points"] == 1, seen
     assert min(seen["not ok"], seen["error"], seen["zero span"]) >= 25, seen
     assert seen["d = 2"] >= 5, seen
+
+
+def test_tiles_match_the_dense_per_tile_oracle():
+    """Every tile of ``fine_tiling``, and the points ``validate_tiling``
+    takes from implied tiles, equal what each tile's own dense path gives
+    (``implied_tile_by_dense_products``): on the ``_tiling_cases`` and, for
+    d = 0, on each multigraph's first basis with row 0 repeated."""
+    seen = dict.fromkeys(("zero span", "d = 0", "points", "validated"), 0)
+    cases = list(_tiling_cases())
+    for inst, basis, root in cases[:-1:4]:  # each multigraph's fundamental basis
+        c0, _, *rest = basis.gamma
+        repeated = CycleBasis(tuple(map(OrientedCycle, (c0, c0, *rest))))
+        cases.append((inst, repeated, root))
+    for inst, basis, root in cases:
+        tiles = fine_tiling(inst, basis, root)
+        held = []
+        for tile in tiles:
+            generators, translation, points = implied_tile_by_dense_products(
+                inst, basis, tile.structure
+            )
+            assert (tile.generators, tile.translation) == (generators, translation)
+            assert tile.lattice_point == next(iter(points), None)
+            held.append(points)
+        report = _report_or_error(validate_tiling, inst, basis, tiles)
+        if not isinstance(report, str):
+            by_point = sorted((z, t) for t, h in enumerate(held) for z in h)
+            assert report.incidences == tuple((t, z) for z, t in by_point)
+            seen["validated"] += 1
+        seen["zero span"] += 0 in inst.span
+        seen["d = 0"] += zonotopes._cotree_det(inst, basis) == 0
+        seen["points"] += any(held)
+    assert min(seen.values()) >= 25, seen
+
+
+def test_one_walk_per_tree_and_one_per_validated_tile(monkeypatch):
+    """``fine_tiling`` orients each tree and takes its pinned potentials from
+    one root walk, with no ``tree_potentials`` call; ``validate_tiling``
+    takes one ``tree_potentials`` walk per tile and no root walk."""
+    walks, potentials = [], []
+    walk, potential = zonotopes._walk_from_root, zonotopes.tree_potentials
+
+    def counted_walk(g, tree, ridx):
+        walks.append(tree)
+        return walk(g, tree, ridx)
+
+    def counted_potentials(g, tree, *args):
+        potentials.append(tree)
+        return potential(g, tree, *args)
+
+    monkeypatch.setattr(zonotopes, "_walk_from_root", counted_walk)
+    monkeypatch.setattr(zonotopes, "tree_potentials", counted_potentials)
+    sq, basis = square_instance(), square_basis()
+    trees = spanning_trees(sq.graph)
+    tiles = fine_tiling(sq, basis, "v2")
+    assert walks == list(trees)
+    assert potentials == []
+    walks.clear()
+    assert validate_tiling(sq, basis, tiles).ok
+    assert walks == []
+    assert potentials == [t.structure.tree for t in tiles]
 
 
 def _random_generators(rng, mu, singular):
