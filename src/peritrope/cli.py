@@ -10,7 +10,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from .errors import (
     EmptyPolytrope,
@@ -158,10 +157,6 @@ def _resolve_root(args, vertex_map, g):
     return mapped
 
 
-def _frac(value):
-    return str(Fraction(value))
-
-
 def _ratio(v, T):
     """``str(Fraction(v, T))`` for integers v and T > 0, by one gcd."""
     g = math.gcd(v, T)
@@ -206,7 +201,7 @@ def cmd_analyze(args):
     report = {
         "mu": basis.mu,
         "num_spanning_trees": bounds.num_spanning_trees,
-        "volume": _frac(bounds.volume),
+        "volume": str(bounds.volume),
         "width": bounds.width,
     }
     capped = False
@@ -220,11 +215,11 @@ def cmd_analyze(args):
         "width": bounds.width,
         "num_spanning_trees": bounds.num_spanning_trees,
         "epsilon": bounds.epsilon,
-        "volume": _frac(bounds.volume),
-        "lower_bound": _frac(bounds.lower_bound),
-        "slack_product": _frac(bounds.slack_product),
-        "refined_upper": _frac(bounds.refined_upper),
-        "coarse_upper": _frac(bounds.coarse_upper),
+        "volume": str(bounds.volume),
+        "lower_bound": str(bounds.lower_bound),
+        "slack_product": str(bounds.slack_product),
+        "refined_upper": str(bounds.refined_upper),
+        "coarse_upper": str(bounds.coarse_upper),
         "holds": bounds.chain_holds,
         "infeasible": bounds.infeasible,
     }

@@ -3,12 +3,20 @@
 Vertices are arbitrary hashable ids kept in declaration order; arcs are
 (tail, head) pairs addressed by their position in the arc sequence.
 Parallel and antiparallel arcs are allowed, self-loops are not.
+
+Three kernels serve the package.  ``greedy_forest`` is its one
+union-find.  ``tree_walk`` is its one depth-first walk of an arc set from
+a root; ``tree_potentials`` folds it into vertex potentials, and
+``spanning_tree_walk`` checks that the arcs form a spanning tree.
+``_eliminate`` is its one exact elimination, a fraction-free (Bareiss)
+Gauss-Jordan: it gives the determinants (the zonotope volume, co-tree
+minors, the tree count), the rank test of ``verify_kernel_property`` and
+the tile frames of ``zonotopes``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import DisconnectedGraph, EnumerationCapExceeded, NotASpanningTree
@@ -53,7 +61,7 @@ class Digraph:
 
     def is_connected(self):
         """Connectivity of the underlying undirected graph."""
-        return self.n > 0 and None not in tree_potentials(self, range(self.m), (0,) * self.m)
+        return self.n > 0 and len(tree_walk(self, range(self.m))) == self.n - 1
 
 
 @dataclass(frozen=True)
@@ -114,6 +122,12 @@ class CycleBasis:
         return tuple([sum([s * v[a] for a, s in row]) for row in rows])
 
     @cached_property
+    def moves(self):
+        """The distinct nonzero columns of Gamma: the steps from one cycle
+        offset to its neighbours."""
+        return frozenset(col for col in zip(*self.gamma) if any(col))
+
+    @cached_property
     def row_cotree_arcs(self):
         """For a fundamental basis: the co-tree arc owned by each row.
 
@@ -156,39 +170,33 @@ def fundamental_cycle_basis(g, tree):
     tree; rows are ordered by ascending co-tree arc index.
     """
     _require_connected(g)
-    tree_ids = sorted(set(tree))
-    if list(tree) and len(tree_ids) != len(list(tree)):
-        raise NotASpanningTree("repeated arc indices in tree")
-    if any(a < 0 or a >= g.m for a in tree_ids):
-        raise NotASpanningTree("arc index out of range")
-    if len(tree_ids) != g.n - 1:
-        raise NotASpanningTree(f"{len(tree_ids)} arcs cannot span {g.n} vertices")
+    steps = spanning_tree_walk(g, tree)
+    tree_ids = sorted(a for _, _, a, _ in steps)
+    in_tree = set(tree_ids)
 
-    # pi_b[v] is the signed number of times the tree path from the root to
-    # v runs along tree arc b, so the path j -> i closing co-tree arc
-    # (i, j) runs along b pi_b[i] - pi_b[j] times.
-    paths = {}
-    for b in tree_ids:
-        pi_b = tree_potentials(g, tree_ids, [int(a == b) for a in range(g.m)])
-        if None in pi_b:
-            raise NotASpanningTree("arc set does not span all vertices")
-        paths[b] = pi_b
+    # path[v][b] is the signed number of times the tree path from the root
+    # to v runs along tree arc b, so the path j -> i closing co-tree arc
+    # (i, j) runs along b path[i][b] - path[j][b] times.
+    path = [None] * g.n
+    path[0] = {}
+    for v, w, a, s in steps:
+        path[w] = {**path[v], a: s}
 
     cycles = []
     for a, (i, j) in enumerate(g.arc_index_pairs):
-        if a in paths:
+        if a in in_tree:
             continue
         sig = [0] * g.m
         sig[a] = 1
-        for b, pi_b in paths.items():
-            sig[b] = pi_b[i] - pi_b[j]
+        for b in tree_ids:
+            sig[b] = path[i].get(b, 0) - path[j].get(b, 0)
         cycles.append(OrientedCycle(tuple(sig)))
     return CycleBasis(tuple(cycles), tuple(tree_ids))
 
 
 def verify_kernel_property(basis, g):
     """True iff every row is a circuit (B times signature = 0) and the rows
-    are linearly independent."""
+    are linearly independent, that is their Gram determinant is nonzero."""
     pairs = g.arc_index_pairs
     for row in basis.gamma:
         if len(row) != g.m:
@@ -201,28 +209,9 @@ def verify_kernel_property(basis, g):
                 net[j] -= s
         if any(net):
             return False
-    return _rational_rank(basis.gamma) == basis.mu
-
-
-def _rational_rank(rows):
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][c]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][c] != 0:
-                f = mat[r][c]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    gamma = basis.gamma
+    gram = [[sum(x * y for x, y in zip(r, q)) for q in gamma] for r in gamma]
+    return _eliminate(gram) is not None
 
 
 def spanning_trees(g, cap=DEFAULT_ENUMERATION_CAP):
@@ -289,36 +278,66 @@ def greedy_spanning_tree(g):
     return tuple(greedy_forest(g.n, [(a, i, j) for a, (i, j) in enumerate(g.arc_index_pairs)]))
 
 
-def tree_potentials(g, tree, differences, root=0):
-    """Vertex potentials with pi[root] = 0 and pi_head - pi_tail =
-    differences[a] along every arc a of ``tree`` (arc indices;
-    ``differences`` is indexed by arc).  Vertices the tree does not reach
-    keep None, and callers rely on that to detect an arc set that does not
-    span.
+def tree_walk(g, tree, root=0):
+    """The steps (v, w, a, s) of a depth-first walk from the root over the
+    arcs of ``tree`` (arc indices): arc a joins the reached vertex v to the
+    new vertex w, with s = +1 when it runs v -> w and -1 when it runs
+    w -> v.  An arc set with cycles is walked in the order of ``tree``, and
+    an arc that closes a cycle is skipped; vertices the arcs do not reach
+    get no step.
 
-    This is the package's root-outward potential walk: connectivity,
-    cycle bases, timetables from tensions or pinned trees, the tiles that
-    ``zonotopes.validate_tiling`` recomputes, and fixed-arc contraction all
-    go through it.  ``zonotopes.fine_tiling`` instead takes each tile's
-    pinned potentials from the walk that orients its tree away from the
-    root, the walk ``zonotopes.structure_for_tree`` also uses, so a tiling
-    walks each tree once.  An arc set with cycles is walked depth-first, in
-    the order of ``tree``, and an arc that closes a cycle is ignored.
+    This is the package's one tree walk: connectivity, cycle bases,
+    timetables from tensions or pinned trees, tile structures and their
+    pinned potentials, and fixed-arc contraction all go through it.
     """
+    pairs = g.arc_index_pairs
     adj = [[] for _ in range(g.n)]
     for a in tree:
-        i, j = g.arc_index_pairs[a]
+        i, j = pairs[a]
         adj[i].append((j, a, 1))
         adj[j].append((i, a, -1))
-    pi = [None] * g.n
-    pi[root] = 0
+    seen = [False] * g.n
+    seen[root] = True
     stack = [root]
+    steps = []
     while stack:
         v = stack.pop()
         for w, a, s in adj[v]:
-            if pi[w] is None:
-                pi[w] = pi[v] + s * differences[a]
+            if not seen[w]:
+                seen[w] = True
+                steps.append((v, w, a, s))
                 stack.append(w)
+    return steps
+
+
+def spanning_tree_walk(g, tree, root=0):
+    """``tree_walk`` of arcs that must form a spanning tree; raises
+    NotASpanningTree on a repeated or out-of-range arc index, on a count
+    other than n - 1, and on arcs that do not reach every vertex."""
+    tree = list(tree)
+    if len(set(tree)) != len(tree):
+        raise NotASpanningTree("repeated arc indices in tree")
+    if any(a < 0 or a >= g.m for a in tree):
+        raise NotASpanningTree("arc index out of range")
+    if len(tree) != g.n - 1:
+        raise NotASpanningTree(f"{len(tree)} arcs cannot span {g.n} vertices")
+    steps = tree_walk(g, tree, root)
+    if len(steps) != g.n - 1:
+        raise NotASpanningTree("arc set does not span all vertices")
+    return steps
+
+
+def tree_potentials(g, tree, differences, root=0):
+    """Vertex potentials with pi[root] = 0 and pi_head - pi_tail =
+    differences[a] along every arc a of ``tree`` (arc indices;
+    ``differences`` is indexed by arc), folded over ``tree_walk``.
+    Vertices the tree does not reach keep None, and callers rely on that to
+    detect an arc set that does not span.
+    """
+    pi = [None] * g.n
+    pi[root] = 0
+    for v, w, a, s in tree_walk(g, tree, root):
+        pi[w] = pi[v] + s * differences[a]
     return pi
 
 
@@ -340,27 +359,28 @@ def count_spanning_trees_determinant(g):
         lap[j][j] += 1
         lap[i][j] -= 1
         lap[j][i] -= 1
-    reduced = [row[1:] for row in lap[1:]]
-    return _bareiss_det(reduced)
+    return abs(_eliminate([row[1:] for row in lap[1:]]) or 0)
 
 
-def _bareiss_det(mat):
-    """Fraction-free exact determinant of a square integer matrix."""
-    a = [row[:] for row in mat]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
+def _eliminate(rows):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination, in place, of the
+    leading k x k block of the k integer ``rows``, which may run on past
+    it: every division is exact.  Returns d with |d| = |det| of the block,
+    the block then being d times the identity and the rest of the rows d
+    times the block's inverse applied to them; None when the block is
+    singular."""
+    k = len(rows)
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
-            if pivot is None:
-                return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+    for c in range(k):
+        pivot = next((r for r in range(c, k) if rows[r][c]), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        top = rows[c]
+        d = top[c]
+        for i in range(k):
+            if i != c:
+                f = rows[i][c]
+                rows[i] = [(d * x - f * y) // prev for x, y in zip(rows[i], top)]
+        prev = d
+    return prev

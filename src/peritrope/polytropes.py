@@ -23,9 +23,15 @@ def kappa(inst, p):
     copies of all arcs in arc order, then the reverse copies.
     """
     T = inst.period
+    return _doubled_edges(inst, [T * pa for pa in p])
+
+
+def _doubled_edges(inst, base):
+    """The doubled graph weighted by a tension ``base``: the forward copy
+    of arc a carries u_a - base_a, the reverse copy base_a - l_a."""
     pairs = inst.graph.arc_index_pairs
-    forward = [(i, j, inst.upper[a] - T * p[a]) for a, (i, j) in enumerate(pairs)]
-    reverse = [(j, i, T * p[a] - inst.lower[a]) for a, (i, j) in enumerate(pairs)]
+    forward = [(i, j, inst.upper[a] - base[a]) for a, (i, j) in enumerate(pairs)]
+    reverse = [(j, i, base[a] - inst.lower[a]) for a, (i, j) in enumerate(pairs)]
     return forward + reverse
 
 
@@ -83,15 +89,11 @@ def tension_system_feasible(inst, base):
     difference constraints, so feasibility is the absence of a negative
     cycle under weights u_a - base_a (forward) and base_a - l_a (reverse).
     """
-    pairs = inst.graph.arc_index_pairs
-    edges = [(i, j, inst.upper[a] - base[a]) for a, (i, j) in enumerate(pairs)]
-    edges += [(j, i, base[a] - inst.lower[a]) for a, (i, j) in enumerate(pairs)]
-    return not _has_negative_cycle(inst.graph.n, edges)
+    return not _has_negative_cycle(inst.graph.n, _doubled_edges(inst, base))
 
 
 def polytrope_nonempty(inst, p):
-    T = inst.period
-    return tension_system_feasible(inst, tuple(T * pa for pa in p))
+    return not _has_negative_cycle(inst.graph.n, kappa(inst, p))
 
 
 @dataclass(frozen=True)
@@ -313,16 +315,11 @@ def _integer_preimage(gamma, z):
 def neighbors(inst, basis, z):
     """Nonempty classes one signed Gamma column away from z."""
     z = tuple(int(v) for v in z)
-    columns = set()
-    for a in range(inst.graph.m):
-        col = basis.column(a)
-        if any(col):
-            columns.add(col)
     out = set()
-    for col in columns:
+    for col in basis.moves:
         for sign in (1, -1):
             z2 = tuple(v + sign * c for v, c in zip(z, col))
-            if z2 == z or z2 in out:
+            if z2 in out:
                 continue
             if polytrope_nonempty(inst, offset_from_cycle_offset(basis, z2)):
                 out.add(z2)

@@ -25,6 +25,7 @@ from .graphs import (
     _require_connected,
     default_basis,
     greedy_spanning_tree,
+    spanning_tree_walk,
     spanning_trees,
     tree_potentials,
 )
@@ -69,6 +70,8 @@ def initial_solution(inst, seed=0, basis=None, tree=None, retries=200, *, pool=N
     if basis is None:
         basis = default_basis(g)
     _require_connected(g)  # no start exists on a disconnected graph, whatever the tree
+    if tree is not None:
+        spanning_tree_walk(g, tree)
     if pool is None:
         pool = TreePool(g)
     elif pool.graph is not g:
@@ -240,14 +243,12 @@ def neighbourhood_graph(inst, basis, width_cap=DEFAULT_WIDTH_CAP):
     column step, each node annotated with its exact polytrope optimum."""
     nodes = lattice_points(inst, basis, cap=width_cap)
     node_set = set(nodes)
-    columns = {basis.column(a) for a in range(inst.graph.m)}
-    columns.discard((0,) * basis.mu)
     edges = set()
     for z in nodes:
-        for col in columns:
+        for col in basis.moves:
             for sign in (1, -1):
                 z2 = tuple(v + sign * c for v, c in zip(z, col))
-                if z2 in node_set and z2 != z:
+                if z2 in node_set:
                     edges.add(tuple(sorted((z, z2))))
     objective = {
         z: minimize_over_polytrope(inst, offset_for(inst, basis, z)).objective

@@ -10,13 +10,14 @@ The volume is one Gram determinant.  One helper, ``_implied_tile``,
 builds the tile a structure implies: its generators, its translation
 Gamma x for the pinned tensions x, and its lattice points, each a sum of
 the Gamma columns of co-tree arcs, read off the potentials of x.
-``fine_tiling`` takes those potentials from the walk that orients each
-tree away from the root, so it walks each tree once.  Validation
-recomputes each tile from its structure (one ``tree_potentials`` walk)
-and trusts the walk only for implied tiles, the ones equal to that
-recomputation.  A foreign tile, and ``tile_contains_scaled``, invert the
-generator matrix G fraction-free into a frame (d, d * G^-1) with
-|d| = |det G|; a point lies in the tile when every coordinate of
+``fine_tiling`` takes those potentials from the ``graphs.tree_walk``
+that orients each tree away from the root, so it walks each tree once.
+Validation recomputes each tile from its structure (one
+``tree_potentials`` walk) and trusts the walk only for implied tiles, the
+ones equal to that recomputation.  A foreign tile, and
+``tile_contains_scaled``, invert the generator matrix G into a frame
+(d, d * G^-1) with |d| = |det G| by the shared elimination kernel
+``graphs._eliminate``; a point lies in the tile when every coordinate of
 d * G^-1 applied to its offset from the translation is between 0 and d.
 Fractions appear only in volumes and the width bound chain.
 """
@@ -28,14 +29,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EnumerationCapExceeded, FixedArcPresent, NotASpanningTree
+from .errors import EnumerationCapExceeded, FixedArcPresent
 from .graphs import (
     DEFAULT_ENUMERATION_CAP,
-    _bareiss_det,
+    _eliminate,
     count_spanning_trees_determinant,
     greedy_spanning_tree,
+    spanning_tree_walk,
     spanning_trees,
     tree_potentials,
+    tree_walk,
 )
 from .polytropes import (
     _root_index,
@@ -162,7 +165,7 @@ def volume(inst, basis):
     gram = [[sum(x * s * y for x, s, y in zip(r, span, q)) for q in gamma] for r in gamma]
     d = _cotree_det(inst, basis)
     # Dependent rows make every minor vanish, d included.
-    return Fraction(abs(_bareiss_det(gram)), d * inst.period**basis.mu) if d else Fraction(0)
+    return Fraction(abs(_eliminate(gram) or 0), d * inst.period**basis.mu) if d else Fraction(0)
 
 
 def _cotree_det(inst, basis):
@@ -172,7 +175,7 @@ def _cotree_det(inst, basis):
     has |det G_C| = |det M| = d; dependent rows give d = 0."""
     tree = greedy_spanning_tree(inst.graph) if basis.tree is None else basis.tree
     cotree = _cotree(inst, tree)
-    return abs(_bareiss_det([[row[a] for a in cotree] for row in basis.gamma]))
+    return abs(_eliminate([[row[a] for a in cotree] for row in basis.gamma]) or 0)
 
 
 def _cotree(inst, tree):
@@ -199,44 +202,16 @@ def structure_for_tree(g, tree, root=None):
     """Pin each tree arc by orienting the tree away from the root: arcs
     used in their native direction go to the upper side, reversed ones to
     the lower side."""
-    steps = _walk_from_root(g, tree, _root_index(g, root))
-    return _structure(tree, steps)
-
-
-def _walk_from_root(g, tree, ridx):
-    """The tree arcs in the order a depth-first walk from the root reaches
-    them, as (v, w, a, native): arc a joins the reached vertex v to the new
-    vertex w and runs v -> w when native.  Raises NotASpanningTree when the
-    arcs do not reach every vertex."""
-    n, pairs = g.n, g.arc_index_pairs
-    adj = [[] for _ in range(n)]
-    for a in tree:
-        i, j = pairs[a]
-        adj[i].append((j, a, True))
-        adj[j].append((i, a, False))
-    steps = []
-    seen = [False] * n
-    seen[ridx] = True
-    stack = [ridx]
-    while stack:
-        v = stack.pop()
-        for w, a, native in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                steps.append((v, w, a, native))
-                stack.append(w)
-    if len(steps) != n - 1:
-        raise NotASpanningTree("arc set does not span all vertices")
-    return steps
+    return _structure(tree, spanning_tree_walk(g, tree, _root_index(g, root)))
 
 
 def _structure(tree, steps):
-    """The structure of a root walk's ``steps``: native arcs at their upper
-    bound, reversed ones at their lower bound."""
+    """The structure of a root walk's ``steps``: native arcs (s = +1) at
+    their upper bound, reversed ones at their lower bound."""
     return SpanningTreeStructure(
         tuple(tree),
-        frozenset(a for _, _, a, native in steps if not native),
-        frozenset(a for _, _, a, native in steps if native),
+        frozenset(a for _, _, a, s in steps if s < 0),
+        frozenset(a for _, _, a, s in steps if s > 0),
     )
 
 
@@ -264,27 +239,14 @@ def _pinned_tensions(inst, structure):
 
 def _tile_frame(generators):
     """(d, d * G^-1) for the matrix G whose columns are ``generators``, by
-    fraction-free (Bareiss) Gauss-Jordan elimination on [G | I]: every
-    division is exact and |d| = |det G|.  None when G is singular."""
+    ``_eliminate`` on [G | I], so |d| = |det G|.  None when G is singular."""
     mu = len(generators)
     rows = [
         [col[k] for col in generators] + [int(k == c) for c in range(mu)]
         for k in range(mu)
     ]
-    prev = 1
-    for k in range(mu):
-        pivot = next((r for r in range(k, mu) if rows[r][k]), None)
-        if pivot is None:
-            return None
-        rows[k], rows[pivot] = rows[pivot], rows[k]
-        top = rows[k]
-        d = top[k]
-        for i in range(mu):
-            if i != k:
-                f = rows[i][k]
-                rows[i] = [(d * x - f * y) // prev for x, y in zip(rows[i], top)]
-        prev = d
-    return prev, tuple(tuple(row[mu:]) for row in rows)
+    d = _eliminate(rows)
+    return None if d is None else (d, tuple(tuple(row[mu:]) for row in rows))
 
 
 def _frame_contains(frame, translation, scaled_point):
@@ -310,8 +272,8 @@ def tile_contains_scaled(tile, scaled_point):
 def fine_tiling(inst, basis, root=None, tree_cap=None):
     """One tile per spanning tree, pinned by the root orientation.  Each
     tile records the first lattice point (in sorted order) it contains, if
-    any.  One walk per tree both orients it and gives the potentials of
-    its pinned tensions."""
+    any.  One ``tree_walk`` per tree both orients it and gives the
+    potentials of its pinned tensions."""
     g = inst.graph
     ridx = _root_index(g, root)
     cap = DEFAULT_ENUMERATION_CAP if tree_cap is None else tree_cap
@@ -320,10 +282,10 @@ def fine_tiling(inst, basis, root=None, tree_cap=None):
     lower, upper = inst.lower, inst.upper
     tiles = []
     for tree in spanning_trees(g, cap):
-        steps = _walk_from_root(g, tree, ridx)
+        steps = tree_walk(g, tree, ridx)
         pi, pinned = [0] * g.n, list(lower)
-        for v, w, a, native in steps:
-            if native:
+        for v, w, a, s in steps:
+            if s > 0:
                 pinned[a] = upper[a]
                 pi[w] = pi[v] + upper[a]
             else:

@@ -26,7 +26,7 @@ from peritrope import (
     polytrope_nonempty,
     spanning_trees,
 )
-from peritrope.graphs import DEFAULT_ENUMERATION_CAP, _bareiss_det, tree_potentials
+from peritrope.graphs import DEFAULT_ENUMERATION_CAP, tree_potentials
 from peritrope.zonotopes import (
     DEFAULT_WIDTH_CAP,
     TilingReport,
@@ -430,3 +430,71 @@ def arborescences_rooted(g, root, cap=DEFAULT_ENUMERATION_CAP):
 
     assign(0, [])
     return tuple(sorted(found))
+
+
+# Differential oracles kept apart from the package's shared kernels: a
+# forward-Bareiss determinant, a rank over the rationals, and a potential
+# walk with its own stack.
+
+
+def _bareiss_det(mat):
+    """Fraction-free exact determinant of a square integer matrix."""
+    a = [row[:] for row in mat]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def _rational_rank(rows):
+    mat = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    cols = len(mat[0]) if mat else 0
+    for c in range(cols):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = 1 / mat[rank][c]
+        mat[rank] = [x * inv for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][c] != 0:
+                f = mat[r][c]
+                mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
+
+
+def tree_potentials_by_stack_walk(g, tree, differences, root=0):
+    """Reference for ``graphs.tree_potentials``: its own depth-first walk
+    over the arcs of ``tree``, in the order of ``tree``."""
+    adj = [[] for _ in range(g.n)]
+    for a in tree:
+        i, j = g.arc_index_pairs[a]
+        adj[i].append((j, a, 1))
+        adj[j].append((i, a, -1))
+    pi = [None] * g.n
+    pi[root] = 0
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for w, a, s in adj[v]:
+            if pi[w] is None:
+                pi[w] = pi[v] + s * differences[a]
+                stack.append(w)
+    return pi

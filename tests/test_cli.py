@@ -275,6 +275,39 @@ def test_golden_outputs_are_byte_identical(name, instance, options, command, fla
     assert result.stdout == (GOLDEN / f"{name}.{command}.json").read_bytes()
 
 
+MORE_GOLDENS = [
+    (name, *case)
+    for name in ("bench7", "mu6")
+    for case in (
+        (["solve"], "solve.json"),
+        (["solve", "--method", "tns", "--restarts", "3", "--seed", "1"], "tns.json"),
+        (["polytropes", "--json"], "polytropes.json"),
+    )
+] + [(name, ["render", "--what", "zonotope"], "zonotope.svg") for name in ("triangle", "square5")]
+
+
+@pytest.mark.parametrize(
+    "instance, command, golden",
+    MORE_GOLDENS,
+    ids=[f"{name}.{golden}" for name, _, golden in MORE_GOLDENS],
+)
+def test_solve_polytropes_and_render_goldens_are_byte_identical(
+    instance, command, golden, tmp_path
+):
+    """``tests/golden/<instance>.<golden>`` is the stdout of the command on
+    ``<instance>.pesp``; a tns solve also writes its trace, whose bytes are
+    ``<instance>.tns.jsonl``.  square5 is the square without its last arc
+    (mu = 2, seven tiles), the largest golden a zonotope picture can show."""
+    trace = tmp_path / "trace.jsonl"
+    tns = "tns" in command
+    argv = [command[0], str(GOLDEN / f"{instance}.pesp"), *command[1:]]
+    result = run_cli(argv + (["--trace", str(trace)] if tns else []))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (GOLDEN / f"{instance}.{golden}").read_bytes()
+    if tns:
+        assert trace.read_bytes() == (GOLDEN / f"{instance}.tns.jsonl").read_bytes()
+
+
 def test_ratio_formats_like_a_fraction():
     """Translations and box ends are written as v/T by one gcd, in the form
     ``str(Fraction(v, T))`` gives, negatives and integers included."""

@@ -5,19 +5,25 @@ import pytest
 from peritrope import (
     CycleBasis,
     Digraph,
+    DisconnectedGraph,
     EnumerationCapExceeded,
     NotASpanningTree,
     OrientedCycle,
+    PespInstance,
     count_spanning_trees_determinant,
     cyclomatic_number,
     default_basis,
     fundamental_cycle_basis,
     greedy_spanning_tree,
+    initial_solution,
     spanning_trees,
+    structure_for_tree,
     verify_kernel_property,
 )
-from peritrope.graphs import greedy_forest, tree_potentials
+from peritrope.graphs import _eliminate, greedy_forest, tree_potentials, tree_walk
 from helpers import (
+    _bareiss_det,
+    _rational_rank,
     arborescences_rooted,
     dense_apply,
     gbar,
@@ -25,6 +31,8 @@ from helpers import (
     random_connected_digraph,
     square_graph,
     triangle_graph,
+    triangle_instance,
+    tree_potentials_by_stack_walk,
 )
 
 
@@ -244,8 +252,6 @@ def test_arborescence_counts_match_tree_counts_random():
 def test_unimodular_cotree_minors():
     # the basis matrix restricted to the co-tree of any other spanning tree
     # is invertible over the integers
-    from peritrope.graphs import _bareiss_det
-
     g = square_graph()
     basis = fundamental_cycle_basis(g, (0, 2, 3))
     for tree in spanning_trees(g):
@@ -268,3 +274,160 @@ def test_tree_potentials_follow_the_pinned_differences():
             assert pi[j] - pi[i] == differences[a]
     # arcs outside the tree are ignored; vertices it misses stay None
     assert tree_potentials(triangle_graph(), (0,), {0: 5}) == [0, 5, None]
+
+
+BAD_TREES = [
+    ((0,), "1 arcs cannot span 3 vertices"),
+    ((5,), "arc index out of range"),
+    ((-1, 0), "arc index out of range"),
+    ((0, 0), "repeated arc indices in tree"),
+    ((0, 1, 2), "3 arcs cannot span 3 vertices"),
+]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda tree: fundamental_cycle_basis(triangle_graph(), tree),
+        lambda tree: structure_for_tree(triangle_graph(), tree),
+        lambda tree: initial_solution(triangle_instance(), tree=tree),
+    ],
+    ids=("fundamental_cycle_basis", "structure_for_tree", "initial_solution"),
+)
+@pytest.mark.parametrize("tree, message", BAD_TREES, ids=[str(t) for t, _ in BAD_TREES])
+def test_every_tree_taker_rejects_a_bad_tree(build, tree, message):
+    """Caller arc sets go through one spanning-tree check, so a short,
+    repeated, out-of-range (negative ones included) or cyclic arc set
+    raises NotASpanningTree instead of a bare TypeError or IndexError, or
+    a start or structure on a wrapped-around arc."""
+    with pytest.raises(NotASpanningTree, match=message):
+        build(tree)
+
+
+def test_a_tree_that_misses_a_vertex_is_rejected():
+    g = Digraph(("a", "b", "c"), (("a", "b"), ("b", "a"), ("b", "c")))
+    inst = PespInstance(g, 10, (1, 1, 1), (5, 5, 5), (1, 1, 1))
+    for build in (
+        lambda: fundamental_cycle_basis(g, (0, 1)),
+        lambda: structure_for_tree(g, (0, 1)),
+        lambda: initial_solution(inst, tree=(0, 1)),
+    ):
+        with pytest.raises(NotASpanningTree, match="does not span all vertices"):
+            build()
+
+
+def test_a_disconnected_graph_fails_before_its_tree_is_checked():
+    g = Digraph(("a", "b", "c"), (("a", "b"),))
+    inst = PespInstance(g, 10, (1,), (5,), (1,))
+    for tree in ((0,), (5,), (0, 0)):
+        with pytest.raises(DisconnectedGraph):
+            initial_solution(inst, tree=tree)
+
+
+def test_elimination_matches_the_bareiss_determinant():
+    """|d| of the shared kernel equals the forward-Bareiss determinant on
+    random square integer matrices of size 0..7 (None exactly when it is
+    0), and leaves d times the identity behind."""
+    rng = random.Random(5)
+    kinds = {"singular": 0, "regular": 0}
+    for case in range(800):
+        k = case % 8
+        mat = [[rng.randint(-6, 6) for _ in range(k)] for _ in range(k)]
+        if k and rng.random() < 0.25:
+            i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
+            f = rng.randint(-2, 2)
+            mat[i] = [f * x for x in mat[j]] if i != j else [0] * k
+        det = _bareiss_det(mat)
+        rows = [row[:] for row in mat]
+        d = _eliminate(rows)
+        if det == 0:
+            assert d is None, mat
+            kinds["singular"] += 1
+            continue
+        assert abs(d) == abs(det), mat
+        assert rows == [[d * int(i == c) for c in range(k)] for i in range(k)]
+        kinds["regular"] += 1
+    assert min(kinds.values()) >= 100, kinds
+
+
+def _parent_kernel_property(basis, g):
+    """Circuit rows of the right length, independent by rational rank."""
+    pairs = g.arc_index_pairs
+    for row in basis.gamma:
+        if len(row) != g.m:
+            return False
+        net = [0] * g.n
+        for a, s in enumerate(row):
+            i, j = pairs[a]
+            net[i] += s
+            net[j] -= s
+        if any(net):
+            return False
+    return _rational_rank(basis.gamma) == basis.mu
+
+
+def test_kernel_property_matches_the_rational_rank():
+    """The Gram-determinant test agrees with the rational rank on random
+    bases, on bases with a repeated or a combined (dependent) row, and on
+    rows of the wrong length."""
+    rng = random.Random(17)
+    seen = {True: 0, False: 0, "dependent": 0, "short": 0}
+    for _ in range(120):
+        g = random_connected_digraph(rng, max_vertices=6, max_arcs=10)
+        if g.m - g.n + 1 < 2:
+            continue
+        for basis in random_bases(rng, g):
+            rows = list(basis.gamma)
+            c0, c1 = rows[0], rows[1]
+            variants = [
+                basis,
+                CycleBasis(tuple(map(OrientedCycle, rows + [c0]))),
+                CycleBasis(
+                    tuple(map(OrientedCycle, [c0, c1, [2 * x - y for x, y in zip(c0, c1)]]))
+                ),
+                CycleBasis(tuple(map(OrientedCycle, [c0[:-1], *rows[1:]]))),
+            ]
+            for k, variant in enumerate(variants):
+                expected = _parent_kernel_property(variant, g)
+                assert verify_kernel_property(variant, g) == expected
+                seen[expected] += 1
+                seen["dependent"] += k in (1, 2)
+                seen["short"] += k == 3
+    assert min(seen.values()) >= 50, seen
+
+
+def test_tree_potentials_match_the_stack_walk():
+    """``tree_potentials`` folds ``tree_walk`` into the same potentials as
+    the stack walk it replaced, on spanning, cyclic, non-spanning and empty
+    arc subsets from every root; each step's sign says which way its arc
+    runs."""
+    rng = random.Random(23)
+    kinds = {"spanning": 0, "cyclic": 0, "partial": 0, "empty": 0}
+    for _ in range(500):
+        g = random_connected_digraph(rng, max_vertices=7, max_arcs=12)
+        tree = rng.sample(range(g.m), rng.randint(0, g.m))
+        root = rng.randrange(g.n)
+        differences = [rng.randint(-9, 9) for _ in range(g.m)]
+        pi = tree_potentials(g, tree, differences, root)
+        assert pi == tree_potentials_by_stack_walk(g, tree, differences, root)
+        for v, w, a, s in tree_walk(g, tree, root):
+            assert g.arc_index_pairs[a] == ((v, w) if s > 0 else (w, v))
+        reached = g.n - pi.count(None)
+        if not tree:
+            kinds["empty"] += 1
+        elif len(tree) > reached - 1:
+            kinds["cyclic"] += 1
+        if reached < g.n:
+            kinds["partial"] += 1
+        else:
+            kinds["spanning"] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_moves_are_the_distinct_nonzero_columns():
+    rng = random.Random(29)
+    for _ in range(40):
+        g = random_connected_digraph(rng, max_vertices=6, max_arcs=10)
+        basis = default_basis(g)
+        columns = {basis.column(a) for a in range(g.m)} - {(0,) * basis.mu}
+        assert basis.moves == columns

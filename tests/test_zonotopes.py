@@ -36,10 +36,11 @@ from peritrope import (
     zonotope_descriptor,
     zonotope_membership,
 )
-from peritrope import zonotopes
-from peritrope.graphs import _bareiss_det, tree_potentials
+from peritrope import graphs, zonotopes
+from peritrope.graphs import tree_potentials
 from peritrope.zonotopes import _tile_frame
 from helpers import (
+    _bareiss_det,
     implied_tile_by_dense_products,
     random_bases,
     random_instance,
@@ -504,30 +505,34 @@ def test_tiles_match_the_dense_per_tile_oracle():
 
 def test_one_walk_per_tree_and_one_per_validated_tile(monkeypatch):
     """``fine_tiling`` orients each tree and takes its pinned potentials from
-    one root walk, with no ``tree_potentials`` call; ``validate_tiling``
-    takes one ``tree_potentials`` walk per tile and no root walk."""
+    one ``tree_walk``, with no ``tree_potentials`` call; ``validate_tiling``
+    takes one ``tree_potentials`` walk per tile.  Walks are counted in
+    ``graphs`` and ``zonotopes`` alike; the only other one is the
+    connectivity check of ``spanning_trees``, over every arc."""
     walks, potentials = [], []
-    walk, potential = zonotopes._walk_from_root, zonotopes.tree_potentials
+    walk, potential = graphs.tree_walk, zonotopes.tree_potentials
 
-    def counted_walk(g, tree, ridx):
-        walks.append(tree)
-        return walk(g, tree, ridx)
+    def counted_walk(g, tree, *args):
+        walks.append(tuple(tree))
+        return walk(g, tree, *args)
 
     def counted_potentials(g, tree, *args):
         potentials.append(tree)
         return potential(g, tree, *args)
 
-    monkeypatch.setattr(zonotopes, "_walk_from_root", counted_walk)
+    monkeypatch.setattr(graphs, "tree_walk", counted_walk)
+    monkeypatch.setattr(zonotopes, "tree_walk", counted_walk)
     monkeypatch.setattr(zonotopes, "tree_potentials", counted_potentials)
     sq, basis = square_instance(), square_basis()
     trees = spanning_trees(sq.graph)
+    walks.clear()
     tiles = fine_tiling(sq, basis, "v2")
-    assert walks == list(trees)
+    assert walks == [tuple(range(sq.graph.m)), *trees]
     assert potentials == []
     walks.clear()
     assert validate_tiling(sq, basis, tiles).ok
-    assert walks == []
     assert potentials == [t.structure.tree for t in tiles]
+    assert walks == potentials
 
 
 def _random_generators(rng, mu, singular):
