@@ -22,7 +22,12 @@ from .errors import (
     RetriesExhausted,
 )
 from .exact import CrosscheckReport, brute_force_timetable, crosscheck, solve_exact, verify_solution
-from .fixedlp import FixedOffsetResult, brute_force_fixed_offset, minimize_over_polytrope
+from .fixedlp import (
+    FixedOffsetResult,
+    brute_force_fixed_offset,
+    cycle_relaxation_bound,
+    minimize_over_polytrope,
+)
 from .graphs import (
     CycleBasis,
     Digraph,

@@ -1,8 +1,12 @@
-"""Ground-truth solvers: exhaust cycle offsets, or exhaust timetables.
+"""Ground-truth solvers: optimize every polytrope that can win, or
+exhaust timetables.
 
-Both are deliberate brute force.  They exist to anchor the heuristic and
-the geometry, so they share nothing with the code they check beyond the
-basic instance plumbing.
+``solve_exact`` is exact but not exhaustive: it solves the polytropes in
+ascending order of their cycle relaxation bound and stops at the first
+bound strictly above the best objective found, which no later offset can
+reach or tie.  ``brute_force_timetable`` is deliberate brute force.  It
+anchors the heuristic and the geometry, so it shares nothing with the
+code it checks beyond the basic instance plumbing.
 """
 
 from __future__ import annotations
@@ -11,7 +15,12 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import CrosscheckMismatch, EnumerationCapExceeded, Infeasible, InvariantViolation
-from .fixedlp import minimize_over_polytrope
+from .fixedlp import (
+    _bound_of_nonempty,
+    _check_bound,
+    cycle_relaxation_bound,
+    minimize_over_polytrope,
+)
 from .graphs import default_basis
 from .polytropes import offset_for, timetable_to_tension
 from .search import Solution, solution_from_timetable
@@ -19,19 +28,26 @@ from .zonotopes import DEFAULT_WIDTH_CAP, lattice_points
 
 
 def solve_exact(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP, tree_cap=None):
-    """Global optimum by optimizing every nonempty polytrope; ties break
-    toward the smaller cycle offset."""
+    """Global optimum over the nonempty polytropes; ties break toward the
+    smaller cycle offset.  The polytropes are optimized in ascending
+    (bound, z) order of ``cycle_relaxation_bound`` until a bound exceeds
+    the best objective found."""
     if basis is None:
         basis = default_basis(inst.graph)
     points = lattice_points(inst, basis, cap=width_cap)
     if not points:
         raise Infeasible("no feasible cycle offset: the zonotope holds no lattice point")
 
-    results = [
-        minimize_over_polytrope(inst, offset_for(inst, basis, z), tree_cap=tree_cap)
-        for z in points
-    ]
-    best_z, best = min(zip(points, results), key=lambda zr: (zr[1].objective, zr[0]))
+    bound = cycle_relaxation_bound(inst, basis)
+    order = sorted((_bound_of_nonempty(bound, z), z) for z in points)
+    best_z = best = None
+    for lower, z in order:
+        if best is not None and lower > best.objective:
+            break
+        result = minimize_over_polytrope(inst, offset_for(inst, basis, z), tree_cap=tree_cap)
+        _check_bound(z, lower, result)
+        if best is None or (result.objective, z) < (best.objective, best_z):
+            best_z, best = z, result
     sol = solution_from_timetable(inst, basis, best.timetable)
     if sol.cycle_offset != best_z or sol.objective != best.objective:
         raise InvariantViolation(

@@ -14,12 +14,19 @@ lexicographically smallest normalized timetable among the optimal
 vertices, which are the vertices of that face: a point is its own
 answer, and a larger face has its vertices enumerated as spanning tree
 structures on the quotient graph of its equality classes.
+
+``cycle_relaxation_bound`` bounds that optimum from below without
+solving: every tension of a polytrope with cycle offset z meets
+gamma_k.x = T z_k for each basis row gamma_k, so keeping one row and the
+arc bounds is a relaxation, a continuous knapsack solved greedily.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import EnumerationCapExceeded, Infeasible, InvariantViolation
 from .graphs import (
@@ -155,6 +162,81 @@ def minimize_over_polytrope(inst, p, objective=None, tree_cap=None):
         objective=sum(c * v for c, v in zip(obj, x)),
         tight_structure=_extract_tight_structure(inst, x),
     )
+
+
+def cycle_relaxation_bound(inst, basis):
+    """Lower bounds on the instance objective over the polytrope of each
+    cycle offset, one basis row at a time.  Returns a function from z to
+    an integer at most that polytrope's optimum, or to None when some row
+    proves the polytrope empty.
+
+    Row gamma of any basis of cycles keeps gamma.x = T z_k for every
+    tension x of the offset, so min w.x over l <= x <= u under that one
+    equation is a relaxation.  Every arc starts at its cheaper bound, and
+    the gap r = T z_k - gamma.start is closed by moving arcs away from it
+    in ascending order of cost per unit of gap, |w_a| / |gamma_a|, each by
+    at most its span.  The optimum is an integer vertex, so the relaxed
+    value rounds up; the bound is the largest over the rows.  With one row
+    the relaxation is the polytrope itself, and the bound is its optimum.
+    """
+    start = [l if w >= 0 else u for w, l, u in zip(inst.weight, inst.lower, inst.upper)]
+    base = sum(w * x for w, x in zip(inst.weight, start))
+    T = inst.period
+    rows = []
+    for row in basis.gamma:
+        # Moves that raise gamma.x (index 1) or lower it (index 0), as
+        # (|w|, |gamma|, span); an arc moves up from l and down from u.
+        by_direction = ([], [])
+        for w, g, s in zip(inst.weight, row, inst.span):
+            if g and s:
+                by_direction[(g > 0) == (w >= 0)].append((abs(w), abs(g), s))
+        sides = []
+        for side in by_direction:
+            side.sort(key=lambda m: Fraction(m[0], m[1]))
+            gaps, costs = [0], [0]
+            for w, g, s in side:
+                gaps.append(gaps[-1] + g * s)
+                costs.append(costs[-1] + w * s)
+            sides.append((side, gaps, costs))
+        rows.append((sum(g * x for g, x in zip(row, start)), sides))
+
+    def bound(z):
+        best = base
+        for (at_start, (down, up)), zk in zip(rows, z):
+            r = T * zk - at_start
+            side, gaps, costs = up if r >= 0 else down
+            r = abs(r)
+            if r > gaps[-1]:
+                return None
+            k = bisect_left(gaps, r)
+            if k:
+                w, g, _ = side[k - 1]
+                # full moves before arc k - 1, then part of it, rounded up
+                cost = costs[k - 1] - (-w * (r - gaps[k - 1]) // g)
+                best = max(best, base + cost)
+        return best
+
+    return bound
+
+
+def _bound_of_nonempty(bound, z):
+    """``bound(z)`` for a z that Bellman-Ford found nonempty: a relaxation
+    that proves it empty contradicts that certificate."""
+    lower = bound(z)
+    if lower is None:
+        raise InvariantViolation(
+            f"the cycle relaxation rules out {z}, which Bellman-Ford found nonempty"
+        )
+    return lower
+
+
+def _check_bound(z, lower, result):
+    """A polytrope optimum below its relaxation bound breaks the bound."""
+    if result.objective < lower:
+        raise InvariantViolation(
+            f"the optimum of {z} (objective {result.objective}) is below its "
+            f"cycle relaxation bound {lower}"
+        )
 
 
 def _offsets_equivalent(g, tree, p_a, p_b):

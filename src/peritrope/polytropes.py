@@ -313,17 +313,13 @@ def _integer_preimage(gamma, z):
 
 
 def neighbors(inst, basis, z):
-    """Nonempty classes one signed Gamma column away from z."""
+    """Nonempty classes one signed Gamma column away from z.  Each
+    distinct offset is tested once, even when Gamma holds both c and -c."""
     z = tuple(int(v) for v in z)
-    out = set()
-    for col in basis.moves:
-        for sign in (1, -1):
-            z2 = tuple(v + sign * c for v, c in zip(z, col))
-            if z2 in out:
-                continue
-            if polytrope_nonempty(inst, offset_from_cycle_offset(basis, z2)):
-                out.add(z2)
-    return out
+    steps = {
+        tuple(v + sign * c for v, c in zip(z, col)) for col in basis.moves for sign in (1, -1)
+    }
+    return {z2 for z2 in steps if polytrope_nonempty(inst, offset_from_cycle_offset(basis, z2))}
 
 
 def enumerate_polytropes(inst, basis, cap=None):

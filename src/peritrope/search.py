@@ -9,7 +9,10 @@ A polytrope's optimum and its set of nonempty neighbours depend only on
 the instance, the basis and the cycle offset z, so one ``OffsetMemo``
 holds both per z for a whole solve: ``tns_restarts`` shares it between
 all its walks, and ``tns`` builds a fresh one when it is not given one.
-The tabu set stays per walk.
+The tabu set stays per walk.  The memo also holds the instance's cycle
+relaxation bound, and a walk optimizes only the neighbours whose bound
+leaves room to improve on the current objective (or to match it, when
+sideways moves are allowed); no other neighbour could be chosen.
 """
 
 from __future__ import annotations
@@ -19,7 +22,12 @@ import random
 from dataclasses import dataclass, replace
 
 from .errors import EnumerationCapExceeded, Infeasible, InvariantViolation, RetriesExhausted
-from .fixedlp import minimize_over_polytrope
+from .fixedlp import (
+    _bound_of_nonempty,
+    _check_bound,
+    cycle_relaxation_bound,
+    minimize_over_polytrope,
+)
 from .graphs import (
     DEFAULT_ENUMERATION_CAP,
     _require_connected,
@@ -131,20 +139,28 @@ class TnsConfig:
 class OffsetMemo:
     """The per-cycle-offset answers of one instance and basis: the
     ``minimize_over_polytrope`` result of each z and its ``neighbors``
-    set, each computed on first use.  Both depend on (inst, basis, z)
-    only, so every answer is exact.  Build one per solve; it grows with
-    the offsets that solve visits."""
+    set, each computed on first use, and the ``cycle_relaxation_bound``
+    of the instance.  All depend on (inst, basis, z) only, so every answer
+    is exact.  Build one per solve; it grows with the offsets that solve
+    visits."""
 
     def __init__(self, inst, basis):
         self.inst = inst
         self.basis = basis
+        self._bound = cycle_relaxation_bound(inst, basis)
         self._optima = {}
         self._neighbours = {}
+
+    def bound(self, z):
+        """The relaxation bound of a z that ``neighbours`` found nonempty;
+        the relaxation proving it empty contradicts that certificate."""
+        return _bound_of_nonempty(self._bound, z)
 
     def optimum(self, z):
         result = self._optima.get(z)
         if result is None:
             result = minimize_over_polytrope(self.inst, offset_for(self.inst, self.basis, z))
+            _check_bound(z, self.bound(z), result)
             self._optima[z] = result
         return result
 
@@ -172,9 +188,12 @@ def tns(inst, basis, start, config=None, memo=None):
     trace = [{"z": list(current.cycle_offset), "objective": current.objective, "move": "start"}]
     visited = {current.cycle_offset}
     for _ in range(config.max_iterations):
+        # A neighbour can be chosen only if its objective, hence its bound,
+        # is below the current one (or equal to it, for a sideways move).
+        reach = current.objective + 1 if config.allow_sideways else current.objective
         candidates = sorted(
             z for z in memo.neighbours(current.cycle_offset)
-            if not (config.tabu and z in visited)
+            if not (config.tabu and z in visited) and memo.bound(z) < reach
         )
         if not candidates:
             break

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
 import random
@@ -21,9 +22,13 @@ from peritrope import (
     OrientedCycle,
     PespInstance,
     SpanningTreeStructure,
+    default_basis,
     fundamental_cycle_basis,
+    minimize_over_polytrope,
     normalize_timetable,
+    offset_for,
     polytrope_nonempty,
+    solution_from_timetable,
     spanning_trees,
 )
 from peritrope.graphs import DEFAULT_ENUMERATION_CAP, tree_potentials
@@ -131,6 +136,30 @@ def random_bases(rng, g):
 def seeded_instances(count, base_seed=0, **kwargs):
     for k in range(count):
         yield random_instance(random.Random(base_seed + k), **kwargs)
+
+
+def varied_instance(rng, max_vertices=6, max_arcs=9, max_period=10):
+    """A random instance with about one arc in six fixed (zero span) and,
+    in about three instances of ten, signed weights."""
+    inst = random_instance(rng, max_vertices, max_arcs, max_period)
+    upper = tuple(l if rng.random() < 0.15 else u for l, u in zip(inst.lower, inst.upper))
+    weight = inst.weight
+    if rng.random() < 0.3:
+        weight = tuple(rng.randint(-5, 5) for _ in weight)
+    return dataclasses.replace(inst, upper=upper, weight=weight)
+
+
+def solve_exact_by_full_scan(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP):
+    """Reference for solve_exact: optimize the polytrope of every lattice
+    point and keep the (objective, z) minimum."""
+    if basis is None:
+        basis = default_basis(inst.graph)
+    points = lattice_points(inst, basis, cap=width_cap)
+    if not points:
+        raise Infeasible("no feasible cycle offset: the zonotope holds no lattice point")
+    results = [minimize_over_polytrope(inst, offset_for(inst, basis, z)) for z in points]
+    _, best = min(zip(points, results), key=lambda zr: (zr[1].objective, zr[0]))
+    return solution_from_timetable(inst, basis, best.timetable)
 
 
 def enumerate_fixed_offset(inst, p, objective=None):

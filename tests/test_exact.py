@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 import random
 
 import pytest
@@ -6,10 +7,12 @@ import pytest
 import peritrope.exact
 from peritrope import (
     CrosscheckMismatch,
+    CycleBasis,
     Digraph,
     EnumerationCapExceeded,
     Infeasible,
     InvariantViolation,
+    OrientedCycle,
     PespInstance,
     brute_force_timetable,
     crosscheck,
@@ -20,7 +23,19 @@ from peritrope import (
     spanning_trees,
     verify_solution,
 )
-from helpers import random_instance, square_basis, square_instance, triangle_instance
+from peritrope.fixedlp import cycle_relaxation_bound
+from peritrope.zonotopes import lattice_points
+from helpers import (
+    random_bases,
+    random_instance,
+    solve_exact_by_full_scan,
+    square_basis,
+    square_instance,
+    triangle_instance,
+    varied_instance,
+)
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def _triangle():
@@ -160,3 +175,84 @@ def test_offset_drift_in_solve_exact_is_an_invariant_violation(monkeypatch):
         )
         with pytest.raises(InvariantViolation):
             solve_exact(inst, basis)
+
+
+def _outcome(solve, inst, basis):
+    try:
+        return solve(inst, basis)
+    except Infeasible:
+        return None
+
+
+def test_solve_exact_matches_the_full_scan():
+    # Pruning by the relaxation bound keeps the (objective, z) argmin of
+    # the scan over every lattice point, Solution for Solution.
+    solved = non_fundamental = graded = 0
+    for seed in range(120):
+        rng = random.Random(7300 + seed)
+        inst = varied_instance(rng)
+        bases = [default_basis(inst.graph)]
+        if inst.graph.m - inst.graph.n + 1 >= 2:
+            bases += random_bases(rng, inst.graph)[1:3]
+        for basis in bases:
+            expected = _outcome(solve_exact_by_full_scan, inst, basis)
+            assert _outcome(solve_exact, inst, basis) == expected
+            solved += expected is not None
+            non_fundamental += expected is not None and basis.tree is None
+        if inst.graph.n <= 5 and inst.period <= 10:
+            report = crosscheck(inst)
+            assert report.objective == (None if expected is None else expected.objective)
+            graded += 1
+    assert solved >= 150 and non_fundamental >= 30 and graded >= 40
+
+
+@pytest.mark.parametrize("name, scanned, solved", [("bench7", 15, 3), ("mu6", 35, 24)])
+def test_solve_exact_optimizes_only_the_offsets_that_can_win(monkeypatch, name, scanned, solved):
+    inst = parse_instance((GOLDEN / f"{name}.pesp").read_text())
+    basis = default_basis(inst.graph)
+    calls = []
+    honest = peritrope.exact.minimize_over_polytrope
+
+    def minimize(*args, **kwargs):
+        calls.append(args[1])
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(peritrope.exact, "minimize_over_polytrope", minimize)
+    assert solve_exact(inst, basis) == solve_exact_by_full_scan(inst, basis)
+    assert len(lattice_points(inst, basis)) == scanned
+    assert len(calls) == len(set(calls)) == solved
+
+
+def test_an_empty_relaxation_at_a_lattice_point_is_an_invariant_violation(monkeypatch):
+    # A hand-built row on arc 2 alone cannot close its gap at z = 0, a
+    # lattice point that Bellman-Ford found nonempty.
+    inst, basis = _triangle()
+    lone = CycleBasis((OrientedCycle((0, 0, 1)),))
+    monkeypatch.setattr(
+        peritrope.exact, "cycle_relaxation_bound", lambda i, b: cycle_relaxation_bound(i, lone)
+    )
+    with pytest.raises(InvariantViolation, match="Bellman-Ford found nonempty"):
+        solve_exact(inst, basis)
+
+
+def test_an_optimum_below_its_bound_is_an_invariant_violation(monkeypatch):
+    inst, basis = _triangle()
+    monkeypatch.setattr(peritrope.exact, "cycle_relaxation_bound", lambda i, b: lambda z: 15)
+    with pytest.raises(InvariantViolation, match="below its cycle relaxation bound"):
+        solve_exact(inst, basis)
+
+
+def test_a_tie_is_kept_when_the_smaller_offset_has_the_larger_bound():
+    # Three parallel arcs: offsets (0, -1) and (0, 0) both cost 8, but the
+    # bound of (0, 0) is 6 and that of (0, -1) is 8, so the winner is
+    # solved second and a bound equal to the incumbent must not stop the
+    # scan.
+    g = Digraph(("v0", "v1"), (("v0", "v1"),) * 3)
+    inst = PespInstance(g, 6, (3, 4, 1), (7, 8, 5), (1, 0, 1))
+    basis = default_basis(g)
+    bound = cycle_relaxation_bound(inst, basis)
+    assert lattice_points(inst, basis) == ((0, -1), (0, 0))
+    assert (bound((0, -1)), bound((0, 0))) == (8, 6)
+    sol = solve_exact(inst, basis)
+    assert (sol.cycle_offset, sol.objective) == ((0, -1), 8)
+    assert sol == solve_exact_by_full_scan(inst, basis)

@@ -1,24 +1,35 @@
+import dataclasses
 import random
 
 import pytest
 
 import peritrope.fixedlp
 from peritrope import (
+    CycleBasis,
+    Digraph,
     EnumerationCapExceeded,
     Infeasible,
     InvariantViolation,
+    OrientedCycle,
+    PespInstance,
     brute_force_fixed_offset,
+    cycle_relaxation_bound,
     default_basis,
     enumerate_polytropes,
     minimize_over_polytrope,
+    offset_for,
+    polytrope_nonempty,
     timetable_to_tension,
 )
+from peritrope.zonotopes import lattice_points, odijk_box
 from helpers import (
     enumerate_fixed_offset,
+    random_bases,
     random_instance,
     square_basis,
     square_instance,
     triangle_instance,
+    varied_instance,
 )
 
 
@@ -260,3 +271,106 @@ def test_infeasible_agreement_on_random_offsets():
                 brute_force_fixed_offset(inst, p)
             continue
         assert brute_force_fixed_offset(inst, p).objective == fast
+
+
+def _bound_cases():
+    """Seeded (instance, basis) pairs for the relaxation bound: varied
+    instances (fixed arcs, signed weights) under their default basis and,
+    when mu >= 2, under a permuted fundamental basis and the unimodular
+    non-fundamental one with row 0 added to row 1."""
+    for seed in range(120):
+        rng = random.Random(4400 + seed)
+        inst = varied_instance(rng)
+        yield inst, default_basis(inst.graph)
+        if inst.graph.m - inst.graph.n + 1 >= 2:
+            for basis in random_bases(rng, inst.graph)[1:3]:
+                yield inst, basis
+
+
+def _beyond_the_box(inst, basis):
+    """Points one step outside the box along one axis, 0 on the others."""
+    T = inst.period
+    for k, (lo, hi) in enumerate(odijk_box(inst, basis)):
+        for outside in (-(-lo // T) - 1, hi // T + 1):
+            yield tuple(outside if i == k else 0 for i in range(basis.mu))
+
+
+def test_cycle_relaxation_bound_is_below_every_polytrope_optimum():
+    instances = set()
+    points = tight = non_fundamental = fixed = signed = 0
+    for inst, basis in _bound_cases():
+        bound = cycle_relaxation_bound(inst, basis)
+        for z in lattice_points(inst, basis):
+            lower = bound(z)
+            optimum = minimize_over_polytrope(inst, offset_for(inst, basis, z)).objective
+            assert lower is not None
+            assert lower <= optimum
+            points += 1
+            tight += lower == optimum
+        for z in _beyond_the_box(inst, basis):
+            # outside the box some row cannot close its gap, and the
+            # polytrope is empty
+            assert bound(z) is None
+            assert not polytrope_nonempty(inst, offset_for(inst, basis, z))
+        instances.add(id(inst))
+        non_fundamental += basis.tree is None
+        fixed += any(s == 0 for s in inst.span)
+        signed += min(inst.weight) < 0
+    assert len(instances) >= 100
+    assert points >= 200
+    assert points > tight >= points // 3  # not vacuous: often the optimum
+    assert non_fundamental >= 30 and fixed >= 30 and signed >= 30
+
+
+def _one_cycle_instance(rng):
+    """A random tree plus one arc, some arcs fixed, weights often signed."""
+    inst = varied_instance(rng, max_vertices=6, max_arcs=0, max_period=12)
+    vertices = inst.graph.vertices
+    i, j = rng.sample(range(len(vertices)), 2)
+    g = Digraph(vertices, inst.graph.arcs + ((vertices[i], vertices[j]),))
+    lo = rng.randint(0, inst.period - 1)
+    return dataclasses.replace(
+        inst,
+        graph=g,
+        lower=inst.lower + (lo,),
+        upper=inst.upper + (lo + rng.randint(0, inst.period - 1),),
+        weight=inst.weight + (rng.randint(-3, 5),),
+    )
+
+
+def test_cycle_relaxation_bound_is_the_optimum_on_one_cycle():
+    # With mu = 1 the single row and the arc bounds are the whole polytrope.
+    points = 0
+    for seed in range(100):
+        inst = _one_cycle_instance(random.Random(5100 + seed))
+        basis = default_basis(inst.graph)
+        assert basis.mu == 1
+        bound = cycle_relaxation_bound(inst, basis)
+        for z in lattice_points(inst, basis):
+            assert bound(z) == minimize_over_polytrope(inst, offset_for(inst, basis, z)).objective
+            points += 1
+    assert points >= 100
+
+
+def test_a_row_that_cannot_close_its_gap_rules_its_offset_out():
+    # Triangle row (1, -1, 1): x0 - x1 + x2 lies in [3 + 4 - 10, 12 + 13 - 2]
+    # = [-3, 23], so T z = 10 z closes its gap for z = 0, 1, 2 only.
+    inst = triangle_instance()
+    basis = default_basis(inst.graph)
+    assert basis.gamma == ((1, -1, 1),)
+    bound = cycle_relaxation_bound(inst, basis)
+    assert [bound((z,)) for z in range(-1, 4)] == [None, 14, 14, 24, None]
+    # A hand-built row on arc 2 alone: x2 in [4, 13] never equals 10 z
+    # for z = 0 or 2, and both are lattice points of the real basis.
+    lone = cycle_relaxation_bound(inst, CycleBasis((OrientedCycle((0, 0, 1)),)))
+    assert [lone((z,)) for z in (0, 1, 2)] == [None, 15, None]
+
+
+def test_cycle_relaxation_bound_rounds_a_partial_move_up():
+    # One row (2, 1) on two parallel arcs: x0, x1 in [0, 5], weights 3 and
+    # 4, so closing 2 x0 + x1 = 5 z costs 3/2 per unit on arc 0 first.
+    g = Digraph(("a", "b"), (("a", "b"), ("b", "a")))
+    inst = PespInstance(g, 5, (0, 0), (5, 5), (3, 4))
+    bound = cycle_relaxation_bound(inst, CycleBasis((OrientedCycle((2, 1)),)))
+    assert [bound((z,)) for z in range(4)] == [0, 8, 15, 15 + 20]
+    assert bound((4,)) is None

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+
+import peritrope.polytropes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -212,6 +214,36 @@ def test_neighbors():
     inst, basis = _triangle()
     assert neighbors(inst, basis, (1,)) == {(0,), (2,)}
     assert neighbors(inst, basis, (0,)) == {(1,)}
+
+
+def test_neighbors_tests_each_distinct_offset_once(monkeypatch):
+    # Arcs 0 and 1 leave v1 in opposite directions around both cycles, so
+    # Gamma holds the columns (-1, 1) and (1, -1): from z the 8 signed
+    # steps reach 6 distinct offsets, and each is tested once.
+    g = Digraph(
+        ("v0", "v1", "v2", "v3"),
+        (("v1", "v0"), ("v1", "v2"), ("v0", "v2"), ("v2", "v3"), ("v3", "v0")),
+    )
+    inst = PespInstance(g, 10, (3, 2, 4, 1, 2), (12, 10, 13, 6, 9), (1,) * 5)
+    basis = default_basis(g)
+    assert basis.moves == {(1, 0), (0, 1), (-1, 1), (1, -1)}
+    tested = []
+
+    def nonempty(inst, p):
+        tested.append(basis.apply(p))
+        return polytrope_nonempty(inst, p)
+
+    monkeypatch.setattr(peritrope.polytropes, "polytrope_nonempty", nonempty)
+    lattice = {(0, 1), (0, 2), (1, 0), (1, 1), (2, 0)}
+    for z in lattice:
+        tested.clear()
+        found = neighbors(inst, basis, z)
+        steps = {(z[0] + a, z[1] + b) for a, b in basis.moves} | {
+            (z[0] - a, z[1] - b) for a, b in basis.moves
+        }
+        assert len(steps) == 6
+        assert sorted(tested) == sorted(steps)
+        assert found == steps & lattice
 
 
 def test_neighbors_tree_instance():

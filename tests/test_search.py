@@ -1,22 +1,27 @@
 import dataclasses
 import json
+import pathlib
 import random
 
 import pytest
 
 import peritrope.search
 from peritrope import (
+    CycleBasis,
     Digraph,
     FixedOffsetResult,
     InvariantViolation,
     OffsetMemo,
+    OrientedCycle,
     PespInstance,
     RetriesExhausted,
     TnsConfig,
     default_basis,
     initial_solution,
+    minimize_over_polytrope,
     neighbourhood_graph,
     neighbors,
+    offset_for,
     parse_instance,
     solution_from_timetable,
     tns,
@@ -24,7 +29,16 @@ from peritrope import (
     trace_to_jsonl,
     verify_solution,
 )
-from helpers import random_instance, square_basis, square_instance, triangle_instance
+from peritrope.fixedlp import cycle_relaxation_bound
+from helpers import (
+    random_instance,
+    square_basis,
+    square_instance,
+    triangle_instance,
+    varied_instance,
+)
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def _triangle():
@@ -376,3 +390,98 @@ def test_a_memo_serves_only_its_own_instance_and_basis():
     assert tns(inst, basis, start, memo=memo) == tns(inst, basis, start)
     with pytest.raises(ValueError):
         tns(triangle_instance(weights=(1, 2, 3)), basis, start, memo=memo)
+
+
+def _never_prunes(inst, basis):
+    """A bound below every objective of the instance: no neighbour dropped."""
+    floor = -sum(
+        abs(w) * max(abs(l), abs(u)) for w, l, u in zip(inst.weight, inst.lower, inst.upper)
+    )
+    return lambda z: floor - 1
+
+
+def test_pruned_neighbours_change_no_walk(monkeypatch):
+    # tns drops only neighbours it could not choose, so every walk, trace
+    # included, equals one that optimizes every untabued neighbour.
+    # Weights of 0 and 1 on half of the varied cases make ties, so sideways
+    # moves (and neighbours whose bound equals the objective) occur.
+    compared = moved = sideways = 0
+    rng = random.Random(9100)
+    cases = list(_restart_instances(24))
+    while len(cases) < 60:
+        inst = varied_instance(rng, max_vertices=7, max_arcs=10)
+        if len(cases) % 2 == 0:
+            inst = dataclasses.replace(inst, weight=tuple(rng.randint(0, 1) for _ in inst.weight))
+        if inst.graph.n >= 5:
+            cases.append((inst, default_basis(inst.graph)))
+    for k, (inst, basis) in enumerate(cases):
+        config = TnsConfig(
+            strategy=("best-improvement", "first-improvement")[k % 2],
+            tabu=k // 2 % 2 == 0,
+            allow_sideways=k // 4 % 2 == 0,
+            max_iterations=8,
+            seed=k,
+        )
+        restarts = 1 + k % 3
+        try:
+            pruned = tns_restarts(inst, basis, restarts, config)
+        except RetriesExhausted:
+            pruned = None
+        with monkeypatch.context() as patch:
+            patch.setattr(peritrope.search, "cycle_relaxation_bound", _never_prunes)
+            try:
+                expected = tns_restarts(inst, basis, restarts, config)
+            except RetriesExhausted:
+                expected = None
+        assert pruned == expected
+        if expected is not None:
+            compared += 1
+            moved += len(expected[1]) > 1
+            sideways += any(entry["move"] == "sideways" for entry in expected[1])
+    assert compared >= 36 and moved >= 15 and sideways >= 3
+
+
+@pytest.mark.parametrize("name, unpruned, solved", [("bench7", 9, 3), ("mu6", 25, 24)])
+def test_tns_optimizes_only_the_neighbours_that_can_be_chosen(
+    monkeypatch, name, unpruned, solved
+):
+    inst = parse_instance((GOLDEN / f"{name}.pesp").read_text())
+    basis = default_basis(inst.graph)
+    config = TnsConfig(seed=1)
+    calls = []
+    honest = peritrope.search.minimize_over_polytrope
+
+    def minimize(*args, **kwargs):
+        calls.append(args[1])
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(peritrope.search, "minimize_over_polytrope", minimize)
+    walk = tns_restarts(inst, basis, 3, config)
+    assert len(calls) == len(set(calls)) == solved
+    calls.clear()
+    monkeypatch.setattr(peritrope.search, "cycle_relaxation_bound", _never_prunes)
+    assert tns_restarts(inst, basis, 3, config) == walk
+    assert len(calls) == unpruned
+
+
+def test_an_empty_relaxation_at_a_neighbour_is_an_invariant_violation(monkeypatch):
+    # A hand-built row on arc 2 alone cannot close its gap at z = 0 or 2,
+    # the neighbours of z = 1 that Bellman-Ford found nonempty.
+    inst, basis = _triangle()
+    middle = minimize_over_polytrope(inst, offset_for(inst, basis, (1,)))
+    start = solution_from_timetable(inst, basis, middle.timetable)
+    assert start.cycle_offset == (1,)
+    lone = CycleBasis((OrientedCycle((0, 0, 1)),))
+    monkeypatch.setattr(
+        peritrope.search, "cycle_relaxation_bound", lambda i, b: cycle_relaxation_bound(i, lone)
+    )
+    with pytest.raises(InvariantViolation, match="Bellman-Ford found nonempty"):
+        tns(inst, basis, start)
+
+
+def test_a_neighbour_optimum_below_its_bound_is_an_invariant_violation(monkeypatch):
+    inst, basis = _triangle()
+    start = solution_from_timetable(inst, basis, (0, 9, 2))
+    monkeypatch.setattr(peritrope.search, "cycle_relaxation_bound", lambda i, b: lambda z: 15)
+    with pytest.raises(InvariantViolation, match="below its cycle relaxation bound"):
+        tns(inst, basis, start)
