@@ -1,10 +1,13 @@
 """Ground-truth solvers: optimize every polytrope that can win, or
 exhaust timetables.
 
-``solve_exact`` is exact but not exhaustive: it solves the polytropes in
-ascending order of their cycle relaxation bound and stops at the first
-bound strictly above the best objective found, which no later offset can
-reach or tie.  ``brute_force_timetable`` is deliberate brute force.  It
+``solve_exact`` is exact but not exhaustive: it bounds every point of the
+box by the cycle relaxation, without a Bellman-Ford, solves the points in
+ascending (bound, z) order and stops at the first bound strictly above
+the best objective found, which no later offset can reach or tie.  The
+one Bellman-Ford a solved point gets is the emptiness test that opens
+``minimize_over_polytrope``; a point it finds empty is skipped.
+``brute_force_timetable`` is deliberate brute force.  It
 anchors the heuristic and the geometry, so it shares nothing with the
 code it checks beyond the basic instance plumbing.
 """
@@ -12,42 +15,61 @@ code it checks beyond the basic instance plumbing.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 
 from .errors import CrosscheckMismatch, EnumerationCapExceeded, Infeasible, InvariantViolation
 from .fixedlp import (
-    _bound_of_nonempty,
     _check_bound,
+    _confirm_empty,
     cycle_relaxation_bound,
     minimize_over_polytrope,
 )
 from .graphs import default_basis
 from .polytropes import offset_for, timetable_to_tension
 from .search import Solution, solution_from_timetable
-from .zonotopes import DEFAULT_WIDTH_CAP, lattice_points
+from .zonotopes import DEFAULT_WIDTH_CAP, _box_integer_ranges, box_points
 
 
 def solve_exact(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP, tree_cap=None):
     """Global optimum over the nonempty polytropes; ties break toward the
-    smaller cycle offset.  The polytropes are optimized in ascending
-    (bound, z) order of ``cycle_relaxation_bound`` until a bound exceeds
-    the best objective found."""
+    smaller cycle offset.  The box points are bounded by
+    ``cycle_relaxation_bound`` and optimized in ascending (bound, z) order
+    until a bound exceeds the best objective found; an empty polytrope is
+    one that ``minimize_over_polytrope`` finds infeasible."""
     if basis is None:
         basis = default_basis(inst.graph)
-    points = lattice_points(inst, basis, cap=width_cap)
-    if not points:
-        raise Infeasible("no feasible cycle offset: the zonotope holds no lattice point")
-
+    points = box_points(inst, basis, cap=width_cap)
+    ranges = _box_integer_ranges(inst, basis)
     bound = cycle_relaxation_bound(inst, basis)
-    order = sorted((_bound_of_nonempty(bound, z), z) for z in points)
+    # The open points, by bound, as their ranks in the sorted box: eight
+    # bytes a point, already ascending in z within each bound.
+    ranks = {}
+    for rank, z in enumerate(points):
+        lower = bound(z)
+        if lower is None:
+            _confirm_empty(inst, basis, z)
+        elif lower in ranks:
+            ranks[lower].append(rank)
+        else:
+            ranks[lower] = array("q", (rank,))
     best_z = best = None
-    for lower, z in order:
+    for lower in sorted(ranks):
         if best is not None and lower > best.objective:
             break
-        result = minimize_over_polytrope(inst, offset_for(inst, basis, z), tree_cap=tree_cap)
-        _check_bound(z, lower, result)
-        if best is None or (result.objective, z) < (best.objective, best_z):
-            best_z, best = z, result
+        for rank in ranks[lower]:
+            z = _box_point(ranges, rank)
+            try:
+                result = minimize_over_polytrope(
+                    inst, offset_for(inst, basis, z), tree_cap=tree_cap
+                )
+            except Infeasible:
+                continue
+            _check_bound(z, lower, result)
+            if best is None or (result.objective, z) < (best.objective, best_z):
+                best_z, best = z, result
+    if best is None:
+        raise Infeasible("no feasible cycle offset: the zonotope holds no lattice point")
     sol = solution_from_timetable(inst, basis, best.timetable)
     if sol.cycle_offset != best_z or sol.objective != best.objective:
         raise InvariantViolation(
@@ -55,6 +77,15 @@ def solve_exact(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP, tree_cap=None):
             f"{sol.cycle_offset} (objective {sol.objective})"
         )
     return sol
+
+
+def _box_point(ranges, rank):
+    """The point of rank ``rank`` in the sorted box of these ranges."""
+    z = []
+    for r in reversed(ranges):
+        rank, i = divmod(rank, len(r))
+        z.append(r[i])
+    return tuple(reversed(z))
 
 
 def brute_force_timetable(inst, basis=None, max_vertices=5, max_period=30):

@@ -41,6 +41,7 @@ from .polytropes import (
     equality_classes,
     kappa,
     normalize_timetable,
+    offset_for,
     polytrope_nonempty,
     shortest_path_matrix,
     timetable_to_tension,
@@ -219,15 +220,15 @@ def cycle_relaxation_bound(inst, basis):
     return bound
 
 
-def _bound_of_nonempty(bound, z):
-    """``bound(z)`` for a z that Bellman-Ford found nonempty: a relaxation
-    that proves it empty contradicts that certificate."""
-    lower = bound(z)
-    if lower is None:
+def _confirm_empty(inst, basis, z):
+    """Bellman-Ford on a box point z that the cycle relaxation rules out:
+    finding it nonempty contradicts that certificate.  Off the box no test
+    is needed, since the box holds every feasible cycle offset; with the
+    relaxation of ``cycle_relaxation_bound`` no box point is ruled out."""
+    if polytrope_nonempty(inst, offset_for(inst, basis, z)):
         raise InvariantViolation(
             f"the cycle relaxation rules out {z}, which Bellman-Ford found nonempty"
         )
-    return lower
 
 
 def _check_bound(z, lower, result):

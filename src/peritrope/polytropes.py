@@ -312,14 +312,23 @@ def _integer_preimage(gamma, z):
     return tuple(sum(transform[r][c] * y[c] for c in range(m)) for r in range(m))
 
 
-def neighbors(inst, basis, z):
-    """Nonempty classes one signed Gamma column away from z.  Each
-    distinct offset is tested once, even when Gamma holds both c and -c."""
+def steps(basis, z):
+    """The distinct cycle offsets one signed Gamma column away from z: a
+    set, so an offset reached both as z + c and as z - (-c) appears once."""
     z = tuple(int(v) for v in z)
-    steps = {
+    return {
         tuple(v + sign * c for v, c in zip(z, col)) for col in basis.moves for sign in (1, -1)
     }
-    return {z2 for z2 in steps if polytrope_nonempty(inst, offset_from_cycle_offset(basis, z2))}
+
+
+def neighbors(inst, basis, z):
+    """Nonempty classes one signed Gamma column away from z, each distinct
+    ``steps`` offset tested once."""
+    return {
+        z2
+        for z2 in steps(basis, z)
+        if polytrope_nonempty(inst, offset_from_cycle_offset(basis, z2))
+    }
 
 
 def enumerate_polytropes(inst, basis, cap=None):

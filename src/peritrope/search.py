@@ -5,14 +5,21 @@ reached by shifting the cycle offset along a single basis column.  Each
 visited class is optimized exactly, so the search walks from vertex
 optimum to vertex optimum.
 
-A polytrope's optimum and its set of nonempty neighbours depend only on
-the instance, the basis and the cycle offset z, so one ``OffsetMemo``
-holds both per z for a whole solve: ``tns_restarts`` shares it between
-all its walks, and ``tns`` builds a fresh one when it is not given one.
-The tabu set stays per walk.  The memo also holds the instance's cycle
-relaxation bound, and a walk optimizes only the neighbours whose bound
-leaves room to improve on the current objective (or to match it, when
-sideways moves are allowed); no other neighbour could be chosen.
+A polytrope's optimum and the steps around it, each with its cycle
+relaxation bound, depend only on the instance, the basis and the cycle
+offset z, so one ``OffsetMemo`` holds both per z for a whole solve:
+``tns_restarts`` shares it between all its walks, and ``tns`` builds a
+fresh one when it is not given one.  The tabu set stays per walk.
+
+No step is tested for emptiness before it is solved: the one
+Bellman-Ford a step gets is the one that opens
+``minimize_over_polytrope``, and the memo keeps None for a step it finds
+empty.  A walk solves only the steps whose bound leaves room to improve
+on the current objective (or to match it, when sideways moves are
+allowed).  Best improvement solves them in (bound, z) order and stops at
+the first bound above the best objective found, which keeps the
+(objective, z) argmin; first improvement solves them in z order and
+stops at the first move.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ from dataclasses import dataclass, replace
 
 from .errors import EnumerationCapExceeded, Infeasible, InvariantViolation, RetriesExhausted
 from .fixedlp import (
-    _bound_of_nonempty,
     _check_bound,
+    _confirm_empty,
     cycle_relaxation_bound,
     minimize_over_polytrope,
 )
@@ -39,12 +46,12 @@ from .graphs import (
 )
 from .polytropes import (
     _root_index,
-    neighbors,
     normalize_timetable,
     offset_for,
+    steps,
     timetable_to_tension,
 )
-from .zonotopes import DEFAULT_WIDTH_CAP, lattice_points
+from .zonotopes import DEFAULT_WIDTH_CAP, _box_integer_ranges, lattice_points
 
 
 @dataclass(frozen=True)
@@ -138,38 +145,77 @@ class TnsConfig:
 
 class OffsetMemo:
     """The per-cycle-offset answers of one instance and basis: the
-    ``minimize_over_polytrope`` result of each z and its ``neighbors``
-    set, each computed on first use, and the ``cycle_relaxation_bound``
-    of the instance.  All depend on (inst, basis, z) only, so every answer
-    is exact.  Build one per solve; it grows with the offsets that solve
-    visits."""
+    ``minimize_over_polytrope`` optimum of each z (None when its polytrope
+    is empty) and the steps of z with their ``cycle_relaxation_bound``,
+    each computed on first use.  All depend on (inst, basis, z) only, so
+    every answer is exact.  Build one per solve; it grows with the offsets
+    that solve visits."""
 
     def __init__(self, inst, basis):
         self.inst = inst
         self.basis = basis
         self._bound = cycle_relaxation_bound(inst, basis)
+        self._box = _box_integer_ranges(inst, basis)
         self._optima = {}
-        self._neighbours = {}
+        self._steps = {}
 
-    def bound(self, z):
-        """The relaxation bound of a z that ``neighbours`` found nonempty;
-        the relaxation proving it empty contradicts that certificate."""
-        return _bound_of_nonempty(self._bound, z)
-
-    def optimum(self, z):
-        result = self._optima.get(z)
-        if result is None:
-            result = minimize_over_polytrope(self.inst, offset_for(self.inst, self.basis, z))
-            _check_bound(z, self.bound(z), result)
-            self._optima[z] = result
-        return result
-
-    def neighbours(self, z):
-        found = self._neighbours.get(z)
+    def bounded_steps(self, z):
+        """The distinct ``polytropes.steps`` of z that the relaxation leaves
+        open, as (bound, offset) pairs in ascending order.  A step it rules
+        out is empty: off the box by the box alone, in it by Bellman-Ford."""
+        found = self._steps.get(z)
         if found is None:
-            found = frozenset(neighbors(self.inst, self.basis, z))
-            self._neighbours[z] = found
+            found = []
+            for z2 in steps(self.basis, z):
+                lower = self._bound(z2)
+                if lower is not None:
+                    found.append((lower, z2))
+                elif all(v in r for v, r in zip(z2, self._box)):
+                    _confirm_empty(self.inst, self.basis, z2)
+            found = tuple(sorted(found))
+            self._steps[z] = found
         return found
+
+    def optimum(self, z, lower):
+        """The polytrope optimum of z, or None when it is empty; ``lower``
+        is the bound of z, which the optimum must not undercut."""
+        if z not in self._optima:
+            try:
+                result = minimize_over_polytrope(self.inst, offset_for(self.inst, self.basis, z))
+            except Infeasible:
+                result = None
+            else:
+                _check_bound(z, lower, result)
+            self._optima[z] = result
+        return self._optima[z]
+
+
+def _best_step(memo, candidates, tabu, limit):
+    """The (objective, z) least untabued step with an objective of at most
+    ``limit``.  The steps come in (bound, z) order, so the scan ends at the
+    first bound above ``limit`` or above the best objective found: no step
+    from there on can win or tie."""
+    best = None  # (objective, z, optimum)
+    for lower, z in candidates:
+        if lower > (limit if best is None else best[0]):
+            break
+        res = None if z in tabu else memo.optimum(z, lower)
+        if res is None or res.objective > limit:
+            continue
+        if best is None or (res.objective, z) < best[:2]:
+            best = (res.objective, z, res)
+    return None if best is None else best[1:]
+
+
+def _first_step(memo, candidates, tabu, limit):
+    """The smallest untabued z among the steps whose objective is at most
+    ``limit``; only steps with a bound of at most ``limit`` are solved."""
+    for z, lower in sorted((z, lower) for lower, z in candidates if lower <= limit):
+        if z not in tabu:
+            res = memo.optimum(z, lower)
+            if res is not None and res.objective <= limit:
+                return z, res
+    return None
 
 
 def tns(inst, basis, start, config=None, memo=None):
@@ -184,31 +230,21 @@ def tns(inst, basis, start, config=None, memo=None):
         memo = OffsetMemo(inst, basis)
     elif memo.inst is not inst or memo.basis is not basis:
         raise ValueError("the offset memo belongs to another instance or basis")
+    pick = _best_step if config.strategy == "best-improvement" else _first_step
     current = start
     trace = [{"z": list(current.cycle_offset), "objective": current.objective, "move": "start"}]
     visited = {current.cycle_offset}
     for _ in range(config.max_iterations):
-        # A neighbour can be chosen only if its objective, hence its bound,
-        # is below the current one (or equal to it, for a sideways move).
-        reach = current.objective + 1 if config.allow_sideways else current.objective
-        candidates = sorted(
-            z for z in memo.neighbours(current.cycle_offset)
-            if not (config.tabu and z in visited) and memo.bound(z) < reach
+        # A move lowers the objective, or keeps it when sideways moves are
+        # allowed; a step whose bound is above that limit cannot be one.
+        limit = current.objective if config.allow_sideways else current.objective - 1
+        chosen = pick(
+            memo, memo.bounded_steps(current.cycle_offset), visited if config.tabu else (), limit
         )
-        if not candidates:
-            break
-        results = [memo.optimum(z) for z in candidates]
-        scored = sorted(zip(candidates, results), key=lambda zr: (zr[1].objective, zr[0]))
-        chosen = None
-        for z, res in scored if config.strategy == "best-improvement" else zip(candidates, results):
-            improves = res.objective < current.objective
-            sideways = config.allow_sideways and res.objective == current.objective
-            if improves or sideways:
-                chosen = (z, res, "sideways" if not improves else config.strategy)
-                break
         if chosen is None:
             break
-        z, res, move = chosen
+        z, res = chosen
+        move = config.strategy if res.objective < current.objective else "sideways"
         current = solution_from_timetable(inst, basis, res.timetable)
         if current.cycle_offset != z:
             raise InvariantViolation(

@@ -44,7 +44,6 @@ from .polytropes import (
     _root_index,
     anchor_timetable,
     offset_for,
-    offset_zero,
     polytrope_build,
     polytrope_nonempty,
     tension_system_feasible,
@@ -140,17 +139,24 @@ def scaled_point_in_zonotope(inst, basis, point):
     return tension_system_feasible(inst, base)
 
 
-def lattice_points(inst, basis, cap=DEFAULT_WIDTH_CAP):
-    """Integer points of the box that are feasible cycle offsets, sorted."""
+def box_points(inst, basis, cap=DEFAULT_WIDTH_CAP):
+    """The integer points of the box, an iterable in sorted order, without
+    a feasibility test; raises EnumerationCapExceeded, before any point,
+    when there are more than ``cap`` of them.  An empty basis has the one
+    point (), uncapped."""
     if basis.mu == 0:
-        return ((),) if polytrope_nonempty(inst, offset_zero(inst)) else ()
+        return ((),)
     ranges = _box_integer_ranges(inst, basis)
     count = math.prod(len(r) for r in ranges)
     if count > cap:
         raise EnumerationCapExceeded(f"box holds {count} integer points, cap is {cap}")
-    return tuple(
-        z for z in itertools.product(*ranges) if zonotope_membership(inst, basis, z)
-    )
+    return itertools.product(*ranges)
+
+
+def lattice_points(inst, basis, cap=DEFAULT_WIDTH_CAP):
+    """Integer points of the box that are feasible cycle offsets, sorted:
+    one Bellman-Ford per ``box_points`` point."""
+    return tuple(z for z in box_points(inst, basis, cap) if zonotope_membership(inst, basis, z))
 
 
 def volume(inst, basis):

@@ -21,10 +21,14 @@ from peritrope import (
     Infeasible,
     OrientedCycle,
     PespInstance,
+    RetriesExhausted,
     SpanningTreeStructure,
+    cycle_relaxation_bound,
     default_basis,
     fundamental_cycle_basis,
+    initial_solution,
     minimize_over_polytrope,
+    neighbors,
     normalize_timetable,
     offset_for,
     polytrope_nonempty,
@@ -160,6 +164,93 @@ def solve_exact_by_full_scan(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP):
     results = [minimize_over_polytrope(inst, offset_for(inst, basis, z)) for z in points]
     _, best = min(zip(points, results), key=lambda zr: (zr[1].objective, zr[0]))
     return solution_from_timetable(inst, basis, best.timetable)
+
+
+def solve_exact_by_box_scan(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP):
+    """Reference for solve_exact's bounded order: Bellman-Ford on every box
+    point (``lattice_points``), then optimize the nonempty ones in
+    ascending (bound, z) order until a bound exceeds the best objective."""
+    if basis is None:
+        basis = default_basis(inst.graph)
+    points = lattice_points(inst, basis, cap=width_cap)
+    if not points:
+        raise Infeasible("no feasible cycle offset: the zonotope holds no lattice point")
+    bound = cycle_relaxation_bound(inst, basis)
+    best_z = best = None
+    for lower, z in sorted((bound(z), z) for z in points):
+        if best is not None and lower > best.objective:
+            break
+        result = minimize_over_polytrope(inst, offset_for(inst, basis, z))
+        if best is None or (result.objective, z) < (best.objective, best_z):
+            best_z, best = z, result
+    return solution_from_timetable(inst, basis, best.timetable)
+
+
+def tns_by_eager_steps(inst, basis, start, config):
+    """Reference for tns: each step tests every neighbour with Bellman-Ford
+    (``neighbors``), optimizes every nonempty untabued one, and takes the
+    (objective, z) least (best improvement) or the smallest z (first
+    improvement) among those below the current objective, or equal to it
+    when sideways moves are allowed."""
+    current = start
+    trace = [{"z": list(current.cycle_offset), "objective": current.objective, "move": "start"}]
+    visited = {current.cycle_offset}
+    for _ in range(config.max_iterations):
+        reach = current.objective + 1 if config.allow_sideways else current.objective
+        candidates = sorted(
+            z for z in neighbors(inst, basis, current.cycle_offset)
+            if not (config.tabu and z in visited)
+        )
+        optima = [minimize_over_polytrope(inst, offset_for(inst, basis, z)) for z in candidates]
+        moves = [(z, res) for z, res in zip(candidates, optima) if res.objective < reach]
+        if config.strategy == "best-improvement":
+            moves.sort(key=lambda zr: (zr[1].objective, zr[0]))
+        if not moves:
+            break
+        z, res = moves[0]
+        move = config.strategy if res.objective < current.objective else "sideways"
+        current = solution_from_timetable(inst, basis, res.timetable)
+        visited.add(z)
+        trace.append({"z": list(z), "objective": current.objective, "move": move})
+    return current, tuple(trace)
+
+
+def tns_restarts_by_eager_steps(inst, basis, restarts, config):
+    """Reference for tns_restarts: ``tns_by_eager_steps`` from every start,
+    nothing shared between the walks."""
+    best = None
+    for k in range(max(restarts, 1)):
+        walk_config = dataclasses.replace(config, seed=config.seed + k)
+        try:
+            start = initial_solution(inst, seed=walk_config.seed, basis=basis)
+        except RetriesExhausted:
+            continue
+        walk = tns_by_eager_steps(inst, basis, start, walk_config)
+        if best is None or walk[0].objective < best[0].objective:
+            best = walk
+    if best is None:
+        raise RetriesExhausted(f"all {max(restarts, 1)} restarts failed to find a feasible start")
+    return best
+
+
+def count_polytrope_solves(monkeypatch, module):
+    """Patch ``module.minimize_over_polytrope`` to record the offset of each
+    call: in the first list when it returns an optimum, in the second when
+    it raises Infeasible (an empty polytrope).  Returns both lists."""
+    honest = module.minimize_over_polytrope
+    solves, empties = [], []
+
+    def minimize(*args, **kwargs):
+        try:
+            result = honest(*args, **kwargs)
+        except Infeasible:
+            empties.append(args[1])
+            raise
+        solves.append(args[1])
+        return result
+
+    monkeypatch.setattr(module, "minimize_over_polytrope", minimize)
+    return solves, empties
 
 
 def enumerate_fixed_offset(inst, p, objective=None):

@@ -225,6 +225,41 @@ def test_infeasible_exit_code(tmp_path):
     assert main(["solve", str(path), "--method", "tns"]) == 2
 
 
+def test_solve_over_the_cap_exits_3_before_any_bellman_ford(tri, monkeypatch, capsys):
+    from peritrope import polytropes
+
+    def no_bellman_ford(*args):
+        raise AssertionError("Bellman-Ford ran on a box over the cap")
+
+    monkeypatch.setattr(polytropes, "_has_negative_cycle", no_bellman_ford)
+    assert main(["solve", tri, "--cap-width", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: box holds 3 integer points, cap is 2\n"
+
+
+@pytest.mark.parametrize(
+    "method, message",
+    [
+        ("exact", "no feasible cycle offset: the zonotope holds no lattice point"),
+        ("tns", "all 1 restarts failed to find a feasible start"),
+    ],
+    ids=("exact", "tns"),
+)
+def test_antiparallel_pair_without_an_offset_exits_2_and_writes_nothing(
+    tmp_path, capsys, method, message
+):
+    # a -> b and b -> a take 1..2 each, so their cycle has a tension of
+    # 2..4, never a multiple of the period 10.
+    path = tmp_path / "infeasible.pesp"
+    path.write_text(INFEASIBLE)
+    out = tmp_path / "solution.json"
+    assert main(["solve", str(path), "--method", method, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "command", [["analyze"], ["tile"], ["render", "--what", "zonotope"]], ids=" ".join
 )

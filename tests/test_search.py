@@ -13,6 +13,7 @@ from peritrope import (
     InvariantViolation,
     OffsetMemo,
     OrientedCycle,
+    PeritropeError,
     PespInstance,
     RetriesExhausted,
     TnsConfig,
@@ -20,10 +21,10 @@ from peritrope import (
     initial_solution,
     minimize_over_polytrope,
     neighbourhood_graph,
-    neighbors,
     offset_for,
     parse_instance,
     solution_from_timetable,
+    solve_exact,
     tns,
     tns_restarts,
     trace_to_jsonl,
@@ -31,9 +32,13 @@ from peritrope import (
 )
 from peritrope.fixedlp import cycle_relaxation_bound
 from helpers import (
+    count_polytrope_solves,
+    random_bases,
     random_instance,
+    solve_exact_by_box_scan,
     square_basis,
     square_instance,
+    tns_restarts_by_eager_steps,
     triangle_instance,
     varied_instance,
 )
@@ -356,12 +361,12 @@ def test_each_offset_is_solved_once_per_restart_solve(monkeypatch):
         solved.append(tuple(p))
         return peritrope.fixedlp.minimize_over_polytrope(inst, p, *args, **kwargs)
 
-    def neighbours(inst, basis, z):
+    def steps(basis, z):
         scanned.append(tuple(z))
-        return neighbors(inst, basis, z)
+        return peritrope.polytropes.steps(basis, z)
 
     monkeypatch.setattr(peritrope.search, "minimize_over_polytrope", minimize)
-    monkeypatch.setattr(peritrope.search, "neighbors", neighbours)
+    monkeypatch.setattr(peritrope.search, "steps", steps)
     solves = 0
     repeated_without_sharing = 0
     for k, (inst, basis) in enumerate(_restart_instances(12)):
@@ -377,7 +382,7 @@ def test_each_offset_is_solved_once_per_restart_solve(monkeypatch):
         scanned.clear()
         tns_restarts(inst, basis, 3, config)
         assert len(solved) == len(set(solved))
-        assert len(scanned) == len(set(scanned))
+        assert scanned and len(scanned) == len(set(scanned))
         solves += 1
     assert solves >= 10
     assert repeated_without_sharing > 0
@@ -441,27 +446,27 @@ def test_pruned_neighbours_change_no_walk(monkeypatch):
     assert compared >= 36 and moved >= 15 and sideways >= 3
 
 
-@pytest.mark.parametrize("name, unpruned, solved", [("bench7", 9, 3), ("mu6", 25, 24)])
+@pytest.mark.parametrize(
+    "name, unpruned, unpruned_empty, solved, empty",
+    [("bench7", 9, 16, 2, 2), ("mu6", 25, 90, 24, 28)],
+)
 def test_tns_optimizes_only_the_neighbours_that_can_be_chosen(
-    monkeypatch, name, unpruned, solved
+    monkeypatch, name, unpruned, unpruned_empty, solved, empty
 ):
+    # A walk solves, and so tests for emptiness, only the steps that can
+    # still be chosen; without the bound it solves every step, empty or not.
     inst = parse_instance((GOLDEN / f"{name}.pesp").read_text())
     basis = default_basis(inst.graph)
     config = TnsConfig(seed=1)
-    calls = []
-    honest = peritrope.search.minimize_over_polytrope
-
-    def minimize(*args, **kwargs):
-        calls.append(args[1])
-        return honest(*args, **kwargs)
-
-    monkeypatch.setattr(peritrope.search, "minimize_over_polytrope", minimize)
+    solves, empties = count_polytrope_solves(monkeypatch, peritrope.search)
     walk = tns_restarts(inst, basis, 3, config)
-    assert len(calls) == len(set(calls)) == solved
-    calls.clear()
+    assert len(solves) == len(set(solves)) == solved
+    assert len(empties) == len(set(empties)) == empty
+    solves.clear()
+    empties.clear()
     monkeypatch.setattr(peritrope.search, "cycle_relaxation_bound", _never_prunes)
     assert tns_restarts(inst, basis, 3, config) == walk
-    assert len(calls) == unpruned
+    assert (len(solves), len(empties)) == (unpruned, unpruned_empty)
 
 
 def test_an_empty_relaxation_at_a_neighbour_is_an_invariant_violation(monkeypatch):
@@ -485,3 +490,53 @@ def test_a_neighbour_optimum_below_its_bound_is_an_invariant_violation(monkeypat
     monkeypatch.setattr(peritrope.search, "cycle_relaxation_bound", lambda i, b: lambda z: 15)
     with pytest.raises(InvariantViolation, match="below its cycle relaxation bound"):
         tns(inst, basis, start)
+
+
+def _outcome(solve, *args):
+    """A solver's result, or the type and text of the error it raised."""
+    try:
+        return solve(*args)
+    except (PeritropeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_bounded_search_matches_the_eager_oracles():
+    # solve_exact and tns bound every offset before any Bellman-Ford and
+    # solve only those that can still win; the oracles test every box point
+    # and every neighbour, and solve every nonempty one.  Each pair must
+    # give the same Solution, trace and error.  Weights of 0 and 1 on every
+    # other instance make ties: sideways moves, and equal objectives whose
+    # bounds rank them against their z order.  On an infeasible instance
+    # every start fails, so one walk per instance compares that.
+    configs = [
+        TnsConfig(strategy=strategy, tabu=tabu, allow_sideways=sideways, max_iterations=8)
+        for strategy in ("best-improvement", "first-improvement")
+        for tabu in (True, False)
+        for sideways in (True, False)
+    ]
+    rng = random.Random(9300)
+    solved = non_fundamental = moved = sideways = failed = 0
+    for k in range(300):
+        inst = varied_instance(rng, max_vertices=7, max_arcs=13)
+        if k % 2 == 0:
+            inst = dataclasses.replace(inst, weight=tuple(rng.randint(0, 1) for _ in inst.weight))
+        basis = default_basis(inst.graph)
+        if k // 2 % 2 and inst.graph.m - inst.graph.n + 1 >= 2:
+            basis = random_bases(rng, inst.graph)[1 + k // 4 % 2]
+        expected = _outcome(solve_exact_by_box_scan, inst, basis)
+        assert _outcome(solve_exact, inst, basis) == expected
+        feasible = not isinstance(expected, tuple)
+        solved += feasible
+        non_fundamental += feasible and basis.tree is None
+        for j, config in enumerate(configs if feasible else [configs[k % 8]]):
+            restarts = 1 + (k + j) % 3 if feasible else 1
+            config = dataclasses.replace(config, seed=k)
+            expected = _outcome(tns_restarts_by_eager_steps, inst, basis, restarts, config)
+            assert _outcome(tns_restarts, inst, basis, restarts, config) == expected
+            if isinstance(expected[1], str):
+                failed += 1
+            else:
+                moved += len(expected[1]) > 1
+                sideways += any(entry["move"] == "sideways" for entry in expected[1])
+    assert solved >= 130 and non_fundamental >= 15
+    assert moved >= 240 and sideways >= 30 and failed >= 120
