@@ -36,7 +36,19 @@ from .zonotopes import (
 )
 
 
-def _common_flags(parser):
+def _at_least(least):
+    """An argparse type: an integer of at least ``least``."""
+
+    def integer(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return integer
+
+
+def _common_flags(parser, root=False):
     parser.add_argument("instance", help="instance file in the native text format")
     parser.add_argument(
         "--basis-tree",
@@ -44,10 +56,11 @@ def _common_flags(parser):
         metavar="ARCS",
         help="comma-separated arc indices of the basis tree, or 'auto'",
     )
-    parser.add_argument("--root", default=None, help="root vertex id")
+    if root:
+        parser.add_argument("--root", default=None, help="root vertex id")
     parser.add_argument(
         "--cap-width",
-        type=int,
+        type=_at_least(0),
         default=DEFAULT_WIDTH_CAP,
         metavar="N",
         help="refuse lattice enumerations beyond N box points",
@@ -68,12 +81,12 @@ def build_parser():
     p_solve.add_argument("--method", choices=("tns", "exact"), default="exact")
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--max-iter", type=int, default=100)
-    p_solve.add_argument("--restarts", type=int, default=1)
-    p_solve.add_argument("--trace", default=None, metavar="FILE", help="search trace (JSON lines)")
+    p_solve.add_argument("--restarts", type=_at_least(1), default=1)
+    p_solve.add_argument("--trace", default=None, metavar="FILE", help="tns trace (JSON lines)")
     p_solve.set_defaults(func=cmd_solve)
 
     p_analyze = sub.add_parser("analyze", help="zonotope report: volume, width, tiling, bounds")
-    _common_flags(p_analyze)
+    _common_flags(p_analyze, root=True)
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_poly = sub.add_parser("polytropes", help="enumerate nonempty offset classes")
@@ -81,11 +94,11 @@ def build_parser():
     p_poly.set_defaults(func=cmd_polytropes)
 
     p_tile = sub.add_parser("tile", help="spanning tree tiling with validation and duality")
-    _common_flags(p_tile)
+    _common_flags(p_tile, root=True)
     p_tile.set_defaults(func=cmd_tile)
 
     p_render = sub.add_parser("render", help="SVG picture of the torus or the zonotope")
-    _common_flags(p_render)
+    _common_flags(p_render, root=True)
     p_render.add_argument("--what", choices=("torus", "zonotope"), default="torus")
     p_render.set_defaults(func=cmd_render)
     return parser
@@ -125,17 +138,18 @@ def _solution_payload(inst, basis, sol):
 
 
 def cmd_solve(args):
+    if args.trace and args.method == "exact":
+        raise ValueError("--trace records a tns search; the exact method has none")
     inst = _load_instance(args)
     basis = _basis_for(args, inst.graph)
-    trace = None
     if args.method == "exact":
         sol = solve_exact(inst, basis, width_cap=args.cap_width)
     else:
         config = TnsConfig(max_iterations=args.max_iter, seed=args.seed)
         sol, trace = tns_restarts(inst, basis, args.restarts, config)
-    if args.trace and trace is not None:
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            handle.write(trace_to_jsonl(trace))
+        if args.trace:
+            with open(args.trace, "w", encoding="utf-8") as handle:
+                handle.write(trace_to_jsonl(trace))
     payload = _solution_payload(inst, basis, sol)
     _emit(args, json.dumps(payload, indent=2) + "\n")
     return 0

@@ -2,14 +2,12 @@
 exhaust timetables.
 
 ``solve_exact`` is exact but not exhaustive: it bounds every point of the
-box by the cycle relaxation, without a Bellman-Ford, solves the points in
-ascending (bound, z) order and stops at the first bound strictly above
-the best objective found, which no later offset can reach or tie.  The
-one Bellman-Ford a solved point gets is the emptiness test that opens
-``minimize_over_polytrope``; a point it finds empty is skipped.
-``brute_force_timetable`` is deliberate brute force.  It
-anchors the heuristic and the geometry, so it shares nothing with the
-code it checks beyond the basic instance plumbing.
+box by the cycle relaxation, without a Bellman-Ford, and hands the
+points to the pruning policy described in ``search``, which solves only
+the ones that can still win or tie.  ``brute_force_timetable`` is
+deliberate brute force.  It anchors the heuristic and the geometry, so
+it shares nothing with the code it checks beyond the basic instance
+plumbing.
 """
 
 from __future__ import annotations
@@ -19,24 +17,18 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import CrosscheckMismatch, EnumerationCapExceeded, Infeasible, InvariantViolation
-from .fixedlp import (
-    _check_bound,
-    _confirm_empty,
-    cycle_relaxation_bound,
-    minimize_over_polytrope,
-)
+from .fixedlp import _confirm_empty, cycle_relaxation_bound
 from .graphs import default_basis
-from .polytropes import offset_for, timetable_to_tension
-from .search import Solution, solution_from_timetable
+from .polytropes import timetable_to_tension
+from .search import Solution, _least_optimum, _polytrope_optimum, solution_from_timetable
 from .zonotopes import DEFAULT_WIDTH_CAP, _box_integer_ranges, box_points
 
 
-def solve_exact(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP, tree_cap=None):
+def solve_exact(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP):
     """Global optimum over the nonempty polytropes; ties break toward the
     smaller cycle offset.  The box points are bounded by
-    ``cycle_relaxation_bound`` and optimized in ascending (bound, z) order
-    until a bound exceeds the best objective found; an empty polytrope is
-    one that ``minimize_over_polytrope`` finds infeasible."""
+    ``cycle_relaxation_bound`` and passed in ascending (bound, z) order to
+    ``search._least_optimum``."""
     if basis is None:
         basis = default_basis(inst.graph)
     points = box_points(inst, basis, cap=width_cap)
@@ -53,23 +45,13 @@ def solve_exact(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP, tree_cap=None):
             ranks[lower].append(rank)
         else:
             ranks[lower] = array("q", (rank,))
-    best_z = best = None
-    for lower in sorted(ranks):
-        if best is not None and lower > best.objective:
-            break
-        for rank in ranks[lower]:
-            z = _box_point(ranges, rank)
-            try:
-                result = minimize_over_polytrope(
-                    inst, offset_for(inst, basis, z), tree_cap=tree_cap
-                )
-            except Infeasible:
-                continue
-            _check_bound(z, lower, result)
-            if best is None or (result.objective, z) < (best.objective, best_z):
-                best_z, best = z, result
-    if best is None:
+    chosen = _least_optimum(
+        ((lower, _box_point(ranges, rank)) for lower in sorted(ranks) for rank in ranks[lower]),
+        lambda z, lower: _polytrope_optimum(inst, basis, z, lower),
+    )
+    if chosen is None:
         raise Infeasible("no feasible cycle offset: the zonotope holds no lattice point")
+    best_z, best = chosen
     sol = solution_from_timetable(inst, basis, best.timetable)
     if sol.cycle_offset != best_z or sol.objective != best.objective:
         raise InvariantViolation(

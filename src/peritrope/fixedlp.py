@@ -100,14 +100,15 @@ def _min_cost_flow(n, edges, supply):
     return flow
 
 
-def _face_vertices(inst, p, dist, tree_cap):
+def _face_vertices(inst, p, dist):
     """Timetables at the vertices of the face whose canonical distance
     matrix is ``dist``.
 
     Vertices tied by a zero cycle move together (pi_v = P_c + delta_v for
     a potential P per equality class c), so the face is a polytope over the
     classes, bounded by the arcs that join two classes.  Its vertices are
-    the feasible spanning tree structures of that quotient graph.
+    the feasible spanning tree structures of that quotient graph, of which
+    at most ``DEFAULT_ENUMERATION_CAP`` trees are enumerated.
     """
     g = inst.graph
     T = inst.period
@@ -126,7 +127,7 @@ def _face_vertices(inst, p, dist, tree_cap):
             lower.append(inst.lower[a] - shift)
             upper.append(inst.upper[a] - shift)
     q = Digraph(tuple(range(len(reps))), tuple(arcs))
-    for tree in spanning_trees(q, DEFAULT_ENUMERATION_CAP if tree_cap is None else tree_cap):
+    for tree in spanning_trees(q, DEFAULT_ENUMERATION_CAP):
         for mask in range(1 << len(tree)):
             pinned = [None] * q.m
             for k, b in enumerate(tree):
@@ -136,10 +137,9 @@ def _face_vertices(inst, p, dist, tree_cap):
                 yield tuple(P[c] + d for c, d in zip(cls, delta))
 
 
-def minimize_over_polytrope(inst, p, objective=None, tree_cap=None):
+def minimize_over_polytrope(inst, p, objective=None):
     """Optimal vertex of the fixed-offset tension polytope.  Ties break
-    toward the lexicographically smallest normalized timetable; ``tree_cap``
-    bounds the spanning trees enumerated on the optimal face."""
+    toward the lexicographically smallest normalized timetable."""
     if not polytrope_nonempty(inst, p):
         raise Infeasible("polytrope is empty for this periodic offset")
     g = inst.graph
@@ -152,7 +152,7 @@ def minimize_over_polytrope(inst, p, objective=None, tree_cap=None):
         supply[i] -= w
     flow = _min_cost_flow(g.n, edges, supply)
     face = edges + [(h, t, -c) for (t, h, c), f in zip(edges, flow) if f]
-    vertices = _face_vertices(inst, p, shortest_path_matrix(g.n, face), tree_cap)
+    vertices = _face_vertices(inst, p, shortest_path_matrix(g.n, face))
     pi = min(vertices, key=lambda v: normalize_timetable(v, 0, T), default=None)
     if pi is None:
         raise InvariantViolation("the optimal face of a nonempty polytrope has no vertex")

@@ -333,13 +333,12 @@ def neighbors(inst, basis, z):
 
 def enumerate_polytropes(inst, basis, cap=None):
     """All nonempty offset classes, keyed by their cycle offset, found by
-    scanning the integer points of the bounding box of feasible offsets."""
-    from .zonotopes import DEFAULT_WIDTH_CAP, lattice_points
+    building the polytrope of every integer point of the bounding box of
+    feasible offsets: one Bellman-Ford per box point."""
+    from .zonotopes import DEFAULT_WIDTH_CAP, box_points
 
-    points = lattice_points(inst, basis, cap=DEFAULT_WIDTH_CAP if cap is None else cap)
-    out = []
-    for z in points:
-        poly = polytrope_build(inst, basis, offset_for(inst, basis, z))
-        if poly.nonempty:
-            out.append(poly)
-    return tuple(out)
+    polys = (
+        polytrope_build(inst, basis, offset_for(inst, basis, z))
+        for z in box_points(inst, basis, cap=DEFAULT_WIDTH_CAP if cap is None else cap)
+    )
+    return tuple(poly for poly in polys if poly.nonempty)

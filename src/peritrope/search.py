@@ -1,25 +1,27 @@
-"""Local search over the polytrope adjacency structure.
+"""Local search over the polytrope adjacency structure, and the one
+bounded search over cycle offsets that it shares with ``solve_exact``.
 
 A solution lives in one polytrope; its neighbours are the offset classes
 reached by shifting the cycle offset along a single basis column.  Each
 visited class is optimized exactly, so the search walks from vertex
 optimum to vertex optimum.
 
-A polytrope's optimum and the steps around it, each with its cycle
-relaxation bound, depend only on the instance, the basis and the cycle
-offset z, so one ``OffsetMemo`` holds both per z for a whole solve:
-``tns_restarts`` shares it between all its walks, and ``tns`` builds a
-fresh one when it is not given one.  The tabu set stays per walk.
+The pruning policy.  ``solve_exact`` (every box point) and a
+best-improvement ``tns`` step (the untabued steps of the current offset)
+hand ``_least_optimum`` their offsets as (bound, z) pairs in ascending
+order of ``cycle_relaxation_bound``.  It solves them in that order and
+stops at the first bound strictly above the best objective found (or the
+caller's limit), which no later offset can reach or tie, so the
+(objective, z) argmin survives.  First improvement solves the steps with
+a bound of at most the limit in z order and stops at the first move.  No
+offset is tested for emptiness before it is solved: the one Bellman-Ford
+it gets opens ``minimize_over_polytrope``, and None means "empty".
 
-No step is tested for emptiness before it is solved: the one
-Bellman-Ford a step gets is the one that opens
-``minimize_over_polytrope``, and the memo keeps None for a step it finds
-empty.  A walk solves only the steps whose bound leaves room to improve
-on the current objective (or to match it, when sideways moves are
-allowed).  Best improvement solves them in (bound, z) order and stops at
-the first bound above the best objective found, which keeps the
-(objective, z) argmin; first improvement solves them in z order and
-stops at the first move.
+A polytrope's optimum and the steps around it, each with its bound,
+depend only on the instance, the basis and z, so one ``OffsetMemo``
+holds both per z for a whole solve: ``tns_restarts`` shares it between
+all its walks, and ``tns`` builds a fresh one when it is not given one.
+The tabu set stays per walk.
 """
 
 from __future__ import annotations
@@ -143,10 +145,48 @@ class TnsConfig:
             raise ValueError("max_iterations must be at least 1")
 
 
+def _polytrope_optimum(inst, basis, z, lower):
+    """The polytrope optimum of z, or None when it is empty; ``lower`` is
+    the bound of z, which the optimum must not undercut."""
+    try:
+        result = minimize_over_polytrope(inst, offset_for(inst, basis, z))
+    except Infeasible:
+        return None
+    _check_bound(z, lower, result)
+    return result
+
+
+def _least_optimum(candidates, optimum, limit=None):
+    """The (objective, z) least (z, ``optimum(z, lower)``) over the
+    ascending (lower, z) ``candidates`` with an objective of at most
+    ``limit`` (None: any), or None; the pruning policy above."""
+    best = None  # (objective, z, result)
+    for lower, z in candidates:
+        cutoff = limit if best is None else best[0]
+        if cutoff is not None and lower > cutoff:
+            break
+        res = optimum(z, lower)
+        if res is None or (limit is not None and res.objective > limit):
+            continue
+        if best is None or (res.objective, z) < best[:2]:
+            best = (res.objective, z, res)
+    return None if best is None else best[1:]
+
+
+def _first_step(candidates, optimum, limit):
+    """The least (z, ``optimum(z, lower)``) over the (lower, z)
+    ``candidates`` with an objective of at most ``limit``, or None."""
+    for z, lower in sorted((z, lower) for lower, z in candidates if lower <= limit):
+        res = optimum(z, lower)
+        if res is not None and res.objective <= limit:
+            return z, res
+    return None
+
+
 class OffsetMemo:
     """The per-cycle-offset answers of one instance and basis: the
-    ``minimize_over_polytrope`` optimum of each z (None when its polytrope
-    is empty) and the steps of z with their ``cycle_relaxation_bound``,
+    ``_polytrope_optimum`` of each z (None when its polytrope is empty)
+    and the steps of z with their ``cycle_relaxation_bound``,
     each computed on first use.  All depend on (inst, basis, z) only, so
     every answer is exact.  Build one per solve; it grows with the offsets
     that solve visits."""
@@ -177,45 +217,10 @@ class OffsetMemo:
         return found
 
     def optimum(self, z, lower):
-        """The polytrope optimum of z, or None when it is empty; ``lower``
-        is the bound of z, which the optimum must not undercut."""
+        """``_polytrope_optimum`` of z, computed on first use."""
         if z not in self._optima:
-            try:
-                result = minimize_over_polytrope(self.inst, offset_for(self.inst, self.basis, z))
-            except Infeasible:
-                result = None
-            else:
-                _check_bound(z, lower, result)
-            self._optima[z] = result
+            self._optima[z] = _polytrope_optimum(self.inst, self.basis, z, lower)
         return self._optima[z]
-
-
-def _best_step(memo, candidates, tabu, limit):
-    """The (objective, z) least untabued step with an objective of at most
-    ``limit``.  The steps come in (bound, z) order, so the scan ends at the
-    first bound above ``limit`` or above the best objective found: no step
-    from there on can win or tie."""
-    best = None  # (objective, z, optimum)
-    for lower, z in candidates:
-        if lower > (limit if best is None else best[0]):
-            break
-        res = None if z in tabu else memo.optimum(z, lower)
-        if res is None or res.objective > limit:
-            continue
-        if best is None or (res.objective, z) < best[:2]:
-            best = (res.objective, z, res)
-    return None if best is None else best[1:]
-
-
-def _first_step(memo, candidates, tabu, limit):
-    """The smallest untabued z among the steps whose objective is at most
-    ``limit``; only steps with a bound of at most ``limit`` are solved."""
-    for z, lower in sorted((z, lower) for lower, z in candidates if lower <= limit):
-        if z not in tabu:
-            res = memo.optimum(z, lower)
-            if res is not None and res.objective <= limit:
-                return z, res
-    return None
 
 
 def tns(inst, basis, start, config=None, memo=None):
@@ -230,7 +235,7 @@ def tns(inst, basis, start, config=None, memo=None):
         memo = OffsetMemo(inst, basis)
     elif memo.inst is not inst or memo.basis is not basis:
         raise ValueError("the offset memo belongs to another instance or basis")
-    pick = _best_step if config.strategy == "best-improvement" else _first_step
+    pick = _least_optimum if config.strategy == "best-improvement" else _first_step
     current = start
     trace = [{"z": list(current.cycle_offset), "objective": current.objective, "move": "start"}]
     visited = {current.cycle_offset}
@@ -238,9 +243,10 @@ def tns(inst, basis, start, config=None, memo=None):
         # A move lowers the objective, or keeps it when sideways moves are
         # allowed; a step whose bound is above that limit cannot be one.
         limit = current.objective if config.allow_sideways else current.objective - 1
-        chosen = pick(
-            memo, memo.bounded_steps(current.cycle_offset), visited if config.tabu else (), limit
-        )
+        candidates = memo.bounded_steps(current.cycle_offset)
+        if config.tabu:
+            candidates = [(lower, z) for lower, z in candidates if z not in visited]
+        chosen = pick(candidates, memo.optimum, limit)
         if chosen is None:
             break
         z, res = chosen
@@ -298,13 +304,7 @@ def neighbourhood_graph(inst, basis, width_cap=DEFAULT_WIDTH_CAP):
     column step, each node annotated with its exact polytrope optimum."""
     nodes = lattice_points(inst, basis, cap=width_cap)
     node_set = set(nodes)
-    edges = set()
-    for z in nodes:
-        for col in basis.moves:
-            for sign in (1, -1):
-                z2 = tuple(v + sign * c for v, c in zip(z, col))
-                if z2 in node_set:
-                    edges.add(tuple(sorted((z, z2))))
+    edges = {tuple(sorted((z, z2))) for z in nodes for z2 in steps(basis, z) if z2 in node_set}
     objective = {
         z: minimize_over_polytrope(inst, offset_for(inst, basis, z)).objective
         for z in nodes

@@ -275,19 +275,18 @@ def tile_contains_scaled(tile, scaled_point):
     return _frame_contains(_tile_frame(tile.generators), tile.translation, scaled_point)
 
 
-def fine_tiling(inst, basis, root=None, tree_cap=None):
+def fine_tiling(inst, basis, root=None):
     """One tile per spanning tree, pinned by the root orientation.  Each
     tile records the first lattice point (in sorted order) it contains, if
     any.  One ``tree_walk`` per tree both orients it and gives the
     potentials of its pinned tensions."""
     g = inst.graph
     ridx = _root_index(g, root)
-    cap = DEFAULT_ENUMERATION_CAP if tree_cap is None else tree_cap
     columns = _scaled_columns(inst, basis)
     d = _cotree_det(inst, basis)
     lower, upper = inst.lower, inst.upper
     tiles = []
-    for tree in spanning_trees(g, cap):
+    for tree in spanning_trees(g, DEFAULT_ENUMERATION_CAP):
         steps = tree_walk(g, tree, ridx)
         pi, pinned = [0] * g.n, list(lower)
         for v, w, a, s in steps:
@@ -448,7 +447,7 @@ class DualityReport:
         return all(e.feasible_vertex and e.matches_tropical_vertex for e in self.entries)
 
 
-def duality_check(inst, basis, root=None, tree_cap=None, tiles=None):
+def duality_check(inst, basis, root=None, tiles=None):
     """For every tile holding a lattice point z: pinning the tree arcs to
     their bounds extends to a feasible tension whose timetable is the
     root's tropical vertex of the offset class of z.  ``tiles`` is the
@@ -457,7 +456,7 @@ def duality_check(inst, basis, root=None, tree_cap=None, tiles=None):
     T = inst.period
     ridx = _root_index(g, root)
     if tiles is None:
-        tiles = fine_tiling(inst, basis, root, tree_cap=tree_cap)
+        tiles = fine_tiling(inst, basis, root)
     entries = []
     for t, tile in enumerate(tiles):
         z = tile.lattice_point

@@ -218,6 +218,39 @@ def test_unknown_root_is_a_usage_error(tri):
     assert main(["analyze", tri, "--root", "nope"]) == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "polytropes"])
+def test_root_is_not_a_flag_of_commands_that_ignore_it(tri, command, capsys):
+    assert main([command, tri, "--root", "v1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --root v1" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--cap-width", "-1"], "argument --cap-width: must be at least 0, got -1"),
+        (["--method", "tns", "--restarts", "0"], "argument --restarts: must be at least 1, got 0"),
+        (["--method", "tns", "--restarts", "-3"], "argument --restarts: must be at least 1, got -3"),
+    ],
+    ids=("cap-width", "restarts-0", "restarts-negative"),
+)
+def test_out_of_range_counts_are_usage_errors(tri, flags, message, capsys):
+    assert main(["solve", tri, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_a_trace_of_an_exact_solve_is_a_usage_error(tri, tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    assert main(["solve", tri, "--method", "exact", "--trace", str(trace)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --trace records a tns search; the exact method has none\n"
+    assert not trace.exists()
+
+
 def test_infeasible_exit_code(tmp_path):
     path = tmp_path / "infeasible.pesp"
     path.write_text(INFEASIBLE)

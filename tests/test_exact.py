@@ -5,6 +5,7 @@ import random
 import pytest
 
 import peritrope.exact
+import peritrope.search
 from peritrope import (
     CrosscheckMismatch,
     CycleBasis,
@@ -164,13 +165,13 @@ def test_offset_drift_in_solve_exact_is_an_invariant_violation(monkeypatch):
     # A per-polytrope optimum whose timetable lies in another class, or
     # whose objective is misreported, must not be returned silently.
     inst, basis = _triangle()
-    honest = peritrope.exact.minimize_over_polytrope
+    honest = peritrope.search.minimize_over_polytrope
     for corrupt in (
         lambda res: dataclasses.replace(res, timetable=(0, 9, 2)),
         lambda res: dataclasses.replace(res, objective=res.objective - 1),
     ):
         monkeypatch.setattr(
-            peritrope.exact,
+            peritrope.search,
             "minimize_over_polytrope",
             lambda *a, **k: corrupt(honest(*a, **k)),
         )
@@ -217,7 +218,7 @@ def test_solve_exact_optimizes_only_the_offsets_that_can_win(
     # them are found by that solve, not by a scan of the box.
     inst = parse_instance((GOLDEN / f"{name}.pesp").read_text())
     basis = default_basis(inst.graph)
-    solves, empties = count_polytrope_solves(monkeypatch, peritrope.exact)
+    solves, empties = count_polytrope_solves(monkeypatch, peritrope.search)
     assert solve_exact(inst, basis) == solve_exact_by_full_scan(inst, basis)
     assert len(lattice_points(inst, basis)) == scanned
     assert len(solves) == len(set(solves)) == solved

@@ -21,7 +21,7 @@ from peritrope import (
     polytrope_nonempty,
     timetable_to_tension,
 )
-from peritrope.zonotopes import lattice_points, odijk_box
+from peritrope.zonotopes import box_points, lattice_points, odijk_box
 from helpers import (
     enumerate_fixed_offset,
     random_bases,
@@ -183,15 +183,16 @@ def test_tight_structure_certifies_the_vertex():
     assert checked >= 250
 
 
-def test_tree_cap_propagates():
-    # The cap bounds the trees of the optimal face.  A zero objective makes
-    # that face the whole polytrope; a full-dimensional one has no tied
-    # vertices, so its quotient is the 12-tree square itself.
+def test_tree_cap_propagates(monkeypatch):
+    # DEFAULT_ENUMERATION_CAP bounds the trees of the optimal face.  A zero
+    # objective makes that face the whole polytrope; a full-dimensional one
+    # has no tied vertices, so its quotient is the 12-tree square itself.
     inst = square_instance()
     polys = enumerate_polytropes(inst, square_basis())
     p = next(poly.offset for poly in polys if poly.dimension == inst.graph.n - 1)
+    monkeypatch.setattr(peritrope.fixedlp, "DEFAULT_ENUMERATION_CAP", 3)
     with pytest.raises(EnumerationCapExceeded):
-        minimize_over_polytrope(inst, p, objective=(0,) * inst.graph.m, tree_cap=3)
+        minimize_over_polytrope(inst, p, objective=(0,) * inst.graph.m)
 
 
 def test_matches_the_structure_enumeration_on_random_cases():
@@ -293,6 +294,21 @@ def _beyond_the_box(inst, basis):
     for k, (lo, hi) in enumerate(odijk_box(inst, basis)):
         for outside in (-(-lo // T) - 1, hi // T + 1):
             yield tuple(outside if i == k else 0 for i in range(basis.mu))
+
+
+def test_cycle_relaxation_bound_rules_out_no_box_point():
+    # Each row's gap closes anywhere in [lo, hi], the range of gamma.x over
+    # the arc bounds, which is the row's side of the box: so the bound is
+    # None only off the box, empty box points included, and
+    # ``_confirm_empty`` is a cross-check that an honest bound never fires.
+    points = empty = 0
+    for inst, basis in _bound_cases():
+        bound = cycle_relaxation_bound(inst, basis)
+        for z in box_points(inst, basis):
+            assert bound(z) is not None, (inst, basis, z)
+            points += 1
+            empty += not polytrope_nonempty(inst, offset_for(inst, basis, z))
+    assert points >= 800 and empty >= 500
 
 
 def test_cycle_relaxation_bound_is_below_every_polytrope_optimum():

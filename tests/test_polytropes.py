@@ -30,6 +30,7 @@ from peritrope import (
     timetable_membership,
     timetable_to_tension,
     tropical_vertices,
+    width,
 )
 from helpers import random_instance, square_basis, square_instance, triangle_instance
 
@@ -250,6 +251,22 @@ def test_neighbors_tree_instance():
     inst = parse_instance("PERIOD 10\nARC a b 2 6 1\n")
     basis = default_basis(inst.graph)
     assert neighbors(inst, basis, ()) == set()
+
+
+def test_enumerate_polytropes_runs_one_bellman_ford_per_box_point(monkeypatch):
+    # The build of each box point is its only emptiness test.
+    tested = []
+    honest = peritrope.polytropes._has_negative_cycle
+
+    def counting(n, edges):
+        tested.append(1)
+        return honest(n, edges)
+
+    monkeypatch.setattr(peritrope.polytropes, "_has_negative_cycle", counting)
+    for inst, basis in (_triangle(), (square_instance(), square_basis())):
+        tested.clear()
+        polys = enumerate_polytropes(inst, basis)
+        assert len(tested) == width(inst, basis) >= len(polys) > 0
 
 
 def test_enumerate_polytropes_counts():
