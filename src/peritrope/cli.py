@@ -2,14 +2,20 @@
 
 Exit codes: 0 success/feasible, 1 usage or input errors, 2 infeasible or
 heuristic failure, 3 enumeration cap exceeded.
+
+Every JSON payload is written by ``_json_text``, whose bytes are those of
+``json.dumps(payload, indent=2)``: with an indent, ``json.dumps`` falls
+back to its pure-Python encoder, which was a fifth of ``analyze``'s time.
+The writer knows only what the commands emit (str-keyed dicts, lists,
+str, int, bool and None) and raises TypeError on anything else.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .errors import (
     EmptyPolytrope,
@@ -48,7 +54,7 @@ def _at_least(least):
     return integer
 
 
-def _common_flags(parser, root=False):
+def _common_flags(parser, root=False, json=False):
     parser.add_argument("instance", help="instance file in the native text format")
     parser.add_argument(
         "--basis-tree",
@@ -65,7 +71,8 @@ def _common_flags(parser, root=False):
         metavar="N",
         help="refuse lattice enumerations beyond N box points",
     )
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
+    if json:
+        parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--out", default=None, metavar="FILE", help="write output here")
 
 
@@ -90,7 +97,7 @@ def build_parser():
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_poly = sub.add_parser("polytropes", help="enumerate nonempty offset classes")
-    _common_flags(p_poly)
+    _common_flags(p_poly, json=True)
     p_poly.set_defaults(func=cmd_polytropes)
 
     p_tile = sub.add_parser("tile", help="spanning tree tiling with validation and duality")
@@ -124,6 +131,58 @@ def _emit(args, text):
         sys.stdout.write(text)
 
 
+def _json_text(obj):
+    """``json.dumps(obj, indent=2)`` for a payload of str-keyed dicts,
+    lists, str, int, bool and None; TypeError on any other value."""
+    out = []
+    _write_json(obj, "\n", out)
+    return "".join(out)
+
+
+def _write_json(obj, newline, out):
+    """Append the chunks of ``obj`` at the indentation ``newline`` ends in."""
+    kind = type(obj)
+    if kind is str:
+        out.append(encode_basestring_ascii(obj))
+    elif kind is int:
+        out.append(str(obj))
+    elif obj is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if obj else "false")
+    elif kind is list:
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        kinds = set(map(type, obj))
+        if kinds == {int} or kinds == {str}:  # plain leaves, bool never among them
+            leaf = str if kinds == {int} else encode_basestring_ascii
+            out.append("[" + inner + ("," + inner).join(map(leaf, obj)) + newline + "]")
+            return
+        sep = "[" + inner
+        for v in obj:
+            out.append(sep)
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, v in obj.items():
+            if type(key) is not str:
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"cannot write a {kind.__name__} as JSON")
+
+
 def _solution_payload(inst, basis, sol):
     g = inst.graph
     return {
@@ -151,7 +210,7 @@ def cmd_solve(args):
             with open(args.trace, "w", encoding="utf-8") as handle:
                 handle.write(trace_to_jsonl(trace))
     payload = _solution_payload(inst, basis, sol)
-    _emit(args, json.dumps(payload, indent=2) + "\n")
+    _emit(args, _json_text(payload) + "\n")
     return 0
 
 
@@ -248,7 +307,7 @@ def cmd_analyze(args):
         report["contracted"] = True
     if capped:
         report["cap_exceeded"] = True
-    _emit(args, json.dumps(report, indent=2) + "\n")
+    _emit(args, _json_text(report) + "\n")
     return 3 if capped else 0
 
 
@@ -265,7 +324,7 @@ def cmd_polytropes(args):
             }
             for p in polys
         ]
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _emit(args, _json_text(payload) + "\n")
     else:
         for p in polys:
             sys.stdout.write(
@@ -289,7 +348,7 @@ def cmd_tile(args):
     }
     if contracted:
         payload["contracted"] = True
-    _emit(args, json.dumps(payload, indent=2) + "\n")
+    _emit(args, _json_text(payload) + "\n")
     return 0
 
 

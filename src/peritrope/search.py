@@ -53,7 +53,7 @@ from .polytropes import (
     steps,
     timetable_to_tension,
 )
-from .zonotopes import DEFAULT_WIDTH_CAP, _box_integer_ranges, lattice_points
+from .zonotopes import DEFAULT_WIDTH_CAP, _box_integer_ranges, box_points
 
 
 @dataclass(frozen=True)
@@ -301,12 +301,15 @@ class NeighbourhoodGraph:
 
 def neighbourhood_graph(inst, basis, width_cap=DEFAULT_WIDTH_CAP):
     """Undirected graph on feasible cycle offsets, one edge per basis
-    column step, each node annotated with its exact polytrope optimum."""
-    nodes = lattice_points(inst, basis, cap=width_cap)
-    node_set = set(nodes)
-    edges = {tuple(sorted((z, z2))) for z in nodes for z2 in steps(basis, z) if z2 in node_set}
-    objective = {
-        z: minimize_over_polytrope(inst, offset_for(inst, basis, z)).objective
-        for z in nodes
-    }
+    column step, each node annotated with its exact polytrope optimum.
+    Each ``box_points`` point is solved once, and an empty polytrope
+    (``Infeasible``) is no node, so one Bellman-Ford decides it."""
+    objective = {}
+    for z in box_points(inst, basis, cap=width_cap):
+        try:
+            objective[z] = minimize_over_polytrope(inst, offset_for(inst, basis, z)).objective
+        except Infeasible:
+            continue
+    nodes = tuple(objective)
+    edges = {tuple(sorted((z, z2))) for z in nodes for z2 in steps(basis, z) if z2 in objective}
     return NeighbourhoodGraph(nodes, tuple(sorted(edges)), objective)

@@ -6,19 +6,25 @@ all arithmetic stays on integers; the real value is the stored value
 divided by T.  A point is a lattice point exactly when every scaled
 coordinate is divisible by T.
 
-The volume is one Gram determinant.  One helper, ``_implied_tile``,
-builds the tile a structure implies: its generators, its translation
-Gamma x for the pinned tensions x, and its lattice points, each a sum of
-the Gamma columns of co-tree arcs, read off the potentials of x.
-``fine_tiling`` takes those potentials from the ``graphs.tree_walk``
-that orients each tree away from the root, so it walks each tree once.
-Validation recomputes each tile from its structure (one
-``tree_potentials`` walk) and trusts the walk only for implied tiles, the
-ones equal to that recomputation.  A foreign tile, and
-``tile_contains_scaled``, invert the generator matrix G into a frame
-(d, d * G^-1) with |d| = |det G| by the shared elimination kernel
-``graphs._eliminate``; a point lies in the tile when every coordinate of
-d * G^-1 applied to its offset from the translation is between 0 and d.
+The volume is one Gram determinant.  One kernel, ``_tile_kernel``,
+builds the tile a structure implies, for ``fine_tiling`` and
+``validate_tiling`` alike.  Per (inst, basis) it computes once the
+scaled and unscaled Gamma columns, d = ``_cotree_det`` and Gamma l for
+the lower bounds l.  Per tile it finds the co-tree from an in-tree mask
+and returns the generators (the co-tree's scaled columns), the
+translation Gamma x for the pinned tensions x, which is Gamma l plus the
+scaled columns of the arcs pinned at their upper bound, and the lattice
+points, each a sum of the Gamma columns of co-tree arcs, read off the
+potentials of x.  ``fine_tiling`` takes those potentials, and the arcs
+at each bound, from the ``graphs.tree_walk`` that orients each tree away
+from the root, so it walks each tree once.  Validation recomputes each
+tile from its structure (one ``tree_potentials`` walk) and trusts the
+walk only for implied tiles, the ones equal to that recomputation.  A
+foreign tile, and ``tile_contains_scaled``, invert the generator matrix G
+into a frame (d, d * G^-1) with |d| = |det G| by the shared elimination
+kernel ``graphs._eliminate``; a point lies in the tile when every
+coordinate of d * G^-1 applied to its offset from the translation is
+between 0 and d.
 Fractions appear only in volumes and the width bound chain.
 """
 
@@ -203,17 +209,23 @@ class SpanningTreeStructure:
         if self.at_lower | self.at_upper != set(self.tree) or self.at_lower & self.at_upper:
             raise ValueError("lower/upper arcs must partition the tree")
 
+    @classmethod
+    def _walked(cls, tree, at_lower, at_upper):
+        """The structure of a root walk over the sorted ``tree``, whose
+        frozensets ``at_lower`` and ``at_upper`` partition it by
+        construction, so ``__post_init__`` has nothing to check."""
+        structure = object.__new__(cls)
+        object.__setattr__(structure, "tree", tree)
+        object.__setattr__(structure, "at_lower", at_lower)
+        object.__setattr__(structure, "at_upper", at_upper)
+        return structure
+
 
 def structure_for_tree(g, tree, root=None):
     """Pin each tree arc by orienting the tree away from the root: arcs
     used in their native direction go to the upper side, reversed ones to
     the lower side."""
-    return _structure(tree, spanning_tree_walk(g, tree, _root_index(g, root)))
-
-
-def _structure(tree, steps):
-    """The structure of a root walk's ``steps``: native arcs (s = +1) at
-    their upper bound, reversed ones at their lower bound."""
+    steps = spanning_tree_walk(g, tree, _root_index(g, root))
     return SpanningTreeStructure(
         tuple(tree),
         frozenset(a for _, _, a, s in steps if s < 0),
@@ -282,55 +294,73 @@ def fine_tiling(inst, basis, root=None):
     potentials of its pinned tensions."""
     g = inst.graph
     ridx = _root_index(g, root)
-    columns = _scaled_columns(inst, basis)
-    d = _cotree_det(inst, basis)
+    _, implied_tile = _tile_kernel(inst, basis)
     lower, upper = inst.lower, inst.upper
     tiles = []
     for tree in spanning_trees(g, DEFAULT_ENUMERATION_CAP):
-        steps = tree_walk(g, tree, ridx)
-        pi, pinned = [0] * g.n, list(lower)
-        for v, w, a, s in steps:
+        pi, at_lower, at_upper = [0] * g.n, [], []
+        for v, w, a, s in tree_walk(g, tree, ridx):
             if s > 0:
-                pinned[a] = upper[a]
+                at_upper.append(a)
                 pi[w] = pi[v] + upper[a]
             else:
+                at_lower.append(a)
                 pi[w] = pi[v] - lower[a]
-        generators, translation, points = _implied_tile(inst, basis, columns, d, tree, pinned, pi)
-        first = points[0] if points else None
-        tiles.append(Tile(_structure(tree, steps), generators, translation, first))
+        _, generators, translation, points = implied_tile(tree, at_upper, pi)
+        structure = SpanningTreeStructure._walked(tree, frozenset(at_lower), frozenset(at_upper))
+        tiles.append(Tile(structure, generators, translation, points[0] if points else None))
     return tuple(tiles)
 
 
-def _implied_tile(inst, basis, columns, d, tree, pinned, pi):
-    """The generators, translation and sorted lattice points of the tile a
-    structure implies, from its ``tree``, its ``pinned`` tensions x and
-    their potentials ``pi``: the co-tree ``columns`` (the
-    ``_scaled_columns``), Gamma x, and the points Gamma p for the offsets p
-    that are 0 on the tree and have l_a <= pi_j - pi_i + T p_a <= u_a on
-    each co-tree arc a = (i, j).  Each point is a sum of the Gamma columns
-    of its co-tree arcs.  A tile with a zero-span co-tree arc, or of a
-    basis with d = ``_cotree_det`` = 0, is flat and holds no point."""
+def _tile_kernel(inst, basis):
+    """(d, implied_tile) for one (inst, basis), with d = ``_cotree_det``.
+
+    ``implied_tile(tree, at_upper, pi)`` gives the co-tree, generators,
+    translation and sorted lattice points of the tile a structure implies,
+    from its ``tree``, the arcs ``at_upper`` it pins at their upper bound
+    and the potentials ``pi`` of its pinned tensions x: the co-tree's
+    ``_scaled_columns``, Gamma x = Gamma l + the scaled columns of
+    ``at_upper``, and the points Gamma p for the offsets p that are 0 on
+    the tree and have l_a <= pi_j - pi_i + T p_a <= u_a on each co-tree
+    arc a = (i, j).  Each point is a sum of the Gamma columns of its
+    co-tree arcs.  A tile with a zero-span co-tree arc, or of a basis with
+    d = 0, is flat and holds no point."""
     T, lower, upper, pairs = inst.period, inst.lower, inst.upper, inst.graph.arc_index_pairs
-    cotree = _cotree(inst, tree)
-    generators = tuple(columns[a] for a in cotree)
-    translation = basis.apply(pinned)
-    if not d:
-        return generators, translation, []
-    choices = []
-    for a in cotree:
-        i, j = pairs[a]
-        delta = pi[j] - pi[i]
-        picks = range(-((delta - lower[a]) // T), (upper[a] - delta) // T + 1)
-        if not picks or lower[a] == upper[a]:
-            return generators, translation, []
-        if picks != range(1):
-            choices.append((basis.column(a), picks))
-    points = [(0,) * basis.mu]
-    for column, picks in choices:
-        points = [
-            tuple(x + p * c for x, c in zip(point, column)) for point in points for p in picks
-        ]
-    return generators, translation, sorted(points)
+    m = inst.graph.m
+    columns = _scaled_columns(inst, basis)
+    d = _cotree_det(inst, basis)
+    base = basis.apply(lower)
+    gamma_columns = [basis.column(a) for a in range(m)]
+    origin = (0,) * basis.mu
+
+    def implied_tile(tree, at_upper, pi):
+        outside = bytearray(b"\x01") * m
+        for a in tree:
+            outside[a] = 0
+        cotree = list(itertools.compress(range(m), outside))
+        generators = tuple([columns[a] for a in cotree])
+        translation = tuple(map(sum, zip(base, *[columns[a] for a in at_upper])))
+        if not d:
+            return cotree, generators, translation, []
+        choices = []
+        for a in cotree:
+            i, j = pairs[a]
+            delta = pi[j] - pi[i]
+            picks = range(-((delta - lower[a]) // T), (upper[a] - delta) // T + 1)
+            if not picks or lower[a] == upper[a]:
+                return cotree, generators, translation, []
+            if picks != range(1):
+                choices.append((gamma_columns[a], picks))
+        points = [origin]
+        for column, picks in choices:
+            points = [
+                tuple(x + p * c for x, c in zip(point, column)) for point in points for p in picks
+            ]
+        if len(points) > 1:
+            points.sort()
+        return cotree, generators, translation, points
+
+    return d, implied_tile
 
 
 @dataclass
@@ -376,23 +406,19 @@ def validate_tiling(inst, basis, tiles, points=None):
     if points is None:
         points = lattice_points(inst, basis)
     vol = volume(inst, basis)
-    d = _cotree_det(inst, basis)
-    columns = _scaled_columns(inst, basis)
+    d, implied_tile = _tile_kernel(inst, basis)
     span = inst.span
     scaled = [(z, tuple(T * v for v in z)) for z in points]
     dets, inside, held = [], [], []
     for tile in tiles:
         structure = tile.structure
-        pinned = _pinned_tensions(inst, structure)
-        pi = tree_potentials(inst.graph, structure.tree, pinned)
+        pi = tree_potentials(inst.graph, structure.tree, _pinned_tensions(inst, structure))
         # A tree that does not reach every vertex implies no tile.
-        implied = None not in pi and _implied_tile(
-            inst, basis, columns, d, structure.tree, pinned, pi
-        )
-        if implied and implied[:2] == (tile.generators, tile.translation):
-            dets.append(d * math.prod(span[a] for a in _cotree(inst, structure.tree)))
+        implied = None not in pi and implied_tile(structure.tree, structure.at_upper, pi)
+        if implied and implied[1:3] == (tile.generators, tile.translation):
+            dets.append(d * math.prod(span[a] for a in implied[0]))
             inside.append(True)
-            held.append(implied[2])
+            held.append(implied[3])
             continue
         frame = _tile_frame(tile.generators)
         dets.append(abs(frame[0]) if frame else 0)

@@ -3,6 +3,8 @@ import pathlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import run_cli
 from peritrope import cli
@@ -226,6 +228,16 @@ def test_root_is_not_a_flag_of_commands_that_ignore_it(tri, command, capsys):
     assert "unrecognized arguments: --root v1" in captured.err
 
 
+@pytest.mark.parametrize("command", ["solve", "analyze", "tile", "render"])
+def test_json_is_a_flag_of_polytropes_alone(tri, command, capsys):
+    """The other commands write one format, so ``--json`` would be a
+    setting that changes nothing there."""
+    assert main([command, tri, "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --json" in captured.err
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -314,9 +326,7 @@ def test_cap_exceeded_analyze(tri, command, capsys):
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize(
-    "command, flags", [("analyze", ["--json"]), ("tile", [])], ids=("analyze", "tile")
-)
+@pytest.mark.parametrize("command", ["analyze", "tile"])
 @pytest.mark.parametrize(
     "name, instance, options",
     [
@@ -328,7 +338,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
     ],
     ids=("triangle", "square", "bench7", "bench7-tree", "mu6"),
 )
-def test_golden_outputs_are_byte_identical(name, instance, options, command, flags):
+def test_golden_outputs_are_byte_identical(name, instance, options, command):
     """``tests/golden/<name>.<command>.json`` is the stdout of the command
     on ``<instance>.pesp``.  bench7 is the benchmark generator's n = 7,
     m = 10 instance of ``random.Random(7)`` with one vertex split off by a
@@ -338,7 +348,7 @@ def test_golden_outputs_are_byte_identical(name, instance, options, command, fla
     greedy one, from another root.  mu6 is the generator's n = 6, m = 11
     instance of ``random.Random(2)`` (mu = 6, 185 tiles, 35 lattice
     points), with no fixed arc."""
-    result = run_cli([command, str(GOLDEN / f"{instance}.pesp"), *flags, *options])
+    result = run_cli([command, str(GOLDEN / f"{instance}.pesp"), *options])
     assert result.returncode == 0, result.stderr
     assert result.stdout == (GOLDEN / f"{name}.{command}.json").read_bytes()
 
@@ -382,6 +392,36 @@ def test_ratio_formats_like_a_fraction():
     for T in range(1, 31):
         for v in range(-5 * T, 5 * T + 1):
             assert cli._ratio(v, T) == str(Fraction(v, T)), (v, T)
+
+
+_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600a') | st.characters())
+_PAYLOADS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | _TEXT,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_TEXT, inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=100)
+@given(_PAYLOADS)
+@example([True, 1, None])
+@example({"": [], "a": [{}], "b": [[], [[]]], "c": {}})
+@example(["\"\\", "\x00\t\n", "\u00e9\U0001f600", -(10**40), 0])
+def test_json_writer_matches_json_dumps(payload):
+    """The one writer of every command's JSON gives the bytes of
+    ``json.dumps(payload, indent=2)``."""
+    assert cli._json_text(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize(
+    "payload", [1.5, [0, 0.5], {"a": {1: 2}}, {None: 1}, (1, 2), {"a": {"b"}}], ids=repr
+)
+def test_json_writer_refuses_what_it_does_not_write(payload):
+    """A float, a non-str key, a tuple or a set raises TypeError, where
+    ``json.dumps`` would write a float, turn the key into a string or write
+    the tuple as a list."""
+    with pytest.raises(TypeError):
+        cli._json_text(payload)
 
 
 def test_contracted_instance_is_flagged(tmp_path, capsys):

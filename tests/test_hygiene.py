@@ -1,7 +1,9 @@
 """Checks on the package source itself: no ``assert`` (``python -O`` strips
 it, so invariants raise typed errors), no floating point outside the SVG
-renderer, and no state that outlives a call (a module-level container or a
-``functools`` cache would grow with its inputs across calls)."""
+renderer, no state that outlives a call (a module-level container or a
+``functools`` cache would grow with its inputs across calls), and no
+indented ``json.dump``/``json.dumps`` (an indent selects the pure-Python
+encoder; ``cli._json_text`` writes those bytes)."""
 
 import ast
 import pathlib
@@ -90,6 +92,38 @@ def test_no_state_outlives_a_call():
         for line in state_across_calls(p.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+def indented_json_calls(source):
+    """Line numbers of ``json.dump``/``json.dumps`` calls (by attribute or
+    by imported name) that pass ``indent=``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("dump", "dumps") and any(k.arg == "indent" for k in node.keywords):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_indented_json_dumps():
+    found = [
+        f"{p.name}:{line}"
+        for p in MODULES
+        for line in indented_json_calls(p.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def test_indented_json_calls_are_found():
+    source = (
+        "import json\nfrom json import dumps\n"
+        "a = json.dumps(x)\nb = json.dumps(x, indent=2)\nc = dumps(x, indent=None)\n"
+        "json.dump(x, handle, sort_keys=True, indent=1)\n"
+    )
+    assert indented_json_calls(source) == [4, 5, 6]
 
 
 @pytest.mark.parametrize(

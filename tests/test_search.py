@@ -5,10 +5,12 @@ import random
 
 import pytest
 
+import peritrope.polytropes
 import peritrope.search
 from peritrope import (
     CycleBasis,
     Digraph,
+    EnumerationCapExceeded,
     FixedOffsetResult,
     InvariantViolation,
     OffsetMemo,
@@ -19,6 +21,7 @@ from peritrope import (
     TnsConfig,
     default_basis,
     initial_solution,
+    lattice_points,
     minimize_over_polytrope,
     neighbourhood_graph,
     offset_for,
@@ -29,6 +32,7 @@ from peritrope import (
     tns_restarts,
     trace_to_jsonl,
     verify_solution,
+    width,
 )
 from peritrope.fixedlp import cycle_relaxation_bound
 from helpers import (
@@ -289,6 +293,34 @@ def test_neighbourhood_graph_square():
         assert a in nodes and b in nodes
         assert a < b
     assert min(graph.objective.values()) == 26
+
+
+def test_neighbourhood_graph_runs_one_bellman_ford_per_box_point(monkeypatch):
+    """mu6 (288 box points, 35 nodes): solving each box point, with an
+    empty polytrope meaning no node, gives the graph that testing every
+    point by ``lattice_points`` and then solving the nodes gives, with 288
+    Bellman-Ford runs in place of 323.  The cap error is the box's."""
+    inst = parse_instance((GOLDEN / "mu6.pesp").read_text())
+    basis = default_basis(inst.graph)
+    nodes = lattice_points(inst, basis)
+    objective = {
+        z: minimize_over_polytrope(inst, offset_for(inst, basis, z)).objective for z in nodes
+    }
+    moves = peritrope.polytropes.steps
+    edges = sorted({tuple(sorted((z, y))) for z in nodes for y in moves(basis, z) if y in objective})
+    tested = []
+    honest = peritrope.polytropes._has_negative_cycle
+
+    def counting(n, arcs):
+        tested.append(1)
+        return honest(n, arcs)
+
+    monkeypatch.setattr(peritrope.polytropes, "_has_negative_cycle", counting)
+    graph = neighbourhood_graph(inst, basis)
+    assert (graph.nodes, list(graph.edges), graph.objective) == (nodes, edges, objective)
+    assert len(tested) == width(inst, basis) == 288 and len(nodes) == 35
+    with pytest.raises(EnumerationCapExceeded, match="^box holds 288 integer points, cap is 287$"):
+        neighbourhood_graph(inst, basis, width_cap=287)
 
 
 def test_offset_drift_in_tns_is_an_invariant_violation(monkeypatch):

@@ -415,6 +415,30 @@ def test_a_reflected_tile_is_foreign_and_still_inside(monkeypatch):
     assert frames == [tiles[0].generators]
 
 
+def test_a_tile_whose_structure_moved_an_arc_is_foreign(monkeypatch):
+    """One tree arc of a square tile moved from its lower to its upper
+    bound, generators and translation kept: the structure now implies
+    another translation (Gamma l plus the scaled columns of its upper arcs),
+    so the tile is foreign, only it builds a frame, and the report is the
+    untampered one."""
+    frames = []
+    real = zonotopes._tile_frame
+    monkeypatch.setattr(zonotopes, "_tile_frame", lambda g: frames.append(g) or real(g))
+    sq, basis = square_instance(), square_basis()
+    tiles = list(fine_tiling(sq, basis))
+    untampered = validate_tiling(sq, basis, tiles)
+    t = next(t for t, tile in enumerate(tiles) if tile.structure.at_lower)
+    structure = tiles[t].structure
+    arc = min(structure.at_lower)
+    moved = SpanningTreeStructure(
+        structure.tree, structure.at_lower - {arc}, structure.at_upper | {arc}
+    )
+    tiles[t] = dataclasses.replace(tiles[t], structure=moved)
+    assert frames == []
+    assert validate_tiling(sq, basis, tiles) == untampered
+    assert frames == [tiles[t].generators]
+
+
 def test_a_tile_on_a_non_spanning_tree_is_foreign():
     """A structure whose tree does not reach every vertex (the square's
     antiparallel arcs 0 and 4 close a 2-cycle, and v3 is left out) implies
