@@ -54,7 +54,6 @@ from .instances import (
 from .polytropes import (
     Polytrope,
     anchor_timetable,
-    enumerate_polytropes,
     kappa,
     neighbors,
     normalize_timetable,
@@ -92,6 +91,7 @@ from .zonotopes import (
     WidthBoundReport,
     ZonotopeDescriptor,
     duality_check,
+    enumerate_polytropes,
     fine_tiling,
     lattice_points,
     odijk_box,

@@ -28,13 +28,13 @@ from .errors import (
 from .exact import solve_exact
 from .graphs import default_basis, fundamental_cycle_basis
 from .instances import contract_fixed_arcs, parse_instance
-from .polytropes import enumerate_polytropes
 from .render import render_torus, render_zonotope
 from .search import TnsConfig, tns_restarts, trace_to_jsonl
 from .zonotopes import (
     DEFAULT_WIDTH_CAP,
-    fine_tiling,
     duality_check,
+    enumerate_polytropes,
+    fine_tiling,
     lattice_points,
     odijk_box,
     validate_tiling,
@@ -87,7 +87,7 @@ def build_parser():
     _common_flags(p_solve)
     p_solve.add_argument("--method", choices=("tns", "exact"), default="exact")
     p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--max-iter", type=int, default=100)
+    p_solve.add_argument("--max-iter", type=_at_least(1), default=100)
     p_solve.add_argument("--restarts", type=_at_least(1), default=1)
     p_solve.add_argument("--trace", default=None, metavar="FILE", help="tns trace (JSON lines)")
     p_solve.set_defaults(func=cmd_solve)

@@ -17,7 +17,7 @@ from array import array
 from dataclasses import dataclass
 
 from .errors import CrosscheckMismatch, EnumerationCapExceeded, Infeasible, InvariantViolation
-from .fixedlp import _confirm_empty, cycle_relaxation_bound
+from .fixedlp import cycle_relaxation_bound
 from .graphs import default_basis
 from .polytropes import timetable_to_tension
 from .search import Solution, _least_optimum, _polytrope_optimum, solution_from_timetable
@@ -27,8 +27,8 @@ from .zonotopes import DEFAULT_WIDTH_CAP, _box_integer_ranges, box_points
 def solve_exact(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP):
     """Global optimum over the nonempty polytropes; ties break toward the
     smaller cycle offset.  The box points are bounded by
-    ``cycle_relaxation_bound`` and passed in ascending (bound, z) order to
-    ``search._least_optimum``."""
+    ``cycle_relaxation_bound``, whose contract rules out no box point, and
+    passed in ascending (bound, z) order to ``search._least_optimum``."""
     if basis is None:
         basis = default_basis(inst.graph)
     points = box_points(inst, basis, cap=width_cap)
@@ -40,7 +40,7 @@ def solve_exact(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP):
     for rank, z in enumerate(points):
         lower = bound(z)
         if lower is None:
-            _confirm_empty(inst, basis, z)
+            raise InvariantViolation(f"the cycle relaxation rules out {z}, a point of the box")
         elif lower in ranks:
             ranks[lower].append(rank)
         else:

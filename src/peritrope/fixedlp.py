@@ -41,7 +41,6 @@ from .polytropes import (
     equality_classes,
     kappa,
     normalize_timetable,
-    offset_for,
     polytrope_nonempty,
     shortest_path_matrix,
     timetable_to_tension,
@@ -171,6 +170,13 @@ def cycle_relaxation_bound(inst, basis):
     an integer at most that polytrope's optimum, or to None when some row
     proves the polytrope empty.
 
+    The contract: the bound is None exactly when z lies off the box
+    (``zonotopes.odijk_box``).  Row k's gap closes for every T z_k in the
+    range of gamma_k.x over the arc bounds, which is row k's side of the
+    box, and for no other.  So a caller needs no Bellman-Ford to confirm
+    that a ruled-out point is empty, and a box point ruled out raises
+    InvariantViolation there.
+
     Row gamma of any basis of cycles keeps gamma.x = T z_k for every
     tension x of the offset, so min w.x over l <= x <= u under that one
     equation is a relaxation.  Every arc starts at its cheaper bound, and
@@ -218,17 +224,6 @@ def cycle_relaxation_bound(inst, basis):
         return best
 
     return bound
-
-
-def _confirm_empty(inst, basis, z):
-    """Bellman-Ford on a box point z that the cycle relaxation rules out:
-    finding it nonempty contradicts that certificate.  Off the box no test
-    is needed, since the box holds every feasible cycle offset; with the
-    relaxation of ``cycle_relaxation_bound`` no box point is ruled out."""
-    if polytrope_nonempty(inst, offset_for(inst, basis, z)):
-        raise InvariantViolation(
-            f"the cycle relaxation rules out {z}, which Bellman-Ford found nonempty"
-        )
 
 
 def _check_bound(z, lower, result):

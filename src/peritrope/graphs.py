@@ -9,9 +9,14 @@ union-find.  ``tree_walk`` is its one depth-first walk of an arc set from
 a root; ``tree_potentials`` folds it into vertex potentials, and
 ``spanning_tree_walk`` checks that the arcs form a spanning tree.
 ``_eliminate`` is its one exact elimination, a fraction-free (Bareiss)
-Gauss-Jordan: it gives the determinants (the zonotope volume, co-tree
-minors, the tree count), the rank test of ``verify_kernel_property`` and
-the tile frames of ``zonotopes``.
+Gauss-Jordan: it gives the determinants (the zonotope volume, the tree
+count), the rank tests of ``verify_kernel_property`` and of the co-tree
+choice, and through ``_inverse_frame`` the frames (d, d * G^-1) of the
+tiles of ``zonotopes`` and of each basis's co-tree.
+
+``CycleBasis.cotree_frame`` is the one place that decides which integer
+offset represents a cycle offset: offset preimages, scaled-point tests
+and the co-tree determinant d all go through it.
 """
 
 from __future__ import annotations
@@ -144,6 +149,43 @@ class CycleBasis:
                 raise ValueError(f"row {k} is not a fundamental cycle of the attached tree")
             owners.append(outside[0])
         return tuple(owners)
+
+    @cached_property
+    def cotree_frame(self):
+        """(cotree, d, entries): a co-tree C of the basis, d with |d| =
+        |det Gamma_C|, and d * Gamma_C^-1 stored sparsely by column.
+
+        C is ``row_cotree_arcs`` for a fundamental basis, where Gamma_C = I
+        and d = 1, and otherwise the first mu independent columns in arc
+        order.  Every cycle basis is an integer matrix M times a
+        fundamental one, whose co-tree minors are all +-1, so every co-tree
+        has |det Gamma_C| = |det M|: 1 exactly for an integral basis, 0
+        for dependent rows, which leave C short and ``entries`` None.
+        ``entries`` lists the nonzero entries of d * Gamma_C^-1 column by
+        column as (arc, coefficient, k) triples: k is the column, and the
+        row is indexed by its arc in C.  One flat tuple keeps the product
+        with a cycle offset to one loop, as cheap as a copy on a
+        fundamental basis.
+        """
+        if self.tree is not None:
+            cotree = self.row_cotree_arcs
+        else:
+            columns = tuple(zip(*self.gamma))
+            cotree = []
+            for a, col in enumerate(columns):
+                if len(cotree) == self.mu:
+                    break
+                trial = [columns[b] for b in cotree] + [col]
+                gram = [[sum(x * y for x, y in zip(c, q)) for q in trial] for c in trial]
+                if _eliminate(gram) is not None:
+                    cotree.append(a)
+        frame = _inverse_frame([self.column(a) for a in cotree]) if len(cotree) == self.mu else None
+        if frame is None:
+            return tuple(cotree), 0, None
+        d, inverse = frame
+        return tuple(cotree), d, tuple(
+            (a, row[k], k) for k in range(self.mu) for a, row in zip(cotree, inverse) if row[k]
+        )
 
     def permuted(self, order):
         """Same basis with rows reordered; stays fundamental if it was."""
@@ -384,3 +426,16 @@ def _eliminate(rows):
                 rows[i] = [(d * x - f * y) // prev for x, y in zip(rows[i], top)]
         prev = d
     return prev
+
+
+def _inverse_frame(generators):
+    """(d, d * G^-1) for the square matrix G whose columns are
+    ``generators``, by ``_eliminate`` on [G | I], so |d| = |det G|.  None
+    when G is singular."""
+    mu = len(generators)
+    rows = [
+        [col[k] for col in generators] + [int(k == c) for c in range(mu)]
+        for k in range(mu)
+    ]
+    d = _eliminate(rows)
+    return None if d is None else (d, tuple(tuple(row[mu:]) for row in rows))

@@ -232,21 +232,24 @@ def tension_to_timetable(inst, x, root=None):
 
 
 def offset_from_cycle_offset(basis, z):
-    """An integer offset p with Gamma p = z.
-
-    For a fundamental basis this is z on the co-tree arcs (which carry the
-    identity block) and 0 on tree arcs.  A general basis goes through an
-    integer preimage computation.
-    """
-    m = len(basis.gamma[0]) if basis.mu else None
+    """An integer offset p with Gamma p = z: 0 off the co-tree C of
+    ``basis.cotree_frame`` and Gamma_C^-1 z on it.  For a fundamental basis
+    Gamma_C = I, so p is z on the co-tree arcs and 0 on tree arcs.  Any two
+    preimages differ by an integer cut, so they describe the same torus
+    region."""
     if basis.mu == 0:
         raise ValueError("cannot size the offset vector of an empty basis")
-    if basis.tree is not None:
-        p = [0] * m
-        for k, a in enumerate(basis.row_cotree_arcs):
-            p[a] = int(z[k])
-        return tuple(p)
-    return _integer_preimage(basis.gamma, z)
+    _, d, entries = basis.cotree_frame
+    if not d:
+        raise ValueError("cycle matrix does not have full row rank")
+    p = [0] * len(basis.gamma[0])
+    for a, c, k in entries:
+        p[a] += c * z[k]
+    if d != 1:
+        if any(v % d for v in p):
+            raise ValueError("no integer offset maps to this cycle offset")
+        p = [v // d for v in p]
+    return tuple(p)
 
 
 def offset_zero(inst):
@@ -257,59 +260,6 @@ def offset_for(inst, basis, z):
     """The canonical offset of cycle offset z: ``offset_from_cycle_offset``,
     or the zero offset when the basis is empty (a tree instance)."""
     return offset_from_cycle_offset(basis, z) if basis.mu else offset_zero(inst)
-
-
-def _integer_preimage(gamma, z):
-    """Solve Gamma p = z over the integers by column reduction."""
-    mu = len(gamma)
-    m = len(gamma[0])
-    a = [list(row) for row in gamma]
-    # transform tracks the column operations: columns of the original matrix
-    # expressed in terms of the reduced ones.
-    transform = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-
-    def col_op(c1, c2, factor):
-        for r in range(mu):
-            a[r][c2] -= factor * a[r][c1]
-        for r in range(m):
-            transform[r][c2] -= factor * transform[r][c1]
-
-    def col_swap(c1, c2):
-        for r in range(mu):
-            a[r][c1], a[r][c2] = a[r][c2], a[r][c1]
-        for r in range(m):
-            transform[r][c1], transform[r][c2] = transform[r][c2], transform[r][c1]
-
-    row = 0
-    for col in range(m):
-        if row == mu:
-            break
-        while True:
-            nonzero = [c for c in range(col, m) if a[row][c] != 0]
-            if not nonzero:
-                break
-            best = min(nonzero, key=lambda c: abs(a[row][c]))
-            if best != col:
-                col_swap(col, best)
-            done = True
-            for c in range(col + 1, m):
-                if a[row][c] != 0:
-                    col_op(col, c, a[row][c] // a[row][col])
-                    done = False
-            if done and all(a[row][c] == 0 for c in range(col + 1, m)):
-                break
-        if a[row][col] == 0:
-            raise ValueError("cycle matrix does not have full row rank")
-        row += 1
-    # back-substitute on the triangular part
-    y = [0] * m
-    for r in range(mu):
-        acc = sum(a[r][c] * y[c] for c in range(r))
-        num = int(z[r]) - acc
-        if num % a[r][r] != 0:
-            raise ValueError("no integer offset maps to this cycle offset")
-        y[r] = num // a[r][r]
-    return tuple(sum(transform[r][c] * y[c] for c in range(m)) for r in range(m))
 
 
 def steps(basis, z):
@@ -329,16 +279,3 @@ def neighbors(inst, basis, z):
         for z2 in steps(basis, z)
         if polytrope_nonempty(inst, offset_from_cycle_offset(basis, z2))
     }
-
-
-def enumerate_polytropes(inst, basis, cap=None):
-    """All nonempty offset classes, keyed by their cycle offset, found by
-    building the polytrope of every integer point of the bounding box of
-    feasible offsets: one Bellman-Ford per box point."""
-    from .zonotopes import DEFAULT_WIDTH_CAP, box_points
-
-    polys = (
-        polytrope_build(inst, basis, offset_for(inst, basis, z))
-        for z in box_points(inst, basis, cap=DEFAULT_WIDTH_CAP if cap is None else cap)
-    )
-    return tuple(poly for poly in polys if poly.nonempty)

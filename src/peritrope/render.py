@@ -9,8 +9,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polytropes import enumerate_polytropes
-from .zonotopes import DEFAULT_WIDTH_CAP, fine_tiling, lattice_points, odijk_box
+from .zonotopes import (
+    DEFAULT_WIDTH_CAP,
+    enumerate_polytropes,
+    fine_tiling,
+    lattice_points,
+    odijk_box,
+)
 
 PALETTE = (
     "#66c2a5",

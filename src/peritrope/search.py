@@ -31,12 +31,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .errors import EnumerationCapExceeded, Infeasible, InvariantViolation, RetriesExhausted
-from .fixedlp import (
-    _check_bound,
-    _confirm_empty,
-    cycle_relaxation_bound,
-    minimize_over_polytrope,
-)
+from .fixedlp import _check_bound, cycle_relaxation_bound, minimize_over_polytrope
 from .graphs import (
     DEFAULT_ENUMERATION_CAP,
     _require_connected,
@@ -202,7 +197,8 @@ class OffsetMemo:
     def bounded_steps(self, z):
         """The distinct ``polytropes.steps`` of z that the relaxation leaves
         open, as (bound, offset) pairs in ascending order.  A step it rules
-        out is empty: off the box by the box alone, in it by Bellman-Ford."""
+        out lies off the box, so it is empty; one in the box breaks the
+        contract of ``cycle_relaxation_bound`` and raises InvariantViolation."""
         found = self._steps.get(z)
         if found is None:
             found = []
@@ -211,7 +207,9 @@ class OffsetMemo:
                 if lower is not None:
                     found.append((lower, z2))
                 elif all(v in r for v, r in zip(z2, self._box)):
-                    _confirm_empty(self.inst, self.basis, z2)
+                    raise InvariantViolation(
+                        f"the cycle relaxation rules out {z2}, a point of the box"
+                    )
             found = tuple(sorted(found))
             self._steps[z] = found
         return found

@@ -9,22 +9,23 @@ coordinate is divisible by T.
 The volume is one Gram determinant.  One kernel, ``_tile_kernel``,
 builds the tile a structure implies, for ``fine_tiling`` and
 ``validate_tiling`` alike.  Per (inst, basis) it computes once the
-scaled and unscaled Gamma columns, d = ``_cotree_det`` and Gamma l for
-the lower bounds l.  Per tile it finds the co-tree from an in-tree mask
-and returns the generators (the co-tree's scaled columns), the
-translation Gamma x for the pinned tensions x, which is Gamma l plus the
-scaled columns of the arcs pinned at their upper bound, and the lattice
-points, each a sum of the Gamma columns of co-tree arcs, read off the
-potentials of x.  ``fine_tiling`` takes those potentials, and the arcs
-at each bound, from the ``graphs.tree_walk`` that orients each tree away
-from the root, so it walks each tree once.  Validation recomputes each
-tile from its structure (one ``tree_potentials`` walk) and trusts the
-walk only for implied tiles, the ones equal to that recomputation.  A
-foreign tile, and ``tile_contains_scaled``, invert the generator matrix G
-into a frame (d, d * G^-1) with |d| = |det G| by the shared elimination
-kernel ``graphs._eliminate``; a point lies in the tile when every
-coordinate of d * G^-1 applied to its offset from the translation is
-between 0 and d.
+scaled and unscaled Gamma columns, Gamma l for the lower bounds l, and
+takes d from ``CycleBasis.cotree_frame``, which also gives every offset
+preimage and scaled-point test here.  Per tile it finds the co-tree from
+an in-tree mask and returns the generators (the co-tree's scaled
+columns), the translation Gamma x for the pinned tensions x, which is
+Gamma l plus the scaled columns of the arcs pinned at their upper bound,
+and the lattice points, each a sum of the Gamma columns of co-tree arcs,
+read off the potentials of x.  ``fine_tiling`` takes those potentials,
+and the arcs at each bound, from the ``graphs.tree_walk`` that orients
+each tree away from the root, so it walks each tree once.  Validation
+recomputes each tile from its structure (one ``tree_potentials`` walk)
+and trusts the walk only for implied tiles, the ones equal to that
+recomputation.  A foreign tile, and ``tile_contains_scaled``, invert the
+generator matrix G into a frame (d, d * G^-1) with |d| = |det G| by
+``graphs._inverse_frame``, which builds the basis co-tree frames too; a
+point lies in the tile when every coordinate of d * G^-1 applied to its
+offset from the translation is between 0 and d.
 Fractions appear only in volumes and the width bound chain.
 """
 
@@ -39,8 +40,8 @@ from .errors import EnumerationCapExceeded, FixedArcPresent
 from .graphs import (
     DEFAULT_ENUMERATION_CAP,
     _eliminate,
+    _inverse_frame,
     count_spanning_trees_determinant,
-    greedy_spanning_tree,
     spanning_tree_walk,
     spanning_trees,
     tree_potentials,
@@ -50,6 +51,7 @@ from .polytropes import (
     _root_index,
     anchor_timetable,
     offset_for,
+    offset_from_cycle_offset,
     polytrope_build,
     polytrope_nonempty,
     tension_system_feasible,
@@ -136,13 +138,15 @@ def zonotope_membership(inst, basis, z):
 def scaled_point_in_zonotope(inst, basis, point):
     """Membership of an arbitrary T-scaled integer point (not necessarily a
     lattice point): is there a real tension x in the bound box with
-    basis matrix times x equal to the point?"""
+    basis matrix times x equal to the point?  The integer preimage of the
+    point under ``basis.cotree_frame`` is one particular solution, which
+    needs an integral basis (|d| = 1); any other raises ValueError."""
     if basis.mu == 0:
         return tuple(point) == ()
-    base = [0] * inst.graph.m
-    for k, a in enumerate(basis.row_cotree_arcs):
-        base[a] = int(point[k])
-    return tension_system_feasible(inst, base)
+    d = abs(basis.cotree_frame[1])
+    if d != 1:
+        raise ValueError(f"basis is not integral: its co-tree minors have |det| {d}, not 1")
+    return tension_system_feasible(inst, offset_from_cycle_offset(basis, point))
 
 
 def box_points(inst, basis, cap=DEFAULT_WIDTH_CAP):
@@ -159,6 +163,17 @@ def box_points(inst, basis, cap=DEFAULT_WIDTH_CAP):
     return itertools.product(*ranges)
 
 
+def enumerate_polytropes(inst, basis, cap=DEFAULT_WIDTH_CAP):
+    """All nonempty offset classes, keyed by their cycle offset, found by
+    building the polytrope of every integer point of the bounding box of
+    feasible offsets: one Bellman-Ford per box point."""
+    polys = (
+        polytrope_build(inst, basis, offset_for(inst, basis, z))
+        for z in box_points(inst, basis, cap=cap)
+    )
+    return tuple(poly for poly in polys if poly.nonempty)
+
+
 def lattice_points(inst, basis, cap=DEFAULT_WIDTH_CAP):
     """Integer points of the box that are feasible cycle offsets, sorted:
     one Bellman-Ford per ``box_points`` point."""
@@ -168,30 +183,16 @@ def lattice_points(inst, basis, cap=DEFAULT_WIDTH_CAP):
 def volume(inst, basis):
     """Exact volume |det(G diag(s) G^t)| / (d * T^mu): G is the basis
     matrix, s the arc spans, and d = |det G_C| on the co-tree columns C of
-    the basis tree (or of the greedy tree).  By Cauchy-Binet the
-    determinant sums det(G_C)^2 times the spans in C over all mu-column
-    sets C, and |det G_C| is d on every co-tree and 0 elsewhere, so the
-    quotient is the sum of the tile volumes.  d = 1 for integral bases."""
+    ``basis.cotree_frame``.  By Cauchy-Binet the determinant sums
+    det(G_C)^2 times the spans in C over all mu-column sets C, and
+    |det G_C| is d on every co-tree and 0 elsewhere, so the quotient is
+    the sum of the tile volumes.  d = 1 for integral bases."""
     gamma = basis.gamma
     span = inst.span
     gram = [[sum(x * s * y for x, s, y in zip(r, span, q)) for q in gamma] for r in gamma]
-    d = _cotree_det(inst, basis)
+    d = abs(basis.cotree_frame[1])
     # Dependent rows make every minor vanish, d included.
     return Fraction(abs(_eliminate(gram) or 0), d * inst.period**basis.mu) if d else Fraction(0)
-
-
-def _cotree_det(inst, basis):
-    """d = |det G_C| on the co-tree columns C of the basis tree (or of the
-    greedy tree).  The rows of G are an integer matrix M times a
-    fundamental basis, whose co-tree minors are all +-1, so every co-tree
-    has |det G_C| = |det M| = d; dependent rows give d = 0."""
-    tree = greedy_spanning_tree(inst.graph) if basis.tree is None else basis.tree
-    cotree = _cotree(inst, tree)
-    return abs(_eliminate([[row[a] for a in cotree] for row in basis.gamma]) or 0)
-
-
-def _cotree(inst, tree):
-    return sorted(set(range(inst.graph.m)).difference(tree))
 
 
 @dataclass(frozen=True)
@@ -255,18 +256,6 @@ def _pinned_tensions(inst, structure):
     return [inst.upper[a] if a in up else inst.lower[a] for a in range(inst.graph.m)]
 
 
-def _tile_frame(generators):
-    """(d, d * G^-1) for the matrix G whose columns are ``generators``, by
-    ``_eliminate`` on [G | I], so |d| = |det G|.  None when G is singular."""
-    mu = len(generators)
-    rows = [
-        [col[k] for col in generators] + [int(k == c) for c in range(mu)]
-        for k in range(mu)
-    ]
-    d = _eliminate(rows)
-    return None if d is None else (d, tuple(tuple(row[mu:]) for row in rows))
-
-
 def _frame_contains(frame, translation, scaled_point):
     """Is the scaled point in the tile whose generator frame is ``frame``:
     every coordinate of (d * G^-1)(point - translation) between 0 and d.
@@ -284,7 +273,7 @@ def _frame_contains(frame, translation, scaled_point):
 
 
 def tile_contains_scaled(tile, scaled_point):
-    return _frame_contains(_tile_frame(tile.generators), tile.translation, scaled_point)
+    return _frame_contains(_inverse_frame(tile.generators), tile.translation, scaled_point)
 
 
 def fine_tiling(inst, basis, root=None):
@@ -313,7 +302,8 @@ def fine_tiling(inst, basis, root=None):
 
 
 def _tile_kernel(inst, basis):
-    """(d, implied_tile) for one (inst, basis), with d = ``_cotree_det``.
+    """(d, implied_tile) for one (inst, basis), with d = |d| of
+    ``basis.cotree_frame``.
 
     ``implied_tile(tree, at_upper, pi)`` gives the co-tree, generators,
     translation and sorted lattice points of the tile a structure implies,
@@ -328,7 +318,7 @@ def _tile_kernel(inst, basis):
     T, lower, upper, pairs = inst.period, inst.lower, inst.upper, inst.graph.arc_index_pairs
     m = inst.graph.m
     columns = _scaled_columns(inst, basis)
-    d = _cotree_det(inst, basis)
+    d = abs(basis.cotree_frame[1])
     base = basis.apply(lower)
     gamma_columns = [basis.column(a) for a in range(m)]
     origin = (0,) * basis.mu
@@ -397,7 +387,7 @@ def validate_tiling(inst, basis, tiles, points=None):
 
     An implied tile, one ``fine_tiling`` would build from its structure,
     is inside by construction, has |det| d * (its co-tree spans) with
-    d = ``_cotree_det``, and holds its walk's points.  Any other, foreign,
+    d = |d| of ``basis.cotree_frame``, and holds its walk's points.  Any other, foreign,
     tile takes |det| and points from its frame and has its vertices tested
     one by one.  Independent of the walk: the volume match (Cauchy-Binet
     sums d * (co-tree spans) over all co-trees), the cover (equality with
@@ -420,7 +410,7 @@ def validate_tiling(inst, basis, tiles, points=None):
             inside.append(True)
             held.append(implied[3])
             continue
-        frame = _tile_frame(tile.generators)
+        frame = _inverse_frame(tile.generators)
         dets.append(abs(frame[0]) if frame else 0)
         inside.append(_tile_inside(inst, basis, tile))
         held.append([z for z, x in scaled if _frame_contains(frame, tile.translation, x)])

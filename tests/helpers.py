@@ -35,16 +35,13 @@ from peritrope import (
     solution_from_timetable,
     spanning_trees,
 )
-from peritrope.graphs import DEFAULT_ENUMERATION_CAP, tree_potentials
+from peritrope.graphs import DEFAULT_ENUMERATION_CAP, _inverse_frame, tree_potentials
 from peritrope.zonotopes import (
     DEFAULT_WIDTH_CAP,
     TilingReport,
-    _cotree,
-    _cotree_det,
     _frame_contains,
     _pinned_tensions,
     _scaled_columns,
-    _tile_frame,
     lattice_points,
     scaled_point_in_zonotope,
     volume,
@@ -343,8 +340,10 @@ def implied_tile_by_dense_products(inst, basis, structure):
     sorted lattice points), each tile on its own, with dense cycle-matrix
     products and a potential walk of its pinned tensions."""
     columns = _scaled_columns(inst, basis)
-    d = _cotree_det(inst, basis)
-    cotree = _cotree(inst, structure.tree)
+    cotree = sorted(set(range(inst.graph.m)).difference(structure.tree))
+    # Every co-tree of a basis has the same |det|, so the tile's own
+    # co-tree minor is the basis's d.
+    d = _bareiss_det([[row[a] for a in cotree] for row in basis.gamma])
     pinned = _pinned_tensions(inst, structure)
     points = _tile_points(inst, basis, structure.tree, cotree, pinned, d)
     return tuple(columns[a] for a in cotree), dense_apply(basis, pinned), points
@@ -355,8 +354,8 @@ def _tile_points(inst, basis, tree, cotree, pinned, d):
     pi the potentials of the ``pinned`` tree, the tile's lattice points are
     basis.apply(p) for the offsets p that are 0 on the tree and have
     l_a <= pi_j - pi_i + T p_a <= u_a on each co-tree arc a = (i, j).  A
-    tile with a zero-span co-tree arc, or of a basis with d =
-    ``_cotree_det`` = 0, is flat and holds no point."""
+    tile with a zero-span co-tree arc, or with a co-tree minor d = 0, is
+    flat and holds no point."""
     if not d or any(inst.lower[a] == inst.upper[a] for a in cotree):
         return []
     T = inst.period
@@ -407,7 +406,7 @@ def validate_tiling_by_frame_scan(inst, basis, tiles, width_cap=DEFAULT_WIDTH_CA
     points its frame contains, found by scanning tiles x points."""
     T = inst.period
     vol = volume(inst, basis)
-    frames = [_tile_frame(tile.generators) for tile in tiles]
+    frames = [_inverse_frame(tile.generators) for tile in tiles]
     nondegenerate = all(frame is not None for frame in frames)
     tile_sum = Fraction(
         sum(abs(frame[0]) for frame in frames if frame is not None), T**basis.mu

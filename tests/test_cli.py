@@ -244,8 +244,9 @@ def test_json_is_a_flag_of_polytropes_alone(tri, command, capsys):
         (["--cap-width", "-1"], "argument --cap-width: must be at least 0, got -1"),
         (["--method", "tns", "--restarts", "0"], "argument --restarts: must be at least 1, got 0"),
         (["--method", "tns", "--restarts", "-3"], "argument --restarts: must be at least 1, got -3"),
+        (["--method", "exact", "--max-iter", "0"], "argument --max-iter: must be at least 1, got 0"),
     ],
-    ids=("cap-width", "restarts-0", "restarts-negative"),
+    ids=("cap-width", "restarts-0", "restarts-negative", "max-iter-exact"),
 )
 def test_out_of_range_counts_are_usage_errors(tri, flags, message, capsys):
     assert main(["solve", tri, *flags]) == 1

@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 import random
 
 import pytest
@@ -21,7 +23,7 @@ from peritrope import (
     polytrope_nonempty,
     timetable_to_tension,
 )
-from peritrope.zonotopes import box_points, lattice_points, odijk_box
+from peritrope.zonotopes import _box_integer_ranges, box_points, lattice_points, odijk_box
 from helpers import (
     enumerate_fixed_offset,
     random_bases,
@@ -299,8 +301,7 @@ def _beyond_the_box(inst, basis):
 def test_cycle_relaxation_bound_rules_out_no_box_point():
     # Each row's gap closes anywhere in [lo, hi], the range of gamma.x over
     # the arc bounds, which is the row's side of the box: so the bound is
-    # None only off the box, empty box points included, and
-    # ``_confirm_empty`` is a cross-check that an honest bound never fires.
+    # None only off the box, empty box points included.
     points = empty = 0
     for inst, basis in _bound_cases():
         bound = cycle_relaxation_bound(inst, basis)
@@ -309,6 +310,31 @@ def test_cycle_relaxation_bound_rules_out_no_box_point():
             points += 1
             empty += not polytrope_nonempty(inst, offset_for(inst, basis, z))
     assert points >= 800 and empty >= 500
+
+
+def test_cycle_relaxation_bound_is_none_exactly_off_the_box():
+    """The contract ``solve_exact`` and ``OffsetMemo`` rely on instead of a
+    Bellman-Ford: on the box grown by two along every axis, under all four
+    ``random_bases`` kinds, the bound is None exactly off the box."""
+    inside = [0] * 4  # per basis kind
+    outside = 0
+    for seed in range(150):
+        rng = random.Random(5100 + seed)
+        inst = varied_instance(rng)
+        if inst.graph.m - inst.graph.n + 1 < 2:
+            continue
+        for kind, basis in enumerate(random_bases(rng, inst.graph)):
+            bound = cycle_relaxation_bound(inst, basis)
+            box = _box_integer_ranges(inst, basis)
+            grown = [range(r.start - 2, r.stop + 2) for r in box]
+            if math.prod(map(len, grown)) > 5000:
+                continue
+            for z in itertools.product(*grown):
+                in_box = all(v in r for v, r in zip(z, box))
+                assert (bound(z) is None) == (not in_box), (inst, basis, z)
+                inside[kind] += in_box
+                outside += not in_box
+    assert min(inside) >= 200 and outside >= 10_000, (inside, outside)
 
 
 def test_cycle_relaxation_bound_is_below_every_polytrope_optimum():

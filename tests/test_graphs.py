@@ -260,6 +260,49 @@ def test_unimodular_cotree_minors():
         assert abs(_bareiss_det(mat)) == 1
 
 
+def test_cotree_frame_of_every_basis_kind():
+    """The co-tree frame under the four ``random_bases`` and a basis with a
+    repeated row.  C is ``row_cotree_arcs`` on a fundamental basis and the
+    first mu independent columns in arc order (by rational rank) on any
+    other; |d| = |det Gamma_C| is 1 on the integral bases, 2 on the
+    rational one and 0 for dependent rows; the entries are d times the
+    inverse of Gamma_C."""
+    rng = random.Random(23)
+    seen = dict.fromkeys((1, 2, 0), 0)
+    for _ in range(60):
+        g = random_connected_digraph(rng, max_vertices=6, max_arcs=10)
+        if g.m - g.n + 1 < 2:
+            continue
+        *integral, rational = random_bases(rng, g)
+        c0, _, *rest = integral[0].gamma
+        repeated = CycleBasis(tuple(map(OrientedCycle, (c0, c0, *rest))))
+        for basis, expected in [(b, 1) for b in integral] + [(rational, 2), (repeated, 0)]:
+            cotree, d, entries = basis.cotree_frame
+            if basis.tree is not None:
+                assert cotree == basis.row_cotree_arcs
+            else:
+                first = []
+                for a in range(g.m):
+                    columns = [[row[b] for b in first + [a]] for row in basis.gamma]
+                    if _rational_rank(columns) > len(first):
+                        first.append(a)
+                assert cotree == tuple(first)
+            assert abs(d) == expected
+            seen[expected] += 1
+            if not d:
+                assert entries is None
+                continue
+            minor = [[row[a] for a in cotree] for row in basis.gamma]
+            assert abs(_bareiss_det(minor)) == expected
+            inverse = [[0] * basis.mu for _ in cotree]
+            for a, c, k in entries:
+                inverse[cotree.index(a)][k] = c
+            for i, row in enumerate(inverse):
+                for j in range(basis.mu):
+                    assert sum(x * minor[k][j] for k, x in enumerate(row)) == d * (i == j)
+    assert min(seen.values()) >= 30, seen
+
+
 def test_tree_potentials_follow_the_pinned_differences():
     rng = random.Random(11)
     for _ in range(30):

@@ -32,7 +32,15 @@ from peritrope import (
     tropical_vertices,
     width,
 )
-from helpers import random_instance, square_basis, square_instance, triangle_instance
+from helpers import (
+    dense_apply,
+    random_bases,
+    random_connected_digraph,
+    random_instance,
+    square_basis,
+    square_instance,
+    triangle_instance,
+)
 
 
 def _triangle():
@@ -312,6 +320,40 @@ def test_offset_preimage_without_tree_annotation():
     z = (2, -1, 3)
     p = offset_from_cycle_offset(anon, z)
     assert tuple(sum(r[a] * p[a] for a in range(6)) for r in anon.gamma) == z
+
+
+def test_offset_from_cycle_offset_under_every_basis_kind():
+    """Gamma p = z for image points z = Gamma q under the four
+    ``random_bases``, with p 0 off the co-tree of the basis's frame; on a
+    fundamental basis p is z on ``row_cotree_arcs``.  The rational basis
+    has z_0 = z_1 mod 2 on its image, so (1, 0, ...) has no preimage, and
+    dependent rows have none at all."""
+    checked = 0
+    rng = random.Random(31)
+    for _ in range(40):
+        g = random_connected_digraph(rng, max_vertices=6, max_arcs=10)
+        if g.m - g.n + 1 < 2:
+            continue
+        bases = random_bases(rng, g)
+        for basis in bases:
+            cotree = basis.cotree_frame[0]
+            for _ in range(5):
+                z = dense_apply(basis, [rng.randint(-3, 3) for _ in range(g.m)])
+                p = offset_from_cycle_offset(basis, z)
+                assert dense_apply(basis, p) == z
+                assert all(p[a] == 0 for a in range(g.m) if a not in cotree)
+                if basis.tree is not None:
+                    assert tuple(p[a] for a in basis.row_cotree_arcs) == z
+                checked += 1
+        rational = bases[3]
+        off_image = (1,) + (0,) * (rational.mu - 1)
+        with pytest.raises(ValueError, match="^no integer offset maps to this cycle offset$"):
+            offset_from_cycle_offset(rational, off_image)
+        c0, _, *rest = rational.gamma
+        repeated = CycleBasis(tuple(map(OrientedCycle, (c0, c0, *rest))))
+        with pytest.raises(ValueError, match="^cycle matrix does not have full row rank$"):
+            offset_from_cycle_offset(repeated, (0,) * repeated.mu)
+    assert checked >= 400, checked
 
 
 def test_normalize_and_anchor():

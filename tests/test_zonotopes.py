@@ -37,8 +37,7 @@ from peritrope import (
     zonotope_membership,
 )
 from peritrope import graphs, zonotopes
-from peritrope.graphs import tree_potentials
-from peritrope.zonotopes import _tile_frame
+from peritrope.graphs import _inverse_frame, tree_potentials
 from helpers import (
     _bareiss_det,
     implied_tile_by_dense_products,
@@ -182,6 +181,7 @@ def test_volume_matches_the_minor_and_tree_sums():
         assert volume(inst, rational) == volume_by_minor_sum(inst, rational) == 2 * tree_sum
         c0, _, *rest = integral[0].gamma
         repeated = CycleBasis(tuple(map(OrientedCycle, (c0, c0, *rest))))
+        assert repeated.cotree_frame[1] == 0
         assert volume(inst, repeated) == volume_by_minor_sum(inst, repeated) == 0
     assert min(seen.values()) >= 10, seen
 
@@ -398,8 +398,8 @@ def test_a_reflected_tile_is_foreign_and_still_inside(monkeypatch):
     it: the same parallelotope, but not the tile its structure implies, so
     only it builds a frame, and the report is the untampered one."""
     frames = []
-    real = zonotopes._tile_frame
-    monkeypatch.setattr(zonotopes, "_tile_frame", lambda g: frames.append(g) or real(g))
+    real = zonotopes._inverse_frame
+    monkeypatch.setattr(zonotopes, "_inverse_frame", lambda g: frames.append(g) or real(g))
     sq, basis = square_instance(), square_basis()
     tiles = list(fine_tiling(sq, basis))
     untampered = validate_tiling(sq, basis, tiles)
@@ -415,6 +415,45 @@ def test_a_reflected_tile_is_foreign_and_still_inside(monkeypatch):
     assert frames == [tiles[0].generators]
 
 
+def test_a_reflected_tile_keeps_the_report_under_every_integral_basis():
+    """A multigraph tile reflected into a foreign one (a nonzero generator
+    negated, the translation moved by it) is checked through the basis's
+    co-tree frame, which serves every integral basis of ``random_bases``:
+    the fundamental one, its row permutation and the unimodular one that
+    is not fundamental.  The report is the unreflected one."""
+    seen = dict.fromkeys(("fundamental", "not fundamental", "ok", "not ok"), 0)
+    for seed in range(30):
+        rng = random.Random(1700 + seed)
+        inst = _multigraph_instance(rng)
+        for basis in random_bases(rng, inst.graph)[:3]:
+            tiles = list(fine_tiling(inst, basis, rng.choice(inst.graph.vertices)))
+            untampered = validate_tiling(inst, basis, tiles)
+            t = rng.randrange(len(tiles))
+            tile = tiles[t]
+            k = rng.choice([k for k, col in enumerate(tile.generators) if any(col)])
+            flipped = tile.generators[k]
+            generators = list(tile.generators)
+            generators[k] = tuple(-v for v in flipped)
+            tiles[t] = dataclasses.replace(
+                tile,
+                generators=tuple(generators),
+                translation=tuple(x + v for x, v in zip(tile.translation, flipped)),
+            )
+            assert validate_tiling(inst, basis, tiles) == untampered
+            seen["fundamental" if basis.tree is not None else "not fundamental"] += 1
+            seen["ok" if untampered.ok else "not ok"] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_scaled_points_need_an_integral_basis():
+    """The scaled-point test takes its particular solution from the co-tree
+    frame; the rational basis (|d| = 2) has none and says so."""
+    inst = _multigraph_instance(random.Random(5))
+    rational = random_bases(random.Random(5), inst.graph)[3]
+    with pytest.raises(ValueError, match="basis is not integral: .* 2, not 1"):
+        scaled_point_in_zonotope(inst, rational, (0,) * rational.mu)
+
+
 def test_a_tile_whose_structure_moved_an_arc_is_foreign(monkeypatch):
     """One tree arc of a square tile moved from its lower to its upper
     bound, generators and translation kept: the structure now implies
@@ -422,8 +461,8 @@ def test_a_tile_whose_structure_moved_an_arc_is_foreign(monkeypatch):
     so the tile is foreign, only it builds a frame, and the report is the
     untampered one."""
     frames = []
-    real = zonotopes._tile_frame
-    monkeypatch.setattr(zonotopes, "_tile_frame", lambda g: frames.append(g) or real(g))
+    real = zonotopes._inverse_frame
+    monkeypatch.setattr(zonotopes, "_inverse_frame", lambda g: frames.append(g) or real(g))
     sq, basis = square_instance(), square_basis()
     tiles = list(fine_tiling(sq, basis))
     untampered = validate_tiling(sq, basis, tiles)
@@ -522,7 +561,7 @@ def test_tiles_match_the_dense_per_tile_oracle():
             assert report.incidences == tuple((t, z) for z, t in by_point)
             seen["validated"] += 1
         seen["zero span"] += 0 in inst.span
-        seen["d = 0"] += zonotopes._cotree_det(inst, basis) == 0
+        seen["d = 0"] += basis.cotree_frame[1] == 0
         seen["points"] += any(held)
     assert min(seen.values()) >= 25, seen
 
@@ -583,7 +622,7 @@ def test_tile_frame_is_a_scaled_inverse():
     kinds = {"singular": 0, "negative": 0, "positive": 0}
     for _, mu, gens in _frame_cases(700, 41):
         det = _bareiss_det([[col[k] for col in gens] for k in range(mu)])
-        frame = _tile_frame(gens)
+        frame = _inverse_frame(gens)
         if det == 0:
             assert frame is None
             kinds["singular"] += 1
