@@ -5,15 +5,22 @@ x = B^T pi + T p with l <= x <= u is a minimum-cost tension problem on
 the doubled graph kappa(p): minimize sum_v d_v pi_v subject to
 pi_h - pi_t <= c for every edge (t, h, c), where d_v is the weight on the
 arcs into v minus the weight on the arcs out of v.  Its LP dual is an
-uncapacitated minimum-cost flow with supplies d, solved by successive
-shortest paths with Bellman-Ford, in integers only.
+uncapacitated minimum-cost flow with supplies d.  One potential vector
+carries the whole solve, in integers only: the Bellman-Ford that tests
+the polytrope for emptiness returns feasible potentials, and successive
+shortest paths keep them feasible, one Dijkstra on reduced costs per
+phase (Ahuja, Magnanti & Orlin, "Network Flows", 1993, ch. 9).
 
 By complementary slackness the optimal face is the kappa constraints
-plus equality on every edge that carries flow.  Ties break toward the
-lexicographically smallest normalized timetable among the optimal
-vertices, which are the vertices of that face: a point is its own
-answer, and a larger face has its vertices enumerated as spanning tree
-structures on the quotient graph of its equality classes.
+plus equality on every edge that carries flow, whichever optimal flow
+was found.  The final potentials are feasible for that face, so its
+equality classes are the strongly connected components of its edges of
+reduced cost zero, and each vertex sits at its potential minus that of
+its class's smallest vertex.  Ties break toward the lexicographically
+smallest normalized timetable among the optimal vertices, which are the
+vertices of that face: a point is its own answer, and a larger face has
+its vertices enumerated as spanning tree structures on the quotient
+graph of its equality classes.
 
 ``cycle_relaxation_bound`` bounds that optimum from below without
 solving: every tension of a polytrope with cycle offset z meets
@@ -37,14 +44,7 @@ from .graphs import (
     spanning_trees,
     tree_potentials,
 )
-from .polytropes import (
-    equality_classes,
-    kappa,
-    normalize_timetable,
-    polytrope_nonempty,
-    shortest_path_matrix,
-    timetable_to_tension,
-)
+from .polytropes import _potentials, kappa, normalize_timetable, timetable_to_tension
 from .zonotopes import SpanningTreeStructure
 
 
@@ -56,52 +56,114 @@ class FixedOffsetResult:
     tight_structure: SpanningTreeStructure | None
 
 
-def _min_cost_flow(n, edges, supply):
+def _reduced_cost_flow(n, edges, supply, phi):
     """Flow per edge of a min-cost flow on ``edges`` (tail, head, cost),
     uncapacitated, where vertex v sends out supply[v] more than it takes
-    in.  The edges must be strongly connected without a negative cycle
-    and the supplies must sum to zero.
+    in; the supplies sum to zero over every connected component.  ``phi``
+    holds feasible potentials (no edge of negative reduced cost
+    c + phi_t - phi_h) and is updated in place, so that on return every
+    edge that carries flow has reduced cost zero.
 
-    Each round runs Bellman-Ford on the residual graph from every vertex
-    with excess and augments along a shortest path to the first vertex in
-    deficit, by at least one unit.
+    Successive shortest paths on reduced costs: each phase runs one
+    Dijkstra (a linear scan per step, no heap) from every vertex with
+    excess, adds its distances to the potentials, which zeroes the
+    reduced cost of every edge of the shortest path tree, and augments
+    along that tree to each deficit vertex in turn while the path's
+    source has excess and its reverse edges have flow.
     """
+    out = [[] for _ in range(n)]
+    into = [[] for _ in range(n)]
+    for k, (t, h, c) in enumerate(edges):
+        out[t].append((h, c, k))
+        into[h].append((t, c, k))
     flow = [0] * len(edges)
     excess = list(supply)
     while any(e > 0 for e in excess):
-        residual = [(t, h, c, k, 1) for k, (t, h, c) in enumerate(edges)]
-        residual += [(h, t, -c, k, -1) for k, (t, h, c) in enumerate(edges) if flow[k]]
-        dist = [0 if e > 0 else None for e in excess]
-        pred = [None] * n
-        for _ in range(n - 1):
-            changed = False
-            for arc in residual:
-                t, h, c = arc[0], arc[1], arc[2]
-                if dist[t] is not None and (dist[h] is None or dist[t] + c < dist[h]):
-                    dist[h] = dist[t] + c
-                    pred[h] = arc
-                    changed = True
-            if not changed:
-                break
-        sink = next(v for v in range(n) if excess[v] < 0)
-        path = []
-        source = sink
-        while pred[source] is not None:
-            path.append(pred[source])
-            source = pred[source][0]
-        amount = min(
-            [excess[source], -excess[sink]] + [flow[k] for _, _, _, k, s in path if s < 0]
-        )
-        for _, _, _, k, s in path:
-            flow[k] += s * amount
-        excess[source] -= amount
-        excess[sink] += amount
+        dist = [None] * n
+        pred = [None] * n  # (edge, +1 forward or -1 reverse, previous vertex)
+        tentative = {v: 0 for v in range(n) if excess[v] > 0}
+        while tentative:
+            u = min(tentative, key=tentative.__getitem__)
+            du = dist[u] = tentative.pop(u)
+            base = du + phi[u]
+            for h, c, k in out[u]:
+                if dist[h] is None:
+                    d = base + c - phi[h]
+                    if h not in tentative or d < tentative[h]:
+                        tentative[h] = d
+                        pred[h] = (k, 1, u)
+            for t, c, k in into[u]:
+                if flow[k] and dist[t] is None:
+                    d = base - c - phi[t]
+                    if t not in tentative or d < tentative[t]:
+                        tentative[t] = d
+                        pred[t] = (k, -1, u)
+        # Residual edges join both ends of every arc, so the vertices left
+        # unreached are whole components and keep their potentials.
+        for v, d in enumerate(dist):
+            if d is not None:
+                phi[v] += d
+        for sink in range(n):
+            if excess[sink] >= 0:
+                continue
+            path = []
+            amount = -excess[sink]
+            source = sink
+            while pred[source] is not None:
+                k, s, source = pred[source]
+                path.append((k, s))
+                if s < 0:
+                    amount = min(amount, flow[k])
+            amount = min(amount, excess[source])
+            if amount > 0:
+                for k, s in path:
+                    flow[k] += s * amount
+                excess[source] -= amount
+                excess[sink] += amount
     return flow
 
 
-def _face_vertices(inst, p, dist):
-    """Timetables at the vertices of the face whose canonical distance
-    matrix is ``dist``.
+def _face_classes(n, edges, flow, phi):
+    """For each vertex, the smallest vertex tied to it on the optimal
+    face, and its offset delta_v = phi_v - phi_rep from that vertex.
+
+    ``phi`` is feasible for the face graph (the edges plus the reversal of
+    every edge that carries flow), so a cycle of that graph has length
+    zero exactly when each of its edges has reduced cost zero: the classes
+    are the strongly connected components of those edges.
+    """
+    ahead = [[] for _ in range(n)]
+    behind = [[] for _ in range(n)]
+    for (t, h, c), f in zip(edges, flow):
+        if c + phi[t] == phi[h]:
+            ahead[t].append(h)
+            behind[h].append(t)
+            if f:
+                ahead[h].append(t)
+                behind[t].append(h)
+    rep = [None] * n
+    for v in range(n):
+        if rep[v] is None:
+            for u in _reach(ahead, v) & _reach(behind, v):
+                rep[u] = v
+    return rep, [phi[v] - phi[r] for v, r in enumerate(rep)]
+
+
+def _reach(adj, root):
+    """The set of vertices reachable from ``root`` in adjacency ``adj``."""
+    seen = {root}
+    stack = [root]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def _face_vertices(inst, p, rep, delta):
+    """Timetables at the vertices of the face whose equality classes are
+    ``rep`` (each vertex's smallest tied vertex) with offsets ``delta``.
 
     Vertices tied by a zero cycle move together (pi_v = P_c + delta_v for
     a potential P per equality class c), so the face is a polytope over the
@@ -111,13 +173,11 @@ def _face_vertices(inst, p, dist):
     """
     g = inst.graph
     T = inst.period
-    rep = equality_classes(dist)
     reps = sorted(set(rep))
-    cls = [reps.index(r) for r in rep]
-    delta = [dist[r][v] for v, r in enumerate(rep)]
     if len(reps) == 1:
         yield tuple(delta)
         return
+    cls = [reps.index(r) for r in rep]
     arcs, lower, upper = [], [], []
     for a, (i, j) in enumerate(g.arc_index_pairs):
         if cls[i] != cls[j]:
@@ -139,19 +199,19 @@ def _face_vertices(inst, p, dist):
 def minimize_over_polytrope(inst, p, objective=None):
     """Optimal vertex of the fixed-offset tension polytope.  Ties break
     toward the lexicographically smallest normalized timetable."""
-    if not polytrope_nonempty(inst, p):
-        raise Infeasible("polytrope is empty for this periodic offset")
     g = inst.graph
     T = inst.period
-    obj = inst.weight if objective is None else tuple(objective)
     edges = kappa(inst, p)
+    phi = _potentials(g.n, edges)
+    if phi is None:
+        raise Infeasible("polytrope is empty for this periodic offset")
+    obj = inst.weight if objective is None else tuple(objective)
     supply = [0] * g.n
     for w, (i, j) in zip(obj, g.arc_index_pairs):
         supply[j] += w
         supply[i] -= w
-    flow = _min_cost_flow(g.n, edges, supply)
-    face = edges + [(h, t, -c) for (t, h, c), f in zip(edges, flow) if f]
-    vertices = _face_vertices(inst, p, shortest_path_matrix(g.n, face))
+    flow = _reduced_cost_flow(g.n, edges, supply, phi)
+    vertices = _face_vertices(inst, p, *_face_classes(g.n, edges, flow, phi))
     pi = min(vertices, key=lambda v: normalize_timetable(v, 0, T), default=None)
     if pi is None:
         raise InvariantViolation("the optimal face of a nonempty polytrope has no vertex")

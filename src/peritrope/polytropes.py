@@ -35,18 +35,21 @@ def _doubled_edges(inst, base):
     return forward + reverse
 
 
-def _has_negative_cycle(n, edges):
-    # Bellman-Ford from a virtual source connected to everything at cost 0.
-    dist = [0] * n
+def _potentials(n, edges):
+    """Feasible potentials of ``edges`` (tail, head, weight): a list phi
+    with phi_j <= phi_i + w on every edge, or None when the edges hold a
+    negative cycle.  Bellman-Ford from a virtual source joined to every
+    vertex at cost 0, so phi is <= 0 and a shortest path length."""
+    phi = [0] * n
     for _ in range(n - 1):
         changed = False
         for i, j, w in edges:
-            if dist[i] + w < dist[j]:
-                dist[j] = dist[i] + w
+            if phi[i] + w < phi[j]:
+                phi[j] = phi[i] + w
                 changed = True
         if not changed:
-            return False
-    return any(dist[i] + w < dist[j] for i, j, w in edges)
+            return phi
+    return None if any(phi[i] + w < phi[j] for i, j, w in edges) else phi
 
 
 def shortest_path_matrix(n, edges):
@@ -89,11 +92,11 @@ def tension_system_feasible(inst, base):
     difference constraints, so feasibility is the absence of a negative
     cycle under weights u_a - base_a (forward) and base_a - l_a (reverse).
     """
-    return not _has_negative_cycle(inst.graph.n, _doubled_edges(inst, base))
+    return _potentials(inst.graph.n, _doubled_edges(inst, base)) is not None
 
 
 def polytrope_nonempty(inst, p):
-    return not _has_negative_cycle(inst.graph.n, kappa(inst, p))
+    return _potentials(inst.graph.n, kappa(inst, p)) is not None
 
 
 @dataclass(frozen=True)
@@ -124,10 +127,15 @@ def polytrope_build(inst, basis, p):
     # Offsets with the same cycle offset describe the same torus region, so
     # build from the canonical class representative; dist then depends on z
     # only, not on which preimage the caller happened to pass.
-    p = offset_for(inst, basis, z)
+    return _polytrope_at(inst, z, offset_for(inst, basis, z))
+
+
+def _polytrope_at(inst, z, p):
+    """The polytrope of cycle offset z from its canonical offset p
+    (``offset_for``), which a caller that already holds it passes on."""
     n = inst.graph.n
     edges = kappa(inst, p)
-    if _has_negative_cycle(n, edges):
+    if _potentials(n, edges) is None:
         return Polytrope(p, z, None, -1, inst.period, inst.graph.vertices)
     # The doubled graph is strongly connected, so all entries are finite.
     dist = shortest_path_matrix(n, edges)
@@ -239,6 +247,8 @@ def offset_from_cycle_offset(basis, z):
     region."""
     if basis.mu == 0:
         raise ValueError("cannot size the offset vector of an empty basis")
+    if len(z) != basis.mu:
+        raise ValueError(f"cycle offset has {len(z)} entries, the basis has {basis.mu} rows")
     _, d, entries = basis.cotree_frame
     if not d:
         raise ValueError("cycle matrix does not have full row rank")

@@ -15,7 +15,8 @@ caller's limit), which no later offset can reach or tie, so the
 (objective, z) argmin survives.  First improvement solves the steps with
 a bound of at most the limit in z order and stops at the first move.  No
 offset is tested for emptiness before it is solved: the one Bellman-Ford
-it gets opens ``minimize_over_polytrope``, and None means "empty".
+it gets opens ``minimize_over_polytrope``, whose potentials then carry
+the solve, and an ``Infeasible`` there means "empty".
 
 A polytrope's optimum and the steps around it, each with its bound,
 depend only on the instance, the basis and z, so one ``OffsetMemo``

@@ -48,11 +48,11 @@ from .graphs import (
     tree_walk,
 )
 from .polytropes import (
+    _polytrope_at,
     _root_index,
     anchor_timetable,
     offset_for,
     offset_from_cycle_offset,
-    polytrope_build,
     polytrope_nonempty,
     tension_system_feasible,
     tropical_vertices,
@@ -168,7 +168,7 @@ def enumerate_polytropes(inst, basis, cap=DEFAULT_WIDTH_CAP):
     building the polytrope of every integer point of the bounding box of
     feasible offsets: one Bellman-Ford per box point."""
     polys = (
-        polytrope_build(inst, basis, offset_for(inst, basis, z))
+        _polytrope_at(inst, z, offset_for(inst, basis, z))
         for z in box_points(inst, basis, cap=cap)
     )
     return tuple(poly for poly in polys if poly.nonempty)
@@ -489,7 +489,7 @@ def duality_check(inst, basis, root=None, tiles=None):
             if not inst.lower[a] <= x[a] <= inst.upper[a]:
                 feasible = False
         timetable = anchor_timetable(tuple(pi), ridx)
-        poly = polytrope_build(inst, basis, p)
+        poly = _polytrope_at(inst, z, p)
         matches = False
         if poly.nonempty:
             matches = timetable == tropical_vertices(poly, g.vertices[ridx])[ridx]

@@ -35,7 +35,9 @@ from peritrope import (
     solution_from_timetable,
     spanning_trees,
 )
+from peritrope.fixedlp import _extract_tight_structure
 from peritrope.graphs import DEFAULT_ENUMERATION_CAP, _inverse_frame, tree_potentials
+from peritrope.polytropes import equality_classes, kappa, shortest_path_matrix
 from peritrope.zonotopes import (
     DEFAULT_WIDTH_CAP,
     TilingReport,
@@ -250,6 +252,23 @@ def count_polytrope_solves(monkeypatch, module):
     return solves, empties
 
 
+def count_bellman_ford(monkeypatch):
+    """Patch ``polytropes._potentials``, the one Bellman-Ford kernel, in
+    every ``peritrope`` module that holds it, to record the vertex count
+    of each run.  Returns the list of runs."""
+    honest = peritrope.polytropes._potentials
+    runs = []
+
+    def counting(n, edges):
+        runs.append(n)
+        return honest(n, edges)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "peritrope" and getattr(module, "_potentials", None) is honest:
+            monkeypatch.setattr(module, "_potentials", counting)
+    return runs
+
+
 def enumerate_fixed_offset(inst, p, objective=None):
     """Reference for minimize_over_polytrope: walk every spanning tree
     structure (tree arcs pinned to a bound, the rest propagated), all
@@ -300,6 +319,103 @@ def enumerate_fixed_offset(inst, p, objective=None):
                     ),
                 )
     return best
+
+
+def minimize_by_bellman_ford_flow(inst, p, objective=None):
+    """Reference for minimize_over_polytrope: the min-cost flow by one
+    Bellman-Ford per augmentation, the optimal face's equality classes
+    read off its Floyd-Warshall distance matrix, and the face's vertices
+    enumerated over those classes, with the same tie-break."""
+    if not polytrope_nonempty(inst, p):
+        raise Infeasible("polytrope is empty for this periodic offset")
+    g = inst.graph
+    T = inst.period
+    obj = inst.weight if objective is None else tuple(objective)
+    edges = kappa(inst, p)
+    supply = [0] * g.n
+    for w, (i, j) in zip(obj, g.arc_index_pairs):
+        supply[j] += w
+        supply[i] -= w
+    flow = _bellman_ford_flow(g.n, edges, supply)
+    face = edges + [(h, t, -c) for (t, h, c), f in zip(edges, flow) if f]
+    vertices = _face_vertices_by_distances(inst, p, shortest_path_matrix(g.n, face))
+    pi = min(vertices, key=lambda v: normalize_timetable(v, 0, T))
+    x = tuple(pi[j] - pi[i] + T * p[a] for a, (i, j) in enumerate(g.arc_index_pairs))
+    return FixedOffsetResult(
+        timetable=normalize_timetable(pi, 0, T),
+        tension=x,
+        objective=sum(c * v for c, v in zip(obj, x)),
+        tight_structure=_extract_tight_structure(inst, x),
+    )
+
+
+def _bellman_ford_flow(n, edges, supply):
+    """Uncapacitated min-cost flow on strongly connected ``edges`` without
+    a negative cycle: each round runs Bellman-Ford on the residual graph
+    from every vertex with excess and augments along a shortest path to
+    the first vertex in deficit."""
+    flow = [0] * len(edges)
+    excess = list(supply)
+    while any(e > 0 for e in excess):
+        residual = [(t, h, c, k, 1) for k, (t, h, c) in enumerate(edges)]
+        residual += [(h, t, -c, k, -1) for k, (t, h, c) in enumerate(edges) if flow[k]]
+        dist = [0 if e > 0 else None for e in excess]
+        pred = [None] * n
+        for _ in range(n - 1):
+            changed = False
+            for arc in residual:
+                t, h, c = arc[0], arc[1], arc[2]
+                if dist[t] is not None and (dist[h] is None or dist[t] + c < dist[h]):
+                    dist[h] = dist[t] + c
+                    pred[h] = arc
+                    changed = True
+            if not changed:
+                break
+        sink = next(v for v in range(n) if excess[v] < 0)
+        path = []
+        source = sink
+        while pred[source] is not None:
+            path.append(pred[source])
+            source = pred[source][0]
+        amount = min(
+            [excess[source], -excess[sink]] + [flow[k] for _, _, _, k, s in path if s < 0]
+        )
+        for _, _, _, k, s in path:
+            flow[k] += s * amount
+        excess[source] -= amount
+        excess[sink] += amount
+    return flow
+
+
+def _face_vertices_by_distances(inst, p, dist):
+    """Timetables at the vertices of the face with distance matrix
+    ``dist``: spanning tree structures on the quotient graph of its
+    equality classes, each vertex at its class offset dist[rep][v]."""
+    g = inst.graph
+    T = inst.period
+    rep = equality_classes(dist)
+    reps = sorted(set(rep))
+    cls = [reps.index(r) for r in rep]
+    delta = [dist[r][v] for v, r in enumerate(rep)]
+    if len(reps) == 1:
+        yield tuple(delta)
+        return
+    arcs, lower, upper = [], [], []
+    for a, (i, j) in enumerate(g.arc_index_pairs):
+        if cls[i] != cls[j]:
+            shift = T * p[a] + delta[j] - delta[i]
+            arcs.append((cls[i], cls[j]))
+            lower.append(inst.lower[a] - shift)
+            upper.append(inst.upper[a] - shift)
+    q = Digraph(tuple(range(len(reps))), tuple(arcs))
+    for tree in spanning_trees(q, DEFAULT_ENUMERATION_CAP):
+        for mask in range(1 << len(tree)):
+            pinned = [None] * q.m
+            for k, b in enumerate(tree):
+                pinned[b] = upper[b] if mask >> k & 1 else lower[b]
+            P = tree_potentials(q, tree, pinned)
+            if all(lo <= P[h] - P[t] <= hi for (t, h), lo, hi in zip(arcs, lower, upper)):
+                yield tuple(P[c] + d for c, d in zip(cls, delta))
 
 
 def volume_by_minor_sum(inst, basis):

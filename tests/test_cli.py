@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import run_cli
+from helpers import count_bellman_ford, run_cli
 from peritrope import cli
 from peritrope.cli import main
 
@@ -272,13 +272,9 @@ def test_infeasible_exit_code(tmp_path):
 
 
 def test_solve_over_the_cap_exits_3_before_any_bellman_ford(tri, monkeypatch, capsys):
-    from peritrope import polytropes
-
-    def no_bellman_ford(*args):
-        raise AssertionError("Bellman-Ford ran on a box over the cap")
-
-    monkeypatch.setattr(polytropes, "_has_negative_cycle", no_bellman_ford)
+    runs = count_bellman_ford(monkeypatch)
     assert main(["solve", tri, "--cap-width", "2"]) == 3
+    assert runs == []
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: box holds 3 integer points, cap is 2\n"

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import peritrope.fixedlp
+import peritrope.polytropes
 from peritrope import (
     CycleBasis,
     Digraph,
@@ -25,7 +26,9 @@ from peritrope import (
 )
 from peritrope.zonotopes import _box_integer_ranges, box_points, lattice_points, odijk_box
 from helpers import (
+    count_bellman_ford,
     enumerate_fixed_offset,
+    minimize_by_bellman_ford_flow,
     random_bases,
     random_instance,
     square_basis,
@@ -215,6 +218,86 @@ def test_matches_the_structure_enumeration_on_random_cases():
         ), (inst, p, objective)
         checked += 1
     assert checked >= 300 and empty >= 10
+
+
+def _flow_oracle_cases():
+    """Seeded (objective kind, instance, offset, objective) cases on small
+    instances, plain and varied (fixed arcs, signed weights) in turn: the
+    first nonempty classes of each, two of them shifted by a random
+    potential, and a raw random offset (often empty), under the four
+    objectives of ``_random_cases``.  Instances stay small because a zero
+    objective walks the whole polytrope's vertices."""
+    for seed in range(440):
+        rng = random.Random(7100 + seed)
+        if seed % 2:
+            inst = varied_instance(rng, max_vertices=6, max_arcs=8)
+        else:
+            inst = random_instance(rng, max_vertices=6, max_arcs=8, max_period=10)
+        g = inst.graph
+        try:
+            polys = enumerate_polytropes(inst, default_basis(g), cap=60)
+        except EnumerationCapExceeded:
+            polys = ()
+        offsets = [poly.offset for poly in polys[:4]]
+        for p in offsets[:2]:
+            shift = [rng.randint(-2, 2) for _ in range(g.n)]
+            pairs = g.arc_index_pairs
+            offsets.append(tuple(pa + shift[j] - shift[i] for pa, (i, j) in zip(p, pairs)))
+        offsets.append(tuple(rng.randint(-1, 2) for _ in range(g.m)))
+        for k, p in enumerate(offsets):
+            kind = (seed + k) % 4
+            if kind == 0:
+                objective = None
+            elif kind == 1:
+                objective = (0,) * g.m
+            elif kind == 2:
+                objective = tuple(int(a == rng.randrange(g.m)) for a in range(g.m))
+            else:
+                objective = tuple(rng.randint(-3, 5) for _ in range(g.m))
+            yield kind, inst, p, objective
+
+
+def test_matches_the_bellman_ford_flow_oracle():
+    """The potential-vector solver returns the result of the solver it
+    replaced (one Bellman-Ford per augmentation, equality classes from a
+    Floyd-Warshall matrix), field for field, and calls emptiness alike."""
+    solved = [0] * 4
+    empty = 0
+    for kind, inst, p, objective in _flow_oracle_cases():
+        try:
+            fast = minimize_over_polytrope(inst, p, objective)
+        except Infeasible:
+            with pytest.raises(Infeasible):
+                minimize_by_bellman_ford_flow(inst, p, objective)
+            empty += 1
+            continue
+        assert fast == minimize_by_bellman_ford_flow(inst, p, objective), (inst, p, objective)
+        solved[kind] += 1
+    assert sum(solved) >= 1000 and min(solved) >= 200 and empty >= 100, (solved, empty)
+
+
+def test_a_solve_runs_one_bellman_ford_and_no_floyd_warshall(monkeypatch):
+    """The emptiness test opens the solve and its potentials serve the
+    flow and the face: one Bellman-Ford per call, nonempty or empty, and
+    no all-pairs matrix."""
+    cases = list(itertools.islice(_flow_oracle_cases(), 400))
+    runs = count_bellman_ford(monkeypatch)
+
+    def no_matrix(*args):
+        raise AssertionError("shortest_path_matrix called by the solver")
+
+    for module in (peritrope.polytropes, peritrope.fixedlp):
+        monkeypatch.setattr(module, "shortest_path_matrix", no_matrix, raising=False)
+    solved = 0
+    for _, inst, p, objective in cases:
+        runs.clear()
+        try:
+            minimize_over_polytrope(inst, p, objective)
+            solved += 1
+        except Infeasible:
+            pass
+        assert runs == [inst.graph.n]
+    assert solved >= 200
 
 
 def test_a_face_without_a_vertex_is_an_invariant_violation(monkeypatch):

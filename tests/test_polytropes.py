@@ -17,10 +17,13 @@ from peritrope import (
     PespInstance,
     anchor_timetable,
     default_basis,
+    duality_check,
     enumerate_polytropes,
+    fine_tiling,
     kappa,
     neighbors,
     normalize_timetable,
+    offset_for,
     offset_from_cycle_offset,
     parse_instance,
     polytrope_build,
@@ -32,7 +35,9 @@ from peritrope import (
     tropical_vertices,
     width,
 )
+from peritrope.zonotopes import box_points
 from helpers import (
+    count_bellman_ford,
     dense_apply,
     random_bases,
     random_connected_digraph,
@@ -263,18 +268,37 @@ def test_neighbors_tree_instance():
 
 def test_enumerate_polytropes_runs_one_bellman_ford_per_box_point(monkeypatch):
     # The build of each box point is its only emptiness test.
-    tested = []
-    honest = peritrope.polytropes._has_negative_cycle
-
-    def counting(n, edges):
-        tested.append(1)
-        return honest(n, edges)
-
-    monkeypatch.setattr(peritrope.polytropes, "_has_negative_cycle", counting)
+    tested = count_bellman_ford(monkeypatch)
     for inst, basis in (_triangle(), (square_instance(), square_basis())):
         tested.clear()
         polys = enumerate_polytropes(inst, basis)
         assert len(tested) == width(inst, basis) >= len(polys) > 0
+
+
+def test_each_box_point_gets_one_offset_preimage(monkeypatch):
+    """``enumerate_polytropes`` and ``duality_check`` build each polytrope
+    from the canonical offset they already hold: one
+    ``offset_from_cycle_offset`` call per box point or tile, and the
+    polytropes ``polytrope_build`` gives for the same offsets."""
+    inst, basis = square_instance(), square_basis()
+    polys = [
+        polytrope_build(inst, basis, offset_for(inst, basis, z)) for z in box_points(inst, basis)
+    ]
+    expected = tuple(poly for poly in polys if poly.nonempty)
+    tiles = fine_tiling(inst, basis)
+    honest = peritrope.polytropes.offset_from_cycle_offset
+    calls = []
+
+    def counting(basis, z):
+        calls.append(z)
+        return honest(basis, z)
+
+    monkeypatch.setattr(peritrope.polytropes, "offset_from_cycle_offset", counting)
+    assert enumerate_polytropes(inst, basis) == expected
+    assert len(calls) == width(inst, basis) == 12
+    calls.clear()
+    report = duality_check(inst, basis, tiles=tiles)
+    assert len(calls) == report.checked == 12 and report.ok
 
 
 def test_enumerate_polytropes_counts():
@@ -301,6 +325,14 @@ def test_offset_from_cycle_offset_fundamental():
     inst, basis = _triangle()
     assert offset_from_cycle_offset(basis, (1,)) == (0, 0, 1)
     assert offset_from_cycle_offset(basis, (0,)) == (0, 0, 0)
+
+
+@pytest.mark.parametrize("z", [(1, 7, 9), ()], ids=("long", "empty"))
+def test_offset_from_cycle_offset_rejects_a_z_of_the_wrong_length(z):
+    _, basis = _triangle()
+    message = f"^cycle offset has {len(z)} entries, the basis has 1 rows$"
+    with pytest.raises(ValueError, match=message):
+        offset_from_cycle_offset(basis, z)
 
 
 @settings(max_examples=50)

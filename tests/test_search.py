@@ -36,6 +36,7 @@ from peritrope import (
 )
 from peritrope.fixedlp import cycle_relaxation_bound
 from helpers import (
+    count_bellman_ford,
     count_polytrope_solves,
     random_bases,
     random_instance,
@@ -308,14 +309,7 @@ def test_neighbourhood_graph_runs_one_bellman_ford_per_box_point(monkeypatch):
     }
     moves = peritrope.polytropes.steps
     edges = sorted({tuple(sorted((z, y))) for z in nodes for y in moves(basis, z) if y in objective})
-    tested = []
-    honest = peritrope.polytropes._has_negative_cycle
-
-    def counting(n, arcs):
-        tested.append(1)
-        return honest(n, arcs)
-
-    monkeypatch.setattr(peritrope.polytropes, "_has_negative_cycle", counting)
+    tested = count_bellman_ford(monkeypatch)
     graph = neighbourhood_graph(inst, basis)
     assert (graph.nodes, list(graph.edges), graph.objective) == (nodes, edges, objective)
     assert len(tested) == width(inst, basis) == 288 and len(nodes) == 35
