@@ -243,12 +243,14 @@ def _tiling_section(inst, basis, root, points):
     tiles = fine_tiling(inst, basis, root)
     tiling_report = validate_tiling(inst, basis, tiles, points)
     duality = duality_check(inst, basis, root, tiles=tiles)
+    # Tiles share most translation values; each is formatted once.
+    ratio = {v: _ratio(v, T) for v in {v for t in tiles for v in t.translation}}
     listed = [
         {
             "tree": list(t.structure.tree),
             "L": sorted(t.structure.at_lower),
             "U": sorted(t.structure.at_upper),
-            "translation": [_ratio(v, T) for v in t.translation],
+            "translation": [ratio[v] for v in t.translation],
             "lattice_point": list(t.lattice_point) if t.lattice_point is not None else None,
         }
         for t in tiles

@@ -39,6 +39,7 @@ from .errors import EnumerationCapExceeded, Infeasible, InvariantViolation
 from .graphs import (
     DEFAULT_ENUMERATION_CAP,
     Digraph,
+    _require_connected,
     greedy_forest,
     greedy_spanning_tree,
     spanning_trees,
@@ -198,8 +199,10 @@ def _face_vertices(inst, p, rep, delta):
 
 def minimize_over_polytrope(inst, p, objective=None):
     """Optimal vertex of the fixed-offset tension polytope.  Ties break
-    toward the lexicographically smallest normalized timetable."""
+    toward the lexicographically smallest normalized timetable.  A
+    disconnected graph raises DisconnectedGraph before any work."""
     g = inst.graph
+    _require_connected(g)
     T = inst.period
     edges = kappa(inst, p)
     phi = _potentials(g.n, edges)

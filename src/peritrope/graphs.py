@@ -65,7 +65,12 @@ class Digraph:
         return tuple((vi[t], vi[h]) for t, h in self.arcs)
 
     def is_connected(self):
-        """Connectivity of the underlying undirected graph."""
+        """Connectivity of the underlying undirected graph, walked once per
+        graph."""
+        return self._connected
+
+    @cached_property
+    def _connected(self):
         return self.n > 0 and len(tree_walk(self, range(self.m))) == self.n - 1
 
 
@@ -273,8 +278,9 @@ def spanning_trees(g, cap=DEFAULT_ENUMERATION_CAP):
         if not edge_list:
             return
         aid, x, y = edge_list[0]
+        rest = edge_list[1:]
         contracted = []
-        for bid, p, q in edge_list[1:]:
+        for bid, p, q in rest:
             p2 = x if p == y else p
             q2 = x if q == y else q
             if p2 != q2:
@@ -282,8 +288,9 @@ def spanning_trees(g, cap=DEFAULT_ENUMERATION_CAP):
         chosen.append(aid)
         recurse(contracted, labels - {y}, chosen)
         chosen.pop()
-        rest = edge_list[1:]
-        if len(greedy_forest(g.n, rest)) == len(labels) - 1:
+        # edge_list is connected, so the rest is too when contraction
+        # looped a parallel copy of aid; else one union-find decides.
+        if len(contracted) < len(rest) or len(greedy_forest(g.n, rest)) == len(labels) - 1:
             recurse(rest, labels, chosen)
 
     recurse(edges, frozenset(range(g.n)), [])

@@ -52,6 +52,26 @@ def _potentials(n, edges):
     return None if any(phi[i] + w < phi[j] for i, j, w in edges) else phi
 
 
+def _distances_from(n, edges, source):
+    """Shortest path lengths from ``source`` over ``edges`` (tail, head,
+    weight), that is row ``source`` of ``shortest_path_matrix``, or None
+    when a negative cycle is reachable from ``source``.  Bellman-Ford,
+    stopping at the first pass that changes nothing; vertices the edges
+    do not reach keep None."""
+    dist = [None] * n
+    dist[source] = 0
+    for _ in range(n):
+        changed = False
+        for i, j, w in edges:
+            di = dist[i]
+            if di is not None and (dist[j] is None or di + w < dist[j]):
+                dist[j] = di + w
+                changed = True
+        if not changed:
+            return dist
+    return None
+
+
 def shortest_path_matrix(n, edges):
     """All-pairs shortest path lengths by Floyd-Warshall, in integers.
 

@@ -25,7 +25,9 @@ recomputation.  A foreign tile, and ``tile_contains_scaled``, invert the
 generator matrix G into a frame (d, d * G^-1) with |d| = |det G| by
 ``graphs._inverse_frame``, which builds the basis co-tree frames too; a
 point lies in the tile when every coordinate of d * G^-1 applied to its
-offset from the translation is between 0 and d.
+offset from the translation is between 0 and d.  ``duality_check``
+compares each tile's pinned timetable with one row of the Kleene star,
+the shortest path lengths from the root, and builds no polytrope.
 Fractions appear only in volumes and the width bound chain.
 """
 
@@ -48,14 +50,15 @@ from .graphs import (
     tree_walk,
 )
 from .polytropes import (
+    _distances_from,
     _polytrope_at,
     _root_index,
     anchor_timetable,
+    kappa,
     offset_for,
     offset_from_cycle_offset,
     polytrope_nonempty,
     tension_system_feasible,
-    tropical_vertices,
 )
 
 DEFAULT_WIDTH_CAP = 10_000
@@ -252,8 +255,10 @@ class Tile:
 def _pinned_tensions(inst, structure):
     """Tree arcs at the bound their structure pins them to, co-tree arcs at
     their lower bound."""
-    up = structure.at_upper
-    return [inst.upper[a] if a in up else inst.lower[a] for a in range(inst.graph.m)]
+    x = list(inst.lower)
+    for a in structure.at_upper:
+        x[a] = inst.upper[a]
+    return x
 
 
 def _frame_contains(frame, translation, scaled_point):
@@ -467,7 +472,13 @@ def duality_check(inst, basis, root=None, tiles=None):
     """For every tile holding a lattice point z: pinning the tree arcs to
     their bounds extends to a feasible tension whose timetable is the
     root's tropical vertex of the offset class of z.  ``tiles`` is the
-    ``fine_tiling`` for the same root, built here when not given."""
+    ``fine_tiling`` for the same root, built here when not given.
+
+    The root's tropical vertex is the root's row of the Kleene star of
+    kappa(p) for the canonical offset p of z, that is the shortest path
+    lengths from the root in the doubled graph, so each entry runs one
+    single-source Bellman-Ford and builds no polytrope.  A negative
+    cycle (an empty class) matches nothing."""
     g = inst.graph
     T = inst.period
     ridx = _root_index(g, root)
@@ -489,13 +500,9 @@ def duality_check(inst, basis, root=None, tiles=None):
             if not inst.lower[a] <= x[a] <= inst.upper[a]:
                 feasible = False
         timetable = anchor_timetable(tuple(pi), ridx)
-        poly = _polytrope_at(inst, z, p)
-        matches = False
-        if poly.nonempty:
-            matches = timetable == tropical_vertices(poly, g.vertices[ridx])[ridx]
-        entries.append(
-            DualityEntry(t, z, tuple(x), timetable, feasible, matches)
-        )
+        row = _distances_from(g.n, kappa(inst, p), ridx)
+        matches = row is not None and timetable == tuple(row)
+        entries.append(DualityEntry(t, z, tuple(x), timetable, feasible, matches))
     return DualityReport(tuple(entries))
 
 

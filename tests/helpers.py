@@ -37,16 +37,26 @@ from peritrope import (
 )
 from peritrope.fixedlp import _extract_tight_structure
 from peritrope.graphs import DEFAULT_ENUMERATION_CAP, _inverse_frame, tree_potentials
-from peritrope.polytropes import equality_classes, kappa, shortest_path_matrix
+from peritrope.polytropes import (
+    equality_classes,
+    kappa,
+    polytrope_build,
+    shortest_path_matrix,
+    tropical_vertices,
+)
 from peritrope.zonotopes import (
     DEFAULT_WIDTH_CAP,
+    DualityEntry,
+    DualityReport,
     TilingReport,
     _frame_contains,
     _pinned_tensions,
     _scaled_columns,
+    fine_tiling,
     lattice_points,
     scaled_point_in_zonotope,
     volume,
+    width,
 )
 
 
@@ -139,6 +149,24 @@ def random_bases(rng, g):
 def seeded_instances(count, base_seed=0, **kwargs):
     for k in range(count):
         yield random_instance(random.Random(base_seed + k), **kwargs)
+
+
+def random_corpus(count):
+    """The first ``count`` instances of seeds 9000, 9001, ... with at most
+    120 spanning trees and width at most 400 under the default basis, as
+    (inst, basis, trees, rng) with the rng each instance was drawn from."""
+    accepted = []
+    seed = 0
+    while len(accepted) < count:
+        rng = random.Random(9000 + seed)
+        seed += 1
+        inst = random_instance(rng, max_vertices=5, max_arcs=8, max_period=12)
+        basis = default_basis(inst.graph)
+        trees = spanning_trees(inst.graph)
+        if len(trees) > 120 or width(inst, basis) > 400:
+            continue
+        accepted.append((inst, basis, trees, rng))
+    return accepted
 
 
 def varied_instance(rng, max_vertices=6, max_arcs=9, max_period=10):
@@ -416,6 +444,61 @@ def _face_vertices_by_distances(inst, p, dist):
             P = tree_potentials(q, tree, pinned)
             if all(lo <= P[h] - P[t] <= hi for (t, h), lo, hi in zip(arcs, lower, upper)):
                 yield tuple(P[c] + d for c, d in zip(cls, delta))
+
+
+def duality_check_by_polytropes(inst, basis, root=None, tiles=None):
+    """Reference for ``zonotopes.duality_check``: per tile holding a lattice
+    point, the whole polytrope of its offset class (Bellman-Ford,
+    Floyd-Warshall, equality classes), whose distance matrix gives the
+    root's tropical vertex."""
+    g = inst.graph
+    T = inst.period
+    ridx = 0 if root is None else g.vertices.index(root)
+    if tiles is None:
+        tiles = fine_tiling(inst, basis, root)
+    entries = []
+    for t, tile in enumerate(tiles):
+        z = tile.lattice_point
+        if z is None:
+            continue
+        p = offset_for(inst, basis, z)
+        s = tile.structure
+        x = [inst.upper[a] if a in s.at_upper else inst.lower[a] for a in range(g.m)]
+        pi = tree_potentials(g, s.tree, [v - T * q for v, q in zip(x, p)], ridx)
+        feasible = True
+        for a, (i, j) in enumerate(g.arc_index_pairs):
+            if a not in s.tree:
+                x[a] = pi[j] - pi[i] + T * p[a]
+            if not inst.lower[a] <= x[a] <= inst.upper[a]:
+                feasible = False
+        timetable = tuple(v - pi[ridx] for v in pi)
+        poly = polytrope_build(inst, basis, p)
+        matches = poly.nonempty and timetable == tropical_vertices(poly, g.vertices[ridx])[ridx]
+        entries.append(DualityEntry(t, z, tuple(x), timetable, feasible, matches))
+    return DualityReport(tuple(entries))
+
+
+def spanning_trees_by_subsets(g):
+    """Reference for ``spanning_trees``: every (n - 1)-subset of the arcs,
+    in sorted order, that a union-find takes without closing a cycle."""
+    pairs = g.arc_index_pairs
+    trees = []
+    for subset in itertools.combinations(range(g.m), g.n - 1):
+        parent = list(range(g.n))
+
+        def root(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for a in subset:
+            i, j = root(pairs[a][0]), root(pairs[a][1])
+            if i == j:
+                break
+            parent[i] = j
+        else:
+            trees.append(subset)
+    return tuple(trees)
 
 
 def volume_by_minor_sum(inst, basis):

@@ -6,7 +6,6 @@ PASS/FAIL line per criterion via conftest.
 """
 
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -42,7 +41,7 @@ from peritrope import (
     width_bound_report,
     zonotope_descriptor,
 )
-from helpers import random_instance, run_cli, square_basis, square_instance, triangle_instance
+from helpers import random_corpus, run_cli, square_basis, square_instance, triangle_instance
 
 TRIANGLE_TEXT = """\
 PERIOD 10
@@ -158,23 +157,8 @@ def test_criterion_7_duality_everywhere():
                 assert entry.matches_tropical_vertex
 
 
-def _random_corpus(count):
-    accepted = []
-    seed = 0
-    while len(accepted) < count:
-        rng = random.Random(9000 + seed)
-        seed += 1
-        inst = random_instance(rng, max_vertices=5, max_arcs=8, max_period=12)
-        basis = default_basis(inst.graph)
-        trees = spanning_trees(inst.graph)
-        if len(trees) > 120 or width(inst, basis) > 400:
-            continue
-        accepted.append((inst, basis, trees, rng))
-    return accepted
-
-
 def test_criterion_8_property_suite():
-    corpus = _random_corpus(100)
+    corpus = random_corpus(100)
     oracle_agreements = 0
     for inst, basis, trees, rng in corpus:
         # (a) the two exact oracles agree, including on infeasibility

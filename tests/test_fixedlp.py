@@ -10,6 +10,7 @@ import peritrope.polytropes
 from peritrope import (
     CycleBasis,
     Digraph,
+    DisconnectedGraph,
     EnumerationCapExceeded,
     Infeasible,
     InvariantViolation,
@@ -274,6 +275,22 @@ def test_matches_the_bellman_ford_flow_oracle():
         assert fast == minimize_by_bellman_ford_flow(inst, p, objective), (inst, p, objective)
         solved[kind] += 1
     assert sum(solved) >= 1000 and min(solved) >= 200 and empty >= 100, (solved, empty)
+
+
+def test_a_disconnected_instance_fails_before_any_bellman_ford(monkeypatch):
+    """A ``PespInstance`` built directly may be disconnected (only
+    ``parse_instance`` checks); the solver refuses it up front, on empty
+    and nonempty offsets alike, without a Bellman-Ford or a flow."""
+    g = Digraph(tuple("abcdef"), (("a", "b"), ("c", "d"), ("d", "e"), ("c", "e")))
+    inst = PespInstance(g, 10, (2,) * 4, (6,) * 4, (1,) * 4)
+    offsets = list(itertools.product((-1, 0, 1), repeat=4))
+    nonempty = sum(polytrope_nonempty(inst, p) for p in offsets)
+    assert nonempty == 39
+    runs = count_bellman_ford(monkeypatch)
+    for p in offsets:
+        with pytest.raises(DisconnectedGraph):
+            minimize_over_polytrope(inst, p)
+    assert runs == []
 
 
 def test_a_solve_runs_one_bellman_ford_and_no_floyd_warshall(monkeypatch):

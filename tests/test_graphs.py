@@ -20,6 +20,7 @@ from peritrope import (
     structure_for_tree,
     verify_kernel_property,
 )
+from peritrope import graphs
 from peritrope.graphs import _eliminate, greedy_forest, tree_potentials, tree_walk
 from helpers import (
     _bareiss_det,
@@ -29,6 +30,7 @@ from helpers import (
     gbar,
     random_bases,
     random_connected_digraph,
+    spanning_trees_by_subsets,
     square_graph,
     triangle_graph,
     triangle_instance,
@@ -61,6 +63,32 @@ def test_connectivity():
     assert triangle_graph().is_connected()
     g = Digraph(("a", "b", "c"), (("a", "b"),))
     assert not g.is_connected()
+
+
+def test_connectivity_is_walked_once_per_graph(monkeypatch):
+    """``is_connected`` walks the arcs on its first call and every later
+    call, also through ``spanning_trees``, reads the stored answer; an
+    equal graph object walks once of its own."""
+    walks = []
+    walk = graphs.tree_walk
+
+    def counted_walk(g, tree, *args):
+        walks.append(g)
+        return walk(g, tree, *args)
+
+    monkeypatch.setattr(graphs, "tree_walk", counted_walk)
+    connected = triangle_graph()
+    disconnected = Digraph(("a", "b", "c"), (("a", "b"),))
+    for _ in range(3):
+        assert connected.is_connected()
+        assert not disconnected.is_connected()
+    spanning_trees(connected)
+    with pytest.raises(DisconnectedGraph):
+        spanning_trees(disconnected)
+    assert [id(g) for g in walks] == [id(connected), id(disconnected)]
+    twin = triangle_graph()
+    assert twin == connected and twin.is_connected()
+    assert [id(g) for g in walks[2:]] == [id(twin)]
 
 
 def test_cyclomatic_number():
@@ -187,6 +215,53 @@ def test_spanning_trees_square_count():
 def test_spanning_trees_cap():
     with pytest.raises(EnumerationCapExceeded):
         spanning_trees(square_graph(), cap=5)
+
+
+def _random_multigraph(rng):
+    """A random connected digraph with one to four extra copies of its
+    arcs, each copy parallel or antiparallel and at a random position."""
+    g = random_connected_digraph(rng, max_vertices=6, max_arcs=7)
+    arcs = list(g.arcs)
+    for _ in range(rng.randint(1, 4)):
+        t, h = rng.choice(arcs)
+        arcs.insert(rng.randint(0, len(arcs)), (t, h) if rng.random() < 0.5 else (h, t))
+    return Digraph(g.vertices, tuple(arcs))
+
+
+def test_spanning_trees_match_the_subset_oracle_on_multigraphs():
+    """The same sorted trees as every (n - 1)-arc subset a union-find
+    takes, and EnumerationCapExceeded exactly when the count passes the
+    cap: a cap of count - 1 raises, a cap of count does not."""
+    total = 0
+    for seed in range(200):
+        g = _random_multigraph(random.Random(4000 + seed))
+        trees = spanning_trees(g)
+        assert trees == spanning_trees_by_subsets(g), g
+        count = len(trees)
+        total += count
+        assert spanning_trees(g, cap=count) == trees
+        for cap in {0, count // 2, count - 1}:
+            with pytest.raises(EnumerationCapExceeded, match=f"more than {cap} spanning"):
+                spanning_trees(g, cap=cap)
+    assert total >= 2000, total
+
+
+def test_a_looped_parallel_copy_saves_the_bridge_test(monkeypatch):
+    """When contracting an arc loops a parallel or antiparallel copy of it,
+    leaving the arc out keeps the rest connected, so ``spanning_trees``
+    runs no union-find there: on two vertices joined by four copies, only
+    the last copy, a bridge, is tested."""
+    calls = []
+    honest = graphs.greedy_forest
+
+    def counted(n, edges):
+        calls.append(len(edges))
+        return honest(n, edges)
+
+    monkeypatch.setattr(graphs, "greedy_forest", counted)
+    g = Digraph(("a", "b"), (("a", "b"), ("b", "a"), ("a", "b"), ("b", "a")))
+    assert spanning_trees(g) == ((0,), (1,), (2,), (3,))
+    assert calls == [0]
 
 
 def test_tree_count_matches_determinant_on_random_graphs():

@@ -35,6 +35,7 @@ from peritrope import (
     tropical_vertices,
     width,
 )
+from peritrope.polytropes import _distances_from, _potentials, shortest_path_matrix
 from peritrope.zonotopes import box_points
 from helpers import (
     count_bellman_ford,
@@ -113,6 +114,30 @@ def test_distance_matrix_invariants():
             for j in range(n):
                 for k in range(n):
                     assert d[i][k] <= d[i][j] + d[j][k]
+
+
+def test_distances_from_a_source_are_its_row_of_the_distance_matrix():
+    """The single-source Bellman-Ford gives row ``source`` of the
+    Floyd-Warshall matrix on every nonempty class and None on every empty
+    one, from each source; vertices it cannot reach keep None."""
+    rows = empties = 0
+    for seed in range(150):
+        rng = random.Random(5000 + seed)
+        inst = random_instance(rng, max_vertices=6, max_arcs=9)
+        n, m = inst.graph.n, inst.graph.m
+        for _ in range(4):
+            edges = kappa(inst, [rng.randint(-1, 1) for _ in range(m)])
+            dist = shortest_path_matrix(n, edges) if _potentials(n, edges) else None
+            for source in range(n):
+                row = _distances_from(n, edges, source)
+                assert row == (None if dist is None else list(dist[source]))
+                rows += 1
+            empties += dist is None
+    assert rows >= 1000 and empties >= 100, (rows, empties)
+    path = [(0, 1, 5), (1, 2, -2)]
+    assert _distances_from(3, path, 1) == [None, 0, -2]
+    assert _distances_from(3, path + [(2, 1, 3)], 0) == [0, 5, 3]
+    assert _distances_from(3, path + [(2, 1, 3), (2, 0, -4)], 2) is None
 
 
 def test_tropical_vertices_of_the_three_classes():
@@ -276,10 +301,10 @@ def test_enumerate_polytropes_runs_one_bellman_ford_per_box_point(monkeypatch):
 
 
 def test_each_box_point_gets_one_offset_preimage(monkeypatch):
-    """``enumerate_polytropes`` and ``duality_check`` build each polytrope
-    from the canonical offset they already hold: one
-    ``offset_from_cycle_offset`` call per box point or tile, and the
-    polytropes ``polytrope_build`` gives for the same offsets."""
+    """``enumerate_polytropes`` builds each polytrope, and ``duality_check``
+    weights each doubled graph, from the canonical offset they already
+    hold: one ``offset_from_cycle_offset`` call per box point or tile,
+    and the polytropes ``polytrope_build`` gives for the same offsets."""
     inst, basis = square_instance(), square_basis()
     polys = [
         polytrope_build(inst, basis, offset_for(inst, basis, z)) for z in box_points(inst, basis)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from peritrope import (
     fine_tiling,
     fundamental_cycle_basis,
     lattice_points,
+    contract_fixed_arcs,
     odijk_box,
     parse_instance,
     scaled_point_in_zonotope,
@@ -36,12 +38,16 @@ from peritrope import (
     zonotope_descriptor,
     zonotope_membership,
 )
-from peritrope import graphs, zonotopes
+from peritrope import graphs, polytropes, zonotopes
 from peritrope.graphs import _inverse_frame, tree_potentials
+from peritrope.zonotopes import box_points
 from helpers import (
     _bareiss_det,
+    count_bellman_ford,
+    duality_check_by_polytropes,
     implied_tile_by_dense_products,
     random_bases,
+    random_corpus,
     random_instance,
     solve_parallelotope_coords,
     square_basis,
@@ -571,7 +577,8 @@ def test_one_walk_per_tree_and_one_per_validated_tile(monkeypatch):
     one ``tree_walk``, with no ``tree_potentials`` call; ``validate_tiling``
     takes one ``tree_potentials`` walk per tile.  Walks are counted in
     ``graphs`` and ``zonotopes`` alike; the only other one is the
-    connectivity check of ``spanning_trees``, over every arc."""
+    connectivity check of the first ``spanning_trees`` call on a graph
+    object, over every arc, which later calls on that object reuse."""
     walks, potentials = [], []
     walk, potential = graphs.tree_walk, zonotopes.tree_potentials
 
@@ -587,10 +594,12 @@ def test_one_walk_per_tree_and_one_per_validated_tile(monkeypatch):
     monkeypatch.setattr(zonotopes, "tree_walk", counted_walk)
     monkeypatch.setattr(zonotopes, "tree_potentials", counted_potentials)
     sq, basis = square_instance(), square_basis()
+    walks.clear()
     trees = spanning_trees(sq.graph)
+    assert walks == [tuple(range(sq.graph.m))]
     walks.clear()
     tiles = fine_tiling(sq, basis, "v2")
-    assert walks == [tuple(range(sq.graph.m)), *trees]
+    assert walks == list(trees)
     assert potentials == []
     walks.clear()
     assert validate_tiling(sq, basis, tiles).ok
@@ -757,6 +766,83 @@ def test_duality_holds_for_every_root():
         assert rep.checked == 12
         tiles = fine_tiling(sq, square_basis(), root=root)
         assert duality_check(sq, square_basis(), root=root, tiles=tiles) == rep
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def _duality_corpus():
+    """(inst, basis) pairs: the worked instances, the golden instance
+    files (fixed arcs contracted, as ``analyze`` does), and 200 seeded
+    random instances, of which the first 100 are the acceptance corpus."""
+    yield _triangle()
+    yield square_instance(), square_basis()
+    for path in sorted(GOLDEN.glob("*.pesp")):
+        inst = parse_instance(path.read_text(encoding="utf-8"))
+        if any(l == u for l, u in zip(inst.lower, inst.upper)):
+            inst = contract_fixed_arcs(inst).instance
+        yield inst, default_basis(inst.graph)
+    for inst, basis, _, _ in random_corpus(200):
+        yield inst, basis
+
+
+def test_duality_matches_the_full_polytrope_oracle():
+    """``duality_check`` reads one shortest path row per entry and gives
+    the report the full polytrope gives, for every root: on its own
+    tiling, on the tiling of another root, and on tiles whose lattice
+    point is swapped for another box point, whose pinned tensions then
+    break an arc or whose class is empty."""
+    reports = infeasible = unmatched = empty = 0
+    for inst, basis in _duality_corpus():
+        vertices = inst.graph.vertices
+        assert duality_check(inst, basis) == duality_check_by_polytropes(inst, basis)
+        box = list(box_points(inst, basis))
+        for k, root in enumerate(vertices):
+            tiles = fine_tiling(inst, basis, root)
+            other = vertices[(k + 1) % len(vertices)]
+            swapped = [
+                dataclasses.replace(tile, lattice_point=box[(t * 7 + k) % len(box)])
+                for t, tile in enumerate(tiles)
+                if box
+            ]
+            for checked_root, checked in ((root, tiles), (other, tiles), (root, swapped)):
+                report = duality_check(inst, basis, checked_root, tiles=checked)
+                assert report == duality_check_by_polytropes(inst, basis, checked_root, checked)
+                reports += 1
+                infeasible += sum(not e.feasible_vertex for e in report.entries)
+                unmatched += sum(not e.matches_tropical_vertex for e in report.entries)
+            empty += sum(
+                not zonotope_membership(inst, basis, tile.lattice_point) for tile in swapped
+            )
+    counts = (reports, infeasible, unmatched, empty)
+    assert reports >= 2100 and infeasible >= 5000 and unmatched >= 7000 and empty >= 3000, counts
+
+
+def test_duality_check_builds_no_polytrope(monkeypatch):
+    """No polytrope, Floyd-Warshall or tropical vertex list: one
+    single-source Bellman-Ford from the root per checked tile, and none of
+    the virtual-source kind."""
+
+    def refuse(*args):
+        raise AssertionError("duality_check built a polytrope")
+
+    for module in (polytropes, zonotopes):
+        for name in ("_polytrope_at", "shortest_path_matrix", "tropical_vertices"):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    rows = []
+    honest = polytropes._distances_from
+
+    def counted(n, edges, source):
+        rows.append(source)
+        return honest(n, edges, source)
+
+    monkeypatch.setattr(zonotopes, "_distances_from", counted)
+    sq, basis = square_instance(), square_basis()
+    tiles = fine_tiling(sq, basis, "v2")
+    runs = count_bellman_ford(monkeypatch)
+    report = duality_check(sq, basis, "v2", tiles=tiles)
+    assert report.ok and report.checked == 12
+    assert rows == [2] * 12 and runs == []
 
 
 def test_width_bound_report_triangle():
