@@ -22,6 +22,7 @@ from .errors import (
     EnumerationCapExceeded,
     Infeasible,
     InfeasibleFixedCycle,
+    NotASpanningTree,
     PeritropeError,
     RetriesExhausted,
 )
@@ -116,11 +117,29 @@ def _load_instance(args):
         return parse_instance(handle.read())
 
 
-def _basis_for(args, g):
+def _basis_for(args, g, arc_map=None):
+    """The basis of ``--basis-tree``, whose arc indices number the arcs of
+    the instance file.  On a contracted instance ``arc_map`` (file arc ->
+    contracted arc, None for the arcs contracted away) translates them:
+    the arcs contracted away drop out, and the rest must map onto a
+    spanning tree of the contracted graph."""
     if args.basis_tree == "auto":
         return default_basis(g)
     arcs = tuple(int(part) for part in args.basis_tree.split(","))
-    return fundamental_cycle_basis(g, arcs)
+    if arc_map is None:
+        return fundamental_cycle_basis(g, arcs)
+    if any(not 0 <= a < len(arc_map) for a in arcs):
+        reason = "arc index out of range"
+    else:
+        image = [arc_map[a] for a in arcs if arc_map[a] is not None]
+        try:
+            return fundamental_cycle_basis(g, image)
+        except NotASpanningTree as exc:
+            reason = str(exc)
+    raise NotASpanningTree(
+        f"file arcs {args.basis_tree} do not map onto a spanning tree of the graph"
+        f" with its fixed arcs contracted: {reason}"
+    )
 
 
 def _emit(args, text):
@@ -215,10 +234,13 @@ def cmd_solve(args):
 
 
 def _contract_if_needed(inst):
+    """(instance, vertex map, arc map): the instance with its fixed arcs
+    contracted and the maps of ``ContractionResult``, the arc map None
+    when there is no fixed arc."""
     if any(l == u for l, u in zip(inst.lower, inst.upper)):
         result = contract_fixed_arcs(inst)
-        return result.instance, result.vertex_map, True
-    return inst, {v: v for v in inst.graph.vertices}, False
+        return result.instance, result.vertex_map, result.arc_map
+    return inst, {v: v for v in inst.graph.vertices}, None
 
 
 def _resolve_root(args, vertex_map, g):
@@ -268,9 +290,9 @@ def _tiling_section(inst, basis, root, points):
 
 def cmd_analyze(args):
     raw = _load_instance(args)
-    inst, vertex_map, contracted = _contract_if_needed(raw)
+    inst, vertex_map, arc_map = _contract_if_needed(raw)
     root = _resolve_root(args, vertex_map, inst.graph)
-    basis = _basis_for(args, inst.graph)
+    basis = _basis_for(args, inst.graph, arc_map)
     T = inst.period
     bounds = width_bound_report(inst, basis)
     report = {
@@ -305,7 +327,7 @@ def cmd_analyze(args):
             )
         except EnumerationCapExceeded:
             capped = True
-    if contracted:
+    if arc_map is not None:
         report["contracted"] = True
     if capped:
         report["cap_exceeded"] = True
@@ -337,9 +359,9 @@ def cmd_polytropes(args):
 
 def cmd_tile(args):
     raw = _load_instance(args)
-    inst, vertex_map, contracted = _contract_if_needed(raw)
+    inst, vertex_map, arc_map = _contract_if_needed(raw)
     root = _resolve_root(args, vertex_map, inst.graph)
-    basis = _basis_for(args, inst.graph)
+    basis = _basis_for(args, inst.graph, arc_map)
     points = lattice_points(inst, basis, cap=args.cap_width)
     tiles, validation, duality = _tiling_section(inst, basis, root, points)
     payload = {
@@ -348,7 +370,7 @@ def cmd_tile(args):
         "validation": validation,
         "duality": duality,
     }
-    if contracted:
+    if arc_map is not None:
         payload["contracted"] = True
     _emit(args, _json_text(payload) + "\n")
     return 0
@@ -356,9 +378,9 @@ def cmd_tile(args):
 
 def cmd_render(args):
     raw = _load_instance(args)
-    inst, vertex_map, _ = _contract_if_needed(raw)
+    inst, vertex_map, arc_map = _contract_if_needed(raw)
     root = _resolve_root(args, vertex_map, inst.graph)
-    basis = _basis_for(args, inst.graph)
+    basis = _basis_for(args, inst.graph, arc_map)
     if args.what == "torus":
         svg = render_torus(inst, basis, width_cap=args.cap_width)
     else:

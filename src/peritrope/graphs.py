@@ -4,15 +4,19 @@ Vertices are arbitrary hashable ids kept in declaration order; arcs are
 (tail, head) pairs addressed by their position in the arc sequence.
 Parallel and antiparallel arcs are allowed, self-loops are not.
 
-Three kernels serve the package.  ``greedy_forest`` is its one
+Four kernels serve the package.  ``greedy_forest`` is its one
 union-find.  ``tree_walk`` is its one depth-first walk of an arc set from
 a root; ``tree_potentials`` folds it into vertex potentials, and
 ``spanning_tree_walk`` checks that the arcs form a spanning tree.
-``_eliminate`` is its one exact elimination, a fraction-free (Bareiss)
-Gauss-Jordan: it gives the determinants (the zonotope volume, the tree
-count), the rank tests of ``verify_kernel_property`` and of the co-tree
-choice, and through ``_inverse_frame`` the frames (d, d * G^-1) of the
-tiles of ``zonotopes`` and of each basis's co-tree.
+``grow_spanning_trees`` is its one spanning tree enumeration: it grows
+every tree from a root, with the arcs it runs each way and the
+potentials of a difference per arc, for ``spanning_trees`` and for the
+tiles of ``zonotopes.fine_tiling``.  ``_eliminate`` is its one exact
+elimination, a fraction-free (Bareiss) Gauss-Jordan: it gives the
+determinants (the zonotope volume, the tree count), the rank tests of
+``verify_kernel_property`` and of the co-tree choice, and through
+``_inverse_frame`` the frames (d, d * G^-1) of the tiles of
+``zonotopes`` and of each basis's co-tree.
 
 ``CycleBasis.cotree_frame`` is the one place that decides which integer
 offset represents a cycle offset: offset preimages, scaled-point tests
@@ -265,36 +269,117 @@ def spanning_trees(g, cap=DEFAULT_ENUMERATION_CAP):
     """All spanning trees of the underlying multigraph, as sorted tuples of
     arc indices, in canonical (sorted) order.  Parallel arcs give distinct
     trees.  Raises EnumerationCapExceeded beyond ``cap`` trees."""
-    _require_connected(g)
-    edges = [(a, i, j) for a, (i, j) in enumerate(g.arc_index_pairs)]
     found = []
 
-    def recurse(edge_list, labels, chosen):
-        if len(labels) == 1:
-            found.append(tuple(sorted(chosen)))
-            if len(found) > cap:
-                raise EnumerationCapExceeded(f"more than {cap} spanning trees")
-            return
-        if not edge_list:
-            return
-        aid, x, y = edge_list[0]
-        rest = edge_list[1:]
-        contracted = []
-        for bid, p, q in rest:
-            p2 = x if p == y else p
-            q2 = x if q == y else q
-            if p2 != q2:
-                contracted.append((bid, p2, q2))
-        chosen.append(aid)
-        recurse(contracted, labels - {y}, chosen)
-        chosen.pop()
-        # edge_list is connected, so the rest is too when contraction
-        # looped a parallel copy of aid; else one union-find decides.
-        if len(contracted) < len(rest) or len(greedy_forest(g.n, rest)) == len(labels) - 1:
-            recurse(rest, labels, chosen)
+    def keep(tree, *_):
+        found.append(tuple(sorted(tree)))
 
-    recurse(edges, frozenset(range(g.n)), [])
-    return tuple(sorted(found))
+    zeros = (0,) * g.m
+    grow_spanning_trees(g, keep, zeros, zeros, cap=cap)
+    found.sort()
+    return tuple(found)
+
+
+def grow_spanning_trees(g, visit, away, toward, root=0, cap=DEFAULT_ENUMERATION_CAP):
+    """Call ``visit(tree, run_toward, run_away, pi)`` once per spanning
+    tree of the underlying multigraph, each grown from the vertex of index
+    ``root``; raises DisconnectedGraph before any tree, and
+    EnumerationCapExceeded at tree ``cap`` + 1, before visiting it.
+
+    ``tree`` lists the tree's arcs in the order they were grown,
+    ``run_away`` and ``run_toward`` those the tree runs away from and
+    toward the root, and ``pi`` the vertex potentials with pi[root] = 0
+    and pi_w = pi_v + away[a] along an arc a = (v, w) run away from the
+    root, pi_v = pi_w - toward[a] along one run toward it.  All four are
+    live: ``visit`` copies what it keeps.
+
+    At each depth the search takes the lowest usable arc with exactly one
+    end reached, grows the tree by it, then drops it and takes the next,
+    for as long as the dropped arc's far end still reaches the grown tree
+    over the usable arcs (the bridge test: a depth-first walk that stops
+    at the first reached vertex).  The unreached vertices stay joined to
+    the grown tree, so every branch ends in a tree and the work is
+    bounded by the trees visited (Gabow & Myers, SIAM J. Comput. 7,
+    1978).  When the first arc taken at a depth fails the test, the test
+    one depth up skips that arc, whose far side has no other way out, so
+    a chain of degree-2 vertices is not walked once per arc along it.
+    Vertex and arc sets are bit masks; ``cut`` holds the usable arcs with
+    exactly one end reached.
+    """
+    _require_connected(g)
+    pairs = g.arc_index_pairs
+    incident = [0] * g.n
+    for a, (i, j) in enumerate(pairs):
+        incident[i] |= 1 << a
+        incident[j] |= 1 << a
+    pi = [0] * g.n
+    tree, run_toward, run_away = [], [], []
+    count = 0
+
+    def reaches_tree(v, cut, usable):
+        seen = 1 << v
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            if incident[u] & cut:
+                return True
+            # No arc of u reaches the tree, so its usable arcs lead on.
+            arcs = incident[u] & usable
+            while arcs:
+                low = arcs & -arcs
+                arcs ^= low
+                i, j = pairs[low.bit_length() - 1]
+                w = i if j == u else j
+                if not seen >> w & 1:
+                    seen |= 1 << w
+                    stack.append(w)
+        return False
+
+    def grow(left, reached, cut, usable):
+        """Every tree that grows the reached vertices by ``left`` more.
+        Returns the first arc taken when dropping it failed the bridge
+        test, else 0: the far side of that arc joins the rest through it
+        alone, so the caller's bridge test need not cross it."""
+        nonlocal count
+        dead = 0
+        first = True
+        while True:
+            low = cut & -cut
+            a = low.bit_length() - 1
+            i, j = pairs[a]
+            if reached >> i & 1:
+                far, side = j, run_away
+                pi[j] = pi[i] + away[a]
+            else:
+                far, side = i, run_toward
+                pi[i] = pi[j] - toward[a]
+            tree.append(a)
+            side.append(a)
+            if left > 1:
+                # The far end's usable arcs now have one end reached or,
+                # those back to the tree, two.
+                dead = grow(left - 1, reached | 1 << far, cut ^ (incident[far] & usable), usable)
+            else:
+                count += 1
+                if count > cap:
+                    raise capped
+                visit(tree, run_toward, run_away, pi)
+            side.pop()
+            tree.pop()
+            cut ^= low
+            usable ^= low
+            # Most far ends keep a usable arc straight back to the tree.
+            if not (incident[far] & cut or reaches_tree(far, cut, usable & ~dead)):
+                return low if first else 0
+            first = False
+
+    capped = EnumerationCapExceeded(f"more than {cap} spanning trees")
+    if g.n > 1:
+        grow(g.n - 1, 1 << root, incident[root], (1 << g.m) - 1)
+    elif cap < 1:
+        raise capped
+    else:
+        visit(tree, run_toward, run_away, pi)
 
 
 def greedy_forest(n, edges):
@@ -336,8 +421,10 @@ def tree_walk(g, tree, root=0):
     get no step.
 
     This is the package's one tree walk: connectivity, cycle bases,
-    timetables from tensions or pinned trees, tile structures and their
-    pinned potentials, and fixed-arc contraction all go through it.
+    timetables from tensions or pinned trees, the structure of a given
+    tree and the potentials of a tile under validation, and fixed-arc
+    contraction all go through it; the tiles of ``fine_tiling`` take
+    theirs from ``grow_spanning_trees`` instead.
     """
     pairs = g.arc_index_pairs
     adj = [[] for _ in range(g.n)]

@@ -171,9 +171,15 @@ def validate(inst):
 
 @dataclass(frozen=True)
 class ContractionResult:
+    """The contracted instance; ``vertex_map`` sends each vertex to its
+    representative and ``arc_map[a]`` each arc a of the original to its
+    index in the contracted instance, None for the arcs contracted away
+    (fixed arcs and arcs whose ends are merged)."""
+
     instance: PespInstance
     vertex_map: dict
     objective_offset: int
+    arc_map: tuple
 
 
 def contract_fixed_arcs(inst):
@@ -214,6 +220,7 @@ def contract_fixed_arcs(inst):
     offset = sum(inst.weight[a] * inst.lower[a] for a in fixed)
     new_arcs = []
     new_bounds = []
+    arc_map = [None] * g.m
     for a in range(g.m):
         if inst.lower[a] == inst.upper[a]:
             continue
@@ -233,6 +240,7 @@ def contract_fixed_arcs(inst):
                 )
             offset += inst.weight[a] * x
             continue
+        arc_map[a] = len(new_arcs)
         new_arcs.append((rep_name[ri], rep_name[rj]))
         new_bounds.append((lo, lo + inst.span[a], inst.weight[a]))
         # Old tension = new tension + drop - shift on this arc.
@@ -247,7 +255,7 @@ def contract_fixed_arcs(inst):
         tuple(b[1] for b in new_bounds),
         tuple(b[2] for b in new_bounds),
     )
-    return ContractionResult(new_inst, vertex_map, offset)
+    return ContractionResult(new_inst, vertex_map, offset, tuple(arc_map))
 
 
 def limit_instance(inst):

@@ -17,15 +17,16 @@ columns), the translation Gamma x for the pinned tensions x, which is
 Gamma l plus the scaled columns of the arcs pinned at their upper bound,
 and the lattice points, each a sum of the Gamma columns of co-tree arcs,
 read off the potentials of x.  ``fine_tiling`` takes those potentials,
-and the arcs at each bound, from the ``graphs.tree_walk`` that orients
-each tree away from the root, so it walks each tree once.  Validation
-recomputes each tile from its structure (one ``tree_potentials`` walk)
-and trusts the walk only for implied tiles, the ones equal to that
-recomputation.  A foreign tile, and ``tile_contains_scaled``, invert the
-generator matrix G into a frame (d, d * G^-1) with |d| = |det G| by
-``graphs._inverse_frame``, which builds the basis co-tree frames too; a
-point lies in the tile when every coordinate of d * G^-1 applied to its
-offset from the translation is between 0 and d.  ``duality_check``
+and the arcs at each bound, from ``graphs.grow_spanning_trees``, which
+grows each tree from the root and so orients it as it goes: no tree is
+walked.  Validation recomputes each tile from its structure (one
+``tree_potentials`` walk) and trusts the points only for implied tiles,
+the ones equal to that recomputation.  A foreign tile, and
+``tile_contains_scaled``, invert the generator matrix G into a frame
+(d, d * G^-1) with |d| = |det G| by ``graphs._inverse_frame``, which
+builds the basis co-tree frames too; a point lies in the tile when every
+coordinate of d * G^-1 applied to its offset from the translation is
+between 0 and d.  ``duality_check``
 compares each tile's pinned timetable with one row of the Kleene star,
 the shortest path lengths from the root, and builds no polytrope.
 Fractions appear only in volumes and the width bound chain.
@@ -40,14 +41,12 @@ from fractions import Fraction
 
 from .errors import EnumerationCapExceeded, FixedArcPresent
 from .graphs import (
-    DEFAULT_ENUMERATION_CAP,
     _eliminate,
     _inverse_frame,
     count_spanning_trees_determinant,
+    grow_spanning_trees,
     spanning_tree_walk,
-    spanning_trees,
     tree_potentials,
-    tree_walk,
 )
 from .polytropes import (
     _distances_from,
@@ -214,9 +213,9 @@ class SpanningTreeStructure:
             raise ValueError("lower/upper arcs must partition the tree")
 
     @classmethod
-    def _walked(cls, tree, at_lower, at_upper):
-        """The structure of a root walk over the sorted ``tree``, whose
-        frozensets ``at_lower`` and ``at_upper`` partition it by
+    def _grown(cls, tree, at_lower, at_upper):
+        """The structure of the sorted ``tree`` as grown from the root,
+        whose frozensets ``at_lower`` and ``at_upper`` partition it by
         construction, so ``__post_init__`` has nothing to check."""
         structure = object.__new__(cls)
         object.__setattr__(structure, "tree", tree)
@@ -282,27 +281,24 @@ def tile_contains_scaled(tile, scaled_point):
 
 
 def fine_tiling(inst, basis, root=None):
-    """One tile per spanning tree, pinned by the root orientation.  Each
-    tile records the first lattice point (in sorted order) it contains, if
-    any.  One ``tree_walk`` per tree both orients it and gives the
-    potentials of its pinned tensions."""
+    """One tile per spanning tree, pinned by the root orientation, in
+    sorted tree order.  Each tile records the first lattice point (in
+    sorted order) it contains, if any.  ``grow_spanning_trees`` grows each
+    tree from the root with the potentials of its pinned tensions, upper
+    bounds on the arcs run away from the root and lower bounds on those
+    run toward it, so no tree is walked."""
     g = inst.graph
-    ridx = _root_index(g, root)
     _, implied_tile = _tile_kernel(inst, basis)
-    lower, upper = inst.lower, inst.upper
     tiles = []
-    for tree in spanning_trees(g, DEFAULT_ENUMERATION_CAP):
-        pi, at_lower, at_upper = [0] * g.n, [], []
-        for v, w, a, s in tree_walk(g, tree, ridx):
-            if s > 0:
-                at_upper.append(a)
-                pi[w] = pi[v] + upper[a]
-            else:
-                at_lower.append(a)
-                pi[w] = pi[v] - lower[a]
-        _, generators, translation, points = implied_tile(tree, at_upper, pi)
-        structure = SpanningTreeStructure._walked(tree, frozenset(at_lower), frozenset(at_upper))
+
+    def add_tile(grown, run_toward, run_away, pi):
+        tree = tuple(sorted(grown))
+        _, generators, translation, points = implied_tile(tree, run_away, pi)
+        structure = SpanningTreeStructure._grown(tree, frozenset(run_toward), frozenset(run_away))
         tiles.append(Tile(structure, generators, translation, points[0] if points else None))
+
+    grow_spanning_trees(g, add_tile, inst.upper, inst.lower, _root_index(g, root))
+    tiles.sort(key=lambda tile: tile.structure.tree)
     return tuple(tiles)
 
 

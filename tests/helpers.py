@@ -36,7 +36,13 @@ from peritrope import (
     spanning_trees,
 )
 from peritrope.fixedlp import _extract_tight_structure
-from peritrope.graphs import DEFAULT_ENUMERATION_CAP, _inverse_frame, tree_potentials
+from peritrope.graphs import (
+    DEFAULT_ENUMERATION_CAP,
+    _inverse_frame,
+    greedy_forest,
+    tree_potentials,
+    tree_walk,
+)
 from peritrope.polytropes import (
     equality_classes,
     kappa,
@@ -48,10 +54,12 @@ from peritrope.zonotopes import (
     DEFAULT_WIDTH_CAP,
     DualityEntry,
     DualityReport,
+    Tile,
     TilingReport,
     _frame_contains,
     _pinned_tensions,
     _scaled_columns,
+    _tile_kernel,
     fine_tiling,
     lattice_points,
     scaled_point_in_zonotope,
@@ -499,6 +507,67 @@ def spanning_trees_by_subsets(g):
         else:
             trees.append(subset)
     return tuple(trees)
+
+
+def spanning_trees_by_contraction(g, cap=DEFAULT_ENUMERATION_CAP):
+    """Reference for ``spanning_trees``: the contraction-deletion
+    recursion, which takes the first arc into the tree (contracting it)
+    and then leaves it out when a union-find finds the rest still
+    connected.  Same DisconnectedGraph check first, same cap and message."""
+    if not g.is_connected():
+        raise DisconnectedGraph(f"graph on {g.n} vertices with {g.m} arcs is not connected")
+    found = []
+
+    def recurse(edge_list, labels, chosen):
+        if len(labels) == 1:
+            found.append(tuple(sorted(chosen)))
+            if len(found) > cap:
+                raise EnumerationCapExceeded(f"more than {cap} spanning trees")
+            return
+        if not edge_list:
+            return
+        aid, x, y = edge_list[0]
+        rest = edge_list[1:]
+        contracted = []
+        for bid, p, q in rest:
+            p2 = x if p == y else p
+            q2 = x if q == y else q
+            if p2 != q2:
+                contracted.append((bid, p2, q2))
+        chosen.append(aid)
+        recurse(contracted, labels - {y}, chosen)
+        chosen.pop()
+        if len(greedy_forest(g.n, rest)) == len(labels) - 1:
+            recurse(rest, labels, chosen)
+
+    edges = [(a, i, j) for a, (i, j) in enumerate(g.arc_index_pairs)]
+    recurse(edges, frozenset(range(g.n)), [])
+    return tuple(sorted(found))
+
+
+def fine_tiling_by_tree_walks(inst, basis, root=None):
+    """Reference for ``fine_tiling``: every tree of
+    ``spanning_trees_by_contraction`` walked from the root once, each arc
+    pinned at its upper bound when the walk runs it forward and at its
+    lower bound when backward, with the potentials of those pinned
+    tensions folded along the same walk."""
+    g = inst.graph
+    ridx = 0 if root is None else g.vertices.index(root)
+    _, implied_tile = _tile_kernel(inst, basis)
+    tiles = []
+    for tree in spanning_trees_by_contraction(g):
+        pi, at_lower, at_upper = [0] * g.n, [], []
+        for v, w, a, s in tree_walk(g, tree, ridx):
+            if s > 0:
+                at_upper.append(a)
+                pi[w] = pi[v] + inst.upper[a]
+            else:
+                at_lower.append(a)
+                pi[w] = pi[v] - inst.lower[a]
+        _, generators, translation, points = implied_tile(tree, at_upper, pi)
+        structure = SpanningTreeStructure(tree, at_lower, at_upper)
+        tiles.append(Tile(structure, generators, translation, points[0] if points else None))
+    return tuple(tiles)
 
 
 def volume_by_minor_sum(inst, basis):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import count_bellman_ford, run_cli
-from peritrope import cli
+from peritrope import cli, contract_fixed_arcs, parse_instance, serialize_instance
 from peritrope.cli import main
 
 TRIANGLE = """\
@@ -39,6 +39,14 @@ ARC v0 v1 3 12 1
 ARC v0 v2 2 10 1
 ARC v1 v2 4 13 1
 ARC v0 v1 5 5 1
+"""
+
+FIXED_FIRST = """\
+PERIOD 10
+ARC a b 3 3 1
+ARC b c 1 5 1
+ARC c a 2 6 1
+ARC a c 1 8 1
 """
 
 
@@ -428,6 +436,57 @@ def test_contracted_instance_is_flagged(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["contracted"] is True
     assert payload["validation"]["ok"] is True
+
+
+@pytest.mark.parametrize(
+    "command", [["analyze"], ["tile"], ["render", "--what", "zonotope"]], ids=" ".join
+)
+def test_basis_tree_numbers_the_arcs_of_the_file(tmp_path, capsys, command):
+    """Contracting the fixed arc 0 of FIXED_FIRST renumbers file arcs 1, 2,
+    3 as 0, 1, 2.  ``--basis-tree`` reads file numbering: the fixed arc
+    drops out, and each list gives the output of its image on the
+    contracted instance written out."""
+    path = tmp_path / "fixed.pesp"
+    path.write_text(FIXED_FIRST)
+    contracted = tmp_path / "contracted.pesp"
+    result = contract_fixed_arcs(parse_instance(FIXED_FIRST))
+    contracted.write_text(serialize_instance(result.instance))
+    outputs = set()
+    for listed, image in (("2", "1"), ("3", "2"), ("0,1", "0"), ("1,0", "0")):
+        assert main([command[0], str(path), "--basis-tree", listed, *command[1:]]) == 0
+        out = capsys.readouterr().out
+        assert main([command[0], str(contracted), "--basis-tree", image, *command[1:]]) == 0
+        expected = capsys.readouterr().out
+        if command[0] != "render":
+            out, expected = json.loads(out), json.loads(expected)
+            assert out.pop("contracted") is True
+        assert out == expected, listed
+        outputs.add(str(out))
+    assert len(outputs) == 3
+
+
+@pytest.mark.parametrize(
+    "listed, reason",
+    [
+        ("1,2", "2 arcs cannot span 2 vertices"),
+        ("0", "0 arcs cannot span 2 vertices"),
+        ("1,1", "repeated arc indices in tree"),
+        ("4", "arc index out of range"),
+        ("-1", "arc index out of range"),
+    ],
+)
+def test_a_basis_tree_that_misses_the_contracted_tree_is_a_usage_error(
+    tmp_path, capsys, listed, reason
+):
+    path = tmp_path / "fixed.pesp"
+    path.write_text(FIXED_FIRST)
+    assert main(["analyze", str(path), "--basis-tree", listed]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: file arcs {listed} do not map onto a spanning tree of the graph"
+        f" with its fixed arcs contracted: {reason}\n"
+    )
 
 
 def test_repeated_runs_are_byte_identical(tri, tmp_path):

@@ -438,7 +438,9 @@ def test_cycle_relaxation_bound_is_none_exactly_off_the_box():
 
 
 def test_cycle_relaxation_bound_is_below_every_polytrope_optimum():
-    instances = set()
+    # Keyed by identity; holding each instance keeps a freed one's id
+    # from being counted again for the next.
+    instances = {}
     points = tight = non_fundamental = fixed = signed = 0
     for inst, basis in _bound_cases():
         bound = cycle_relaxation_bound(inst, basis)
@@ -454,7 +456,7 @@ def test_cycle_relaxation_bound_is_below_every_polytrope_optimum():
             # polytrope is empty
             assert bound(z) is None
             assert not polytrope_nonempty(inst, offset_for(inst, basis, z))
-        instances.add(id(inst))
+        instances[id(inst)] = inst
         non_fundamental += basis.tree is None
         fixed += any(s == 0 for s in inst.span)
         signed += min(inst.weight) < 0

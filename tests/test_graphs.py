@@ -1,4 +1,5 @@
 import random
+from functools import cached_property
 
 import pytest
 
@@ -30,6 +31,7 @@ from helpers import (
     gbar,
     random_bases,
     random_connected_digraph,
+    spanning_trees_by_contraction,
     spanning_trees_by_subsets,
     square_graph,
     triangle_graph,
@@ -228,40 +230,109 @@ def _random_multigraph(rng):
     return Digraph(g.vertices, tuple(arcs))
 
 
+def _outcome(enumerate_trees, g, cap):
+    try:
+        return enumerate_trees(g, cap=cap)
+    except EnumerationCapExceeded as exc:
+        return str(exc)
+
+
 def test_spanning_trees_match_the_subset_oracle_on_multigraphs():
     """The same sorted trees as every (n - 1)-arc subset a union-find
-    takes, and EnumerationCapExceeded exactly when the count passes the
-    cap: a cap of count - 1 raises, a cap of count does not."""
+    takes and as the contraction-deletion recursion, and
+    EnumerationCapExceeded exactly when the count passes the cap, with
+    the recursion's message: a cap of count - 1 raises, a cap of count
+    does not."""
     total = 0
     for seed in range(200):
         g = _random_multigraph(random.Random(4000 + seed))
         trees = spanning_trees(g)
         assert trees == spanning_trees_by_subsets(g), g
+        assert trees == spanning_trees_by_contraction(g), g
         count = len(trees)
         total += count
-        assert spanning_trees(g, cap=count) == trees
-        for cap in {0, count // 2, count - 1}:
-            with pytest.raises(EnumerationCapExceeded, match=f"more than {cap} spanning"):
-                spanning_trees(g, cap=cap)
+        for cap in {0, count // 2, count - 1, count}:
+            expected = trees if cap == count else f"more than {cap} spanning trees"
+            assert _outcome(spanning_trees, g, cap) == expected
+            assert _outcome(spanning_trees_by_contraction, g, cap) == expected
     assert total >= 2000, total
 
 
-def test_a_looped_parallel_copy_saves_the_bridge_test(monkeypatch):
-    """When contracting an arc loops a parallel or antiparallel copy of it,
-    leaving the arc out keeps the rest connected, so ``spanning_trees``
-    runs no union-find there: on two vertices joined by four copies, only
-    the last copy, a bridge, is tested."""
-    calls = []
-    honest = graphs.greedy_forest
+def test_a_single_vertex_has_the_empty_tree():
+    g = Digraph(("v",), ())
+    for enumerate_trees in (spanning_trees, spanning_trees_by_contraction):
+        assert enumerate_trees(g) == ((),)
+        assert _outcome(enumerate_trees, g, 0) == "more than 0 spanning trees"
+    assert spanning_trees_by_subsets(g) == ((),)
 
-    def counted(n, edges):
-        calls.append(len(edges))
-        return honest(n, edges)
 
-    monkeypatch.setattr(graphs, "greedy_forest", counted)
-    g = Digraph(("a", "b"), (("a", "b"), ("b", "a"), ("a", "b"), ("b", "a")))
-    assert spanning_trees(g) == ((0,), (1,), (2,), (3,))
-    assert calls == [0]
+class _CountedReads(tuple):
+    """A vector that counts the reads of its entries."""
+
+    reads = 0
+
+    def __getitem__(self, a):
+        self.reads += 1
+        return super().__getitem__(a)
+
+
+def test_tree_growth_work_is_bounded_by_the_trees_visited():
+    """A dense core (K_7, root 0) with twelve pendant arcs at its last
+    vertex, numbered below every core arc, so each is taken as soon as
+    that vertex is reached.  Each is a bridge: the bridge test refuses to
+    drop it, where a grower without the test would grow the rest of the
+    core below every drop, 2^12 dead-end branches per visit of the last
+    vertex.  With the test every branch ends in a tree, so each growth
+    step, which reads one difference, leads to a visited tree: at most
+    (cap + 1)(n - 1) reads before the cap raises at tree cap + 1."""
+    core, leaves, cap = 7, 12, 10
+    arcs = [(core - 1, core + k) for k in range(leaves)]
+    arcs += [(i, j) for i in range(core) for j in range(i + 1, core)]
+    g = Digraph(tuple(range(core + leaves)), tuple(arcs))
+    differences = _CountedReads((0,) * g.m)
+    visited = []
+
+    def visit(tree, run_toward, run_away, pi):
+        visited.append(tuple(sorted(tree)))
+
+    with pytest.raises(EnumerationCapExceeded, match=f"more than {cap} spanning trees"):
+        graphs.grow_spanning_trees(g, visit, differences, differences, cap=cap)
+    assert len(set(visited)) == cap
+    assert all(set(range(leaves)) <= set(tree) for tree in visited)
+    assert 0 < differences.reads <= (cap + 1) * (g.n - 1)
+
+
+class _CountedPairs(Digraph):
+    """A digraph whose arc end pairs count their reads: one per growth
+    step and one per arc a bridge test crosses."""
+
+    @cached_property
+    def arc_index_pairs(self):
+        return _CountedReads(super().arc_index_pairs)
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["pendant", "closed"])
+@pytest.mark.parametrize("chain_first", [True, False], ids=["chain-first", "chain-last"])
+def test_a_chain_costs_linear_work_per_tree(closed, chain_first):
+    """K_5 with a chain of 40 arcs hung at its last vertex, closed back to
+    the root or not, numbered before or after the core.  Dropping a chain
+    arc leaves the rest of the chain hanging by one arc, so each bridge
+    test along it fails; a test that walked the whole far side each time
+    would cost the chain length squared per growth of the chain (7 to 37
+    reads per tree and vertex here).  A failed test hands its arc back to
+    the caller's test, which then need not cross it: under 2 reads."""
+    core, length = 5, 40
+    chain = [(core - 1 if k == 0 else core + k - 1, core + k) for k in range(length)]
+    if closed:
+        chain.append((core + length - 1, 0))
+    clique = [(i, j) for i in range(core) for j in range(i + 1, core)]
+    arcs = chain + clique if chain_first else clique + chain
+    g = _CountedPairs(tuple(range(core + length)), tuple(arcs))
+    trees = []
+    zeros = (0,) * g.m
+    graphs.grow_spanning_trees(g, lambda tree, *_: trees.append(tuple(sorted(tree))), zeros, zeros)
+    assert len(set(trees)) == len(trees) == count_spanning_trees_determinant(g)
+    assert g.arc_index_pairs.reads <= 2 * len(trees) * (g.n - 1)
 
 
 def test_tree_count_matches_determinant_on_random_graphs():

@@ -111,6 +111,7 @@ def test_contract_noop_without_fixed_arcs():
     assert result.instance == inst
     assert result.objective_offset == 0
     assert result.vertex_map == {"v0": "v0", "v1": "v1", "v2": "v2"}
+    assert result.arc_map == (0, 1, 2)
 
 
 def test_contract_single_fixed_arc_keeps_mu_and_objective():
@@ -135,6 +136,13 @@ def test_contract_chain_collapses_to_one_vertex():
     assert result.objective_offset == 2 + 3 + 5
 
 
+def test_an_arc_whose_ends_are_merged_leaves_the_arc_map():
+    text = "PERIOD 10\nARC a b 3 3 1\nARC a b 1 8 1\nARC b c 1 5 1\n"
+    result = contract_fixed_arcs(parse_instance(text))
+    assert result.instance.graph.arcs == (("a", "c"),)
+    assert result.arc_map == (None, None, 0)
+
+
 def test_contract_detects_inconsistent_fixed_cycle():
     text = "PERIOD 10\nARC a b 3 3 1\nARC b c 2 2 1\nARC a c 4 4 1\n"
     with pytest.raises(InfeasibleFixedCycle):
@@ -153,6 +161,7 @@ def test_contract_maps_each_fixed_component_to_its_smallest_vertex():
     result = contract_fixed_arcs(inst)
     assert result.vertex_map == {"a": "a", "b": "a", "c": "c", "d": "c", "e": "c"}
     assert result.instance.graph.vertices == ("a", "c")
+    assert result.arc_map == (None, 0, None, None, 1, 2)
     before = brute_force_timetable(inst).objective
     after = brute_force_timetable(result.instance).objective + result.objective_offset
     assert before == after

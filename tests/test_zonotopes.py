@@ -45,6 +45,7 @@ from helpers import (
     _bareiss_det,
     count_bellman_ford,
     duality_check_by_polytropes,
+    fine_tiling_by_tree_walks,
     implied_tile_by_dense_products,
     random_bases,
     random_corpus,
@@ -572,13 +573,13 @@ def test_tiles_match_the_dense_per_tile_oracle():
     assert min(seen.values()) >= 25, seen
 
 
-def test_one_walk_per_tree_and_one_per_validated_tile(monkeypatch):
-    """``fine_tiling`` orients each tree and takes its pinned potentials from
-    one ``tree_walk``, with no ``tree_potentials`` call; ``validate_tiling``
-    takes one ``tree_potentials`` walk per tile.  Walks are counted in
-    ``graphs`` and ``zonotopes`` alike; the only other one is the
-    connectivity check of the first ``spanning_trees`` call on a graph
-    object, over every arc, which later calls on that object reuse."""
+def test_no_walk_while_tiling_and_one_per_validated_tile(monkeypatch):
+    """``fine_tiling`` takes each tree's orientation and pinned potentials
+    from its growth, with no ``tree_walk`` and no ``tree_potentials`` call;
+    ``validate_tiling`` takes one ``tree_potentials`` walk per tile.  Walks
+    are counted in ``graphs`` and ``zonotopes`` alike; the only other one
+    is the connectivity check of the first enumeration on a graph object,
+    over every arc, which later enumerations on that object reuse."""
     walks, potentials = [], []
     walk, potential = graphs.tree_walk, zonotopes.tree_potentials
 
@@ -591,20 +592,30 @@ def test_one_walk_per_tree_and_one_per_validated_tile(monkeypatch):
         return potential(g, tree, *args)
 
     monkeypatch.setattr(graphs, "tree_walk", counted_walk)
-    monkeypatch.setattr(zonotopes, "tree_walk", counted_walk)
     monkeypatch.setattr(zonotopes, "tree_potentials", counted_potentials)
     sq, basis = square_instance(), square_basis()
     walks.clear()
-    trees = spanning_trees(sq.graph)
+    spanning_trees(sq.graph)
     assert walks == [tuple(range(sq.graph.m))]
     walks.clear()
     tiles = fine_tiling(sq, basis, "v2")
-    assert walks == list(trees)
+    assert walks == []
     assert potentials == []
-    walks.clear()
     assert validate_tiling(sq, basis, tiles).ok
     assert potentials == [t.structure.tree for t in tiles]
     assert walks == potentials
+
+
+def test_fine_tiling_matches_the_tree_walk_oracle():
+    """Growing each tree from the root gives the tiles of walking every
+    tree of the contraction-deletion recursion from it, for every root of
+    the ``_duality_corpus`` instances (the acceptance corpus among them)."""
+    tilings = 0
+    for inst, basis in _duality_corpus():
+        for root in inst.graph.vertices:
+            assert fine_tiling(inst, basis, root) == fine_tiling_by_tree_walks(inst, basis, root)
+            tilings += 1
+    assert tilings >= 700, tilings
 
 
 def _random_generators(rng, mu, singular):
