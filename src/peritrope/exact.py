@@ -4,7 +4,7 @@ exhaust timetables.
 ``solve_exact`` is exact but not exhaustive: it bounds every point of the
 box by the cycle relaxation, without a Bellman-Ford, and hands the
 points to the pruning policy described in ``search``, which solves only
-the ones that can still win or tie.  ``brute_force_timetable`` is
+the ones that can still win.  ``brute_force_timetable`` is
 deliberate brute force.  It anchors the heuristic and the geometry, so
 it shares nothing with the code it checks beyond the basic instance
 plumbing.

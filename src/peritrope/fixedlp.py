@@ -45,7 +45,13 @@ from .graphs import (
     spanning_trees,
     tree_potentials,
 )
-from .polytropes import _potentials, kappa, normalize_timetable, timetable_to_tension
+from .polytropes import (
+    _potentials,
+    _require_length,
+    kappa,
+    normalize_timetable,
+    timetable_to_tension,
+)
 from .zonotopes import SpanningTreeStructure
 
 
@@ -203,12 +209,13 @@ def minimize_over_polytrope(inst, p, objective=None):
     disconnected graph raises DisconnectedGraph before any work."""
     g = inst.graph
     _require_connected(g)
+    obj = inst.weight if objective is None else tuple(objective)
+    _require_length(obj, g.m, "objective", "arcs")
     T = inst.period
     edges = kappa(inst, p)
     phi = _potentials(g.n, edges)
     if phi is None:
         raise Infeasible("polytrope is empty for this periodic offset")
-    obj = inst.weight if objective is None else tuple(objective)
     supply = [0] * g.n
     for w, (i, j) in zip(obj, g.arc_index_pairs):
         supply[j] += w
@@ -318,6 +325,7 @@ def brute_force_fixed_offset(inst, p, objective=None, max_vertices=5, max_period
             f"grid oracle capped at {max_vertices} vertices and period {max_period}"
         )
     obj = inst.weight if objective is None else tuple(objective)
+    _require_length(obj, g.m, "objective", "arcs")
     tree = greedy_spanning_tree(g)
     best = None
     best_key = None

@@ -4,8 +4,10 @@ Fixing an integer offset vector p turns the feasibility region for
 timetables into the potential polyhedron of the doubled graph weighted by
 kappa(p): the forward copy of arc a carries u_a - T p_a, the reverse copy
 T p_a - l_a.  The region is nonempty exactly when that weighting has no
-negative cycle, and its all-pairs shortest path matrix is the canonical
-inequality description.  Everything here is exact integer arithmetic.
+negative cycle, and its Kleene star (all-pairs shortest paths), whose
+rows are the tropical vertices, is the canonical inequality description.
+One Bellman-Ford kernel, ``_potentials``, finds every shortest path here,
+in exact integer arithmetic like everything else.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DisconnectedGraph, EmptyPolytrope, Infeasible, NotATension
-from .graphs import tree_potentials
+from .graphs import _require_connected, tree_potentials
 
 
 def kappa(inst, p):
@@ -35,12 +37,20 @@ def _doubled_edges(inst, base):
     return forward + reverse
 
 
-def _potentials(n, edges):
-    """Feasible potentials of ``edges`` (tail, head, weight): a list phi
-    with phi_j <= phi_i + w on every edge, or None when the edges hold a
-    negative cycle.  Bellman-Ford from a virtual source joined to every
-    vertex at cost 0, so phi is <= 0 and a shortest path length."""
-    phi = [0] * n
+def _potentials(n, edges, source=None):
+    """Bellman-Ford over ``edges`` (tail, head, weight): shortest path
+    lengths phi, with phi_j <= phi_i + w on every edge, or None when the
+    edges hold a negative cycle.  With no ``source`` every vertex starts
+    at 0 (a virtual source), so phi is feasible potentials, all <= 0.
+    With a ``source`` it starts at 0 and the rest at the sum of the
+    positive weights, above every path length, so on a strongly connected
+    edge set (every kappa(p) of a connected instance) phi is the source's
+    row of the Kleene star."""
+    if source is None:
+        phi = [0] * n
+    else:
+        phi = [sum(w for _, _, w in edges if w > 0)] * n
+        phi[source] = 0
     for _ in range(n - 1):
         changed = False
         for i, j, w in edges:
@@ -50,50 +60,6 @@ def _potentials(n, edges):
         if not changed:
             return phi
     return None if any(phi[i] + w < phi[j] for i, j, w in edges) else phi
-
-
-def _distances_from(n, edges, source):
-    """Shortest path lengths from ``source`` over ``edges`` (tail, head,
-    weight), that is row ``source`` of ``shortest_path_matrix``, or None
-    when a negative cycle is reachable from ``source``.  Bellman-Ford,
-    stopping at the first pass that changes nothing; vertices the edges
-    do not reach keep None."""
-    dist = [None] * n
-    dist[source] = 0
-    for _ in range(n):
-        changed = False
-        for i, j, w in edges:
-            di = dist[i]
-            if di is not None and (dist[j] is None or di + w < dist[j]):
-                dist[j] = di + w
-                changed = True
-        if not changed:
-            return dist
-    return None
-
-
-def shortest_path_matrix(n, edges):
-    """All-pairs shortest path lengths by Floyd-Warshall, in integers.
-
-    The caller guarantees no negative cycle and a strongly connected
-    edge set, so every entry ends up finite (None marks "no path yet").
-    """
-    dist = [[None] * n for _ in range(n)]
-    for i in range(n):
-        dist[i][i] = 0
-    for i, j, w in edges:
-        if dist[i][j] is None or w < dist[i][j]:
-            dist[i][j] = w
-    for k in range(n):
-        row_k = dist[k]
-        for row in dist:
-            d_ik = row[k]
-            if d_ik is None:
-                continue
-            for j, d_kj in enumerate(row_k):
-                if d_kj is not None and (row[j] is None or d_ik + d_kj < row[j]):
-                    row[j] = d_ik + d_kj
-    return tuple(tuple(row) for row in dist)
 
 
 def equality_classes(dist):
@@ -153,14 +119,17 @@ def polytrope_build(inst, basis, p):
 def _polytrope_at(inst, z, p):
     """The polytrope of cycle offset z from its canonical offset p
     (``offset_for``), which a caller that already holds it passes on."""
-    n = inst.graph.n
+    g = inst.graph
+    _require_connected(g)
     edges = kappa(inst, p)
-    if _potentials(n, edges) is None:
-        return Polytrope(p, z, None, -1, inst.period, inst.graph.vertices)
-    # The doubled graph is strongly connected, so all entries are finite.
-    dist = shortest_path_matrix(n, edges)
+    first = _potentials(g.n, edges, 0)
+    if first is None:
+        return Polytrope(p, z, None, -1, inst.period, g.vertices)
+    # kappa(p) is strongly connected, so each run from a source is its row.
+    rows = [first] + [_potentials(g.n, edges, i) for i in range(1, g.n)]
+    dist = tuple(map(tuple, rows))
     dimension = len(set(equality_classes(dist))) - 1
-    return Polytrope(p, z, dist, dimension, inst.period, inst.graph.vertices)
+    return Polytrope(p, z, dist, dimension, inst.period, g.vertices)
 
 
 def polytrope_dimension(poly):
@@ -217,6 +186,13 @@ def timetable_membership(poly, pi):
     )
 
 
+def _require_length(values, count, what, unit):
+    """Raise ValueError unless ``values`` has ``count`` entries, one per
+    ``unit`` of the instance."""
+    if len(values) != count:
+        raise ValueError(f"{what} has {len(values)} entries, the instance has {count} {unit}")
+
+
 def timetable_to_tension(inst, pi):
     """Per-arc tension and offset induced by a timetable.
 
@@ -225,6 +201,7 @@ def timetable_to_tension(inst, pi):
     when that value overshoots the upper bound.  Raises Infeasible listing
     all violated arcs.
     """
+    _require_length(pi, inst.graph.n, "timetable", "vertices")
     T = inst.period
     x, p, bad = [], [], []
     for a, (i, j) in enumerate(inst.graph.arc_index_pairs):
@@ -247,6 +224,7 @@ def tension_to_timetable(inst, x, root=None):
     the arcs do not reach every vertex."""
     g = inst.graph
     T = inst.period
+    _require_length(x, g.m, "tension", "arcs")
     for a in range(g.m):
         if not inst.lower[a] <= x[a] <= inst.upper[a]:
             raise NotATension(f"arc {a}: {x[a]} outside [{inst.lower[a]}, {inst.upper[a]}]")

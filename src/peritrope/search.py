@@ -10,13 +10,15 @@ The pruning policy.  ``solve_exact`` (every box point) and a
 best-improvement ``tns`` step (the untabued steps of the current offset)
 hand ``_least_optimum`` their offsets as (bound, z) pairs in ascending
 order of ``cycle_relaxation_bound``.  It solves them in that order and
-stops at the first bound strictly above the best objective found (or the
-caller's limit), which no later offset can reach or tie, so the
-(objective, z) argmin survives.  First improvement solves the steps with
-a bound of at most the limit in z order and stops at the first move.  No
-offset is tested for emptiness before it is solved: the one Bellman-Ford
-it gets opens ``minimize_over_polytrope``, whose potentials then carry
-the solve, and an ``Infeasible`` there means "empty".
+stops at the first (bound, z) above the best (objective, z) found (or at
+the first bound above the caller's limit while none is found): a later
+offset's objective is at least its bound, so at best it ties the best
+objective with a larger z, and the (objective, z) argmin survives.
+First improvement solves the steps with a bound of at most the limit in
+z order and stops at the first move.  No offset is tested for emptiness
+before it is solved: the one Bellman-Ford it gets opens
+``minimize_over_polytrope``, whose potentials then carry the solve, and
+an ``Infeasible`` there means "empty".
 
 A polytrope's optimum and the steps around it, each with its bound,
 depend only on the instance, the basis and z, so one ``OffsetMemo``
@@ -158,8 +160,10 @@ def _least_optimum(candidates, optimum, limit=None):
     ``limit`` (None: any), or None; the pruning policy above."""
     best = None  # (objective, z, result)
     for lower, z in candidates:
-        cutoff = limit if best is None else best[0]
-        if cutoff is not None and lower > cutoff:
+        if best is not None:
+            if (lower, z) > best[:2]:
+                break
+        elif limit is not None and lower > limit:
             break
         res = optimum(z, lower)
         if res is None or (limit is not None and res.objective > limit):

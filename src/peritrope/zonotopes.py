@@ -49,8 +49,8 @@ from .graphs import (
     tree_potentials,
 )
 from .polytropes import (
-    _distances_from,
     _polytrope_at,
+    _potentials,
     _root_index,
     anchor_timetable,
     kappa,
@@ -472,9 +472,9 @@ def duality_check(inst, basis, root=None, tiles=None):
 
     The root's tropical vertex is the root's row of the Kleene star of
     kappa(p) for the canonical offset p of z, that is the shortest path
-    lengths from the root in the doubled graph, so each entry runs one
-    single-source Bellman-Ford and builds no polytrope.  A negative
-    cycle (an empty class) matches nothing."""
+    lengths from the root in the doubled graph, so each entry runs the
+    Bellman-Ford kernel once from the root and builds no polytrope.  A
+    negative cycle (an empty class) matches nothing."""
     g = inst.graph
     T = inst.period
     ridx = _root_index(g, root)
@@ -496,7 +496,7 @@ def duality_check(inst, basis, root=None, tiles=None):
             if not inst.lower[a] <= x[a] <= inst.upper[a]:
                 feasible = False
         timetable = anchor_timetable(tuple(pi), ridx)
-        row = _distances_from(g.n, kappa(inst, p), ridx)
+        row = _potentials(g.n, kappa(inst, p), ridx)
         matches = row is not None and timetable == tuple(row)
         entries.append(DualityEntry(t, z, tuple(x), timetable, feasible, matches))
     return DualityReport(tuple(entries))

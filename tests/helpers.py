@@ -47,7 +47,6 @@ from peritrope.polytropes import (
     equality_classes,
     kappa,
     polytrope_build,
-    shortest_path_matrix,
     tropical_vertices,
 )
 from peritrope.zonotopes import (
@@ -291,18 +290,44 @@ def count_polytrope_solves(monkeypatch, module):
 def count_bellman_ford(monkeypatch):
     """Patch ``polytropes._potentials``, the one Bellman-Ford kernel, in
     every ``peritrope`` module that holds it, to record the vertex count
-    of each run.  Returns the list of runs."""
+    and the source (None: the virtual one) of each run.  Returns the list
+    of runs."""
     honest = peritrope.polytropes._potentials
     runs = []
 
-    def counting(n, edges):
-        runs.append(n)
-        return honest(n, edges)
+    def counting(n, edges, source=None):
+        runs.append((n, source))
+        return honest(n, edges, source)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "peritrope" and getattr(module, "_potentials", None) is honest:
             monkeypatch.setattr(module, "_potentials", counting)
     return runs
+
+
+def shortest_path_matrix(n, edges):
+    """Reference for the rows of ``polytropes._potentials`` from a source:
+    all-pairs shortest path lengths by Floyd-Warshall, in integers, or
+    None when the edges hold a negative cycle.  An entry with no path
+    stays None."""
+    dist = [[None] * n for _ in range(n)]
+    for i in range(n):
+        dist[i][i] = 0
+    for i, j, w in edges:
+        if dist[i][j] is None or w < dist[i][j]:
+            dist[i][j] = w
+    for k in range(n):
+        row_k = dist[k]
+        for row in dist:
+            d_ik = row[k]
+            if d_ik is None:
+                continue
+            for j, d_kj in enumerate(row_k):
+                if d_kj is not None and (row[j] is None or d_ik + d_kj < row[j]):
+                    row[j] = d_ik + d_kj
+    if any(dist[i][i] < 0 for i in range(n)):
+        return None
+    return tuple(tuple(row) for row in dist)
 
 
 def enumerate_fixed_offset(inst, p, objective=None):

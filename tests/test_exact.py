@@ -19,13 +19,14 @@ from peritrope import (
     crosscheck,
     default_basis,
     fundamental_cycle_basis,
+    offset_for,
     parse_instance,
     solve_exact,
     spanning_trees,
     verify_solution,
 )
 from peritrope.fixedlp import cycle_relaxation_bound
-from peritrope.zonotopes import lattice_points
+from peritrope.zonotopes import box_points, lattice_points
 from helpers import (
     count_polytrope_solves,
     random_bases,
@@ -209,7 +210,7 @@ def test_solve_exact_matches_the_full_scan():
 
 
 @pytest.mark.parametrize(
-    "name, scanned, solved, empty", [("bench7", 15, 3, 5), ("mu6", 35, 24, 40)]
+    "name, scanned, solved, empty", [("bench7", 15, 3, 5), ("mu6", 35, 16, 26)]
 )
 def test_solve_exact_optimizes_only_the_offsets_that_can_win(
     monkeypatch, name, scanned, solved, empty
@@ -223,6 +224,26 @@ def test_solve_exact_optimizes_only_the_offsets_that_can_win(
     assert len(lattice_points(inst, basis)) == scanned
     assert len(solves) == len(set(solves)) == solved
     assert len(empties) == len(set(empties)) == empty
+
+
+@pytest.mark.parametrize("name", ["bench7", "mu6"])
+def test_a_zero_weight_instance_solves_the_box_up_to_its_first_nonempty_point(
+    monkeypatch, name
+):
+    # Every bound is 0, so once a point solves to 0 a later one could only
+    # tie it with a larger z: the box points after the first nonempty one
+    # are never solved.
+    inst = parse_instance((GOLDEN / f"{name}.pesp").read_text())
+    inst = dataclasses.replace(inst, weight=(0,) * inst.graph.m)
+    basis = default_basis(inst.graph)
+    points = list(box_points(inst, basis))
+    first = points.index(lattice_points(inst, basis)[0])
+    assert 0 < first < len(points) - 1
+    solves, empties = count_polytrope_solves(monkeypatch, peritrope.search)
+    assert solve_exact(inst, basis) == solve_exact_by_full_scan(inst, basis)
+    assert solves[:1] == [offset_for(inst, basis, points[first])]
+    assert solves[1:] == []
+    assert empties == [offset_for(inst, basis, z) for z in points[:first]]
 
 
 def test_an_empty_relaxation_at_a_lattice_point_is_an_invariant_violation(monkeypatch):

@@ -35,7 +35,7 @@ from peritrope import (
     tropical_vertices,
     width,
 )
-from peritrope.polytropes import _distances_from, _potentials, shortest_path_matrix
+from peritrope.polytropes import _potentials
 from peritrope.zonotopes import box_points
 from helpers import (
     count_bellman_ford,
@@ -43,9 +43,11 @@ from helpers import (
     random_bases,
     random_connected_digraph,
     random_instance,
+    shortest_path_matrix,
     square_basis,
     square_instance,
     triangle_instance,
+    varied_instance,
 )
 
 
@@ -117,9 +119,9 @@ def test_distance_matrix_invariants():
 
 
 def test_distances_from_a_source_are_its_row_of_the_distance_matrix():
-    """The single-source Bellman-Ford gives row ``source`` of the
+    """The kernel run from a source gives row ``source`` of the
     Floyd-Warshall matrix on every nonempty class and None on every empty
-    one, from each source; vertices it cannot reach keep None."""
+    one, from each source."""
     rows = empties = 0
     for seed in range(150):
         rng = random.Random(5000 + seed)
@@ -127,17 +129,40 @@ def test_distances_from_a_source_are_its_row_of_the_distance_matrix():
         n, m = inst.graph.n, inst.graph.m
         for _ in range(4):
             edges = kappa(inst, [rng.randint(-1, 1) for _ in range(m)])
-            dist = shortest_path_matrix(n, edges) if _potentials(n, edges) else None
+            dist = shortest_path_matrix(n, edges)
             for source in range(n):
-                row = _distances_from(n, edges, source)
+                row = _potentials(n, edges, source)
                 assert row == (None if dist is None else list(dist[source]))
                 rows += 1
             empties += dist is None
     assert rows >= 1000 and empties >= 100, (rows, empties)
-    path = [(0, 1, 5), (1, 2, -2)]
-    assert _distances_from(3, path, 1) == [None, 0, -2]
-    assert _distances_from(3, path + [(2, 1, 3)], 0) == [0, 5, 3]
-    assert _distances_from(3, path + [(2, 1, 3), (2, 0, -4)], 2) is None
+
+
+def test_the_kernel_matches_floyd_warshall_on_random_kappa_sets():
+    """On kappa(p) of random instances with fixed arcs and signed
+    offsets, with and without a negative cycle, the kernel is None exactly
+    when Floyd-Warshall finds a negative cycle; otherwise its run from
+    each source is that source's row, and its run from the virtual source
+    is the componentwise minimum of the rows.  One-vertex edge sets too."""
+    feasible = negative = 0
+    for seed in range(300):
+        rng = random.Random(5300 + seed)
+        inst = varied_instance(rng, max_vertices=7, max_arcs=11)
+        n, m = inst.graph.n, inst.graph.m
+        edges = kappa(inst, [rng.choice((-1, 0, 0, 1)) for _ in range(m)])
+        dist = shortest_path_matrix(n, edges)
+        runs = [_potentials(n, edges, source) for source in (None, *range(n))]
+        if dist is None:
+            assert runs == [None] * (n + 1)
+            negative += 1
+            continue
+        assert runs[1:] == [list(row) for row in dist]
+        assert runs[0] == [min(column) for column in zip(*dist)]
+        feasible += 1
+    assert feasible >= 40 and negative >= 100, (feasible, negative)
+    for edges in ([], [(0, 0, 3)], [(0, 0, 0)], [(0, 0, -1)]):
+        expected = None if shortest_path_matrix(1, edges) is None else [0]
+        assert _potentials(1, edges) == _potentials(1, edges, 0) == expected
 
 
 def test_tropical_vertices_of_the_three_classes():
@@ -193,6 +218,14 @@ def test_timetable_to_tension_examples():
     assert timetable_to_tension(inst, (0, 1, 0)) == ((11, 10, 9), (1, 1, 1))
 
 
+@pytest.mark.parametrize("pi", [(0, 8), (0, 8, 2, 5)])
+def test_timetable_to_tension_refuses_a_timetable_of_the_wrong_length(pi):
+    inst, _ = _triangle()
+    message = f"^timetable has {len(pi)} entries, the instance has 3 vertices$"
+    with pytest.raises(ValueError, match=message):
+        timetable_to_tension(inst, pi)
+
+
 def test_timetable_to_tension_reports_offending_arcs():
     g = Digraph(("a", "b"), (("a", "b"),))
     inst = PespInstance(g, 10, (3,), (4,), (1,))
@@ -208,6 +241,14 @@ def test_tension_to_timetable():
         tension_to_timetable(inst, (13, 2, 4))
     with pytest.raises(NotATension):
         tension_to_timetable(inst, (8, 2, 5))
+
+
+@pytest.mark.parametrize("x", [(8, 2), (8, 2, 4, 6)])
+def test_tension_to_timetable_refuses_a_tension_of_the_wrong_length(x):
+    inst, _ = _triangle()
+    message = f"^tension has {len(x)} entries, the instance has 3 arcs$"
+    with pytest.raises(ValueError, match=message):
+        tension_to_timetable(inst, x)
 
 
 @pytest.mark.parametrize(
@@ -291,13 +332,37 @@ def test_neighbors_tree_instance():
     assert neighbors(inst, basis, ()) == set()
 
 
-def test_enumerate_polytropes_runs_one_bellman_ford_per_box_point(monkeypatch):
-    # The build of each box point is its only emptiness test.
-    tested = count_bellman_ford(monkeypatch)
+def test_enumerate_polytropes_runs_one_bellman_ford_per_empty_point_and_n_per_nonempty(
+    monkeypatch,
+):
+    # Each box point's first row, from vertex 0, is its only emptiness
+    # test; a nonempty point then runs the other n - 1 rows.
+    runs = count_bellman_ford(monkeypatch)
+    empties = []
     for inst, basis in (_triangle(), (square_instance(), square_basis())):
-        tested.clear()
-        polys = enumerate_polytropes(inst, basis)
-        assert len(tested) == width(inst, basis) >= len(polys) > 0
+        n = inst.graph.n
+        nonempty = {poly.cycle_offset for poly in enumerate_polytropes(inst, basis)}
+        points = list(box_points(inst, basis))
+        rows = {z: range(n) if z in nonempty else range(1) for z in points}
+        assert runs == [(n, i) for z in points for i in rows[z]]
+        empties.append(len(points) - len(nonempty))
+        runs.clear()
+    assert empties == [0, 1]
+
+
+def test_a_disconnected_instance_builds_no_polytrope(monkeypatch):
+    """A hand-built ``PespInstance`` may be disconnected; building its
+    polytropes raises DisconnectedGraph before any Bellman-Ford."""
+    g = Digraph(tuple("abcd"), (("a", "b"), ("b", "a"), ("c", "d")))
+    inst = PespInstance(g, 10, (2,) * 3, (6,) * 3, (1,) * 3)
+    basis = CycleBasis((OrientedCycle((1, 1, 0)),))
+    runs = count_bellman_ford(monkeypatch)
+    for p in ((0, 0, 0), (0, 1, 0), (1, 1, 0)):
+        with pytest.raises(DisconnectedGraph):
+            polytrope_build(inst, basis, p)
+    with pytest.raises(DisconnectedGraph):
+        enumerate_polytropes(inst, basis)
+    assert runs == []
 
 
 def test_each_box_point_gets_one_offset_preimage(monkeypatch):

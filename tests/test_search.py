@@ -66,6 +66,14 @@ def test_solution_from_timetable():
     assert verify_solution(inst, basis, sol) == []
 
 
+@pytest.mark.parametrize("pi", [(0, 8), (0, 8, 2, 5)])
+def test_solution_from_timetable_refuses_a_timetable_of_the_wrong_length(pi):
+    inst, basis = _triangle()
+    message = f"^timetable has {len(pi)} entries, the instance has 3 vertices$"
+    with pytest.raises(ValueError, match=message):
+        solution_from_timetable(inst, basis, pi)
+
+
 def test_initial_solution_from_the_greedy_tree():
     inst, basis = _triangle()
     sol = initial_solution(inst, seed=0)
@@ -474,7 +482,7 @@ def test_pruned_neighbours_change_no_walk(monkeypatch):
 
 @pytest.mark.parametrize(
     "name, unpruned, unpruned_empty, solved, empty",
-    [("bench7", 9, 16, 2, 2), ("mu6", 25, 90, 24, 28)],
+    [("bench7", 9, 16, 2, 2), ("mu6", 25, 90, 23, 28)],
 )
 def test_tns_optimizes_only_the_neighbours_that_can_be_chosen(
     monkeypatch, name, unpruned, unpruned_empty, solved, empty

@@ -830,30 +830,21 @@ def test_duality_matches_the_full_polytrope_oracle():
 
 
 def test_duality_check_builds_no_polytrope(monkeypatch):
-    """No polytrope, Floyd-Warshall or tropical vertex list: one
-    single-source Bellman-Ford from the root per checked tile, and none of
-    the virtual-source kind."""
+    """No polytrope or tropical vertex list: one Bellman-Ford from the
+    root per checked tile, and none from the virtual source."""
 
     def refuse(*args):
         raise AssertionError("duality_check built a polytrope")
 
     for module in (polytropes, zonotopes):
-        for name in ("_polytrope_at", "shortest_path_matrix", "tropical_vertices"):
+        for name in ("_polytrope_at", "tropical_vertices"):
             monkeypatch.setattr(module, name, refuse, raising=False)
-    rows = []
-    honest = polytropes._distances_from
-
-    def counted(n, edges, source):
-        rows.append(source)
-        return honest(n, edges, source)
-
-    monkeypatch.setattr(zonotopes, "_distances_from", counted)
     sq, basis = square_instance(), square_basis()
     tiles = fine_tiling(sq, basis, "v2")
     runs = count_bellman_ford(monkeypatch)
     report = duality_check(sq, basis, "v2", tiles=tiles)
     assert report.ok and report.checked == 12
-    assert rows == [2] * 12 and runs == []
+    assert runs == [(sq.graph.n, 2)] * 12
 
 
 def test_width_bound_report_triangle():
