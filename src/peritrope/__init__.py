@@ -87,6 +87,7 @@ from .zonotopes import (
     DualityReport,
     SpanningTreeStructure,
     Tile,
+    TileKernel,
     TilingReport,
     WidthBoundReport,
     ZonotopeDescriptor,

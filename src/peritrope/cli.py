@@ -33,6 +33,7 @@ from .render import render_torus, render_zonotope
 from .search import TnsConfig, tns_restarts, trace_to_jsonl
 from .zonotopes import (
     DEFAULT_WIDTH_CAP,
+    TileKernel,
     duality_check,
     enumerate_polytropes,
     fine_tiling,
@@ -260,10 +261,12 @@ def _ratio(v, T):
 
 def _tiling_section(inst, basis, root, points):
     """The tile list, validation and duality payloads of one fine tiling;
-    ``points`` are the instance's lattice points."""
+    ``points`` are the instance's lattice points.  Tiling and validation
+    share one ``TileKernel``, so each co-tree and translation is built once."""
     T = inst.period
-    tiles = fine_tiling(inst, basis, root)
-    tiling_report = validate_tiling(inst, basis, tiles, points)
+    kernel = TileKernel(inst, basis)
+    tiles = fine_tiling(inst, basis, root, kernel)
+    tiling_report = validate_tiling(inst, basis, tiles, points, kernel)
     duality = duality_check(inst, basis, root, tiles=tiles)
     # Tiles share most translation values; each is formatted once.
     ratio = {v: _ratio(v, T) for v in {v for t in tiles for v in t.translation}}

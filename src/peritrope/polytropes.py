@@ -22,8 +22,10 @@ def kappa(inst, p):
     """Weighted edge list of the doubled graph for offset p.
 
     Returns (tail_index, head_index, weight) triples: first the forward
-    copies of all arcs in arc order, then the reverse copies.
+    copies of all arcs in arc order, then the reverse copies.  An offset of
+    another length than the arc count raises ValueError.
     """
+    _require_length(p, inst.graph.m, "offset", "arcs")
     T = inst.period
     return _doubled_edges(inst, [T * pa for pa in p])
 
@@ -77,7 +79,9 @@ def tension_system_feasible(inst, base):
     ``base`` is any integer particular solution; the system reduces to
     difference constraints, so feasibility is the absence of a negative
     cycle under weights u_a - base_a (forward) and base_a - l_a (reverse).
+    A base of another length than the arc count raises ValueError.
     """
+    _require_length(base, inst.graph.m, "base", "arcs")
     return _potentials(inst.graph.n, _doubled_edges(inst, base)) is not None
 
 

@@ -3,8 +3,11 @@ bounded search over cycle offsets that it shares with ``solve_exact``.
 
 A solution lives in one polytrope; its neighbours are the offset classes
 reached by shifting the cycle offset along a single basis column.  Each
-visited class is optimized exactly, so the search walks from vertex
-optimum to vertex optimum.
+class the walk moves to is optimized exactly, so after its first move
+the search walks from vertex optimum to vertex optimum.  The start class
+is not optimized: the walk keeps the start solution as given until a
+neighbour beats it, so a walk with no improving step returns the start,
+which can be worse than the optimum of its own class.
 
 The pruning policy.  ``solve_exact`` (every box point) and a
 best-improvement ``tns`` step (the untabued steps of the current offset)
@@ -228,8 +231,10 @@ class OffsetMemo:
 
 def tns(inst, basis, start, config=None, memo=None):
     """Walk the offset neighbourhood from a feasible start, exactly
-    optimizing each visited polytrope, until no neighbour improves or the
-    iteration cap is reached.  Returns the best solution and the visit
+    optimizing each polytrope it moves to, until no neighbour improves or
+    the iteration cap is reached.  The start's own polytrope is not
+    optimized: the start solution is kept as given until a neighbour's
+    optimum beats it.  Returns the best solution and the visit
     trace.  ``memo`` is an ``OffsetMemo`` of the same instance and basis
     to reuse; a fresh one is used when it is None."""
     if config is None:

@@ -6,22 +6,24 @@ all arithmetic stays on integers; the real value is the stored value
 divided by T.  A point is a lattice point exactly when every scaled
 coordinate is divisible by T.
 
-The volume is one Gram determinant.  One kernel, ``_tile_kernel``,
-builds the tile a structure implies, for ``fine_tiling`` and
-``validate_tiling`` alike.  Per (inst, basis) it computes once the
-scaled and unscaled Gamma columns, Gamma l for the lower bounds l, and
-takes d from ``CycleBasis.cotree_frame``, which also gives every offset
-preimage and scaled-point test here.  Per tile it finds the co-tree from
-an in-tree mask and returns the generators (the co-tree's scaled
-columns), the translation Gamma x for the pinned tensions x, which is
-Gamma l plus the scaled columns of the arcs pinned at their upper bound,
-and the lattice points, each a sum of the Gamma columns of co-tree arcs,
-read off the potentials of x.  ``fine_tiling`` takes those potentials,
+The volume is one Gram determinant.  One kernel object per (inst,
+basis), ``TileKernel``, builds the tiles a structure implies, for
+``fine_tiling`` and ``validate_tiling`` alike, which share it when given
+one.  It computes once the scaled and unscaled Gamma columns, Gamma l for
+the lower bounds l, and takes d from ``CycleBasis.cotree_frame``, which
+also gives every offset preimage and scaled-point test here.  It builds
+each tree's co-tree entry once: the co-tree (a set difference), the
+generators (the co-tree's scaled columns) and the tile's |det|, d times
+the co-tree spans.  It builds each translation once per set of arcs
+pinned at their upper bound: Gamma x for the pinned tensions x, which is
+Gamma l plus those arcs' scaled columns.  Lattice points are never
+stored: each is a sum of the Gamma columns of co-tree arcs, read off the
+potentials of x of its own tile.  ``fine_tiling`` takes those potentials,
 and the arcs at each bound, from ``graphs.grow_spanning_trees``, which
 grows each tree from the root and so orients it as it goes: no tree is
-walked.  Validation recomputes each tile from its structure (one
-``tree_potentials`` walk) and trusts the points only for implied tiles,
-the ones equal to that recomputation.  A foreign tile, and
+walked.  Validation recomputes each tile's potentials from its structure
+(one ``tree_potentials`` walk) and trusts the points only for implied
+tiles, the ones equal to the kernel's.  A foreign tile, and
 ``tile_contains_scaled``, invert the generator matrix G into a frame
 (d, d * G^-1) with |d| = |det G| by ``graphs._inverse_frame``, which
 builds the basis co-tree frames too; a point lies in the tile when every
@@ -280,78 +282,129 @@ def tile_contains_scaled(tile, scaled_point):
     return _frame_contains(_inverse_frame(tile.generators), tile.translation, scaled_point)
 
 
-def fine_tiling(inst, basis, root=None):
+class TileKernel:
+    """The tiles one (inst, basis) implies, built from their parts.
+
+    Per instance it holds the scaled columns (``_scaled_columns``), one
+    row (i, j, l_a, u_a, Gamma column of a) per arc a = (i, j), Gamma l
+    for the lower bounds l, and d = |d| of ``basis.cotree_frame``.  Two
+    memos fill on first use.  Per tree, its co-tree entry: the rows of
+    the co-tree (a set difference), the generators (the co-tree's scaled
+    columns) and the tile's |det| = d * (the co-tree spans).  Per
+    frozenset of arcs pinned at their upper bound, the translation
+    Gamma x = Gamma l + their scaled columns.  Both depend on the tree or on the upper set alone, so
+    a value is exact for every tile that shares it.  Lattice points depend
+    on the potentials of the pinned tensions and are computed per tile by
+    ``points``, never stored.  Build one per tiling; ``fine_tiling`` and
+    ``validate_tiling`` each build their own when none is given."""
+
+    def __init__(self, inst, basis):
+        self.inst = inst
+        self.basis = basis
+        self._d = abs(basis.cotree_frame[1])
+        self._span = inst.span
+        self._columns = _scaled_columns(inst, basis)
+        self._rows = [
+            (i, j, inst.lower[a], inst.upper[a], basis.column(a))
+            for a, (i, j) in enumerate(inst.graph.arc_index_pairs)
+        ]
+        self._base = basis.apply(inst.lower)
+        self._arcs = frozenset(range(inst.graph.m))
+        self._origin = (0,) * basis.mu
+        self._cotrees = {}
+        self._translations = {}
+
+    def cotree(self, tree):
+        """The co-tree entry (rows, generators, |det|) of the sorted
+        ``tree``."""
+        entry = self._cotrees.get(tree)
+        if entry is None:
+            entry = self._cotrees[tree] = self._build_cotree(tree)
+        return entry
+
+    def _build_cotree(self, tree):
+        columns, all_rows, span = self._columns, self._rows, self._span
+        rows, generators, det = [], [], self._d
+        # One loop for all three: a comprehension each took twice as long.
+        for a in sorted(self._arcs.difference(tree)):
+            rows.append(all_rows[a])
+            generators.append(columns[a])
+            det *= span[a]
+        return rows, tuple(generators), det
+
+    def translation(self, at_upper):
+        """Gamma x for the pinned tensions x of the frozenset ``at_upper``."""
+        found = self._translations.get(at_upper)
+        if found is None:
+            found = self._translations[at_upper] = self._build_translation(at_upper)
+        return found
+
+    def _build_translation(self, at_upper):
+        columns = self._columns
+        return tuple(map(sum, zip(self._base, *[columns[a] for a in at_upper])))
+
+    def points(self, entry, pi):
+        """The lattice points, unsorted, of the tile with the co-tree
+        ``entry`` whose pinned tensions have the potentials ``pi``: Gamma p
+        for the offsets p that are 0 on the tree and have
+        l_a <= pi_j - pi_i + T p_a <= u_a on each co-tree arc a = (i, j).
+        Each point is a sum of the Gamma columns of its co-tree arcs.  A
+        flat tile, |det| 0 from a zero-span co-tree arc or from d = 0,
+        holds no point."""
+        rows, _, det = entry
+        if not det:
+            return []
+        T = self.inst.period
+        choices = []
+        for i, j, lower, upper, column in rows:
+            delta = pi[j] - pi[i]
+            first, last = -((delta - lower) // T), (upper - delta) // T
+            if first > last:
+                return []
+            if first or last:
+                choices.append((column, range(first, last + 1)))
+        points = [self._origin]
+        for column, picks in choices:
+            points = [
+                tuple(x + p * c for x, c in zip(point, column)) for point in points for p in picks
+            ]
+        return points
+
+
+def _own_kernel(inst, basis, kernel):
+    """``kernel``, or a fresh ``TileKernel`` when it is None; a kernel of
+    another instance or basis raises ValueError."""
+    if kernel is None:
+        return TileKernel(inst, basis)
+    if kernel.inst is not inst or kernel.basis is not basis:
+        raise ValueError("the tile kernel belongs to another instance or basis")
+    return kernel
+
+
+def fine_tiling(inst, basis, root=None, kernel=None):
     """One tile per spanning tree, pinned by the root orientation, in
     sorted tree order.  Each tile records the first lattice point (in
     sorted order) it contains, if any.  ``grow_spanning_trees`` grows each
     tree from the root with the potentials of its pinned tensions, upper
     bounds on the arcs run away from the root and lower bounds on those
-    run toward it, so no tree is walked."""
+    run toward it, so no tree is walked.  ``kernel`` is a ``TileKernel`` of
+    the same instance and basis to share; a fresh one is used when None."""
     g = inst.graph
-    _, implied_tile = _tile_kernel(inst, basis)
+    kernel = _own_kernel(inst, basis, kernel)
     tiles = []
 
     def add_tile(grown, run_toward, run_away, pi):
         tree = tuple(sorted(grown))
-        _, generators, translation, points = implied_tile(tree, run_away, pi)
-        structure = SpanningTreeStructure._grown(tree, frozenset(run_toward), frozenset(run_away))
-        tiles.append(Tile(structure, generators, translation, points[0] if points else None))
+        at_upper = frozenset(run_away)
+        entry = kernel.cotree(tree)
+        points = kernel.points(entry, pi)
+        structure = SpanningTreeStructure._grown(tree, frozenset(run_toward), at_upper)
+        translation = kernel.translation(at_upper)
+        tiles.append(Tile(structure, entry[1], translation, min(points, default=None)))
 
     grow_spanning_trees(g, add_tile, inst.upper, inst.lower, _root_index(g, root))
     tiles.sort(key=lambda tile: tile.structure.tree)
     return tuple(tiles)
-
-
-def _tile_kernel(inst, basis):
-    """(d, implied_tile) for one (inst, basis), with d = |d| of
-    ``basis.cotree_frame``.
-
-    ``implied_tile(tree, at_upper, pi)`` gives the co-tree, generators,
-    translation and sorted lattice points of the tile a structure implies,
-    from its ``tree``, the arcs ``at_upper`` it pins at their upper bound
-    and the potentials ``pi`` of its pinned tensions x: the co-tree's
-    ``_scaled_columns``, Gamma x = Gamma l + the scaled columns of
-    ``at_upper``, and the points Gamma p for the offsets p that are 0 on
-    the tree and have l_a <= pi_j - pi_i + T p_a <= u_a on each co-tree
-    arc a = (i, j).  Each point is a sum of the Gamma columns of its
-    co-tree arcs.  A tile with a zero-span co-tree arc, or of a basis with
-    d = 0, is flat and holds no point."""
-    T, lower, upper, pairs = inst.period, inst.lower, inst.upper, inst.graph.arc_index_pairs
-    m = inst.graph.m
-    columns = _scaled_columns(inst, basis)
-    d = abs(basis.cotree_frame[1])
-    base = basis.apply(lower)
-    gamma_columns = [basis.column(a) for a in range(m)]
-    origin = (0,) * basis.mu
-
-    def implied_tile(tree, at_upper, pi):
-        outside = bytearray(b"\x01") * m
-        for a in tree:
-            outside[a] = 0
-        cotree = list(itertools.compress(range(m), outside))
-        generators = tuple([columns[a] for a in cotree])
-        translation = tuple(map(sum, zip(base, *[columns[a] for a in at_upper])))
-        if not d:
-            return cotree, generators, translation, []
-        choices = []
-        for a in cotree:
-            i, j = pairs[a]
-            delta = pi[j] - pi[i]
-            picks = range(-((delta - lower[a]) // T), (upper[a] - delta) // T + 1)
-            if not picks or lower[a] == upper[a]:
-                return cotree, generators, translation, []
-            if picks != range(1):
-                choices.append((gamma_columns[a], picks))
-        points = [origin]
-        for column, picks in choices:
-            points = [
-                tuple(x + p * c for x, c in zip(point, column)) for point in points for p in picks
-            ]
-        if len(points) > 1:
-            points.sort()
-        return cotree, generators, translation, points
-
-    return d, implied_tile
 
 
 @dataclass
@@ -379,7 +432,7 @@ class TilingReport:
         )
 
 
-def validate_tiling(inst, basis, tiles, points=None):
+def validate_tiling(inst, basis, tiles, points=None, kernel=None):
     """Certify a tiling: nonzero tile volumes summing exactly to the
     zonotope volume, every tile inside the zonotope, the tiles' lattice
     points exactly ``points`` (the sorted ``lattice_points``, computed
@@ -387,30 +440,35 @@ def validate_tiling(inst, basis, tiles, points=None):
     recorded ``lattice_point`` the first it holds (None when none).
 
     An implied tile, one ``fine_tiling`` would build from its structure,
-    is inside by construction, has |det| d * (its co-tree spans) with
-    d = |d| of ``basis.cotree_frame``, and holds its walk's points.  Any other, foreign,
-    tile takes |det| and points from its frame and has its vertices tested
-    one by one.  Independent of the walk: the volume match (Cauchy-Binet
-    sums d * (co-tree spans) over all co-trees), the cover (equality with
-    the Bellman-Ford ``lattice_points``), and ``duality_check``."""
+    is inside by construction, has the |det| of its ``TileKernel`` co-tree
+    entry, and holds the points its own potentials give: each tile's
+    ``tree_potentials`` walk is recomputed here, and no point is taken
+    from the kernel or the tiling.  Any other, foreign, tile takes |det|
+    and points from its frame and has its vertices tested one by one.
+    Independent of the walk: the volume match (Cauchy-Binet sums
+    d * (co-tree spans) over all co-trees), the cover (equality with the
+    Bellman-Ford ``lattice_points``), and ``duality_check``.  ``kernel``
+    is shared as in ``fine_tiling``."""
     T = inst.period
+    kernel = _own_kernel(inst, basis, kernel)
     if points is None:
         points = lattice_points(inst, basis)
     vol = volume(inst, basis)
-    d, implied_tile = _tile_kernel(inst, basis)
-    span = inst.span
     scaled = [(z, tuple(T * v for v in z)) for z in points]
     dets, inside, held = [], [], []
     for tile in tiles:
         structure = tile.structure
         pi = tree_potentials(inst.graph, structure.tree, _pinned_tensions(inst, structure))
         # A tree that does not reach every vertex implies no tile.
-        implied = None not in pi and implied_tile(structure.tree, structure.at_upper, pi)
-        if implied and implied[1:3] == (tile.generators, tile.translation):
-            dets.append(d * math.prod(span[a] for a in implied[0]))
-            inside.append(True)
-            held.append(implied[3])
-            continue
+        if None not in pi:
+            entry = kernel.cotree(structure.tree)
+            if entry[1] == tile.generators and (
+                kernel.translation(structure.at_upper) == tile.translation
+            ):
+                dets.append(entry[2])
+                inside.append(True)
+                held.append(sorted(kernel.points(entry, pi)))
+                continue
         frame = _inverse_frame(tile.generators)
         dets.append(abs(frame[0]) if frame else 0)
         inside.append(_tile_inside(inst, basis, tile))

@@ -54,11 +54,11 @@ from peritrope.zonotopes import (
     DualityEntry,
     DualityReport,
     Tile,
+    TileKernel,
     TilingReport,
     _frame_contains,
     _pinned_tensions,
     _scaled_columns,
-    _tile_kernel,
     fine_tiling,
     lattice_points,
     scaled_point_in_zonotope,
@@ -578,7 +578,7 @@ def fine_tiling_by_tree_walks(inst, basis, root=None):
     tensions folded along the same walk."""
     g = inst.graph
     ridx = 0 if root is None else g.vertices.index(root)
-    _, implied_tile = _tile_kernel(inst, basis)
+    kernel = TileKernel(inst, basis)
     tiles = []
     for tree in spanning_trees_by_contraction(g):
         pi, at_lower, at_upper = [0] * g.n, [], []
@@ -589,9 +589,11 @@ def fine_tiling_by_tree_walks(inst, basis, root=None):
             else:
                 at_lower.append(a)
                 pi[w] = pi[v] - inst.lower[a]
-        _, generators, translation, points = implied_tile(tree, at_upper, pi)
         structure = SpanningTreeStructure(tree, at_lower, at_upper)
-        tiles.append(Tile(structure, generators, translation, points[0] if points else None))
+        entry = kernel.cotree(structure.tree)
+        translation = kernel.translation(structure.at_upper)
+        points = kernel.points(entry, pi)
+        tiles.append(Tile(structure, entry[1], translation, min(points, default=None)))
     return tuple(tiles)
 
 

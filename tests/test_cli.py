@@ -200,6 +200,31 @@ def test_one_tiling_per_command(tri, command, monkeypatch, capsys):
     assert calls == {"fine_tiling": 1, "lattice_points": 1}
 
 
+@pytest.mark.parametrize("command", ["analyze", "tile"])
+def test_tiling_and_validation_share_one_kernel(square, command, monkeypatch, capsys):
+    """The tiling and its validation run on one ``TileKernel``: the
+    square's 12 trees each get their co-tree built once, not twice."""
+    from peritrope import zonotopes
+
+    kernels, cotrees = [], []
+    real_init, real_build = zonotopes.TileKernel.__init__, zonotopes.TileKernel._build_cotree
+
+    def init(self, *args):
+        kernels.append(self)
+        real_init(self, *args)
+
+    def build(self, tree):
+        cotrees.append(tree)
+        return real_build(self, tree)
+
+    monkeypatch.setattr(zonotopes.TileKernel, "__init__", init)
+    monkeypatch.setattr(zonotopes.TileKernel, "_build_cotree", build)
+    assert main([command, square]) == 0
+    assert json.loads(capsys.readouterr().out)["validation"]["ok"] is True
+    assert len(kernels) == 1
+    assert len(cotrees) == len(set(cotrees)) == 12
+
+
 def test_render_to_file(tri, tmp_path):
     out = tmp_path / "torus.svg"
     assert main(["render", tri, "--out", str(out)]) == 0

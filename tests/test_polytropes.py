@@ -35,7 +35,8 @@ from peritrope import (
     tropical_vertices,
     width,
 )
-from peritrope.polytropes import _potentials
+from peritrope.fixedlp import minimize_over_polytrope
+from peritrope.polytropes import _potentials, tension_system_feasible
 from peritrope.zonotopes import box_points
 from helpers import (
     count_bellman_ford,
@@ -423,6 +424,36 @@ def test_offset_from_cycle_offset_rejects_a_z_of_the_wrong_length(z):
     message = f"^cycle offset has {len(z)} entries, the basis has 1 rows$"
     with pytest.raises(ValueError, match=message):
         offset_from_cycle_offset(basis, z)
+
+
+# A long offset used to be read up to the arc count, so that
+# minimize_over_polytrope gave (0, 0, 1, 5) the objective 14 of (0, 0, 1);
+# a short one raised an untyped IndexError.
+WRONG_LENGTH = pytest.mark.parametrize("p", [(0, 0, 1, 5), (0, 0)], ids=("long", "short"))
+
+
+@WRONG_LENGTH
+def test_minimize_over_polytrope_rejects_an_offset_of_the_wrong_length(p):
+    inst, _ = _triangle()
+    assert minimize_over_polytrope(inst, (0, 0, 1)).objective == 14
+    with pytest.raises(ValueError, match=f"^offset has {len(p)} entries, the instance has 3 arcs$"):
+        minimize_over_polytrope(inst, p)
+
+
+@WRONG_LENGTH
+def test_polytrope_nonempty_rejects_an_offset_of_the_wrong_length(p):
+    inst, _ = _triangle()
+    assert polytrope_nonempty(inst, (0, 0, 1))
+    with pytest.raises(ValueError, match=f"^offset has {len(p)} entries, the instance has 3 arcs$"):
+        polytrope_nonempty(inst, p)
+
+
+@WRONG_LENGTH
+def test_tension_system_feasible_rejects_a_base_of_the_wrong_length(p):
+    inst, _ = _triangle()
+    assert tension_system_feasible(inst, (0, 0, 10))
+    with pytest.raises(ValueError, match=f"^base has {len(p)} entries, the instance has 3 arcs$"):
+        tension_system_feasible(inst, p)
 
 
 @settings(max_examples=50)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import pathlib
 import random
@@ -15,6 +16,7 @@ from peritrope import (
     PespInstance,
     SpanningTreeStructure,
     Tile,
+    TileKernel,
     default_basis,
     duality_check,
     fine_tiling,
@@ -496,6 +498,133 @@ def test_a_tile_on_a_non_spanning_tree_is_foreign():
     cyclic = SpanningTreeStructure((0, 1, 4), (0, 1), (4,))
     tiles[0] = dataclasses.replace(tiles[0], structure=cyclic)
     assert validate_tiling(sq, basis, tiles) == untampered
+
+
+TAMPER_TESTS = (
+    test_validate_tiling_flags_a_missing_tile,
+    test_validate_tiling_flags_a_tampered_lattice_point,
+    test_validate_tiling_flags_a_shifted_tile,
+    test_validate_tiling_flags_tampered_generators,
+    test_a_reflected_tile_is_foreign_and_still_inside,
+    test_a_reflected_tile_keeps_the_report_under_every_integral_basis,
+    test_a_tile_whose_structure_moved_an_arc_is_foreign,
+    test_a_tile_on_a_non_spanning_tree_is_foreign,
+)
+
+
+@pytest.mark.parametrize("tamper_test", TAMPER_TESTS, ids=lambda test: test.__name__[5:])
+def test_tampering_is_caught_on_a_kernel_shared_with_the_tiling(tamper_test, monkeypatch):
+    """Each tamper test above, rerun with ``fine_tiling`` and
+    ``validate_tiling`` of one (inst, basis) sharing one ``TileKernel``,
+    as ``analyze`` runs them: the co-trees and translations the tiling
+    memoized serve the validation of tampered tiles, and every tamper is
+    still caught, with the same report."""
+    kernels, served = [], []
+
+    def kernel_of(inst, basis):
+        kernel = next((k for k in kernels if k.inst is inst and k.basis is basis), None)
+        if kernel is None:
+            kernel = TileKernel(inst, basis)
+            kernels.append(kernel)
+        return kernel
+
+    def shared_tiling(inst, basis, root=None):
+        kernel = kernel_of(inst, basis)
+        served.append(("tiling", kernel))
+        return zonotopes.fine_tiling(inst, basis, root, kernel)
+
+    def shared_validation(inst, basis, tiles, points=None):
+        kernel = kernel_of(inst, basis)
+        served.append(("validation", kernel))
+        return zonotopes.validate_tiling(inst, basis, tiles, points, kernel)
+
+    monkeypatch.setitem(globals(), "fine_tiling", shared_tiling)
+    monkeypatch.setitem(globals(), "validate_tiling", shared_validation)
+    tamper_test(*[monkeypatch] * tamper_test.__code__.co_argcount)
+    assert kernels
+    for kernel in kernels:
+        assert {use for use, k in served if k is kernel} == {"tiling", "validation"}
+        assert kernel._cotrees and kernel._translations
+
+
+@pytest.mark.parametrize("function", ("fine_tiling", "validate_tiling"))
+def test_a_tile_kernel_serves_only_its_own_instance_and_basis(function):
+    inst, basis = _triangle()
+    tiles = fine_tiling(inst, basis)
+    other_inst = triangle_instance()
+    other_basis = default_basis(inst.graph)
+    call = {
+        "fine_tiling": lambda kernel: fine_tiling(inst, basis, None, kernel),
+        "validate_tiling": lambda kernel: validate_tiling(inst, basis, tiles, None, kernel),
+    }[function]
+    for kernel in (TileKernel(other_inst, basis), TileKernel(inst, other_basis)):
+        with pytest.raises(ValueError, match="another instance or basis"):
+            call(kernel)
+    assert call(TileKernel(inst, basis)) == call(None)
+
+
+def test_validation_reads_points_from_its_own_walk(monkeypatch):
+    """With a kernel shared with the tiling, validation still takes each
+    tile's points from its own ``tree_potentials`` walk: a walk that moves
+    one vertex by 100 periods moves the points of every tile, and the
+    report sees it, though the kernel's co-trees and translations, built
+    by the tiling, still match."""
+    sq, basis = square_instance(), square_basis()
+    kernel = TileKernel(sq, basis)
+    tiles = fine_tiling(sq, basis, "v2", kernel)
+    assert validate_tiling(sq, basis, tiles, kernel=kernel).ok
+    real = zonotopes.tree_potentials
+
+    def shifted(*args):
+        pi = real(*args)
+        pi[-1] += 100 * sq.period
+        return pi
+
+    monkeypatch.setattr(zonotopes, "tree_potentials", shifted)
+    report = validate_tiling(sq, basis, tiles, kernel=kernel)
+    assert report.volume_match and report.tiles_inside
+    assert not report.all_points_covered and not report.lattice_points_recorded
+
+
+def test_one_kernel_builds_each_cotree_and_translation_once(monkeypatch):
+    """Over ``fine_tiling`` and ``validate_tiling`` on one kernel, each
+    tree's co-tree entry is built once and each translation once per
+    distinct upper-pinned set, while lattice points are computed afresh
+    for each tile by each of the two.  Separate kernels build each twice."""
+    built = {name: [] for name in ("_build_cotree", "_build_translation", "points")}
+    for name, calls in built.items():
+
+        def counted(self, first, *rest, real=getattr(TileKernel, name), calls=calls):
+            calls.append(first)
+            return real(self, first, *rest)
+
+        monkeypatch.setattr(TileKernel, name, counted)
+    seen = dict.fromkeys(("cases", "repeated translations"), 0)
+    cases = [(square_instance(), square_basis(), "v2")] + list(_tiling_cases())[:40]
+    for inst, basis, root in cases:
+        for key in built:
+            built[key].clear()
+        kernel = TileKernel(inst, basis)
+        tiles = fine_tiling(inst, basis, root, kernel)
+        shared = functools.partial(validate_tiling, kernel=kernel)
+        report = _report_or_error(shared, inst, basis, tiles)
+        trees = [t.structure.tree for t in tiles]
+        uppers = sorted({t.structure.at_upper for t in tiles}, key=sorted)
+        assert sorted(built["_build_cotree"]) == trees
+        assert sorted(built["_build_translation"], key=sorted) == uppers
+        if isinstance(report, str):
+            continue
+        # One points call per tile while tiling, and one per implied tile
+        # (here every tile) while validating.
+        assert len(built["points"]) == 2 * len(tiles)
+        for key in built:
+            built[key].clear()
+        validate_tiling(inst, basis, fine_tiling(inst, basis, root))
+        assert sorted(built["_build_cotree"]) == sorted(trees * 2)
+        assert sorted(built["_build_translation"], key=sorted) == sorted(uppers * 2, key=sorted)
+        seen["cases"] += 1
+        seen["repeated translations"] += len(uppers) < len(tiles)
+    assert min(seen.values()) >= 10, seen
 
 
 def _tiling_cases():
