@@ -4,10 +4,11 @@ exhaust timetables.
 ``solve_exact`` is exact but not exhaustive: it bounds every point of the
 box by the cycle relaxation, without a Bellman-Ford, and hands the
 points to the pruning policy described in ``search``, which solves only
-the ones that can still win.  ``brute_force_timetable`` is
-deliberate brute force.  It anchors the heuristic and the geometry, so
-it shares nothing with the code it checks beyond the basic instance
-plumbing.
+the ones that can still win.  One ``search.OffsetMemo`` answers every
+bound, optimum and rebuilt solution, and runs the invariant checks on
+them.  ``brute_force_timetable`` is deliberate brute force.  It anchors
+the heuristic and the geometry, so it shares nothing with the code it
+checks beyond the basic instance plumbing.
 """
 
 from __future__ import annotations
@@ -16,49 +17,37 @@ import itertools
 from array import array
 from dataclasses import dataclass
 
-from .errors import CrosscheckMismatch, EnumerationCapExceeded, Infeasible, InvariantViolation
-from .fixedlp import cycle_relaxation_bound
+from .errors import CrosscheckMismatch, EnumerationCapExceeded, Infeasible
 from .graphs import default_basis
 from .polytropes import timetable_to_tension
-from .search import Solution, _least_optimum, _polytrope_optimum, solution_from_timetable
-from .zonotopes import DEFAULT_WIDTH_CAP, _box_integer_ranges, box_points
+from .search import OffsetMemo, Solution, solution_from_timetable
+from .zonotopes import DEFAULT_WIDTH_CAP, box_points
 
 
 def solve_exact(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP):
     """Global optimum over the nonempty polytropes; ties break toward the
     smaller cycle offset.  The box points are bounded by
-    ``cycle_relaxation_bound``, whose contract rules out no box point, and
-    passed in ascending (bound, z) order to ``search._least_optimum``."""
+    ``OffsetMemo.bound``, which rules out no box point, and passed in
+    ascending (bound, z) order to ``OffsetMemo.least_optimum``."""
     if basis is None:
         basis = default_basis(inst.graph)
     points = box_points(inst, basis, cap=width_cap)
-    ranges = _box_integer_ranges(inst, basis)
-    bound = cycle_relaxation_bound(inst, basis)
-    # The open points, by bound, as their ranks in the sorted box: eight
-    # bytes a point, already ascending in z within each bound.
+    memo = OffsetMemo(inst, basis)
+    # The points, by bound, as their ranks in the sorted box: eight bytes
+    # a point, already ascending in z within each bound.
     ranks = {}
     for rank, z in enumerate(points):
-        lower = bound(z)
-        if lower is None:
-            raise InvariantViolation(f"the cycle relaxation rules out {z}, a point of the box")
-        elif lower in ranks:
+        lower = memo.bound(z)
+        if lower in ranks:
             ranks[lower].append(rank)
         else:
             ranks[lower] = array("q", (rank,))
-    chosen = _least_optimum(
-        ((lower, _box_point(ranges, rank)) for lower in sorted(ranks) for rank in ranks[lower]),
-        lambda z, lower: _polytrope_optimum(inst, basis, z, lower),
+    chosen = memo.least_optimum(
+        (lower, _box_point(memo.box, rank)) for lower in sorted(ranks) for rank in ranks[lower]
     )
     if chosen is None:
         raise Infeasible("no feasible cycle offset: the zonotope holds no lattice point")
-    best_z, best = chosen
-    sol = solution_from_timetable(inst, basis, best.timetable)
-    if sol.cycle_offset != best_z or sol.objective != best.objective:
-        raise InvariantViolation(
-            f"the optimum of {best_z} (objective {best.objective}) rebuilt into "
-            f"{sol.cycle_offset} (objective {sol.objective})"
-        )
-    return sol
+    return memo.solution(*chosen)
 
 
 def _box_point(ranges, rank):

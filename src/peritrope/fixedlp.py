@@ -296,15 +296,6 @@ def cycle_relaxation_bound(inst, basis):
     return bound
 
 
-def _check_bound(z, lower, result):
-    """A polytrope optimum below its relaxation bound breaks the bound."""
-    if result.objective < lower:
-        raise InvariantViolation(
-            f"the optimum of {z} (objective {result.objective}) is below its "
-            f"cycle relaxation bound {lower}"
-        )
-
-
 def _offsets_equivalent(g, tree, p_a, p_b):
     """Do two offset vectors differ by an integer potential difference?
     Decides whether they describe the same polytrope on the torus."""

@@ -283,8 +283,9 @@ def spanning_trees(g, cap=DEFAULT_ENUMERATION_CAP):
 def grow_spanning_trees(g, visit, away, toward, root=0, cap=DEFAULT_ENUMERATION_CAP):
     """Call ``visit(tree, run_toward, run_away, pi)`` once per spanning
     tree of the underlying multigraph, each grown from the vertex of index
-    ``root``; raises DisconnectedGraph before any tree, and
-    EnumerationCapExceeded at tree ``cap`` + 1, before visiting it.
+    ``root``; raises DisconnectedGraph, and EnumerationCapExceeded when
+    the Kirchhoff count (``count_spanning_trees_determinant``) is above
+    ``cap``, before any tree.
 
     ``tree`` lists the tree's arcs in the order they were grown,
     ``run_away`` and ``run_toward`` those the tree runs away from and
@@ -306,7 +307,8 @@ def grow_spanning_trees(g, visit, away, toward, root=0, cap=DEFAULT_ENUMERATION_
     Vertex and arc sets are bit masks; ``cut`` holds the usable arcs with
     exactly one end reached.
     """
-    _require_connected(g)
+    if count_spanning_trees_determinant(g) > cap:
+        raise EnumerationCapExceeded(f"more than {cap} spanning trees")
     pairs = g.arc_index_pairs
     incident = [0] * g.n
     for a, (i, j) in enumerate(pairs):
@@ -314,7 +316,6 @@ def grow_spanning_trees(g, visit, away, toward, root=0, cap=DEFAULT_ENUMERATION_
         incident[j] |= 1 << a
     pi = [0] * g.n
     tree, run_toward, run_away = [], [], []
-    count = 0
 
     def reaches_tree(v, cut, usable):
         seen = 1 << v
@@ -340,7 +341,6 @@ def grow_spanning_trees(g, visit, away, toward, root=0, cap=DEFAULT_ENUMERATION_
         Returns the first arc taken when dropping it failed the bridge
         test, else 0: the far side of that arc joins the rest through it
         alone, so the caller's bridge test need not cross it."""
-        nonlocal count
         dead = 0
         first = True
         while True:
@@ -360,9 +360,6 @@ def grow_spanning_trees(g, visit, away, toward, root=0, cap=DEFAULT_ENUMERATION_
                 # those back to the tree, two.
                 dead = grow(left - 1, reached | 1 << far, cut ^ (incident[far] & usable), usable)
             else:
-                count += 1
-                if count > cap:
-                    raise capped
                 visit(tree, run_toward, run_away, pi)
             side.pop()
             tree.pop()
@@ -373,11 +370,8 @@ def grow_spanning_trees(g, visit, away, toward, root=0, cap=DEFAULT_ENUMERATION_
                 return low if first else 0
             first = False
 
-    capped = EnumerationCapExceeded(f"more than {cap} spanning trees")
     if g.n > 1:
         grow(g.n - 1, 1 << root, incident[root], (1 << g.m) - 1)
-    elif cap < 1:
-        raise capped
     else:
         visit(tree, run_toward, run_away, pi)
 

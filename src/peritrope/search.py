@@ -11,23 +11,30 @@ which can be worse than the optimum of its own class.
 
 The pruning policy.  ``solve_exact`` (every box point) and a
 best-improvement ``tns`` step (the untabued steps of the current offset)
-hand ``_least_optimum`` their offsets as (bound, z) pairs in ascending
-order of ``cycle_relaxation_bound``.  It solves them in that order and
-stops at the first (bound, z) above the best (objective, z) found (or at
-the first bound above the caller's limit while none is found): a later
-offset's objective is at least its bound, so at best it ties the best
-objective with a larger z, and the (objective, z) argmin survives.
-First improvement solves the steps with a bound of at most the limit in
-z order and stops at the first move.  No offset is tested for emptiness
-before it is solved: the one Bellman-Ford it gets opens
-``minimize_over_polytrope``, whose potentials then carry the solve, and
-an ``Infeasible`` there means "empty".
+hand ``OffsetMemo.least_optimum`` their offsets as (bound, z) pairs in
+ascending order of ``cycle_relaxation_bound``.  It solves them in that
+order and stops at the first (bound, z) above the best (objective, z)
+found (or at the first bound above the caller's limit while none is
+found): a later offset's objective is at least its bound, so at best it
+ties the best objective with a larger z, and the (objective, z) argmin
+survives.  First improvement (``OffsetMemo.first_step``) solves the
+steps with a bound of at most the limit in z order and stops at the
+first move.  No offset is tested for emptiness before it is solved: the
+one Bellman-Ford it gets opens ``minimize_over_polytrope``, whose
+potentials then carry the solve, and an ``Infeasible`` there means
+"empty".
 
-A polytrope's optimum and the steps around it, each with its bound,
-depend only on the instance, the basis and z, so one ``OffsetMemo``
-holds both per z for a whole solve: ``tns_restarts`` shares it between
-all its walks, and ``tns`` builds a fresh one when it is not given one.
-The tabu set stays per walk.
+``OffsetMemo`` is the one owner of the per-offset answers of a solve:
+the bound of z, its optimum, its steps with their bounds, and the
+solution rebuilt from its optimum.  It holds the three invariant checks
+that the bounded search rests on (the relaxation rules out no box
+point, no optimum lies below its bound, an optimum rebuilds into its own
+z and objective), so ``solve_exact``, ``tns`` and
+``neighbourhood_graph`` all run them.  The optima and the steps depend
+only on the instance, the basis and z, so one memo keeps them for a
+whole solve: ``tns_restarts`` shares it between all its walks, and
+``tns`` builds a fresh one when it is not given one.  The tabu set stays
+per walk.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ import random
 from dataclasses import dataclass, replace
 
 from .errors import EnumerationCapExceeded, Infeasible, InvariantViolation, RetriesExhausted
-from .fixedlp import _check_bound, cycle_relaxation_bound, minimize_over_polytrope
+from .fixedlp import cycle_relaxation_bound, minimize_over_polytrope
 from .graphs import (
     DEFAULT_ENUMERATION_CAP,
     _require_connected,
@@ -146,87 +153,97 @@ class TnsConfig:
             raise ValueError("max_iterations must be at least 1")
 
 
-def _polytrope_optimum(inst, basis, z, lower):
-    """The polytrope optimum of z, or None when it is empty; ``lower`` is
-    the bound of z, which the optimum must not undercut."""
-    try:
-        result = minimize_over_polytrope(inst, offset_for(inst, basis, z))
-    except Infeasible:
-        return None
-    _check_bound(z, lower, result)
-    return result
-
-
-def _least_optimum(candidates, optimum, limit=None):
-    """The (objective, z) least (z, ``optimum(z, lower)``) over the
-    ascending (lower, z) ``candidates`` with an objective of at most
-    ``limit`` (None: any), or None; the pruning policy above."""
-    best = None  # (objective, z, result)
-    for lower, z in candidates:
-        if best is not None:
-            if (lower, z) > best[:2]:
-                break
-        elif limit is not None and lower > limit:
-            break
-        res = optimum(z, lower)
-        if res is None or (limit is not None and res.objective > limit):
-            continue
-        if best is None or (res.objective, z) < best[:2]:
-            best = (res.objective, z, res)
-    return None if best is None else best[1:]
-
-
-def _first_step(candidates, optimum, limit):
-    """The least (z, ``optimum(z, lower)``) over the (lower, z)
-    ``candidates`` with an objective of at most ``limit``, or None."""
-    for z, lower in sorted((z, lower) for lower, z in candidates if lower <= limit):
-        res = optimum(z, lower)
-        if res is not None and res.objective <= limit:
-            return z, res
-    return None
-
-
 class OffsetMemo:
-    """The per-cycle-offset answers of one instance and basis: the
-    ``_polytrope_optimum`` of each z (None when its polytrope is empty)
-    and the steps of z with their ``cycle_relaxation_bound``,
-    each computed on first use.  All depend on (inst, basis, z) only, so
-    every answer is exact.  Build one per solve; it grows with the offsets
-    that solve visits."""
+    """The one place that answers, per cycle offset z of one instance and
+    basis, the questions of a bounded search: the bound of z, its
+    polytrope optimum (None when it is empty), the steps of z with their
+    bounds, and the solution rebuilt from the optimum, each checked
+    against the invariant it rests on.  The optima and the steps are
+    computed on first use and kept; they depend on (inst, basis, z) only,
+    so every answer is exact.  Build one per solve; it grows with the
+    offsets that solve visits."""
 
     def __init__(self, inst, basis):
         self.inst = inst
         self.basis = basis
+        self.box = _box_integer_ranges(inst, basis)
         self._bound = cycle_relaxation_bound(inst, basis)
-        self._box = _box_integer_ranges(inst, basis)
         self._optima = {}
         self._steps = {}
 
+    def bound(self, z):
+        """The ``cycle_relaxation_bound`` of z, or None off the box, where
+        z is empty; a point of the box it rules out breaks its contract
+        and raises InvariantViolation."""
+        lower = self._bound(z)
+        if lower is None and all(v in r for v, r in zip(z, self.box)):
+            raise InvariantViolation(f"the cycle relaxation rules out {z}, a point of the box")
+        return lower
+
     def bounded_steps(self, z):
         """The distinct ``polytropes.steps`` of z that the relaxation leaves
-        open, as (bound, offset) pairs in ascending order.  A step it rules
-        out lies off the box, so it is empty; one in the box breaks the
-        contract of ``cycle_relaxation_bound`` and raises InvariantViolation."""
+        open, as (bound, offset) pairs in ascending order."""
         found = self._steps.get(z)
         if found is None:
-            found = []
-            for z2 in steps(self.basis, z):
-                lower = self._bound(z2)
-                if lower is not None:
-                    found.append((lower, z2))
-                elif all(v in r for v, r in zip(z2, self._box)):
-                    raise InvariantViolation(
-                        f"the cycle relaxation rules out {z2}, a point of the box"
-                    )
-            found = tuple(sorted(found))
+            bounded = ((self.bound(z2), z2) for z2 in steps(self.basis, z))
+            found = tuple(sorted(pair for pair in bounded if pair[0] is not None))
             self._steps[z] = found
         return found
 
     def optimum(self, z, lower):
-        """``_polytrope_optimum`` of z, computed on first use."""
+        """The polytrope optimum of z, or None when it is empty; ``lower``
+        is the bound of z, and an optimum below it raises
+        InvariantViolation."""
         if z not in self._optima:
-            self._optima[z] = _polytrope_optimum(self.inst, self.basis, z, lower)
+            try:
+                result = minimize_over_polytrope(self.inst, offset_for(self.inst, self.basis, z))
+            except Infeasible:
+                result = None
+            if result is not None and result.objective < lower:
+                raise InvariantViolation(
+                    f"the optimum of {z} (objective {result.objective}) is "
+                    f"below its cycle relaxation bound {lower}"
+                )
+            self._optima[z] = result
         return self._optima[z]
+
+    def solution(self, z, result):
+        """The Solution rebuilt from ``result``, the optimum of z; one in
+        another class or at another objective raises InvariantViolation."""
+        sol = solution_from_timetable(self.inst, self.basis, result.timetable)
+        if sol.cycle_offset != z or sol.objective != result.objective:
+            raise InvariantViolation(
+                f"the optimum of {z} (objective {result.objective}) rebuilt into "
+                f"{sol.cycle_offset} (objective {sol.objective})"
+            )
+        return sol
+
+    def least_optimum(self, candidates, limit=None):
+        """The (objective, z) least (z, optimum) over the ascending
+        (lower, z) ``candidates`` with an objective of at most ``limit``
+        (None: any), or None; the pruning policy above."""
+        best = None  # (objective, z, result)
+        for lower, z in candidates:
+            if best is not None:
+                if (lower, z) > best[:2]:
+                    break
+            elif limit is not None and lower > limit:
+                break
+            res = self.optimum(z, lower)
+            if res is None or (limit is not None and res.objective > limit):
+                continue
+            if best is None or (res.objective, z) < best[:2]:
+                best = (res.objective, z, res)
+        return None if best is None else best[1:]
+
+    def first_step(self, candidates, limit):
+        """The least (z, optimum) over the (lower, z) ``candidates`` with an
+        objective of at most ``limit``, or None."""
+        for z, lower in sorted((z, lower) for lower, z in candidates if lower <= limit):
+            res = self.optimum(z, lower)
+            if res is not None and res.objective <= limit:
+                return z, res
+        return None
 
 
 def tns(inst, basis, start, config=None, memo=None):
@@ -243,7 +260,7 @@ def tns(inst, basis, start, config=None, memo=None):
         memo = OffsetMemo(inst, basis)
     elif memo.inst is not inst or memo.basis is not basis:
         raise ValueError("the offset memo belongs to another instance or basis")
-    pick = _least_optimum if config.strategy == "best-improvement" else _first_step
+    pick = memo.least_optimum if config.strategy == "best-improvement" else memo.first_step
     current = start
     trace = [{"z": list(current.cycle_offset), "objective": current.objective, "move": "start"}]
     visited = {current.cycle_offset}
@@ -254,16 +271,12 @@ def tns(inst, basis, start, config=None, memo=None):
         candidates = memo.bounded_steps(current.cycle_offset)
         if config.tabu:
             candidates = [(lower, z) for lower, z in candidates if z not in visited]
-        chosen = pick(candidates, memo.optimum, limit)
+        chosen = pick(candidates, limit)
         if chosen is None:
             break
         z, res = chosen
         move = config.strategy if res.objective < current.objective else "sideways"
-        current = solution_from_timetable(inst, basis, res.timetable)
-        if current.cycle_offset != z:
-            raise InvariantViolation(
-                f"offset drift: the optimum of {z} rebuilt into {current.cycle_offset}"
-            )
+        current = memo.solution(z, res)
         visited.add(z)
         trace.append({"z": list(z), "objective": current.objective, "move": move})
     return current, tuple(trace)
@@ -310,14 +323,16 @@ class NeighbourhoodGraph:
 def neighbourhood_graph(inst, basis, width_cap=DEFAULT_WIDTH_CAP):
     """Undirected graph on feasible cycle offsets, one edge per basis
     column step, each node annotated with its exact polytrope optimum.
-    Each ``box_points`` point is solved once, and an empty polytrope
-    (``Infeasible``) is no node, so one Bellman-Ford decides it."""
+    Each ``box_points`` point is bounded and solved once through an
+    ``OffsetMemo``, and an empty polytrope is no node, so one Bellman-Ford
+    decides it."""
+    points = box_points(inst, basis, cap=width_cap)
+    memo = OffsetMemo(inst, basis)
     objective = {}
-    for z in box_points(inst, basis, cap=width_cap):
-        try:
-            objective[z] = minimize_over_polytrope(inst, offset_for(inst, basis, z)).objective
-        except Infeasible:
-            continue
+    for z in points:
+        res = memo.optimum(z, memo.bound(z))
+        if res is not None:
+            objective[z] = memo.solution(z, res).objective
     nodes = tuple(objective)
     edges = {tuple(sorted((z, z2))) for z in nodes for z2 in steps(basis, z) if z2 in objective}
     return NeighbourhoodGraph(nodes, tuple(sorted(edges)), objective)

@@ -276,6 +276,18 @@ class _CountedReads(tuple):
         return super().__getitem__(a)
 
 
+class _EnoughTrees(Exception):
+    """Raised by a ``visit`` that has seen all the trees it wants."""
+
+
+def _core_with_pendant_arcs(core=7, leaves=12):
+    """K_core (root 0) with ``leaves`` pendant arcs at its last vertex,
+    numbered below every core arc."""
+    arcs = [(core - 1, core + k) for k in range(leaves)]
+    arcs += [(i, j) for i in range(core) for j in range(i + 1, core)]
+    return Digraph(tuple(range(core + leaves)), tuple(arcs))
+
+
 def test_tree_growth_work_is_bounded_by_the_trees_visited():
     """A dense core (K_7, root 0) with twelve pendant arcs at its last
     vertex, numbered below every core arc, so each is taken as soon as
@@ -284,22 +296,39 @@ def test_tree_growth_work_is_bounded_by_the_trees_visited():
     core below every drop, 2^12 dead-end branches per visit of the last
     vertex.  With the test every branch ends in a tree, so each growth
     step, which reads one difference, leads to a visited tree: at most
-    (cap + 1)(n - 1) reads before the cap raises at tree cap + 1."""
-    core, leaves, cap = 7, 12, 10
-    arcs = [(core - 1, core + k) for k in range(leaves)]
-    arcs += [(i, j) for i in range(core) for j in range(i + 1, core)]
-    g = Digraph(tuple(range(core + leaves)), tuple(arcs))
+    (cap + 1)(n - 1) reads before ``visit`` stops the growth at tree
+    cap + 1."""
+    leaves, cap = 12, 10
+    g = _core_with_pendant_arcs(leaves=leaves)
     differences = _CountedReads((0,) * g.m)
     visited = []
 
     def visit(tree, run_toward, run_away, pi):
+        if len(visited) == cap:
+            raise _EnoughTrees
         visited.append(tuple(sorted(tree)))
 
-    with pytest.raises(EnumerationCapExceeded, match=f"more than {cap} spanning trees"):
-        graphs.grow_spanning_trees(g, visit, differences, differences, cap=cap)
+    with pytest.raises(_EnoughTrees):
+        graphs.grow_spanning_trees(g, visit, differences, differences)
     assert len(set(visited)) == cap
     assert all(set(range(leaves)) <= set(tree) for tree in visited)
     assert 0 < differences.reads <= (cap + 1) * (g.n - 1)
+
+
+def test_a_graph_over_the_tree_cap_is_refused_before_any_growth():
+    """The Kirchhoff count (7^5 = 16,807 trees) decides the cap: no tree
+    is visited and no difference is read."""
+    g = _core_with_pendant_arcs()
+    trees = count_spanning_trees_determinant(g)
+    differences = _CountedReads((0,) * g.m)
+    visited = []
+
+    def visit(tree, run_toward, run_away, pi):
+        visited.append(tuple(tree))
+
+    with pytest.raises(EnumerationCapExceeded, match=f"^more than {trees - 1} spanning trees$"):
+        graphs.grow_spanning_trees(g, visit, differences, differences, cap=trees - 1)
+    assert trees == 7**5 and visited == [] and differences.reads == 0
 
 
 class _CountedPairs(Digraph):

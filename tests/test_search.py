@@ -11,7 +11,6 @@ from peritrope import (
     CycleBasis,
     Digraph,
     EnumerationCapExceeded,
-    FixedOffsetResult,
     InvariantViolation,
     OffsetMemo,
     OrientedCycle,
@@ -325,14 +324,57 @@ def test_neighbourhood_graph_runs_one_bellman_ford_per_box_point(monkeypatch):
         neighbourhood_graph(inst, basis, width_cap=287)
 
 
-def test_offset_drift_in_tns_is_an_invariant_violation(monkeypatch):
-    # A neighbour's optimum that rebuilds into the start's own class.
+_CALLERS = {
+    "solve_exact": solve_exact,
+    # z = 2 (objective 24), whose neighbour z = 1 (objective 14) improves.
+    "tns": lambda inst, basis: tns(inst, basis, solution_from_timetable(inst, basis, (0, 9, 2))),
+    "neighbourhood_graph": neighbourhood_graph,
+}
+
+
+def _corrupted(change):
+    """A ``minimize_over_polytrope`` that applies ``change`` to each honest result."""
+    return lambda honest: lambda *args: change(honest(*args))
+
+
+# Each fault patches ``search`` to break one invariant of ``OffsetMemo``:
+# (attribute, replacement given the honest function, message).
+_FAULTS = {
+    "ruled-out": (
+        "cycle_relaxation_bound",
+        lambda honest: lambda i, b: lambda z: None,
+        "rules out .*, a point of the box",
+    ),
+    "below-bound": (
+        "cycle_relaxation_bound",
+        lambda honest: lambda i, b: lambda z: 15,
+        "below its cycle relaxation bound 15",
+    ),
+    "offset-drift": (
+        "minimize_over_polytrope",
+        _corrupted(lambda res: dataclasses.replace(res, timetable=(0, 9, 2))),
+        r"rebuilt into \(2,\) \(objective 24\)",
+    ),
+    "objective-drift": (
+        "minimize_over_polytrope",
+        _corrupted(lambda res: dataclasses.replace(res, objective=res.objective + 1)),
+        r"\(objective 15\) rebuilt into \(\d,\) \(objective 14\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", _FAULTS)
+@pytest.mark.parametrize("caller", _CALLERS)
+def test_every_caller_runs_every_offset_check(monkeypatch, caller, fault):
+    """solve_exact, tns and neighbourhood_graph get every bound, optimum
+    and rebuilt solution from one ``OffsetMemo``, so each of them raises
+    on a box point the relaxation rules out, an optimum below its bound,
+    and an optimum that rebuilds into another offset or objective."""
     inst, basis = _triangle()
-    start = solution_from_timetable(inst, basis, (0, 9, 2))
-    drifted = FixedOffsetResult(start.timetable, start.tension, start.objective - 1, None)
-    monkeypatch.setattr(peritrope.search, "minimize_over_polytrope", lambda *a, **k: drifted)
-    with pytest.raises(InvariantViolation):
-        tns(inst, basis, start)
+    name, corrupt, message = _FAULTS[fault]
+    monkeypatch.setattr(peritrope.search, name, corrupt(getattr(peritrope.search, name)))
+    with pytest.raises(InvariantViolation, match=message):
+        _CALLERS[caller](inst, basis)
 
 
 def _restart_instances(count):
