@@ -25,6 +25,7 @@ and the co-tree determinant d all go through it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -164,12 +165,13 @@ class CycleBasis:
         """(cotree, d, entries): a co-tree C of the basis, d with |d| =
         |det Gamma_C|, and d * Gamma_C^-1 stored sparsely by column.
 
-        C is ``row_cotree_arcs`` for a fundamental basis, where Gamma_C = I
-        and d = 1, and otherwise the first mu independent columns in arc
-        order.  Every cycle basis is an integer matrix M times a
-        fundamental one, whose co-tree minors are all +-1, so every co-tree
-        has |det Gamma_C| = |det M|: 1 exactly for an integral basis, 0
-        for dependent rows, which leave C short and ``entries`` None.
+        C is ``row_cotree_arcs`` for a fundamental basis, where distinct
+        owners make Gamma_C = I and d = 1 with no elimination, and
+        otherwise the first mu independent columns in arc order.  Every
+        cycle basis is an integer matrix M times a fundamental one, whose
+        co-tree minors are all +-1, so every co-tree has |det Gamma_C| =
+        |det M|: 1 exactly for an integral basis, 0 for dependent rows,
+        which leave C short and ``entries`` None.
         ``entries`` lists the nonzero entries of d * Gamma_C^-1 column by
         column as (arc, coefficient, k) triples: k is the column, and the
         row is indexed by its arc in C.  One flat tuple keeps the product
@@ -178,6 +180,9 @@ class CycleBasis:
         """
         if self.tree is not None:
             cotree = self.row_cotree_arcs
+            if len(set(cotree)) == self.mu:
+                # Each row is +1 on its own co-tree arc and 0 on the others.
+                return cotree, 1, tuple((a, 1, k) for k, a in enumerate(cotree))
         else:
             columns = tuple(zip(*self.gamma))
             cotree = []
@@ -285,7 +290,8 @@ def grow_spanning_trees(g, visit, away, toward, root=0, cap=DEFAULT_ENUMERATION_
     tree of the underlying multigraph, each grown from the vertex of index
     ``root``; raises DisconnectedGraph, and EnumerationCapExceeded when
     the Kirchhoff count (``count_spanning_trees_determinant``) is above
-    ``cap``, before any tree.
+    ``cap``, before any tree.  The count is taken only when the bound
+    C(m, n - 1) on it is above ``cap``.
 
     ``tree`` lists the tree's arcs in the order they were grown,
     ``run_away`` and ``run_toward`` those the tree runs away from and
@@ -307,7 +313,8 @@ def grow_spanning_trees(g, visit, away, toward, root=0, cap=DEFAULT_ENUMERATION_
     Vertex and arc sets are bit masks; ``cut`` holds the usable arcs with
     exactly one end reached.
     """
-    if count_spanning_trees_determinant(g) > cap:
+    _require_connected(g)
+    if math.comb(g.m, g.n - 1) > cap and count_spanning_trees_determinant(g) > cap:
         raise EnumerationCapExceeded(f"more than {cap} spanning trees")
     pairs = g.arc_index_pairs
     incident = [0] * g.n

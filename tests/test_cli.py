@@ -6,8 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import count_bellman_ford, run_cli
-from peritrope import cli, contract_fixed_arcs, parse_instance, serialize_instance
+from helpers import count_bellman_ford, random_corpus, run_cli
+from peritrope import (
+    SpanningTreeStructure,
+    Tile,
+    cli,
+    contract_fixed_arcs,
+    fine_tiling,
+    parse_instance,
+    serialize_instance,
+)
 from peritrope.cli import main
 
 TRIANGLE = """\
@@ -452,6 +460,62 @@ def test_json_writer_refuses_what_it_does_not_write(payload):
     the tuple as a list."""
     with pytest.raises(TypeError):
         cli._json_text(payload)
+
+
+def _tile_rows(tiles, T):
+    """The tile list as the dicts ``json.dumps`` would be handed."""
+    return [
+        {
+            "tree": list(t.structure.tree),
+            "L": sorted(t.structure.at_lower),
+            "U": sorted(t.structure.at_upper),
+            "translation": [str(Fraction(v, T)) for v in t.translation],
+            "lattice_point": list(t.lattice_point) if t.lattice_point is not None else None,
+        }
+        for t in tiles
+    ]
+
+
+def _assert_tile_list_is_written_like_its_rows(tiles, T):
+    """Under analyze's report and tile's payload, and at the top and
+    deeper down, the tile list writes the bytes ``json.dumps`` gives its
+    dict rows."""
+    listed, rows = cli._TileList(tiles, T), _tile_rows(tiles, T)
+    for payload in (
+        lambda tiling: {"mu": 1, "box": [["0", "1/2"]], "tiling": tiling, "duality": {}},
+        lambda tiling: {"root": "v0", "tiles": tiling, "validation": {"ok": True}},
+        lambda tiling: tiling,
+        lambda tiling: [[tiling], {"a": tiling}],
+    ):
+        assert cli._json_text(payload(listed)) == json.dumps(payload(rows), indent=2)
+
+
+@st.composite
+def _hand_built_tiles(draw):
+    """A tile with any arcs at either bound (none at all included), a
+    translation of any sign, integral or not, and a lattice point or None;
+    mu = 0 gives an empty translation and point."""
+    mu = draw(st.integers(0, 3))
+    tree = draw(st.lists(st.integers(0, 12), unique=True, max_size=5))
+    upper = draw(st.sets(st.sampled_from(tree))) if tree else set()
+    translation = tuple(draw(st.lists(st.integers(-60, 60), min_size=mu, max_size=mu)))
+    point = draw(st.none() | st.tuples(*[st.integers(-9, 9)] * mu))
+    structure = SpanningTreeStructure(tuple(tree), set(tree) - upper, upper)
+    return Tile(structure, (), translation, point)
+
+
+@settings(max_examples=100)
+@given(st.lists(_hand_built_tiles(), max_size=4), st.integers(1, 30))
+@example([], 10)
+@example([Tile(SpanningTreeStructure((), (), ()), (), (), ())], 1)
+@example([Tile(SpanningTreeStructure((2, 0), (0, 2), ()), (), (-24, 7), None)], 12)
+def test_tile_list_writes_the_bytes_of_its_dict_rows(tiles, T):
+    _assert_tile_list_is_written_like_its_rows(tuple(tiles), T)
+
+
+def test_corpus_tile_lists_write_the_bytes_of_their_dict_rows():
+    for inst, basis, _, _ in random_corpus(100):
+        _assert_tile_list_is_written_like_its_rows(fine_tiling(inst, basis), inst.period)
 
 
 def test_contracted_instance_is_flagged(tmp_path, capsys):

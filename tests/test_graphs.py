@@ -1,3 +1,4 @@
+import pathlib
 import random
 from functools import cached_property
 
@@ -21,8 +22,8 @@ from peritrope import (
     structure_for_tree,
     verify_kernel_property,
 )
-from peritrope import graphs
-from peritrope.graphs import _eliminate, greedy_forest, tree_potentials, tree_walk
+from peritrope import contract_fixed_arcs, graphs, parse_instance
+from peritrope.graphs import _eliminate, _inverse_frame, greedy_forest, tree_potentials, tree_walk
 from helpers import (
     _bareiss_det,
     _rational_rank,
@@ -30,6 +31,7 @@ from helpers import (
     dense_apply,
     gbar,
     random_bases,
+    random_corpus,
     random_connected_digraph,
     spanning_trees_by_contraction,
     spanning_trees_by_subsets,
@@ -331,6 +333,30 @@ def test_a_graph_over_the_tree_cap_is_refused_before_any_growth():
     assert trees == 7**5 and visited == [] and differences.reads == 0
 
 
+def test_the_tree_count_is_taken_only_where_the_cap_can_bind(monkeypatch):
+    """A graph has at most C(m, n - 1) spanning trees, so below that bound
+    the cap cannot bind and no determinant is taken; above it the
+    Kirchhoff count still decides, and a disconnected graph still fails
+    first even where the bound is 0."""
+    calls = []
+    determinant = graphs.count_spanning_trees_determinant
+
+    def counted(g):
+        calls.append(g)
+        return determinant(g)
+
+    monkeypatch.setattr(graphs, "count_spanning_trees_determinant", counted)
+    g = square_graph()  # C(6, 3) = 20 trees at most, 12 in fact
+    assert len(spanning_trees(g)) == len(spanning_trees(g, cap=20)) == 12
+    assert calls == []
+    with pytest.raises(EnumerationCapExceeded, match="^more than 11 spanning trees$"):
+        spanning_trees(g, cap=11)
+    assert len(spanning_trees(g, cap=19)) == 12 and calls == [g, g]
+    with pytest.raises(DisconnectedGraph):
+        spanning_trees(Digraph(("a", "b", "c", "d"), (("a", "b"), ("c", "d"))))
+    assert len(calls) == 2
+
+
 class _CountedPairs(Digraph):
     """A digraph whose arc end pairs count their reads: one per growth
     step and one per arc a bridge test crosses."""
@@ -433,6 +459,37 @@ def test_unimodular_cotree_minors():
         cotree = sorted(set(range(g.m)) - set(tree))
         mat = [[basis.gamma[k][a] for a in cotree] for k in range(basis.mu)]
         assert abs(_bareiss_det(mat)) == 1
+
+
+def _eliminated_frame(basis):
+    """The co-tree frame of a fundamental basis through ``_inverse_frame``."""
+    cotree = basis.row_cotree_arcs
+    d, inverse = _inverse_frame([basis.column(a) for a in cotree])
+    entries = tuple(
+        (a, row[k], k) for k in range(basis.mu) for a, row in zip(cotree, inverse) if row[k]
+    )
+    return cotree, d, entries
+
+
+def test_a_fundamental_frame_is_the_eliminated_one():
+    """On a fundamental basis Gamma_C = I, so the frame taken without
+    elimination is the one ``_inverse_frame`` gives: on the default basis
+    of the property corpus and on bench7-tree's basis (bench7 with its
+    fixed arc contracted, tree 1,4,6,7,8,9 of the file).  Two rows owning
+    one co-tree arc still leave d = 0 and no entries."""
+    golden = pathlib.Path(__file__).parent / "golden" / "bench7.pesp"
+    contracted = contract_fixed_arcs(parse_instance(golden.read_text()))
+    image = [contracted.arc_map[a] for a in (1, 4, 6, 7, 8, 9)]
+    tree = [a for a in image if a is not None]
+    bases = [fundamental_cycle_basis(contracted.instance.graph, tree)]
+    bases += [basis for _, basis, _, _ in random_corpus(100)]
+    for basis in bases:
+        assert basis.cotree_frame == _eliminated_frame(basis)
+    c0, _, *rest = bases[0].cycles
+    repeated = CycleBasis((c0, c0, *rest), bases[0].tree)
+    assert len(set(repeated.row_cotree_arcs)) < repeated.mu
+    _, d, entries = repeated.cotree_frame
+    assert d == 0 and entries is None
 
 
 def test_cotree_frame_of_every_basis_kind():
