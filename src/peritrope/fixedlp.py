@@ -17,10 +17,9 @@ was found.  The final potentials are feasible for that face, so its
 equality classes are the strongly connected components of its edges of
 reduced cost zero, and each vertex sits at its potential minus that of
 its class's smallest vertex.  Ties break toward the lexicographically
-smallest normalized timetable among the optimal vertices, which are the
-vertices of that face: a point is its own answer, and a larger face has
-its vertices enumerated as spanning tree structures on the quotient
-graph of its equality classes.
+smallest normalized timetable among the vertices of that face: a point
+is its own answer, and a larger face grows its vertices as the spanning
+trees of its classes' quotient graph with every arc doubled.
 
 ``cycle_relaxation_bound`` bounds that optimum from below without
 solving: every tension of a polytrope with cycle offset z meets
@@ -42,7 +41,7 @@ from .graphs import (
     _require_connected,
     greedy_forest,
     greedy_spanning_tree,
-    spanning_trees,
+    grow_spanning_trees,
     tree_potentials,
 )
 from .polytropes import (
@@ -168,39 +167,43 @@ def _reach(adj, root):
     return seen
 
 
-def _face_vertices(inst, p, rep, delta):
-    """Timetables at the vertices of the face whose equality classes are
-    ``rep`` (each vertex's smallest tied vertex) with offsets ``delta``.
+def _least_face_vertex(inst, p, rep, delta):
+    """(normalized timetable, pi) of the least vertex, by that key, of the
+    face with equality classes ``rep`` and offsets ``delta``.
 
-    Vertices tied by a zero cycle move together (pi_v = P_c + delta_v for
-    a potential P per equality class c), so the face is a polytope over the
-    classes, bounded by the arcs that join two classes.  Its vertices are
-    the feasible spanning tree structures of that quotient graph, of which
-    at most ``DEFAULT_ENUMERATION_CAP`` trees are enumerated.
+    Tied vertices move together (pi_v = P_c + delta_v per class c), so the
+    face's vertices are the feasible spanning tree structures of the
+    quotient graph on the classes.  With every quotient arc doubled, pinned
+    at its lower bound and at its upper, each structure is one spanning tree
+    of the doubled graph: tau quotient trees on k classes give tau * 2^(k-1),
+    so the scaled cap still counts ``DEFAULT_ENUMERATION_CAP`` quotient trees.
     """
-    g = inst.graph
     T = inst.period
     reps = sorted(set(rep))
     if len(reps) == 1:
-        yield tuple(delta)
-        return
+        return normalize_timetable(delta, 0, T), tuple(delta)
     cls = [reps.index(r) for r in rep]
-    arcs, lower, upper = [], [], []
-    for a, (i, j) in enumerate(g.arc_index_pairs):
+    limits, arcs, pinned = [], [], []
+    for a, (i, j) in enumerate(inst.graph.arc_index_pairs):
         if cls[i] != cls[j]:
             shift = T * p[a] + delta[j] - delta[i]
-            arcs.append((cls[i], cls[j]))
-            lower.append(inst.lower[a] - shift)
-            upper.append(inst.upper[a] - shift)
-    q = Digraph(tuple(range(len(reps))), tuple(arcs))
-    for tree in spanning_trees(q, DEFAULT_ENUMERATION_CAP):
-        for mask in range(1 << len(tree)):
-            pinned = [None] * q.m
-            for k, b in enumerate(tree):
-                pinned[b] = upper[b] if mask >> k & 1 else lower[b]
-            P = tree_potentials(q, tree, pinned)
-            if all(lo <= P[h] - P[t] <= hi for (t, h), lo, hi in zip(arcs, lower, upper)):
-                yield tuple(P[c] + d for c, d in zip(cls, delta))
+            limits.append((cls[i], cls[j], inst.lower[a] - shift, inst.upper[a] - shift))
+            arcs += [(cls[i], cls[j])] * 2
+            pinned += limits[-1][2:]
+    least = None
+
+    def keep_least(tree, run_toward, run_away, P):
+        nonlocal least
+        if all(lo <= P[h] - P[t] <= hi for t, h, lo, hi in limits):
+            pi = tuple([P[c] + d for c, d in zip(cls, delta)])
+            key = (normalize_timetable(pi, 0, T), pi)
+            least = min(least or key, key)
+
+    cap = DEFAULT_ENUMERATION_CAP << (len(reps) - 1)
+    grow_spanning_trees(Digraph(range(len(reps)), arcs), keep_least, pinned, pinned, cap=cap)
+    if least is None:
+        raise InvariantViolation("the optimal face of a nonempty polytrope has no vertex")
+    return least
 
 
 def minimize_over_polytrope(inst, p, objective=None):
@@ -221,13 +224,10 @@ def minimize_over_polytrope(inst, p, objective=None):
         supply[j] += w
         supply[i] -= w
     flow = _reduced_cost_flow(g.n, edges, supply, phi)
-    vertices = _face_vertices(inst, p, *_face_classes(g.n, edges, flow, phi))
-    pi = min(vertices, key=lambda v: normalize_timetable(v, 0, T), default=None)
-    if pi is None:
-        raise InvariantViolation("the optimal face of a nonempty polytrope has no vertex")
+    timetable, pi = _least_face_vertex(inst, p, *_face_classes(g.n, edges, flow, phi))
     x = tuple(pi[j] - pi[i] + T * p[a] for a, (i, j) in enumerate(g.arc_index_pairs))
     return FixedOffsetResult(
-        timetable=normalize_timetable(pi, 0, T),
+        timetable=timetable,
         tension=x,
         objective=sum(c * v for c, v in zip(obj, x)),
         tight_structure=_extract_tight_structure(inst, x),

@@ -10,10 +10,11 @@ a root; ``tree_potentials`` folds it into vertex potentials, and
 ``spanning_tree_walk`` checks that the arcs form a spanning tree.
 ``grow_spanning_trees`` is its one spanning tree enumeration: it grows
 every tree from a root, with the arcs it runs each way and the
-potentials of a difference per arc, for ``spanning_trees`` and for the
-tiles of ``zonotopes.fine_tiling``.  ``_eliminate`` is its one exact
-elimination, a fraction-free (Bareiss) Gauss-Jordan: it gives the
-determinants (the zonotope volume, the tree count), the rank tests of
+potentials of a difference per arc, for ``spanning_trees``, the tiles
+of ``zonotopes.fine_tiling`` and the optimal face vertices of
+``fixedlp``.  ``_eliminate`` is its one exact elimination, a
+fraction-free (Bareiss) Gauss-Jordan: it gives the determinants (the
+zonotope volume, the tree count), the rank tests of
 ``verify_kernel_property`` and of the co-tree choice, and through
 ``_inverse_frame`` the frames (d, d * G^-1) of the tiles of
 ``zonotopes`` and of each basis's co-tree.
@@ -311,7 +312,9 @@ def grow_spanning_trees(g, visit, away, toward, root=0, cap=DEFAULT_ENUMERATION_
     one depth up skips that arc, whose far side has no other way out, so
     a chain of degree-2 vertices is not walked once per arc along it.
     Vertex and arc sets are bit masks; ``cut`` holds the usable arcs with
-    exactly one end reached.
+    exactly one end reached.  Each depth is a frame on an explicit stack,
+    not a Python call, so a graph of any size grows within the recursion
+    limit.
     """
     _require_connected(g)
     if math.comb(g.m, g.n - 1) > cap and count_spanning_trees_determinant(g) > cap:
@@ -343,44 +346,48 @@ def grow_spanning_trees(g, visit, away, toward, root=0, cap=DEFAULT_ENUMERATION_
                     stack.append(w)
         return False
 
-    def grow(left, reached, cut, usable):
-        """Every tree that grows the reached vertices by ``left`` more.
-        Returns the first arc taken when dropping it failed the bridge
-        test, else 0: the far side of that arc joins the rest through it
-        alone, so the caller's bridge test need not cross it."""
-        dead = 0
-        first = True
+    if g.n == 1:
+        visit(tree, run_toward, run_away, pi)
+        return
+    # One frame per depth above the current one: the state it resumes at,
+    # the arc it took and that arc's far end.  ``dead`` is what the last
+    # frame to pop handed up: its first arc when dropping it failed the
+    # bridge test, so the far side of that arc joins the rest through it
+    # alone and the test one depth up need not cross it; else 0.
+    frames, last = [], g.n - 1
+    reached, cut, usable, first, dead = 1 << root, incident[root], (1 << g.m) - 1, True, 0
+    while True:
+        low = cut & -cut
+        a = low.bit_length() - 1
+        i, j = pairs[a]
+        if reached >> i & 1:
+            far, side = j, run_away
+            pi[j] = pi[i] + away[a]
+        else:
+            far, side = i, run_toward
+            pi[i] = pi[j] - toward[a]
+        tree.append(a)
+        side.append(a)
+        if len(tree) < last:
+            # The far end's usable arcs now have one end reached or, those
+            # back to the tree, two.
+            frames.append((reached, cut, usable, first, low, far, side))
+            reached, cut, first, dead = reached | 1 << far, cut ^ (incident[far] & usable), True, 0
+            continue
+        visit(tree, run_toward, run_away, pi)
         while True:
-            low = cut & -cut
-            a = low.bit_length() - 1
-            i, j = pairs[a]
-            if reached >> i & 1:
-                far, side = j, run_away
-                pi[j] = pi[i] + away[a]
-            else:
-                far, side = i, run_toward
-                pi[i] = pi[j] - toward[a]
-            tree.append(a)
-            side.append(a)
-            if left > 1:
-                # The far end's usable arcs now have one end reached or,
-                # those back to the tree, two.
-                dead = grow(left - 1, reached | 1 << far, cut ^ (incident[far] & usable), usable)
-            else:
-                visit(tree, run_toward, run_away, pi)
             side.pop()
             tree.pop()
             cut ^= low
             usable ^= low
             # Most far ends keep a usable arc straight back to the tree.
-            if not (incident[far] & cut or reaches_tree(far, cut, usable & ~dead)):
-                return low if first else 0
-            first = False
-
-    if g.n > 1:
-        grow(g.n - 1, 1 << root, incident[root], (1 << g.m) - 1)
-    else:
-        visit(tree, run_toward, run_away, pi)
+            if incident[far] & cut or reaches_tree(far, cut, usable & ~dead):
+                first = False
+                break
+            if not frames:
+                return
+            dead = low if first else 0
+            reached, cut, usable, first, low, far, side = frames.pop()
 
 
 def greedy_forest(n, edges):

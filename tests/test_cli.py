@@ -186,6 +186,17 @@ def test_tile_command(tri, capsys):
     assert payload["duality"]["ok"] is True
 
 
+def test_a_long_path_tiles_within_the_recursion_limit(tmp_path):
+    """A path on 1,100 events has one spanning tree, grown 1,099 arcs
+    deep, past the default recursion limit of 1,000 frames."""
+    n = 1100
+    path = tmp_path / "path.pesp"
+    path.write_text("PERIOD 10\n" + "".join(f"ARC e{k} e{k + 1} 2 6 1\n" for k in range(n - 1)))
+    result = run_cli(["tile", str(path)])
+    assert result.returncode == 0, result.stderr
+    assert [tile["tree"] for tile in json.loads(result.stdout)["tiles"]] == [list(range(n - 1))]
+
+
 @pytest.mark.parametrize("command", ["analyze", "tile"])
 def test_one_tiling_per_command(tri, command, monkeypatch, capsys):
     """One ``fine_tiling`` call and one ``lattice_points`` enumeration per
@@ -400,6 +411,7 @@ MORE_GOLDENS = [
         (["polytropes", "--json"], "polytropes.json"),
     )
 ] + [(name, ["render", "--what", "zonotope"], "zonotope.svg") for name in ("triangle", "square5")]
+MORE_GOLDENS += [("zero9", ["solve"], "solve.json")]
 
 
 @pytest.mark.parametrize(
@@ -413,7 +425,10 @@ def test_solve_polytropes_and_render_goldens_are_byte_identical(
     """``tests/golden/<instance>.<golden>`` is the stdout of the command on
     ``<instance>.pesp``; a tns solve also writes its trace, whose bytes are
     ``<instance>.tns.jsonl``.  square5 is the square without its last arc
-    (mu = 2, seven tiles), the largest golden a zonotope picture can show."""
+    (mu = 2, seven tiles), the largest golden a zonotope picture can show.
+    zero9 is a ``bench/gen`` instance (n = 9, m = 13, ``random.Random(1)``)
+    with every weight 0, so its first optimal face is a whole polytrope,
+    56,320 spanning tree structures."""
     trace = tmp_path / "trace.jsonl"
     tns = "tns" in command
     argv = [command[0], str(GOLDEN / f"{instance}.pesp"), *command[1:]]

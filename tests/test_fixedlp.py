@@ -207,16 +207,64 @@ def test_tight_structure_certifies_the_vertex():
     assert checked >= 250
 
 
-def test_tree_cap_propagates(monkeypatch):
-    # DEFAULT_ENUMERATION_CAP bounds the trees of the optimal face.  A zero
-    # objective makes that face the whole polytrope; a full-dimensional one
-    # has no tied vertices, so its quotient is the 12-tree square itself.
+def _full_square_face():
+    """The square under a zero objective at a full-dimensional offset: the
+    optimal face is the whole polytrope, with four classes and the 12-tree
+    square as its quotient."""
     inst = square_instance()
     polys = enumerate_polytropes(inst, square_basis())
     p = next(poly.offset for poly in polys if poly.dimension == inst.graph.n - 1)
-    monkeypatch.setattr(peritrope.fixedlp, "DEFAULT_ENUMERATION_CAP", 3)
+    return inst, p, (0,) * inst.graph.m
+
+
+def test_the_face_grows_each_structure_once(monkeypatch):
+    """One growth on the doubled quotient visits each (quotient tree,
+    bound pattern) once: 12 * 2^3 = 96 distinct trees of 12 arcs."""
+    inst, p, objective = _full_square_face()
+    grow = peritrope.fixedlp.grow_spanning_trees
+    graphs, trees = [], []
+
+    def counted(g, visit, *args, **kwargs):
+        graphs.append(g)
+
+        def counted_visit(tree, *rest):
+            trees.append(tuple(sorted(tree)))
+            visit(tree, *rest)
+
+        grow(g, counted_visit, *args, **kwargs)
+
+    monkeypatch.setattr(peritrope.fixedlp, "grow_spanning_trees", counted)
+    res = minimize_over_polytrope(inst, p, objective)
+    assert [(g.n, g.m) for g in graphs] == [(4, 12)]
+    assert len(trees) == len(set(trees)) == 12 * 2**3
+    assert res == enumerate_fixed_offset(inst, p, objective)
+
+
+def test_tree_cap_propagates(monkeypatch):
+    """DEFAULT_ENUMERATION_CAP bounds the quotient trees of the optimal
+    face: the cap on the doubled quotient is scaled by 2^(k - 1) on k
+    classes, so it refuses exactly above the square's 12 trees."""
+    inst, p, objective = _full_square_face()
+    monkeypatch.setattr(peritrope.fixedlp, "DEFAULT_ENUMERATION_CAP", 11)
     with pytest.raises(EnumerationCapExceeded):
-        minimize_over_polytrope(inst, p, objective=(0,) * inst.graph.m)
+        minimize_over_polytrope(inst, p, objective)
+    monkeypatch.setattr(peritrope.fixedlp, "DEFAULT_ENUMERATION_CAP", 12)
+    assert minimize_over_polytrope(inst, p, objective).objective == 0
+
+
+def test_a_solve_walks_no_tree(monkeypatch):
+    """The growth hands each structure its potentials, so no solve runs a
+    ``tree_potentials`` walk of its own."""
+    walks = []
+    monkeypatch.setattr(peritrope.fixedlp, "tree_potentials", lambda *args: walks.append(args))
+    solved = 0
+    for inst, p, objective in [_full_square_face(), *_random_cases()]:
+        try:
+            minimize_over_polytrope(inst, p, objective)
+            solved += 1
+        except Infeasible:
+            pass
+    assert walks == [] and solved >= 250
 
 
 def test_matches_the_structure_enumeration_on_random_cases():
@@ -331,7 +379,7 @@ def test_a_solve_runs_one_bellman_ford_and_no_floyd_warshall(monkeypatch):
 
 def test_a_face_without_a_vertex_is_an_invariant_violation(monkeypatch):
     inst = triangle_instance()
-    monkeypatch.setattr(peritrope.fixedlp, "spanning_trees", lambda g, cap: ())
+    monkeypatch.setattr(peritrope.fixedlp, "grow_spanning_trees", lambda *args, **kwargs: None)
     with pytest.raises(InvariantViolation):
         minimize_over_polytrope(inst, (0, 0, 1), objective=(0, 0, 0))
 

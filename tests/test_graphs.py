@@ -1,5 +1,6 @@
 import pathlib
 import random
+import sys
 from functools import cached_property
 
 import pytest
@@ -388,6 +389,20 @@ def test_a_chain_costs_linear_work_per_tree(closed, chain_first):
     graphs.grow_spanning_trees(g, lambda tree, *_: trees.append(tuple(sorted(tree))), zeros, zeros)
     assert len(set(trees)) == len(trees) == count_spanning_trees_determinant(g)
     assert g.arc_index_pairs.reads <= 2 * len(trees) * (g.n - 1)
+
+
+def test_a_long_path_grows_within_the_recursion_limit():
+    """Each depth of the growth is a frame on its own stack, so a path
+    three times as long as the recursion limit grows its one tree."""
+    n = 3 * sys.getrecursionlimit()
+    g = Digraph(tuple(range(n)), tuple((k, k + 1) for k in range(n - 1)))
+    seen = []
+
+    def visit(tree, run_toward, run_away, pi):
+        seen.append((list(tree), list(run_toward), list(run_away), list(pi)))
+
+    graphs.grow_spanning_trees(g, visit, (1,) * g.m, (0,) * g.m)
+    assert seen == [(list(range(n - 1)), [], list(range(n - 1)), list(range(n)))]
 
 
 def test_tree_count_matches_determinant_on_random_graphs():
