@@ -419,13 +419,16 @@ def cmd_tile(args):
 
 
 def cmd_render(args):
-    raw = _load_instance(args)
-    inst, vertex_map, arc_map = _contract_if_needed(raw)
-    root = _resolve_root(args, vertex_map, inst.graph)
-    basis = _basis_for(args, inst.graph, arc_map)
+    """The torus is drawn on the file's own instance, whose timetables it
+    shows; only the zonotope picture contracts the fixed arcs."""
+    inst = _load_instance(args)
     if args.what == "torus":
-        svg = render_torus(inst, basis, width_cap=args.cap_width)
+        _resolve_root(args, {}, inst.graph)  # unused here, but still checked
+        svg = render_torus(inst, _basis_for(args, inst.graph), width_cap=args.cap_width)
     else:
+        inst, vertex_map, arc_map = _contract_if_needed(inst)
+        root = _resolve_root(args, vertex_map, inst.graph)
+        basis = _basis_for(args, inst.graph, arc_map)
         svg = render_zonotope(inst, basis, root=root, width_cap=args.cap_width)
     _emit(args, svg)
     return 0

@@ -13,13 +13,15 @@ phase (Ahuja, Magnanti & Orlin, "Network Flows", 1993, ch. 9).
 
 By complementary slackness the optimal face is the kappa constraints
 plus equality on every edge that carries flow, whichever optimal flow
-was found.  The final potentials are feasible for that face, so its
-equality classes are the strongly connected components of its edges of
-reduced cost zero, and each vertex sits at its potential minus that of
-its class's smallest vertex.  Ties break toward the lexicographically
+was found.  The final potentials are feasible for that face, so the
+class kernel of ``polytropes`` (the one that also gives a polytrope its
+dimension) reads the face's equality classes off its edges of reduced
+cost zero, and each vertex sits at its potential minus that of its
+class's smallest vertex.  Ties break toward the lexicographically
 smallest normalized timetable among the vertices of that face: a point
 is its own answer, and a larger face grows its vertices as the spanning
-trees of its classes' quotient graph with every arc doubled.
+trees of its classes' quotient graph with every arc doubled.  A result
+holds that timetable, its tension and its objective.
 
 ``cycle_relaxation_bound`` bounds that optimum from below without
 solving: every tension of a polytrope with cycle offset z meets
@@ -39,19 +41,18 @@ from .graphs import (
     DEFAULT_ENUMERATION_CAP,
     Digraph,
     _require_connected,
-    greedy_forest,
     greedy_spanning_tree,
     grow_spanning_trees,
     tree_potentials,
 )
 from .polytropes import (
+    _face_classes,
     _potentials,
     _require_length,
     kappa,
     normalize_timetable,
     timetable_to_tension,
 )
-from .zonotopes import SpanningTreeStructure
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,6 @@ class FixedOffsetResult:
     timetable: tuple
     tension: tuple
     objective: int
-    tight_structure: SpanningTreeStructure | None
 
 
 def _reduced_cost_flow(n, edges, supply, phi):
@@ -129,44 +129,6 @@ def _reduced_cost_flow(n, edges, supply, phi):
     return flow
 
 
-def _face_classes(n, edges, flow, phi):
-    """For each vertex, the smallest vertex tied to it on the optimal
-    face, and its offset delta_v = phi_v - phi_rep from that vertex.
-
-    ``phi`` is feasible for the face graph (the edges plus the reversal of
-    every edge that carries flow), so a cycle of that graph has length
-    zero exactly when each of its edges has reduced cost zero: the classes
-    are the strongly connected components of those edges.
-    """
-    ahead = [[] for _ in range(n)]
-    behind = [[] for _ in range(n)]
-    for (t, h, c), f in zip(edges, flow):
-        if c + phi[t] == phi[h]:
-            ahead[t].append(h)
-            behind[h].append(t)
-            if f:
-                ahead[h].append(t)
-                behind[t].append(h)
-    rep = [None] * n
-    for v in range(n):
-        if rep[v] is None:
-            for u in _reach(ahead, v) & _reach(behind, v):
-                rep[u] = v
-    return rep, [phi[v] - phi[r] for v, r in enumerate(rep)]
-
-
-def _reach(adj, root):
-    """The set of vertices reachable from ``root`` in adjacency ``adj``."""
-    seen = {root}
-    stack = [root]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
 def _least_face_vertex(inst, p, rep, delta):
     """(normalized timetable, pi) of the least vertex, by that key, of the
     face with equality classes ``rep`` and offsets ``delta``.
@@ -224,14 +186,9 @@ def minimize_over_polytrope(inst, p, objective=None):
         supply[j] += w
         supply[i] -= w
     flow = _reduced_cost_flow(g.n, edges, supply, phi)
-    timetable, pi = _least_face_vertex(inst, p, *_face_classes(g.n, edges, flow, phi))
+    timetable, pi = _least_face_vertex(inst, p, *_face_classes(g.n, edges, phi, flow))
     x = tuple(pi[j] - pi[i] + T * p[a] for a, (i, j) in enumerate(g.arc_index_pairs))
-    return FixedOffsetResult(
-        timetable=timetable,
-        tension=x,
-        objective=sum(c * v for c, v in zip(obj, x)),
-        tight_structure=_extract_tight_structure(inst, x),
-    )
+    return FixedOffsetResult(timetable, x, sum(c * v for c, v in zip(obj, x)))
 
 
 def cycle_relaxation_bound(inst, basis):
@@ -335,30 +292,5 @@ def brute_force_fixed_offset(inst, p, objective=None, max_vertices=5, max_period
             best = (pi, x, value)
     if best is None:
         raise Infeasible("no timetable on the grid maps to this periodic offset")
-    pi, x, value = best
-    return FixedOffsetResult(
-        timetable=pi,
-        tension=x,
-        objective=value,
-        tight_structure=_extract_tight_structure(inst, x),
-    )
+    return FixedOffsetResult(*best)
 
-
-def _extract_tight_structure(inst, x):
-    """Greedy spanning tree among the arcs sitting at a bound, or None if
-    they do not span (the optimum landed off a vertex)."""
-    g = inst.graph
-    chosen = greedy_forest(
-        g.n,
-        [
-            (a, i, j)
-            for a, (i, j) in enumerate(g.arc_index_pairs)
-            if x[a] == inst.lower[a] or x[a] == inst.upper[a]
-        ],
-    )
-    if len(chosen) != g.n - 1:
-        return None
-    lower_side = frozenset(a for a in chosen if x[a] == inst.lower[a])
-    return SpanningTreeStructure(
-        tuple(chosen), lower_side, frozenset(chosen) - lower_side
-    )

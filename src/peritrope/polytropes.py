@@ -7,7 +7,10 @@ T p_a - l_a.  The region is nonempty exactly when that weighting has no
 negative cycle, and its Kleene star (all-pairs shortest paths), whose
 rows are the tropical vertices, is the canonical inequality description.
 One Bellman-Ford kernel, ``_potentials``, finds every shortest path here,
-in exact integer arithmetic like everything else.
+in exact integer arithmetic like everything else.  One class kernel,
+``_face_classes``, finds the equality classes (vertices tied by a zero
+cycle) from feasible potentials: of a polytrope, for its dimension, and
+of the optimal face of a solve, for ``fixedlp``.
 """
 
 from __future__ import annotations
@@ -64,13 +67,45 @@ def _potentials(n, edges, source=None):
     return None if any(phi[i] + w < phi[j] for i, j, w in edges) else phi
 
 
-def equality_classes(dist):
-    """For each vertex, the smallest vertex tied to it by a zero cycle
-    (dist[u][v] + dist[v][u] == 0), which is an equivalence relation."""
-    n = len(dist)
-    return tuple(
-        next(u for u in range(v + 1) if dist[u][v] + dist[v][u] == 0) for v in range(n)
-    )
+def _face_classes(n, edges, phi, flow=None):
+    """For each vertex, the smallest vertex tied to it by a zero cycle, and
+    its offset delta_v = phi_v - phi_rep from that vertex: the equality
+    classes of the face of the potential polyhedron of ``edges`` (tail,
+    head, weight) on which every edge that carries ``flow`` is tight, or
+    of the whole polyhedron when there is no flow.
+
+    ``phi`` is feasible for the face graph (the edges plus the reversal of
+    every edge that carries flow), so a cycle of that graph has length
+    zero exactly when each of its edges has reduced cost zero: the classes
+    are the strongly connected components of those edges.
+    """
+    ahead = [[] for _ in range(n)]
+    behind = [[] for _ in range(n)]
+    for k, (t, h, c) in enumerate(edges):
+        if c + phi[t] == phi[h]:
+            ahead[t].append(h)
+            behind[h].append(t)
+            if flow and flow[k]:
+                ahead[h].append(t)
+                behind[t].append(h)
+    rep = [None] * n
+    for v in range(n):
+        if rep[v] is None:
+            for u in _reach(ahead, v) & _reach(behind, v):
+                rep[u] = v
+    return rep, [phi[v] - phi[r] for v, r in enumerate(rep)]
+
+
+def _reach(adj, root):
+    """The set of vertices reachable from ``root`` in adjacency ``adj``."""
+    seen = {root}
+    stack = [root]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
 
 
 def tension_system_feasible(inst, base):
@@ -113,6 +148,9 @@ class Polytrope:
 
 
 def polytrope_build(inst, basis, p):
+    """The polytrope of offset p, built from its class's canonical offset.
+    An offset of another length than the arc count raises ValueError."""
+    _require_length(p, inst.graph.m, "offset", "arcs")
     z = basis.apply(tuple(int(x) for x in p))
     # Offsets with the same cycle offset describe the same torus region, so
     # build from the canonical class representative; dist then depends on z
@@ -131,9 +169,10 @@ def _polytrope_at(inst, z, p):
         return Polytrope(p, z, None, -1, inst.period, g.vertices)
     # kappa(p) is strongly connected, so each run from a source is its row.
     rows = [first] + [_potentials(g.n, edges, i) for i in range(1, g.n)]
-    dist = tuple(map(tuple, rows))
-    dimension = len(set(equality_classes(dist))) - 1
-    return Polytrope(p, z, dist, dimension, inst.period, g.vertices)
+    # Row 0 is a shortest path length from vertex 0, so feasible potentials.
+    rep, _ = _face_classes(g.n, edges, first)
+    dimension = len(set(rep)) - 1
+    return Polytrope(p, z, tuple(map(tuple, rows)), dimension, inst.period, g.vertices)
 
 
 def polytrope_dimension(poly):
@@ -180,10 +219,12 @@ def tropical_vertices(poly, root=None):
 
 def timetable_membership(poly, pi):
     """Does the (integer) timetable satisfy every canonical inequality
-    pi_j - pi_i <= dist(i, j) of this offset class?"""
+    pi_j - pi_i <= dist(i, j) of this offset class?  A timetable of another
+    length than the vertex count raises ValueError."""
     if not poly.nonempty:
         raise EmptyPolytrope("membership in an empty class")
     n = poly.n
+    _require_length(pi, n, "timetable", "vertices")
     dist = poly.dist
     return all(
         pi[j] - pi[i] <= dist[i][j] for i in range(n) for j in range(n) if i != j

@@ -55,7 +55,7 @@ from .graphs import (
     tree_potentials,
 )
 from .polytropes import (
-    _root_index,
+    _require_length,
     normalize_timetable,
     offset_for,
     steps,
@@ -75,10 +75,12 @@ class Solution:
     objective: int
 
 
-def solution_from_timetable(inst, basis, pi, root=None):
-    """Normalize a timetable and derive tension, offsets and objective."""
-    ridx = _root_index(inst.graph, root)
-    timetable = normalize_timetable(pi, ridx, inst.period)
+def solution_from_timetable(inst, basis, pi):
+    """Normalize a timetable at vertex 0 and derive tension, offsets and
+    objective.  A timetable of another length than the vertex count
+    raises ValueError."""
+    _require_length(pi, inst.graph.n, "timetable", "vertices")
+    timetable = normalize_timetable(pi, 0, inst.period)
     x, p = timetable_to_tension(inst, timetable)
     z = basis.apply(p)
     value = sum(w * v for w, v in zip(inst.weight, x))

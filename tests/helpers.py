@@ -35,7 +35,6 @@ from peritrope import (
     solution_from_timetable,
     spanning_trees,
 )
-from peritrope.fixedlp import _extract_tight_structure
 from peritrope.graphs import (
     DEFAULT_ENUMERATION_CAP,
     _inverse_frame,
@@ -44,7 +43,6 @@ from peritrope.graphs import (
     tree_walk,
 )
 from peritrope.polytropes import (
-    equality_classes,
     kappa,
     polytrope_build,
     tropical_vertices,
@@ -369,16 +367,8 @@ def enumerate_fixed_offset(inst, p, objective=None):
             value = sum(c * v for c, v in zip(obj, x))
             key = (value, normalize_timetable(pi, 0, T))
             if best_key is None or key < best_key:
-                at_upper = frozenset(a for k, a in enumerate(tree) if mask >> k & 1)
                 best_key = key
-                best = FixedOffsetResult(
-                    timetable=key[1],
-                    tension=tuple(x),
-                    objective=value,
-                    tight_structure=SpanningTreeStructure(
-                        tuple(tree), frozenset(tree) - at_upper, at_upper
-                    ),
-                )
+                best = FixedOffsetResult(key[1], tuple(x), value)
     return best
 
 
@@ -403,11 +393,25 @@ def minimize_by_bellman_ford_flow(inst, p, objective=None):
     pi = min(vertices, key=lambda v: normalize_timetable(v, 0, T))
     x = tuple(pi[j] - pi[i] + T * p[a] for a, (i, j) in enumerate(g.arc_index_pairs))
     return FixedOffsetResult(
-        timetable=normalize_timetable(pi, 0, T),
-        tension=x,
-        objective=sum(c * v for c, v in zip(obj, x)),
-        tight_structure=_extract_tight_structure(inst, x),
+        normalize_timetable(pi, 0, T), x, sum(c * v for c, v in zip(obj, x))
     )
+
+
+def tight_structure(inst, x):
+    """A spanning tree structure of the tension ``x``: a greedy spanning
+    tree among the arcs sitting at a bound, each on the side it sits at,
+    or None if those arcs do not span (x is off every vertex)."""
+    g = inst.graph
+    tight = [
+        (a, i, j)
+        for a, (i, j) in enumerate(g.arc_index_pairs)
+        if x[a] in (inst.lower[a], inst.upper[a])
+    ]
+    tree = greedy_forest(g.n, tight)
+    if len(tree) != g.n - 1:
+        return None
+    at_lower = frozenset(a for a in tree if x[a] == inst.lower[a])
+    return SpanningTreeStructure(tuple(tree), at_lower, frozenset(tree) - at_lower)
 
 
 def _bellman_ford_flow(n, edges, supply):
@@ -446,6 +450,16 @@ def _bellman_ford_flow(n, edges, supply):
         excess[source] -= amount
         excess[sink] += amount
     return flow
+
+
+def equality_classes(dist):
+    """For each vertex, the smallest vertex tied to it by a zero cycle
+    (dist[u][v] + dist[v][u] == 0) in the distance matrix ``dist``: the
+    reference for the class kernel ``polytropes._face_classes``."""
+    n = len(dist)
+    return tuple(
+        next(u for u in range(v + 1) if dist[u][v] + dist[v][u] == 0) for v in range(n)
+    )
 
 
 def _face_vertices_by_distances(inst, p, dist):

@@ -12,8 +12,10 @@ from peritrope import (
     Tile,
     cli,
     contract_fixed_arcs,
+    default_basis,
     fine_tiling,
     parse_instance,
+    render_torus,
     serialize_instance,
 )
 from peritrope.cli import main
@@ -255,6 +257,20 @@ def test_render_to_file(tri, tmp_path):
     assert "<circle" in zono.read_text()
 
 
+def test_render_draws_the_torus_of_the_file_with_its_fixed_arcs(tmp_path):
+    """The torus shows the file's own timetables: a fixed arc is not
+    contracted away first (which left two vertices and exit 1), and an
+    unknown ``--root`` is still a usage error."""
+    text = "PERIOD 10\nARC a b 3 3 1\nARC b c 2 6 1\nARC c a 1 9 2\n"
+    path = tmp_path / "fixed.pesp"
+    path.write_text(text)
+    inst = parse_instance(text)
+    result = run_cli(["render", str(path)])
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.decode() == render_torus(inst, default_basis(inst.graph))
+    assert main(["render", str(path), "--root", "nope"]) == 1
+
+
 def test_render_rejects_large_mu(square, tmp_path):
     out = tmp_path / "zono.svg"
     assert main(["render", square, "--what", "zonotope", "--out", str(out)]) == 1
@@ -411,6 +427,7 @@ MORE_GOLDENS = [
         (["polytropes", "--json"], "polytropes.json"),
     )
 ] + [(name, ["render", "--what", "zonotope"], "zonotope.svg") for name in ("triangle", "square5")]
+MORE_GOLDENS += [("triangle", ["render", "--what", "torus"], "torus.svg")]
 MORE_GOLDENS += [("zero9", ["solve"], "solve.json")]
 
 

@@ -3,7 +3,9 @@ it, so invariants raise typed errors), no floating point outside the SVG
 renderer, no state that outlives a call (a module-level container or a
 ``functools`` cache would grow with its inputs across calls), and no
 indented ``json.dump``/``json.dumps`` (an indent selects the pure-Python
-encoder; ``cli._json_text`` writes those bytes)."""
+encoder; ``cli._json_text`` writes those bytes), and no import upward from
+the polytrope layer (``polytropes`` and ``fixedlp``) into the modules
+built on it."""
 
 import ast
 import pathlib
@@ -151,3 +153,45 @@ def test_constants_and_per_call_state_pass():
         "class Memo:\n    def __init__(self):\n        self.seen = {}\n"
     )
     assert state_across_calls(source) == []
+
+
+def package_imports(source):
+    """The package modules a module's source imports, by relative or
+    absolute name: ``from .x import y``, ``from . import x``,
+    ``from peritrope.x import y`` and ``import peritrope.x``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "peritrope":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                found.add(module.split(".")[0])
+            else:
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, rest = alias.name.partition(".")
+                if head == "peritrope" and rest:
+                    found.add(rest.split(".")[0])
+    return found
+
+
+UPPER_LAYERS = {"zonotopes", "search", "exact", "render", "cli"}
+
+
+@pytest.mark.parametrize("name", ["polytropes.py", "fixedlp.py"])
+def test_the_polytrope_layer_imports_nothing_built_on_it(name):
+    (path,) = [p for p in MODULES if p.name == name]
+    assert package_imports(path.read_text(encoding="utf-8")) & UPPER_LAYERS == set()
+
+
+def test_package_imports_are_found():
+    source = (
+        "import json\nfrom .graphs import x\nfrom . import zonotopes, cli\n"
+        "from peritrope.search import y\nimport peritrope.exact\nfrom json import dumps\n"
+        "def f():\n    from .render import g\n"
+    )
+    assert package_imports(source) == {"graphs", "zonotopes", "cli", "search", "exact", "render"}

@@ -36,11 +36,12 @@ from peritrope import (
     width,
 )
 from peritrope.fixedlp import minimize_over_polytrope
-from peritrope.polytropes import _potentials, tension_system_feasible
+from peritrope.polytropes import _face_classes, _potentials, tension_system_feasible
 from peritrope.zonotopes import box_points
 from helpers import (
     count_bellman_ford,
     dense_apply,
+    equality_classes,
     random_bases,
     random_connected_digraph,
     random_instance,
@@ -454,6 +455,65 @@ def test_tension_system_feasible_rejects_a_base_of_the_wrong_length(p):
     assert tension_system_feasible(inst, (0, 0, 10))
     with pytest.raises(ValueError, match=f"^base has {len(p)} entries, the instance has 3 arcs$"):
         tension_system_feasible(inst, p)
+
+
+def test_polytrope_build_rejects_an_offset_of_the_wrong_length():
+    """On a tree instance (mu = 0) a long offset used to build a polytrope,
+    while the same call under mu >= 1 failed in ``basis.apply``; both now
+    fail on the arc count, as do the triangle's long and short offsets."""
+    tree = parse_instance("PERIOD 10\nARC a b 3 5 1\n")
+    triangle, basis = _triangle()
+    cases = [(tree, default_basis(tree.graph), (5, 5, 5, 5))]
+    cases += [(triangle, basis, p) for p in ((5, 5, 5, 5), (0, 0, 1, 5), (0, 0))]
+    for inst, basis, p in cases:
+        m = inst.graph.m
+        with pytest.raises(ValueError, match=f"^offset has {len(p)} entries, the instance has {m} arcs$"):
+            polytrope_build(inst, basis, p)
+    assert polytrope_build(tree, default_basis(tree.graph), (5,)).nonempty
+
+
+def test_timetable_membership_rejects_a_timetable_of_the_wrong_length():
+    """A long timetable used to be read up to the vertex count, so that
+    (0, 3, 9, 100) sat in the z = 0 class of the triangle; a short one
+    raised an untyped IndexError."""
+    inst, basis = _triangle()
+    poly = polytrope_build(inst, basis, (0, 0, 0))
+    assert timetable_membership(poly, (0, 3, 9))
+    for pi in ((0, 3, 9, 100), (0, 3)):
+        with pytest.raises(ValueError, match=f"^timetable has {len(pi)} entries, the instance has 3 vertices$"):
+            timetable_membership(poly, pi)
+
+
+def test_the_class_kernel_matches_the_distance_matrix_classes():
+    """On every nonempty polytrope of random instances with fixed arcs,
+    ``_face_classes`` with no flow, from the virtual-source potentials and
+    from the Floyd-Warshall row 0 alike, gives the classes of the
+    distance-matrix oracle and each vertex's offset dist[rep][v] from its
+    class's smallest vertex, and the polytrope's dimension is one less
+    than the class count.  Every dimension from 0 to n - 1 occurs for
+    each n from 2 to 6."""
+    seen = set()
+    checked = with_fixed = 0
+    for seed in range(1000):
+        inst = varied_instance(random.Random(6100 + seed))
+        n = inst.graph.n
+        fixed = any(l == u for l, u in zip(inst.lower, inst.upper))
+        for poly in enumerate_polytropes(inst, default_basis(inst.graph)):
+            edges = kappa(inst, poly.offset)
+            dist = shortest_path_matrix(n, edges)
+            assert poly.dist == dist
+            rep = equality_classes(dist)
+            assert poly.dimension == len(set(rep)) - 1
+            for phi in (_potentials(n, edges), list(dist[0])):
+                assert _face_classes(n, edges, phi) == (
+                    list(rep),
+                    [dist[r][v] for v, r in enumerate(rep)],
+                ), (inst, poly.offset)
+            seen.add((n, poly.dimension))
+            checked += 1
+            with_fixed += fixed
+    assert checked >= 1000 and with_fixed >= 400, (checked, with_fixed)
+    assert seen >= {(n, d) for n in range(2, 7) for d in range(n)}, seen
 
 
 @settings(max_examples=50)

@@ -65,7 +65,7 @@ def test_solution_from_timetable():
     assert verify_solution(inst, basis, sol) == []
 
 
-@pytest.mark.parametrize("pi", [(0, 8), (0, 8, 2, 5)])
+@pytest.mark.parametrize("pi", [(0, 8), (0, 8, 2, 5), ()])
 def test_solution_from_timetable_refuses_a_timetable_of_the_wrong_length(pi):
     inst, basis = _triangle()
     message = f"^timetable has {len(pi)} entries, the instance has 3 vertices$"

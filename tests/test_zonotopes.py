@@ -27,7 +27,6 @@ from peritrope import (
     parse_instance,
     scaled_point_in_zonotope,
     offset_from_cycle_offset,
-    solution_from_timetable,
     tension_to_timetable,
     offset_zero,
     spanning_trees,
@@ -864,14 +863,12 @@ def test_tiles_hold_the_offsets_whose_pinned_tree_extends():
         lambda inst, basis, root: structure_for_tree(inst.graph, (0, 1), root),
         lambda inst, basis, root: fine_tiling(inst, basis, root),
         lambda inst, basis, root: duality_check(inst, basis, root),
-        lambda inst, basis, root: solution_from_timetable(inst, basis, (0, 3, 10), root),
         lambda inst, basis, root: tension_to_timetable(inst, (8, 2, 4), root),
     ],
     ids=(
         "structure_for_tree",
         "fine_tiling",
         "duality_check",
-        "solution_from_timetable",
         "tension_to_timetable",
     ),
 )
