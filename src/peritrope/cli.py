@@ -419,16 +419,18 @@ def cmd_tile(args):
 
 
 def cmd_render(args):
-    """The torus is drawn on the file's own instance, whose timetables it
-    shows; only the zonotope picture contracts the fixed arcs."""
-    inst = _load_instance(args)
+    raw = _load_instance(args)
+    inst, vertex_map, arc_map = _contract_if_needed(raw)
+    root = _resolve_root(args, vertex_map, inst.graph)
+    basis = _basis_for(args, inst.graph, arc_map)
     if args.what == "torus":
-        _resolve_root(args, {}, inst.graph)  # unused here, but still checked
-        svg = render_torus(inst, _basis_for(args, inst.graph), width_cap=args.cap_width)
+        if inst.graph.n != 3 and arc_map is not None:
+            raise ValueError(
+                "torus rendering needs exactly 3 vertices once the fixed arcs"
+                f" are contracted, and this file leaves {inst.graph.n}"
+            )
+        svg = render_torus(inst, basis, width_cap=args.cap_width)
     else:
-        inst, vertex_map, arc_map = _contract_if_needed(inst)
-        root = _resolve_root(args, vertex_map, inst.graph)
-        basis = _basis_for(args, inst.graph, arc_map)
         svg = render_zonotope(inst, basis, root=root, width_cap=args.cap_width)
     _emit(args, svg)
     return 0

@@ -5,7 +5,7 @@ Vertices are arbitrary hashable ids kept in declaration order; arcs are
 Parallel and antiparallel arcs are allowed, self-loops are not.
 
 Four kernels serve the package.  ``greedy_forest`` is its one
-union-find, behind ``greedy_spanning_tree``.  ``tree_walk`` is its one depth-first walk of an arc set from
+union-find.  ``tree_walk`` is its one depth-first walk of an arc set from
 a root; ``tree_potentials`` folds it into vertex potentials, and
 ``spanning_tree_walk`` checks that the arcs form a spanning tree.
 ``grow_spanning_trees`` is its one spanning tree enumeration: it grows

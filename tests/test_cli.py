@@ -12,10 +12,8 @@ from peritrope import (
     Tile,
     cli,
     contract_fixed_arcs,
-    default_basis,
     fine_tiling,
     parse_instance,
-    render_torus,
     serialize_instance,
 )
 from peritrope.cli import main
@@ -257,18 +255,18 @@ def test_render_to_file(tri, tmp_path):
     assert "<circle" in zono.read_text()
 
 
-def test_render_draws_the_torus_of_the_file_with_its_fixed_arcs(tmp_path):
-    """The torus shows the file's own timetables: a fixed arc is not
-    contracted away first (which left two vertices and exit 1), and an
-    unknown ``--root`` is still a usage error."""
-    text = "PERIOD 10\nARC a b 3 3 1\nARC b c 2 6 1\nARC c a 1 9 2\n"
-    path = tmp_path / "fixed.pesp"
-    path.write_text(text)
-    inst = parse_instance(text)
-    result = run_cli(["render", str(path)])
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.decode() == render_torus(inst, default_basis(inst.graph))
-    assert main(["render", str(path), "--root", "nope"]) == 1
+def test_render_contracts_fixed_arcs_before_the_torus(tmp_path, capsys):
+    """Four events with one fixed arc contract to a triangle whose classes
+    are drawn; three events with one leave two vertices, a usage error
+    that names the contraction."""
+    four = tmp_path / "four.pesp"
+    four.write_text("PERIOD 10\nARC a b 3 3 1\nARC b c 2 6 1\nARC c d 1 5 1\nARC d a 1 9 2\n")
+    assert main(["render", str(four)]) == 0
+    assert "<polygon" in capsys.readouterr().out
+    three = tmp_path / "three.pesp"
+    three.write_text("PERIOD 10\nARC a b 3 3 1\nARC b c 2 6 1\nARC c a 1 9 2\n")
+    assert main(["render", str(three)]) == 1
+    assert "fixed arcs are contracted" in capsys.readouterr().err
 
 
 def test_render_rejects_large_mu(square, tmp_path):
