@@ -61,7 +61,6 @@ from .polytropes import (
     offset_from_cycle_offset,
     offset_zero,
     polytrope_build,
-    polytrope_dimension,
     polytrope_nonempty,
     tension_to_timetable,
     timetable_membership,
@@ -73,7 +72,6 @@ from .search import (
     NeighbourhoodGraph,
     OffsetMemo,
     Solution,
-    TnsConfig,
     TreePool,
     initial_solution,
     neighbourhood_graph,

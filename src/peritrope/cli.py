@@ -34,7 +34,7 @@ from .exact import solve_exact
 from .graphs import default_basis, fundamental_cycle_basis
 from .instances import contract_fixed_arcs, parse_instance
 from .render import render_torus, render_zonotope
-from .search import TnsConfig, tns_restarts, trace_to_jsonl
+from .search import tns_restarts, trace_to_jsonl
 from .zonotopes import (
     DEFAULT_WIDTH_CAP,
     TileKernel,
@@ -231,8 +231,7 @@ def cmd_solve(args):
     if args.method == "exact":
         sol = solve_exact(inst, basis, width_cap=args.cap_width)
     else:
-        config = TnsConfig(max_iterations=args.max_iter, seed=args.seed)
-        sol, trace = tns_restarts(inst, basis, args.restarts, config)
+        sol, trace = tns_restarts(inst, basis, args.restarts, args.max_iter, args.seed)
         if args.trace:
             with open(args.trace, "w", encoding="utf-8") as handle:
                 handle.write(trace_to_jsonl(trace))
@@ -241,23 +240,22 @@ def cmd_solve(args):
     return 0
 
 
-def _contract_if_needed(inst):
-    """(instance, vertex map, arc map): the instance with its fixed arcs
-    contracted and the maps of ``ContractionResult``, the arc map None
-    when there is no fixed arc."""
+def _contracted(args):
+    """(instance, root, basis, arc map) of the instance file with its fixed
+    arcs contracted: ``--root`` and ``--basis-tree`` mapped onto the
+    contracted graph, and the arc map of ``ContractionResult``, None when
+    there is no fixed arc."""
+    inst = _load_instance(args)
+    vertex_map, arc_map = {}, None
     if any(l == u for l, u in zip(inst.lower, inst.upper)):
         result = contract_fixed_arcs(inst)
-        return result.instance, result.vertex_map, result.arc_map
-    return inst, {v: v for v in inst.graph.vertices}, None
-
-
-def _resolve_root(args, vertex_map, g):
-    if args.root is None:
-        return None
-    mapped = vertex_map.get(args.root, args.root)
-    if mapped not in g.vertices:
-        raise ValueError(f"unknown root vertex {args.root!r}")
-    return mapped
+        inst, vertex_map, arc_map = result.instance, result.vertex_map, result.arc_map
+    root = None
+    if args.root is not None:
+        root = vertex_map.get(args.root, args.root)
+        if root not in inst.graph.vertices:
+            raise ValueError(f"unknown root vertex {args.root!r}")
+    return inst, root, _basis_for(args, inst.graph, arc_map), arc_map
 
 
 def _ratio(v, T):
@@ -331,10 +329,7 @@ def _tiling_section(inst, basis, root, points):
 
 
 def cmd_analyze(args):
-    raw = _load_instance(args)
-    inst, vertex_map, arc_map = _contract_if_needed(raw)
-    root = _resolve_root(args, vertex_map, inst.graph)
-    basis = _basis_for(args, inst.graph, arc_map)
+    inst, root, basis, arc_map = _contracted(args)
     T = inst.period
     bounds = width_bound_report(inst, basis)
     report = {
@@ -400,10 +395,7 @@ def cmd_polytropes(args):
 
 
 def cmd_tile(args):
-    raw = _load_instance(args)
-    inst, vertex_map, arc_map = _contract_if_needed(raw)
-    root = _resolve_root(args, vertex_map, inst.graph)
-    basis = _basis_for(args, inst.graph, arc_map)
+    inst, root, basis, arc_map = _contracted(args)
     points = lattice_points(inst, basis, cap=args.cap_width)
     tiles, validation, duality = _tiling_section(inst, basis, root, points)
     payload = {
@@ -419,10 +411,7 @@ def cmd_tile(args):
 
 
 def cmd_render(args):
-    raw = _load_instance(args)
-    inst, vertex_map, arc_map = _contract_if_needed(raw)
-    root = _resolve_root(args, vertex_map, inst.graph)
-    basis = _basis_for(args, inst.graph, arc_map)
+    inst, root, basis, arc_map = _contracted(args)
     if args.what == "torus":
         if inst.graph.n != 3 and arc_map is not None:
             raise ValueError(

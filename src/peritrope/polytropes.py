@@ -128,7 +128,9 @@ def polytrope_nonempty(inst, p):
 class Polytrope:
     """One offset class: representative p, key z, canonical distance matrix.
 
-    ``dist`` is None exactly when the class is empty (dimension -1).
+    ``dist`` is None exactly when the class is empty.  ``dimension`` is -1
+    for the empty class, otherwise one less than the number of components
+    of the zero-cycle equality graph.
     """
 
     offset: tuple
@@ -173,12 +175,6 @@ def _polytrope_at(inst, z, p):
     rep, _ = _face_classes(g.n, edges, first)
     dimension = len(set(rep)) - 1
     return Polytrope(p, z, tuple(map(tuple, rows)), dimension, inst.period, g.vertices)
-
-
-def polytrope_dimension(poly):
-    """-1 for the empty class, otherwise one less than the number of
-    components of the zero-cycle equality graph."""
-    return poly.dimension
 
 
 def normalize_timetable(pi, root, period):

@@ -9,17 +9,15 @@ is not optimized: the walk keeps the start solution as given until a
 neighbour beats it, so a walk with no improving step returns the start,
 which can be worse than the optimum of its own class.
 
-The pruning policy.  ``solve_exact`` (every box point) and a
-best-improvement ``tns`` step (the untabued steps of the current offset)
+The pruning policy.  ``solve_exact`` (every box point) and a ``tns``
+step (the steps of the current offset that the walk has not visited)
 hand ``OffsetMemo.least_optimum`` their offsets as (bound, z) pairs in
 ascending order of ``cycle_relaxation_bound``.  It solves them in that
 order and stops at the first (bound, z) above the best (objective, z)
 found (or at the first bound above the caller's limit while none is
 found): a later offset's objective is at least its bound, so at best it
 ties the best objective with a larger z, and the (objective, z) argmin
-survives.  First improvement (``OffsetMemo.first_step``) solves the
-steps with a bound of at most the limit in z order and stops at the
-first move.  No offset is tested for emptiness before it is solved: the
+survives.  No offset is tested for emptiness before it is solved: the
 one Bellman-Ford it gets opens ``minimize_over_polytrope``, whose
 potentials then carry the solve, and an ``Infeasible`` there means
 "empty".
@@ -33,24 +31,22 @@ z and objective), so ``solve_exact``, ``tns`` and
 ``neighbourhood_graph`` all run them.  The optima and the steps depend
 only on the instance, the basis and z, so one memo keeps them for a
 whole solve: ``tns_restarts`` shares it between all its walks, and
-``tns`` builds a fresh one when it is not given one.  The tabu set stays
-per walk.
+``tns`` builds a fresh one when it is not given one.  The set of visited
+offsets stays per walk.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import EnumerationCapExceeded, Infeasible, InvariantViolation, RetriesExhausted
 from .fixedlp import cycle_relaxation_bound, minimize_over_polytrope
 from .graphs import (
     DEFAULT_ENUMERATION_CAP,
-    _require_connected,
     default_basis,
     greedy_spanning_tree,
-    spanning_tree_walk,
     spanning_trees,
     tree_potentials,
 )
@@ -87,28 +83,28 @@ def solution_from_timetable(inst, basis, pi):
     return Solution(timetable, x, p, z, value)
 
 
-def initial_solution(inst, seed=0, basis=None, tree=None, retries=200, *, pool=None):
-    """Feasible starting point: pin a spanning tree to its lower bounds,
-    then retry with random trees and random tree tensions.  Failure after
-    all retries is a heuristic give-up, not an infeasibility proof.
-    ``pool`` is a ``TreePool`` of the instance's graph to draw the retry
-    trees from; a fresh one is used when it is None."""
+# Attempts of ``initial_solution``: the greedy tree, then random retries.
+START_ATTEMPTS = 200
+
+
+def initial_solution(inst, seed=0, basis=None, *, pool=None):
+    """Feasible starting point: pin the greedy spanning tree to its lower
+    bounds, then retry with random trees and random tree tensions.
+    Failure after ``START_ATTEMPTS`` attempts is a heuristic give-up, not
+    an infeasibility proof.  ``pool`` is a ``TreePool`` of the instance's
+    graph to draw the retry trees from; a fresh one is used when it is
+    None."""
     g = inst.graph
     if basis is None:
         basis = default_basis(g)
-    _require_connected(g)  # no start exists on a disconnected graph, whatever the tree
-    if tree is not None:
-        spanning_tree_walk(g, tree)
+    greedy = greedy_spanning_tree(g)  # raises DisconnectedGraph: no start exists then
     if pool is None:
         pool = TreePool(g)
     elif pool.graph is not g:
         raise ValueError("the tree pool belongs to another graph")
     rng = random.Random(seed)
-    for attempt in range(retries):
-        if attempt == 0:
-            chosen = tuple(sorted(tree)) if tree is not None else greedy_spanning_tree(g)
-        else:
-            chosen = pool.choice(rng)
+    for attempt in range(START_ATTEMPTS):
+        chosen = greedy if attempt == 0 else pool.choice(rng)
         x = list(inst.lower)
         if attempt % 2 == 1:
             for a in chosen:
@@ -118,7 +114,7 @@ def initial_solution(inst, seed=0, basis=None, tree=None, retries=200, *, pool=N
             return solution_from_timetable(inst, basis, pi)
         except Infeasible:
             continue
-    raise RetriesExhausted(f"no feasible start found in {retries} attempts")
+    raise RetriesExhausted(f"no feasible start found in {START_ATTEMPTS} attempts")
 
 
 class TreePool:
@@ -138,21 +134,6 @@ class TreePool:
             except EnumerationCapExceeded:
                 self._trees = (greedy_spanning_tree(self.graph),)
         return rng.choice(self._trees)
-
-
-@dataclass(frozen=True)
-class TnsConfig:
-    strategy: str = "best-improvement"
-    max_iterations: int = 100
-    seed: int = 0
-    tabu: bool = True
-    allow_sideways: bool = False
-
-    def __post_init__(self):
-        if self.strategy not in ("best-improvement", "first-improvement"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
 
 
 class OffsetMemo:
@@ -238,76 +219,65 @@ class OffsetMemo:
                 best = (res.objective, z, res)
         return None if best is None else best[1:]
 
-    def first_step(self, candidates, limit):
-        """The least (z, optimum) over the (lower, z) ``candidates`` with an
-        objective of at most ``limit``, or None."""
-        for z, lower in sorted((z, lower) for lower, z in candidates if lower <= limit):
-            res = self.optimum(z, lower)
-            if res is not None and res.objective <= limit:
-                return z, res
-        return None
 
-
-def tns(inst, basis, start, config=None, memo=None):
-    """Walk the offset neighbourhood from a feasible start, exactly
-    optimizing each polytrope it moves to, until no neighbour improves or
-    the iteration cap is reached.  The start's own polytrope is not
-    optimized: the start solution is kept as given until a neighbour's
-    optimum beats it.  Returns the best solution and the visit
-    trace.  ``memo`` is an ``OffsetMemo`` of the same instance and basis
-    to reuse; a fresh one is used when it is None."""
-    if config is None:
-        config = TnsConfig()
+def tns(inst, basis, start, max_iterations=100, memo=None):
+    """Walk the offset neighbourhood from a feasible start, at most
+    ``max_iterations`` moves (at least 1).  Each move goes to the
+    (objective, z) least polytrope optimum among the steps of the current
+    offset that the walk has not visited, if that optimum is below the
+    current objective; the walk stops when none is.  The start's own
+    polytrope is not optimized: the start solution is kept as given until
+    a neighbour's optimum beats it.  Returns the best solution and the
+    visit trace.  ``memo`` is an ``OffsetMemo`` of the same instance and
+    basis to reuse; a fresh one is used when it is None."""
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
     if memo is None:
         memo = OffsetMemo(inst, basis)
     elif memo.inst is not inst or memo.basis is not basis:
         raise ValueError("the offset memo belongs to another instance or basis")
-    pick = memo.least_optimum if config.strategy == "best-improvement" else memo.first_step
     current = start
     trace = [{"z": list(current.cycle_offset), "objective": current.objective, "move": "start"}]
+    # Every move lowers the objective, so of the visited offsets only the
+    # start's, whose class was never optimized, could offer a move again.
     visited = {current.cycle_offset}
-    for _ in range(config.max_iterations):
-        # A move lowers the objective, or keeps it when sideways moves are
-        # allowed; a step whose bound is above that limit cannot be one.
-        limit = current.objective if config.allow_sideways else current.objective - 1
+    for _ in range(max_iterations):
         candidates = memo.bounded_steps(current.cycle_offset)
-        if config.tabu:
-            candidates = [(lower, z) for lower, z in candidates if z not in visited]
-        chosen = pick(candidates, limit)
+        candidates = [(lower, z) for lower, z in candidates if z not in visited]
+        chosen = memo.least_optimum(candidates, current.objective - 1)
         if chosen is None:
             break
         z, res = chosen
-        move = config.strategy if res.objective < current.objective else "sideways"
         current = memo.solution(z, res)
         visited.add(z)
-        trace.append({"z": list(z), "objective": current.objective, "move": move})
+        trace.append({"z": list(z), "objective": current.objective, "move": "best-improvement"})
     return current, tuple(trace)
 
 
-def tns_restarts(inst, basis, restarts=1, config=None):
-    """Best of ``restarts`` tns walks (at least one), all sharing one
+def tns_restarts(inst, basis, restarts=1, max_iterations=100, seed=0):
+    """Best of ``restarts`` tns walks (at least 1), all sharing one
     ``OffsetMemo`` and one ``TreePool``.  Walk k starts from
-    ``initial_solution`` with seed ``config.seed + k`` and runs under
-    ``config`` with that seed.  Returns the solution and trace of the first
+    ``initial_solution`` with seed ``seed + k`` and makes at most
+    ``max_iterations`` moves.  Returns the solution and trace of the first
     walk that reaches the lowest objective; raises RetriesExhausted when no
-    walk finds a start."""
-    if config is None:
-        config = TnsConfig()
+    walk finds a start.  Both counts are checked before any start is
+    drawn."""
+    for name, count in (("restarts", restarts), ("max_iterations", max_iterations)):
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1")
     memo = OffsetMemo(inst, basis)
     pool = TreePool(inst.graph)
     best = None
-    walks = max(restarts, 1)
-    for attempt in range(walks):
-        walk_config = replace(config, seed=config.seed + attempt)
+    for attempt in range(restarts):
         try:
-            start = initial_solution(inst, seed=walk_config.seed, basis=basis, pool=pool)
+            start = initial_solution(inst, seed=seed + attempt, basis=basis, pool=pool)
         except RetriesExhausted:
             continue
-        walk = tns(inst, basis, start, walk_config, memo)
+        walk = tns(inst, basis, start, max_iterations, memo)
         if best is None or walk[0].objective < best[0].objective:
             best = walk
     if best is None:
-        raise RetriesExhausted(f"all {walks} restarts failed to find a feasible start")
+        raise RetriesExhausted(f"all {restarts} restarts failed to find a feasible start")
     return best
 
 

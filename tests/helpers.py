@@ -218,50 +218,42 @@ def solve_exact_by_box_scan(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP):
     return solution_from_timetable(inst, basis, best.timetable)
 
 
-def tns_by_eager_steps(inst, basis, start, config):
+def tns_by_eager_steps(inst, basis, start, max_iterations):
     """Reference for tns: each step tests every neighbour with Bellman-Ford
-    (``neighbors``), optimizes every nonempty untabued one, and takes the
-    (objective, z) least (best improvement) or the smallest z (first
-    improvement) among those below the current objective, or equal to it
-    when sideways moves are allowed."""
+    (``neighbors``), optimizes every nonempty unvisited one, and takes the
+    (objective, z) least among those below the current objective."""
     current = start
     trace = [{"z": list(current.cycle_offset), "objective": current.objective, "move": "start"}]
     visited = {current.cycle_offset}
-    for _ in range(config.max_iterations):
-        reach = current.objective + 1 if config.allow_sideways else current.objective
-        candidates = sorted(
-            z for z in neighbors(inst, basis, current.cycle_offset)
-            if not (config.tabu and z in visited)
+    for _ in range(max_iterations):
+        candidates = [z for z in neighbors(inst, basis, current.cycle_offset) if z not in visited]
+        optima = {z: minimize_over_polytrope(inst, offset_for(inst, basis, z)) for z in candidates}
+        moves = sorted(
+            (res.objective, z) for z, res in optima.items() if res.objective < current.objective
         )
-        optima = [minimize_over_polytrope(inst, offset_for(inst, basis, z)) for z in candidates]
-        moves = [(z, res) for z, res in zip(candidates, optima) if res.objective < reach]
-        if config.strategy == "best-improvement":
-            moves.sort(key=lambda zr: (zr[1].objective, zr[0]))
         if not moves:
             break
-        z, res = moves[0]
-        move = config.strategy if res.objective < current.objective else "sideways"
-        current = solution_from_timetable(inst, basis, res.timetable)
+        z = moves[0][1]
+        current = solution_from_timetable(inst, basis, optima[z].timetable)
         visited.add(z)
-        trace.append({"z": list(z), "objective": current.objective, "move": move})
+        trace.append({"z": list(z), "objective": current.objective, "move": "best-improvement"})
     return current, tuple(trace)
 
 
-def tns_restarts_by_eager_steps(inst, basis, restarts, config):
+def tns_restarts_by_eager_steps(inst, basis, restarts, max_iterations, seed):
     """Reference for tns_restarts: ``tns_by_eager_steps`` from every start,
     nothing shared between the walks."""
     best = None
-    for k in range(max(restarts, 1)):
-        walk_config = dataclasses.replace(config, seed=config.seed + k)
+    for k in range(restarts):
         try:
-            start = initial_solution(inst, seed=walk_config.seed, basis=basis)
+            start = initial_solution(inst, seed=seed + k, basis=basis)
         except RetriesExhausted:
             continue
-        walk = tns_by_eager_steps(inst, basis, start, walk_config)
+        walk = tns_by_eager_steps(inst, basis, start, max_iterations)
         if best is None or walk[0].objective < best[0].objective:
             best = walk
     if best is None:
-        raise RetriesExhausted(f"all {max(restarts, 1)} restarts failed to find a feasible start")
+        raise RetriesExhausted(f"all {restarts} restarts failed to find a feasible start")
     return best
 
 

@@ -427,6 +427,9 @@ MORE_GOLDENS = [
 ] + [(name, ["render", "--what", "zonotope"], "zonotope.svg") for name in ("triangle", "square5")]
 MORE_GOLDENS += [("triangle", ["render", "--what", "torus"], "torus.svg")]
 MORE_GOLDENS += [("zero9", ["solve"], "solve.json")]
+MORE_GOLDENS += [
+    ("mu6", ["solve", "--method", "tns", "--seed", "6", "--max-iter", "2"], "tns-cap2.json")
+]
 
 
 @pytest.mark.parametrize(
@@ -439,8 +442,10 @@ def test_solve_polytropes_and_render_goldens_are_byte_identical(
 ):
     """``tests/golden/<instance>.<golden>`` is the stdout of the command on
     ``<instance>.pesp``; a tns solve also writes its trace, whose bytes are
-    ``<instance>.tns.jsonl``.  square5 is the square without its last arc
-    (mu = 2, seven tiles), the largest golden a zonotope picture can show.
+    the golden's file with ``.jsonl`` for ``.json``.  mu6.tns-cap2 is a
+    walk that ``--max-iter 2`` stops after two of its four moves.  square5
+    is the square without its last arc (mu = 2, seven tiles), the largest
+    golden a zonotope picture can show.
     zero9 is a ``bench/gen`` instance (n = 9, m = 13, ``random.Random(1)``)
     with every weight 0, so its first optimal face is a whole polytrope,
     56,320 spanning tree structures."""
@@ -451,7 +456,7 @@ def test_solve_polytropes_and_render_goldens_are_byte_identical(
     assert result.returncode == 0, result.stderr
     assert result.stdout == (GOLDEN / f"{instance}.{golden}").read_bytes()
     if tns:
-        assert trace.read_bytes() == (GOLDEN / f"{instance}.tns.jsonl").read_bytes()
+        assert trace.read_bytes() == (GOLDEN / f"{instance}.{golden}l").read_bytes()
 
 
 def test_ratio_formats_like_a_fraction():

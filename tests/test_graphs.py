@@ -13,6 +13,7 @@ from peritrope import (
     NotASpanningTree,
     OrientedCycle,
     PespInstance,
+    TreePool,
     count_spanning_trees_determinant,
     cyclomatic_number,
     default_basis,
@@ -38,7 +39,6 @@ from helpers import (
     spanning_trees_by_subsets,
     square_graph,
     triangle_graph,
-    triangle_instance,
     tree_potentials_by_stack_walk,
 )
 
@@ -580,38 +580,37 @@ BAD_TREES = [
     [
         lambda tree: fundamental_cycle_basis(triangle_graph(), tree),
         lambda tree: structure_for_tree(triangle_graph(), tree),
-        lambda tree: initial_solution(triangle_instance(), tree=tree),
     ],
-    ids=("fundamental_cycle_basis", "structure_for_tree", "initial_solution"),
+    ids=("fundamental_cycle_basis", "structure_for_tree"),
 )
 @pytest.mark.parametrize("tree, message", BAD_TREES, ids=[str(t) for t, _ in BAD_TREES])
 def test_every_tree_taker_rejects_a_bad_tree(build, tree, message):
     """Caller arc sets go through one spanning-tree check, so a short,
     repeated, out-of-range (negative ones included) or cyclic arc set
     raises NotASpanningTree instead of a bare TypeError or IndexError, or
-    a start or structure on a wrapped-around arc."""
+    a structure on a wrapped-around arc."""
     with pytest.raises(NotASpanningTree, match=message):
         build(tree)
 
 
 def test_a_tree_that_misses_a_vertex_is_rejected():
     g = Digraph(("a", "b", "c"), (("a", "b"), ("b", "a"), ("b", "c")))
-    inst = PespInstance(g, 10, (1, 1, 1), (5, 5, 5), (1, 1, 1))
     for build in (
         lambda: fundamental_cycle_basis(g, (0, 1)),
         lambda: structure_for_tree(g, (0, 1)),
-        lambda: initial_solution(inst, tree=(0, 1)),
     ):
         with pytest.raises(NotASpanningTree, match="does not span all vertices"):
             build()
 
 
 def test_a_disconnected_graph_fails_before_its_tree_is_checked():
+    """No start exists on a disconnected graph: ``initial_solution`` raises
+    DisconnectedGraph before it takes any tree, with or without a pool."""
     g = Digraph(("a", "b", "c"), (("a", "b"),))
     inst = PespInstance(g, 10, (1,), (5,), (1,))
-    for tree in ((0,), (5,), (0, 0)):
+    for pool in (None, TreePool(g)):
         with pytest.raises(DisconnectedGraph):
-            initial_solution(inst, tree=tree)
+            initial_solution(inst, pool=pool)
 
 
 def test_elimination_matches_the_bareiss_determinant():

@@ -27,7 +27,6 @@ from peritrope import (
     offset_from_cycle_offset,
     parse_instance,
     polytrope_build,
-    polytrope_dimension,
     polytrope_nonempty,
     tension_to_timetable,
     timetable_membership,
@@ -191,8 +190,8 @@ def test_tropical_vertices_on_empty_class():
 
 def test_dimensions():
     inst, basis = _triangle()
-    assert [polytrope_dimension(polytrope_build(inst, basis, (0, 0, z))) for z in (0, 1, 2)] == [2, 2, 2]
-    assert polytrope_dimension(polytrope_build(inst, basis, (0, 0, 3))) == -1
+    assert [polytrope_build(inst, basis, (0, 0, z)).dimension for z in (0, 1, 2)] == [2, 2, 2]
+    assert polytrope_build(inst, basis, (0, 0, 3)).dimension == -1
 
 
 def test_zero_weight_two_cycle_drops_the_dimension():

@@ -17,7 +17,6 @@ from peritrope import (
     PeritropeError,
     PespInstance,
     RetriesExhausted,
-    TnsConfig,
     default_basis,
     initial_solution,
     lattice_points,
@@ -82,12 +81,6 @@ def test_initial_solution_from_the_greedy_tree():
     assert verify_solution(inst, basis, sol) == []
 
 
-def test_initial_solution_with_an_explicit_tree():
-    inst, basis = _triangle()
-    sol = initial_solution(inst, seed=0, tree=(0, 1))
-    assert sol.timetable == (0, 3, 2)
-
-
 def test_initial_solution_enumerates_no_tree_when_the_first_attempt_lands(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the first attempt uses the greedy tree only")
@@ -135,7 +128,7 @@ def test_tns_restarts_enumerate_the_tree_pool_at_most_once(monkeypatch):
     basis = default_basis(inst.graph)
     for restarts in (1, 3, 5):
         calls.clear()
-        tns_restarts(inst, basis, restarts, TnsConfig(seed=restarts))
+        tns_restarts(inst, basis, restarts, seed=restarts)
         assert len(calls) == 1
     for inst, basis in ((triangle_instance(), None), (square_instance(), square_basis())):
         calls.clear()
@@ -145,7 +138,7 @@ def test_tns_restarts_enumerate_the_tree_pool_at_most_once(monkeypatch):
     for inst, basis in _restart_instances(12):
         calls.clear()
         try:
-            tns_restarts(inst, basis, 3, TnsConfig(max_iterations=2))
+            tns_restarts(inst, basis, 3, max_iterations=2)
         except RetriesExhausted:
             pass
         counts.append(len(calls))
@@ -164,8 +157,8 @@ def test_tns_restarts_enumerate_the_tree_pool_at_most_once(monkeypatch):
 def test_initial_solution_gives_up_on_an_infeasible_instance():
     g = Digraph(("a", "b"), (("a", "b"), ("b", "a")))
     inst = PespInstance(g, 10, (1, 1), (2, 2), (1, 1))
-    with pytest.raises(RetriesExhausted):
-        initial_solution(inst, seed=0, retries=20)
+    with pytest.raises(RetriesExhausted, match="^no feasible start found in 200 attempts$"):
+        initial_solution(inst, seed=0)
 
 
 def test_initial_solution_always_lands_when_all_arcs_are_free():
@@ -215,39 +208,40 @@ def test_tns_on_a_tree_instance_returns_immediately():
     assert len(trace) == 1
 
 
-def test_first_improvement_also_descends():
-    inst, basis = _triangle()
-    start = solution_from_timetable(inst, basis, (0, 9, 2))
-    config = TnsConfig(strategy="first-improvement")
-    best, trace = tns(inst, basis, start, config)
-    assert best.objective == 14
-    assert trace[-1]["move"] == "first-improvement"
-
-
-def test_sideways_moves_are_labeled_and_bounded():
-    inst, basis = _triangle()
-    start = solution_from_timetable(inst, basis, (0, 3, 7))
-    assert start.cycle_offset == (0,)
-    config = TnsConfig(allow_sideways=True)
-    best, trace = tns(inst, basis, start, config)
-    assert best.objective == 14
-    assert [entry["z"] for entry in trace] == [[0], [1]]
-    assert trace[1]["move"] == "sideways"
-
-
 def test_iteration_cap_limits_the_walk():
-    inst, basis = _triangle()
-    start = solution_from_timetable(inst, basis, (0, 9, 2))
-    config = TnsConfig(max_iterations=1, allow_sideways=True)
-    best, trace = tns(inst, basis, start, config)
-    assert len(trace) <= 2
+    """On mu6 the walk from the seed 6 start makes 4 moves; a cap of k
+    moves keeps the first k of them."""
+    inst = parse_instance((GOLDEN / "mu6.pesp").read_text())
+    basis = default_basis(inst.graph)
+    start = initial_solution(inst, seed=6, basis=basis)
+    best, trace = tns(inst, basis, start)
+    assert len(trace) == 5
+    for cap in range(1, 6):
+        capped, capped_trace = tns(inst, basis, start, max_iterations=cap)
+        assert capped_trace == trace[: cap + 1]
+        assert capped.objective == capped_trace[-1]["objective"]
+    assert capped == best
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        TnsConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        TnsConfig(strategy="steepest")
+    """tns refuses a cap of fewer than one move."""
+    inst, basis = _triangle()
+    start = solution_from_timetable(inst, basis, (0, 9, 2))
+    with pytest.raises(ValueError, match="^max_iterations must be at least 1$"):
+        tns(inst, basis, start, max_iterations=0)
+
+
+@pytest.mark.parametrize(
+    "restarts, max_iterations, name",
+    [(0, 9, "restarts"), (-1, 9, "restarts"), (1, 0, "max_iterations"), (3, -2, "max_iterations")],
+)
+def test_tns_restarts_refuses_fewer_than_one_walk_or_move(restarts, max_iterations, name):
+    """Zero restarts is refused, not run as one walk, like a cap of zero
+    moves, also on an instance where no start can be found."""
+    infeasible = parse_instance("PERIOD 10\nARC a b 1 2 1\nARC b a 1 2 1\n")
+    for inst in (triangle_instance(), infeasible):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1$"):
+            tns_restarts(inst, default_basis(inst.graph), restarts, max_iterations)
 
 
 def test_traces_are_strictly_decreasing_on_random_instances():
@@ -388,16 +382,15 @@ def _restart_instances(count):
             yield inst, default_basis(inst.graph)
 
 
-def _restarts_without_a_memo(inst, basis, restarts, config):
+def _restarts_without_a_memo(inst, basis, restarts, max_iterations, seed):
     """Reference for tns_restarts: each walk solves every offset afresh."""
     best = None
-    for k in range(max(restarts, 1)):
-        walk_config = dataclasses.replace(config, seed=config.seed + k)
+    for k in range(restarts):
         try:
-            start = initial_solution(inst, seed=walk_config.seed, basis=basis)
+            start = initial_solution(inst, seed=seed + k, basis=basis)
         except RetriesExhausted:
             continue
-        walk = tns(inst, basis, start, walk_config)
+        walk = tns(inst, basis, start, max_iterations)
         if best is None or walk[0].objective < best[0].objective:
             best = walk
     if best is None:
@@ -405,29 +398,27 @@ def _restarts_without_a_memo(inst, basis, restarts, config):
     return best
 
 
+# (seed offset, max_iterations) of the walks the differential tests run
+# on each instance: capped and uncapped walks from several starts.
+_WALKS = ((0, 1), (100, 2), (200, 4), (300, 100))
+
+
 def test_shared_offset_memo_changes_no_result():
     compared = 0
     moved = 0
     for k, (inst, basis) in enumerate(_restart_instances(36)):
-        config = TnsConfig(
-            strategy=("best-improvement", "first-improvement")[k % 2],
-            tabu=k % 4 < 2,
-            allow_sideways=k % 3 == 0,
-            max_iterations=6,
-            seed=k,
-        )
-        restarts = 1 + k % 3
-        try:
-            expected = _restarts_without_a_memo(inst, basis, restarts, config)
-        except RetriesExhausted:
-            with pytest.raises(RetriesExhausted):
-                tns_restarts(inst, basis, restarts, config)
-            continue
-        assert tns_restarts(inst, basis, restarts, config) == expected
-        compared += 1
-        moved += len(expected[1]) > 1
-    assert compared >= 30
-    assert moved >= 10
+        for j, (offset, max_iterations) in enumerate(_WALKS):
+            args = (inst, basis, 1 + (k + j) % 3, max_iterations, k + offset)
+            try:
+                expected = _restarts_without_a_memo(*args)
+            except RetriesExhausted:
+                with pytest.raises(RetriesExhausted):
+                    tns_restarts(*args)
+                continue
+            assert tns_restarts(*args) == expected
+            compared += 1
+            moved += len(expected[1]) > 1
+    assert compared >= 130 and moved >= 55
 
 
 def test_each_offset_is_solved_once_per_restart_solve(monkeypatch):
@@ -446,17 +437,16 @@ def test_each_offset_is_solved_once_per_restart_solve(monkeypatch):
     solves = 0
     repeated_without_sharing = 0
     for k, (inst, basis) in enumerate(_restart_instances(12)):
-        config = TnsConfig(tabu=k % 2 == 0, seed=k)
         solved.clear()
         scanned.clear()
         try:
-            _restarts_without_a_memo(inst, basis, 3, config)
+            _restarts_without_a_memo(inst, basis, 3, 100, k)
         except RetriesExhausted:
             continue
         repeated_without_sharing += len(solved) - len(set(solved))
         solved.clear()
         scanned.clear()
-        tns_restarts(inst, basis, 3, config)
+        tns_restarts(inst, basis, 3, seed=k)
         assert len(solved) == len(set(solved))
         assert scanned and len(scanned) == len(set(scanned))
         solves += 1
@@ -483,10 +473,10 @@ def _never_prunes(inst, basis):
 
 def test_pruned_neighbours_change_no_walk(monkeypatch):
     # tns drops only neighbours it could not choose, so every walk, trace
-    # included, equals one that optimizes every untabued neighbour.
-    # Weights of 0 and 1 on half of the varied cases make ties, so sideways
-    # moves (and neighbours whose bound equals the objective) occur.
-    compared = moved = sideways = 0
+    # included, equals one that optimizes every unvisited neighbour.
+    # Weights of 0 and 1 on half of the varied cases make ties, so
+    # neighbours whose bound equals the objective occur.
+    compared = moved = 0
     rng = random.Random(9100)
     cases = list(_restart_instances(24))
     while len(cases) < 60:
@@ -496,30 +486,23 @@ def test_pruned_neighbours_change_no_walk(monkeypatch):
         if inst.graph.n >= 5:
             cases.append((inst, default_basis(inst.graph)))
     for k, (inst, basis) in enumerate(cases):
-        config = TnsConfig(
-            strategy=("best-improvement", "first-improvement")[k % 2],
-            tabu=k // 2 % 2 == 0,
-            allow_sideways=k // 4 % 2 == 0,
-            max_iterations=8,
-            seed=k,
-        )
-        restarts = 1 + k % 3
-        try:
-            pruned = tns_restarts(inst, basis, restarts, config)
-        except RetriesExhausted:
-            pruned = None
-        with monkeypatch.context() as patch:
-            patch.setattr(peritrope.search, "cycle_relaxation_bound", _never_prunes)
+        for j, (offset, max_iterations) in enumerate(_WALKS):
+            args = (inst, basis, 1 + (k + j) % 3, max_iterations, k + offset)
             try:
-                expected = tns_restarts(inst, basis, restarts, config)
+                pruned = tns_restarts(*args)
             except RetriesExhausted:
-                expected = None
-        assert pruned == expected
-        if expected is not None:
-            compared += 1
-            moved += len(expected[1]) > 1
-            sideways += any(entry["move"] == "sideways" for entry in expected[1])
-    assert compared >= 36 and moved >= 15 and sideways >= 3
+                pruned = None
+            with monkeypatch.context() as patch:
+                patch.setattr(peritrope.search, "cycle_relaxation_bound", _never_prunes)
+                try:
+                    expected = tns_restarts(*args)
+                except RetriesExhausted:
+                    expected = None
+            assert pruned == expected
+            if expected is not None:
+                compared += 1
+                moved += len(expected[1]) > 1
+    assert compared >= 190 and moved >= 70
 
 
 @pytest.mark.parametrize(
@@ -533,15 +516,14 @@ def test_tns_optimizes_only_the_neighbours_that_can_be_chosen(
     # still be chosen; without the bound it solves every step, empty or not.
     inst = parse_instance((GOLDEN / f"{name}.pesp").read_text())
     basis = default_basis(inst.graph)
-    config = TnsConfig(seed=1)
     solves, empties = count_polytrope_solves(monkeypatch, peritrope.search)
-    walk = tns_restarts(inst, basis, 3, config)
+    walk = tns_restarts(inst, basis, 3, seed=1)
     assert len(solves) == len(set(solves)) == solved
     assert len(empties) == len(set(empties)) == empty
     solves.clear()
     empties.clear()
     monkeypatch.setattr(peritrope.search, "cycle_relaxation_bound", _never_prunes)
-    assert tns_restarts(inst, basis, 3, config) == walk
+    assert tns_restarts(inst, basis, 3, seed=1) == walk
     assert (len(solves), len(empties)) == (unpruned, unpruned_empty)
 
 
@@ -581,17 +563,12 @@ def test_bounded_search_matches_the_eager_oracles():
     # solve only those that can still win; the oracles test every box point
     # and every neighbour, and solve every nonempty one.  Each pair must
     # give the same Solution, trace and error.  Weights of 0 and 1 on every
-    # other instance make ties: sideways moves, and equal objectives whose
-    # bounds rank them against their z order.  On an infeasible instance
-    # every start fails, so one walk per instance compares that.
-    configs = [
-        TnsConfig(strategy=strategy, tabu=tabu, allow_sideways=sideways, max_iterations=8)
-        for strategy in ("best-improvement", "first-improvement")
-        for tabu in (True, False)
-        for sideways in (True, False)
-    ]
+    # other instance make ties: equal objectives whose bounds rank them
+    # against their z order.  Each feasible instance runs ten walks, each
+    # from its own seed and under one of four iteration caps.  On an infeasible
+    # instance every start fails, so one walk per instance compares that.
     rng = random.Random(9300)
-    solved = non_fundamental = moved = sideways = failed = 0
+    solved = non_fundamental = moved = failed = 0
     for k in range(300):
         inst = varied_instance(rng, max_vertices=7, max_arcs=13)
         if k % 2 == 0:
@@ -604,15 +581,14 @@ def test_bounded_search_matches_the_eager_oracles():
         feasible = not isinstance(expected, tuple)
         solved += feasible
         non_fundamental += feasible and basis.tree is None
-        for j, config in enumerate(configs if feasible else [configs[k % 8]]):
+        for j in range(10) if feasible else (k % 10,):
             restarts = 1 + (k + j) % 3 if feasible else 1
-            config = dataclasses.replace(config, seed=k)
-            expected = _outcome(tns_restarts_by_eager_steps, inst, basis, restarts, config)
-            assert _outcome(tns_restarts, inst, basis, restarts, config) == expected
+            args = (inst, basis, restarts, (1, 2, 4, 100)[j % 4], k + 100 * j)
+            expected = _outcome(tns_restarts_by_eager_steps, *args)
+            assert _outcome(tns_restarts, *args) == expected
             if isinstance(expected[1], str):
                 failed += 1
             else:
                 moved += len(expected[1]) > 1
-                sideways += any(entry["move"] == "sideways" for entry in expected[1])
     assert solved >= 130 and non_fundamental >= 15
-    assert moved >= 240 and sideways >= 30 and failed >= 120
+    assert moved >= 290 and failed >= 120
