@@ -67,7 +67,6 @@ from .polytropes import (
     timetable_to_tension,
     tropical_vertices,
 )
-from .render import polytrope_polygon, render_torus, render_zonotope
 from .search import (
     NeighbourhoodGraph,
     OffsetMemo,
@@ -106,3 +105,14 @@ from .zonotopes import (
 )
 
 __version__ = "0.1.0"
+
+_RENDERERS = ("polytrope_polygon", "render_torus", "render_zonotope")
+
+
+def __getattr__(name):
+    """The SVG renderers, whose module loads on first use (PEP 562)."""
+    if name in _RENDERERS:
+        from . import render
+
+        return getattr(render, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

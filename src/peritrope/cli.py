@@ -33,7 +33,6 @@ from .errors import (
 from .exact import solve_exact
 from .graphs import default_basis, fundamental_cycle_basis
 from .instances import contract_fixed_arcs, parse_instance
-from .render import render_torus, render_zonotope
 from .search import tns_restarts, trace_to_jsonl
 from .zonotopes import (
     DEFAULT_WIDTH_CAP,
@@ -411,6 +410,8 @@ def cmd_tile(args):
 
 
 def cmd_render(args):
+    from .render import render_torus, render_zonotope  # loaded only when a picture is drawn
+
     inst, root, basis, arc_map = _contracted(args)
     if args.what == "torus":
         if inst.graph.n != 3 and arc_map is not None:

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CrosscheckMismatch, EnumerationCapExceeded, Infeasible
 from .graphs import default_basis
 from .polytropes import timetable_to_tension
-from .search import OffsetMemo, Solution, solution_from_timetable
+from .search import OffsetMemo, solution_from_timetable
 from .zonotopes import DEFAULT_WIDTH_CAP, box_points
 
 
@@ -111,12 +111,8 @@ def verify_solution(inst, basis, sol):
     return problems
 
 
-@dataclass
-class CrosscheckReport:
-    feasible: bool
-    objective: int | None
-    exact: Solution | None
-    grid: Solution | None
+class CrosscheckReport(namedtuple("CrosscheckReport", "feasible objective exact grid")):
+    __slots__ = ()
 
 
 def crosscheck(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP, max_vertices=5, max_period=30):

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import EnumerationCapExceeded, Infeasible, InvariantViolation
@@ -55,11 +55,8 @@ from .polytropes import (
 )
 
 
-@dataclass(frozen=True)
-class FixedOffsetResult:
-    timetable: tuple
-    tension: tuple
-    objective: int
+class FixedOffsetResult(namedtuple("FixedOffsetResult", "timetable tension objective")):
+    __slots__ = ()
 
 
 def _reduced_cost_flow(n, edges, supply, phi):

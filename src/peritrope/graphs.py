@@ -27,7 +27,7 @@ and the co-tree determinant d all go through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import DisconnectedGraph, EnumerationCapExceeded, NotASpanningTree
@@ -35,22 +35,20 @@ from .errors import DisconnectedGraph, EnumerationCapExceeded, NotASpanningTree
 DEFAULT_ENUMERATION_CAP = 100_000
 
 
-@dataclass(frozen=True)
-class Digraph:
-    vertices: tuple
-    arcs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "arcs", tuple((t, h) for t, h in self.arcs))
-        if len(set(self.vertices)) != len(self.vertices):
+# Digraph and CycleBasis keep an instance __dict__ (no __slots__ = ()),
+# where cached_property stores its values.
+class Digraph(namedtuple("Digraph", "vertices arcs")):
+    def __new__(cls, vertices, arcs):
+        vertices, arcs = tuple(vertices), tuple((t, h) for t, h in arcs)
+        if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex ids")
-        declared = set(self.vertices)
-        for a, (t, h) in enumerate(self.arcs):
+        declared = set(vertices)
+        for a, (t, h) in enumerate(arcs):
             if t not in declared or h not in declared:
                 raise ValueError(f"arc {a} = ({t}, {h}) references an undeclared vertex")
             if t == h:
                 raise ValueError(f"arc {a} is a self-loop at {t}")
+        return tuple.__new__(cls, (vertices, arcs))
 
     @property
     def n(self):
@@ -80,14 +78,35 @@ class Digraph:
         return self.n > 0 and len(tree_walk(self, range(self.m))) == self.n - 1
 
 
-@dataclass(frozen=True)
 class OrientedCycle:
-    """A circuit given by its signed arc incidence vector (entries -1/0/+1)."""
+    """A circuit given by its signed arc incidence vector (entries -1/0/+1).
 
-    signature: tuple
+    A plain class, not a tuple, since its length is its support's."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "signature", tuple(int(s) for s in self.signature))
+    __slots__ = ("signature",)
+
+    def __init__(self, signature):
+        object.__setattr__(self, "signature", tuple(int(s) for s in signature))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return OrientedCycle, (self.signature,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.signature == other.signature
+
+    def __hash__(self):
+        return hash((self.signature,))
+
+    def __repr__(self):
+        return f"OrientedCycle(signature={self.signature!r})"
 
     @property
     def support(self):
@@ -97,17 +116,11 @@ class OrientedCycle:
         return len(self.support)
 
 
-@dataclass(frozen=True)
-class CycleBasis:
+class CycleBasis(namedtuple("CycleBasis", "cycles tree")):
     """An ordered integral cycle basis; ``tree`` is set when it is fundamental."""
 
-    cycles: tuple
-    tree: tuple | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "cycles", tuple(self.cycles))
-        if self.tree is not None:
-            object.__setattr__(self, "tree", tuple(sorted(self.tree)))
+    def __new__(cls, cycles, tree=None):
+        return tuple.__new__(cls, (tuple(cycles), None if tree is None else tuple(sorted(tree))))
 
     @property
     def mu(self):

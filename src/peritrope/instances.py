@@ -13,30 +13,22 @@ All data is integer.  Bounds must satisfy 0 <= lower < T and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import DisconnectedGraph, InfeasibleFixedCycle, InvalidBounds
 from .graphs import Digraph, tree_potentials
 
 
-@dataclass(frozen=True)
-class PespInstance:
-    graph: Digraph
-    period: int
-    lower: tuple
-    upper: tuple
-    weight: tuple
-    # Set on derived limit instances, where spans of exactly one period are
-    # deliberate and not a modelling error.
-    span_relaxed: bool = False
+class PespInstance(namedtuple("PespInstance", "graph period lower upper weight span_relaxed")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "lower", tuple(int(x) for x in self.lower))
-        object.__setattr__(self, "upper", tuple(int(x) for x in self.upper))
-        object.__setattr__(self, "weight", tuple(int(x) for x in self.weight))
-        m = self.graph.m
-        if not (len(self.lower) == len(self.upper) == len(self.weight) == m):
+    # ``span_relaxed`` is set on derived limit instances, where spans of
+    # exactly one period are deliberate and not a modelling error.
+    def __new__(cls, graph, period, lower, upper, weight, span_relaxed=False):
+        lower, upper, weight = (tuple(int(x) for x in v) for v in (lower, upper, weight))
+        if not (len(lower) == len(upper) == len(weight) == graph.m):
             raise ValueError("bound/weight vectors must match the arc count")
+        return tuple.__new__(cls, (graph, period, lower, upper, weight, span_relaxed))
 
     @property
     def span(self):
@@ -132,10 +124,12 @@ def serialize_instance(inst):
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class ValidationReport:
-    messages: list = field(default_factory=list)
-    arc_violations: list = field(default_factory=list)
+class ValidationReport(namedtuple("ValidationReport", "messages arc_violations")):
+    __slots__ = ()
+
+    def __new__(cls, messages=None, arc_violations=None):
+        """A report with lists of its own, unless it is given some."""
+        return tuple.__new__(cls, ([] if v is None else v for v in (messages, arc_violations)))
 
     @property
     def ok(self):
@@ -169,17 +163,15 @@ def validate(inst):
     return report
 
 
-@dataclass(frozen=True)
-class ContractionResult:
+class ContractionResult(
+    namedtuple("ContractionResult", "instance vertex_map objective_offset arc_map")
+):
     """The contracted instance; ``vertex_map`` sends each vertex to its
     representative and ``arc_map[a]`` each arc a of the original to its
     index in the contracted instance, None for the arcs contracted away
     (fixed arcs and arcs whose ends are merged)."""
 
-    instance: PespInstance
-    vertex_map: dict
-    objective_offset: int
-    arc_map: tuple
+    __slots__ = ()
 
 
 def contract_fixed_arcs(inst):

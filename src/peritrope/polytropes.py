@@ -15,7 +15,7 @@ of the optimal face of a solve, for ``fixedlp``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DisconnectedGraph, EmptyPolytrope, Infeasible, NotATension
 from .graphs import _require_connected, tree_potentials
@@ -124,8 +124,7 @@ def polytrope_nonempty(inst, p):
     return _potentials(inst.graph.n, kappa(inst, p)) is not None
 
 
-@dataclass(frozen=True)
-class Polytrope:
+class Polytrope(namedtuple("Polytrope", "offset cycle_offset dist dimension period vertex_ids")):
     """One offset class: representative p, key z, canonical distance matrix.
 
     ``dist`` is None exactly when the class is empty.  ``dimension`` is -1
@@ -133,12 +132,7 @@ class Polytrope:
     of the zero-cycle equality graph.
     """
 
-    offset: tuple
-    cycle_offset: tuple
-    dist: tuple | None
-    dimension: int
-    period: int
-    vertex_ids: tuple
+    __slots__ = ()
 
     @property
     def nonempty(self):

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import EnumerationCapExceeded, Infeasible, InvariantViolation, RetriesExhausted
 from .fixedlp import cycle_relaxation_bound, minimize_over_polytrope
@@ -60,15 +60,10 @@ from .polytropes import (
 from .zonotopes import DEFAULT_WIDTH_CAP, _box_integer_ranges, box_points
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(namedtuple("Solution", "timetable tension periodic_offset cycle_offset objective")):
     """Feasible timetable with all derived vectors kept consistent."""
 
-    timetable: tuple
-    tension: tuple
-    periodic_offset: tuple
-    cycle_offset: tuple
-    objective: int
+    __slots__ = ()
 
 
 def solution_from_timetable(inst, basis, pi):
@@ -285,11 +280,8 @@ def trace_to_jsonl(trace):
     return "\n".join(json.dumps(entry, sort_keys=True) for entry in trace) + "\n"
 
 
-@dataclass
-class NeighbourhoodGraph:
-    nodes: tuple
-    edges: tuple
-    objective: dict
+class NeighbourhoodGraph(namedtuple("NeighbourhoodGraph", "nodes edges objective")):
+    __slots__ = ()
 
 
 def neighbourhood_graph(inst, basis, width_cap=DEFAULT_WIDTH_CAP):

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import EnumerationCapExceeded, FixedArcPresent
@@ -65,8 +65,7 @@ from .polytropes import (
 DEFAULT_WIDTH_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class ZonotopeDescriptor:
+class ZonotopeDescriptor(namedtuple("ZonotopeDescriptor", "basis period generators translation")):
     """Exact T-scaled generator presentation of the cycle offset zonotope.
 
     ``generators[a]`` is the basis column of arc a scaled by its span
@@ -74,10 +73,7 @@ class ZonotopeDescriptor:
     bounds.  Divide by ``period`` to recover real coordinates.
     """
 
-    basis: object
-    period: int
-    generators: tuple
-    translation: tuple
+    __slots__ = ()
 
     @property
     def mu(self):
@@ -199,31 +195,23 @@ def volume(inst, basis):
     return Fraction(abs(_eliminate(gram) or 0), d * inst.period**basis.mu) if d else Fraction(0)
 
 
-@dataclass(frozen=True)
-class SpanningTreeStructure:
+class SpanningTreeStructure(namedtuple("SpanningTreeStructure", "tree at_lower at_upper")):
     """A spanning tree with every arc pinned to one of its bounds."""
 
-    tree: tuple
-    at_lower: frozenset
-    at_upper: frozenset
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "tree", tuple(sorted(self.tree)))
-        object.__setattr__(self, "at_lower", frozenset(self.at_lower))
-        object.__setattr__(self, "at_upper", frozenset(self.at_upper))
-        if self.at_lower | self.at_upper != set(self.tree) or self.at_lower & self.at_upper:
+    def __new__(cls, tree, at_lower, at_upper):
+        tree, at_lower, at_upper = tuple(sorted(tree)), frozenset(at_lower), frozenset(at_upper)
+        if at_lower | at_upper != set(tree) or at_lower & at_upper:
             raise ValueError("lower/upper arcs must partition the tree")
+        return tuple.__new__(cls, (tree, at_lower, at_upper))
 
     @classmethod
     def _grown(cls, tree, at_lower, at_upper):
         """The structure of the sorted ``tree`` as grown from the root,
         whose frozensets ``at_lower`` and ``at_upper`` partition it by
-        construction, so ``__post_init__`` has nothing to check."""
-        structure = object.__new__(cls)
-        object.__setattr__(structure, "tree", tree)
-        object.__setattr__(structure, "at_lower", at_lower)
-        object.__setattr__(structure, "at_upper", at_upper)
-        return structure
+        construction, so ``__new__`` has nothing to check."""
+        return tuple.__new__(cls, (tree, at_lower, at_upper))
 
 
 def structure_for_tree(g, tree, root=None):
@@ -238,15 +226,11 @@ def structure_for_tree(g, tree, root=None):
     )
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(namedtuple("Tile", "structure generators translation lattice_point")):
     """Parallelotope tile of the zonotope: co-tree generator columns placed
     at the translation determined by the pinned tree arcs.  All T-scaled."""
 
-    structure: SpanningTreeStructure
-    generators: tuple
-    translation: tuple
-    lattice_point: tuple | None
+    __slots__ = ()
 
     @property
     def mu(self):
@@ -407,18 +391,14 @@ def fine_tiling(inst, basis, root=None, kernel=None):
     return tuple(tiles)
 
 
-@dataclass
-class TilingReport:
-    tile_count: int
-    nondegenerate: bool
-    tile_volume_sum: Fraction
-    zonotope_volume: Fraction
-    volume_match: bool
-    tiles_inside: bool
-    all_points_covered: bool
-    at_most_one_point: bool
-    lattice_points_recorded: bool
-    incidences: tuple
+class TilingReport(
+    namedtuple(
+        "TilingReport",
+        "tile_count nondegenerate tile_volume_sum zonotope_volume volume_match tiles_inside"
+        " all_points_covered at_most_one_point lattice_points_recorded incidences",
+    )
+):
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -499,19 +479,17 @@ def _tile_inside(inst, basis, tile):
     return all(scaled_point_in_zonotope(inst, basis, vertex) for vertex in vertices)
 
 
-@dataclass
-class DualityEntry:
-    tile_index: int
-    cycle_offset: tuple
-    tension: tuple
-    timetable: tuple
-    feasible_vertex: bool
-    matches_tropical_vertex: bool
+class DualityEntry(
+    namedtuple(
+        "DualityEntry",
+        "tile_index cycle_offset tension timetable feasible_vertex matches_tropical_vertex",
+    )
+):
+    __slots__ = ()
 
 
-@dataclass
-class DualityReport:
-    entries: tuple
+class DualityReport(namedtuple("DualityReport", "entries")):
+    __slots__ = ()
 
     @property
     def checked(self):
@@ -560,24 +538,15 @@ def duality_check(inst, basis, root=None, tiles=None):
     return DualityReport(tuple(entries))
 
 
-@dataclass
-class WidthBoundReport:
-    width: int
-    mu: int
-    num_spanning_trees: int
-    epsilon: int
-    volume: Fraction
-    cycle_slacks: tuple
-    cycle_lengths: tuple
-    lower_bound: Fraction
-    slack_product: Fraction
-    refined_upper: Fraction
-    coarse_upper: Fraction
-    chain_holds: bool
-    strict_upper_vacuous: bool
-    trees_within_length_product: bool
-    infeasible: bool
-    infeasible_cycles: tuple
+class WidthBoundReport(
+    namedtuple(
+        "WidthBoundReport",
+        "width mu num_spanning_trees epsilon volume cycle_slacks cycle_lengths lower_bound"
+        " slack_product refined_upper coarse_upper chain_holds strict_upper_vacuous"
+        " trees_within_length_product infeasible infeasible_cycles",
+    )
+):
+    __slots__ = ()
 
     @property
     def ok(self):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import os
 import random
@@ -182,7 +181,7 @@ def varied_instance(rng, max_vertices=6, max_arcs=9, max_period=10):
     weight = inst.weight
     if rng.random() < 0.3:
         weight = tuple(rng.randint(-5, 5) for _ in weight)
-    return dataclasses.replace(inst, upper=upper, weight=weight)
+    return inst._replace(upper=upper, weight=weight)
 
 
 def solve_exact_by_full_scan(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP):

@@ -1,4 +1,3 @@
-import dataclasses
 import pathlib
 import random
 
@@ -130,7 +129,7 @@ def test_crosscheck_on_random_instances():
 def test_crosscheck_raises_on_a_lying_oracle(monkeypatch):
     inst, basis = _triangle()
     good = brute_force_timetable(inst, basis)
-    lying = dataclasses.replace(good, objective=good.objective + 1)
+    lying = good._replace(objective=good.objective + 1)
     monkeypatch.setattr(peritrope.exact, "brute_force_timetable", lambda *a, **k: lying)
     with pytest.raises(CrosscheckMismatch) as err:
         crosscheck(inst, basis)
@@ -154,11 +153,11 @@ def test_crosscheck_raises_on_one_sided_infeasibility(monkeypatch):
 def test_verify_solution_spots_corruption():
     inst, basis = _triangle()
     sol = solve_exact(inst, basis)
-    bad_tension = dataclasses.replace(sol, tension=(3, 7, 5))
+    bad_tension = sol._replace(tension=(3, 7, 5))
     assert verify_solution(inst, basis, bad_tension)
-    bad_offset = dataclasses.replace(sol, cycle_offset=(1,))
+    bad_offset = sol._replace(cycle_offset=(1,))
     assert verify_solution(inst, basis, bad_offset)
-    bad_value = dataclasses.replace(sol, objective=13)
+    bad_value = sol._replace(objective=13)
     assert verify_solution(inst, basis, bad_value)
 
 
@@ -216,7 +215,7 @@ def test_a_zero_weight_instance_solves_the_box_up_to_its_first_nonempty_point(
     # tie it with a larger z: the box points after the first nonempty one
     # are never solved.
     inst = parse_instance((GOLDEN / f"{name}.pesp").read_text())
-    inst = dataclasses.replace(inst, weight=(0,) * inst.graph.m)
+    inst = inst._replace(weight=(0,) * inst.graph.m)
     basis = default_basis(inst.graph)
     points = list(box_points(inst, basis))
     first = points.index(lattice_points(inst, basis)[0])

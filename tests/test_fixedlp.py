@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import random
@@ -534,8 +533,7 @@ def _one_cycle_instance(rng):
     i, j = rng.sample(range(len(vertices)), 2)
     g = Digraph(vertices, inst.graph.arcs + ((vertices[i], vertices[j]),))
     lo = rng.randint(0, inst.period - 1)
-    return dataclasses.replace(
-        inst,
+    return inst._replace(
         graph=g,
         lower=inst.lower + (lo,),
         upper=inst.upper + (lo + rng.randint(0, inst.period - 1),),

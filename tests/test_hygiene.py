@@ -3,12 +3,24 @@ it, so invariants raise typed errors), no floating point outside the SVG
 renderer, no state that outlives a call (a module-level container or a
 ``functools`` cache would grow with its inputs across calls), and no
 indented ``json.dump``/``json.dumps`` (an indent selects the pure-Python
-encoder; ``cli._json_text`` writes those bytes), and no import upward from
+encoder; ``cli._json_text`` writes those bytes), no import upward from
 the polytrope layer (``polytropes`` and ``fixedlp``) into the modules
-built on it."""
+built on it, and no ``dataclasses`` import.
+
+Each command is one process, so start-up is part of its cost.
+``dataclasses`` loads ``inspect``, ``ast``, ``dis`` and ``tokenize``,
+which nothing else in a command needs, and every ``@dataclass`` compiles
+and execs generated source for its methods: with no bytecode cache that
+was about a third of ``import peritrope.cli``.  The records are
+``collections.namedtuple`` subclasses instead, and the SVG renderer
+loads only when a picture is drawn."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -195,3 +207,66 @@ def test_package_imports_are_found():
         "def f():\n    from .render import g\n"
     )
     assert package_imports(source) == {"graphs", "zonotopes", "cli", "search", "exact", "render"}
+
+
+def dataclasses_imports(source):
+    """Line numbers of every ``dataclasses`` import, also inside functions."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(name.split(".")[0] == "dataclasses" for name in names):
+            found.append(node.lineno)
+    return found
+
+
+def test_no_dataclasses_import():
+    found = [
+        f"{p.name}:{line}"
+        for p in MODULES
+        for line in dataclasses_imports(p.read_text(encoding="utf-8"))
+    ]
+    assert found == []
+
+
+def test_dataclasses_imports_are_found():
+    source = (
+        "import dataclasses\nfrom dataclasses import dataclass\nimport json, dataclasses as dc\n"
+        "from collections import namedtuple\nfrom .dataclasses import x\n"
+        "def f():\n    from dataclasses import field\n"
+    )
+    assert sorted(dataclasses_imports(source)) == [1, 2, 3, 7]
+
+
+_START_UP = """
+import json, sys
+before = set(sys.modules)
+import peritrope.cli
+loaded = set(sys.modules) - before
+import peritrope
+renderer = peritrope.render_torus
+print(json.dumps({
+    "loaded": sorted(loaded & {"dataclasses", "peritrope.render"}),
+    "renderer": [renderer.__module__, renderer.__name__, "peritrope.render" in sys.modules],
+}))
+"""
+
+
+def test_the_cli_starts_without_dataclasses_or_the_renderer():
+    """A fresh interpreter that imports ``peritrope.cli`` loads neither
+    ``dataclasses`` nor ``peritrope.render``; the package still serves the
+    renderers, loading them on first use."""
+    src = str(pathlib.Path(peritrope.__file__).parent.parent)
+    result = subprocess.run(
+        [sys.executable, "-c", _START_UP],
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    report = json.loads(result.stdout)
+    assert report == {"loaded": [], "renderer": ["peritrope.render", "render_torus", True]}

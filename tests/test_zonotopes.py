@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import itertools
 import pathlib
@@ -314,7 +313,7 @@ def test_validate_tiling_flags_a_tampered_lattice_point():
     assert validate_tiling(inst, basis, tiles).lattice_points_recorded
     for point in ((1,), None):
         tampered = list(tiles)
-        tampered[0] = dataclasses.replace(tiles[0], lattice_point=point)
+        tampered[0] = tiles[0]._replace(lattice_point=point)
         report = validate_tiling(inst, basis, tampered)
         assert not report.lattice_points_recorded
         assert not report.ok
@@ -365,7 +364,7 @@ def test_a_tile_holding_two_points_records_the_first():
 def test_validate_tiling_flags_a_shifted_tile():
     inst, basis = _triangle()
     tiles = list(fine_tiling(inst, basis, root="v1"))
-    tiles[0] = dataclasses.replace(tiles[0], translation=(-40,))
+    tiles[0] = tiles[0]._replace(translation=(-40,))
     report = validate_tiling(inst, basis, tiles)
     assert not report.ok
     assert not report.tiles_inside
@@ -384,7 +383,7 @@ def test_validate_tiling_flags_tampered_generators(monkeypatch):
     tiles = list(fine_tiling(inst, basis, root="v1"))
     assert validate_tiling(inst, basis, tiles).ok
     assert calls == []  # untampered tiles are inside without a membership test
-    tiles[0] = dataclasses.replace(tiles[0], generators=((40,),))
+    tiles[0] = tiles[0]._replace(generators=((40,),))
     report = validate_tiling(inst, basis, tiles)
     assert calls
     assert not report.tiles_inside
@@ -393,7 +392,7 @@ def test_validate_tiling_flags_tampered_generators(monkeypatch):
     # takes the per-vertex fallback and is still inside
     sq, sq_basis = square_instance(), square_basis()
     tiles = list(fine_tiling(sq, sq_basis))
-    tiles[0] = dataclasses.replace(tiles[0], generators=tiles[0].generators[::-1])
+    tiles[0] = tiles[0]._replace(generators=tiles[0].generators[::-1])
     calls.clear()
     report = validate_tiling(sq, sq_basis, tiles)
     assert calls
@@ -414,8 +413,7 @@ def test_a_reflected_tile_is_foreign_and_still_inside(monkeypatch):
     assert untampered.ok
     assert frames == []  # implied tiles never build a frame
     first, *rest = tiles[0].generators
-    tiles[0] = dataclasses.replace(
-        tiles[0],
+    tiles[0] = tiles[0]._replace(
         generators=(tuple(-v for v in first), *rest),
         translation=tuple(t + v for t, v in zip(tiles[0].translation, first)),
     )
@@ -442,8 +440,7 @@ def test_a_reflected_tile_keeps_the_report_under_every_integral_basis():
             flipped = tile.generators[k]
             generators = list(tile.generators)
             generators[k] = tuple(-v for v in flipped)
-            tiles[t] = dataclasses.replace(
-                tile,
+            tiles[t] = tile._replace(
                 generators=tuple(generators),
                 translation=tuple(x + v for x, v in zip(tile.translation, flipped)),
             )
@@ -480,7 +477,7 @@ def test_a_tile_whose_structure_moved_an_arc_is_foreign(monkeypatch):
     moved = SpanningTreeStructure(
         structure.tree, structure.at_lower - {arc}, structure.at_upper | {arc}
     )
-    tiles[t] = dataclasses.replace(tiles[t], structure=moved)
+    tiles[t] = tiles[t]._replace(structure=moved)
     assert frames == []
     assert validate_tiling(sq, basis, tiles) == untampered
     assert frames == [tiles[t].generators]
@@ -495,7 +492,7 @@ def test_a_tile_on_a_non_spanning_tree_is_foreign():
     tiles = list(fine_tiling(sq, basis))
     untampered = validate_tiling(sq, basis, tiles)
     cyclic = SpanningTreeStructure((0, 1, 4), (0, 1), (4,))
-    tiles[0] = dataclasses.replace(tiles[0], structure=cyclic)
+    tiles[0] = tiles[0]._replace(structure=cyclic)
     assert validate_tiling(sq, basis, tiles) == untampered
 
 
@@ -938,7 +935,7 @@ def test_duality_matches_the_full_polytrope_oracle():
             tiles = fine_tiling(inst, basis, root)
             other = vertices[(k + 1) % len(vertices)]
             swapped = [
-                dataclasses.replace(tile, lattice_point=box[(t * 7 + k) % len(box)])
+                tile._replace(lattice_point=box[(t * 7 + k) % len(box)])
                 for t, tile in enumerate(tiles)
                 if box
             ]
