@@ -31,8 +31,8 @@ def solve_exact(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP):
     ascending (bound, z) order to ``OffsetMemo.least_optimum``."""
     if basis is None:
         basis = default_basis(inst.graph)
-    points = box_points(inst, basis, cap=width_cap)
     memo = OffsetMemo(inst, basis)
+    points = box_points(inst, basis, width_cap, memo.box)
     # The points, by bound, as their ranks in the sorted box: eight bytes
     # a point, already ascending in z within each bound.
     ranks = {}
@@ -42,12 +42,12 @@ def solve_exact(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP):
             ranks[lower].append(rank)
         else:
             ranks[lower] = array("q", (rank,))
-    chosen = memo.least_optimum(
+    z = memo.least_optimum(
         (lower, _box_point(memo.box, rank)) for lower in sorted(ranks) for rank in ranks[lower]
     )
-    if chosen is None:
+    if z is None:
         raise Infeasible("no feasible cycle offset: the zonotope holds no lattice point")
-    return memo.solution(*chosen)
+    return memo.solution(z)
 
 
 def _box_point(ranges, rank):

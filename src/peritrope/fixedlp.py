@@ -11,17 +11,19 @@ the polytrope for emptiness returns feasible potentials, and successive
 shortest paths keep them feasible, one Dijkstra on reduced costs per
 phase (Ahuja, Magnanti & Orlin, "Network Flows", 1993, ch. 9).
 
-By complementary slackness the optimal face is the kappa constraints
-plus equality on every edge that carries flow, whichever optimal flow
-was found.  The final potentials are feasible for that face, so the
-class kernel of ``polytropes`` (the one that also gives a polytrope its
-dimension) reads the face's equality classes off its edges of reduced
-cost zero, and each vertex sits at its potential minus that of its
-class's smallest vertex.  Ties break toward the lexicographically
-smallest normalized timetable among the vertices of that face: a point
-is its own answer, and a larger face grows its vertices as the spanning
-trees of its classes' quotient graph with every arc doubled.  A result
-holds that timetable, its tension and its objective.
+A solve has two steps; ``minimize_over_polytrope`` runs both.  Step
+one, ``certified_optimum``, returns the optimum's value and its O(m)
+certificate, the potentials and the flow.  Only the edge costs depend
+on p, so that flow is feasible at every offset, and its dual value there
+is a cut: an affine lower bound on every other polytrope's optimum.
+Step two, ``optimal_vertex``, reads the optimal face off the kept
+potentials and flow: by complementary slackness it is the kappa
+constraints plus equality on every edge that carries flow, and the
+class kernel of ``polytropes`` takes its equality classes from its
+edges of reduced cost zero.  Ties break toward the lexicographically
+smallest normalized timetable among the face's vertices: a point is its
+own answer, and a larger face grows its vertices as the spanning trees
+of its classes' quotient graph with every arc doubled.
 
 ``cycle_relaxation_bound`` bounds that optimum from below without
 solving: every tension of a polytrope with cycle offset z meets
@@ -34,7 +36,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import namedtuple
-from fractions import Fraction
+from functools import cmp_to_key
 
 from .errors import EnumerationCapExceeded, Infeasible, InvariantViolation
 from .graphs import (
@@ -59,13 +61,14 @@ class FixedOffsetResult(namedtuple("FixedOffsetResult", "timetable tension objec
     __slots__ = ()
 
 
-def _reduced_cost_flow(n, edges, supply, phi):
-    """Flow per edge of a min-cost flow on ``edges`` (tail, head, cost),
-    uncapacitated, where vertex v sends out supply[v] more than it takes
-    in; the supplies sum to zero over every connected component.  ``phi``
-    holds feasible potentials (no edge of negative reduced cost
-    c + phi_t - phi_h) and is updated in place, so that on return every
-    edge that carries flow has reduced cost zero.
+def _reduced_cost_flow(adjacency, cost, supply, phi):
+    """Flow per edge of a min-cost flow on the edges of ``adjacency`` (a
+    ``Digraph.doubled_adjacency``: edge k costs cost[k]), uncapacitated,
+    where vertex v sends out supply[v] more than it takes in; the supplies
+    sum to zero over every connected component.  ``phi`` holds feasible
+    potentials (no edge of negative reduced cost c + phi_t - phi_h) and is
+    updated in place, so that on return every edge that carries flow has
+    reduced cost zero.
 
     Successive shortest paths on reduced costs: each phase runs one
     Dijkstra (a linear scan per step, no heap) from every vertex with
@@ -74,12 +77,9 @@ def _reduced_cost_flow(n, edges, supply, phi):
     along that tree to each deficit vertex in turn while the path's
     source has excess and its reverse edges have flow.
     """
-    out = [[] for _ in range(n)]
-    into = [[] for _ in range(n)]
-    for k, (t, h, c) in enumerate(edges):
-        out[t].append((h, c, k))
-        into[h].append((t, c, k))
-    flow = [0] * len(edges)
+    out, into = adjacency
+    n = len(out)
+    flow = [0] * len(cost)
     excess = list(supply)
     while any(e > 0 for e in excess):
         dist = [None] * n
@@ -89,15 +89,15 @@ def _reduced_cost_flow(n, edges, supply, phi):
             u = min(tentative, key=tentative.__getitem__)
             du = dist[u] = tentative.pop(u)
             base = du + phi[u]
-            for h, c, k in out[u]:
+            for h, k in out[u]:
                 if dist[h] is None:
-                    d = base + c - phi[h]
+                    d = base + cost[k] - phi[h]
                     if h not in tentative or d < tentative[h]:
                         tentative[h] = d
                         pred[h] = (k, 1, u)
-            for t, c, k in into[u]:
+            for t, k in into[u]:
                 if flow[k] and dist[t] is None:
-                    d = base - c - phi[t]
+                    d = base - cost[k] - phi[t]
                     if t not in tentative or d < tentative[t]:
                         tentative[t] = d
                         pred[t] = (k, -1, u)
@@ -165,10 +165,22 @@ def _least_face_vertex(inst, p, rep, delta):
     return least
 
 
-def minimize_over_polytrope(inst, p, objective=None):
-    """Optimal vertex of the fixed-offset tension polytope.  Ties break
-    toward the lexicographically smallest normalized timetable.  A
-    disconnected graph raises DisconnectedGraph before any work."""
+class PolytropeOptimum(namedtuple("PolytropeOptimum", "offset objective potentials flow cut")):
+    """Step one of a solve: the optimum, the potentials and flow that
+    certify it, and the cut (const, slope): the optimum at any offset p'
+    is at least const + T slope.p'."""
+
+    __slots__ = ()
+
+
+def certified_optimum(inst, p, objective=None):
+    """The optimum of the fixed-offset tension polytope, without its
+    vertex.  The certificate, checked in O(m): the flow is nonnegative,
+    balances the supplies and is tight on its support, the potentials are
+    feasible, and w.x of the potentials equals the flow's dual value
+    T w.p - sum f.c; a failure raises InvariantViolation.  An empty
+    polytrope raises Infeasible, a disconnected graph DisconnectedGraph
+    before any work."""
     g = inst.graph
     _require_connected(g)
     obj = inst.weight if objective is None else tuple(objective)
@@ -178,14 +190,44 @@ def minimize_over_polytrope(inst, p, objective=None):
     phi = _potentials(g.n, edges)
     if phi is None:
         raise Infeasible("polytrope is empty for this periodic offset")
+    pairs = g.arc_index_pairs
     supply = [0] * g.n
-    for w, (i, j) in zip(obj, g.arc_index_pairs):
+    for w, (i, j) in zip(obj, pairs):
         supply[j] += w
         supply[i] -= w
-    flow = _reduced_cost_flow(g.n, edges, supply, phi)
-    timetable, pi = _least_face_vertex(inst, p, *_face_classes(g.n, edges, phi, flow))
+    cost = [c for _, _, c in edges]
+    flow = _reduced_cost_flow(g.doubled_adjacency, cost, supply, phi)
+    # The certificate; supply keeps what the flow leaves unbalanced.
+    for (t, h, c), f in zip(edges, flow):
+        reduced = c + phi[t] - phi[h]
+        if f < 0 or reduced < 0 or (f and reduced):
+            raise InvariantViolation(f"flow {f} on an edge of reduced cost {reduced}")
+        supply[t] -= f
+        supply[h] += f
+    m = g.m
+    slope = tuple([w + flow[a] - flow[m + a] for a, w in enumerate(obj)])
+    const = -sum([flow[a] * inst.upper[a] - flow[m + a] * inst.lower[a] for a in range(m)])
+    primal = sum([w * (phi[j] - phi[i] + T * pa) for w, pa, (i, j) in zip(obj, p, pairs)])
+    dual = const + T * sum([s * pa for s, pa in zip(slope, p)])
+    if any(supply) or primal != dual:
+        raise InvariantViolation(f"the flow fails its certificate: dual {dual}, primal {primal}")
+    return PolytropeOptimum(tuple(p), primal, phi, flow, (const, slope))
+
+
+def optimal_vertex(inst, optimum):
+    """Step two: the least vertex of the optimal face of ``optimum``."""
+    g = inst.graph
+    p = optimum.offset
+    classes = _face_classes(g.n, kappa(inst, p), optimum.potentials, optimum.flow)
+    timetable, pi = _least_face_vertex(inst, p, *classes)
+    T = inst.period
     x = tuple(pi[j] - pi[i] + T * p[a] for a, (i, j) in enumerate(g.arc_index_pairs))
-    return FixedOffsetResult(timetable, x, sum(c * v for c, v in zip(obj, x)))
+    return FixedOffsetResult(timetable, x, optimum.objective)
+
+
+def minimize_over_polytrope(inst, p, objective=None):
+    """Optimal vertex of the fixed-offset tension polytope: the two steps."""
+    return optimal_vertex(inst, certified_optimum(inst, p, objective))
 
 
 def cycle_relaxation_bound(inst, basis):
@@ -209,10 +251,15 @@ def cycle_relaxation_bound(inst, basis):
     at most its span.  The optimum is an integer vertex, so the relaxed
     value rounds up; the bound is the largest over the rows.  With one row
     the relaxation is the polytrope itself, and the bound is its optimum.
+
+    Each row's term depends on z_k alone, so it is tabled once over the
+    row's side of the box, and a call is one lookup per row.
     """
     start = [l if w >= 0 else u for w, l, u in zip(inst.weight, inst.lower, inst.upper)]
     base = sum(w * x for w, x in zip(inst.weight, start))
     T = inst.period
+    # |w| / |gamma| ascending by cross-multiplication; the sort is stable
+    by_ratio = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
     rows = []
     for row in basis.gamma:
         # Moves that raise gamma.x (index 1) or lower it (index 0), as
@@ -223,29 +270,36 @@ def cycle_relaxation_bound(inst, basis):
                 by_direction[(g > 0) == (w >= 0)].append((abs(w), abs(g), s))
         sides = []
         for side in by_direction:
-            side.sort(key=lambda m: Fraction(m[0], m[1]))
+            side.sort(key=by_ratio)
             gaps, costs = [0], [0]
             for w, g, s in side:
                 gaps.append(gaps[-1] + g * s)
                 costs.append(costs[-1] + w * s)
             sides.append((side, gaps, costs))
-        rows.append((sum(g * x for g, x in zip(row, start)), sides))
-
-    def bound(z):
-        best = base
-        for (at_start, (down, up)), zk in zip(rows, z):
+        # z_k with T z_k from at_start minus all lowering to plus all raising
+        at_start = sum(g * x for g, x in zip(row, start))
+        first = -((sides[0][1][-1] - at_start) // T)
+        table = []
+        for zk in range(first, (at_start + sides[1][1][-1]) // T + 1):
             r = T * zk - at_start
-            side, gaps, costs = up if r >= 0 else down
+            side, gaps, costs = sides[r >= 0]
             r = abs(r)
-            if r > gaps[-1]:
-                return None
             k = bisect_left(gaps, r)
             if k:
                 w, g, _ = side[k - 1]
                 # full moves before arc k - 1, then part of it, rounded up
-                cost = costs[k - 1] - (-w * (r - gaps[k - 1]) // g)
-                best = max(best, base + cost)
-        return best
+                table.append(costs[k - 1] - (-w * (r - gaps[k - 1]) // g))
+            else:
+                table.append(0)
+        rows.append((first, table))
+
+    def bound(z):
+        worst = 0
+        for (first, costs), zk in zip(rows, z):
+            if not 0 <= zk - first < len(costs):
+                return None
+            worst = max(worst, costs[zk - first])
+        return base + worst
 
     return bound
 

@@ -68,6 +68,19 @@ class Digraph(namedtuple("Digraph", "vertices arcs")):
         vi = self.vindex
         return tuple((vi[t], vi[h]) for t, h in self.arcs)
 
+    @cached_property
+    def doubled_adjacency(self):
+        """(out, into) of the doubled graph of ``polytropes.kappa`` (edge a
+        is arc a, edge m + a its reversal): (head, edge) per edge out of v
+        in out[v], (tail, edge) per edge into v in into[v], in edge order."""
+        out = [[] for _ in self.vertices]
+        into = [[] for _ in self.vertices]
+        pairs = self.arc_index_pairs
+        for k, (t, h) in enumerate(pairs + tuple((j, i) for i, j in pairs)):
+            out[t].append((h, k))
+            into[h].append((t, k))
+        return out, into
+
     def is_connected(self):
         """Connectivity of the underlying undirected graph, walked once per
         graph."""

@@ -17,22 +17,24 @@ order and stops at the first (bound, z) above the best (objective, z)
 found (or at the first bound above the caller's limit while none is
 found): a later offset's objective is at least its bound, so at best it
 ties the best objective with a larger z, and the (objective, z) argmin
-survives.  No offset is tested for emptiness before it is solved: the
-one Bellman-Ford it gets opens ``minimize_over_polytrope``, whose
-potentials then carry the solve, and an ``Infeasible`` there means
-"empty".
+survives.  Each solved offset's flow also gives a cut, a lower bound on
+every other offset's objective (``fixedlp.certified_optimum``), so an
+offset whose highest learned cut already loses the same way is skipped
+before any Bellman-Ford.  An offset that is solved gets one, which opens
+``certified_optimum``; an ``Infeasible`` there means "empty".  Only an
+offset a caller takes has its vertex built.
 
 ``OffsetMemo`` is the one owner of the per-offset answers of a solve:
-the bound of z, its optimum, its steps with their bounds, and the
-solution rebuilt from its optimum.  It holds the three invariant checks
-that the bounded search rests on (the relaxation rules out no box
-point, no optimum lies below its bound, an optimum rebuilds into its own
-z and objective), so ``solve_exact``, ``tns`` and
-``neighbourhood_graph`` all run them.  The optima and the steps depend
-only on the instance, the basis and z, so one memo keeps them for a
-whole solve: ``tns_restarts`` shares it between all its walks, and
-``tns`` builds a fresh one when it is not given one.  The set of visited
-offsets stays per walk.
+the bound of z, its certified optimum with its cut, its steps with their
+bounds, and the solution built from the optimum's vertex.  It holds the
+four invariant checks that the bounded search rests on (the relaxation
+rules out no box point, no optimum lies below its bound or below a
+learned cut, an optimum's vertex rebuilds into its own z and
+objective), so ``solve_exact``, ``tns`` and ``neighbourhood_graph`` all
+run them.  The answers depend only on the instance, the basis and z, so
+one memo keeps them for a whole solve: ``tns_restarts`` shares it
+between all its walks, and ``tns`` builds a fresh one when it is not
+given one.  The set of visited offsets stays per walk.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import random
 from collections import namedtuple
 
 from .errors import EnumerationCapExceeded, Infeasible, InvariantViolation, RetriesExhausted
-from .fixedlp import cycle_relaxation_bound, minimize_over_polytrope
+from .fixedlp import certified_optimum, cycle_relaxation_bound, optimal_vertex
 from .graphs import (
     DEFAULT_ENUMERATION_CAP,
     default_basis,
@@ -134,12 +136,12 @@ class TreePool:
 class OffsetMemo:
     """The one place that answers, per cycle offset z of one instance and
     basis, the questions of a bounded search: the bound of z, its
-    polytrope optimum (None when it is empty), the steps of z with their
-    bounds, and the solution rebuilt from the optimum, each checked
-    against the invariant it rests on.  The optima and the steps are
-    computed on first use and kept; they depend on (inst, basis, z) only,
-    so every answer is exact.  Build one per solve; it grows with the
-    offsets that solve visits."""
+    certified polytrope optimum (None when it is empty) and the cut it
+    leaves, the steps of z with their bounds, and the solution at the
+    optimum's vertex, each checked against the invariant it rests on.
+    The answers are computed on first use and kept; they depend on (inst,
+    basis, z) only, so every answer is exact.  Build one per solve; it
+    grows with the offsets that solve visits."""
 
     def __init__(self, inst, basis):
         self.inst = inst
@@ -147,7 +149,9 @@ class OffsetMemo:
         self.box = _box_integer_ranges(inst, basis)
         self._bound = cycle_relaxation_bound(inst, basis)
         self._optima = {}
+        self._solutions = {}
         self._steps = {}
+        self._cuts = []  # (const, Ty): a learned cut is const + Ty.z / d at z
 
     def bound(self, z):
         """The ``cycle_relaxation_bound`` of z, or None off the box, where
@@ -168,51 +172,80 @@ class OffsetMemo:
             self._steps[z] = found
         return found
 
+    def _cut(self, z):
+        """The highest learned cut at z, rounded up; None before any."""
+        d = self.basis.cotree_frame[1]
+        cuts = (c - (-sum([a * b for a, b in zip(ty, z)]) // d) for c, ty in self._cuts)
+        return max(cuts, default=None)
+
     def optimum(self, z, lower):
-        """The polytrope optimum of z, or None when it is empty; ``lower``
-        is the bound of z, and an optimum below it raises
-        InvariantViolation."""
+        """The certified polytrope optimum of z (``certified_optimum``), or
+        None when it is empty; ``lower`` is the bound of z.  Its cut joins
+        the learned ones, and an optimum below its bound or below a learned
+        cut, its own included, raises InvariantViolation."""
         if z not in self._optima:
             try:
-                result = minimize_over_polytrope(self.inst, offset_for(self.inst, self.basis, z))
+                found = certified_optimum(self.inst, offset_for(self.inst, self.basis, z))
             except Infeasible:
-                result = None
-            if result is not None and result.objective < lower:
-                raise InvariantViolation(
-                    f"the optimum of {z} (objective {result.objective}) is "
-                    f"below its cycle relaxation bound {lower}"
-                )
-            self._optima[z] = result
+                found = None
+            if found is not None:
+                if found.objective < lower:
+                    raise InvariantViolation(
+                        f"the optimum of {z} (objective {found.objective}) is "
+                        f"below its cycle relaxation bound {lower}"
+                    )
+                const, slope = found.cut
+                ty = [0] * self.basis.mu
+                for a, c, k in self.basis.cotree_frame[2]:
+                    ty[k] += self.inst.period * c * slope[a]
+                self._cuts.append((const, ty))
+                cut = self._cut(z)
+                if found.objective < cut:
+                    raise InvariantViolation(
+                        f"the optimum of {z} (objective {found.objective}) is "
+                        f"below the learned cut {cut}"
+                    )
+            self._optima[z] = found
         return self._optima[z]
 
-    def solution(self, z, result):
-        """The Solution rebuilt from ``result``, the optimum of z; one in
-        another class or at another objective raises InvariantViolation."""
-        sol = solution_from_timetable(self.inst, self.basis, result.timetable)
-        if sol.cycle_offset != z or sol.objective != result.objective:
-            raise InvariantViolation(
-                f"the optimum of {z} (objective {result.objective}) rebuilt into "
-                f"{sol.cycle_offset} (objective {sol.objective})"
-            )
+    def solution(self, z):
+        """The Solution at the vertex of z's optimum, built on first use;
+        one in another class or at another objective raises
+        InvariantViolation."""
+        sol = self._solutions.get(z)
+        if sol is None:
+            found = self._optima[z]
+            vertex = optimal_vertex(self.inst, found).timetable
+            sol = solution_from_timetable(self.inst, self.basis, vertex)
+            if sol.cycle_offset != z or sol.objective != found.objective:
+                raise InvariantViolation(
+                    f"the optimum of {z} (objective {found.objective}) rebuilt into "
+                    f"{sol.cycle_offset} (objective {sol.objective})"
+                )
+            self._solutions[z] = sol
         return sol
 
     def least_optimum(self, candidates, limit=None):
-        """The (objective, z) least (z, optimum) over the ascending
-        (lower, z) ``candidates`` with an objective of at most ``limit``
-        (None: any), or None; the pruning policy above."""
-        best = None  # (objective, z, result)
+        """The (objective, z) least z with a nonempty polytrope over the
+        ascending (lower, z) ``candidates`` with an objective of at most
+        ``limit`` (None: any), or None; the pruning policy above."""
+        best = None  # (objective, z)
         for lower, z in candidates:
             if best is not None:
-                if (lower, z) > best[:2]:
+                if (lower, z) > best:
                     break
             elif limit is not None and lower > limit:
                 break
-            res = self.optimum(z, lower)
-            if res is None or (limit is not None and res.objective > limit):
+            if z not in self._optima and (best is not None or limit is not None):
+                cut = self._cut(z)
+                if cut is not None and ((cut, z) > best if best is not None else cut > limit):
+                    continue
+            found = self.optimum(z, lower)
+            if found is None or (limit is not None and found.objective > limit):
                 continue
-            if best is None or (res.objective, z) < best[:2]:
-                best = (res.objective, z, res)
-        return None if best is None else best[1:]
+            if best is None or (found.objective, z) < best:
+                best = (found.objective, z)
+        return None if best is None else best[1]
 
 
 def tns(inst, basis, start, max_iterations=100, memo=None):
@@ -239,11 +272,10 @@ def tns(inst, basis, start, max_iterations=100, memo=None):
     for _ in range(max_iterations):
         candidates = memo.bounded_steps(current.cycle_offset)
         candidates = [(lower, z) for lower, z in candidates if z not in visited]
-        chosen = memo.least_optimum(candidates, current.objective - 1)
-        if chosen is None:
+        z = memo.least_optimum(candidates, current.objective - 1)
+        if z is None:
             break
-        z, res = chosen
-        current = memo.solution(z, res)
+        current = memo.solution(z)
         visited.add(z)
         trace.append({"z": list(z), "objective": current.objective, "move": "best-improvement"})
     return current, tuple(trace)
@@ -290,13 +322,12 @@ def neighbourhood_graph(inst, basis, width_cap=DEFAULT_WIDTH_CAP):
     Each ``box_points`` point is bounded and solved once through an
     ``OffsetMemo``, and an empty polytrope is no node, so one Bellman-Ford
     decides it."""
-    points = box_points(inst, basis, cap=width_cap)
     memo = OffsetMemo(inst, basis)
+    points = box_points(inst, basis, width_cap, memo.box)
     objective = {}
     for z in points:
-        res = memo.optimum(z, memo.bound(z))
-        if res is not None:
-            objective[z] = memo.solution(z, res).objective
+        if memo.optimum(z, memo.bound(z)) is not None:
+            objective[z] = memo.solution(z).objective
     nodes = tuple(objective)
     edges = {tuple(sorted((z, z2))) for z in nodes for z2 in steps(basis, z) if z2 in objective}
     return NeighbourhoodGraph(nodes, tuple(sorted(edges)), objective)

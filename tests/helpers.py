@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -257,13 +258,15 @@ def tns_restarts_by_eager_steps(inst, basis, restarts, max_iterations, seed):
 
 
 def count_polytrope_solves(monkeypatch, module):
-    """Patch ``module.minimize_over_polytrope`` to record the offset of each
-    call: in the first list when it returns an optimum, in the second when
-    it raises Infeasible (an empty polytrope).  Returns both lists."""
-    honest = module.minimize_over_polytrope
-    solves, empties = [], []
+    """Patch the two steps of a polytrope solve in ``module`` to record
+    offsets: of each ``certified_optimum`` call, in the first list when it
+    returns an optimum and in the second when it raises Infeasible (an
+    empty polytrope); of each ``optimal_vertex`` call (a vertex build), in
+    the third.  Returns the three lists."""
+    honest, build = module.certified_optimum, module.optimal_vertex
+    solves, empties, vertices = [], [], []
 
-    def minimize(*args, **kwargs):
+    def optimum(*args, **kwargs):
         try:
             result = honest(*args, **kwargs)
         except Infeasible:
@@ -272,8 +275,89 @@ def count_polytrope_solves(monkeypatch, module):
         solves.append(args[1])
         return result
 
-    monkeypatch.setattr(module, "minimize_over_polytrope", minimize)
-    return solves, empties
+    def vertex(inst, found):
+        vertices.append(found.offset)
+        return build(inst, found)
+
+    monkeypatch.setattr(module, "certified_optimum", optimum)
+    monkeypatch.setattr(module, "optimal_vertex", vertex)
+    return solves, empties, vertices
+
+
+def objective_floor(inst):
+    """An integer below the objective of every tension of the instance."""
+    return -sum(
+        abs(w) * max(abs(l), abs(u)) for w, l, u in zip(inst.weight, inst.lower, inst.upper)
+    ) - 1
+
+
+def drop_learned_cuts(monkeypatch):
+    """Patch ``search.certified_optimum`` to hand on each optimum with a
+    flat cut at ``objective_floor``: the search learns nothing from its
+    flows, which replays the pruning of the relaxation bound alone."""
+    honest = peritrope.search.certified_optimum
+
+    def cut_free(inst, p, *args, **kwargs):
+        found = honest(inst, p, *args, **kwargs)
+        return found._replace(cut=(objective_floor(inst), (0,) * inst.graph.m))
+
+    monkeypatch.setattr(peritrope.search, "certified_optimum", cut_free)
+
+
+def check_certificate(inst, p, found, objective=None):
+    """Problems with the certificate of a ``certified_optimum`` result
+    ``found`` at offset p, or [] when it proves its objective optimal.
+    Shares no solver code: the doubled graph, the supplies and the dual
+    value are written out again from the instance.  The flow must be
+    nonnegative, balance the supplies and be tight on its support, the
+    potentials feasible, and the primal value of the potentials and the
+    flow's dual value both equal the objective.  The cut must be the
+    flow's dual value at every offset: both are affine in the offset, so
+    they are compared at p and at p plus each unit vector."""
+    g = inst.graph
+    T, m = inst.period, g.m
+    obj = inst.weight if objective is None else tuple(objective)
+    pairs = g.arc_index_pairs
+    phi, flow = found.potentials, found.flow
+    problems = []
+    if tuple(found.offset) != tuple(p):
+        problems.append(f"offset {found.offset}, not {p}")
+    if len(flow) != 2 * m or len(phi) != g.n:
+        return problems + ["the flow or the potentials have the wrong length"]
+
+    def edges(q):
+        forward = [(i, j, inst.upper[a] - T * q[a]) for a, (i, j) in enumerate(pairs)]
+        return forward + [(j, i, T * q[a] - inst.lower[a]) for a, (i, j) in enumerate(pairs)]
+
+    def dual(q):
+        return T * sum(w * v for w, v in zip(obj, q)) - sum(
+            f * c for f, (_, _, c) in zip(flow, edges(q))
+        )
+
+    net = [0] * g.n
+    for a, (i, j) in enumerate(pairs):
+        net[j] -= obj[a]
+        net[i] += obj[a]
+    for k, ((t, h, c), f) in enumerate(zip(edges(p), flow)):
+        slack = c + phi[t] - phi[h]
+        if f < 0:
+            problems.append(f"edge {k} carries negative flow {f}")
+        if slack < 0:
+            problems.append(f"edge {k} has negative reduced cost {slack}")
+        if f and slack:
+            problems.append(f"edge {k} carries flow {f} at reduced cost {slack}")
+        net[t] += f
+        net[h] -= f
+    problems += [f"vertex {v} is off balance by {e}" for v, e in enumerate(net) if e]
+    primal = sum(w * (phi[j] - phi[i] + T * q) for w, q, (i, j) in zip(obj, p, pairs))
+    if primal != found.objective or dual(p) != found.objective:
+        problems.append(f"primal {primal} and dual {dual(p)} against objective {found.objective}")
+    const, slope = found.cut
+    units = [tuple(v + (a == b) for b, v in enumerate(p)) for a in range(m)]
+    for q in [tuple(p)] + units:
+        if const + T * sum(s * v for s, v in zip(slope, q)) != dual(q):
+            problems.append(f"the cut is not the flow's dual value at {q}")
+    return problems
 
 
 def count_bellman_ford(monkeypatch):
@@ -292,6 +376,40 @@ def count_bellman_ford(monkeypatch):
         if name.split(".")[0] == "peritrope" and getattr(module, "_potentials", None) is honest:
             monkeypatch.setattr(module, "_potentials", counting)
     return runs
+
+
+def cycle_relaxation_bound_by_fractions(inst, basis):
+    """Reference for ``fixedlp.cycle_relaxation_bound``: each row's moves
+    sorted by ``Fraction`` keys, and every row's greedy knapsack run afresh
+    on every call."""
+    start = [l if w >= 0 else u for w, l, u in zip(inst.weight, inst.lower, inst.upper)]
+    base = sum(w * x for w, x in zip(inst.weight, start))
+    T = inst.period
+
+    def bound(z):
+        best = base
+        for row, zk in zip(basis.gamma, z):
+            r = T * zk - sum(g * x for g, x in zip(row, start))
+            moves = sorted(
+                (
+                    (abs(w), abs(g), s)
+                    for w, g, s in zip(inst.weight, row, inst.span)
+                    if g and s and ((g > 0) == (w >= 0)) == (r >= 0)
+                ),
+                key=lambda move: Fraction(move[0], move[1]),
+            )
+            r = abs(r)
+            cost = Fraction(0)
+            for w, g, s in moves:
+                step = min(r, g * s)
+                cost += Fraction(w * step, g)
+                r -= step
+            if r:
+                return None
+            best = max(best, base + math.ceil(cost))
+        return best
+
+    return bound
 
 
 def shortest_path_matrix(n, edges):

@@ -1,9 +1,11 @@
+import json
 import pathlib
 import random
 
 import pytest
 
 import peritrope.exact
+import peritrope.fixedlp
 import peritrope.search
 from peritrope import (
     CrosscheckMismatch,
@@ -27,7 +29,9 @@ from peritrope import (
 from peritrope.fixedlp import cycle_relaxation_bound
 from peritrope.zonotopes import box_points, lattice_points
 from helpers import (
+    count_bellman_ford,
     count_polytrope_solves,
+    drop_learned_cuts,
     random_bases,
     random_instance,
     solve_exact_by_full_scan,
@@ -190,6 +194,11 @@ def test_solve_exact_matches_the_full_scan():
     assert solved >= 150 and non_fundamental >= 30 and graded >= 40
 
 
+# (solved, empty) of each golden's solve_exact once the search reads the
+# cuts it learns; the parametrized counts are those of the cut-free replay.
+_WITH_CUTS = {"bench7": (2, 4), "mu6": (5, 9)}
+
+
 @pytest.mark.parametrize(
     "name, scanned, solved, empty", [("bench7", 15, 3, 5), ("mu6", 35, 16, 26)]
 )
@@ -197,14 +206,37 @@ def test_solve_exact_optimizes_only_the_offsets_that_can_win(
     monkeypatch, name, scanned, solved, empty
 ):
     # Each offset that can still win is solved once; the empty ones among
-    # them are found by that solve, not by a scan of the box.
+    # them are found by that solve, not by a scan of the box.  Replayed
+    # without learned cuts, the relaxation bound alone prunes, and the
+    # search reaches the same argmin with more solves.
     inst = parse_instance((GOLDEN / f"{name}.pesp").read_text())
     basis = default_basis(inst.graph)
-    solves, empties = count_polytrope_solves(monkeypatch, peritrope.search)
-    assert solve_exact(inst, basis) == solve_exact_by_full_scan(inst, basis)
     assert len(lattice_points(inst, basis)) == scanned
+    with monkeypatch.context() as patch:
+        drop_learned_cuts(patch)
+        solves, empties, _ = count_polytrope_solves(patch, peritrope.search)
+        replayed = solve_exact(inst, basis)
+    assert replayed == solve_exact_by_full_scan(inst, basis)
     assert len(solves) == len(set(solves)) == solved
     assert len(empties) == len(set(empties)) == empty
+    solves, empties, vertices = count_polytrope_solves(monkeypatch, peritrope.search)
+    assert solve_exact(inst, basis) == replayed
+    assert (len(solves), len(empties)) == _WITH_CUTS[name]
+    assert len(set(solves)) == len(solves) and len(set(empties)) == len(empties)
+    assert vertices == [offset_for(inst, basis, replayed.cycle_offset)]
+
+
+def test_solve_exact_runs_fourteen_bellman_fords_and_five_flows_on_mu6(monkeypatch):
+    # The cut-free replay runs 42 Bellman-Fords and 16 flows.
+    inst = parse_instance((GOLDEN / "mu6.pesp").read_text())
+    runs = count_bellman_ford(monkeypatch)
+    honest, flows = peritrope.fixedlp._reduced_cost_flow, []
+    monkeypatch.setattr(
+        peritrope.fixedlp, "_reduced_cost_flow", lambda *args: flows.append(args) or honest(*args)
+    )
+    sol = solve_exact(inst, default_basis(inst.graph))
+    assert (len(runs), len(flows)) == (14, 5)
+    assert sol.objective == json.loads((GOLDEN / "mu6.solve.json").read_text())["objective"]
 
 
 @pytest.mark.parametrize("name", ["bench7", "mu6"])
@@ -220,7 +252,7 @@ def test_a_zero_weight_instance_solves_the_box_up_to_its_first_nonempty_point(
     points = list(box_points(inst, basis))
     first = points.index(lattice_points(inst, basis)[0])
     assert 0 < first < len(points) - 1
-    solves, empties = count_polytrope_solves(monkeypatch, peritrope.search)
+    solves, empties, _ = count_polytrope_solves(monkeypatch, peritrope.search)
     assert solve_exact(inst, basis) == solve_exact_by_full_scan(inst, basis)
     assert solves[:1] == [offset_for(inst, basis, points[first])]
     assert solves[1:] == []

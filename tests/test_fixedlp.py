@@ -3,9 +3,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import peritrope.fixedlp
 import peritrope.polytropes
+import peritrope.search
 from peritrope import (
     CycleBasis,
     Digraph,
@@ -13,6 +16,7 @@ from peritrope import (
     EnumerationCapExceeded,
     Infeasible,
     InvariantViolation,
+    OffsetMemo,
     OrientedCycle,
     PespInstance,
     brute_force_fixed_offset,
@@ -24,12 +28,17 @@ from peritrope import (
     polytrope_nonempty,
     timetable_to_tension,
 )
+from peritrope.fixedlp import certified_optimum, optimal_vertex
+from peritrope.polytropes import kappa
 from peritrope.zonotopes import _box_integer_ranges, box_points, lattice_points, odijk_box
 from helpers import (
+    check_certificate,
     count_bellman_ford,
+    cycle_relaxation_bound_by_fractions,
     enumerate_fixed_offset,
     minimize_by_bellman_ford_flow,
     random_bases,
+    random_corpus,
     random_instance,
     square_basis,
     square_instance,
@@ -577,3 +586,134 @@ def test_cycle_relaxation_bound_rounds_a_partial_move_up():
     bound = cycle_relaxation_bound(inst, CycleBasis((OrientedCycle((2, 1)),)))
     assert [bound((z,)) for z in range(4)] == [0, 8, 15, 15 + 20]
     assert bound((4,)) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 3), st.data())
+def test_cycle_relaxation_bound_matches_the_fraction_reference(seed, pick, data):
+    # Every point of the box grown by two along each axis, on instances
+    # with at least one zero-span arc, under fundamental, permuted,
+    # unimodular and rational bases.
+    rng = random.Random(seed)
+    inst = varied_instance(rng)
+    fixed = data.draw(st.integers(0, inst.graph.m - 1))
+    upper = tuple(l if a == fixed else u for a, (l, u) in enumerate(zip(inst.lower, inst.upper)))
+    inst = inst._replace(upper=upper)
+    basis = default_basis(inst.graph)
+    if basis.mu >= 2:
+        basis = random_bases(rng, inst.graph)[pick]
+    ranges = [range(r.start - 2, r.stop + 2) for r in _box_integer_ranges(inst, basis)]
+    if math.prod(map(len, ranges)) > 2000:
+        ranges = [(data.draw(st.sampled_from(r)),) for r in ranges]
+    bound = cycle_relaxation_bound(inst, basis)
+    reference = cycle_relaxation_bound_by_fractions(inst, basis)
+    for z in itertools.product(*ranges):
+        assert bound(z) == reference(z), z
+
+
+def _certificate_cases():
+    """(inst, p, objective) of every optimum of the property corpus
+    (``random_corpus(100)``, instance weights, every lattice point) and of
+    the flow oracle cases, whose objectives are zero, one-arc and signed."""
+    for inst, basis, _, _ in random_corpus(100):
+        for z in lattice_points(inst, basis):
+            yield inst, offset_for(inst, basis, z), None
+    for _, inst, p, objective in _flow_oracle_cases():
+        yield inst, p, objective
+
+
+def test_every_optimum_carries_a_certificate_the_checker_accepts():
+    checked = 0
+    for inst, p, objective in _certificate_cases():
+        try:
+            found = certified_optimum(inst, p, objective)
+        except Infeasible:
+            continue
+        assert check_certificate(inst, p, found, objective) == [], (inst, p, objective)
+        assert optimal_vertex(inst, found) == minimize_over_polytrope(inst, p, objective)
+        checked += 1
+    assert checked >= 1100
+
+
+def _head_of_a_flow_edge(inst, flow):
+    """The head of the first doubled-graph edge that carries flow."""
+    m = inst.graph.m
+    k = next(k for k, f in enumerate(flow) if f)
+    i, j = inst.graph.arc_index_pairs[k % m]
+    return j if k < m else i
+
+
+def _move_one_unit(inst, flow, phi):
+    """One unit of flow moved from the first edge that carries flow to the
+    reverse copy of its arc."""
+    m = inst.graph.m
+    k = next(k for k, f in enumerate(flow) if f)
+    flow[k] -= 1
+    flow[(k + m) % (2 * m)] += 1
+
+
+def _shift_one_potential(inst, flow, phi):
+    """The head of an edge that carries flow, a tight edge, raised by one:
+    that edge's reduced cost turns negative."""
+    phi[_head_of_a_flow_edge(inst, flow)] += 1
+
+
+@pytest.mark.parametrize("mutate", [_move_one_unit, _shift_one_potential])
+def test_a_mutated_flow_or_potential_fails_both_certificate_checks(monkeypatch, mutate):
+    inst = square_instance()
+    basis = square_basis()
+    cases = 0
+    for z in lattice_points(inst, basis):
+        p = offset_for(inst, basis, z)
+        found = certified_optimum(inst, p)
+        flow, phi = list(found.flow), list(found.potentials)
+        mutate(inst, flow, phi)
+        assert check_certificate(inst, p, found._replace(flow=flow, potentials=phi))
+        cases += 1
+    assert cases == 11
+    honest = peritrope.fixedlp._reduced_cost_flow
+
+    def mutated(adjacency, cost, supply, phi):
+        flow = honest(adjacency, cost, supply, phi)
+        mutate(inst, flow, phi)
+        return flow
+
+    monkeypatch.setattr(peritrope.fixedlp, "_reduced_cost_flow", mutated)
+    for z in lattice_points(inst, basis):
+        with pytest.raises(InvariantViolation):
+            certified_optimum(inst, offset_for(inst, basis, z))
+
+
+def test_a_cut_planted_above_an_optimum_fails_both_checks(monkeypatch):
+    inst = square_instance()
+    basis = square_basis()
+    z = lattice_points(inst, basis)[0]
+    p = offset_for(inst, basis, z)
+    found = certified_optimum(inst, p)
+    const, slope = found.cut
+    assert check_certificate(inst, p, found) == []
+    assert check_certificate(inst, p, found._replace(cut=(const + 1, slope)))
+    honest = peritrope.search.certified_optimum
+    monkeypatch.setattr(
+        peritrope.search,
+        "certified_optimum",
+        lambda *args: honest(*args)._replace(cut=(const + 1, slope)),
+    )
+    memo = OffsetMemo(inst, basis)
+    message = f"is below the learned cut {found.objective + 1}$"
+    with pytest.raises(InvariantViolation, match=message):
+        memo.optimum(z, memo.bound(z))
+
+
+def test_the_doubled_adjacency_lists_the_edges_of_kappa():
+    # Each edge once from its tail and once into its head, every list in
+    # edge order, as the flow's Dijkstra scanned the edges before.
+    for inst, p, _ in itertools.islice(_certificate_cases(), 200):
+        n = inst.graph.n
+        out, into = inst.graph.doubled_adjacency
+        listed_out = sorted((k, t, h) for t in range(n) for h, k in out[t])
+        listed_into = sorted((k, t, h) for h in range(n) for t, k in into[h])
+        edges = [(k, t, h) for k, (t, h, _) in enumerate(kappa(inst, p))]
+        assert listed_out == listed_into == edges
+        for lists in (out, into):
+            assert all([k for _, k in at] == sorted(k for _, k in at) for at in lists)

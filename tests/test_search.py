@@ -36,6 +36,8 @@ from peritrope.fixedlp import cycle_relaxation_bound
 from helpers import (
     count_bellman_ford,
     count_polytrope_solves,
+    drop_learned_cuts,
+    objective_floor,
     random_bases,
     random_instance,
     solve_exact_by_box_scan,
@@ -327,7 +329,8 @@ _CALLERS = {
 
 
 def _corrupted(change):
-    """A ``minimize_over_polytrope`` that applies ``change`` to each honest result."""
+    """A step of the polytrope solve that applies ``change`` to each honest
+    result."""
     return lambda honest: lambda *args: change(honest(*args))
 
 
@@ -344,13 +347,18 @@ _FAULTS = {
         lambda honest: lambda i, b: lambda z: 15,
         "below its cycle relaxation bound 15",
     ),
+    "below-cut": (
+        "certified_optimum",
+        _corrupted(lambda res: res._replace(cut=(res.cut[0] + 1, res.cut[1]))),
+        r"\(objective 14\) is below the learned cut 15$",
+    ),
     "offset-drift": (
-        "minimize_over_polytrope",
+        "optimal_vertex",
         _corrupted(lambda res: res._replace(timetable=(0, 9, 2))),
         r"rebuilt into \(2,\) \(objective 24\)",
     ),
     "objective-drift": (
-        "minimize_over_polytrope",
+        "certified_optimum",
         _corrupted(lambda res: res._replace(objective=res.objective + 1)),
         r"\(objective 15\) rebuilt into \(\d,\) \(objective 14\)",
     ),
@@ -362,8 +370,10 @@ _FAULTS = {
 def test_every_caller_runs_every_offset_check(monkeypatch, caller, fault):
     """solve_exact, tns and neighbourhood_graph get every bound, optimum
     and rebuilt solution from one ``OffsetMemo``, so each of them raises
-    on a box point the relaxation rules out, an optimum below its bound,
-    and an optimum that rebuilds into another offset or objective."""
+    on a box point the relaxation rules out, an optimum below its bound
+    or below a learned cut (a cut planted one above the flow's is above
+    the optimum it was learned at), and an optimum whose vertex rebuilds
+    into another offset or objective."""
     inst, basis = _triangle()
     name, corrupt, message = _FAULTS[fault]
     monkeypatch.setattr(peritrope.search, name, corrupt(getattr(peritrope.search, name)))
@@ -424,34 +434,43 @@ def test_shared_offset_memo_changes_no_result():
 def test_each_offset_is_solved_once_per_restart_solve(monkeypatch):
     solved, scanned = [], []
 
-    def minimize(inst, p, *args, **kwargs):
+    def optimum(inst, p, *args, **kwargs):
         solved.append(tuple(p))
-        return peritrope.fixedlp.minimize_over_polytrope(inst, p, *args, **kwargs)
+        return certified(inst, p, *args, **kwargs)
 
     def steps(basis, z):
         scanned.append(tuple(z))
         return peritrope.polytropes.steps(basis, z)
 
-    monkeypatch.setattr(peritrope.search, "minimize_over_polytrope", minimize)
     monkeypatch.setattr(peritrope.search, "steps", steps)
-    solves = 0
-    repeated_without_sharing = 0
-    for k, (inst, basis) in enumerate(_restart_instances(12)):
-        solved.clear()
-        scanned.clear()
-        try:
-            _restarts_without_a_memo(inst, basis, 3, 100, k)
-        except RetriesExhausted:
-            continue
-        repeated_without_sharing += len(solved) - len(set(solved))
-        solved.clear()
-        scanned.clear()
-        tns_restarts(inst, basis, 3, seed=k)
-        assert len(solved) == len(set(solved))
-        assert scanned and len(scanned) == len(set(scanned))
-        solves += 1
-    assert solves >= 10
-    assert repeated_without_sharing > 0
+    totals = {}
+    for replay in (True, False):
+        with monkeypatch.context() as patch:
+            if replay:
+                drop_learned_cuts(patch)
+            certified = peritrope.search.certified_optimum
+            patch.setattr(peritrope.search, "certified_optimum", optimum)
+            solves = solved_total = repeated_without_sharing = 0
+            for k, (inst, basis) in enumerate(_restart_instances(12)):
+                solved.clear()
+                scanned.clear()
+                try:
+                    _restarts_without_a_memo(inst, basis, 3, 100, k)
+                except RetriesExhausted:
+                    continue
+                repeated_without_sharing += len(solved) - len(set(solved))
+                solved.clear()
+                scanned.clear()
+                tns_restarts(inst, basis, 3, seed=k)
+                assert len(solved) == len(set(solved))
+                assert scanned and len(scanned) == len(set(scanned))
+                solves += 1
+                solved_total += len(solved)
+        assert solves >= 10
+        assert repeated_without_sharing > 0
+        totals[replay] = solved_total
+    # Learned cuts skip 10 of the 33 solves the cut-free replay makes.
+    assert (totals[True], totals[False]) == (33, 23)
 
 
 def test_a_memo_serves_only_its_own_instance_and_basis():
@@ -465,15 +484,14 @@ def test_a_memo_serves_only_its_own_instance_and_basis():
 
 def _never_prunes(inst, basis):
     """A bound below every objective of the instance: no neighbour dropped."""
-    floor = -sum(
-        abs(w) * max(abs(l), abs(u)) for w, l, u in zip(inst.weight, inst.lower, inst.upper)
-    )
-    return lambda z: floor - 1
+    floor = objective_floor(inst)
+    return lambda z: floor
 
 
 def test_pruned_neighbours_change_no_walk(monkeypatch):
-    # tns drops only neighbours it could not choose, so every walk, trace
-    # included, equals one that optimizes every unvisited neighbour.
+    # tns drops only neighbours it could not choose, by their bound or by
+    # a learned cut, so every walk, trace included, equals one that
+    # optimizes every unvisited neighbour.
     # Weights of 0 and 1 on half of the varied cases make ties, so
     # neighbours whose bound equals the objective occur.
     compared = moved = 0
@@ -494,6 +512,7 @@ def test_pruned_neighbours_change_no_walk(monkeypatch):
                 pruned = None
             with monkeypatch.context() as patch:
                 patch.setattr(peritrope.search, "cycle_relaxation_bound", _never_prunes)
+                drop_learned_cuts(patch)
                 try:
                     expected = tns_restarts(*args)
                 except RetriesExhausted:
@@ -505,6 +524,12 @@ def test_pruned_neighbours_change_no_walk(monkeypatch):
     assert compared >= 190 and moved >= 70
 
 
+# (solved, empty) of each golden's three tns walks once the search reads
+# the cuts it learns; the parametrized counts are those of cut-free
+# replays, without the relaxation bound (unpruned) and with it.
+_TNS_WITH_CUTS = {"bench7": (2, 2), "mu6": (7, 7)}
+
+
 @pytest.mark.parametrize(
     "name, unpruned, unpruned_empty, solved, empty",
     [("bench7", 9, 16, 2, 2), ("mu6", 25, 90, 23, 28)],
@@ -513,18 +538,62 @@ def test_tns_optimizes_only_the_neighbours_that_can_be_chosen(
     monkeypatch, name, unpruned, unpruned_empty, solved, empty
 ):
     # A walk solves, and so tests for emptiness, only the steps that can
-    # still be chosen; without the bound it solves every step, empty or not.
+    # still be chosen; without the bound and the cuts it solves every
+    # step, empty or not.  Every replay takes the same walks.
     inst = parse_instance((GOLDEN / f"{name}.pesp").read_text())
     basis = default_basis(inst.graph)
-    solves, empties = count_polytrope_solves(monkeypatch, peritrope.search)
     walk = tns_restarts(inst, basis, 3, seed=1)
-    assert len(solves) == len(set(solves)) == solved
-    assert len(empties) == len(set(empties)) == empty
-    solves.clear()
-    empties.clear()
-    monkeypatch.setattr(peritrope.search, "cycle_relaxation_bound", _never_prunes)
+    replays = []
+    for bound in (_never_prunes, None):
+        with monkeypatch.context() as patch:
+            if bound is not None:
+                patch.setattr(peritrope.search, "cycle_relaxation_bound", bound)
+            drop_learned_cuts(patch)
+            solves, empties, _ = count_polytrope_solves(patch, peritrope.search)
+            assert tns_restarts(inst, basis, 3, seed=1) == walk
+            replays.append((len(solves), len(empties)))
+    assert replays == [(unpruned, unpruned_empty), (solved, empty)]
+    solves, empties, _ = count_polytrope_solves(monkeypatch, peritrope.search)
     assert tns_restarts(inst, basis, 3, seed=1) == walk
-    assert (len(solves), len(empties)) == (unpruned, unpruned_empty)
+    assert len(solves) == len(set(solves)) and len(empties) == len(set(empties))
+    assert (len(solves), len(empties)) == _TNS_WITH_CUTS[name]
+
+
+def _memo_walks(inst, basis, seeds):
+    """The cycle offsets that tns walks from ``initial_solution`` of each
+    seed, all sharing one ``OffsetMemo``, move to."""
+    memo = OffsetMemo(inst, basis)
+    moved = set()
+    for seed in seeds:
+        start = initial_solution(inst, seed=seed, basis=basis)
+        _, trace = tns(inst, basis, start, memo=memo)
+        moved.update(tuple(entry["z"]) for entry in trace[1:])
+    return moved
+
+
+@pytest.mark.parametrize("name", ["bench7", "mu6", "zero9"])
+def test_one_vertex_build_per_solution(monkeypatch, name):
+    # Only the offsets a caller takes get their vertex built, each once:
+    # the winner of solve_exact, the moves of tns walks that share a memo,
+    # and the nodes of neighbourhood_graph.  zero9's zero weights make every
+    # optimal face a whole polytrope, too large to build for every node.
+    inst = parse_instance((GOLDEN / f"{name}.pesp").read_text())
+    basis = default_basis(inst.graph)
+    _, _, vertices = count_polytrope_solves(monkeypatch, peritrope.search)
+
+    def built(run):
+        vertices.clear()
+        taken = set(run())
+        assert sorted(vertices) == sorted(offset_for(inst, basis, z) for z in taken)
+        return len(taken)
+
+    counts = [
+        built(lambda: [solve_exact(inst, basis).cycle_offset]),
+        built(lambda: _memo_walks(inst, basis, range(3))),
+    ]
+    if name != "zero9":
+        counts.append(built(lambda: neighbourhood_graph(inst, basis).nodes))
+    assert counts == {"bench7": [1, 1, 15], "mu6": [1, 3, 35], "zero9": [1, 0]}[name]
 
 
 def test_an_empty_relaxation_at_a_neighbour_is_an_invariant_violation(monkeypatch):
