@@ -31,8 +31,8 @@ def solve_exact(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP):
     ascending (bound, z) order to ``OffsetMemo.least_optimum``."""
     if basis is None:
         basis = default_basis(inst.graph)
+    points = box_points(inst, basis, cap=width_cap)
     memo = OffsetMemo(inst, basis)
-    points = box_points(inst, basis, width_cap, memo.box)
     # The points, by bound, as their ranks in the sorted box: eight bytes
     # a point, already ascending in z within each bound.
     ranks = {}

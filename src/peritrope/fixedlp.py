@@ -11,19 +11,18 @@ the polytrope for emptiness returns feasible potentials, and successive
 shortest paths keep them feasible, one Dijkstra on reduced costs per
 phase (Ahuja, Magnanti & Orlin, "Network Flows", 1993, ch. 9).
 
-A solve has two steps; ``minimize_over_polytrope`` runs both.  Step
-one, ``certified_optimum``, returns the optimum's value and its O(m)
-certificate, the potentials and the flow.  Only the edge costs depend
-on p, so that flow is feasible at every offset, and its dual value there
-is a cut: an affine lower bound on every other polytrope's optimum.
-Step two, ``optimal_vertex``, reads the optimal face off the kept
-potentials and flow: by complementary slackness it is the kappa
-constraints plus equality on every edge that carries flow, and the
-class kernel of ``polytropes`` takes its equality classes from its
-edges of reduced cost zero.  Ties break toward the lexicographically
-smallest normalized timetable among the face's vertices: a point is its
-own answer, and a larger face grows its vertices as the spanning trees
-of its classes' quotient graph with every arc doubled.
+``minimize_over_polytrope`` runs two steps.  ``certified_optimum``
+returns the optimum with its O(m) certificate, the potentials and the
+flow; only the edge costs depend on p, so the flow is feasible at every
+offset, and its dual value there is a cut, an affine lower bound on
+every other polytrope's optimum.  ``optimal_vertex`` reads the optimal
+face off both: by complementary slackness it is kappa plus equality on
+every edge that carries flow, whose equality classes the class kernel
+of ``polytropes`` takes from the edges of reduced cost zero.  Ties break
+toward the lexicographically smallest normalized timetable among the
+face's vertices: a point is its own answer, and a larger face grows its
+vertices as the spanning trees of its classes' quotient graph with
+every arc doubled.
 
 ``cycle_relaxation_bound`` bounds that optimum from below without
 solving: every tension of a polytrope with cycle offset z meets
@@ -62,13 +61,12 @@ class FixedOffsetResult(namedtuple("FixedOffsetResult", "timetable tension objec
 
 
 def _reduced_cost_flow(adjacency, cost, supply, phi):
-    """Flow per edge of a min-cost flow on the edges of ``adjacency`` (a
-    ``Digraph.doubled_adjacency``: edge k costs cost[k]), uncapacitated,
+    """Flow per edge of an uncapacitated min-cost flow on the edges of
+    ``adjacency``, a ``Digraph.doubled_adjacency`` (edge k costs cost[k]),
     where vertex v sends out supply[v] more than it takes in; the supplies
     sum to zero over every connected component.  ``phi`` holds feasible
     potentials (no edge of negative reduced cost c + phi_t - phi_h) and is
-    updated in place, so that on return every edge that carries flow has
-    reduced cost zero.
+    updated in place; on return every edge with flow has reduced cost 0.
 
     Successive shortest paths on reduced costs: each phase runs one
     Dijkstra (a linear scan per step, no heap) from every vertex with
@@ -166,9 +164,8 @@ def _least_face_vertex(inst, p, rep, delta):
 
 
 class PolytropeOptimum(namedtuple("PolytropeOptimum", "offset objective potentials flow cut")):
-    """Step one of a solve: the optimum, the potentials and flow that
-    certify it, and the cut (const, slope): the optimum at any offset p'
-    is at least const + T slope.p'."""
+    """Step one: the optimum, the potentials and flow that certify it, and
+    the cut (const, slope): the optimum at any p' is >= const + T slope.p'."""
 
     __slots__ = ()
 
@@ -216,12 +213,11 @@ def certified_optimum(inst, p, objective=None):
 
 def optimal_vertex(inst, optimum):
     """Step two: the least vertex of the optimal face of ``optimum``."""
-    g = inst.graph
     p = optimum.offset
-    classes = _face_classes(g.n, kappa(inst, p), optimum.potentials, optimum.flow)
+    classes = _face_classes(inst.graph.n, kappa(inst, p), optimum.potentials, optimum.flow)
     timetable, pi = _least_face_vertex(inst, p, *classes)
-    T = inst.period
-    x = tuple(pi[j] - pi[i] + T * p[a] for a, (i, j) in enumerate(g.arc_index_pairs))
+    pairs = inst.graph.arc_index_pairs
+    x = tuple(pi[j] - pi[i] + inst.period * p[a] for a, (i, j) in enumerate(pairs))
     return FixedOffsetResult(timetable, x, optimum.objective)
 
 
@@ -251,9 +247,8 @@ def cycle_relaxation_bound(inst, basis):
     at most its span.  The optimum is an integer vertex, so the relaxed
     value rounds up; the bound is the largest over the rows.  With one row
     the relaxation is the polytrope itself, and the bound is its optimum.
-
-    Each row's term depends on z_k alone, so it is tabled once over the
-    row's side of the box, and a call is one lookup per row.
+    Each row's term depends on z_k alone: it is tabled once over the row's
+    side of the box, and a call is one lookup per row.
     """
     start = [l if w >= 0 else u for w, l, u in zip(inst.weight, inst.lower, inst.upper)]
     base = sum(w * x for w, x in zip(inst.weight, start))

@@ -73,8 +73,7 @@ class Digraph(namedtuple("Digraph", "vertices arcs")):
         """(out, into) of the doubled graph of ``polytropes.kappa`` (edge a
         is arc a, edge m + a its reversal): (head, edge) per edge out of v
         in out[v], (tail, edge) per edge into v in into[v], in edge order."""
-        out = [[] for _ in self.vertices]
-        into = [[] for _ in self.vertices]
+        out, into = [[] for _ in self.vertices], [[] for _ in self.vertices]
         pairs = self.arc_index_pairs
         for k, (t, h) in enumerate(pairs + tuple((j, i) for i, j in pairs)):
             out[t].append((h, k))

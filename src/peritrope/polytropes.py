@@ -295,6 +295,16 @@ def offset_from_cycle_offset(basis, z):
     return tuple(p)
 
 
+def cycle_offset_form(basis, y):
+    """The linear form y of offset space in cycle-offset coordinates: (ty,
+    d) with y.p = ty.z / d for p = ``offset_from_cycle_offset(basis, z)``."""
+    _, d, entries = basis.cotree_frame
+    ty = [0] * basis.mu
+    for a, c, k in entries:
+        ty[k] += c * y[a]
+    return ty, d
+
+
 def offset_zero(inst):
     return (0,) * inst.graph.m
 

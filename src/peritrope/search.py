@@ -20,21 +20,23 @@ ties the best objective with a larger z, and the (objective, z) argmin
 survives.  Each solved offset's flow also gives a cut, a lower bound on
 every other offset's objective (``fixedlp.certified_optimum``), so an
 offset whose highest learned cut already loses the same way is skipped
-before any Bellman-Ford.  An offset that is solved gets one, which opens
-``certified_optimum``; an ``Infeasible`` there means "empty".  Only an
-offset a caller takes has its vertex built.
+before any Bellman-Ford, though one without an integer offset still
+raises the ValueError its solve would.  A solved offset gets one, which
+opens ``certified_optimum``; an ``Infeasible`` there means "empty".
+Only an offset a caller takes has its vertex built.
 
 ``OffsetMemo`` is the one owner of the per-offset answers of a solve:
 the bound of z, its certified optimum with its cut, its steps with their
 bounds, and the solution built from the optimum's vertex.  It holds the
 four invariant checks that the bounded search rests on (the relaxation
-rules out no box point, no optimum lies below its bound or below a
-learned cut, an optimum's vertex rebuilds into its own z and
-objective), so ``solve_exact``, ``tns`` and ``neighbourhood_graph`` all
-run them.  The answers depend only on the instance, the basis and z, so
-one memo keeps them for a whole solve: ``tns_restarts`` shares it
-between all its walks, and ``tns`` builds a fresh one when it is not
-given one.  The set of visited offsets stays per walk.
+rules out no box point, no optimum lies below its bound, its own cut or
+the cut ``least_optimum`` pruned by, an optimum's vertex rebuilds into
+its own z and objective), so ``solve_exact``, ``tns`` and
+``neighbourhood_graph`` all run them.  The answers depend only on the
+instance, the basis and z, so one memo keeps them for a whole solve:
+``tns_restarts`` shares it between all its walks, and ``tns`` builds a
+fresh one when it is not given one.  The set of visited offsets stays
+per walk.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .graphs import (
 )
 from .polytropes import (
     _require_length,
+    cycle_offset_form,
     normalize_timetable,
     offset_for,
     steps,
@@ -151,7 +154,7 @@ class OffsetMemo:
         self._optima = {}
         self._solutions = {}
         self._steps = {}
-        self._cuts = []  # (const, Ty): a learned cut is const + Ty.z / d at z
+        self._cuts = []  # (const, ty, d): a learned cut is const + ty.z / d at z
 
     def bound(self, z):
         """The ``cycle_relaxation_bound`` of z, or None off the box, where
@@ -172,39 +175,31 @@ class OffsetMemo:
             self._steps[z] = found
         return found
 
-    def _cut(self, z):
-        """The highest learned cut at z, rounded up; None before any."""
-        d = self.basis.cotree_frame[1]
-        cuts = (c - (-sum([a * b for a, b in zip(ty, z)]) // d) for c, ty in self._cuts)
-        return max(cuts, default=None)
+    def _cut(self, z, cuts):
+        """The highest of ``cuts`` at z, rounded up; None for none."""
+        return max((c - (-sum(map(int.__mul__, y, z)) // d) for c, y, d in cuts), default=None)
 
-    def optimum(self, z, lower):
-        """The certified polytrope optimum of z (``certified_optimum``), or
-        None when it is empty; ``lower`` is the bound of z.  Its cut joins
-        the learned ones, and an optimum below its bound or below a learned
-        cut, its own included, raises InvariantViolation."""
+    def optimum(self, z, lower, learned=None):
+        """The ``certified_optimum`` of z, or None when it is empty; ``lower``
+        is the bound of z and ``learned`` the highest cut learned before its
+        solve (None: unchecked).  An optimum below either or below its own
+        cut, which joins the learned ones, raises InvariantViolation."""
         if z not in self._optima:
             try:
                 found = certified_optimum(self.inst, offset_for(self.inst, self.basis, z))
             except Infeasible:
                 found = None
             if found is not None:
-                if found.objective < lower:
-                    raise InvariantViolation(
-                        f"the optimum of {z} (objective {found.objective}) is "
-                        f"below its cycle relaxation bound {lower}"
-                    )
-                const, slope = found.cut
-                ty = [0] * self.basis.mu
-                for a, c, k in self.basis.cotree_frame[2]:
-                    ty[k] += self.inst.period * c * slope[a]
-                self._cuts.append((const, ty))
-                cut = self._cut(z)
-                if found.objective < cut:
-                    raise InvariantViolation(
-                        f"the optimum of {z} (objective {found.objective}) is "
-                        f"below the learned cut {cut}"
-                    )
+                ty, d = cycle_offset_form(self.basis, found.cut[1])
+                self._cuts.append((found.cut[0], [self.inst.period * v for v in ty], d))
+                own = self._cut(z, self._cuts[-1:])
+                cut = own if learned is None else max(own, learned)
+                for floor, name in (lower, "its cycle relaxation bound"), (cut, "the learned cut"):
+                    if found.objective < floor:
+                        raise InvariantViolation(
+                            f"the optimum of {z} (objective {found.objective}) is "
+                            f"below {name} {floor}"
+                        )
             self._optima[z] = found
         return self._optima[z]
 
@@ -236,11 +231,14 @@ class OffsetMemo:
                     break
             elif limit is not None and lower > limit:
                 break
-            if z not in self._optima and (best is not None or limit is not None):
-                cut = self._cut(z)
-                if cut is not None and ((cut, z) > best if best is not None else cut > limit):
-                    continue
-            found = self.optimum(z, lower)
+            learned = None if z in self._optima else self._cut(z, self._cuts)
+            if learned is not None and (
+                (learned, z) > best if best is not None else limit is not None and learned > limit
+            ):
+                # a z with no integer offset raises here, as its solve would
+                offset_for(self.inst, self.basis, z)
+                continue
+            found = self.optimum(z, lower, learned)
             if found is None or (limit is not None and found.objective > limit):
                 continue
             if best is None or (found.objective, z) < best:
@@ -322,8 +320,8 @@ def neighbourhood_graph(inst, basis, width_cap=DEFAULT_WIDTH_CAP):
     Each ``box_points`` point is bounded and solved once through an
     ``OffsetMemo``, and an empty polytrope is no node, so one Bellman-Ford
     decides it."""
+    points = box_points(inst, basis, cap=width_cap)
     memo = OffsetMemo(inst, basis)
-    points = box_points(inst, basis, width_cap, memo.box)
     objective = {}
     for z in points:
         if memo.optimum(z, memo.bound(z)) is not None:

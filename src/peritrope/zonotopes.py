@@ -149,15 +149,14 @@ def scaled_point_in_zonotope(inst, basis, point):
     return tension_system_feasible(inst, offset_from_cycle_offset(basis, point))
 
 
-def box_points(inst, basis, cap=DEFAULT_WIDTH_CAP, ranges=None):
+def box_points(inst, basis, cap=DEFAULT_WIDTH_CAP):
     """The integer points of the box, an iterable in sorted order, without
     a feasibility test; raises EnumerationCapExceeded, before any point,
     when there are more than ``cap`` of them.  An empty basis has the one
-    point (), uncapped.  ``ranges``: the box's ``_box_integer_ranges``."""
+    point (), uncapped."""
     if basis.mu == 0:
         return ((),)
-    if ranges is None:
-        ranges = _box_integer_ranges(inst, basis)
+    ranges = _box_integer_ranges(inst, basis)
     count = math.prod(len(r) for r in ranges)
     if count > cap:
         raise EnumerationCapExceeded(f"box holds {count} integer points, cap is {cap}")

@@ -239,6 +239,29 @@ def test_solve_exact_runs_fourteen_bellman_fords_and_five_flows_on_mu6(monkeypat
     assert sol.objective == json.loads((GOLDEN / "mu6.solve.json").read_text())["objective"]
 
 
+def test_an_offset_a_cut_skips_still_needs_an_integer_offset(monkeypatch):
+    # A basis of determinant -2, where some box points have no integer
+    # offset and solving one raises ValueError.  The first optimum's cut
+    # skips such a point that the cut-free replay reaches by solving; the
+    # skip raises the same error, so the cuts change no outcome.
+    graph = Digraph(
+        ("v0", "v1", "v2"),
+        (("v0", "v1"), ("v2", "v1"), ("v0", "v2"), ("v2", "v0"), ("v1", "v0")),
+    )
+    inst = PespInstance(graph, 8, (6, 4, 2, 5, 5), (6, 11, 9, 8, 12), (2, 4, 4, 1, 4))
+    rows = ((1, -1, 1, 2, 0), (1, -1, -1, 0, 0), (0, 1, 0, -1, 1))
+    basis = CycleBasis(tuple(map(OrientedCycle, rows)))
+    assert basis.cotree_frame[1] == -2
+    for learn in (False, True):
+        with monkeypatch.context() as patch:
+            if not learn:
+                drop_learned_cuts(patch)
+            solves, empties, _ = count_polytrope_solves(patch, peritrope.search)
+            with pytest.raises(ValueError, match="no integer offset maps to this cycle offset"):
+                solve_exact(inst, basis)
+        assert (solves, empties) == ([(2, 1, 1, 0, 0)], [])
+
+
 @pytest.mark.parametrize("name", ["bench7", "mu6"])
 def test_a_zero_weight_instance_solves_the_box_up_to_its_first_nonempty_point(
     monkeypatch, name
