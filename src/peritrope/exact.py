@@ -1,11 +1,11 @@
 """Ground-truth solvers: optimize every polytrope that can win, or
 exhaust timetables.
 
-``solve_exact`` is exact but not exhaustive: it bounds every point of the
-box by the cycle relaxation, without a Bellman-Ford, and hands the
-points to the pruning policy described in ``search``, which solves only
-the ones that can still win.  One ``search.OffsetMemo`` answers every
-bound, optimum and rebuilt solution, and runs the invariant checks on
+``solve_exact`` is exact but not exhaustive: one best-first search over
+the prefixes of the box points, described in ``search``, solves only the
+offsets that can still win, and learns from each solve a cut or a row
+that prunes the rest.  One ``search.OffsetMemo`` answers every bound,
+optimum, row and rebuilt solution, and runs the invariant checks on
 them.  ``brute_force_timetable`` is deliberate brute force.  It anchors
 the heuristic and the geometry, so it shares nothing with the code it
 checks beyond the basic instance plumbing.
@@ -14,7 +14,6 @@ checks beyond the basic instance plumbing.
 from __future__ import annotations
 
 import itertools
-from array import array
 from collections import namedtuple
 
 from .errors import CrosscheckMismatch, EnumerationCapExceeded, Infeasible
@@ -26,37 +25,17 @@ from .zonotopes import DEFAULT_WIDTH_CAP, box_points
 
 def solve_exact(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP):
     """Global optimum over the nonempty polytropes; ties break toward the
-    smaller cycle offset.  The box points are bounded by
-    ``OffsetMemo.bound``, which rules out no box point, and passed in
-    ascending (bound, z) order to ``OffsetMemo.least_optimum``."""
+    smaller cycle offset.  The box is capped at ``width_cap`` points, as
+    ``lattice_points`` is, and searched from its root prefix () by
+    ``OffsetMemo.least_optimum``."""
     if basis is None:
         basis = default_basis(inst.graph)
-    points = box_points(inst, basis, cap=width_cap)
+    box_points(inst, basis, cap=width_cap)
     memo = OffsetMemo(inst, basis)
-    # The points, by bound, as their ranks in the sorted box: eight bytes
-    # a point, already ascending in z within each bound.
-    ranks = {}
-    for rank, z in enumerate(points):
-        lower = memo.bound(z)
-        if lower in ranks:
-            ranks[lower].append(rank)
-        else:
-            ranks[lower] = array("q", (rank,))
-    z = memo.least_optimum(
-        (lower, _box_point(memo.box, rank)) for lower in sorted(ranks) for rank in ranks[lower]
-    )
+    z = memo.least_optimum([(memo.bound(()), ())])
     if z is None:
         raise Infeasible("no feasible cycle offset: the zonotope holds no lattice point")
     return memo.solution(z)
-
-
-def _box_point(ranges, rank):
-    """The point of rank ``rank`` in the sorted box of these ranges."""
-    z = []
-    for r in reversed(ranges):
-        rank, i = divmod(rank, len(r))
-        z.append(r[i])
-    return tuple(reversed(z))
 
 
 def brute_force_timetable(inst, basis=None, max_vertices=5, max_period=30):

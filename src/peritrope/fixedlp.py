@@ -230,14 +230,15 @@ def cycle_relaxation_bound(inst, basis):
     """Lower bounds on the instance objective over the polytrope of each
     cycle offset, one basis row at a time.  Returns a function from z to
     an integer at most that polytrope's optimum, or to None when some row
-    proves the polytrope empty.
+    proves the polytrope empty.  Given a prefix of z, each row not yet
+    assigned adds its least term, so it is at most every completion's bound.
 
-    The contract: the bound is None exactly when z lies off the box
-    (``zonotopes.odijk_box``).  Row k's gap closes for every T z_k in the
-    range of gamma_k.x over the arc bounds, which is row k's side of the
-    box, and for no other.  So a caller needs no Bellman-Ford to confirm
-    that a ruled-out point is empty, and a box point ruled out raises
-    InvariantViolation there.
+    The contract: the bound is None exactly when z, or every completion of
+    a prefix, lies off the box (``zonotopes.odijk_box``).  Row k's gap
+    closes for every T z_k in the range of gamma_k.x over the arc bounds,
+    which is row k's side of the box, and for no other.  So a caller needs
+    no Bellman-Ford to confirm that a ruled-out point is empty, and a box
+    point ruled out raises InvariantViolation there.
 
     Row gamma of any basis of cycles keeps gamma.x = T z_k for every
     tension x of the offset, so min w.x over l <= x <= u under that one
@@ -288,8 +289,13 @@ def cycle_relaxation_bound(inst, basis):
                 table.append(0)
         rows.append((first, table))
 
+    least = [min(costs, default=None) for _, costs in rows]
+    if None in least:  # a row with no term: the box is empty
+        return lambda z: None
+    tail = [*itertools.accumulate(reversed(least), max, initial=0)][::-1]
+
     def bound(z):
-        worst = 0
+        worst = tail[len(z)]
         for (first, costs), zk in zip(rows, z):
             if not 0 <= zk - first < len(costs):
                 return None

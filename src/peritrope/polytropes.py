@@ -42,7 +42,7 @@ def _doubled_edges(inst, base):
     return forward + reverse
 
 
-def _potentials(n, edges, source=None):
+def _potentials(n, edges, source=None, parent=None):
     """Bellman-Ford over ``edges`` (tail, head, weight): shortest path
     lengths phi, with phi_j <= phi_i + w on every edge, or None when the
     edges hold a negative cycle.  With no ``source`` every vertex starts
@@ -50,21 +50,49 @@ def _potentials(n, edges, source=None):
     With a ``source`` it starts at 0 and the rest at the sum of the
     positive weights, above every path length, so on a strongly connected
     edge set (every kappa(p) of a connected instance) phi is the source's
-    row of the Kleene star."""
+    row of the Kleene star.  A dict ``parent`` gets, over n passes, the
+    (tail, weight) of the edge that lowered each vertex last, in that order."""
     if source is None:
         phi = [0] * n
     else:
         phi = [sum(w for _, _, w in edges if w > 0)] * n
         phi[source] = 0
-    for _ in range(n - 1):
+    for _ in range(n - 1 if parent is None else n):
         changed = False
         for i, j, w in edges:
             if phi[i] + w < phi[j]:
                 phi[j] = phi[i] + w
                 changed = True
+                if parent is not None:
+                    parent.pop(j, None)
+                    parent[j] = (i, w)
         if not changed:
             return phi
-    return None if any(phi[i] + w < phi[j] for i, j, w in edges) else phi
+    return None if parent is not None or any(phi[i] + w < phi[j] for i, j, w in edges) else phi
+
+
+def negative_cycle(inst, p):
+    """A negative cycle of kappa(inst, p) as an oriented cycle gamma, +1 on
+    the arcs whose forward copy it runs and -1 on those whose reverse copy
+    it runs, or None.  The vertex lowered last leads, by the edges that
+    lowered each vertex last, onto one of their cycles within n steps, and
+    each of those is negative (Cherkassky & Goldberg, 1999)."""
+    n, m = inst.graph.n, inst.graph.m
+    edges = kappa(inst, p)
+    parent = {}
+    if _potentials(n, edges, parent=parent) is not None:
+        return None
+    index = {edge: k for k, edge in enumerate(edges)}
+    v = next(reversed(parent))
+    for _ in range(n):  # onto the cycle
+        v = parent[v][0]
+    gamma = [0] * m
+    for _ in range(n):  # around it, as often as n steps go
+        t, w = parent[v]
+        k = index[t, v, w]
+        gamma[k % m] = 1 if k < m else -1
+        v = t
+    return tuple(gamma)
 
 
 def _face_classes(n, edges, phi, flow=None):

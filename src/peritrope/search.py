@@ -9,34 +9,31 @@ is not optimized: the walk keeps the start solution as given until a
 neighbour beats it, so a walk with no improving step returns the start,
 which can be worse than the optimum of its own class.
 
-The pruning policy.  ``solve_exact`` (every box point) and a ``tns``
-step (the steps of the current offset that the walk has not visited)
-hand ``OffsetMemo.least_optimum`` their offsets as (bound, z) pairs in
-ascending order of ``cycle_relaxation_bound``.  It solves them in that
-order and stops at the first (bound, z) above the best (objective, z)
-found (or at the first bound above the caller's limit while none is
-found): a later offset's objective is at least its bound, so at best it
-ties the best objective with a larger z, and the (objective, z) argmin
-survives.  Each solved offset's flow also gives a cut, a lower bound on
-every other offset's objective (``fixedlp.certified_optimum``), so an
-offset whose highest learned cut already loses the same way is skipped
-before any Bellman-Ford, though one without an integer offset still
-raises the ValueError its solve would.  A solved offset gets one, which
-opens ``certified_optimum``; an ``Infeasible`` there means "empty".
-Only an offset a caller takes has its vertex built.
+The search.  ``OffsetMemo.least_optimum`` runs one best-first search over
+prefixes of z, seeded by ``solve_exact`` with the root prefix () and by
+a ``tns`` step with the unvisited steps of the current offset.  A node's
+key is (lower, prefix): lower is the highest of the prefix's
+``cycle_relaxation_bound`` and each learned cut, the dual bound of a
+solved offset's flow (``fixedlp.certified_optimum``), at its least over
+the completions in the box.  A popped node is dropped when a learned
+row rules out all its completions, pushed back when cuts learned since
+raise its lower, expanded into the next box row, or, as a whole z,
+solved; an empty one's negative cycle becomes an Odijk row lo <= ty.z <=
+hi that every nonempty offset meets (Odijk, Transportation Research B
+30, 1996).  The search stops at the first key above the best (objective,
+z) found, or above the caller's limit while none is, so the argmin
+survives.  Only an offset a caller takes has its vertex built.
 
-``OffsetMemo`` is the one owner of the per-offset answers of a solve:
-the bound of z, its certified optimum with its cut, its steps with their
-bounds, and the solution built from the optimum's vertex.  It holds the
-four invariant checks that the bounded search rests on (the relaxation
-rules out no box point, no optimum lies below its bound, its own cut or
-the cut ``least_optimum`` pruned by, an optimum's vertex rebuilds into
-its own z and objective), so ``solve_exact``, ``tns`` and
-``neighbourhood_graph`` all run them.  The answers depend only on the
-instance, the basis and z, so one memo keeps them for a whole solve:
-``tns_restarts`` shares it between all its walks, and ``tns`` builds a
-fresh one when it is not given one.  The set of visited offsets stays
-per walk.
+``OffsetMemo`` owns the per-offset answers of a solve (bounds, optima
+with their cuts, steps, rows, solutions) and the invariant checks the
+search rests on: the relaxation rules out no box point or prefix, no
+optimum lies below its bound, its own cut or its key, a vertex rebuilds
+into its own z and objective, and a row rules out its own z but no
+offset solved nonempty.  So ``solve_exact``, ``tns`` and
+``neighbourhood_graph`` all run them.  One memo keeps the answers, which
+depend only on the instance, the basis and z, for a whole solve:
+``tns_restarts`` shares it between its walks, and ``tns`` builds a fresh
+one when it is not given one.  The set of visited offsets stays per walk.
 """
 
 from __future__ import annotations
@@ -44,6 +41,7 @@ from __future__ import annotations
 import json
 import random
 from collections import namedtuple
+from heapq import heappop, heappush
 
 from .errors import EnumerationCapExceeded, Infeasible, InvariantViolation, RetriesExhausted
 from .fixedlp import certified_optimum, cycle_relaxation_bound, optimal_vertex
@@ -57,12 +55,13 @@ from .graphs import (
 from .polytropes import (
     _require_length,
     cycle_offset_form,
+    negative_cycle,
     normalize_timetable,
     offset_for,
     steps,
     timetable_to_tension,
 )
-from .zonotopes import DEFAULT_WIDTH_CAP, _box_integer_ranges, box_points
+from .zonotopes import DEFAULT_WIDTH_CAP, _box_integer_ranges, box_points, odijk_range
 
 
 class Solution(namedtuple("Solution", "timetable tension periodic_offset cycle_offset objective")):
@@ -139,29 +138,37 @@ class TreePool:
 class OffsetMemo:
     """The one place that answers, per cycle offset z of one instance and
     basis, the questions of a bounded search: the bound of z, its
-    certified polytrope optimum (None when it is empty) and the cut it
-    leaves, the steps of z with their bounds, and the solution at the
+    certified polytrope optimum (None when it is empty) and the cut or
+    row it leaves, the steps of z with their bounds, and the solution at the
     optimum's vertex, each checked against the invariant it rests on.
     The answers are computed on first use and kept; they depend on (inst,
     basis, z) only, so every answer is exact.  Build one per solve; it
-    grows with the offsets that solve visits."""
+    grows with the offsets that solve visits.  A basis that is not
+    integral raises ValueError before any solve."""
 
     def __init__(self, inst, basis):
+        d = abs(basis.cotree_frame[1]) if basis.mu else 1
+        if d != 1:
+            raise ValueError(f"basis is not integral: its co-tree minors have |det| {d}, not 1")
         self.inst = inst
         self.basis = basis
         self.box = _box_integer_ranges(inst, basis)
         self._bound = cycle_relaxation_bound(inst, basis)
+        self._top = sum(max(w * l, w * u) for w, l, u in zip(inst.weight, inst.lower, inst.upper))
         self._optima = {}
         self._solutions = {}
         self._steps = {}
-        self._cuts = []  # (const, ty, d): a learned cut is const + ty.z / d at z
+        # Learned forms (ty, low, high, lo, hi, const), low[k] and high[k] the
+        # least and greatest ty.z over box rows k..: a cut, objective >= const
+        # + ty.z, or a row (const None), lo <= ty.z <= hi if z is nonempty.
+        self._forms = []
 
     def bound(self, z):
-        """The ``cycle_relaxation_bound`` of z, or None off the box, where
-        z is empty; a point of the box it rules out breaks its contract
-        and raises InvariantViolation."""
+        """The ``cycle_relaxation_bound`` of z or of a prefix of z, or None
+        off the box, where z is empty; a box point or prefix it rules out
+        breaks its contract and raises InvariantViolation."""
         lower = self._bound(z)
-        if lower is None and all(v in r for v, r in zip(z, self.box)):
+        if lower is None and all(self.box) and all(v in r for v, r in zip(z, self.box)):
             raise InvariantViolation(f"the cycle relaxation rules out {z}, a point of the box")
         return lower
 
@@ -175,14 +182,19 @@ class OffsetMemo:
             self._steps[z] = found
         return found
 
-    def _cut(self, z, cuts):
-        """The highest of ``cuts`` at z, rounded up; None for none."""
-        return max((c - (-sum(map(int.__mul__, y, z)) // d) for c, y, d in cuts), default=None)
+    def _form(self, ty, lo=None, hi=None, const=None):
+        """Learn the form ty with these ends and constant (see __init__)."""
+        low, high = [0], [0]
+        for t, r in zip(reversed(ty), reversed(self.box)):
+            a, b = (t * r[0], t * r[-1]) if t >= 0 else (t * r[-1], t * r[0])
+            low.append(low[-1] + a)
+            high.append(high[-1] + b)
+        self._forms.append((ty, low[::-1], high[::-1], lo, hi, const))
 
     def optimum(self, z, lower, learned=None):
         """The ``certified_optimum`` of z, or None when it is empty; ``lower``
-        is the bound of z and ``learned`` the highest cut learned before its
-        solve (None: unchecked).  An optimum below either or below its own
+        is the bound of z and ``learned`` a bound from the cuts learned before
+        its solve (None: unchecked).  An optimum below either or below its own
         cut, which joins the learned ones, raises InvariantViolation."""
         if z not in self._optima:
             try:
@@ -191,8 +203,9 @@ class OffsetMemo:
                 found = None
             if found is not None:
                 ty, d = cycle_offset_form(self.basis, found.cut[1])
-                self._cuts.append((found.cut[0], [self.inst.period * v for v in ty], d))
-                own = self._cut(z, self._cuts[-1:])
+                ty = [self.inst.period * d * v for v in ty]
+                self._form(ty, const=found.cut[0])
+                own = found.cut[0] + sum(map(int.__mul__, ty, z))
                 cut = own if learned is None else max(own, learned)
                 for floor, name in (lower, "its cycle relaxation bound"), (cut, "the learned cut"):
                     if found.objective < floor:
@@ -202,6 +215,32 @@ class OffsetMemo:
                         )
             self._optima[z] = found
         return self._optima[z]
+
+    def _learn_row(self, z):
+        """Learn the Odijk row of a negative cycle of the empty offset z; a row
+        that leaves z open or rules out a nonempty one raises InvariantViolation."""
+        gamma = negative_cycle(self.inst, offset_for(self.inst, self.basis, z))
+        ty, d = cycle_offset_form(self.basis, gamma)
+        lo, hi = odijk_range(self.inst, gamma)
+        ty, lo, hi = [d * v for v in ty], -(-lo // self.inst.period), hi // self.inst.period
+        if lo <= sum(map(int.__mul__, ty, z)) <= hi:
+            raise InvariantViolation(f"the row learned at the empty offset {z} leaves it open")
+        for z2, found in self._optima.items():
+            if found is not None and not lo <= sum(map(int.__mul__, ty, z2)) <= hi:
+                raise InvariantViolation(f"the row of {z} rules out {z2}, which is nonempty")
+        self._form(ty, lo, hi)
+
+    def _node(self, prefix, relax, sums):
+        """The heap entry (lower, prefix, relax, sums) of a prefix whose sums
+        ty.prefix of the learned forms are ``sums``, or None when a row rules
+        out all its completions."""
+        k, lower = len(prefix), relax
+        for s, (_, low, high, lo, hi, const) in zip(sums, self._forms):
+            if const is not None:
+                lower = max(lower, const + s + low[k])
+            elif s + low[k] > hi or s + high[k] < lo:
+                return None
+        return lower, prefix, relax, sums
 
     def solution(self, z):
         """The Solution at the vertex of z's optimum, built on first use;
@@ -220,30 +259,38 @@ class OffsetMemo:
             self._solutions[z] = sol
         return sol
 
-    def least_optimum(self, candidates, limit=None):
-        """The (objective, z) least z with a nonempty polytrope over the
-        ascending (lower, z) ``candidates`` with an objective of at most
-        ``limit`` (None: any), or None; the pruning policy above."""
-        best = None  # (objective, z)
-        for lower, z in candidates:
-            if best is not None:
-                if (lower, z) > best:
-                    break
-            elif limit is not None and lower > limit:
-                break
-            learned = None if z in self._optima else self._cut(z, self._cuts)
-            if learned is not None and (
-                (learned, z) > best if best is not None else limit is not None and learned > limit
-            ):
-                # a z with no integer offset raises here, as its solve would
-                offset_for(self.inst, self.basis, z)
+    def least_optimum(self, nodes, limit=None):
+        """The (objective, z) least z with a nonempty polytrope and an
+        objective of at most ``limit`` (None: any) among the box points that
+        complete the (bound, prefix) ``nodes``, or None; the search above."""
+        # above every (objective, z) within the limit; _top is the greatest w.x
+        start = best = ((self._top if limit is None else limit) + 1, ())
+        heap = sorted((b, p, b, []) for b, p in nodes if b is not None)  # sorted: a heap
+        while heap and heap[0] < best:  # its (lower, prefix) is below best
+            lower, prefix, relax, sums = heappop(heap)
+            fresh = prefix not in self._optima  # a whole z solved before has its objective
+            if fresh and len(sums) < len(self._forms):  # forms learned since its push
+                sums += [sum(map(int.__mul__, f[0], prefix)) for f in self._forms[len(sums) :]]
+                entry = self._node(prefix, relax, sums)
+                if entry is None or entry[0] > lower:
+                    if entry is not None:
+                        heappush(heap, entry)
+                    continue
+            k = len(prefix)
+            if k == len(self.box):
+                if fresh and self.optimum(prefix, relax, lower) is None:
+                    self._learn_row(prefix)
+                found = self._optima[prefix]
+                if found is not None and (found.objective, prefix) < best:
+                    best = (found.objective, prefix)
                 continue
-            found = self.optimum(z, lower, learned)
-            if found is None or (limit is not None and found.objective > limit):
-                continue
-            if best is None or (found.objective, z) < best:
-                best = (found.objective, z)
-        return None if best is None else best[1]
+            coefficients = [(s, f[0][k]) for s, f in zip(sums, self._forms)]
+            for v in self.box[k]:
+                child = prefix + (v,)
+                entry = self._node(child, self.bound(child), [s + t * v for s, t in coefficients])
+                if entry is not None and entry < best:
+                    heappush(heap, entry)
+        return None if best is start else best[1]
 
 
 def tns(inst, basis, start, max_iterations=100, memo=None):

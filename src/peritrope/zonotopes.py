@@ -101,16 +101,16 @@ def odijk_box(inst, basis):
     row k spans [sum of lower bounds along the cycle minus upper bounds
     against it, and vice versa].  The box is the tightest axis-aligned one
     containing the zonotope."""
-    box = []
-    for row in basis.gamma:
-        lo = sum(
-            s * (inst.lower[a] if s > 0 else inst.upper[a]) for a, s in enumerate(row) if s
-        )
-        hi = sum(
-            s * (inst.upper[a] if s > 0 else inst.lower[a]) for a, s in enumerate(row) if s
-        )
-        box.append((lo, hi))
-    return tuple(box)
+    return tuple(odijk_range(inst, row) for row in basis.gamma)
+
+
+def odijk_range(inst, row):
+    """(lo, hi), the range of row.x over the arc bounds: for an oriented
+    cycle, every periodic tension meets lo <= T (row.p) <= hi, Odijk's
+    cycle inequality."""
+    lo = sum(s * (inst.lower[a] if s > 0 else inst.upper[a]) for a, s in enumerate(row) if s)
+    hi = sum(s * (inst.upper[a] if s > 0 else inst.lower[a]) for a, s in enumerate(row) if s)
+    return lo, hi
 
 
 def _box_integer_ranges(inst, basis):

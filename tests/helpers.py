@@ -304,6 +304,13 @@ def drop_learned_cuts(monkeypatch):
     monkeypatch.setattr(peritrope.search, "certified_optimum", cut_free)
 
 
+def drop_learned_rows(monkeypatch):
+    """Patch ``OffsetMemo`` to learn no Odijk row from an empty offset: the
+    search prunes by the relaxation bound and the learned cuts alone, with
+    no Bellman-Ford beyond the solves."""
+    monkeypatch.setattr(peritrope.search.OffsetMemo, "_learn_row", lambda memo, z: None)
+
+
 def check_certificate(inst, p, found, objective=None):
     """Problems with the certificate of a ``certified_optimum`` result
     ``found`` at offset p, or [] when it proves its objective optimal.
@@ -368,9 +375,9 @@ def count_bellman_ford(monkeypatch):
     honest = peritrope.polytropes._potentials
     runs = []
 
-    def counting(n, edges, source=None):
+    def counting(n, edges, source=None, parent=None):
         runs.append((n, source))
-        return honest(n, edges, source)
+        return honest(n, edges, source, parent)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "peritrope" and getattr(module, "_potentials", None) is honest:

@@ -459,6 +459,26 @@ def test_solve_polytropes_and_render_goldens_are_byte_identical(
         assert trace.read_bytes() == (GOLDEN / f"{instance}.{golden}l").read_bytes()
 
 
+@pytest.mark.parametrize("instance", ["s8800", "l5"])
+def test_frontier_solves_are_byte_identical(instance, monkeypatch, capsys):
+    """``tests/golden/<instance>.solve.json`` is the stdout of ``solve
+    --cap-width 1000000`` on instances whose boxes are above the default
+    cap.  s8800 is the scaling instance of seed 8800: ``PERIOD 12`` and
+    one ``ARC v<i> v<j> l u w`` line per arc, the arcs from
+    ``bench/gen.random_arcs(rng, 18, 27)`` and then the bounds from
+    ``random_bounds(rng, 27)``, with ``rng = random.Random(8800)`` (mu =
+    10, width 12,288).  l5 is the line-shaped instance of seed 5, whose
+    recipe (three lines of five stops with driving, dwell and transfer
+    arcs, period 20) is in ROADMAP.md and CHANGES.md (mu = 10, width
+    17,496).  On s8800 the search runs at most 30
+    Bellman-Fords, the extractions of its learned rows included, where a
+    scan of the box runs one a point."""
+    runs = count_bellman_ford(monkeypatch)
+    assert main(["solve", str(GOLDEN / f"{instance}.pesp"), "--cap-width", "1000000"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{instance}.solve.json").read_text()
+    assert instance != "s8800" or len(runs) <= 30
+
+
 def test_ratio_formats_like_a_fraction():
     """Translations and box ends are written as v/T by one gcd, in the form
     ``str(Fraction(v, T))`` gives, negatives and integers included."""

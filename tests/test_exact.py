@@ -32,6 +32,7 @@ from helpers import (
     count_bellman_ford,
     count_polytrope_solves,
     drop_learned_cuts,
+    drop_learned_rows,
     random_bases,
     random_instance,
     solve_exact_by_full_scan,
@@ -194,9 +195,11 @@ def test_solve_exact_matches_the_full_scan():
     assert solved >= 150 and non_fundamental >= 30 and graded >= 40
 
 
-# (solved, empty) of each golden's solve_exact once the search reads the
-# cuts it learns; the parametrized counts are those of the cut-free replay.
+# (solved, empty) of each golden's solve_exact: a row-free replay that
+# reads the learned cuts, and the search with its learned rows as well.
+# The parametrized counts are those of the cut-free, row-free replay.
 _WITH_CUTS = {"bench7": (2, 4), "mu6": (5, 9)}
+_WITH_ROWS = {"bench7": (2, 2), "mu6": (5, 4)}
 
 
 @pytest.mark.parametrize(
@@ -207,43 +210,61 @@ def test_solve_exact_optimizes_only_the_offsets_that_can_win(
 ):
     # Each offset that can still win is solved once; the empty ones among
     # them are found by that solve, not by a scan of the box.  Replayed
-    # without learned cuts, the relaxation bound alone prunes, and the
-    # search reaches the same argmin with more solves.
+    # without learned cuts and rows, the relaxation bound alone prunes, and
+    # the search reaches the same argmin with more solves; each empty
+    # offset's row then rules out offsets that the row-free replay solves.
     inst = parse_instance((GOLDEN / f"{name}.pesp").read_text())
     basis = default_basis(inst.graph)
     assert len(lattice_points(inst, basis)) == scanned
-    with monkeypatch.context() as patch:
-        drop_learned_cuts(patch)
-        solves, empties, _ = count_polytrope_solves(patch, peritrope.search)
-        replayed = solve_exact(inst, basis)
-    assert replayed == solve_exact_by_full_scan(inst, basis)
-    assert len(solves) == len(set(solves)) == solved
-    assert len(empties) == len(set(empties)) == empty
+    counts = []
+    for learn_cuts in (False, True):
+        with monkeypatch.context() as patch:
+            if not learn_cuts:
+                drop_learned_cuts(patch)
+            drop_learned_rows(patch)
+            solves, empties, _ = count_polytrope_solves(patch, peritrope.search)
+            replayed = solve_exact(inst, basis)
+        assert replayed == solve_exact_by_full_scan(inst, basis)
+        assert len(set(solves)) == len(solves) and len(set(empties)) == len(empties)
+        counts.append((len(solves), len(empties)))
+    assert counts == [(solved, empty), _WITH_CUTS[name]]
     solves, empties, vertices = count_polytrope_solves(monkeypatch, peritrope.search)
     assert solve_exact(inst, basis) == replayed
-    assert (len(solves), len(empties)) == _WITH_CUTS[name]
+    assert (len(solves), len(empties)) == _WITH_ROWS[name]
     assert len(set(solves)) == len(solves) and len(set(empties)) == len(empties)
     assert vertices == [offset_for(inst, basis, replayed.cycle_offset)]
 
 
-def test_solve_exact_runs_fourteen_bellman_fords_and_five_flows_on_mu6(monkeypatch):
-    # The cut-free replay runs 42 Bellman-Fords and 16 flows.
+def test_solve_exact_runs_thirteen_bellman_fords_and_five_flows_on_mu6(monkeypatch):
+    # The cut-free, row-free replay runs 42 Bellman-Fords and 16 flows, the
+    # row-free one 14 and 5.  Rows save five empty solves and cost one
+    # extraction for each of the four that are left.
     inst = parse_instance((GOLDEN / "mu6.pesp").read_text())
-    runs = count_bellman_ford(monkeypatch)
-    honest, flows = peritrope.fixedlp._reduced_cost_flow, []
-    monkeypatch.setattr(
-        peritrope.fixedlp, "_reduced_cost_flow", lambda *args: flows.append(args) or honest(*args)
-    )
-    sol = solve_exact(inst, default_basis(inst.graph))
-    assert (len(runs), len(flows)) == (14, 5)
-    assert sol.objective == json.loads((GOLDEN / "mu6.solve.json").read_text())["objective"]
+    basis = default_basis(inst.graph)
+    honest, counts = peritrope.fixedlp._reduced_cost_flow, []
+    for learn in ("nothing", "cuts", "cuts and rows"):
+        with monkeypatch.context() as patch:
+            if learn == "nothing":
+                drop_learned_cuts(patch)
+            if learn != "cuts and rows":
+                drop_learned_rows(patch)
+            runs, flows = count_bellman_ford(patch), []
+            patch.setattr(
+                peritrope.fixedlp,
+                "_reduced_cost_flow",
+                lambda *args: flows.append(args) or honest(*args),
+            )
+            sol = solve_exact(inst, basis)
+        counts.append((len(runs), len(flows)))
+        assert sol.objective == json.loads((GOLDEN / "mu6.solve.json").read_text())["objective"]
+    assert counts == [(42, 16), (14, 5), (13, 5)]
 
 
 def test_an_offset_a_cut_skips_still_needs_an_integer_offset(monkeypatch):
     # A basis of determinant -2, where some box points have no integer
-    # offset and solving one raises ValueError.  The first optimum's cut
-    # skips such a point that the cut-free replay reaches by solving; the
-    # skip raises the same error, so the cuts change no outcome.
+    # offset.  Which of them a search reaches depends on what it learned
+    # first, so the memo refuses the basis before any solve, with or
+    # without learned cuts.
     graph = Digraph(
         ("v0", "v1", "v2"),
         (("v0", "v1"), ("v2", "v1"), ("v0", "v2"), ("v2", "v0"), ("v1", "v0")),
@@ -257,9 +278,15 @@ def test_an_offset_a_cut_skips_still_needs_an_integer_offset(monkeypatch):
             if not learn:
                 drop_learned_cuts(patch)
             solves, empties, _ = count_polytrope_solves(patch, peritrope.search)
-            with pytest.raises(ValueError, match="no integer offset maps to this cycle offset"):
+            runs = count_bellman_ford(patch)
+            with pytest.raises(ValueError, match=r"^basis is not integral: .* \|det\| 2, not 1$"):
                 solve_exact(inst, basis)
-        assert (solves, empties) == ([(2, 1, 1, 0, 0)], [])
+        assert (solves, empties, runs) == ([], [], [])
+
+
+# The empty offsets each golden's zero-weight solve finds: in the row-free
+# replay, every box point before the first nonempty one, and with rows.
+_ZERO_WEIGHT_EMPTIES = {"bench7": (9, 4), "mu6": (26, 3)}
 
 
 @pytest.mark.parametrize("name", ["bench7", "mu6"])
@@ -268,18 +295,26 @@ def test_a_zero_weight_instance_solves_the_box_up_to_its_first_nonempty_point(
 ):
     # Every bound is 0, so once a point solves to 0 a later one could only
     # tie it with a larger z: the box points after the first nonempty one
-    # are never solved.
+    # are never solved.  The row-free replay solves every box point before
+    # it; with rows, each empty one rules out some of those after it.
     inst = parse_instance((GOLDEN / f"{name}.pesp").read_text())
     inst = inst._replace(weight=(0,) * inst.graph.m)
     basis = default_basis(inst.graph)
     points = list(box_points(inst, basis))
     first = points.index(lattice_points(inst, basis)[0])
     assert 0 < first < len(points) - 1
-    solves, empties, _ = count_polytrope_solves(monkeypatch, peritrope.search)
-    assert solve_exact(inst, basis) == solve_exact_by_full_scan(inst, basis)
-    assert solves[:1] == [offset_for(inst, basis, points[first])]
-    assert solves[1:] == []
-    assert empties == [offset_for(inst, basis, z) for z in points[:first]]
+    expected = solve_exact_by_full_scan(inst, basis)
+    before = [offset_for(inst, basis, z) for z in points[:first]]
+    for learn_rows in (False, True):
+        with monkeypatch.context() as patch:
+            if not learn_rows:
+                drop_learned_rows(patch)
+            solves, empties, _ = count_polytrope_solves(patch, peritrope.search)
+            assert solve_exact(inst, basis) == expected
+        assert solves == [offset_for(inst, basis, points[first])]
+        assert empties == sorted(empties, key=before.index)
+        assert len(empties) == _ZERO_WEIGHT_EMPTIES[name][learn_rows]
+    assert _ZERO_WEIGHT_EMPTIES[name][0] == len(before)
 
 
 def test_an_empty_relaxation_at_a_lattice_point_is_an_invariant_violation(monkeypatch):

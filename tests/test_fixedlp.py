@@ -611,6 +611,34 @@ def test_cycle_relaxation_bound_matches_the_fraction_reference(seed, pick, data)
         assert bound(z) == reference(z), z
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(0, 3))
+def test_a_prefix_bound_is_at_most_every_completion_and_none_exactly_off_the_box(seed, pick):
+    # Every prefix of every point of the box grown by one along each axis,
+    # under fundamental, permuted, unimodular and rational bases, against
+    # the fraction reference's bound of each box point that completes it.
+    rng = random.Random(seed)
+    inst = varied_instance(rng)
+    basis = default_basis(inst.graph)
+    if basis.mu >= 2:
+        basis = random_bases(rng, inst.graph)[pick]
+    box = _box_integer_ranges(inst, basis)
+    reference = cycle_relaxation_bound_by_fractions(inst, basis)
+    least = {}  # the least reference bound over the completions of a prefix
+    for z in itertools.product(*box):
+        for k in range(len(z) + 1):
+            least[z[:k]] = min(least.get(z[:k], reference(z)), reference(z))
+    bound = cycle_relaxation_bound(inst, basis)
+    grown = [range(r.start - 1, r.stop + 1) for r in box]
+    for k in range(len(grown) + 1):
+        for prefix in itertools.product(*grown[:k]):
+            if prefix in least:
+                assert bound(prefix) <= least[prefix], prefix
+            else:
+                assert bound(prefix) is None, prefix
+    assert all(bound(z) == reference(z) for z in itertools.product(*box))
+
+
 def _certificate_cases():
     """(inst, p, objective) of every optimum of the property corpus
     (``random_corpus(100)``, instance weights, every lattice point) and of

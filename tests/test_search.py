@@ -24,6 +24,7 @@ from peritrope import (
     neighbourhood_graph,
     offset_for,
     parse_instance,
+    polytrope_nonempty,
     solution_from_timetable,
     solve_exact,
     tns,
@@ -33,11 +34,14 @@ from peritrope import (
     width,
 )
 from peritrope.fixedlp import cycle_relaxation_bound
+from peritrope.zonotopes import box_points
 from helpers import (
     count_bellman_ford,
     count_polytrope_solves,
     drop_learned_cuts,
+    drop_learned_rows,
     objective_floor,
+    random_corpus,
     random_bases,
     random_instance,
     solve_exact_by_box_scan,
@@ -381,6 +385,75 @@ def test_every_caller_runs_every_offset_check(monkeypatch, caller, fault):
         _CALLERS[caller](inst, basis)
 
 
+@pytest.mark.parametrize("caller", ["solve_exact", "tns_restarts"])
+def test_a_row_that_leaves_its_own_offset_open_is_an_invariant_violation(monkeypatch, caller):
+    # A zero vector in place of the negative cycle gives the row 0 <= 0 <= 0,
+    # which every offset meets, the empty one it was learned at included.
+    inst = parse_instance((GOLDEN / "mu6.pesp").read_text())
+    basis = default_basis(inst.graph)
+    monkeypatch.setattr(peritrope.search, "negative_cycle", lambda inst, p: (0,) * len(p))
+    run = {"solve_exact": solve_exact, "tns_restarts": lambda i, b: tns_restarts(i, b, 3, seed=1)}
+    with pytest.raises(InvariantViolation, match=r"learned at the empty offset .* leaves it open$"):
+        run[caller](inst, basis)
+
+
+def test_a_row_that_rules_out_a_nonempty_offset_is_an_invariant_violation(monkeypatch):
+    # The range (1, 0) holds no multiple of the period, so the row rules out
+    # every offset.  The first walk on mu6 solves nonempty offsets before
+    # its first empty one, whose row then rules them out.
+    inst = parse_instance((GOLDEN / "mu6.pesp").read_text())
+    basis = default_basis(inst.graph)
+    monkeypatch.setattr(peritrope.search, "odijk_range", lambda inst, row: (1, 0))
+    with pytest.raises(InvariantViolation, match=r"rules out .*, which is nonempty$"):
+        tns_restarts(inst, basis, 3, seed=1)
+
+
+def test_every_learned_row_is_an_oriented_cycle_that_rules_out_only_empty_offsets(monkeypatch):
+    # On the property corpus the memo solves every box point in box order
+    # and learns a row at each empty one.  Each row comes from an oriented
+    # cycle of the graph (entries +-1, incidence 0 at every vertex) that
+    # is negative at its offset, and every box point it rules out is empty.
+    cycles = []
+    honest = peritrope.search.negative_cycle
+
+    def recorded(inst, p):
+        cycles.append(honest(inst, p))
+        return cycles[-1]
+
+    monkeypatch.setattr(peritrope.search, "negative_cycle", recorded)
+    learned = ruled_out = 0
+    for inst, basis, _, _ in random_corpus(100):
+        T, pairs = inst.period, inst.graph.arc_index_pairs
+        memo = OffsetMemo(inst, basis)
+        points = list(box_points(inst, basis))
+        empty = {z for z in points if not polytrope_nonempty(inst, offset_for(inst, basis, z))}
+        cycles.clear()
+        for z in points:
+            if memo.optimum(z, memo.bound(z)) is None:
+                memo._learn_row(z)
+        rows = [form for form in memo._forms if form[5] is None]
+        assert len(cycles) == len(rows) == len(empty)
+        for z, gamma, (ty, _, _, lo, hi, _) in zip(sorted(empty), cycles, rows):
+            assert set(gamma) <= {-1, 0, 1} and any(gamma)
+            net = [0] * inst.graph.n
+            for g, (i, j) in zip(gamma, pairs):
+                net[i] -= g
+                net[j] += g
+            assert not any(net)
+            p = offset_for(inst, basis, z)
+            length = sum(
+                inst.upper[a] - T * p[a] if g > 0 else T * p[a] - inst.lower[a]
+                for a, g in enumerate(gamma)
+                if g
+            )
+            assert length < 0
+            out = [y for y in points if not lo <= sum(map(int.__mul__, ty, y)) <= hi]
+            assert z in out and set(out) <= empty
+            ruled_out += len(out)
+        learned += len(cycles)
+    assert learned >= 180 and ruled_out >= 1500
+
+
 def _restart_instances(count):
     """Seeded random instances with 5 to 7 events, each with its default
     basis."""
@@ -443,11 +516,13 @@ def test_each_offset_is_solved_once_per_restart_solve(monkeypatch):
         return peritrope.polytropes.steps(basis, z)
 
     monkeypatch.setattr(peritrope.search, "steps", steps)
-    totals = {}
-    for replay in (True, False):
+    totals = []
+    for learn in ("nothing", "cuts", "cuts and rows"):
         with monkeypatch.context() as patch:
-            if replay:
+            if learn == "nothing":
                 drop_learned_cuts(patch)
+            if learn != "cuts and rows":
+                drop_learned_rows(patch)
             certified = peritrope.search.certified_optimum
             patch.setattr(peritrope.search, "certified_optimum", optimum)
             solves = solved_total = repeated_without_sharing = 0
@@ -468,9 +543,10 @@ def test_each_offset_is_solved_once_per_restart_solve(monkeypatch):
                 solved_total += len(solved)
         assert solves >= 10
         assert repeated_without_sharing > 0
-        totals[replay] = solved_total
-    # Learned cuts skip 10 of the 33 solves the cut-free replay makes.
-    assert (totals[True], totals[False]) == (33, 23)
+        totals.append(solved_total)
+    # Learned cuts skip 10 of the 33 solves the replay without cuts and
+    # rows makes, and learned rows 4 of the 23 left.
+    assert totals == [33, 23, 19]
 
 
 def test_a_memo_serves_only_its_own_instance_and_basis():
@@ -489,9 +565,9 @@ def _never_prunes(inst, basis):
 
 
 def test_pruned_neighbours_change_no_walk(monkeypatch):
-    # tns drops only neighbours it could not choose, by their bound or by
-    # a learned cut, so every walk, trace included, equals one that
-    # optimizes every unvisited neighbour.
+    # tns drops only neighbours it could not choose, by their bound, by a
+    # learned cut or by a learned row, so every walk, trace included,
+    # equals one that optimizes every unvisited neighbour.
     # Weights of 0 and 1 on half of the varied cases make ties, so
     # neighbours whose bound equals the objective occur.
     compared = moved = 0
@@ -513,6 +589,7 @@ def test_pruned_neighbours_change_no_walk(monkeypatch):
             with monkeypatch.context() as patch:
                 patch.setattr(peritrope.search, "cycle_relaxation_bound", _never_prunes)
                 drop_learned_cuts(patch)
+                drop_learned_rows(patch)
                 try:
                     expected = tns_restarts(*args)
                 except RetriesExhausted:
@@ -524,10 +601,12 @@ def test_pruned_neighbours_change_no_walk(monkeypatch):
     assert compared >= 190 and moved >= 70
 
 
-# (solved, empty) of each golden's three tns walks once the search reads
-# the cuts it learns; the parametrized counts are those of cut-free
-# replays, without the relaxation bound (unpruned) and with it.
+# (solved, empty) of each golden's three tns walks: a row-free replay that
+# reads the learned cuts, and the search with its learned rows as well.
+# The parametrized counts are those of replays without cuts and rows,
+# without the relaxation bound (unpruned) and with it.
 _TNS_WITH_CUTS = {"bench7": (2, 2), "mu6": (7, 7)}
+_TNS_WITH_ROWS = {"bench7": (2, 2), "mu6": (7, 3)}
 
 
 @pytest.mark.parametrize(
@@ -538,25 +617,35 @@ def test_tns_optimizes_only_the_neighbours_that_can_be_chosen(
     monkeypatch, name, unpruned, unpruned_empty, solved, empty
 ):
     # A walk solves, and so tests for emptiness, only the steps that can
-    # still be chosen; without the bound and the cuts it solves every
-    # step, empty or not.  Every replay takes the same walks.
+    # still be chosen; without the bound, the cuts and the rows it solves
+    # every step, empty or not.  Every replay takes the same walks.
     inst = parse_instance((GOLDEN / f"{name}.pesp").read_text())
     basis = default_basis(inst.graph)
     walk = tns_restarts(inst, basis, 3, seed=1)
     replays = []
-    for bound in (_never_prunes, None):
+    for bound, learn_cuts, learn_rows in (
+        (_never_prunes, False, False),
+        (None, False, False),
+        (None, True, False),
+        (None, True, True),
+    ):
         with monkeypatch.context() as patch:
             if bound is not None:
                 patch.setattr(peritrope.search, "cycle_relaxation_bound", bound)
-            drop_learned_cuts(patch)
+            if not learn_cuts:
+                drop_learned_cuts(patch)
+            if not learn_rows:
+                drop_learned_rows(patch)
             solves, empties, _ = count_polytrope_solves(patch, peritrope.search)
             assert tns_restarts(inst, basis, 3, seed=1) == walk
-            replays.append((len(solves), len(empties)))
-    assert replays == [(unpruned, unpruned_empty), (solved, empty)]
-    solves, empties, _ = count_polytrope_solves(monkeypatch, peritrope.search)
-    assert tns_restarts(inst, basis, 3, seed=1) == walk
-    assert len(solves) == len(set(solves)) and len(empties) == len(set(empties))
-    assert (len(solves), len(empties)) == _TNS_WITH_CUTS[name]
+        assert len(solves) == len(set(solves)) and len(empties) == len(set(empties))
+        replays.append((len(solves), len(empties)))
+    assert replays == [
+        (unpruned, unpruned_empty),
+        (solved, empty),
+        _TNS_WITH_CUTS[name],
+        _TNS_WITH_ROWS[name],
+    ]
 
 
 def _memo_walks(inst, basis, seeds):

@@ -907,11 +907,15 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 def _duality_corpus():
     """(inst, basis) pairs: the worked instances, the golden instance
-    files (fixed arcs contracted, as ``analyze`` does), and 200 seeded
-    random instances, of which the first 100 are the acceptance corpus."""
+    files (fixed arcs contracted, as ``analyze`` does) but the frontier
+    solves s8800 and l5, whose spanning trees are over the cap, and 200
+    seeded random instances, of which the first 100 are the acceptance
+    corpus."""
     yield _triangle()
     yield square_instance(), square_basis()
     for path in sorted(GOLDEN.glob("*.pesp")):
+        if path.stem in ("s8800", "l5"):
+            continue
         inst = parse_instance(path.read_text(encoding="utf-8"))
         if any(l == u for l, u in zip(inst.lower, inst.upper)):
             inst = contract_fixed_arcs(inst).instance
