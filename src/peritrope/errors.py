@@ -42,7 +42,10 @@ class Infeasible(PeritropeError):
 
     ``arcs`` lists the violated arc indices when the infeasibility was
     detected arc by arc; it is empty when the evidence is global.
+    ``cycle``, or None, is the oriented negative cycle that proves a polytrope empty.
     """
+
+    cycle = None
 
     def __init__(self, message="infeasible", arcs=()):
         super().__init__(message)

@@ -13,7 +13,8 @@ phase (Ahuja, Magnanti & Orlin, "Network Flows", 1993, ch. 9).
 
 ``minimize_over_polytrope`` runs two steps.  ``certified_optimum``
 returns the optimum with its O(m) certificate, the potentials and the
-flow; only the edge costs depend on p, so the flow is feasible at every
+flow, or raises Infeasible with an empty polytrope's negative cycle;
+only the edge costs depend on p, so the flow is feasible at every
 offset, and its dual value there is a cut, an affine lower bound on
 every other polytrope's optimum.  ``optimal_vertex`` reads the optimal
 face off both: by complementary slackness it is kappa plus equality on
@@ -51,6 +52,7 @@ from .polytropes import (
     _potentials,
     _require_length,
     kappa,
+    negative_cycle,
     normalize_timetable,
     timetable_to_tension,
 )
@@ -184,9 +186,12 @@ def certified_optimum(inst, p, objective=None):
     _require_length(obj, g.m, "objective", "arcs")
     T = inst.period
     edges = kappa(inst, p)
-    phi = _potentials(g.n, edges)
+    parent = {}
+    phi = _potentials(g.n, edges, parent=parent)
     if phi is None:
-        raise Infeasible("polytrope is empty for this periodic offset")
+        empty = Infeasible("polytrope is empty for this periodic offset")
+        empty.cycle = negative_cycle(edges, parent)
+        raise empty
     pairs = g.arc_index_pairs
     supply = [0] * g.n
     for w, (i, j) in zip(obj, pairs):

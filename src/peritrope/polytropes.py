@@ -7,10 +7,11 @@ T p_a - l_a.  The region is nonempty exactly when that weighting has no
 negative cycle, and its Kleene star (all-pairs shortest paths), whose
 rows are the tropical vertices, is the canonical inequality description.
 One Bellman-Ford kernel, ``_potentials``, finds every shortest path here,
-in exact integer arithmetic like everything else.  One class kernel,
-``_face_classes``, finds the equality classes (vertices tied by a zero
-cycle) from feasible potentials: of a polytrope, for its dimension, and
-of the optimal face of a solve, for ``fixedlp``.
+in exact integer arithmetic like everything else; when it fails, its
+parent edges lead ``negative_cycle`` to the cycle that proves the class
+empty.  One class kernel, ``_face_classes``, finds the equality classes
+(vertices tied by a zero cycle) from feasible potentials: of a polytrope,
+for its dimension, and of the optimal face of a solve, for ``fixedlp``.
 """
 
 from __future__ import annotations
@@ -50,48 +51,46 @@ def _potentials(n, edges, source=None, parent=None):
     With a ``source`` it starts at 0 and the rest at the sum of the
     positive weights, above every path length, so on a strongly connected
     edge set (every kappa(p) of a connected instance) phi is the source's
-    row of the Kleene star.  A dict ``parent`` gets, over n passes, the
-    (tail, weight) of the edge that lowered each vertex last, in that order."""
+    row of the Kleene star.  A vertex still lowered in pass n proves a
+    negative cycle and stops the run.  A dict ``parent`` gets the edge that
+    lowered each vertex last, in lowering order (``negative_cycle``)."""
     if source is None:
         phi = [0] * n
     else:
         phi = [sum(w for _, _, w in edges if w > 0)] * n
         phi[source] = 0
-    for _ in range(n - 1 if parent is None else n):
+    for k in range(n):
         changed = False
         for i, j, w in edges:
             if phi[i] + w < phi[j]:
-                phi[j] = phi[i] + w
-                changed = True
                 if parent is not None:
                     parent.pop(j, None)
-                    parent[j] = (i, w)
+                    parent[j] = (i, j, w)
+                if k == n - 1:
+                    return None
+                phi[j] = phi[i] + w
+                changed = True
         if not changed:
-            return phi
-    return None if parent is not None or any(phi[i] + w < phi[j] for i, j, w in edges) else phi
+            break
+    return phi
 
 
-def negative_cycle(inst, p):
-    """A negative cycle of kappa(inst, p) as an oriented cycle gamma, +1 on
-    the arcs whose forward copy it runs and -1 on those whose reverse copy
-    it runs, or None.  The vertex lowered last leads, by the edges that
-    lowered each vertex last, onto one of their cycles within n steps, and
-    each of those is negative (Cherkassky & Goldberg, 1999)."""
-    n, m = inst.graph.n, inst.graph.m
-    edges = kappa(inst, p)
-    parent = {}
-    if _potentials(n, edges, parent=parent) is not None:
-        return None
+def negative_cycle(edges, parent):
+    """The negative cycle of ``edges``, 2m doubled edges as from ``kappa``,
+    as an oriented cycle gamma: +1 on the arcs whose forward copy it runs
+    and -1 on those whose reverse copy it runs.  The ``parent`` edges of a
+    failed ``_potentials`` run lead from the vertex lowered in pass n onto
+    a cycle, and each such cycle is negative (Cherkassky & Goldberg, 1999)."""
+    m = len(edges) // 2
     index = {edge: k for k, edge in enumerate(edges)}
     v = next(reversed(parent))
-    for _ in range(n):  # onto the cycle
+    for _ in parent:  # onto the cycle: the walk meets only vertices in parent
         v = parent[v][0]
     gamma = [0] * m
-    for _ in range(n):  # around it, as often as n steps go
-        t, w = parent[v]
-        k = index[t, v, w]
+    for _ in parent:  # around it, as often as that many steps go
+        k = index[parent[v]]
         gamma[k % m] = 1 if k < m else -1
-        v = t
+        v = edges[k][0]
     return tuple(gamma)
 
 

@@ -4,10 +4,8 @@ bounded search over cycle offsets that it shares with ``solve_exact``.
 A solution lives in one polytrope; its neighbours are the offset classes
 reached by shifting the cycle offset along a single basis column.  Each
 class the walk moves to is optimized exactly, so after its first move
-the search walks from vertex optimum to vertex optimum.  The start class
-is not optimized: the walk keeps the start solution as given until a
-neighbour beats it, so a walk with no improving step returns the start,
-which can be worse than the optimum of its own class.
+the search walks from vertex optimum to vertex optimum; the start class
+is not optimized (see ``tns``).
 
 The search.  ``OffsetMemo.least_optimum`` runs one best-first search over
 prefixes of z, seeded by ``solve_exact`` with the root prefix () and by
@@ -18,11 +16,12 @@ solved offset's flow (``fixedlp.certified_optimum``), at its least over
 the completions in the box.  A popped node is dropped when a learned
 row rules out all its completions, pushed back when cuts learned since
 raise its lower, expanded into the next box row, or, as a whole z,
-solved; an empty one's negative cycle becomes an Odijk row lo <= ty.z <=
-hi that every nonempty offset meets (Odijk, Transportation Research B
-30, 1996).  The search stops at the first key above the best (objective,
-z) found, or above the caller's limit while none is, so the argmin
-survives.  Only an offset a caller takes has its vertex built.
+solved; the failed solve of an empty one hands over its negative cycle
+(``Infeasible.cycle``), which becomes an Odijk row lo <= ty.z <= hi that
+every nonempty offset meets (Odijk, Transportation Research B 30, 1996).
+The search stops at the first key above the best (objective, z) found,
+or above the caller's limit while none is, so the argmin survives.  Only
+an offset a caller takes has its vertex built.
 
 ``OffsetMemo`` owns the per-offset answers of a solve (bounds, optima
 with their cuts, steps, rows, solutions) and the invariant checks the
@@ -55,7 +54,6 @@ from .graphs import (
 from .polytropes import (
     _require_length,
     cycle_offset_form,
-    negative_cycle,
     normalize_timetable,
     offset_for,
     steps,
@@ -136,15 +134,9 @@ class TreePool:
 
 
 class OffsetMemo:
-    """The one place that answers, per cycle offset z of one instance and
-    basis, the questions of a bounded search: the bound of z, its
-    certified polytrope optimum (None when it is empty) and the cut or
-    row it leaves, the steps of z with their bounds, and the solution at the
-    optimum's vertex, each checked against the invariant it rests on.
-    The answers are computed on first use and kept; they depend on (inst,
-    basis, z) only, so every answer is exact.  Build one per solve; it
-    grows with the offsets that solve visits.  A basis that is not
-    integral raises ValueError before any solve."""
+    """The per-offset answers of one solve on one instance and basis, each
+    computed on first use, kept and checked (see the module docstring).  A
+    basis that is not integral raises ValueError before any solve."""
 
     def __init__(self, inst, basis):
         d = abs(basis.cotree_frame[1]) if basis.mu else 1
@@ -156,6 +148,7 @@ class OffsetMemo:
         self._bound = cycle_relaxation_bound(inst, basis)
         self._top = sum(max(w * l, w * u) for w, l, u in zip(inst.weight, inst.lower, inst.upper))
         self._optima = {}
+        self._cycles = {}  # the negative cycle of each empty z, until its row
         self._solutions = {}
         self._steps = {}
         # Learned forms (ty, low, high, lo, hi, const), low[k] and high[k] the
@@ -199,8 +192,8 @@ class OffsetMemo:
         if z not in self._optima:
             try:
                 found = certified_optimum(self.inst, offset_for(self.inst, self.basis, z))
-            except Infeasible:
-                found = None
+            except Infeasible as empty:
+                found, self._cycles[z] = None, empty.cycle
             if found is not None:
                 ty, d = cycle_offset_form(self.basis, found.cut[1])
                 ty = [self.inst.period * d * v for v in ty]
@@ -216,10 +209,9 @@ class OffsetMemo:
             self._optima[z] = found
         return self._optima[z]
 
-    def _learn_row(self, z):
-        """Learn the Odijk row of a negative cycle of the empty offset z; a row
-        that leaves z open or rules out a nonempty one raises InvariantViolation."""
-        gamma = negative_cycle(self.inst, offset_for(self.inst, self.basis, z))
+    def _learn_row(self, z, gamma):
+        """Learn the Odijk row of gamma, the negative cycle of z's failed solve;
+        one that leaves z open or rules out a nonempty z raises InvariantViolation."""
         ty, d = cycle_offset_form(self.basis, gamma)
         lo, hi = odijk_range(self.inst, gamma)
         ty, lo, hi = [d * v for v in ty], -(-lo // self.inst.period), hi // self.inst.period
@@ -279,7 +271,7 @@ class OffsetMemo:
             k = len(prefix)
             if k == len(self.box):
                 if fresh and self.optimum(prefix, relax, lower) is None:
-                    self._learn_row(prefix)
+                    self._learn_row(prefix, self._cycles.pop(prefix))
                 found = self._optima[prefix]
                 if found is not None and (found.objective, prefix) < best:
                     best = (found.objective, prefix)
@@ -299,10 +291,11 @@ def tns(inst, basis, start, max_iterations=100, memo=None):
     (objective, z) least polytrope optimum among the steps of the current
     offset that the walk has not visited, if that optimum is below the
     current objective; the walk stops when none is.  The start's own
-    polytrope is not optimized: the start solution is kept as given until
-    a neighbour's optimum beats it.  Returns the best solution and the
-    visit trace.  ``memo`` is an ``OffsetMemo`` of the same instance and
-    basis to reuse; a fresh one is used when it is None."""
+    polytrope is not optimized: the start solution is kept as given until a
+    neighbour's optimum beats it, so a walk with no improving step returns
+    the start, which can be worse than its class's optimum.  Returns the
+    best solution and the visit trace.  ``memo`` is an ``OffsetMemo`` of the
+    same instance and basis to reuse; a fresh one is used when it is None."""
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
     if memo is None:

@@ -305,10 +305,10 @@ def drop_learned_cuts(monkeypatch):
 
 
 def drop_learned_rows(monkeypatch):
-    """Patch ``OffsetMemo`` to learn no Odijk row from an empty offset: the
-    search prunes by the relaxation bound and the learned cuts alone, with
-    no Bellman-Ford beyond the solves."""
-    monkeypatch.setattr(peritrope.search.OffsetMemo, "_learn_row", lambda memo, z: None)
+    """Patch ``OffsetMemo`` to learn no Odijk row from the negative cycle of
+    an empty offset's solve: the search prunes by the relaxation bound and
+    the learned cuts alone."""
+    monkeypatch.setattr(peritrope.search.OffsetMemo, "_learn_row", lambda memo, z, gamma: None)
 
 
 def check_certificate(inst, p, found, objective=None):
@@ -364,6 +364,30 @@ def check_certificate(inst, p, found, objective=None):
     for q in [tuple(p)] + units:
         if const + T * sum(s * v for s, v in zip(slope, q)) != dual(q):
             problems.append(f"the cut is not the flow's dual value at {q}")
+    return problems
+
+
+def check_empty_certificate(inst, p, gamma):
+    """Problems with ``gamma`` as the proof that the polytrope of offset p
+    is empty, or [] when it proves it.  Shares no solver code: gamma must
+    be an oriented cycle (entries +-1 or 0, net incidence 0 at every
+    vertex) whose periodic tension T gamma.p misses its Odijk range, the
+    least and greatest gamma.x over the arc bounds, recomputed here; then
+    every tension at offset p breaks gamma.x = T gamma.p."""
+    m, T = inst.graph.m, inst.period
+    if len(gamma) != m or not set(gamma) <= {-1, 0, 1}:
+        return [f"{gamma} is not a vector of m = {m} entries in -1, 0, +1"]
+    net = [0] * inst.graph.n
+    lo = hi = tension = 0
+    for g, (i, j), l, u, q in zip(gamma, inst.graph.arc_index_pairs, inst.lower, inst.upper, p):
+        net[i] -= g
+        net[j] += g
+        lo += l if g > 0 else -u if g < 0 else 0
+        hi += u if g > 0 else -l if g < 0 else 0
+        tension += T * g * q
+    problems = [f"vertex {v} has net incidence {e}" for v, e in enumerate(net) if e]
+    if lo <= tension <= hi:
+        problems.append(f"T gamma.p = {tension} lies in the Odijk range [{lo}, {hi}]")
     return problems
 
 

@@ -471,8 +471,8 @@ def test_frontier_solves_are_byte_identical(instance, monkeypatch, capsys):
     recipe (three lines of five stops with driving, dwell and transfer
     arcs, period 20) is in ROADMAP.md and CHANGES.md (mu = 10, width
     17,496).  On s8800 the search runs at most 30
-    Bellman-Fords, the extractions of its learned rows included, where a
-    scan of the box runs one a point."""
+    Bellman-Fords (15: one per polytrope solve, empty ones included),
+    where a scan of the box runs one a point."""
     runs = count_bellman_ford(monkeypatch)
     assert main(["solve", str(GOLDEN / f"{instance}.pesp"), "--cap-width", "1000000"]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{instance}.solve.json").read_text()

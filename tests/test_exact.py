@@ -34,6 +34,7 @@ from helpers import (
     drop_learned_cuts,
     drop_learned_rows,
     random_bases,
+    random_corpus,
     random_instance,
     solve_exact_by_full_scan,
     square_basis,
@@ -235,10 +236,11 @@ def test_solve_exact_optimizes_only_the_offsets_that_can_win(
     assert vertices == [offset_for(inst, basis, replayed.cycle_offset)]
 
 
-def test_solve_exact_runs_thirteen_bellman_fords_and_five_flows_on_mu6(monkeypatch):
+def test_solve_exact_runs_nine_bellman_fords_and_five_flows_on_mu6(monkeypatch):
     # The cut-free, row-free replay runs 42 Bellman-Fords and 16 flows, the
-    # row-free one 14 and 5.  Rows save five empty solves and cost one
-    # extraction for each of the four that are left.
+    # row-free one 14 and 5.  Rows save five empty solves: five solves and
+    # four empty ones are left, and each row comes from its failed solve's
+    # run, with no extraction run of its own.
     inst = parse_instance((GOLDEN / "mu6.pesp").read_text())
     basis = default_basis(inst.graph)
     honest, counts = peritrope.fixedlp._reduced_cost_flow, []
@@ -257,7 +259,25 @@ def test_solve_exact_runs_thirteen_bellman_fords_and_five_flows_on_mu6(monkeypat
             sol = solve_exact(inst, basis)
         counts.append((len(runs), len(flows)))
         assert sol.objective == json.loads((GOLDEN / "mu6.solve.json").read_text())["objective"]
-    assert counts == [(42, 16), (14, 5), (13, 5)]
+    assert counts == [(42, 16), (14, 5), (9, 5)]
+
+
+def test_each_solve_of_solve_exact_is_its_only_bellman_ford(monkeypatch):
+    # Over the property corpus every Bellman-Ford of solve_exact opens a
+    # polytrope solve: an empty offset's row comes from the negative cycle
+    # of its failed solve, with no second run.
+    runs = count_bellman_ford(monkeypatch)
+    solves, empties, _ = count_polytrope_solves(monkeypatch, peritrope.search)
+    learned = 0
+    for inst, basis, _, _ in random_corpus(100):
+        del runs[:], solves[:], empties[:]
+        try:
+            solve_exact(inst, basis)
+        except Infeasible:
+            pass
+        assert runs == [(inst.graph.n, None)] * (len(solves) + len(empties))
+        learned += len(empties)
+    assert learned >= 40, learned
 
 
 def test_an_offset_a_cut_skips_still_needs_an_integer_offset(monkeypatch):
@@ -286,7 +306,7 @@ def test_an_offset_a_cut_skips_still_needs_an_integer_offset(monkeypatch):
 
 # The empty offsets each golden's zero-weight solve finds: in the row-free
 # replay, every box point before the first nonempty one, and with rows.
-_ZERO_WEIGHT_EMPTIES = {"bench7": (9, 4), "mu6": (26, 3)}
+_ZERO_WEIGHT_EMPTIES = {"bench7": (9, 3), "mu6": (26, 3)}
 
 
 @pytest.mark.parametrize("name", ["bench7", "mu6"])

@@ -33,6 +33,7 @@ from peritrope.polytropes import kappa
 from peritrope.zonotopes import _box_integer_ranges, box_points, lattice_points, odijk_box
 from helpers import (
     check_certificate,
+    check_empty_certificate,
     count_bellman_ford,
     cycle_relaxation_bound_by_fractions,
     enumerate_fixed_offset,
@@ -350,6 +351,45 @@ def test_matches_the_bellman_ford_flow_oracle():
         assert fast == minimize_by_bellman_ford_flow(inst, p, objective), (inst, p, objective)
         solved[kind] += 1
     assert sum(solved) >= 1000 and min(solved) >= 200 and empty >= 100, (solved, empty)
+
+
+def test_every_empty_solve_carries_the_negative_cycle_that_proves_it(monkeypatch):
+    """Over the property corpus, ``certified_optimum`` raises Infeasible at
+    exactly the box points that ``polytrope_nonempty`` calls empty, after
+    one Bellman-Ford like every solve, and the ``cycle`` it carries passes
+    ``check_empty_certificate``.  Each certificate fails the check with
+    one entry's sign flipped, with one entry zeroed, and with p shifted to
+    a nonempty offset of the same instance."""
+    runs = count_bellman_ford(monkeypatch)
+    certificates = mutants = 0
+    for inst, basis, _, _ in random_corpus(100):
+        cycles, nonempty = [], []
+        for z in box_points(inst, basis):
+            p = offset_for(inst, basis, z)
+            is_nonempty = polytrope_nonempty(inst, p)
+            runs.clear()
+            try:
+                certified_optimum(inst, p)
+            except Infeasible as empty:
+                assert not is_nonempty
+                cycles.append((p, empty.cycle))
+            else:
+                assert is_nonempty
+                nonempty.append(p)
+            assert runs == [(inst.graph.n, None)]
+        for p, gamma in cycles:
+            assert check_empty_certificate(inst, p, gamma) == []
+            certificates += 1
+            for a in (a for a, g in enumerate(gamma) if g):
+                for value in (-gamma[a], 0):
+                    bad = gamma[:a] + (value,) + gamma[a + 1 :]
+                    assert check_empty_certificate(inst, p, bad) != []
+                    mutants += 1
+            for q in nonempty[:3]:
+                assert check_empty_certificate(inst, q, gamma) != []
+                mutants += 1
+    assert Infeasible("no cycle").cycle is None
+    assert certificates >= 180 and mutants >= 1200, (certificates, mutants)
 
 
 def test_a_disconnected_instance_fails_before_any_bellman_ford(monkeypatch):

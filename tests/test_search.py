@@ -36,6 +36,7 @@ from peritrope import (
 from peritrope.fixedlp import cycle_relaxation_bound
 from peritrope.zonotopes import box_points
 from helpers import (
+    check_empty_certificate,
     count_bellman_ford,
     count_polytrope_solves,
     drop_learned_cuts,
@@ -387,11 +388,15 @@ def test_every_caller_runs_every_offset_check(monkeypatch, caller, fault):
 
 @pytest.mark.parametrize("caller", ["solve_exact", "tns_restarts"])
 def test_a_row_that_leaves_its_own_offset_open_is_an_invariant_violation(monkeypatch, caller):
-    # A zero vector in place of the negative cycle gives the row 0 <= 0 <= 0,
-    # which every offset meets, the empty one it was learned at included.
+    # A zero vector in place of the solve's negative cycle gives the row
+    # 0 <= 0 <= 0, which every offset meets, the empty one it was learned
+    # at included.
     inst = parse_instance((GOLDEN / "mu6.pesp").read_text())
     basis = default_basis(inst.graph)
-    monkeypatch.setattr(peritrope.search, "negative_cycle", lambda inst, p: (0,) * len(p))
+    honest = OffsetMemo._learn_row
+    monkeypatch.setattr(
+        OffsetMemo, "_learn_row", lambda memo, z, gamma: honest(memo, z, (0,) * len(gamma))
+    )
     run = {"solve_exact": solve_exact, "tns_restarts": lambda i, b: tns_restarts(i, b, 3, seed=1)}
     with pytest.raises(InvariantViolation, match=r"learned at the empty offset .* leaves it open$"):
         run[caller](inst, basis)
@@ -408,39 +413,29 @@ def test_a_row_that_rules_out_a_nonempty_offset_is_an_invariant_violation(monkey
         tns_restarts(inst, basis, 3, seed=1)
 
 
-def test_every_learned_row_is_an_oriented_cycle_that_rules_out_only_empty_offsets(monkeypatch):
+def test_every_learned_row_is_an_oriented_cycle_that_rules_out_only_empty_offsets():
     # On the property corpus the memo solves every box point in box order
-    # and learns a row at each empty one.  Each row comes from an oriented
-    # cycle of the graph (entries +-1, incidence 0 at every vertex) that
-    # is negative at its offset, and every box point it rules out is empty.
-    cycles = []
-    honest = peritrope.search.negative_cycle
-
-    def recorded(inst, p):
-        cycles.append(honest(inst, p))
-        return cycles[-1]
-
-    monkeypatch.setattr(peritrope.search, "negative_cycle", recorded)
+    # and learns a row at each empty one, from the negative cycle its solve
+    # found.  Each row comes from an oriented cycle of the graph that proves
+    # its offset empty (``check_empty_certificate``) and is negative there
+    # as oriented, and every box point it rules out is empty.
     learned = ruled_out = 0
     for inst, basis, _, _ in random_corpus(100):
-        T, pairs = inst.period, inst.graph.arc_index_pairs
+        T = inst.period
         memo = OffsetMemo(inst, basis)
         points = list(box_points(inst, basis))
         empty = {z for z in points if not polytrope_nonempty(inst, offset_for(inst, basis, z))}
-        cycles.clear()
+        cycles = []
         for z in points:
             if memo.optimum(z, memo.bound(z)) is None:
-                memo._learn_row(z)
+                cycles.append(memo._cycles.pop(z))
+                memo._learn_row(z, cycles[-1])
+        assert memo._cycles == {}
         rows = [form for form in memo._forms if form[5] is None]
         assert len(cycles) == len(rows) == len(empty)
         for z, gamma, (ty, _, _, lo, hi, _) in zip(sorted(empty), cycles, rows):
-            assert set(gamma) <= {-1, 0, 1} and any(gamma)
-            net = [0] * inst.graph.n
-            for g, (i, j) in zip(gamma, pairs):
-                net[i] -= g
-                net[j] += g
-            assert not any(net)
             p = offset_for(inst, basis, z)
+            assert check_empty_certificate(inst, p, gamma) == []
             length = sum(
                 inst.upper[a] - T * p[a] if g > 0 else T * p[a] - inst.lower[a]
                 for a, g in enumerate(gamma)
