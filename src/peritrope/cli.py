@@ -14,8 +14,6 @@ writer hands it.  The tile list is about 95 % of the output of
 writer to walk it once cost as much again as writing the text.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import sys

@@ -11,8 +11,6 @@ the heuristic and the geometry, so it shares nothing with the code it
 checks beyond the basic instance plumbing.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections import namedtuple
 

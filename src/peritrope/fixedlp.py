@@ -31,8 +31,6 @@ gamma_k.x = T z_k for each basis row gamma_k, so keeping one row and the
 arc bounds is a relaxation, a continuous knapsack solved greedily.
 """
 
-from __future__ import annotations
-
 import itertools
 from bisect import bisect_left
 from collections import namedtuple

@@ -24,8 +24,6 @@ offset represents a cycle offset: offset preimages, scaled-point tests
 and the co-tree determinant d all go through it.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from functools import cached_property

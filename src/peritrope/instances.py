@@ -11,8 +11,6 @@ All data is integer.  Bounds must satisfy 0 <= lower < T and
 0 <= upper - lower < T; weights are nonnegative.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .errors import DisconnectedGraph, InfeasibleFixedCycle, InvalidBounds

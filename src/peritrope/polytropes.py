@@ -14,8 +14,6 @@ empty.  One class kernel, ``_face_classes``, finds the equality classes
 for its dimension, and of the optimal face of a solve, for ``fixedlp``.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .errors import DisconnectedGraph, EmptyPolytrope, Infeasible, NotATension
@@ -344,7 +342,10 @@ def offset_for(inst, basis, z):
 
 def steps(basis, z):
     """The distinct cycle offsets one signed Gamma column away from z: a
-    set, so an offset reached both as z + c and as z - (-c) appears once."""
+    set, so an offset reached both as z + c and as z - (-c) appears once.
+    A z of another length than the basis raises ValueError."""
+    if len(z) != basis.mu:
+        raise ValueError(f"cycle offset has {len(z)} entries, the basis has {basis.mu} rows")
     z = tuple(int(v) for v in z)
     return {
         tuple(v + sign * c for v, c in zip(z, col)) for col in basis.moves for sign in (1, -1)

@@ -5,8 +5,6 @@ All geometry runs on exact fractions; numbers are only formatted at the
 final emission step, so repeated renders are byte-identical.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from .zonotopes import (

@@ -9,7 +9,7 @@ is not optimized (see ``tns``).
 
 The search.  ``OffsetMemo.least_optimum`` runs one best-first search over
 prefixes of z, seeded by ``solve_exact`` with the root prefix () and by
-a ``tns`` step with the unvisited steps of the current offset.  A node's
+a ``tns`` step with the current offset's steps but the start's.  A node's
 key is (lower, prefix): lower is the highest of the prefix's
 ``cycle_relaxation_bound`` and each learned cut, the dual bound of a
 solved offset's flow (``fixedlp.certified_optimum``), at its least over
@@ -32,10 +32,8 @@ offset solved nonempty.  So ``solve_exact``, ``tns`` and
 ``neighbourhood_graph`` all run them.  One memo keeps the answers, which
 depend only on the instance, the basis and z, for a whole solve:
 ``tns_restarts`` shares it between its walks, and ``tns`` builds a fresh
-one when it is not given one.  The set of visited offsets stays per walk.
+one when it is not given one.
 """
-
-from __future__ import annotations
 
 import json
 import random
@@ -159,7 +157,10 @@ class OffsetMemo:
     def bound(self, z):
         """The ``cycle_relaxation_bound`` of z or of a prefix of z, or None
         off the box, where z is empty; a box point or prefix it rules out
-        breaks its contract and raises InvariantViolation."""
+        breaks its contract and raises InvariantViolation, and a z longer
+        than the basis raises ValueError."""
+        if len(z) > self.basis.mu:
+            raise ValueError(f"cycle offset has {len(z)} entries, the basis has {self.basis.mu} rows")
         lower = self._bound(z)
         if lower is None and all(self.box) and all(v in r for v, r in zip(z, self.box)):
             raise InvariantViolation(f"the cycle relaxation rules out {z}, a point of the box")
@@ -289,11 +290,13 @@ def tns(inst, basis, start, max_iterations=100, memo=None):
     """Walk the offset neighbourhood from a feasible start, at most
     ``max_iterations`` moves (at least 1).  Each move goes to the
     (objective, z) least polytrope optimum among the steps of the current
-    offset that the walk has not visited, if that optimum is below the
-    current objective; the walk stops when none is.  The start's own
-    polytrope is not optimized: the start solution is kept as given until a
-    neighbour's optimum beats it, so a walk with no improving step returns
-    the start, which can be worse than its class's optimum.  Returns the
+    offset but the start's, if that optimum is below the current objective;
+    the walk stops when none is.  The start's own polytrope is not
+    optimized: the start solution is kept as given until a neighbour's
+    optimum beats it, so a walk with no improving step returns the start,
+    which can be worse than its class's optimum.  So its offset is the one
+    a step must skip; every other offset the walk took has an optimum at or
+    above the current objective, which no move can reach again.  Returns the
     best solution and the visit trace.  ``memo`` is an ``OffsetMemo`` of the
     same instance and basis to reuse; a fresh one is used when it is None."""
     if max_iterations < 1:
@@ -304,17 +307,13 @@ def tns(inst, basis, start, max_iterations=100, memo=None):
         raise ValueError("the offset memo belongs to another instance or basis")
     current = start
     trace = [{"z": list(current.cycle_offset), "objective": current.objective, "move": "start"}]
-    # Every move lowers the objective, so of the visited offsets only the
-    # start's, whose class was never optimized, could offer a move again.
-    visited = {current.cycle_offset}
     for _ in range(max_iterations):
         candidates = memo.bounded_steps(current.cycle_offset)
-        candidates = [(lower, z) for lower, z in candidates if z not in visited]
+        candidates = [pair for pair in candidates if pair[1] != start.cycle_offset]
         z = memo.least_optimum(candidates, current.objective - 1)
         if z is None:
             break
         current = memo.solution(z)
-        visited.add(z)
         trace.append({"z": list(z), "objective": current.objective, "move": "best-improvement"})
     return current, tuple(trace)
 

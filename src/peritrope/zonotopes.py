@@ -34,8 +34,6 @@ the shortest path lengths from the root, and builds no polytrope.
 Fractions appear only in volumes and the width bound chain.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 from collections import namedtuple
@@ -434,7 +432,6 @@ def validate_tiling(inst, basis, tiles, points=None, kernel=None):
     if points is None:
         points = lattice_points(inst, basis)
     vol = volume(inst, basis)
-    scaled = [(z, tuple(T * v for v in z)) for z in points]
     dets, inside, held = [], [], []
     for tile in tiles:
         structure = tile.structure
@@ -452,6 +449,7 @@ def validate_tiling(inst, basis, tiles, points=None, kernel=None):
         frame = _inverse_frame(tile.generators)
         dets.append(abs(frame[0]) if frame else 0)
         inside.append(_tile_inside(inst, basis, tile))
+        scaled = ((z, [T * v for v in z]) for z in points)
         held.append([z for z, x in scaled if _frame_contains(frame, tile.translation, x)])
     tile_sum = Fraction(sum(dets), T**basis.mu)
     by_point = sorted((z, t) for t, h in enumerate(held) for z in h)
@@ -561,8 +559,8 @@ def width_bound_report(inst, basis):
     A width of zero short-circuits into infeasibility evidence."""
     T = inst.period
     mu = basis.mu
-    w = width(inst, basis)
-    box = odijk_box(inst, basis)
+    ranges = _box_integer_ranges(inst, basis)
+    w = math.prod(len(r) for r in ranges)
     trees = count_spanning_trees_determinant(inst.graph)
     span = inst.span
     eps = min(span) if span else 0
@@ -578,8 +576,8 @@ def width_bound_report(inst, basis):
     # as infeasibility evidence instead (the tree/length comparison and the
     # volume sandwich below W are unconditional, so they stay).
     bad = tuple(
-        (k, Fraction(lo, T), Fraction(hi, T))
-        for k, ((lo, hi), r) in enumerate(zip(box, _box_integer_ranges(inst, basis)))
+        (k, *(Fraction(v, T) for v in odijk_range(inst, basis.gamma[k])))
+        for k, r in enumerate(ranges)
         if not r
     )
     refined = coarse = Fraction(0)

@@ -5,7 +5,8 @@ renderer, no state that outlives a call (a module-level container or a
 indented ``json.dump``/``json.dumps`` (an indent selects the pure-Python
 encoder; ``cli._json_text`` writes those bytes), no import upward from
 the polytrope layer (``polytropes`` and ``fixedlp``) into the modules
-built on it, and no ``dataclasses`` import.
+built on it, no ``dataclasses`` import, and no import the module does
+not read.
 
 Each command is one process, so start-up is part of its cost.
 ``dataclasses`` loads ``inspect``, ``ast``, ``dis`` and ``tokenize``,
@@ -270,3 +271,58 @@ def test_the_cli_starts_without_dataclasses_or_the_renderer():
     )
     report = json.loads(result.stdout)
     assert report == {"loaded": [], "renderer": ["peritrope.render", "render_torus", True]}
+
+
+def unused_imports(source, reexports=False):
+    """(line, name) of each name an import binds that the module never
+    reads, and of each ``__future__`` feature it does not use: on Python
+    3.10+ only ``annotations`` changes anything, and only in a module with
+    an annotation.  With ``reexports``, the module-level imports bind the
+    package's names for its users and are not checked."""
+    tree = ast.parse(source)
+    nodes = list(ast.walk(tree))
+    read = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    annotated = any(
+        getattr(n, "annotation", None) is not None or getattr(n, "returns", None) is not None
+        for n in nodes
+    )
+    exempt = tree.body if reexports else []
+    found = []
+    for node in nodes:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or node in exempt:
+            continue
+        for alias in node.names:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                needed = alias.name == "annotations" and annotated
+            else:
+                needed = (alias.asname or alias.name.split(".")[0]) in read
+            if not needed:
+                found.append((node.lineno, alias.asname or alias.name))
+    return found
+
+
+def test_every_import_is_read():
+    found = [
+        f"{p.name}:{line} {name}"
+        for p in MODULES
+        for line, name in unused_imports(p.read_text(encoding="utf-8"), p.name == "__init__.py")
+    ]
+    assert found == []
+
+
+def test_unused_imports_are_found():
+    source = (
+        "from __future__ import annotations\nimport os.path\nimport json, re as regex\n"
+        "from math import gcd, prod as product\nfrom . import render\n"
+        "def f(x):\n    import sys\n    return os.path.join(json.dumps(x), product(x))\n"
+    )
+    found = [(1, "annotations"), (3, "regex"), (4, "gcd"), (5, "render"), (7, "sys")]
+    assert unused_imports(source) == found
+
+
+def test_an_import_is_read_by_name_and_annotations_need_an_annotation():
+    source = "from __future__ import annotations\nimport os\ndef f(x: int):\n    return os.sep\n"
+    assert unused_imports(source) == []
+    assert unused_imports(source.replace("x: int", "x")) == [(1, "annotations")]
+    reexport = "from .graphs import Digraph\ndef __getattr__(name):\n    from . import render\n"
+    assert unused_imports(reexport, reexports=True) == [(3, "render")]

@@ -21,6 +21,7 @@ from peritrope import (
     initial_solution,
     lattice_points,
     minimize_over_polytrope,
+    neighbors,
     neighbourhood_graph,
     offset_for,
     parse_instance,
@@ -228,6 +229,32 @@ def test_iteration_cap_limits_the_walk():
         assert capped_trace == trace[: cap + 1]
         assert capped.objective == capped_trace[-1]["objective"]
     assert capped == best
+
+
+# A seventh entry on mu6 used to be dropped without a word by ``steps``,
+# ``neighbors`` and every tns step, whose trace kept the 7-entry z, and
+# made ``OffsetMemo.bound`` raise a bare IndexError.
+@pytest.mark.parametrize(
+    "caller, length",
+    [(caller, 7) for caller in ("steps", "neighbors", "tns", "bound")]
+    + [(caller, 5) for caller in ("steps", "neighbors", "tns")],
+)
+def test_a_cycle_offset_of_the_wrong_length_is_refused(caller, length):
+    inst = parse_instance((GOLDEN / "mu6.pesp").read_text())
+    basis = default_basis(inst.graph)
+    start = initial_solution(inst, seed=6, basis=basis)
+    z = (start.cycle_offset + (0,))[:length]
+    memo = OffsetMemo(inst, basis)
+    assert memo.bound(z[:5]) is not None  # a prefix is bounded
+    run = {
+        "steps": lambda: peritrope.polytropes.steps(basis, z),
+        "neighbors": lambda: neighbors(inst, basis, z),
+        "tns": lambda: tns(inst, basis, start._replace(cycle_offset=z)),
+        "bound": lambda: memo.bound(z),
+    }[caller]
+    message = f"^cycle offset has {length} entries, the basis has 6 rows$"
+    with pytest.raises(ValueError, match=message):
+        run()
 
 
 def test_config_validation():

@@ -1025,3 +1025,40 @@ def test_width_bound_report_handles_trees():
     assert rep.strict_upper_vacuous
     assert rep.chain_holds
     assert rep.ok
+
+
+def _mu6():
+    inst = parse_instance((GOLDEN / "mu6.pesp").read_text(encoding="utf-8"))
+    return inst, default_basis(inst.graph)
+
+
+def _two_rows_one_empty():
+    g = Digraph(("a", "b", "c"), (("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")))
+    inst = PespInstance(g, 10, (1, 1, 0, 0), (2, 2, 9, 9), (1, 1, 1, 1))
+    return inst, default_basis(g)
+
+
+@pytest.mark.parametrize("name", ["triangle", "square", "two rows, one empty", "mu6"])
+def test_width_bound_report_builds_the_odijk_box_once(monkeypatch, name):
+    """One box per report, where ``width``, the report itself and
+    ``_box_integer_ranges`` each built one; an empty row's ends come from
+    that row's ``odijk_range`` alone."""
+    inst, basis = {
+        "triangle": _triangle,
+        "square": lambda: (square_instance(), square_basis()),
+        "two rows, one empty": _two_rows_one_empty,
+        "mu6": _mu6,
+    }[name]()
+    T, box = inst.period, odijk_box(inst, basis)
+    empty = tuple(
+        (k, Fraction(lo, T), Fraction(hi, T))
+        for k, (lo, hi) in enumerate(box)
+        if -(-lo // T) > hi // T
+    )
+    calls = []
+    real = zonotopes.odijk_box
+    monkeypatch.setattr(zonotopes, "odijk_box", lambda *a: calls.append(a) or real(*a))
+    rep = width_bound_report(inst, basis)
+    assert len(calls) == 1
+    assert rep.infeasible_cycles == empty
+    assert rep.infeasible == bool(empty) == (name == "two rows, one empty")
