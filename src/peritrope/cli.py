@@ -1,7 +1,8 @@
 """Command line front end: solve, analyze, polytropes, tile, render.
 
 Exit codes: 0 success/feasible, 1 usage or input errors, 2 infeasible or
-heuristic failure, 3 enumeration cap exceeded.
+heuristic failure, 3 enumeration cap exceeded.  ``_parse_argv`` reads argv
+by one flag table as the argparse parser it replaced did, minus its start-up.
 
 Every JSON payload is written by ``_json_text``, whose bytes are those of
 ``json.dumps(payload, indent=2)``: with an indent, ``json.dumps`` falls
@@ -14,10 +15,11 @@ writer hands it.  The tile list is about 95 % of the output of
 writer to walk it once cost as much again as writing the text.
 """
 
-import argparse
 import math
+import re
 import sys
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .errors import (
     EmptyPolytrope,
@@ -43,75 +45,6 @@ from .zonotopes import (
     validate_tiling,
     width_bound_report,
 )
-
-
-def _at_least(least):
-    """An argparse type: an integer of at least ``least``."""
-
-    def integer(text):
-        value = int(text)
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
-        return value
-
-    return integer
-
-
-def _common_flags(parser, root=False, json=False):
-    parser.add_argument("instance", help="instance file in the native text format")
-    parser.add_argument(
-        "--basis-tree",
-        default="auto",
-        metavar="ARCS",
-        help="comma-separated arc indices of the basis tree, or 'auto'",
-    )
-    if root:
-        parser.add_argument("--root", default=None, help="root vertex id")
-    parser.add_argument(
-        "--cap-width",
-        type=_at_least(0),
-        default=DEFAULT_WIDTH_CAP,
-        metavar="N",
-        help="refuse lattice enumerations beyond N box points",
-    )
-    if json:
-        parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--out", default=None, metavar="FILE", help="write output here")
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="peritrope",
-        description="periodic timetabling through polytropes and offset zonotopes",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="find an optimal or heuristic timetable")
-    _common_flags(p_solve)
-    p_solve.add_argument("--method", choices=("tns", "exact"), default="exact")
-    p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--max-iter", type=_at_least(1), default=100)
-    p_solve.add_argument("--restarts", type=_at_least(1), default=1)
-    p_solve.add_argument("--trace", default=None, metavar="FILE", help="tns trace (JSON lines)")
-    p_solve.set_defaults(func=cmd_solve)
-
-    p_analyze = sub.add_parser("analyze", help="zonotope report: volume, width, tiling, bounds")
-    _common_flags(p_analyze, root=True)
-    p_analyze.set_defaults(func=cmd_analyze)
-
-    p_poly = sub.add_parser("polytropes", help="enumerate nonempty offset classes")
-    _common_flags(p_poly, json=True)
-    p_poly.set_defaults(func=cmd_polytropes)
-
-    p_tile = sub.add_parser("tile", help="spanning tree tiling with validation and duality")
-    _common_flags(p_tile, root=True)
-    p_tile.set_defaults(func=cmd_tile)
-
-    p_render = sub.add_parser("render", help="SVG picture of the torus or the zonotope")
-    _common_flags(p_render, root=True)
-    p_render.add_argument("--what", choices=("torus", "zonotope"), default="torus")
-    p_render.set_defaults(func=cmd_render)
-    return parser
 
 
 def _load_instance(args):
@@ -424,17 +357,123 @@ def cmd_render(args):
     return 0
 
 
-# Built by the first ``main`` call and reused by every later one in the
-# process; ``parse_args`` does not change it.
-_parser = None
+# The flag table: one entry (command, help, handler, flags) per command,
+# each flag (option, converter, default, metavar, help).  The converter is
+# str, int, an int n for at least n, a tuple of choices, or None (a switch).
+_SHARED = (
+    ("--basis-tree", str, "auto", "ARCS", "comma-separated basis tree arc indices, or 'auto'"),
+    ("--cap-width", 0, DEFAULT_WIDTH_CAP, "N", "refuse lattice enumerations beyond N box points"),
+    ("--out", str, None, "FILE", "write output here"),
+)
+_ROOT = ("--root", str, None, "VERTEX", "root vertex id")
+_COMMANDS = (
+    ("solve", "find an optimal or heuristic timetable", cmd_solve, _SHARED + (
+        ("--method", ("tns", "exact"), "exact", "{tns,exact}", "exact optimum or tns search"),
+        ("--seed", int, 0, "N", "tns seed"),
+        ("--max-iter", 1, 100, "N", "tns step cap"),
+        ("--restarts", 1, 1, "N", "tns restarts"),
+        ("--trace", str, None, "FILE", "tns trace (JSON lines)"),
+    )),
+    ("analyze", "zonotope report: volume, width, tiling, bounds", cmd_analyze, _SHARED + (_ROOT,)),
+    ("polytropes", "enumerate nonempty offset classes", cmd_polytropes,
+     _SHARED + (("--json", None, False, "", "machine-readable output"),)),
+    ("tile", "spanning tree tiling with validation and duality", cmd_tile, _SHARED + (_ROOT,)),
+    ("render", "SVG picture of the torus or the zonotope", cmd_render,
+     _SHARED + (_ROOT, ("--what", ("torus", "zonotope"), "torus", "{torus,zonotope}", "picture"))),
+)
+
+
+def _end(entry, message=None):
+    """End the parse with help (usage and flags on stdout, code 0), or with
+    a refusal (usage and ``message`` on stderr, code 2)."""
+    prog = "peritrope " + entry[0] if entry else "peritrope"
+    words = "[flags] instance" if entry else "{%s} ..." % ",".join(row[0] for row in _COMMANDS)
+    rows = [(f"{f[0]} {f[3]}", f[4]) for f in entry[3]] if entry else [r[:2] for r in _COMMANDS]
+    text = f"{prog}: error: {message}\n" if message else "".join(f"  {a:<23}{b}\n" for a, b in rows)
+    (sys.stderr if message else sys.stdout).write(f"usage: {prog} [-h] {words}\n{text}")
+    raise SystemExit(2 if message else 0)
+
+
+def _option(arg, names, entry):
+    """What argparse made of ``arg`` before ``--``: None (positional) or
+    (option, value or None), the option None if no flag or prefix matches."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    head, eq, value = arg.partition("=")
+    if head in names:
+        return head, value if eq else None
+    if arg[1] == "-":
+        found = [name for name in names if name.startswith(head)]
+        if len(found) > 1:
+            _end(entry, f"ambiguous option: {arg} could match {', '.join(found)}")
+        if found:
+            return found[0], value if eq else None
+    elif arg[1] == "h":  # -hh is -h twice
+        return "-h", arg[2:].lstrip("h") or None
+    elif re.match(r"^-\d+$|^-\d*\.\d+$", arg):  # a negative number
+        return None
+    return None if " " in arg else (None, None)
+
+
+def _value(entry, option, convert, text):
+    if type(convert) is tuple and text not in convert:
+        choices = ", ".join(map(repr, convert))
+        _end(entry, f"argument {option}: invalid choice: {text!r} (choose from {choices})")
+    if convert is str or type(convert) is tuple:
+        return text
+    try:
+        value = int(text)
+    except ValueError:
+        _end(entry, f"argument {option}: invalid int value: {text!r}")
+    if convert is not int and value < convert:
+        _end(entry, f"argument {option}: must be at least {convert}, got {value}")
+    return value
+
+
+def _parse_argv(argv, entry=None, extras=()):
+    """The namespace of ``argv`` by the flag table, read as argparse read it."""
+    table = {flag[0]: flag for flag in entry[3]} if entry else {}
+    end = argv.index("--") if "--" in argv else len(argv)
+    # All are classified before any is read, as argparse refused ambiguous
+    # prefixes first: (option, value), None (positional) or the "--" marker.
+    kinds = [_option(arg, ("-h", "--help") + tuple(table), entry) for arg in argv[:end]]
+    kinds += ["--"] + [None] * len(argv)
+    extras, values = list(extras), {option: flag[2] for option, flag in table.items()}
+    instance, i = None, 0
+    while i < len(argv):
+        kind, i = kinds[i], i + 1
+        if entry is None and type(kind) is not tuple:  # the command word; the rest is its own
+            name = _value(None, "command", tuple(row[0] for row in _COMMANDS), argv[i - 1])
+            return _parse_argv(argv[i:], next(row for row in _COMMANDS if row[0] == name), extras)
+        if instance is None and (kind is None or kind == "--" and i < len(argv)):
+            i += kind == "--"  # a "--" beside the instance goes with it
+            instance, i = argv[i - 1], i + (kinds[i] == "--")
+        elif type(kind) is not tuple or kind[0] is None:
+            extras.append(argv[i - 1])
+        elif table.get(kind[0], (0, None))[1] is None:  # -h, --help or a switch
+            if kind[1] is not None:
+                _end(entry, f"argument {kind[0]}: ignored explicit argument {kind[1]!r}")
+            if kind[0] not in table:  # -h or --help
+                _end(entry)
+            values[kind[0]] = True
+        else:
+            option, text = kind
+            if text is None:
+                if kinds[i] is not None:  # a flag, the marker or the end
+                    _end(entry, f"argument {option}: expected one argument")
+                text, i = argv[i], i + 1
+            values[option] = _value(entry, option, table[option][1], text)
+    if instance is None:
+        _end(entry, "the following arguments are required: " + ("instance" if entry else "command"))
+    if extras:
+        _end(None, "unrecognized arguments: " + " ".join(extras))
+    fields = {option[2:].replace("-", "_"): value for option, value in values.items()}
+    return SimpleNamespace(command=entry[0], instance=instance, func=entry[2], **fields)
 
 
 def main(argv=None):
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = _parse_argv(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

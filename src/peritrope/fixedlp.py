@@ -256,7 +256,7 @@ def cycle_relaxation_bound(inst, basis):
     """
     start = [l if w >= 0 else u for w, l, u in zip(inst.weight, inst.lower, inst.upper)]
     base = sum(w * x for w, x in zip(inst.weight, start))
-    T = inst.period
+    T, span = inst.period, inst.span
     # |w| / |gamma| ascending by cross-multiplication; the sort is stable
     by_ratio = cmp_to_key(lambda a, b: a[0] * b[1] - b[0] * a[1])
     rows = []
@@ -264,7 +264,7 @@ def cycle_relaxation_bound(inst, basis):
         # Moves that raise gamma.x (index 1) or lower it (index 0), as
         # (|w|, |gamma|, span); an arc moves up from l and down from u.
         by_direction = ([], [])
-        for w, g, s in zip(inst.weight, row, inst.span):
+        for w, g, s in zip(inst.weight, row, span):
             if g and s:
                 by_direction[(g > 0) == (w >= 0)].append((abs(w), abs(g), s))
         sides = []

@@ -211,6 +211,7 @@ def contract_fixed_arcs(inst):
     new_arcs = []
     new_bounds = []
     arc_map = [None] * g.m
+    span = inst.span
     for a in range(g.m):
         if inst.lower[a] == inst.upper[a]:
             continue
@@ -232,7 +233,7 @@ def contract_fixed_arcs(inst):
             continue
         arc_map[a] = len(new_arcs)
         new_arcs.append((rep_name[ri], rep_name[rj]))
-        new_bounds.append((lo, lo + inst.span[a], inst.weight[a]))
+        new_bounds.append((lo, lo + span[a], inst.weight[a]))
         # Old tension = new tension + drop - shift on this arc.
         offset += inst.weight[a] * (drop - shift)
 

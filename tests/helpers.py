@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import math
 import os
@@ -35,6 +36,7 @@ from peritrope import (
     solution_from_timetable,
     spanning_trees,
 )
+from peritrope.cli import cmd_analyze, cmd_polytropes, cmd_render, cmd_solve, cmd_tile
 from peritrope.graphs import (
     DEFAULT_ENUMERATION_CAP,
     _inverse_frame,
@@ -104,6 +106,77 @@ def run_cli(args):
         timeout=120,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def _at_least(least):
+    """An argparse type: an integer of at least ``least``."""
+
+    def integer(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return integer
+
+
+def _common_flags(parser, root=False, json=False):
+    parser.add_argument("instance", help="instance file in the native text format")
+    parser.add_argument(
+        "--basis-tree",
+        default="auto",
+        metavar="ARCS",
+        help="comma-separated arc indices of the basis tree, or 'auto'",
+    )
+    if root:
+        parser.add_argument("--root", default=None, help="root vertex id")
+    parser.add_argument(
+        "--cap-width",
+        type=_at_least(0),
+        default=DEFAULT_WIDTH_CAP,
+        metavar="N",
+        help="refuse lattice enumerations beyond N box points",
+    )
+    if json:
+        parser.add_argument("--json", action="store_true", help="machine-readable output")
+    parser.add_argument("--out", default=None, metavar="FILE", help="write output here")
+
+
+def argparse_reference():
+    """The argparse parser that ``cli._parse_argv`` replaced, kept as the
+    reference its table must read every argv as."""
+    parser = argparse.ArgumentParser(
+        prog="peritrope",
+        description="periodic timetabling through polytropes and offset zonotopes",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_solve = sub.add_parser("solve", help="find an optimal or heuristic timetable")
+    _common_flags(p_solve)
+    p_solve.add_argument("--method", choices=("tns", "exact"), default="exact")
+    p_solve.add_argument("--seed", type=int, default=0)
+    p_solve.add_argument("--max-iter", type=_at_least(1), default=100)
+    p_solve.add_argument("--restarts", type=_at_least(1), default=1)
+    p_solve.add_argument("--trace", default=None, metavar="FILE", help="tns trace (JSON lines)")
+    p_solve.set_defaults(func=cmd_solve)
+
+    p_analyze = sub.add_parser("analyze", help="zonotope report: volume, width, tiling, bounds")
+    _common_flags(p_analyze, root=True)
+    p_analyze.set_defaults(func=cmd_analyze)
+
+    p_poly = sub.add_parser("polytropes", help="enumerate nonempty offset classes")
+    _common_flags(p_poly, json=True)
+    p_poly.set_defaults(func=cmd_polytropes)
+
+    p_tile = sub.add_parser("tile", help="spanning tree tiling with validation and duality")
+    _common_flags(p_tile, root=True)
+    p_tile.set_defaults(func=cmd_tile)
+
+    p_render = sub.add_parser("render", help="SVG picture of the torus or the zonotope")
+    _common_flags(p_render, root=True)
+    p_render.add_argument("--what", choices=("torus", "zonotope"), default="torus")
+    p_render.set_defaults(func=cmd_render)
+    return parser
 
 
 def random_connected_digraph(rng, max_vertices=5, max_arcs=8):

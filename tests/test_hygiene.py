@@ -14,7 +14,8 @@ which nothing else in a command needs, and every ``@dataclass`` compiles
 and execs generated source for its methods: with no bytecode cache that
 was about a third of ``import peritrope.cli``.  The records are
 ``collections.namedtuple`` subclasses instead, and the SVG renderer
-loads only when a picture is drawn."""
+loads only when a picture is drawn.  ``argparse`` (with ``gettext`` and
+``locale``) stays unloaded too: the CLI reads argv by its own flag table."""
 
 import ast
 import json
@@ -244,33 +245,41 @@ def test_dataclasses_imports_are_found():
 
 
 _START_UP = """
-import json, sys
+import json, os, sys
 before = set(sys.modules)
 import peritrope.cli
+status = peritrope.cli.main(["solve", sys.argv[1], "--out", os.devnull])
 loaded = set(sys.modules) - before
 import peritrope
 renderer = peritrope.render_torus
 print(json.dumps({
-    "loaded": sorted(loaded & {"dataclasses", "peritrope.render"}),
+    "status": status,
+    "loaded": sorted(loaded & {"argparse", "dataclasses", "gettext", "locale", "peritrope.render"}),
     "renderer": [renderer.__module__, renderer.__name__, "peritrope.render" in sys.modules],
 }))
 """
 
 
 def test_the_cli_starts_without_dataclasses_or_the_renderer():
-    """A fresh interpreter that imports ``peritrope.cli`` loads neither
-    ``dataclasses`` nor ``peritrope.render``; the package still serves the
-    renderers, loading them on first use."""
+    """A fresh interpreter that imports ``peritrope.cli`` and solves one
+    instance loads neither ``dataclasses`` nor ``peritrope.render``, nor
+    ``argparse`` and the ``gettext`` and ``locale`` it brings; the package
+    still serves the renderers, loading them on first use."""
     src = str(pathlib.Path(peritrope.__file__).parent.parent)
+    instance = pathlib.Path(__file__).parent / "golden" / "mu6.pesp"
     result = subprocess.run(
-        [sys.executable, "-c", _START_UP],
+        [sys.executable, "-c", _START_UP, str(instance)],
         env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True,
         text=True,
         check=True,
     )
     report = json.loads(result.stdout)
-    assert report == {"loaded": [], "renderer": ["peritrope.render", "render_torus", True]}
+    assert report == {
+        "status": 0,
+        "loaded": [],
+        "renderer": ["peritrope.render", "render_torus", True],
+    }
 
 
 def unused_imports(source, reexports=False):
