@@ -18,7 +18,7 @@ from .errors import CrosscheckMismatch, EnumerationCapExceeded, Infeasible
 from .graphs import default_basis
 from .polytropes import timetable_to_tension
 from .search import OffsetMemo, solution_from_timetable
-from .zonotopes import DEFAULT_WIDTH_CAP, box_points
+from .zonotopes import DEFAULT_WIDTH_CAP, _capped_box
 
 
 def solve_exact(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP):
@@ -28,7 +28,7 @@ def solve_exact(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP):
     ``OffsetMemo.least_optimum``."""
     if basis is None:
         basis = default_basis(inst.graph)
-    box_points(inst, basis, cap=width_cap)
+    _capped_box(inst, basis, width_cap)
     memo = OffsetMemo(inst, basis)
     z = memo.least_optimum([(memo.bound(()), ())])
     if z is None:

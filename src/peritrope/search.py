@@ -17,8 +17,9 @@ the completions in the box.  A popped node is dropped when a learned
 row rules out all its completions, pushed back when cuts learned since
 raise its lower, expanded into the next box row, or, as a whole z,
 solved; the failed solve of an empty one hands over its negative cycle
-(``Infeasible.cycle``), which becomes an Odijk row lo <= ty.z <= hi that
-every nonempty offset meets (Odijk, Transportation Research B 30, 1996).
+(``Infeasible.cycle``), which ``zonotopes.learn_row``, as for
+``lattice_points``, turns into an Odijk row lo <= ty.z <= hi that every
+nonempty offset meets (Odijk, Transportation Research B 30, 1996).
 The search stops at the first key above the best (objective, z) found,
 or above the caller's limit while none is, so the argmin survives.  Only
 an offset a caller takes has its vertex built.
@@ -28,7 +29,7 @@ with their cuts, steps, rows, solutions) and the invariant checks the
 search rests on: the relaxation rules out no box point or prefix, no
 optimum lies below its bound, its own cut or its key, a vertex rebuilds
 into its own z and objective, and a row rules out its own z but no
-offset solved nonempty.  So ``solve_exact``, ``tns`` and
+offset solved nonempty (``learn_row``).  So ``solve_exact``, ``tns`` and
 ``neighbourhood_graph`` all run them.  One memo keeps the answers, which
 depend only on the instance, the basis and z, for a whole solve:
 ``tns_restarts`` shares it between its walks, and ``tns`` builds a fresh
@@ -57,7 +58,14 @@ from .polytropes import (
     steps,
     timetable_to_tension,
 )
-from .zonotopes import DEFAULT_WIDTH_CAP, _box_integer_ranges, box_points, odijk_range
+from .zonotopes import (
+    DEFAULT_WIDTH_CAP,
+    _box_integer_ranges,
+    _capped_box,
+    lattice_points,
+    learn_row,
+    suffix_extremes,
+)
 
 
 class Solution(namedtuple("Solution", "timetable tension periodic_offset cycle_offset objective")):
@@ -146,7 +154,6 @@ class OffsetMemo:
         self._bound = cycle_relaxation_bound(inst, basis)
         self._top = sum(max(w * l, w * u) for w, l, u in zip(inst.weight, inst.lower, inst.upper))
         self._optima = {}
-        self._cycles = {}  # the negative cycle of each empty z, until its row
         self._solutions = {}
         self._steps = {}
         # Learned forms (ty, low, high, lo, hi, const), low[k] and high[k] the
@@ -176,29 +183,24 @@ class OffsetMemo:
             self._steps[z] = found
         return found
 
-    def _form(self, ty, lo=None, hi=None, const=None):
-        """Learn the form ty with these ends and constant (see __init__)."""
-        low, high = [0], [0]
-        for t, r in zip(reversed(ty), reversed(self.box)):
-            a, b = (t * r[0], t * r[-1]) if t >= 0 else (t * r[-1], t * r[0])
-            low.append(low[-1] + a)
-            high.append(high[-1] + b)
-        self._forms.append((ty, low[::-1], high[::-1], lo, hi, const))
-
     def optimum(self, z, lower, learned=None):
         """The ``certified_optimum`` of z, or None when it is empty; ``lower``
         is the bound of z and ``learned`` a bound from the cuts learned before
-        its solve (None: unchecked).  An optimum below either or below its own
-        cut, which joins the learned ones, raises InvariantViolation."""
+        its solve (None: unchecked).  Its cut, or the ``learn_row`` row of an
+        empty z's negative cycle, joins the learned forms; an optimum below
+        either bound or below its own cut raises InvariantViolation."""
         if z not in self._optima:
             try:
                 found = certified_optimum(self.inst, offset_for(self.inst, self.basis, z))
             except Infeasible as empty:
-                found, self._cycles[z] = None, empty.cycle
+                found = None
+                nonempty = (y for y, other in self._optima.items() if other is not None)
+                row = learn_row(self.inst, self.basis, self.box, z, empty.cycle, nonempty)
+                self._forms.append((*row, None))
             if found is not None:
                 ty, d = cycle_offset_form(self.basis, found.cut[1])
                 ty = [self.inst.period * d * v for v in ty]
-                self._form(ty, const=found.cut[0])
+                self._forms.append((ty, *suffix_extremes(ty, self.box), None, None, found.cut[0]))
                 own = found.cut[0] + sum(map(int.__mul__, ty, z))
                 cut = own if learned is None else max(own, learned)
                 for floor, name in (lower, "its cycle relaxation bound"), (cut, "the learned cut"):
@@ -209,19 +211,6 @@ class OffsetMemo:
                         )
             self._optima[z] = found
         return self._optima[z]
-
-    def _learn_row(self, z, gamma):
-        """Learn the Odijk row of gamma, the negative cycle of z's failed solve;
-        one that leaves z open or rules out a nonempty z raises InvariantViolation."""
-        ty, d = cycle_offset_form(self.basis, gamma)
-        lo, hi = odijk_range(self.inst, gamma)
-        ty, lo, hi = [d * v for v in ty], -(-lo // self.inst.period), hi // self.inst.period
-        if lo <= sum(map(int.__mul__, ty, z)) <= hi:
-            raise InvariantViolation(f"the row learned at the empty offset {z} leaves it open")
-        for z2, found in self._optima.items():
-            if found is not None and not lo <= sum(map(int.__mul__, ty, z2)) <= hi:
-                raise InvariantViolation(f"the row of {z} rules out {z2}, which is nonempty")
-        self._form(ty, lo, hi)
 
     def _node(self, prefix, relax, sums):
         """The heap entry (lower, prefix, relax, sums) of a prefix whose sums
@@ -271,9 +260,7 @@ class OffsetMemo:
                     continue
             k = len(prefix)
             if k == len(self.box):
-                if fresh and self.optimum(prefix, relax, lower) is None:
-                    self._learn_row(prefix, self._cycles.pop(prefix))
-                found = self._optima[prefix]
+                found = self.optimum(prefix, relax, lower)
                 if found is not None and (found.objective, prefix) < best:
                     best = (found.objective, prefix)
                 continue
@@ -354,17 +341,15 @@ class NeighbourhoodGraph(namedtuple("NeighbourhoodGraph", "nodes edges objective
 
 
 def neighbourhood_graph(inst, basis, width_cap=DEFAULT_WIDTH_CAP):
-    """Undirected graph on feasible cycle offsets, one edge per basis
-    column step, each node annotated with its exact polytrope optimum.
-    Each ``box_points`` point is bounded and solved once through an
-    ``OffsetMemo``, and an empty polytrope is no node, so one Bellman-Ford
-    decides it."""
-    points = box_points(inst, basis, cap=width_cap)
+    """Undirected graph on the ``lattice_points``, one edge per basis
+    column step, each node annotated with its exact polytrope optimum,
+    which one ``OffsetMemo`` bounds and solves."""
+    _capped_box(inst, basis, width_cap)  # the cap error before the memo's basis error
     memo = OffsetMemo(inst, basis)
     objective = {}
-    for z in points:
-        if memo.optimum(z, memo.bound(z)) is not None:
-            objective[z] = memo.solution(z).objective
+    for z in lattice_points(inst, basis, cap=width_cap):
+        memo.optimum(z, memo.bound(z))
+        objective[z] = memo.solution(z).objective
     nodes = tuple(objective)
     edges = {tuple(sorted((z, z2))) for z in nodes for z2 in steps(basis, z) if z2 in objective}
     return NeighbourhoodGraph(nodes, tuple(sorted(edges)), objective)

@@ -6,6 +6,10 @@ all arithmetic stays on integers; the real value is the stored value
 divided by T.  A point is a lattice point exactly when every scaled
 coordinate is divisible by T.
 
+``lattice_points`` alone decides which box points are nonempty: its walk
+of the box learns an Odijk row from each empty point it reaches
+(``learn_row``, as ``search.OffsetMemo`` does) and skips what rows rule out.
+
 The volume is one Gram determinant.  One kernel object per (inst,
 basis), ``TileKernel``, builds the tiles a structure implies, for
 ``fine_tiling`` and ``validate_tiling`` alike, which share it when given
@@ -34,15 +38,15 @@ the shortest path lengths from the root, and builds no polytrope.
 Fractions appear only in volumes and the width bound chain.
 """
 
-import itertools
 import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import EnumerationCapExceeded, FixedArcPresent
+from .errors import EnumerationCapExceeded, FixedArcPresent, InvariantViolation
 from .graphs import (
     _eliminate,
     _inverse_frame,
+    _require_connected,
     count_spanning_trees_determinant,
     grow_spanning_trees,
     spanning_tree_walk,
@@ -53,7 +57,9 @@ from .polytropes import (
     _potentials,
     _root_index,
     anchor_timetable,
+    cycle_offset_form,
     kappa,
+    negative_cycle,
     offset_for,
     offset_from_cycle_offset,
     polytrope_nonempty,
@@ -113,12 +119,7 @@ def odijk_range(inst, row):
 
 def _box_integer_ranges(inst, basis):
     T = inst.period
-    ranges = []
-    for lo, hi in odijk_box(inst, basis):
-        first = -((-lo) // T)  # ceil(lo / T)
-        last = hi // T  # floor(hi / T)
-        ranges.append(range(first, last + 1))
-    return ranges
+    return [range(-(-lo // T), hi // T + 1) for lo, hi in odijk_box(inst, basis)]
 
 
 def width(inst, basis):
@@ -147,35 +148,89 @@ def scaled_point_in_zonotope(inst, basis, point):
     return tension_system_feasible(inst, offset_from_cycle_offset(basis, point))
 
 
-def box_points(inst, basis, cap=DEFAULT_WIDTH_CAP):
-    """The integer points of the box, an iterable in sorted order, without
-    a feasibility test; raises EnumerationCapExceeded, before any point,
-    when there are more than ``cap`` of them.  An empty basis has the one
-    point (), uncapped."""
-    if basis.mu == 0:
-        return ((),)
-    ranges = _box_integer_ranges(inst, basis)
-    count = math.prod(len(r) for r in ranges)
-    if count > cap:
+def _capped_box(inst, basis, cap):
+    """The box's integer ranges; more than ``cap`` points raise
+    EnumerationCapExceeded, but an empty basis's one point () is uncapped."""
+    box = _box_integer_ranges(inst, basis)
+    count = math.prod(map(len, box))
+    if box and count > cap:
         raise EnumerationCapExceeded(f"box holds {count} integer points, cap is {cap}")
-    return itertools.product(*ranges)
+    return box
+
+
+def odijk_row(inst, basis, gamma):
+    """The Odijk row (ty, lo, hi) of the oriented cycle gamma, lo <= ty.z <=
+    hi for every nonempty z: gamma.p = ty'.z / d (``cycle_offset_form``) in
+    lo' <= T gamma.p <= hi' (``odijk_range``) gives ty = sign(d) ty',
+    lo = ceil(lo' |d| / T) and hi = floor(hi' |d| / T)."""
+    (ty, d), (lo, hi), T = cycle_offset_form(basis, gamma), odijk_range(inst, gamma), inst.period
+    return [v if d > 0 else -v for v in ty], -(-lo * abs(d) // T), hi * abs(d) // T
+
+
+def learn_row(inst, basis, box, z, gamma, nonempty):
+    """The ``odijk_row`` of gamma, the negative cycle of the empty offset z,
+    with its ``suffix_extremes`` over the box; one that leaves z open or
+    rules out an offset of the iterable ``nonempty`` raises InvariantViolation."""
+    ty, lo, hi = odijk_row(inst, basis, gamma)
+    if lo <= sum(map(int.__mul__, ty, z)) <= hi:
+        raise InvariantViolation(f"the row learned at the empty offset {z} leaves it open")
+    for z2 in nonempty:
+        if not lo <= sum(map(int.__mul__, ty, z2)) <= hi:
+            raise InvariantViolation(f"the row of {z} rules out {z2}, which is nonempty")
+    return ty, *suffix_extremes(ty, box), lo, hi
+
+
+def suffix_extremes(ty, box):
+    """(low, high): low[k] and high[k] the least and greatest ty.z over the
+    box rows k.., so low[mu] = high[mu] = 0."""
+    low, high = [0], [0]
+    for t, r in zip(reversed(ty), reversed(box)):
+        a, b = (t * r[0], t * r[-1]) if t >= 0 else (t * r[-1], t * r[0])
+        low.append(low[-1] + a)
+        high.append(high[-1] + b)
+    return low[::-1], high[::-1]
 
 
 def enumerate_polytropes(inst, basis, cap=DEFAULT_WIDTH_CAP):
-    """All nonempty offset classes, keyed by their cycle offset, found by
-    building the polytrope of every integer point of the bounding box of
-    feasible offsets: one Bellman-Ford per box point."""
-    polys = (
-        _polytrope_at(inst, z, offset_for(inst, basis, z))
-        for z in box_points(inst, basis, cap=cap)
-    )
-    return tuple(poly for poly in polys if poly.nonempty)
+    """The polytropes of the ``lattice_points``; a disconnected graph
+    raises DisconnectedGraph before any Bellman-Ford."""
+    _require_connected(inst.graph)
+    points = lattice_points(inst, basis, cap=cap)
+    return tuple(_polytrope_at(inst, z, offset_for(inst, basis, z)) for z in points)
 
 
 def lattice_points(inst, basis, cap=DEFAULT_WIDTH_CAP):
-    """Integer points of the box that are feasible cycle offsets, sorted:
-    one Bellman-Ford per ``box_points`` point."""
-    return tuple(z for z in box_points(inst, basis, cap) if zonotope_membership(inst, basis, z))
+    """The feasible cycle offsets, in sorted order, by a depth-first walk of
+    the box with one Bellman-Ford per point it reaches (module docstring);
+    more than ``cap`` box points raise EnumerationCapExceeded before any."""
+    box = _capped_box(inst, basis, cap)
+    if not all(box):
+        return ()
+    # Under a basis that is not integral, the corner (each r[False]), the
+    # walk's first point, and its unit steps generate the box modulo the
+    # offset lattice: one raises ValueError if any point has no integer offset.
+    for k in (k for k, r in enumerate(box) if len(r) > 1 and abs(basis.cotree_frame[1]) != 1):
+        offset_for(inst, basis, tuple(r[j == k] for j, r in enumerate(box)))
+    rows, points = [], []  # rows as from learn_row
+    stack = [((), [])]  # (prefix, ty.prefix for the rows learned before its push)
+    while stack:
+        prefix, sums = stack.pop()
+        k = len(prefix)
+        sums += [sum(map(int.__mul__, row[0], prefix)) for row in rows[len(sums) :]]
+        if any(
+            s + low[k] > hi or s + high[k] < lo for s, (_, low, high, lo, hi) in zip(sums, rows)
+        ):
+            continue
+        if k < len(box):
+            for v in reversed(box[k]):
+                stack.append((prefix + (v,), [s + r[0][k] * v for s, r in zip(sums, rows)]))
+            continue
+        edges, parent = kappa(inst, offset_for(inst, basis, prefix)), {}
+        if _potentials(inst.graph.n, edges, parent=parent) is not None:
+            points.append(prefix)
+        else:
+            rows.append(learn_row(inst, basis, box, prefix, negative_cycle(edges, parent), points))
+    return tuple(points)
 
 
 def volume(inst, basis):

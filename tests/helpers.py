@@ -56,14 +56,15 @@ from peritrope.zonotopes import (
     Tile,
     TileKernel,
     TilingReport,
+    _box_integer_ranges,
     _frame_contains,
     _pinned_tensions,
     _scaled_columns,
     fine_tiling,
-    lattice_points,
     scaled_point_in_zonotope,
     volume,
     width,
+    zonotope_membership,
 )
 
 
@@ -258,12 +259,32 @@ def varied_instance(rng, max_vertices=6, max_arcs=9, max_period=10):
     return inst._replace(upper=upper, weight=weight)
 
 
+def box_points(inst, basis, cap=DEFAULT_WIDTH_CAP):
+    """The integer points of the box, an iterable in sorted order, without
+    a feasibility test; raises EnumerationCapExceeded, before any point,
+    when there are more than ``cap`` of them.  An empty basis has the one
+    point (), uncapped."""
+    if basis.mu == 0:
+        return ((),)
+    ranges = _box_integer_ranges(inst, basis)
+    count = math.prod(len(r) for r in ranges)
+    if count > cap:
+        raise EnumerationCapExceeded(f"box holds {count} integer points, cap is {cap}")
+    return itertools.product(*ranges)
+
+
+def lattice_points_by_box_scan(inst, basis, cap=DEFAULT_WIDTH_CAP):
+    """Reference for ``zonotopes.lattice_points``: ``zonotope_membership``,
+    one Bellman-Ford, for every ``box_points`` point."""
+    return tuple(z for z in box_points(inst, basis, cap) if zonotope_membership(inst, basis, z))
+
+
 def solve_exact_by_full_scan(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP):
     """Reference for solve_exact: optimize the polytrope of every lattice
     point and keep the (objective, z) minimum."""
     if basis is None:
         basis = default_basis(inst.graph)
-    points = lattice_points(inst, basis, cap=width_cap)
+    points = lattice_points_by_box_scan(inst, basis, cap=width_cap)
     if not points:
         raise Infeasible("no feasible cycle offset: the zonotope holds no lattice point")
     results = [minimize_over_polytrope(inst, offset_for(inst, basis, z)) for z in points]
@@ -273,11 +294,11 @@ def solve_exact_by_full_scan(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP):
 
 def solve_exact_by_box_scan(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP):
     """Reference for solve_exact's bounded order: Bellman-Ford on every box
-    point (``lattice_points``), then optimize the nonempty ones in
+    point (``lattice_points_by_box_scan``), then optimize the nonempty ones in
     ascending (bound, z) order until a bound exceeds the best objective."""
     if basis is None:
         basis = default_basis(inst.graph)
-    points = lattice_points(inst, basis, cap=width_cap)
+    points = lattice_points_by_box_scan(inst, basis, cap=width_cap)
     if not points:
         raise Infeasible("no feasible cycle offset: the zonotope holds no lattice point")
     bound = cycle_relaxation_bound(inst, basis)
@@ -378,10 +399,16 @@ def drop_learned_cuts(monkeypatch):
 
 
 def drop_learned_rows(monkeypatch):
-    """Patch ``OffsetMemo`` to learn no Odijk row from the negative cycle of
-    an empty offset's solve: the search prunes by the relaxation bound and
-    the learned cuts alone."""
-    monkeypatch.setattr(peritrope.search.OffsetMemo, "_learn_row", lambda memo, z, gamma: None)
+    """Patch ``search.learn_row`` to hand ``OffsetMemo``, in place of the
+    Odijk row of each empty offset's negative cycle, the row ty = 0 with
+    0 <= ty.z <= 0, which rules out no offset: the search prunes by the
+    relaxation bound and the learned cuts alone."""
+
+    def inert(inst, basis, box, z, gamma, nonempty):
+        zeros = [0] * (len(box) + 1)  # ty, and its least and greatest sums
+        return zeros[1:], zeros, zeros, 0, 0
+
+    monkeypatch.setattr(peritrope.search, "learn_row", inert)
 
 
 def check_certificate(inst, p, found, objective=None):
@@ -937,7 +964,7 @@ def validate_tiling_by_frame_scan(inst, basis, tiles, width_cap=DEFAULT_WIDTH_CA
     columns = _scaled_columns(inst, basis)
     tiles_inside = all(tile_inside_by_corners(inst, basis, tile, columns) for tile in tiles)
 
-    points = lattice_points(inst, basis, cap=width_cap)
+    points = lattice_points_by_box_scan(inst, basis, cap=width_cap)
     incidences = []
     held = [[] for _ in tiles]
     for z in points:

@@ -432,6 +432,7 @@ MORE_GOLDENS += [("zero9", ["solve"], "solve.json")]
 MORE_GOLDENS += [
     ("mu6", ["solve", "--method", "tns", "--seed", "6", "--max-iter", "2"], "tns-cap2.json")
 ]
+MORE_GOLDENS += [("l5", ["polytropes", "--json", "--cap-width", "20000"], "polytropes.json")]
 
 
 @pytest.mark.parametrize(
@@ -450,7 +451,9 @@ def test_solve_polytropes_and_render_goldens_are_byte_identical(
     golden a zonotope picture can show.
     zero9 is a ``bench/gen`` instance (n = 9, m = 13, ``random.Random(1)``)
     with every weight 0, so its first optimal face is a whole polytrope,
-    56,320 spanning tree structures."""
+    56,320 spanning tree structures.  l5.polytropes (112 of 17,496 box
+    points, above the default cap) was written by building the polytrope
+    of every box point."""
     trace = tmp_path / "trace.jsonl"
     tns = "tns" in command
     argv = [command[0], str(GOLDEN / f"{instance}.pesp"), *command[1:]]

@@ -27,8 +27,9 @@ from peritrope import (
     verify_solution,
 )
 from peritrope.fixedlp import cycle_relaxation_bound
-from peritrope.zonotopes import box_points, lattice_points
+from peritrope.zonotopes import lattice_points
 from helpers import (
+    box_points,
     count_bellman_ford,
     count_polytrope_solves,
     drop_learned_cuts,

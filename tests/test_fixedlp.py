@@ -30,8 +30,9 @@ from peritrope import (
 )
 from peritrope.fixedlp import certified_optimum, optimal_vertex
 from peritrope.polytropes import kappa
-from peritrope.zonotopes import _box_integer_ranges, box_points, lattice_points, odijk_box
+from peritrope.zonotopes import _box_integer_ranges, lattice_points, odijk_box
 from helpers import (
+    box_points,
     check_certificate,
     check_empty_certificate,
     count_bellman_ford,

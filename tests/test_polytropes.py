@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 
 import pytest
@@ -36,8 +38,8 @@ from peritrope import (
 )
 from peritrope.fixedlp import minimize_over_polytrope
 from peritrope.polytropes import _face_classes, _potentials, tension_system_feasible
-from peritrope.zonotopes import box_points
 from helpers import (
+    box_points,
     count_bellman_ford,
     dense_apply,
     equality_classes,
@@ -50,6 +52,9 @@ from helpers import (
     triangle_instance,
     varied_instance,
 )
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def _triangle():
@@ -333,22 +338,41 @@ def test_neighbors_tree_instance():
     assert neighbors(inst, basis, ()) == set()
 
 
-def test_enumerate_polytropes_runs_one_bellman_ford_per_empty_point_and_n_per_nonempty(
-    monkeypatch,
-):
-    # Each box point's first row, from vertex 0, is its only emptiness
-    # test; a nonempty point then runs the other n - 1 rows.
+def test_enumerate_polytropes_runs_one_run_per_walked_point_and_n_per_nonempty(monkeypatch):
+    """``lattice_points`` runs one virtual-source Bellman-Ford per box
+    point its walk reaches; each nonempty point then runs its n rows, from
+    vertex 0 on.  A full box, the triangle's, so costs one run more per
+    polytrope than a scan whose row 0 is its emptiness test: 12 against 9.
+    On l5 the walk reaches 156 of the 17,496 box points, and the
+    polytropes are those of ``tests/golden/l5.polytropes.json``, written
+    by building the polytrope of every box point."""
+    l5 = parse_instance((GOLDEN / "l5.pesp").read_text())
+    cases = [_triangle(), (square_instance(), square_basis()), (l5, default_basis(l5.graph))]
+    expected = [_per_point_polytropes(inst, basis) for inst, basis in cases[:2]]
+    expected.append(json.loads((GOLDEN / "l5.polytropes.json").read_text()))
     runs = count_bellman_ford(monkeypatch)
-    empties = []
-    for inst, basis in (_triangle(), (square_instance(), square_basis())):
+    walked = []
+    for (inst, basis), want in zip(cases, expected):
         n = inst.graph.n
-        nonempty = {poly.cycle_offset for poly in enumerate_polytropes(inst, basis)}
-        points = list(box_points(inst, basis))
-        rows = {z: range(n) if z in nonempty else range(1) for z in points}
-        assert runs == [(n, i) for z in points for i in rows[z]]
-        empties.append(len(points) - len(nonempty))
+        polys = enumerate_polytropes(inst, basis, cap=20_000)
+        if isinstance(want, list):  # the golden's JSON, as ``peritrope polytropes --json``
+            polys = [
+                {"cycle_offset": list(z), "offset": list(p), "dimension": dim}
+                for p, z, _, dim, _, _ in polys
+            ]
+        assert polys == want
+        walked.append(runs.count((n, None)))
+        assert runs == [(n, None)] * walked[-1] + [(n, i) for _ in polys for i in range(n)]
         runs.clear()
-    assert empties == [0, 1]
+    assert walked == [3, 12, 156] and width(*cases[2]) == 17_496
+
+
+def _per_point_polytropes(inst, basis, cap=10_000):
+    """The reference for ``enumerate_polytropes``: ``polytrope_build`` at
+    every box point, the empty ones dropped."""
+    points = box_points(inst, basis, cap)
+    polys = (polytrope_build(inst, basis, offset_for(inst, basis, z)) for z in points)
+    return tuple(poly for poly in polys if poly.nonempty)
 
 
 def test_a_disconnected_instance_builds_no_polytrope(monkeypatch):
@@ -366,17 +390,18 @@ def test_a_disconnected_instance_builds_no_polytrope(monkeypatch):
     assert runs == []
 
 
-def test_each_box_point_gets_one_offset_preimage(monkeypatch):
-    """``enumerate_polytropes`` builds each polytrope, and ``duality_check``
-    weights each doubled graph, from the canonical offset they already
-    hold: one ``offset_from_cycle_offset`` call per box point or tile,
-    and the polytropes ``polytrope_build`` gives for the same offsets."""
-    inst, basis = square_instance(), square_basis()
-    polys = [
-        polytrope_build(inst, basis, offset_for(inst, basis, z)) for z in box_points(inst, basis)
-    ]
-    expected = tuple(poly for poly in polys if poly.nonempty)
-    tiles = fine_tiling(inst, basis)
+def test_each_walked_point_gets_one_offset_preimage(monkeypatch):
+    """``lattice_points`` takes one ``offset_from_cycle_offset`` per box
+    point its walk reaches, and no other under an integral basis;
+    ``enumerate_polytropes`` takes one more per polytrope, and
+    ``duality_check`` weights each doubled graph from the canonical
+    offset it already holds, one call per tile.  The polytropes are the ones ``polytrope_build`` gives at each
+    nonempty box point: on the square, and on s8800, where the walk
+    reaches 201 of the 12,288 box points."""
+    s8800 = parse_instance((GOLDEN / "s8800.pesp").read_text())
+    cases = [(square_instance(), square_basis()), (s8800, default_basis(s8800.graph))]
+    expected = [_per_point_polytropes(inst, basis, cap=20_000) for inst, basis in cases]
+    tiles = fine_tiling(*cases[0])
     honest = peritrope.polytropes.offset_from_cycle_offset
     calls = []
 
@@ -385,10 +410,16 @@ def test_each_box_point_gets_one_offset_preimage(monkeypatch):
         return honest(basis, z)
 
     monkeypatch.setattr(peritrope.polytropes, "offset_from_cycle_offset", counting)
-    assert enumerate_polytropes(inst, basis) == expected
-    assert len(calls) == width(inst, basis) == 12
-    calls.clear()
-    report = duality_check(inst, basis, tiles=tiles)
+    runs = count_bellman_ford(monkeypatch)
+    walked = []
+    for (inst, basis), want in zip(cases, expected):
+        assert enumerate_polytropes(inst, basis, cap=20_000) == want
+        walked.append(runs.count((inst.graph.n, None)))
+        assert len(calls) == walked[-1] + len(want)
+        calls.clear()
+        runs.clear()
+    assert walked == [12, 201] and width(*cases[1]) == 12_288
+    report = duality_check(*cases[0], tiles=tiles)
     assert len(calls) == report.checked == 12 and report.ok
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import peritrope.polytropes
 import peritrope.search
+import peritrope.zonotopes
 from peritrope import (
     CycleBasis,
     Digraph,
@@ -35,13 +36,14 @@ from peritrope import (
     width,
 )
 from peritrope.fixedlp import cycle_relaxation_bound
-from peritrope.zonotopes import box_points
 from helpers import (
+    box_points,
     check_empty_certificate,
     count_bellman_ford,
     count_polytrope_solves,
     drop_learned_cuts,
     drop_learned_rows,
+    lattice_points_by_box_scan,
     objective_floor,
     random_corpus,
     random_bases,
@@ -331,14 +333,14 @@ def test_neighbourhood_graph_square():
     assert min(graph.objective.values()) == 26
 
 
-def test_neighbourhood_graph_runs_one_bellman_ford_per_box_point(monkeypatch):
-    """mu6 (288 box points, 35 nodes): solving each box point, with an
-    empty polytrope meaning no node, gives the graph that testing every
-    point by ``lattice_points`` and then solving the nodes gives, with 288
-    Bellman-Ford runs in place of 323.  The cap error is the box's."""
+def test_neighbourhood_graph_solves_only_the_lattice_points(monkeypatch):
+    """mu6 (288 box points, 35 nodes): solving the ``lattice_points``, once
+    each, gives the graph that testing every box point and then solving
+    the nodes gives, with 81 Bellman-Ford runs in place of 323: 46 in the
+    walk of the box and one per solve.  The cap error is the box's."""
     inst = parse_instance((GOLDEN / "mu6.pesp").read_text())
     basis = default_basis(inst.graph)
-    nodes = lattice_points(inst, basis)
+    nodes = lattice_points_by_box_scan(inst, basis)
     objective = {
         z: minimize_over_polytrope(inst, offset_for(inst, basis, z)).objective for z in nodes
     }
@@ -347,7 +349,7 @@ def test_neighbourhood_graph_runs_one_bellman_ford_per_box_point(monkeypatch):
     tested = count_bellman_ford(monkeypatch)
     graph = neighbourhood_graph(inst, basis)
     assert (graph.nodes, list(graph.edges), graph.objective) == (nodes, edges, objective)
-    assert len(tested) == width(inst, basis) == 288 and len(nodes) == 35
+    assert len(tested) == 46 + 35 and len(nodes) == 35 and width(inst, basis) == 288
     with pytest.raises(EnumerationCapExceeded, match="^box holds 288 integer points, cap is 287$"):
         neighbourhood_graph(inst, basis, width_cap=287)
 
@@ -413,51 +415,62 @@ def test_every_caller_runs_every_offset_check(monkeypatch, caller, fault):
         _CALLERS[caller](inst, basis)
 
 
-@pytest.mark.parametrize("caller", ["solve_exact", "tns_restarts"])
+@pytest.mark.parametrize("caller", ["solve_exact", "tns_restarts", "lattice_points"])
 def test_a_row_that_leaves_its_own_offset_open_is_an_invariant_violation(monkeypatch, caller):
-    # A zero vector in place of the solve's negative cycle gives the row
-    # 0 <= 0 <= 0, which every offset meets, the empty one it was learned
-    # at included.
+    # A zero vector in place of the solve's negative cycle gives the shared
+    # row 0 <= 0 <= 0, which every offset meets, the empty one it was
+    # learned at included.  The walk of mu6's box meets an empty point first.
     inst = parse_instance((GOLDEN / "mu6.pesp").read_text())
     basis = default_basis(inst.graph)
-    honest = OffsetMemo._learn_row
+    honest = peritrope.zonotopes.odijk_row
     monkeypatch.setattr(
-        OffsetMemo, "_learn_row", lambda memo, z, gamma: honest(memo, z, (0,) * len(gamma))
+        peritrope.zonotopes, "odijk_row", lambda i, b, gamma: honest(i, b, (0,) * len(gamma))
     )
-    run = {"solve_exact": solve_exact, "tns_restarts": lambda i, b: tns_restarts(i, b, 3, seed=1)}
+    run = {
+        "solve_exact": solve_exact,
+        "tns_restarts": lambda i, b: tns_restarts(i, b, 3, seed=1),
+        "lattice_points": lattice_points,
+    }
     with pytest.raises(InvariantViolation, match=r"learned at the empty offset .* leaves it open$"):
         run[caller](inst, basis)
 
 
 def test_a_row_that_rules_out_a_nonempty_offset_is_an_invariant_violation(monkeypatch):
-    # The range (1, 0) holds no multiple of the period, so the row rules out
-    # every offset.  The first walk on mu6 solves nonempty offsets before
-    # its first empty one, whose row then rules them out.
+    # The range (1, 0) holds no integer, so the shared row rules out every
+    # offset.  The first walk on mu6 solves nonempty offsets before its
+    # first empty one, whose row then rules them out.
     inst = parse_instance((GOLDEN / "mu6.pesp").read_text())
     basis = default_basis(inst.graph)
-    monkeypatch.setattr(peritrope.search, "odijk_range", lambda inst, row: (1, 0))
+    honest = peritrope.zonotopes.odijk_row
+    monkeypatch.setattr(peritrope.zonotopes, "odijk_row", lambda *args: (honest(*args)[0], 1, 0))
     with pytest.raises(InvariantViolation, match=r"rules out .*, which is nonempty$"):
         tns_restarts(inst, basis, 3, seed=1)
 
 
-def test_every_learned_row_is_an_oriented_cycle_that_rules_out_only_empty_offsets():
+def test_every_learned_row_is_an_oriented_cycle_that_rules_out_only_empty_offsets(monkeypatch):
     # On the property corpus the memo solves every box point in box order
     # and learns a row at each empty one, from the negative cycle its solve
-    # found.  Each row comes from an oriented cycle of the graph that proves
-    # its offset empty (``check_empty_certificate``) and is negative there
-    # as oriented, and every box point it rules out is empty.
+    # found (recorded here as ``learn_row`` gets it).  Each row comes from an
+    # oriented cycle of the graph that proves its offset empty
+    # (``check_empty_certificate``) and is negative there as oriented, and
+    # every box point it rules out is empty.
+    honest = peritrope.search.learn_row
+    cycles = []
+
+    def recording(inst, basis, box, z, gamma, nonempty):
+        cycles.append(gamma)
+        return honest(inst, basis, box, z, gamma, nonempty)
+
+    monkeypatch.setattr(peritrope.search, "learn_row", recording)
     learned = ruled_out = 0
     for inst, basis, _, _ in random_corpus(100):
         T = inst.period
         memo = OffsetMemo(inst, basis)
         points = list(box_points(inst, basis))
         empty = {z for z in points if not polytrope_nonempty(inst, offset_for(inst, basis, z))}
-        cycles = []
+        cycles.clear()
         for z in points:
-            if memo.optimum(z, memo.bound(z)) is None:
-                cycles.append(memo._cycles.pop(z))
-                memo._learn_row(z, cycles[-1])
-        assert memo._cycles == {}
+            memo.optimum(z, memo.bound(z))
         rows = [form for form in memo._forms if form[5] is None]
         assert len(cycles) == len(rows) == len(empty)
         for z, gamma, (ty, _, _, lo, hi, _) in zip(sorted(empty), cycles, rows):

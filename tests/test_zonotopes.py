@@ -11,6 +11,7 @@ from peritrope import (
     Digraph,
     EnumerationCapExceeded,
     FixedArcPresent,
+    InvariantViolation,
     OrientedCycle,
     PespInstance,
     SpanningTreeStructure,
@@ -23,6 +24,7 @@ from peritrope import (
     lattice_points,
     contract_fixed_arcs,
     odijk_box,
+    offset_for,
     parse_instance,
     scaled_point_in_zonotope,
     offset_from_cycle_offset,
@@ -40,13 +42,15 @@ from peritrope import (
 )
 from peritrope import graphs, polytropes, zonotopes
 from peritrope.graphs import _inverse_frame, tree_potentials
-from peritrope.zonotopes import box_points
 from helpers import (
     _bareiss_det,
+    box_points,
+    check_empty_certificate,
     count_bellman_ford,
     duality_check_by_polytropes,
     fine_tiling_by_tree_walks,
     implied_tile_by_dense_products,
+    lattice_points_by_box_scan,
     random_bases,
     random_corpus,
     random_instance,
@@ -134,6 +138,96 @@ def test_lattice_cap():
     sq = square_instance()
     with pytest.raises(EnumerationCapExceeded):
         lattice_points(sq, square_basis(), cap=5)
+
+
+# mu 1,199 and a one-point box: a recursive walk, one Python frame per box
+# row, would pass the recursion limit.
+DEEP_TEXT = "PERIOD 10\n" + "ARC a b 5 6 1\n" * 1200
+
+
+def _lattice_cases():
+    """The property corpus, every ``_tiling_cases`` basis (the rational
+    ones have d = 2) and the 1,200 parallel arcs of ``DEEP_TEXT``."""
+    cases = [(inst, basis) for inst, basis, _, _ in random_corpus(100)]
+    cases += [(inst, basis) for inst, basis, _ in _tiling_cases()]
+    deep = parse_instance(DEEP_TEXT)
+    return cases + [(deep, default_basis(deep.graph))]
+
+
+def _points_or_error(find, inst, basis):
+    try:
+        return find(inst, basis)
+    except ValueError as exc:
+        return repr(exc)
+
+
+def test_lattice_points_match_the_box_scan():
+    """The walk gives the points, or raises the error, that testing every
+    box point gives (``lattice_points_by_box_scan``), also where some box
+    point of a rational basis has no integer offset."""
+    seen = dict.fromkeys(("points", "error", "d = 2"), 0)
+    for inst, basis in _lattice_cases():
+        found = _points_or_error(lattice_points, inst, basis)
+        assert found == _points_or_error(lattice_points_by_box_scan, inst, basis)
+        if isinstance(found, str):
+            seen["error"] += 1
+            continue
+        seen["points"] += len(found)
+        seen["d = 2"] += basis.mu and abs(basis.cotree_frame[1]) == 2
+    assert seen["points"] >= 250 and seen["error"] >= 40 and seen["d = 2"] >= 5, seen
+
+
+def test_every_row_the_walk_learns_proves_its_point_empty(monkeypatch):
+    """Each row comes from the negative cycle of an empty box point, which
+    ``check_empty_certificate`` accepts; the walk runs one virtual-source
+    Bellman-Ford per point it reaches, a nonempty one or a row's."""
+    honest = zonotopes.learn_row
+    learned = []
+
+    def recording(inst, basis, box, z, gamma, nonempty):
+        learned.append((z, gamma))
+        return honest(inst, basis, box, z, gamma, nonempty)
+
+    monkeypatch.setattr(zonotopes, "learn_row", recording)
+    runs = count_bellman_ford(monkeypatch)
+    rows = 0
+    for inst, basis in _lattice_cases():
+        learned.clear()
+        runs.clear()
+        points = _points_or_error(lattice_points, inst, basis)
+        if isinstance(points, str):
+            continue
+        assert runs == [(inst.graph.n, None)] * (len(points) + len(learned))
+        for z, gamma in learned:
+            assert check_empty_certificate(inst, offset_for(inst, basis, z), gamma) == []
+        rows += len(learned)
+    assert rows >= 180, rows
+
+
+def test_a_row_that_rules_out_a_walked_nonempty_point_is_an_invariant_violation(monkeypatch):
+    # The range (1, 0) holds no integer, so the shared row rules out every
+    # offset.  This box's first point, (0, 1), is nonempty and its second
+    # empty, whose row then rules out the first.
+    inst = parse_instance(
+        "PERIOD 11\nARC v1 v0 8 15 1\nARC v1 v2 2 6 1\nARC v1 v3 5 12 1\n"
+        "ARC v1 v0 5 13 1\nARC v0 v2 1 10 1\n"
+    )
+    basis = default_basis(inst.graph)
+    assert list(box_points(inst, basis)) == [(0, 1), (0, 2)]
+    assert lattice_points(inst, basis) == ((0, 1),)
+    honest = zonotopes.odijk_row
+    monkeypatch.setattr(zonotopes, "odijk_row", lambda *args: (honest(*args)[0], 1, 0))
+    with pytest.raises(InvariantViolation, match=r"^the row of \(0, 2\) rules out \(0, 1\), which"):
+        lattice_points(inst, basis)
+
+
+def test_a_box_of_1199_rows_is_walked_without_recursion(monkeypatch):
+    inst = parse_instance(DEEP_TEXT)
+    basis = default_basis(inst.graph)
+    assert basis.mu == 1199 and width(inst, basis) == 1
+    runs = count_bellman_ford(monkeypatch)
+    assert lattice_points(inst, basis) == ((0,) * 1199,)
+    assert runs == [(2, None)]
 
 
 def test_volume_values():
