@@ -71,7 +71,6 @@ from .search import (
     NeighbourhoodGraph,
     OffsetMemo,
     Solution,
-    TreePool,
     initial_solution,
     neighbourhood_graph,
     solution_from_timetable,

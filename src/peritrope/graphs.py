@@ -87,6 +87,15 @@ class Digraph(namedtuple("Digraph", "vertices arcs")):
     def _connected(self):
         return self.n > 0 and len(tree_walk(self, range(self.m))) == self.n - 1
 
+    @cached_property
+    def retry_trees(self):
+        """The trees ``search.initial_solution`` retries with: ``spanning_trees``
+        of the graph, or the greedy tree alone beyond ``DEFAULT_ENUMERATION_CAP``."""
+        try:
+            return spanning_trees(self, DEFAULT_ENUMERATION_CAP)
+        except EnumerationCapExceeded:
+            return (greedy_spanning_tree(self),)
+
 
 class OrientedCycle:
     """A circuit given by its signed arc incidence vector (entries -1/0/+1).
@@ -177,11 +186,11 @@ class CycleBasis(namedtuple("CycleBasis", "cycles tree")):
             raise ValueError("basis is not fundamental (no tree attached)")
         tree_set = set(self.tree)
         owners = []
-        for k, row in enumerate(self.gamma):
-            outside = [a for a, s in enumerate(row) if s != 0 and a not in tree_set]
-            if len(outside) != 1 or row[outside[0]] != 1:
+        for k, row in enumerate(self._sparse_rows[0]):
+            outside = [(a, s) for a, s in row if a not in tree_set]
+            if len(outside) != 1 or outside[0][1] != 1:
                 raise ValueError(f"row {k} is not a fundamental cycle of the attached tree")
-            owners.append(outside[0])
+            owners.append(outside[0][0])
         return tuple(owners)
 
     @cached_property

@@ -41,15 +41,9 @@ import random
 from collections import namedtuple
 from heapq import heappop, heappush
 
-from .errors import EnumerationCapExceeded, Infeasible, InvariantViolation, RetriesExhausted
+from .errors import Infeasible, InvariantViolation, RetriesExhausted
 from .fixedlp import certified_optimum, cycle_relaxation_bound, optimal_vertex
-from .graphs import (
-    DEFAULT_ENUMERATION_CAP,
-    default_basis,
-    greedy_spanning_tree,
-    spanning_trees,
-    tree_potentials,
-)
+from .graphs import default_basis, greedy_spanning_tree, tree_potentials
 from .polytropes import (
     _require_length,
     cycle_offset_form,
@@ -62,6 +56,7 @@ from .zonotopes import (
     DEFAULT_WIDTH_CAP,
     _box_integer_ranges,
     _capped_box,
+    _require_integral,
     lattice_points,
     learn_row,
     suffix_extremes,
@@ -90,24 +85,18 @@ def solution_from_timetable(inst, basis, pi):
 START_ATTEMPTS = 200
 
 
-def initial_solution(inst, seed=0, basis=None, *, pool=None):
+def initial_solution(inst, seed=0, basis=None):
     """Feasible starting point: pin the greedy spanning tree to its lower
-    bounds, then retry with random trees and random tree tensions.
-    Failure after ``START_ATTEMPTS`` attempts is a heuristic give-up, not
-    an infeasibility proof.  ``pool`` is a ``TreePool`` of the instance's
-    graph to draw the retry trees from; a fresh one is used when it is
-    None."""
+    bounds, then retry with random trees of the graph's ``retry_trees``
+    and random tree tensions.  Failure after ``START_ATTEMPTS`` attempts
+    is a heuristic give-up, not an infeasibility proof."""
     g = inst.graph
     if basis is None:
         basis = default_basis(g)
     greedy = greedy_spanning_tree(g)  # raises DisconnectedGraph: no start exists then
-    if pool is None:
-        pool = TreePool(g)
-    elif pool.graph is not g:
-        raise ValueError("the tree pool belongs to another graph")
     rng = random.Random(seed)
     for attempt in range(START_ATTEMPTS):
-        chosen = greedy if attempt == 0 else pool.choice(rng)
+        chosen = greedy if attempt == 0 else rng.choice(g.retry_trees)
         x = list(inst.lower)
         if attempt % 2 == 1:
             for a in chosen:
@@ -120,34 +109,13 @@ def initial_solution(inst, seed=0, basis=None, *, pool=None):
     raise RetriesExhausted(f"no feasible start found in {START_ATTEMPTS} attempts")
 
 
-class TreePool:
-    """The trees ``initial_solution`` draws its retries from: every
-    spanning tree of the graph (the greedy tree alone beyond
-    ``DEFAULT_ENUMERATION_CAP``), enumerated on the first draw and kept.
-    Build one per solve."""
-
-    def __init__(self, g):
-        self.graph = g
-        self._trees = None
-
-    def choice(self, rng):
-        if self._trees is None:
-            try:
-                self._trees = spanning_trees(self.graph, DEFAULT_ENUMERATION_CAP)
-            except EnumerationCapExceeded:
-                self._trees = (greedy_spanning_tree(self.graph),)
-        return rng.choice(self._trees)
-
-
 class OffsetMemo:
     """The per-offset answers of one solve on one instance and basis, each
     computed on first use, kept and checked (see the module docstring).  A
     basis that is not integral raises ValueError before any solve."""
 
     def __init__(self, inst, basis):
-        d = abs(basis.cotree_frame[1]) if basis.mu else 1
-        if d != 1:
-            raise ValueError(f"basis is not integral: its co-tree minors have |det| {d}, not 1")
+        _require_integral(basis)
         self.inst = inst
         self.basis = basis
         self.box = _box_integer_ranges(inst, basis)
@@ -183,12 +151,12 @@ class OffsetMemo:
             self._steps[z] = found
         return found
 
-    def optimum(self, z, lower, learned=None):
-        """The ``certified_optimum`` of z, or None when it is empty; ``lower``
-        is the bound of z and ``learned`` a bound from the cuts learned before
-        its solve (None: unchecked).  Its cut, or the ``learn_row`` row of an
-        empty z's negative cycle, joins the learned forms; an optimum below
-        either bound or below its own cut raises InvariantViolation."""
+    def optimum(self, z, learned=None):
+        """The ``certified_optimum`` of z, or None when it is empty;
+        ``learned`` is a bound from the cuts learned before its solve (None:
+        unchecked).  Its cut, or the ``learn_row`` row of an empty z's
+        negative cycle, joins the learned forms; an optimum below z's
+        ``bound``, ``learned`` or its own cut raises InvariantViolation."""
         if z not in self._optima:
             try:
                 found = certified_optimum(self.inst, offset_for(self.inst, self.basis, z))
@@ -203,7 +171,8 @@ class OffsetMemo:
                 self._forms.append((ty, *suffix_extremes(ty, self.box), None, None, found.cut[0]))
                 own = found.cut[0] + sum(map(int.__mul__, ty, z))
                 cut = own if learned is None else max(own, learned)
-                for floor, name in (lower, "its cycle relaxation bound"), (cut, "the learned cut"):
+                floors = (self.bound(z), "its cycle relaxation bound"), (cut, "the learned cut")
+                for floor, name in floors:
                     if found.objective < floor:
                         raise InvariantViolation(
                             f"the optimum of {z} (objective {found.objective}) is "
@@ -260,7 +229,7 @@ class OffsetMemo:
                     continue
             k = len(prefix)
             if k == len(self.box):
-                found = self.optimum(prefix, relax, lower)
+                found = self.optimum(prefix, lower)
                 if found is not None and (found.objective, prefix) < best:
                     best = (found.objective, prefix)
                 continue
@@ -307,21 +276,19 @@ def tns(inst, basis, start, max_iterations=100, memo=None):
 
 def tns_restarts(inst, basis, restarts=1, max_iterations=100, seed=0):
     """Best of ``restarts`` tns walks (at least 1), all sharing one
-    ``OffsetMemo`` and one ``TreePool``.  Walk k starts from
-    ``initial_solution`` with seed ``seed + k`` and makes at most
-    ``max_iterations`` moves.  Returns the solution and trace of the first
-    walk that reaches the lowest objective; raises RetriesExhausted when no
-    walk finds a start.  Both counts are checked before any start is
-    drawn."""
+    ``OffsetMemo``.  Walk k starts from ``initial_solution`` with seed
+    ``seed + k`` and makes at most ``max_iterations`` moves.  Returns the
+    solution and trace of the first walk that reaches the lowest objective;
+    raises RetriesExhausted when no walk finds a start.  Both counts are
+    checked before any start is drawn."""
     for name, count in (("restarts", restarts), ("max_iterations", max_iterations)):
         if count < 1:
             raise ValueError(f"{name} must be at least 1")
     memo = OffsetMemo(inst, basis)
-    pool = TreePool(inst.graph)
     best = None
     for attempt in range(restarts):
         try:
-            start = initial_solution(inst, seed=seed + attempt, basis=basis, pool=pool)
+            start = initial_solution(inst, seed=seed + attempt, basis=basis)
         except RetriesExhausted:
             continue
         walk = tns(inst, basis, start, max_iterations, memo)
@@ -348,7 +315,7 @@ def neighbourhood_graph(inst, basis, width_cap=DEFAULT_WIDTH_CAP):
     memo = OffsetMemo(inst, basis)
     objective = {}
     for z in lattice_points(inst, basis, cap=width_cap):
-        memo.optimum(z, memo.bound(z))
+        memo.optimum(z)
         objective[z] = memo.solution(z).objective
     nodes = tuple(objective)
     edges = {tuple(sorted((z, z2))) for z in nodes for z2 in steps(basis, z) if z2 in objective}

@@ -105,15 +105,15 @@ def odijk_box(inst, basis):
     row k spans [sum of lower bounds along the cycle minus upper bounds
     against it, and vice versa].  The box is the tightest axis-aligned one
     containing the zonotope."""
-    return tuple(odijk_range(inst, row) for row in basis.gamma)
+    return tuple(odijk_range(inst, row) for row in basis._sparse_rows[0])
 
 
-def odijk_range(inst, row):
-    """(lo, hi), the range of row.x over the arc bounds: for an oriented
-    cycle, every periodic tension meets lo <= T (row.p) <= hi, Odijk's
-    cycle inequality."""
-    lo = sum(s * (inst.lower[a] if s > 0 else inst.upper[a]) for a, s in enumerate(row) if s)
-    hi = sum(s * (inst.upper[a] if s > 0 else inst.lower[a]) for a, s in enumerate(row) if s)
+def odijk_range(inst, terms):
+    """(lo, hi), the range of row.x over the arc bounds for the (arc,
+    coefficient) pairs of a row, its nonzeros or all: for an oriented cycle,
+    every periodic tension meets lo <= T (row.p) <= hi, Odijk's inequality."""
+    lo = sum(s * (inst.lower[a] if s > 0 else inst.upper[a]) for a, s in terms)
+    hi = sum(s * (inst.upper[a] if s > 0 else inst.lower[a]) for a, s in terms)
     return lo, hi
 
 
@@ -142,10 +142,14 @@ def scaled_point_in_zonotope(inst, basis, point):
     needs an integral basis (|d| = 1); any other raises ValueError."""
     if basis.mu == 0:
         return tuple(point) == ()
+    _require_integral(basis)
+    return tension_system_feasible(inst, offset_from_cycle_offset(basis, point))
+
+
+def _require_integral(basis):
     d = abs(basis.cotree_frame[1])
     if d != 1:
         raise ValueError(f"basis is not integral: its co-tree minors have |det| {d}, not 1")
-    return tension_system_feasible(inst, offset_from_cycle_offset(basis, point))
 
 
 def _capped_box(inst, basis, cap):
@@ -163,7 +167,8 @@ def odijk_row(inst, basis, gamma):
     hi for every nonempty z: gamma.p = ty'.z / d (``cycle_offset_form``) in
     lo' <= T gamma.p <= hi' (``odijk_range``) gives ty = sign(d) ty',
     lo = ceil(lo' |d| / T) and hi = floor(hi' |d| / T)."""
-    (ty, d), (lo, hi), T = cycle_offset_form(basis, gamma), odijk_range(inst, gamma), inst.period
+    (ty, d), T = cycle_offset_form(basis, gamma), inst.period
+    lo, hi = odijk_range(inst, tuple(enumerate(gamma)))
     return [v if d > 0 else -v for v in ty], -(-lo * abs(d) // T), hi * abs(d) // T
 
 
@@ -631,7 +636,7 @@ def width_bound_report(inst, basis):
     # as infeasibility evidence instead (the tree/length comparison and the
     # volume sandwich below W are unconditional, so they stay).
     bad = tuple(
-        (k, *(Fraction(v, T) for v in odijk_range(inst, basis.gamma[k])))
+        (k, *(Fraction(v, T) for v in odijk_range(inst, basis._sparse_rows[0][k])))
         for k, r in enumerate(ranges)
         if not r
     )

@@ -371,11 +371,20 @@ def test_antiparallel_pair_without_an_offset_exits_2_and_writes_nothing(
 
 
 @pytest.mark.parametrize(
-    "command", [["analyze"], ["tile"], ["render", "--what", "zonotope"]], ids=" ".join
+    "command",
+    [
+        ["analyze"],
+        ["tile"],
+        ["polytropes"],
+        ["render", "--what", "zonotope"],
+        ["render", "--what", "torus"],
+    ],
+    ids=" ".join,
 )
 def test_cap_exceeded_analyze(tri, command, capsys):
-    """The triangle's box holds 3 points; every command that enumerates
-    them exits 3 under a cap of 2, analyze with a partial report."""
+    """``--cap-width`` caps the box points of every command that enumerates
+    them (exact ``solve``: see above): the triangle's box holds 3 points,
+    so each exits 3 under a cap of 2, analyze with a partial report."""
     assert main([command[0], tri, "--cap-width", "2", *command[1:]]) == 3
     captured = capsys.readouterr()
     if command[0] != "analyze":
@@ -386,6 +395,19 @@ def test_cap_exceeded_analyze(tri, command, capsys):
     assert payload["cap_exceeded"] is True
     assert payload["width"] == 3
     assert "lattice_points" not in payload
+
+
+def test_solve_tns_ignores_the_width_cap(tri, tmp_path, capsys):
+    """tns walks from a start and enumerates no box, so ``--cap-width 0``
+    (below the triangle's 3 box points) leaves its output and trace as
+    they are."""
+    written = []
+    for extra in ([], ["--cap-width", "0"]):
+        trace = tmp_path / f"trace{len(written)}.jsonl"
+        args = ["solve", tri, "--method", "tns", "--restarts", "2", "--trace", str(trace)]
+        assert main(args + extra) == 0
+        written.append((capsys.readouterr(), trace.read_bytes()))
+    assert written[0] == written[1]
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"

@@ -771,7 +771,7 @@ def test_a_cut_planted_above_an_optimum_fails_both_checks(monkeypatch):
     memo = OffsetMemo(inst, basis)
     message = f"is below the learned cut {found.objective + 1}$"
     with pytest.raises(InvariantViolation, match=message):
-        memo.optimum(z, memo.bound(z))
+        memo.optimum(z)
 
 
 def test_the_doubled_adjacency_lists_the_edges_of_kappa():

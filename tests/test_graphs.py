@@ -13,7 +13,6 @@ from peritrope import (
     NotASpanningTree,
     OrientedCycle,
     PespInstance,
-    TreePool,
     count_spanning_trees_determinant,
     cyclomatic_number,
     default_basis,
@@ -605,12 +604,11 @@ def test_a_tree_that_misses_a_vertex_is_rejected():
 
 def test_a_disconnected_graph_fails_before_its_tree_is_checked():
     """No start exists on a disconnected graph: ``initial_solution`` raises
-    DisconnectedGraph before it takes any tree, with or without a pool."""
+    DisconnectedGraph before it takes any tree."""
     g = Digraph(("a", "b", "c"), (("a", "b"),))
     inst = PespInstance(g, 10, (1,), (5,), (1,))
-    for pool in (None, TreePool(g)):
-        with pytest.raises(DisconnectedGraph):
-            initial_solution(inst, pool=pool)
+    with pytest.raises(DisconnectedGraph):
+        initial_solution(inst)
 
 
 def test_elimination_matches_the_bareiss_determinant():

@@ -6,7 +6,8 @@ indented ``json.dump``/``json.dumps`` (an indent selects the pure-Python
 encoder; ``cli._json_text`` writes those bytes), no import upward from
 the polytrope layer (``polytropes`` and ``fixedlp``) into the modules
 built on it, no ``dataclasses`` import, and no import the module does
-not read.
+not read.  Every function that ``bench/tracer.py`` wraps by name is still
+there to wrap.
 
 Each command is one process, so start-up is part of its cost.
 ``dataclasses`` loads ``inspect``, ``ast``, ``dis`` and ``tokenize``,
@@ -18,6 +19,7 @@ loads only when a picture is drawn.  ``argparse`` (with ``gettext`` and
 ``locale``) stays unloaded too: the CLI reads argv by its own flag table."""
 
 import ast
+import importlib
 import json
 import os
 import pathlib
@@ -335,3 +337,24 @@ def test_an_import_is_read_by_name_and_annotations_need_an_annotation():
     assert unused_imports(source.replace("x: int", "x")) == [(1, "annotations")]
     reexport = "from .graphs import Digraph\ndef __getattr__(name):\n    from . import render\n"
     assert unused_imports(reexport, reexports=True) == [(3, "render")]
+
+
+def test_every_traced_target_is_a_callable_of_the_package():
+    """``bench/tracer.py`` looks up each (module, name) of its ``TARGETS``
+    with ``getattr``, so a traced benchmark run fails on a name the
+    package no longer has.  The tuple is read from the source, not
+    imported."""
+    tracer = pathlib.Path(__file__).parent.parent / "bench" / "tracer.py"
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in ast.parse(tracer.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
+    )
+    assert ("graphs", "spanning_trees") in targets and ("search", "initial_solution") in targets
+    missing = [
+        f"{module}.{name}"
+        for module, name in targets
+        if not callable(getattr(importlib.import_module(f"peritrope.{module}"), name, None))
+    ]
+    assert missing == []

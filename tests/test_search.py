@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import peritrope.graphs
 import peritrope.polytropes
 import peritrope.search
 import peritrope.zonotopes
@@ -19,6 +20,7 @@ from peritrope import (
     RetriesExhausted,
     Solution,
     default_basis,
+    greedy_spanning_tree,
     initial_solution,
     lattice_points,
     minimize_over_polytrope,
@@ -95,7 +97,7 @@ def test_initial_solution_enumerates_no_tree_when_the_first_attempt_lands(monkey
     def refuse(*args, **kwargs):
         raise AssertionError("the first attempt uses the greedy tree only")
 
-    monkeypatch.setattr(peritrope.search, "spanning_trees", refuse)
+    monkeypatch.setattr(peritrope.graphs, "spanning_trees", refuse)
     assert initial_solution(triangle_instance(), seed=0).timetable == (0, 3, 2)
     sq = initial_solution(square_instance(), seed=0)
     assert sq.timetable == (0, 7, 0, 7)
@@ -103,42 +105,46 @@ def test_initial_solution_enumerates_no_tree_when_the_first_attempt_lands(monkey
 
 
 # The greedy tree (arcs 0, 1) at its lower bounds puts arc 2 at 11 > 10,
-# so every start on this instance comes from a retry over the tree pool.
+# so every start on this instance comes from a retry over the graph's trees.
 RETRIED = "PERIOD 10\nARC v1 v0 2 8 1\nARC v0 v2 1 7 3\nARC v0 v2 5 10 3\n"
 
 
 def _count_spanning_trees(monkeypatch):
-    calls = []
+    calls, honest = [], peritrope.graphs.spanning_trees
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return peritrope.graphs.spanning_trees(*args, **kwargs)
+        return honest(*args, **kwargs)
 
-    monkeypatch.setattr(peritrope.search, "spanning_trees", counting)
+    monkeypatch.setattr(peritrope.graphs, "spanning_trees", counting)
     return calls
 
 
 def test_initial_solution_enumerates_the_tree_pool_once_for_its_retries(monkeypatch):
+    """The graph keeps the trees that retries draw from: the first start on
+    it enumerates them, every later start on the same graph reuses them."""
     inst = parse_instance(RETRIED)
     calls = _count_spanning_trees(monkeypatch)
     expected = {0: (0, 2, 7), 1: (0, 6, 3), 2: (0, 2, 7), 3: (0, 6, 1)}
     for seed, timetable in expected.items():
-        calls.clear()
         assert initial_solution(inst, seed=seed).timetable == timetable
-        assert len(calls) == 1
+        assert initial_solution(parse_instance(RETRIED), seed=seed).timetable == timetable
+    assert len(calls) == 1 + len(expected)  # one per graph
 
 
 def test_tns_restarts_enumerate_the_tree_pool_at_most_once(monkeypatch):
-    """The restarts of one solve draw their retry trees from one pool: one
-    ``spanning_trees`` call when first attempts fail, none when every first
-    attempt lands.  The starts are those of a fresh pool per restart, also
-    when the pool falls back to the greedy tree beyond the cap."""
+    """The restarts of one solve draw their retry trees from the graph's
+    list: one ``spanning_trees`` call per graph when first attempts fail,
+    none when every first attempt lands, and none for a later solve on the
+    same graph.  The starts are those of a fresh graph per start, also when
+    the list falls back to the greedy tree beyond the cap."""
     calls = _count_spanning_trees(monkeypatch)
-    inst = parse_instance(RETRIED)
-    basis = default_basis(inst.graph)
     for restarts in (1, 3, 5):
+        inst = parse_instance(RETRIED)
+        basis = default_basis(inst.graph)
         calls.clear()
         tns_restarts(inst, basis, restarts, seed=restarts)
+        tns_restarts(inst, basis, restarts, seed=restarts + 1)
         assert len(calls) == 1
     for inst, basis in ((triangle_instance(), None), (square_instance(), square_basis())):
         calls.clear()
@@ -153,15 +159,13 @@ def test_tns_restarts_enumerate_the_tree_pool_at_most_once(monkeypatch):
             pass
         counts.append(len(calls))
     assert set(counts) == {0, 1}, counts
-    monkeypatch.setattr(peritrope.search, "DEFAULT_ENUMERATION_CAP", 1)
+    monkeypatch.setattr(peritrope.graphs, "DEFAULT_ENUMERATION_CAP", 1)
     inst = parse_instance(RETRIED)
-    pool = peritrope.search.TreePool(inst.graph)
     calls.clear()
-    starts = [initial_solution(inst, seed=k, pool=pool) for k in range(4)]
+    starts = [initial_solution(inst, seed=k) for k in range(4)]
     assert len(calls) == 1  # the capped enumeration is not retried
-    assert starts == [initial_solution(inst, seed=k) for k in range(4)]
-    with pytest.raises(ValueError):
-        initial_solution(triangle_instance(), pool=pool)
+    assert inst.graph.retry_trees == (greedy_spanning_tree(inst.graph),)
+    assert starts == [initial_solution(parse_instance(RETRIED), seed=k) for k in range(4)]
 
 
 def test_initial_solution_gives_up_on_an_infeasible_instance():
@@ -470,7 +474,7 @@ def test_every_learned_row_is_an_oriented_cycle_that_rules_out_only_empty_offset
         empty = {z for z in points if not polytrope_nonempty(inst, offset_for(inst, basis, z))}
         cycles.clear()
         for z in points:
-            memo.optimum(z, memo.bound(z))
+            memo.optimum(z)
         rows = [form for form in memo._forms if form[5] is None]
         assert len(cycles) == len(rows) == len(empty)
         for z, gamma, (ty, _, _, lo, hi, _) in zip(sorted(empty), cycles, rows):
