@@ -18,6 +18,7 @@ writer to walk it once cost as much again as writing the text.
 import math
 import re
 import sys
+from itertools import filterfalse
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
@@ -209,37 +210,37 @@ class _TileList:
         """Append the list's text at the indentation ``newline`` ends in."""
         tile, key = newline + "  ", newline + "    "
         item = key + "  "
-        sep, close = "," + item, key + "]"
+        opened, join, close = "[" + item, ("," + item).join, key + "]"
 
         def leaves(values, text=str):
-            return "[" + item + sep.join(map(text, values)) + close if values else "[]"
+            return opened + join(map(text, values)) + close if values else "[]"
 
-        # Tiles share most translation values; each is written once.
+        # Tiles share most arcs and translation values; each is written once.
         T = self.period
         values = {v for t in self.tiles for v in t.translation}
         ratio = {v: encode_basestring_ascii(_ratio(v, T)) for v in values}.__getitem__
+        m = max((t.structure.tree[-1] + 1 for t in self.tiles if t.structure.tree), default=0)
+        arc = list(map(str, range(m))).__getitem__
         tree, lower, upper = '{%s"tree": ' % key, ',%s"L": ' % key, ',%s"U": ' % key
         translation, point = ',%s"translation": ' % key, ',%s"lattice_point": ' % key
         rows = []
         for t in self.tiles:
             s = t.structure
-            rows.append(
-                tree + leaves(s.tree)
-                + lower + leaves(sorted(s.at_lower))
-                + upper + leaves(sorted(s.at_upper))
-                + translation + leaves(t.translation, ratio)
-                + point + (leaves(t.lattice_point) if t.lattice_point is not None else "null")
-                + tile + "}"
-            )
+            at_upper = s.at_upper.__contains__
+            z = t.lattice_point
+            rows.append("".join((
+                tree, leaves(s.tree, arc), lower, leaves([*filterfalse(at_upper, s.tree)], arc),
+                upper, leaves([*filter(at_upper, s.tree)], arc), translation,
+                leaves(t.translation, ratio), point, "null" if z is None else leaves(z), tile, "}",
+            )))
         out.append("[" + tile + ("," + tile).join(rows) + newline + "]" if rows else "[]")
 
 
-def _tiling_section(inst, basis, root, points):
+def _tiling_section(kernel, root, points):
     """The tile list (a ``_TileList``), validation and duality payloads of
-    one fine tiling; ``points`` are the instance's lattice points.  Tiling
-    and validation share one ``TileKernel``, so each co-tree and
-    translation is built once."""
-    kernel = TileKernel(inst, basis)
+    the fine tiling of the ``kernel``'s instance and basis, whose lattice
+    points are ``points``; tiling and validation share the kernel."""
+    inst, basis = kernel.inst, kernel.basis
     tiles = fine_tiling(inst, basis, root, kernel)
     tiling_report = validate_tiling(inst, basis, tiles, points, kernel)
     duality = duality_check(inst, basis, root, tiles=tiles)
@@ -261,7 +262,9 @@ def _tiling_section(inst, basis, root, points):
 def cmd_analyze(args):
     inst, root, basis, arc_map = _contracted(args)
     T = inst.period
-    bounds = width_bound_report(inst, basis)
+    # One kernel, so the bounds and the validation share one volume.
+    kernel = TileKernel(inst, basis)
+    bounds = width_bound_report(inst, basis, kernel)
     report = {
         "mu": basis.mu,
         "num_spanning_trees": bounds.num_spanning_trees,
@@ -290,7 +293,7 @@ def cmd_analyze(args):
     if not capped:
         try:
             report["tiling"], report["validation"], report["duality"] = _tiling_section(
-                inst, basis, root, points
+                kernel, root, points
             )
         except EnumerationCapExceeded:
             capped = True
@@ -327,7 +330,7 @@ def cmd_polytropes(args):
 def cmd_tile(args):
     inst, root, basis, arc_map = _contracted(args)
     points = lattice_points(inst, basis, cap=args.cap_width)
-    tiles, validation, duality = _tiling_section(inst, basis, root, points)
+    tiles, validation, duality = _tiling_section(TileKernel(inst, basis), root, points)
     payload = {
         "root": root if root is not None else inst.graph.vertices[0],
         "tiles": tiles,

@@ -5,8 +5,9 @@ Vertices are arbitrary hashable ids kept in declaration order; arcs are
 Parallel and antiparallel arcs are allowed, self-loops are not.
 
 Four kernels serve the package.  ``greedy_forest`` is its one
-union-find.  ``tree_walk`` is its one depth-first walk of an arc set from
-a root; ``tree_potentials`` folds it into vertex potentials, and
+union-find.  ``tree_walk`` is its depth-first walk of an arc set from a
+root (a tile's validation repeats it in ``zonotopes.TileKernel.walk``);
+``tree_potentials`` folds it into vertex potentials, and
 ``spanning_tree_walk`` checks that the arcs form a spanning tree.
 ``grow_spanning_trees`` is its one spanning tree enumeration: it grows
 every tree from a root, with the arcs it runs each way and the
@@ -460,11 +461,11 @@ def tree_walk(g, tree, root=0):
     an arc that closes a cycle is skipped; vertices the arcs do not reach
     get no step.
 
-    This is the package's one tree walk: connectivity, cycle bases,
-    timetables from tensions or pinned trees, the structure of a given
-    tree and the potentials of a tile under validation, and fixed-arc
-    contraction all go through it; the tiles of ``fine_tiling`` take
-    theirs from ``grow_spanning_trees`` instead.
+    Connectivity, cycle bases, timetables from tensions or pinned trees,
+    the structure of a given tree and fixed-arc contraction go through
+    it.  The tiles of ``zonotopes.fine_tiling`` take their potentials from
+    ``grow_spanning_trees``, and ``validate_tiling`` from
+    ``zonotopes.TileKernel.walk``, which walks a pinned tree as this does.
     """
     pairs = g.arc_index_pairs
     adj = [[] for _ in range(g.n)]

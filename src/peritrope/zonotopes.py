@@ -10,37 +10,34 @@ coordinate is divisible by T.
 of the box learns an Odijk row from each empty point it reaches
 (``learn_row``, as ``search.OffsetMemo`` does) and skips what rows rule out.
 
-The volume is one Gram determinant.  One kernel object per (inst,
-basis), ``TileKernel``, builds the tiles a structure implies, for
-``fine_tiling`` and ``validate_tiling`` alike, which share it when given
-one.  It computes once the scaled and unscaled Gamma columns, Gamma l for
-the lower bounds l, and takes d from ``CycleBasis.cotree_frame``, which
-also gives every offset preimage and scaled-point test here.  It builds
-each tree's co-tree entry once: the co-tree (a set difference), the
-generators (the co-tree's scaled columns) and the tile's |det|, d times
-the co-tree spans.  It builds each translation once per set of arcs
-pinned at their upper bound: Gamma x for the pinned tensions x, which is
-Gamma l plus those arcs' scaled columns.  Lattice points are never
-stored: each is a sum of the Gamma columns of co-tree arcs, read off the
-potentials of x of its own tile.  ``fine_tiling`` takes those potentials,
-and the arcs at each bound, from ``graphs.grow_spanning_trees``, which
-grows each tree from the root and so orients it as it goes: no tree is
-walked.  Validation recomputes each tile's potentials from its structure
-(one ``tree_potentials`` walk) and trusts the points only for implied
-tiles, the ones equal to the kernel's.  A foreign tile, and
-``tile_contains_scaled``, invert the generator matrix G into a frame
-(d, d * G^-1) with |d| = |det G| by ``graphs._inverse_frame``, which
-builds the basis co-tree frames too; a point lies in the tile when every
-coordinate of d * G^-1 applied to its offset from the translation is
-between 0 and d.  ``duality_check``
-compares each tile's pinned timetable with one row of the Kleene star,
-the shortest path lengths from the root, and builds no polytrope.
+The volume is one Gram determinant over the nonzeros of the basis rows.
+One ``TileKernel`` per (inst, basis) builds the tiles a structure
+implies, for ``fine_tiling`` and ``validate_tiling``, and holds the volume
+they and ``width_bound_report`` read.  It holds the scaled and unscaled
+Gamma columns, Gamma l for the lower bounds l, and d from
+``CycleBasis.cotree_frame``, which also gives every offset preimage and
+scaled-point test here, and builds once each tree's co-tree entry and
+each translation (Gamma x for the pinned tensions x).  Lattice points are
+never stored: each is a sum of the Gamma columns of co-tree arcs, read
+off the potentials of x of its own tile, which ``fine_tiling`` takes from
+``graphs.grow_spanning_trees`` (it grows each tree from the root, and so
+orients it) and validation from the kernel's own ``walk`` of the tile's
+structure; validation trusts the points only for implied tiles, the ones
+equal to the kernel's.  A foreign tile, and ``tile_contains_scaled``,
+invert the generator matrix G into a frame (d, d * G^-1) with |d| = |det
+G| by ``graphs._inverse_frame``, which builds the basis co-tree frames
+too; a point lies in the tile when every coordinate of d * G^-1 applied
+to its offset from the translation is between 0 and d.
+``duality_check`` compares each tile's pinned timetable with the root's
+row of the Kleene star, one Bellman-Ford per lattice point, and builds no
+polytrope.
 Fractions appear only in volumes and the width bound chain.
 """
 
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import EnumerationCapExceeded, FixedArcPresent, InvariantViolation
 from .graphs import (
@@ -244,10 +241,17 @@ def volume(inst, basis):
     ``basis.cotree_frame``.  By Cauchy-Binet the determinant sums
     det(G_C)^2 times the spans in C over all mu-column sets C, and
     |det G_C| is d on every co-tree and 0 elsewhere, so the quotient is
-    the sum of the tile volumes.  d = 1 for integral bases."""
-    gamma = basis.gamma
-    span = inst.span
-    gram = [[sum(x * s * y for x, s, y in zip(r, span, q)) for q in gamma] for r in gamma]
+    the sum of the tile volumes.  d = 1 for integral bases.  The Gram
+    matrix is summed column by column over ``basis._sparse_rows``."""
+    columns = [[] for _ in inst.span]
+    for k, row in enumerate(basis._sparse_rows[0]):
+        for a, x in row:
+            columns[a].append((k, x))
+    gram = [[0] * basis.mu for _ in range(basis.mu)]
+    for s, column in zip(inst.span, columns):
+        for k, x in column:
+            for q, y in column:
+                gram[k][q] += s * x * y
     d = abs(basis.cotree_frame[1])
     # Dependent rows make every minor vanish, d included.
     return Fraction(abs(_eliminate(gram) or 0), d * inst.period**basis.mu) if d else Fraction(0)
@@ -334,9 +338,10 @@ class TileKernel:
     the co-tree (a set difference), the generators (the co-tree's scaled
     columns) and the tile's |det| = d * (the co-tree spans).  Per
     frozenset of arcs pinned at their upper bound, the translation
-    Gamma x = Gamma l + their scaled columns.  Both depend on the tree or on the upper set alone, so
-    a value is exact for every tile that shares it.  Lattice points depend
-    on the potentials of the pinned tensions and are computed per tile by
+    Gamma x = Gamma l + their scaled columns.  Both depend on the tree or
+    on the upper set alone, so a value is exact for every tile that
+    shares it.  Lattice points depend on the potentials of the pinned
+    tensions (the growth's, or ``walk``'s) and are computed per tile by
     ``points``, never stored.  Build one per tiling; ``fine_tiling`` and
     ``validate_tiling`` each build their own when none is given."""
 
@@ -356,9 +361,34 @@ class TileKernel:
         self._cotrees = {}
         self._translations = {}
 
+    @cached_property
+    def zonotope_volume(self):
+        """``volume`` of the kernel's instance and basis."""
+        return volume(self.inst, self.basis)
+
+    def walk(self, structure):
+        """``tree_potentials`` of the tree of ``structure`` under its
+        ``_pinned_tensions`` (x_a = u_a on ``at_upper`` arcs, l_a on the
+        rest), walked from vertex 0 as ``graphs.tree_walk`` walks."""
+        rows, upper = self._rows, structure.at_upper
+        adjacent = [[] for _ in self.inst.graph.vertices]
+        for a in structure.tree:
+            i, j, lower, x, _ = rows[a]
+            x = x if a in upper else lower
+            adjacent[i].append((j, x))
+            adjacent[j].append((i, -x))
+        pi, stack = [None] * len(adjacent), [0]
+        pi[0] = 0
+        while stack:
+            v = stack.pop()
+            for w, x in adjacent[v]:
+                if pi[w] is None:
+                    pi[w] = pi[v] + x
+                    stack.append(w)
+        return pi
+
     def cotree(self, tree):
-        """The co-tree entry (rows, generators, |det|) of the sorted
-        ``tree``."""
+        """The co-tree entry (rows, generators, |det|) of the sorted ``tree``."""
         entry = self._cotrees.get(tree)
         if entry is None:
             entry = self._cotrees[tree] = self._build_cotree(tree)
@@ -433,6 +463,7 @@ def fine_tiling(inst, basis, root=None, kernel=None):
     the same instance and basis to share; a fresh one is used when None."""
     g = inst.graph
     kernel = _own_kernel(inst, basis, kernel)
+    translations = kernel._translations
     tiles = []
 
     def add_tile(grown, run_toward, run_away, pi):
@@ -441,7 +472,8 @@ def fine_tiling(inst, basis, root=None, kernel=None):
         entry = kernel.cotree(tree)
         points = kernel.points(entry, pi)
         structure = SpanningTreeStructure._grown(tree, frozenset(run_toward), at_upper)
-        translation = kernel.translation(at_upper)
+        # Trees share upper sets, so most translations are memo hits, read inline.
+        translation = translations.get(at_upper) or kernel.translation(at_upper)
         tiles.append(Tile(structure, entry[1], translation, min(points, default=None)))
 
     grow_spanning_trees(g, add_tile, inst.upper, inst.lower, _root_index(g, root))
@@ -480,9 +512,10 @@ def validate_tiling(inst, basis, tiles, points=None, kernel=None):
     An implied tile, one ``fine_tiling`` would build from its structure,
     is inside by construction, has the |det| of its ``TileKernel`` co-tree
     entry, and holds the points its own potentials give: each tile's
-    ``tree_potentials`` walk is recomputed here, and no point is taken
-    from the kernel or the tiling.  Any other, foreign, tile takes |det|
-    and points from its frame and has its vertices tested one by one.
+    potentials are recomputed here by the kernel's ``walk`` of its
+    structure, and no point is taken from the tiling.  Any other, foreign,
+    tile takes |det| and points from its frame and has its vertices tested
+    one by one.
     Independent of the walk: the volume match (Cauchy-Binet sums
     d * (co-tree spans) over all co-trees), the cover (equality with the
     Bellman-Ford ``lattice_points``), and ``duality_check``.  ``kernel``
@@ -491,11 +524,11 @@ def validate_tiling(inst, basis, tiles, points=None, kernel=None):
     kernel = _own_kernel(inst, basis, kernel)
     if points is None:
         points = lattice_points(inst, basis)
-    vol = volume(inst, basis)
+    vol = kernel.zonotope_volume
     dets, inside, held = [], [], []
     for tile in tiles:
         structure = tile.structure
-        pi = tree_potentials(inst.graph, structure.tree, _pinned_tensions(inst, structure))
+        pi = kernel.walk(structure)
         # A tree that does not reach every vertex implies no tile.
         if None not in pi:
             entry = kernel.cotree(structure.tree)
@@ -566,20 +599,22 @@ def duality_check(inst, basis, root=None, tiles=None):
 
     The root's tropical vertex is the root's row of the Kleene star of
     kappa(p) for the canonical offset p of z, that is the shortest path
-    lengths from the root in the doubled graph, so each entry runs the
-    Bellman-Ford kernel once from the root and builds no polytrope.  A
-    negative cycle (an empty class) matches nothing."""
+    lengths from the root in the doubled graph, so each distinct z runs
+    the Bellman-Ford kernel once from the root and no polytrope is built.
+    A negative cycle (an empty class) matches nothing."""
     g = inst.graph
     T = inst.period
     ridx = _root_index(g, root)
     if tiles is None:
         tiles = fine_tiling(inst, basis, root)
-    entries = []
+    entries, rows = [], {}  # z -> the root's row, None for a negative cycle
     for t, tile in enumerate(tiles):
         z = tile.lattice_point
         if z is None:
             continue
         p = offset_for(inst, basis, z)
+        if z not in rows:
+            rows[z] = _potentials(g.n, kappa(inst, p), ridx)
         structure = tile.structure
         x = _pinned_tensions(inst, structure)
         pi = tree_potentials(g, structure.tree, [v - T * q for v, q in zip(x, p)], ridx)
@@ -590,8 +625,7 @@ def duality_check(inst, basis, root=None, tiles=None):
             if not inst.lower[a] <= x[a] <= inst.upper[a]:
                 feasible = False
         timetable = anchor_timetable(tuple(pi), ridx)
-        row = _potentials(g.n, kappa(inst, p), ridx)
-        matches = row is not None and timetable == tuple(row)
+        matches = rows[z] is not None and timetable == tuple(rows[z])
         entries.append(DualityEntry(t, z, tuple(x), timetable, feasible, matches))
     return DualityReport(tuple(entries))
 
@@ -613,10 +647,11 @@ class WidthBoundReport(
         return self.chain_holds and self.trees_within_length_product
 
 
-def width_bound_report(inst, basis):
+def width_bound_report(inst, basis, kernel=None):
     """Exact rational sandwich for the zonotope volume in terms of the
     width, plus the spanning-tree versus cycle-length product comparison.
-    A width of zero short-circuits into infeasibility evidence."""
+    A width of zero short-circuits into infeasibility evidence.  ``kernel``
+    is a ``TileKernel`` of the same instance and basis to take the volume of."""
     T = inst.period
     mu = basis.mu
     ranges = _box_integer_ranges(inst, basis)
@@ -624,11 +659,11 @@ def width_bound_report(inst, basis):
     trees = count_spanning_trees_determinant(inst.graph)
     span = inst.span
     eps = min(span) if span else 0
-    vol = volume(inst, basis)
-    slacks = tuple(
-        Fraction(sum(span[a] for a in c.support), T) for c in basis.cycles
-    )
-    lengths = tuple(len(c) for c in basis.cycles)
+    vol = (volume(inst, basis) if kernel is None
+           else _own_kernel(inst, basis, kernel).zonotope_volume)
+    rows = basis._sparse_rows[0]
+    slacks = tuple(Fraction(sum(span[a] for a, _ in row), T) for row in rows)
+    lengths = tuple(map(len, rows))
     lower = trees * Fraction(eps, T) ** mu if mu else Fraction(trees)
     slack_product = math.prod(slacks, start=Fraction(1))
     length_product = math.prod(lengths, start=1)
@@ -636,7 +671,7 @@ def width_bound_report(inst, basis):
     # as infeasibility evidence instead (the tree/length comparison and the
     # volume sandwich below W are unconditional, so they stay).
     bad = tuple(
-        (k, *(Fraction(v, T) for v in odijk_range(inst, basis._sparse_rows[0][k])))
+        (k, *(Fraction(v, T) for v in odijk_range(inst, rows[k])))
         for k, r in enumerate(ranges)
         if not r
     )

@@ -222,6 +222,23 @@ def test_one_tiling_per_command(tri, command, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("command", ["analyze", "tile"])
+def test_one_volume_per_command(command, monkeypatch, tmp_path):
+    """``analyze`` takes the width bounds' volume and the validation's from
+    its one kernel, so it computes one Gram determinant, as ``tile`` does;
+    each goes through ``zonotopes.volume``, where the benchmark's tracer
+    counts it, and the output is the golden's."""
+    from peritrope import zonotopes
+
+    calls = []
+    real = zonotopes.volume
+    monkeypatch.setattr(zonotopes, "volume", lambda *args: calls.append(args) or real(*args))
+    out = tmp_path / "out.json"
+    assert main([command, str(GOLDEN / "mu6.pesp"), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert out.read_bytes() == (GOLDEN / f"mu6.{command}.json").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["analyze", "tile"])
 def test_tiling_and_validation_share_one_kernel(square, command, monkeypatch, capsys):
     """The tiling and its validation run on one ``TileKernel``: the
     square's 12 trees each get their co-tree built once, not twice."""

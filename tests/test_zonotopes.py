@@ -42,6 +42,7 @@ from peritrope import (
 )
 from peritrope import graphs, polytropes, zonotopes
 from peritrope.graphs import _inverse_frame, tree_potentials
+from peritrope.zonotopes import _pinned_tensions
 from helpers import (
     _bareiss_det,
     box_points,
@@ -655,7 +656,7 @@ def test_a_tile_kernel_serves_only_its_own_instance_and_basis(function):
 
 def test_validation_reads_points_from_its_own_walk(monkeypatch):
     """With a kernel shared with the tiling, validation still takes each
-    tile's points from its own ``tree_potentials`` walk: a walk that moves
+    tile's points from its own walk (``TileKernel.walk``): a walk that moves
     one vertex by 100 periods moves the points of every tile, and the
     report sees it, though the kernel's co-trees and translations, built
     by the tiling, still match."""
@@ -663,14 +664,14 @@ def test_validation_reads_points_from_its_own_walk(monkeypatch):
     kernel = TileKernel(sq, basis)
     tiles = fine_tiling(sq, basis, "v2", kernel)
     assert validate_tiling(sq, basis, tiles, kernel=kernel).ok
-    real = zonotopes.tree_potentials
+    real = TileKernel.walk
 
-    def shifted(*args):
-        pi = real(*args)
+    def shifted(self, structure):
+        pi = real(self, structure)
         pi[-1] += 100 * sq.period
         return pi
 
-    monkeypatch.setattr(zonotopes, "tree_potentials", shifted)
+    monkeypatch.setattr(TileKernel, "walk", shifted)
     report = validate_tiling(sq, basis, tiles, kernel=kernel)
     assert report.volume_match and report.tiles_inside
     assert not report.all_points_covered and not report.lattice_points_recorded
@@ -794,24 +795,25 @@ def test_tiles_match_the_dense_per_tile_oracle():
 
 def test_no_walk_while_tiling_and_one_per_validated_tile(monkeypatch):
     """``fine_tiling`` takes each tree's orientation and pinned potentials
-    from its growth, with no ``tree_walk`` and no ``tree_potentials`` call;
-    ``validate_tiling`` takes one ``tree_potentials`` walk per tile.  Walks
-    are counted in ``graphs`` and ``zonotopes`` alike; the only other one
-    is the connectivity check of the first enumeration on a graph object,
-    over every arc, which later enumerations on that object reuse."""
-    walks, potentials = [], []
-    walk, potential = graphs.tree_walk, zonotopes.tree_potentials
+    from its growth, with no walk of either kind: no ``tree_walk`` and no
+    ``TileKernel.walk``.  ``validate_tiling`` takes one kernel walk per
+    tile and no ``tree_walk``.  ``tree_walk`` is counted in ``graphs``,
+    where every caller looks it up; the only one it makes here is the
+    connectivity check of the first enumeration on a graph object, over
+    every arc, which later enumerations on that object reuse."""
+    walks, kernel_walks = [], []
+    walk, kernel_walk = graphs.tree_walk, TileKernel.walk
 
     def counted_walk(g, tree, *args):
         walks.append(tuple(tree))
         return walk(g, tree, *args)
 
-    def counted_potentials(g, tree, *args):
-        potentials.append(tree)
-        return potential(g, tree, *args)
+    def counted_kernel_walk(self, structure):
+        kernel_walks.append(structure)
+        return kernel_walk(self, structure)
 
     monkeypatch.setattr(graphs, "tree_walk", counted_walk)
-    monkeypatch.setattr(zonotopes, "tree_potentials", counted_potentials)
+    monkeypatch.setattr(TileKernel, "walk", counted_kernel_walk)
     sq, basis = square_instance(), square_basis()
     walks.clear()
     spanning_trees(sq.graph)
@@ -819,10 +821,45 @@ def test_no_walk_while_tiling_and_one_per_validated_tile(monkeypatch):
     walks.clear()
     tiles = fine_tiling(sq, basis, "v2")
     assert walks == []
-    assert potentials == []
+    assert kernel_walks == []
     assert validate_tiling(sq, basis, tiles).ok
-    assert potentials == [t.structure.tree for t in tiles]
-    assert walks == potentials
+    assert kernel_walks == [t.structure for t in tiles]
+    assert walks == []
+
+
+def test_the_kernel_walk_gives_the_tree_potentials_of_the_pinned_tensions(monkeypatch):
+    """``TileKernel.walk`` of a structure equals ``tree_potentials`` of its
+    tree under ``_pinned_tensions``, None entries included: on every
+    structure of the ``_tiling_cases``, and on the foreign structures the
+    ``TAMPER_TESTS`` hand to validation (among them a moved arc and a tree
+    that does not span, whose walk closes a 2-cycle)."""
+    seen = dict.fromkeys(("tiling", "tamper", "unreached"), 0)
+
+    def check(kernel, structure):
+        inst, g = kernel.inst, kernel.inst.graph
+        pi = kernel.walk(structure)
+        assert pi == tree_potentials(g, structure.tree, _pinned_tensions(inst, structure))
+        seen["unreached"] += None in pi
+
+    for inst, basis, root in _tiling_cases():
+        kernel = TileKernel(inst, basis)
+        for tile in fine_tiling(inst, basis, root, kernel):
+            check(kernel, tile.structure)
+            seen["tiling"] += 1
+    real = validate_tiling
+
+    def checked_validation(inst, basis, tiles, points=None):
+        kernel = TileKernel(inst, basis)
+        for tile in tiles:
+            check(kernel, tile.structure)
+            seen["tamper"] += 1
+        return real(inst, basis, tiles, points)
+
+    monkeypatch.setitem(globals(), "validate_tiling", checked_validation)
+    for tamper_test in TAMPER_TESTS:
+        tamper_test(*[monkeypatch] * tamper_test.__code__.co_argcount)
+    assert seen["tiling"] >= 1000 and seen["tamper"] >= 100, seen
+    assert seen["unreached"] >= 1, seen
 
 
 def test_fine_tiling_matches_the_tree_walk_oracle():
@@ -1052,7 +1089,8 @@ def test_duality_matches_the_full_polytrope_oracle():
 
 def test_duality_check_builds_no_polytrope(monkeypatch):
     """No polytrope or tropical vertex list: one Bellman-Ford from the
-    root per checked tile, and none from the virtual source."""
+    root per distinct lattice point of the checked tiles (the square's 12
+    tiles hold 11), and none from the virtual source."""
 
     def refuse(*args):
         raise AssertionError("duality_check built a polytrope")
@@ -1065,7 +1103,21 @@ def test_duality_check_builds_no_polytrope(monkeypatch):
     runs = count_bellman_ford(monkeypatch)
     report = duality_check(sq, basis, "v2", tiles=tiles)
     assert report.ok and report.checked == 12
-    assert runs == [(sq.graph.n, 2)] * 12
+    assert runs == [(sq.graph.n, 2)] * 11
+
+
+def test_duality_check_runs_one_bellman_ford_per_distinct_lattice_point(monkeypatch):
+    """The root's Kleene-star row depends on z alone, so mu6's 185 tiles,
+    55 of them holding a point, take 35 runs from the root, one per
+    distinct point, and every entry is the one the polytrope oracle gives."""
+    inst, basis = _mu6()
+    tiles = fine_tiling(inst, basis)
+    expected = duality_check_by_polytropes(inst, basis, None, tiles)
+    runs = count_bellman_ford(monkeypatch)
+    report = duality_check(inst, basis, tiles=tiles)
+    assert len(tiles) == 185 and report.checked == 55
+    assert runs == [(inst.graph.n, 0)] * 35
+    assert report == expected
 
 
 def test_width_bound_report_triangle():
@@ -1130,6 +1182,47 @@ def _two_rows_one_empty():
     g = Digraph(("a", "b", "c"), (("a", "b"), ("b", "a"), ("b", "c"), ("c", "b")))
     inst = PespInstance(g, 10, (1, 1, 0, 0), (2, 2, 9, 9), (1, 1, 1, 1))
     return inst, default_basis(g)
+
+
+def test_width_bound_report_reads_the_cycles_from_the_sparse_rows():
+    """Cycle slacks and lengths read off the nonzeros of each row equal
+    the span sums and lengths of the cycles' supports, and a report given
+    a kernel equals one without, on every ``_tiling_cases`` basis (d = 0
+    from a repeated row and d = 2 among them)."""
+    seen = dict.fromkeys(("d = 0", "d = 2", "infeasible"), 0)
+    cases = list(_tiling_cases())
+    for inst, basis, _ in cases[:-1:4]:  # each multigraph's fundamental basis
+        c0, _, *rest = basis.gamma
+        cases.append((inst, CycleBasis(tuple(map(OrientedCycle, (c0, c0, *rest)))), None))
+    for inst, basis, _ in cases:
+        rep = width_bound_report(inst, basis)
+        T = inst.period
+        assert rep.cycle_slacks == tuple(
+            Fraction(sum(inst.span[a] for a in c.support), T) for c in basis.cycles
+        )
+        assert rep.cycle_lengths == tuple(len(c.support) for c in basis.cycles)
+        assert width_bound_report(inst, basis, TileKernel(inst, basis)) == rep
+        seen["d = 0"] += basis.cotree_frame[1] == 0
+        seen["d = 2"] += abs(basis.cotree_frame[1]) == 2
+        seen["infeasible"] += rep.infeasible
+    assert min(seen.values()) >= 5, seen
+
+
+def test_width_bound_report_takes_the_volume_of_its_kernel(monkeypatch):
+    """Given a kernel, the report reads the kernel's volume, which the
+    kernel computes once for the report and the validation together; a
+    kernel of another basis raises ValueError."""
+    inst, basis = _mu6()
+    calls = []
+    real = zonotopes.volume
+    monkeypatch.setattr(zonotopes, "volume", lambda *a: calls.append(a) or real(*a))
+    kernel = TileKernel(inst, basis)
+    rep = width_bound_report(inst, basis, kernel)
+    report = validate_tiling(inst, basis, fine_tiling(inst, basis, None, kernel), kernel=kernel)
+    assert calls == [(inst, basis)]
+    assert rep.volume == report.zonotope_volume == real(inst, basis)
+    with pytest.raises(ValueError, match="another instance or basis"):
+        width_bound_report(inst, basis, TileKernel(inst, basis.permuted((1, 0, 2, 3, 4, 5))))
 
 
 @pytest.mark.parametrize("name", ["triangle", "square", "two rows, one empty", "mu6"])
