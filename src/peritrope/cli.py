@@ -217,7 +217,7 @@ class _TileList:
 
         # Tiles share most arcs and translation values; each is written once.
         T = self.period
-        values = {v for t in self.tiles for v in t.translation}
+        values = {v for tr in {t.translation for t in self.tiles} for v in tr}
         ratio = {v: encode_basestring_ascii(_ratio(v, T)) for v in values}.__getitem__
         m = max((t.structure.tree[-1] + 1 for t in self.tiles if t.structure.tree), default=0)
         arc = list(map(str, range(m))).__getitem__

@@ -6,9 +6,9 @@ Parallel and antiparallel arcs are allowed, self-loops are not.
 
 Four kernels serve the package.  ``greedy_forest`` is its one
 union-find.  ``tree_walk`` is its depth-first walk of an arc set from a
-root (a tile's validation repeats it in ``zonotopes.TileKernel.walk``);
-``tree_potentials`` folds it into vertex potentials, and
-``spanning_tree_walk`` checks that the arcs form a spanning tree.
+root, and ``spanning_tree_walk`` checks that the arcs form a spanning
+tree; ``tree_potentials``, its one walk into vertex potentials, visits
+the vertices in ``tree_walk``'s order.
 ``grow_spanning_trees`` is its one spanning tree enumeration: it grows
 every tree from a root, with the arcs it runs each way and the
 potentials of a difference per arc, for ``spanning_trees``, the tiles
@@ -461,11 +461,10 @@ def tree_walk(g, tree, root=0):
     an arc that closes a cycle is skipped; vertices the arcs do not reach
     get no step.
 
-    Connectivity, cycle bases, timetables from tensions or pinned trees,
-    the structure of a given tree and fixed-arc contraction go through
-    it.  The tiles of ``zonotopes.fine_tiling`` take their potentials from
-    ``grow_spanning_trees``, and ``validate_tiling`` from
-    ``zonotopes.TileKernel.walk``, which walks a pinned tree as this does.
+    Connectivity, cycle bases and the structure of a given tree read its
+    steps; potentials come from ``tree_potentials``, which walks in the
+    same order, and the tiles of ``zonotopes.fine_tiling`` take theirs
+    from ``grow_spanning_trees``.
     """
     pairs = g.arc_index_pairs
     adj = [[] for _ in range(g.n)]
@@ -507,14 +506,27 @@ def spanning_tree_walk(g, tree, root=0):
 def tree_potentials(g, tree, differences, root=0):
     """Vertex potentials with pi[root] = 0 and pi_head - pi_tail =
     differences[a] along every arc a of ``tree`` (arc indices;
-    ``differences`` is indexed by arc), folded over ``tree_walk``.
-    Vertices the tree does not reach keep None, and callers rely on that to
-    detect an arc set that does not span.
+    ``differences`` is indexed by arc), reached in ``tree_walk``'s order,
+    so on an arc set with cycles the same arcs are skipped.  Vertices the
+    tree does not reach keep None, and callers rely on that to detect an
+    arc set that does not span.
     """
+    pairs = g.arc_index_pairs
+    adj = [[] for _ in range(g.n)]
+    for a in tree:
+        i, j = pairs[a]
+        x = differences[a]
+        adj[i].append((j, x))
+        adj[j].append((i, -x))
     pi = [None] * g.n
     pi[root] = 0
-    for v, w, a, s in tree_walk(g, tree, root):
-        pi[w] = pi[v] + s * differences[a]
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        for w, x in adj[v]:
+            if pi[w] is None:
+                pi[w] = pi[v] + x
+                stack.append(w)
     return pi
 
 

@@ -21,7 +21,7 @@ each translation (Gamma x for the pinned tensions x).  Lattice points are
 never stored: each is a sum of the Gamma columns of co-tree arcs, read
 off the potentials of x of its own tile, which ``fine_tiling`` takes from
 ``graphs.grow_spanning_trees`` (it grows each tree from the root, and so
-orients it) and validation from the kernel's own ``walk`` of the tile's
+orients it) and validation from ``graphs.tree_potentials`` of the tile's
 structure; validation trusts the points only for implied tiles, the ones
 equal to the kernel's.  A foreign tile, and ``tile_contains_scaled``,
 invert the generator matrix G into a frame (d, d * G^-1) with |d| = |det
@@ -29,8 +29,8 @@ G| by ``graphs._inverse_frame``, which builds the basis co-tree frames
 too; a point lies in the tile when every coordinate of d * G^-1 applied
 to its offset from the translation is between 0 and d.
 ``duality_check`` compares each tile's pinned timetable with the root's
-row of the Kleene star, one Bellman-Ford per lattice point, and builds no
-polytrope.
+row of the Kleene star, one offset preimage and one Bellman-Ford per
+lattice point, and builds no polytrope.
 Fractions appear only in volumes and the width bound chain.
 """
 
@@ -341,9 +341,10 @@ class TileKernel:
     Gamma x = Gamma l + their scaled columns.  Both depend on the tree or
     on the upper set alone, so a value is exact for every tile that
     shares it.  Lattice points depend on the potentials of the pinned
-    tensions (the growth's, or ``walk``'s) and are computed per tile by
-    ``points``, never stored.  Build one per tiling; ``fine_tiling`` and
-    ``validate_tiling`` each build their own when none is given."""
+    tensions (the growth's, or ``tree_potentials``') and are computed per
+    tile by ``points``, never stored.  Build one per tiling;
+    ``fine_tiling`` and ``validate_tiling`` each build their own when none
+    is given."""
 
     def __init__(self, inst, basis):
         self.inst = inst
@@ -365,27 +366,6 @@ class TileKernel:
     def zonotope_volume(self):
         """``volume`` of the kernel's instance and basis."""
         return volume(self.inst, self.basis)
-
-    def walk(self, structure):
-        """``tree_potentials`` of the tree of ``structure`` under its
-        ``_pinned_tensions`` (x_a = u_a on ``at_upper`` arcs, l_a on the
-        rest), walked from vertex 0 as ``graphs.tree_walk`` walks."""
-        rows, upper = self._rows, structure.at_upper
-        adjacent = [[] for _ in self.inst.graph.vertices]
-        for a in structure.tree:
-            i, j, lower, x, _ = rows[a]
-            x = x if a in upper else lower
-            adjacent[i].append((j, x))
-            adjacent[j].append((i, -x))
-        pi, stack = [None] * len(adjacent), [0]
-        pi[0] = 0
-        while stack:
-            v = stack.pop()
-            for w, x in adjacent[v]:
-                if pi[w] is None:
-                    pi[w] = pi[v] + x
-                    stack.append(w)
-        return pi
 
     def cotree(self, tree):
         """The co-tree entry (rows, generators, |det|) of the sorted ``tree``."""
@@ -512,10 +492,10 @@ def validate_tiling(inst, basis, tiles, points=None, kernel=None):
     An implied tile, one ``fine_tiling`` would build from its structure,
     is inside by construction, has the |det| of its ``TileKernel`` co-tree
     entry, and holds the points its own potentials give: each tile's
-    potentials are recomputed here by the kernel's ``walk`` of its
-    structure, and no point is taken from the tiling.  Any other, foreign,
-    tile takes |det| and points from its frame and has its vertices tested
-    one by one.
+    potentials are recomputed here, ``tree_potentials`` of its tree under
+    its ``_pinned_tensions``, and no point is taken from the tiling.  Any
+    other, foreign, tile takes |det| and points from its frame and has its
+    vertices tested one by one.
     Independent of the walk: the volume match (Cauchy-Binet sums
     d * (co-tree spans) over all co-trees), the cover (equality with the
     Bellman-Ford ``lattice_points``), and ``duality_check``.  ``kernel``
@@ -528,7 +508,7 @@ def validate_tiling(inst, basis, tiles, points=None, kernel=None):
     dets, inside, held = [], [], []
     for tile in tiles:
         structure = tile.structure
-        pi = kernel.walk(structure)
+        pi = tree_potentials(inst.graph, structure.tree, _pinned_tensions(inst, structure))
         # A tree that does not reach every vertex implies no tile.
         if None not in pi:
             entry = kernel.cotree(structure.tree)
@@ -599,22 +579,24 @@ def duality_check(inst, basis, root=None, tiles=None):
 
     The root's tropical vertex is the root's row of the Kleene star of
     kappa(p) for the canonical offset p of z, that is the shortest path
-    lengths from the root in the doubled graph, so each distinct z runs
-    the Bellman-Ford kernel once from the root and no polytrope is built.
-    A negative cycle (an empty class) matches nothing."""
+    lengths from the root in the doubled graph, so each distinct z takes
+    its offset p once and runs the Bellman-Ford kernel once from the
+    root, and no polytrope is built.  A negative cycle (an empty class)
+    matches nothing."""
     g = inst.graph
     T = inst.period
     ridx = _root_index(g, root)
     if tiles is None:
         tiles = fine_tiling(inst, basis, root)
-    entries, rows = [], {}  # z -> the root's row, None for a negative cycle
+    entries, rows = [], {}  # z -> (its offset p, the root's row or None for a negative cycle)
     for t, tile in enumerate(tiles):
         z = tile.lattice_point
         if z is None:
             continue
-        p = offset_for(inst, basis, z)
         if z not in rows:
-            rows[z] = _potentials(g.n, kappa(inst, p), ridx)
+            p = offset_for(inst, basis, z)
+            rows[z] = p, _potentials(g.n, kappa(inst, p), ridx)
+        p, row = rows[z]
         structure = tile.structure
         x = _pinned_tensions(inst, structure)
         pi = tree_potentials(g, structure.tree, [v - T * q for v, q in zip(x, p)], ridx)
@@ -625,7 +607,7 @@ def duality_check(inst, basis, root=None, tiles=None):
             if not inst.lower[a] <= x[a] <= inst.upper[a]:
                 feasible = False
         timetable = anchor_timetable(tuple(pi), ridx)
-        matches = rows[z] is not None and timetable == tuple(rows[z])
+        matches = row is not None and timetable == tuple(row)
         entries.append(DualityEntry(t, z, tuple(x), timetable, feasible, matches))
     return DualityReport(tuple(entries))
 

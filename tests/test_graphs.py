@@ -10,7 +10,9 @@ from peritrope import (
     Digraph,
     DisconnectedGraph,
     EnumerationCapExceeded,
+    InfeasibleFixedCycle,
     NotASpanningTree,
+    NotATension,
     OrientedCycle,
     PespInstance,
     count_spanning_trees_determinant,
@@ -21,6 +23,7 @@ from peritrope import (
     initial_solution,
     spanning_trees,
     structure_for_tree,
+    tension_to_timetable,
     verify_kernel_property,
 )
 from peritrope import contract_fixed_arcs, graphs, parse_instance
@@ -34,6 +37,7 @@ from helpers import (
     random_bases,
     random_corpus,
     random_connected_digraph,
+    random_instance,
     spanning_trees_by_contraction,
     spanning_trees_by_subsets,
     square_graph,
@@ -684,9 +688,9 @@ def test_kernel_property_matches_the_rational_rank():
 
 
 def test_tree_potentials_match_the_stack_walk():
-    """``tree_potentials`` folds ``tree_walk`` into the same potentials as
-    the stack walk it replaced, on spanning, cyclic, non-spanning and empty
-    arc subsets from every root; each step's sign says which way its arc
+    """``tree_potentials`` gives the potentials of the reference stack
+    walk, on spanning, cyclic, non-spanning and empty arc subsets from
+    every root; each ``tree_walk`` step's sign says which way its arc
     runs."""
     rng = random.Random(23)
     kinds = {"spanning": 0, "cyclic": 0, "partial": 0, "empty": 0}
@@ -709,6 +713,69 @@ def test_tree_potentials_match_the_stack_walk():
         else:
             kinds["spanning"] += 1
     assert min(kinds.values()) >= 20, kinds
+
+
+def test_errors_name_the_arc_the_walk_order_decides():
+    """Which arc closes a cycle, and so is skipped, depends on the walk
+    order, and with it the arc an error names: the ``InfeasibleFixedCycle``
+    of ``contract_fixed_arcs`` on seeded instances with inconsistent fixed
+    cycles, and the ``NotATension`` of ``tension_to_timetable`` on
+    in-bound vectors that do not close up mod T.  Each text equals the one
+    the same checks give over ``tree_potentials_by_stack_walk``'s
+    potentials; walking the arcs in reverse order names another arc in
+    some cases, so the order is what is checked."""
+    seen = dict.fromkeys(("fixed", "fixed order", "tension", "tension order"), 0)
+
+    def first_open_arc(inst, arcs, x, pi):
+        pairs, T = inst.graph.arc_index_pairs, inst.period
+        return next((a for a in arcs if (pi[pairs[a][1]] - pi[pairs[a][0]] - x[a]) % T), None)
+
+    def fixed_cycle_text(inst, order):
+        g = inst.graph
+        fixed = [a for a in range(g.m) if inst.lower[a] == inst.upper[a]]
+        delta = [None] * g.n
+        for v in range(g.n):
+            if delta[v] is None:
+                pi = tree_potentials_by_stack_walk(g, order(fixed), inst.lower, v)
+                for w, d in enumerate(pi):
+                    if d is not None:
+                        delta[w] = d
+        a = first_open_arc(inst, fixed, inst.lower, delta)
+        return None if a is None else f"fixed arcs force an inconsistent cycle through arc {a}"
+
+    def tension_text(inst, x, root, order):
+        pi = tree_potentials_by_stack_walk(inst.graph, order(range(inst.graph.m)), x, root)
+        a = first_open_arc(inst, range(inst.graph.m), x, pi)
+        return None if a is None else f"arc {a} does not close up modulo {inst.period}"
+
+    def raised(call, *args):
+        try:
+            call(*args)
+        except (InfeasibleFixedCycle, NotATension) as exc:
+            return str(exc)
+        return None
+
+    same, reverse = list, lambda arcs: list(reversed(arcs))
+    for seed in range(300):
+        rng = random.Random(4100 + seed)
+        inst = random_instance(rng, max_vertices=5, max_arcs=9, max_period=9)
+        fixed = inst._replace(
+            upper=tuple(l if rng.random() < 0.6 else u for l, u in zip(inst.lower, inst.upper))
+        )
+        expected = fixed_cycle_text(fixed, same)
+        if expected is not None:
+            assert raised(contract_fixed_arcs, fixed) == expected
+            seen["fixed"] += 1
+            seen["fixed order"] += fixed_cycle_text(fixed, reverse) != expected
+        x = [rng.randint(l, u) for l, u in zip(inst.lower, inst.upper)]
+        root = rng.randrange(inst.graph.n)
+        expected = tension_text(inst, x, root, same)
+        text = raised(tension_to_timetable, inst, x, inst.graph.vertices[root])
+        assert text == expected
+        if expected is not None:
+            seen["tension"] += 1
+            seen["tension order"] += tension_text(inst, x, root, reverse) != expected
+    assert min(seen.values()) >= 20, seen
 
 
 def test_moves_are_the_distinct_nonzero_columns():

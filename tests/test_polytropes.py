@@ -394,8 +394,9 @@ def test_each_walked_point_gets_one_offset_preimage(monkeypatch):
     """``lattice_points`` takes one ``offset_from_cycle_offset`` per box
     point its walk reaches, and no other under an integral basis;
     ``enumerate_polytropes`` takes one more per polytrope, and
-    ``duality_check`` weights each doubled graph from the canonical
-    offset it already holds, one call per tile.  The polytropes are the ones ``polytrope_build`` gives at each
+    ``duality_check`` one per distinct lattice point of its tiles (11 for
+    the square's 12 checked tiles), kept beside that point's root row.
+    The polytropes are the ones ``polytrope_build`` gives at each
     nonempty box point: on the square, and on s8800, where the walk
     reaches 201 of the 12,288 box points."""
     s8800 = parse_instance((GOLDEN / "s8800.pesp").read_text())
@@ -420,7 +421,9 @@ def test_each_walked_point_gets_one_offset_preimage(monkeypatch):
         runs.clear()
     assert walked == [12, 201] and width(*cases[1]) == 12_288
     report = duality_check(*cases[0], tiles=tiles)
-    assert len(calls) == report.checked == 12 and report.ok
+    assert report.checked == 12 and report.ok
+    assert len(calls) == len(set(calls)) == 11
+    assert set(calls) == {t.lattice_point for t in tiles} - {None}
 
 
 def test_enumerate_polytropes_counts():

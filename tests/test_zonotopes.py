@@ -42,7 +42,6 @@ from peritrope import (
 )
 from peritrope import graphs, polytropes, zonotopes
 from peritrope.graphs import _inverse_frame, tree_potentials
-from peritrope.zonotopes import _pinned_tensions
 from helpers import (
     _bareiss_det,
     box_points,
@@ -656,7 +655,7 @@ def test_a_tile_kernel_serves_only_its_own_instance_and_basis(function):
 
 def test_validation_reads_points_from_its_own_walk(monkeypatch):
     """With a kernel shared with the tiling, validation still takes each
-    tile's points from its own walk (``TileKernel.walk``): a walk that moves
+    tile's points from its own walk (``tree_potentials``): a walk that moves
     one vertex by 100 periods moves the points of every tile, and the
     report sees it, though the kernel's co-trees and translations, built
     by the tiling, still match."""
@@ -664,14 +663,14 @@ def test_validation_reads_points_from_its_own_walk(monkeypatch):
     kernel = TileKernel(sq, basis)
     tiles = fine_tiling(sq, basis, "v2", kernel)
     assert validate_tiling(sq, basis, tiles, kernel=kernel).ok
-    real = TileKernel.walk
+    real = zonotopes.tree_potentials
 
-    def shifted(self, structure):
-        pi = real(self, structure)
+    def shifted(*args):
+        pi = real(*args)
         pi[-1] += 100 * sq.period
         return pi
 
-    monkeypatch.setattr(TileKernel, "walk", shifted)
+    monkeypatch.setattr(zonotopes, "tree_potentials", shifted)
     report = validate_tiling(sq, basis, tiles, kernel=kernel)
     assert report.volume_match and report.tiles_inside
     assert not report.all_points_covered and not report.lattice_points_recorded
@@ -796,24 +795,25 @@ def test_tiles_match_the_dense_per_tile_oracle():
 def test_no_walk_while_tiling_and_one_per_validated_tile(monkeypatch):
     """``fine_tiling`` takes each tree's orientation and pinned potentials
     from its growth, with no walk of either kind: no ``tree_walk`` and no
-    ``TileKernel.walk``.  ``validate_tiling`` takes one kernel walk per
-    tile and no ``tree_walk``.  ``tree_walk`` is counted in ``graphs``,
-    where every caller looks it up; the only one it makes here is the
-    connectivity check of the first enumeration on a graph object, over
-    every arc, which later enumerations on that object reuse."""
-    walks, kernel_walks = [], []
-    walk, kernel_walk = graphs.tree_walk, TileKernel.walk
+    ``tree_potentials``.  ``validate_tiling`` takes one ``tree_potentials``
+    per tile, of its tree, and no ``tree_walk``.  ``tree_walk`` is counted
+    in ``graphs`` and ``tree_potentials`` in ``zonotopes``, where their
+    callers look them up; the only ``tree_walk`` here is the connectivity
+    check of the first enumeration on a graph object, over every arc,
+    which later enumerations on that object reuse."""
+    walks, potential_walks = [], []
+    walk, potentials = graphs.tree_walk, zonotopes.tree_potentials
 
     def counted_walk(g, tree, *args):
         walks.append(tuple(tree))
         return walk(g, tree, *args)
 
-    def counted_kernel_walk(self, structure):
-        kernel_walks.append(structure)
-        return kernel_walk(self, structure)
+    def counted_potentials(g, tree, *args):
+        potential_walks.append(tuple(tree))
+        return potentials(g, tree, *args)
 
     monkeypatch.setattr(graphs, "tree_walk", counted_walk)
-    monkeypatch.setattr(TileKernel, "walk", counted_kernel_walk)
+    monkeypatch.setattr(zonotopes, "tree_potentials", counted_potentials)
     sq, basis = square_instance(), square_basis()
     walks.clear()
     spanning_trees(sq.graph)
@@ -821,45 +821,10 @@ def test_no_walk_while_tiling_and_one_per_validated_tile(monkeypatch):
     walks.clear()
     tiles = fine_tiling(sq, basis, "v2")
     assert walks == []
-    assert kernel_walks == []
+    assert potential_walks == []
     assert validate_tiling(sq, basis, tiles).ok
-    assert kernel_walks == [t.structure for t in tiles]
+    assert potential_walks == [t.structure.tree for t in tiles]
     assert walks == []
-
-
-def test_the_kernel_walk_gives_the_tree_potentials_of_the_pinned_tensions(monkeypatch):
-    """``TileKernel.walk`` of a structure equals ``tree_potentials`` of its
-    tree under ``_pinned_tensions``, None entries included: on every
-    structure of the ``_tiling_cases``, and on the foreign structures the
-    ``TAMPER_TESTS`` hand to validation (among them a moved arc and a tree
-    that does not span, whose walk closes a 2-cycle)."""
-    seen = dict.fromkeys(("tiling", "tamper", "unreached"), 0)
-
-    def check(kernel, structure):
-        inst, g = kernel.inst, kernel.inst.graph
-        pi = kernel.walk(structure)
-        assert pi == tree_potentials(g, structure.tree, _pinned_tensions(inst, structure))
-        seen["unreached"] += None in pi
-
-    for inst, basis, root in _tiling_cases():
-        kernel = TileKernel(inst, basis)
-        for tile in fine_tiling(inst, basis, root, kernel):
-            check(kernel, tile.structure)
-            seen["tiling"] += 1
-    real = validate_tiling
-
-    def checked_validation(inst, basis, tiles, points=None):
-        kernel = TileKernel(inst, basis)
-        for tile in tiles:
-            check(kernel, tile.structure)
-            seen["tamper"] += 1
-        return real(inst, basis, tiles, points)
-
-    monkeypatch.setitem(globals(), "validate_tiling", checked_validation)
-    for tamper_test in TAMPER_TESTS:
-        tamper_test(*[monkeypatch] * tamper_test.__code__.co_argcount)
-    assert seen["tiling"] >= 1000 and seen["tamper"] >= 100, seen
-    assert seen["unreached"] >= 1, seen
 
 
 def test_fine_tiling_matches_the_tree_walk_oracle():
