@@ -100,7 +100,6 @@ from .zonotopes import (
     width,
     width_bound_report,
     zonotope_descriptor,
-    zonotope_membership,
 )
 
 __version__ = "0.1.0"

@@ -7,39 +7,34 @@ class the walk moves to is optimized exactly, so after its first move
 the search walks from vertex optimum to vertex optimum; the start class
 is not optimized (see ``tns``).
 
-The search.  ``OffsetMemo.least_optimum`` runs one best-first search over
-prefixes of z, seeded by ``solve_exact`` with the root prefix () and by
-a ``tns`` step with the current offset's steps but the start's.  A node's
-key is (lower, prefix): lower is the highest of the prefix's
-``cycle_relaxation_bound`` and each learned cut, the dual bound of a
-solved offset's flow (``fixedlp.certified_optimum``), at its least over
-the completions in the box.  A popped node is dropped when a learned
-row rules out all its completions, pushed back when cuts learned since
-raise its lower, expanded into the next box row, or, as a whole z,
-solved; the failed solve of an empty one hands over its negative cycle
-(``Infeasible.cycle``), which ``zonotopes.learn_row``, as for
-``lattice_points``, turns into an Odijk row lo <= ty.z <= hi that every
-nonempty offset meets (Odijk, Transportation Research B 30, 1996).
-The search stops at the first key above the best (objective, z) found,
-or above the caller's limit while none is, so the argmin survives.  Only
-an offset a caller takes has its vertex built.
+The search.  ``OffsetMemo`` is the ``zonotopes.BoxSearch`` that
+``lattice_points`` runs too, keyed by (lower, prefix): lower is the
+highest of the prefix's ``cycle_relaxation_bound`` and each learned cut,
+the dual bound of a solved offset's flow (``fixedlp.certified_optimum``),
+at its least over the completions in the box.  ``least_optimum`` seeds it
+with the root prefix () for ``solve_exact`` and with the current offset's
+steps but the start's for a ``tns`` step, and stops at the first key
+above the best (objective, z), or above the caller's limit while there is
+none, so the argmin survives; ``neighbourhood_graph`` keeps every leaf.
+An empty z's failed solve hands over its negative cycle, which
+``zonotopes.learn_row`` turns into an Odijk row lo <= ty.z <= hi that
+every nonempty offset meets (Odijk, Transportation Research B 30, 1996).
+Only an offset a caller takes has its vertex built.
 
 ``OffsetMemo`` owns the per-offset answers of a solve (bounds, optima
 with their cuts, steps, rows, solutions) and the invariant checks the
-search rests on: the relaxation rules out no box point or prefix, no
-optimum lies below its bound, its own cut or its key, a vertex rebuilds
-into its own z and objective, and a row rules out its own z but no
-offset solved nonempty (``learn_row``).  So ``solve_exact``, ``tns`` and
-``neighbourhood_graph`` all run them.  One memo keeps the answers, which
-depend only on the instance, the basis and z, for a whole solve:
-``tns_restarts`` shares it between its walks, and ``tns`` builds a fresh
-one when it is not given one.
+search rests on, which ``solve_exact``, ``tns`` and ``neighbourhood_graph``
+all run: the relaxation rules out no box point or prefix, no optimum lies
+below its bound, its own cut or its key, a vertex rebuilds into its own z
+and objective, and a row rules out its own z but no offset solved
+nonempty (``learn_row``).  The answers depend only on the instance, the
+basis and z: ``tns_restarts`` shares one memo between its walks, and
+``tns`` builds a fresh one when it is not given one.
 """
 
 import json
 import random
 from collections import namedtuple
-from heapq import heappop, heappush
 
 from .errors import Infeasible, InvariantViolation, RetriesExhausted
 from .fixedlp import certified_optimum, cycle_relaxation_bound, optimal_vertex
@@ -54,10 +49,10 @@ from .polytropes import (
 )
 from .zonotopes import (
     DEFAULT_WIDTH_CAP,
+    BoxSearch,
     _box_integer_ranges,
     _capped_box,
     _require_integral,
-    lattice_points,
     learn_row,
     suffix_extremes,
 )
@@ -109,25 +104,20 @@ def initial_solution(inst, seed=0, basis=None):
     raise RetriesExhausted(f"no feasible start found in {START_ATTEMPTS} attempts")
 
 
-class OffsetMemo:
+class OffsetMemo(BoxSearch):
     """The per-offset answers of one solve on one instance and basis, each
-    computed on first use, kept and checked (see the module docstring).  A
-    basis that is not integral raises ValueError before any solve."""
+    computed on first use, kept and checked, and the search of its box, with
+    the optima as leaves.  A basis that is not integral raises ValueError."""
 
     def __init__(self, inst, basis):
         _require_integral(basis)
+        super().__init__(_box_integer_ranges(inst, basis))
         self.inst = inst
         self.basis = basis
-        self.box = _box_integer_ranges(inst, basis)
         self._bound = cycle_relaxation_bound(inst, basis)
         self._top = sum(max(w * l, w * u) for w, l, u in zip(inst.weight, inst.lower, inst.upper))
-        self._optima = {}
         self._solutions = {}
         self._steps = {}
-        # Learned forms (ty, low, high, lo, hi, const), low[k] and high[k] the
-        # least and greatest ty.z over box rows k..: a cut, objective >= const
-        # + ty.z, or a row (const None), lo <= ty.z <= hi if z is nonempty.
-        self._forms = []
 
     def bound(self, z):
         """The ``cycle_relaxation_bound`` of z or of a prefix of z, or None
@@ -151,47 +141,36 @@ class OffsetMemo:
             self._steps[z] = found
         return found
 
-    def optimum(self, z, learned=None):
+    def optimum(self, z, learned=None, relax=None):
         """The ``certified_optimum`` of z, or None when it is empty;
         ``learned`` is a bound from the cuts learned before its solve (None:
-        unchecked).  Its cut, or the ``learn_row`` row of an empty z's
-        negative cycle, joins the learned forms; an optimum below z's
-        ``bound``, ``learned`` or its own cut raises InvariantViolation."""
-        if z not in self._optima:
+        unchecked), ``relax`` z's ``bound`` (None: taken here).  Its cut, or
+        the ``learn_row`` row of an empty z's negative cycle, joins the forms;
+        an optimum below either bound or its own cut raises InvariantViolation."""
+        if z not in self.leaves:
             try:
                 found = certified_optimum(self.inst, offset_for(self.inst, self.basis, z))
             except Infeasible as empty:
                 found = None
-                nonempty = (y for y, other in self._optima.items() if other is not None)
+                nonempty = (y for y, other in self.leaves.items() if other is not None)
                 row = learn_row(self.inst, self.basis, self.box, z, empty.cycle, nonempty)
-                self._forms.append((*row, None))
+                self.forms.append(row)
             if found is not None:
                 ty, d = cycle_offset_form(self.basis, found.cut[1])
                 ty = [self.inst.period * d * v for v in ty]
-                self._forms.append((ty, *suffix_extremes(ty, self.box), None, None, found.cut[0]))
+                self.forms.append((ty, *suffix_extremes(ty, self.box), None, None, found.cut[0]))
                 own = found.cut[0] + sum(map(int.__mul__, ty, z))
                 cut = own if learned is None else max(own, learned)
-                floors = (self.bound(z), "its cycle relaxation bound"), (cut, "the learned cut")
+                relax = self.bound(z) if relax is None else relax
+                floors = (relax, "its cycle relaxation bound"), (cut, "the learned cut")
                 for floor, name in floors:
                     if found.objective < floor:
                         raise InvariantViolation(
                             f"the optimum of {z} (objective {found.objective}) is "
                             f"below {name} {floor}"
                         )
-            self._optima[z] = found
-        return self._optima[z]
-
-    def _node(self, prefix, relax, sums):
-        """The heap entry (lower, prefix, relax, sums) of a prefix whose sums
-        ty.prefix of the learned forms are ``sums``, or None when a row rules
-        out all its completions."""
-        k, lower = len(prefix), relax
-        for s, (_, low, high, lo, hi, const) in zip(sums, self._forms):
-            if const is not None:
-                lower = max(lower, const + s + low[k])
-            elif s + low[k] > hi or s + high[k] < lo:
-                return None
-        return lower, prefix, relax, sums
+            self.leaves[z] = found
+        return self.leaves[z]
 
     def solution(self, z):
         """The Solution at the vertex of z's optimum, built on first use;
@@ -199,7 +178,7 @@ class OffsetMemo:
         InvariantViolation."""
         sol = self._solutions.get(z)
         if sol is None:
-            found = self._optima[z]
+            found = self.leaves[z]
             vertex = optimal_vertex(self.inst, found).timetable
             sol = solution_from_timetable(self.inst, self.basis, vertex)
             if sol.cycle_offset != z or sol.objective != found.objective:
@@ -215,30 +194,8 @@ class OffsetMemo:
         objective of at most ``limit`` (None: any) among the box points that
         complete the (bound, prefix) ``nodes``, or None; the search above."""
         # above every (objective, z) within the limit; _top is the greatest w.x
-        start = best = ((self._top if limit is None else limit) + 1, ())
-        heap = sorted((b, p, b, []) for b, p in nodes if b is not None)  # sorted: a heap
-        while heap and heap[0] < best:  # its (lower, prefix) is below best
-            lower, prefix, relax, sums = heappop(heap)
-            fresh = prefix not in self._optima  # a whole z solved before has its objective
-            if fresh and len(sums) < len(self._forms):  # forms learned since its push
-                sums += [sum(map(int.__mul__, f[0], prefix)) for f in self._forms[len(sums) :]]
-                entry = self._node(prefix, relax, sums)
-                if entry is None or entry[0] > lower:
-                    if entry is not None:
-                        heappush(heap, entry)
-                    continue
-            k = len(prefix)
-            if k == len(self.box):
-                found = self.optimum(prefix, lower)
-                if found is not None and (found.objective, prefix) < best:
-                    best = (found.objective, prefix)
-                continue
-            coefficients = [(s, f[0][k]) for s, f in zip(sums, self._forms)]
-            for v in self.box[k]:
-                child = prefix + (v,)
-                entry = self._node(child, self.bound(child), [s + t * v for s, t in coefficients])
-                if entry is not None and entry < best:
-                    heappush(heap, entry)
+        start = ((self._top if limit is None else limit) + 1, ())
+        best = self.run(nodes, start, self.bound, self.optimum)
         return None if best is start else best[1]
 
 
@@ -309,14 +266,16 @@ class NeighbourhoodGraph(namedtuple("NeighbourhoodGraph", "nodes edges objective
 
 def neighbourhood_graph(inst, basis, width_cap=DEFAULT_WIDTH_CAP):
     """Undirected graph on the ``lattice_points``, one edge per basis
-    column step, each node annotated with its exact polytrope optimum,
-    which one ``OffsetMemo`` bounds and solves."""
+    column step, each node annotated with its exact polytrope optimum, as
+    the memo's search with no limit solves and keeps them."""
     _capped_box(inst, basis, width_cap)  # the cap error before the memo's basis error
     memo = OffsetMemo(inst, basis)
-    objective = {}
-    for z in lattice_points(inst, basis, cap=width_cap):
-        memo.optimum(z)
-        objective[z] = memo.solution(z).objective
-    nodes = tuple(objective)
+
+    def keep(z, lower, relax):
+        memo.optimum(z, lower, relax)  # kept in memo.leaves, not handed back: no stop
+
+    memo.run([(memo.bound(()), ())], (memo._top + 1, ()), memo.bound, keep)
+    nodes = tuple(sorted(z for z, optimum in memo.leaves.items() if optimum is not None))
+    objective = {z: memo.solution(z).objective for z in nodes}
     edges = {tuple(sorted((z, z2))) for z in nodes for z2 in steps(basis, z) if z2 in objective}
     return NeighbourhoodGraph(nodes, tuple(sorted(edges)), objective)

@@ -6,20 +6,18 @@ all arithmetic stays on integers; the real value is the stored value
 divided by T.  A point is a lattice point exactly when every scaled
 coordinate is divisible by T.
 
-``lattice_points`` alone decides which box points are nonempty: its walk
-of the box learns an Odijk row from each empty point it reaches
-(``learn_row``, as ``search.OffsetMemo`` does) and skips what rows rule out.
+``BoxSearch`` is the one search over box prefixes, for ``search.OffsetMemo``
+and for ``lattice_points``, whose key (0, prefix) pops in sorted box order;
+it learns an Odijk row from each empty point (``learn_row``) to prune the rest.
 
 The volume is one Gram determinant over the nonzeros of the basis rows.
 One ``TileKernel`` per (inst, basis) builds the tiles a structure
 implies, for ``fine_tiling`` and ``validate_tiling``, and holds the volume
-they and ``width_bound_report`` read.  It holds the scaled and unscaled
-Gamma columns, Gamma l for the lower bounds l, and d from
-``CycleBasis.cotree_frame``, which also gives every offset preimage and
-scaled-point test here, and builds once each tree's co-tree entry and
-each translation (Gamma x for the pinned tensions x).  Lattice points are
-never stored: each is a sum of the Gamma columns of co-tree arcs, read
-off the potentials of x of its own tile, which ``fine_tiling`` takes from
+they and ``width_bound_report`` read.  ``CycleBasis.cotree_frame`` gives
+its d and every offset preimage and scaled-point test here.  Lattice
+points are never stored: each is a sum of the Gamma columns of co-tree
+arcs, read off the potentials of the pinned tensions x of its own tile,
+which ``fine_tiling`` takes from
 ``graphs.grow_spanning_trees`` (it grows each tree from the root, and so
 orients it) and validation from ``graphs.tree_potentials`` of the tile's
 structure; validation trusts the points only for implied tiles, the ones
@@ -38,6 +36,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
+from heapq import heappop, heappush
 
 from .errors import EnumerationCapExceeded, FixedArcPresent, InvariantViolation
 from .graphs import (
@@ -59,7 +58,6 @@ from .polytropes import (
     negative_cycle,
     offset_for,
     offset_from_cycle_offset,
-    polytrope_nonempty,
     tension_system_feasible,
 )
 
@@ -125,12 +123,6 @@ def width(inst, basis):
     return math.prod(len(r) for r in _box_integer_ranges(inst, basis))
 
 
-def zonotope_membership(inst, basis, z):
-    """Is the integer point z a feasible cycle offset (some tension in the
-    bound box maps onto it)?"""
-    return polytrope_nonempty(inst, offset_for(inst, basis, z))
-
-
 def scaled_point_in_zonotope(inst, basis, point):
     """Membership of an arbitrary T-scaled integer point (not necessarily a
     lattice point): is there a real tension x in the bound box with
@@ -171,15 +163,15 @@ def odijk_row(inst, basis, gamma):
 
 def learn_row(inst, basis, box, z, gamma, nonempty):
     """The ``odijk_row`` of gamma, the negative cycle of the empty offset z,
-    with its ``suffix_extremes`` over the box; one that leaves z open or
-    rules out an offset of the iterable ``nonempty`` raises InvariantViolation."""
+    as a ``BoxSearch`` form over the box; one that leaves z open or rules
+    out an offset of the iterable ``nonempty`` raises InvariantViolation."""
     ty, lo, hi = odijk_row(inst, basis, gamma)
     if lo <= sum(map(int.__mul__, ty, z)) <= hi:
         raise InvariantViolation(f"the row learned at the empty offset {z} leaves it open")
     for z2 in nonempty:
         if not lo <= sum(map(int.__mul__, ty, z2)) <= hi:
             raise InvariantViolation(f"the row of {z} rules out {z2}, which is nonempty")
-    return ty, *suffix_extremes(ty, box), lo, hi
+    return ty, *suffix_extremes(ty, box), lo, hi, None
 
 
 def suffix_extremes(ty, box):
@@ -201,37 +193,87 @@ def enumerate_polytropes(inst, basis, cap=DEFAULT_WIDTH_CAP):
     return tuple(_polytrope_at(inst, z, offset_for(inst, basis, z)) for z in points)
 
 
+class BoxSearch:
+    """One best-first search over the prefixes of the box points.  Learned
+    ``forms`` (ty, low, high, lo, hi, const), low[k] and high[k] the least
+    and greatest ty.z over box rows k..: a cut, objective >= const + ty.z,
+    or a row (const None), lo <= ty.z <= hi if z is nonempty.  ``leaves``
+    holds the answers a leaf keeps of whole z's."""
+
+    def __init__(self, box):
+        self.box = box
+        self.forms = []
+        self.leaves = {}
+
+    def grade(self, prefix, relax, sums):
+        """The heap entry (lower, prefix, relax, sums) of a prefix whose sums
+        ty.prefix of the learned forms are ``sums``, or None when a row rules
+        out all its completions; each cut may raise ``relax`` to lower."""
+        k, lower = len(prefix), relax
+        for s, (_, low, high, lo, hi, const) in zip(sums, self.forms):
+            if const is not None:
+                lower = max(lower, const + s + low[k])
+            elif s + low[k] > hi or s + high[k] < lo:
+                return None
+        return lower, prefix, relax, sums
+
+    def run(self, nodes, best, relax, leaf):
+        """The least (objective, z) below ``best`` of the optima ``leaf``
+        returns (None: none), or ``best``, searching from the (relax, prefix)
+        ``nodes`` while the least (lower, prefix) is below the best so far;
+        ``relax`` gives a child its relax.  A popped node, but a whole z in
+        ``leaves``, is dropped or pushed back when forms learned since its
+        push rule it out or raise its lower; else it is expanded or, as a
+        whole z, handed with its lower and relax to ``leaf``."""
+        box, forms, leaves = self.box, self.forms, self.leaves
+        heap = sorted((r, p, r, []) for r, p in nodes if r is not None)  # sorted: a heap
+        while heap and heap[0] < best:
+            lower, prefix, own, sums = heappop(heap)
+            if len(sums) < len(forms) and prefix not in leaves:
+                sums += [sum(map(int.__mul__, f[0], prefix)) for f in forms[len(sums) :]]
+                entry = self.grade(prefix, own, sums)
+                if entry is None or entry[0] > lower:
+                    if entry is not None:
+                        heappush(heap, entry)
+                    continue
+            k = len(prefix)
+            if k == len(box):
+                found = leaf(prefix, lower, own)
+                if found is not None:
+                    best = min(best, (found.objective, prefix))
+                continue
+            coefficients = [(s, f[0][k]) for s, f in zip(sums, forms)]
+            for v in box[k]:
+                child = prefix + (v,)
+                entry = self.grade(child, relax(child), [s + t * v for s, t in coefficients])
+                if entry is not None and entry < best:
+                    heappush(heap, entry)
+        return best
+
+
 def lattice_points(inst, basis, cap=DEFAULT_WIDTH_CAP):
-    """The feasible cycle offsets, in sorted order, by a depth-first walk of
-    the box with one Bellman-Ford per point it reaches (module docstring);
-    more than ``cap`` box points raise EnumerationCapExceeded before any."""
+    """The feasible cycle offsets, in sorted order, by the ``BoxSearch``
+    with key (0, prefix) and one Bellman-Ford per point it reaches; more
+    than ``cap`` box points raise EnumerationCapExceeded before any."""
     box = _capped_box(inst, basis, cap)
     if not all(box):
         return ()
     # Under a basis that is not integral, the corner (each r[False]), the
-    # walk's first point, and its unit steps generate the box modulo the
+    # search's first point, and its unit steps generate the box modulo the
     # offset lattice: one raises ValueError if any point has no integer offset.
     for k in (k for k, r in enumerate(box) if len(r) > 1 and abs(basis.cotree_frame[1]) != 1):
         offset_for(inst, basis, tuple(r[j == k] for j, r in enumerate(box)))
-    rows, points = [], []  # rows as from learn_row
-    stack = [((), [])]  # (prefix, ty.prefix for the rows learned before its push)
-    while stack:
-        prefix, sums = stack.pop()
-        k = len(prefix)
-        sums += [sum(map(int.__mul__, row[0], prefix)) for row in rows[len(sums) :]]
-        if any(
-            s + low[k] > hi or s + high[k] < lo for s, (_, low, high, lo, hi) in zip(sums, rows)
-        ):
-            continue
-        if k < len(box):
-            for v in reversed(box[k]):
-                stack.append((prefix + (v,), [s + r[0][k] * v for s, r in zip(sums, rows)]))
-            continue
-        edges, parent = kappa(inst, offset_for(inst, basis, prefix)), {}
+    search, points = BoxSearch(box), []
+
+    def leaf(z, lower, relax):
+        edges, parent = kappa(inst, offset_for(inst, basis, z)), {}
         if _potentials(inst.graph.n, edges, parent=parent) is not None:
-            points.append(prefix)
+            points.append(z)
         else:
-            rows.append(learn_row(inst, basis, box, prefix, negative_cycle(edges, parent), points))
+            row = learn_row(inst, basis, box, z, negative_cycle(edges, parent), points)
+            search.forms.append(row)
+
+    search.run([(0, ())], (1, ()), lambda prefix: 0, leaf)
     return tuple(points)
 
 

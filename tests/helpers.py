@@ -64,7 +64,6 @@ from peritrope.zonotopes import (
     scaled_point_in_zonotope,
     volume,
     width,
-    zonotope_membership,
 )
 
 
@@ -274,9 +273,10 @@ def box_points(inst, basis, cap=DEFAULT_WIDTH_CAP):
 
 
 def lattice_points_by_box_scan(inst, basis, cap=DEFAULT_WIDTH_CAP):
-    """Reference for ``zonotopes.lattice_points``: ``zonotope_membership``,
-    one Bellman-Ford, for every ``box_points`` point."""
-    return tuple(z for z in box_points(inst, basis, cap) if zonotope_membership(inst, basis, z))
+    """Reference for ``zonotopes.lattice_points``: ``polytrope_nonempty``
+    of its offset, one Bellman-Ford, for every ``box_points`` point."""
+    points = box_points(inst, basis, cap)
+    return tuple(z for z in points if polytrope_nonempty(inst, offset_for(inst, basis, z)))
 
 
 def solve_exact_by_full_scan(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP):
@@ -406,7 +406,7 @@ def drop_learned_rows(monkeypatch):
 
     def inert(inst, basis, box, z, gamma, nonempty):
         zeros = [0] * (len(box) + 1)  # ty, and its least and greatest sums
-        return zeros[1:], zeros, zeros, 0, 0
+        return zeros[1:], zeros, zeros, 0, 0, None
 
     monkeypatch.setattr(peritrope.search, "learn_row", inert)
 

@@ -471,7 +471,10 @@ MORE_GOLDENS += [("zero9", ["solve"], "solve.json")]
 MORE_GOLDENS += [
     ("mu6", ["solve", "--method", "tns", "--seed", "6", "--max-iter", "2"], "tns-cap2.json")
 ]
-MORE_GOLDENS += [("l5", ["polytropes", "--json", "--cap-width", "20000"], "polytropes.json")]
+MORE_GOLDENS += [
+    (name, ["polytropes", "--json", "--cap-width", "20000"], "polytropes.json")
+    for name in ("l5", "s8800")
+]
 
 
 @pytest.mark.parametrize(
@@ -492,7 +495,8 @@ def test_solve_polytropes_and_render_goldens_are_byte_identical(
     with every weight 0, so its first optimal face is a whole polytrope,
     56,320 spanning tree structures.  l5.polytropes (112 of 17,496 box
     points, above the default cap) was written by building the polytrope
-    of every box point."""
+    of every box point; s8800.polytropes (183 of 12,288 box points) was
+    written before the box search, by a depth-first walk of the box."""
     trace = tmp_path / "trace.jsonl"
     tns = "tns" in command
     argv = [command[0], str(GOLDEN / f"{instance}.pesp"), *command[1:]]

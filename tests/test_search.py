@@ -338,10 +338,13 @@ def test_neighbourhood_graph_square():
 
 
 def test_neighbourhood_graph_solves_only_the_lattice_points(monkeypatch):
-    """mu6 (288 box points, 35 nodes): solving the ``lattice_points``, once
-    each, gives the graph that testing every box point and then solving
-    the nodes gives, with 81 Bellman-Ford runs in place of 323: 46 in the
-    walk of the box and one per solve.  The cap error is the box's."""
+    """mu6 (288 box points, 35 nodes): the memo's own search from the root
+    prefix (), keeping every leaf, gives the graph that testing every box
+    point and then solving the nodes gives, with 44 Bellman-Ford runs in
+    place of 323.  Each solve is the one test of its box point, so no
+    separate ``lattice_points`` walk (46 runs) comes first: the 35 nodes
+    and 9 empty offsets are solved once each, and the rows of the empty
+    ones rule out the rest of the box.  The cap error is the box's."""
     inst = parse_instance((GOLDEN / "mu6.pesp").read_text())
     basis = default_basis(inst.graph)
     nodes = lattice_points_by_box_scan(inst, basis)
@@ -353,7 +356,7 @@ def test_neighbourhood_graph_solves_only_the_lattice_points(monkeypatch):
     tested = count_bellman_ford(monkeypatch)
     graph = neighbourhood_graph(inst, basis)
     assert (graph.nodes, list(graph.edges), graph.objective) == (nodes, edges, objective)
-    assert len(tested) == 46 + 35 and len(nodes) == 35 and width(inst, basis) == 288
+    assert len(tested) == 35 + 9 and len(nodes) == 35 and width(inst, basis) == 288
     with pytest.raises(EnumerationCapExceeded, match="^box holds 288 integer points, cap is 287$"):
         neighbourhood_graph(inst, basis, width_cap=287)
 
@@ -475,7 +478,7 @@ def test_every_learned_row_is_an_oriented_cycle_that_rules_out_only_empty_offset
         cycles.clear()
         for z in points:
             memo.optimum(z)
-        rows = [form for form in memo._forms if form[5] is None]
+        rows = [form for form in memo.forms if form[5] is None]
         assert len(cycles) == len(rows) == len(empty)
         for z, gamma, (ty, _, _, lo, hi, _) in zip(sorted(empty), cycles, rows):
             p = offset_for(inst, basis, z)
@@ -697,6 +700,50 @@ def _memo_walks(inst, basis, seeds):
         _, trace = tns(inst, basis, start, memo=memo)
         moved.update(tuple(entry["z"]) for entry in trace[1:])
     return moved
+
+
+@pytest.mark.parametrize("name", ["bench7", "mu6", "s8800"])
+def test_the_search_bounds_each_whole_offset_once_and_hands_that_bound_on(monkeypatch, name):
+    """``solve_exact`` and ``neighbourhood_graph`` take each whole z's
+    relaxation bound once, when its node is pushed, and ``optimum`` gets
+    that bound from the node, not the node's lower, which learned cuts
+    raise above it at some solves (counted, so the two differ here)."""
+    inst = parse_instance((GOLDEN / f"{name}.pesp").read_text())
+    basis = default_basis(inst.graph)
+    reference = cycle_relaxation_bound(inst, basis)
+    bounded, handed = [], []
+
+    def counting(i, b):
+        honest = cycle_relaxation_bound(i, b)
+
+        def bound(z):
+            if len(z) == b.mu:
+                bounded.append(tuple(z))
+            return honest(z)
+
+        return bound
+
+    honest_optimum = OffsetMemo.optimum
+
+    def optimum(self, z, learned=None, relax=None):
+        handed.append((z, relax, reference(z), learned))
+        return honest_optimum(self, z, learned, relax)
+
+    monkeypatch.setattr(peritrope.search, "cycle_relaxation_bound", counting)
+    monkeypatch.setattr(OffsetMemo, "optimum", optimum)
+    runs = [lambda: solve_exact(inst, basis, width_cap=20_000)]
+    if name != "s8800":  # above the default cap
+        runs.append(lambda: neighbourhood_graph(inst, basis))
+    raised = 0
+    for run in runs:
+        bounded.clear()
+        handed.clear()
+        run()
+        assert len(bounded) == len(set(bounded)) >= len(handed)
+        assert {z for z, _, _, _ in handed} <= set(bounded)
+        assert all(relax == bound for _, relax, bound, _ in handed)
+        raised += sum(learned > relax for _, relax, _, learned in handed)
+    assert raised >= 5, raised
 
 
 @pytest.mark.parametrize("name", ["bench7", "mu6", "zero9"])

@@ -38,7 +38,6 @@ from peritrope import (
     width,
     width_bound_report,
     zonotope_descriptor,
-    zonotope_membership,
 )
 from peritrope import graphs, polytropes, zonotopes
 from peritrope.graphs import _inverse_frame, tree_potentials
@@ -112,17 +111,17 @@ def test_lattice_points_square():
     assert len(pts) == 11
     box = odijk_box(sq, square_basis())
     for z in pts:
-        assert zonotope_membership(sq, square_basis(), z)
+        assert polytropes.polytrope_nonempty(sq, offset_for(sq, square_basis(), z))
         for k, (lo, hi) in enumerate(box):
             assert lo <= 10 * z[k] <= hi
 
 
 def test_membership_rejects_outside_offsets():
     inst, basis = _triangle()
-    assert zonotope_membership(inst, basis, (0,))
-    assert zonotope_membership(inst, basis, (2,))
-    assert not zonotope_membership(inst, basis, (3,))
-    assert not zonotope_membership(inst, basis, (-1,))
+    member = [
+        polytropes.polytrope_nonempty(inst, offset_for(inst, basis, (v,))) for v in (0, 2, 3, -1)
+    ]
+    assert member == [True, True, False, False]
 
 
 def test_scaled_membership_hits_the_segment_ends():
@@ -202,6 +201,44 @@ def test_every_row_the_walk_learns_proves_its_point_empty(monkeypatch):
             assert check_empty_certificate(inst, offset_for(inst, basis, z), gamma) == []
         rows += len(learned)
     assert rows >= 180, rows
+
+
+def test_the_keep_all_search_hands_its_leaf_the_box_points_in_sorted_order(monkeypatch):
+    """``lattice_points`` runs the ``BoxSearch`` with key (0, prefix), which
+    pops in box order: its leaf gets box points in sorted order, each once,
+    the nonempty ones among them are the points, and every box point it
+    never gets is ruled out by a row the search learned."""
+    searches = []
+
+    class Recording(zonotopes.BoxSearch):
+        def run(self, nodes, best, relax, leaf):
+            handed = []
+            searches.append((self, handed))
+
+            def recording(z, lower, bound):
+                handed.append(z)
+                return leaf(z, lower, bound)
+
+            return super().run(nodes, best, relax, recording)
+
+    monkeypatch.setattr(zonotopes, "BoxSearch", Recording)
+    handed_count = skipped = 0
+    for inst, basis in _lattice_cases():
+        searches.clear()
+        points = _points_or_error(lattice_points, inst, basis)
+        if isinstance(points, str) or not searches:
+            continue
+        [(search, handed)] = searches
+        assert handed == sorted(set(handed))
+        kept = set(points)
+        assert points == tuple(z for z in handed if z in kept)
+        rows = [(ty, lo, hi) for ty, _, _, lo, hi, const in search.forms if const is None]
+        assert len(rows) == len(search.forms) == len(handed) - len(points)
+        for z in set(box_points(inst, basis)) - set(handed):
+            assert any(not lo <= sum(map(int.__mul__, ty, z)) <= hi for ty, lo, hi in rows)
+            skipped += 1
+        handed_count += len(handed)
+    assert handed_count >= 450 and skipped >= 250, (handed_count, skipped)
 
 
 def test_a_row_that_rules_out_a_walked_nonempty_point_is_an_invariant_violation(monkeypatch):
@@ -1046,7 +1083,8 @@ def test_duality_matches_the_full_polytrope_oracle():
                 infeasible += sum(not e.feasible_vertex for e in report.entries)
                 unmatched += sum(not e.matches_tropical_vertex for e in report.entries)
             empty += sum(
-                not zonotope_membership(inst, basis, tile.lattice_point) for tile in swapped
+                not polytropes.polytrope_nonempty(inst, offset_for(inst, basis, tile.lattice_point))
+                for tile in swapped
             )
     counts = (reports, infeasible, unmatched, empty)
     assert reports >= 2100 and infeasible >= 5000 and unmatched >= 7000 and empty >= 3000, counts
