@@ -7,7 +7,6 @@ bounds and organizes the search for good timetables.
 """
 
 from .errors import (
-    CrosscheckMismatch,
     DisconnectedGraph,
     EmptyPolytrope,
     EnumerationCapExceeded,
@@ -21,7 +20,7 @@ from .errors import (
     PeritropeError,
     RetriesExhausted,
 )
-from .exact import CrosscheckReport, brute_force_timetable, crosscheck, solve_exact, verify_solution
+from .exact import brute_force_timetable, solve_exact, verify_solution
 from .fixedlp import (
     FixedOffsetResult,
     brute_force_fixed_offset,
@@ -33,7 +32,6 @@ from .graphs import (
     Digraph,
     OrientedCycle,
     count_spanning_trees_determinant,
-    cyclomatic_number,
     default_basis,
     fundamental_cycle_basis,
     greedy_spanning_tree,
@@ -46,7 +44,6 @@ from .instances import (
     PespInstance,
     ValidationReport,
     contract_fixed_arcs,
-    limit_instance,
     parse_instance,
     serialize_instance,
     validate,
@@ -63,7 +60,6 @@ from .polytropes import (
     polytrope_build,
     polytrope_nonempty,
     tension_to_timetable,
-    timetable_membership,
     timetable_to_tension,
     tropical_vertices,
 )

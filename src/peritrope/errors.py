@@ -63,11 +63,3 @@ class RetriesExhausted(PeritropeError):
 class FixedArcPresent(PeritropeError):
     """A zero-span arc (l == u) is present; contract fixed arcs first."""
 
-
-class CrosscheckMismatch(PeritropeError):
-    """The two exact oracles disagree.  Carries both certificates."""
-
-    def __init__(self, message, exact=None, grid=None):
-        super().__init__(message)
-        self.exact = exact
-        self.grid = grid

@@ -12,9 +12,8 @@ checks beyond the basic instance plumbing.
 """
 
 import itertools
-from collections import namedtuple
 
-from .errors import CrosscheckMismatch, EnumerationCapExceeded, Infeasible
+from .errors import EnumerationCapExceeded, Infeasible
 from .graphs import default_basis
 from .polytropes import timetable_to_tension
 from .search import OffsetMemo, solution_from_timetable
@@ -87,40 +86,3 @@ def verify_solution(inst, basis, sol):
         problems.append(f"objective {sol.objective} but tension costs {value}")
     return problems
 
-
-class CrosscheckReport(namedtuple("CrosscheckReport", "feasible objective exact grid")):
-    __slots__ = ()
-
-
-def crosscheck(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP, max_vertices=5, max_period=30):
-    """Run both oracles and insist they agree; disagreement raises with
-    both certificates attached."""
-    if basis is None:
-        basis = default_basis(inst.graph)
-    try:
-        exact = solve_exact(inst, basis, width_cap=width_cap)
-    except Infeasible:
-        exact = None
-    try:
-        grid = brute_force_timetable(inst, basis, max_vertices=max_vertices, max_period=max_period)
-    except Infeasible:
-        grid = None
-    if (exact is None) != (grid is None):
-        raise CrosscheckMismatch(
-            "one oracle reports infeasible, the other does not", exact=exact, grid=grid
-        )
-    if exact is None:
-        return CrosscheckReport(feasible=False, objective=None, exact=None, grid=None)
-    if exact.objective != grid.objective:
-        raise CrosscheckMismatch(
-            f"objective mismatch: {exact.objective} vs {grid.objective}",
-            exact=exact,
-            grid=grid,
-        )
-    for name, sol in (("exact", exact), ("grid", grid)):
-        problems = verify_solution(inst, basis, sol)
-        if problems:
-            raise CrosscheckMismatch(
-                f"{name} certificate invalid: " + "; ".join(problems), exact=exact, grid=grid
-            )
-    return CrosscheckReport(feasible=True, objective=exact.objective, exact=exact, grid=grid)

@@ -34,6 +34,18 @@ from .errors import DisconnectedGraph, EnumerationCapExceeded, NotASpanningTree
 DEFAULT_ENUMERATION_CAP = 100_000
 
 
+def integers(values):
+    """``values`` as a tuple of ints.  An entry that no int equals (0.7,
+    3.5) raises ValueError instead of truncating; True and -1.0 become 1
+    and -1."""
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values:
+        bad = next(v for v, i in zip(values, ints) if v != i)
+        raise ValueError(f"{bad!r} is not an integer")
+    return ints
+
+
 # Digraph and CycleBasis keep an instance __dict__ (no __slots__ = ()),
 # where cached_property stores its values.
 class Digraph(namedtuple("Digraph", "vertices arcs")):
@@ -106,7 +118,7 @@ class OrientedCycle:
     __slots__ = ("signature",)
 
     def __init__(self, signature):
-        object.__setattr__(self, "signature", tuple(int(s) for s in signature))
+        object.__setattr__(self, "signature", integers(signature))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -245,11 +257,6 @@ class CycleBasis(namedtuple("CycleBasis", "cycles tree")):
 def _require_connected(g):
     if not g.is_connected():
         raise DisconnectedGraph(f"graph on {g.n} vertices with {g.m} arcs is not connected")
-
-
-def cyclomatic_number(g):
-    _require_connected(g)
-    return g.m - g.n + 1
 
 
 def fundamental_cycle_basis(g, tree):

@@ -14,19 +14,18 @@ All data is integer.  Bounds must satisfy 0 <= lower < T and
 from collections import namedtuple
 
 from .errors import DisconnectedGraph, InfeasibleFixedCycle, InvalidBounds
-from .graphs import Digraph, tree_potentials
+from .graphs import Digraph, integers, tree_potentials
 
 
-class PespInstance(namedtuple("PespInstance", "graph period lower upper weight span_relaxed")):
+class PespInstance(namedtuple("PespInstance", "graph period lower upper weight")):
     __slots__ = ()
 
-    # ``span_relaxed`` is set on derived limit instances, where spans of
-    # exactly one period are deliberate and not a modelling error.
-    def __new__(cls, graph, period, lower, upper, weight, span_relaxed=False):
-        lower, upper, weight = (tuple(int(x) for x in v) for v in (lower, upper, weight))
+    def __new__(cls, graph, period, lower, upper, weight):
+        (period,) = integers((period,))
+        lower, upper, weight = map(integers, (lower, upper, weight))
         if not (len(lower) == len(upper) == len(weight) == graph.m):
             raise ValueError("bound/weight vectors must match the arc count")
-        return tuple.__new__(cls, (graph, period, lower, upper, weight, span_relaxed))
+        return tuple.__new__(cls, (graph, period, lower, upper, weight))
 
     @property
     def span(self):
@@ -151,9 +150,6 @@ def validate(inst):
             report.arc_violations.append((a, f"lower bound {lo} outside [0, {T})"))
         if hi < lo:
             report.arc_violations.append((a, f"upper bound {hi} below lower {lo}"))
-        elif inst.span_relaxed:
-            if hi - lo > T:
-                report.arc_violations.append((a, f"span {hi - lo} exceeds the period"))
         elif hi - lo >= T:
             report.arc_violations.append((a, f"span {hi - lo} not < {T}"))
         if w < 0:
@@ -248,15 +244,3 @@ def contract_fixed_arcs(inst):
     )
     return ContractionResult(new_inst, vertex_map, offset, tuple(arc_map))
 
-
-def limit_instance(inst):
-    """Same graph and weights with upper = lower + T (spans deliberately
-    relaxed); every periodic offset class is nonempty for this instance."""
-    return PespInstance(
-        inst.graph,
-        inst.period,
-        inst.lower,
-        tuple(l + inst.period for l in inst.lower),
-        inst.weight,
-        span_relaxed=True,
-    )

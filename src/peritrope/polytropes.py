@@ -17,7 +17,7 @@ for its dimension, and of the optimal face of a solve, for ``fixedlp``.
 from collections import namedtuple
 
 from .errors import DisconnectedGraph, EmptyPolytrope, Infeasible, NotATension
-from .graphs import _require_connected, tree_potentials
+from .graphs import _require_connected, integers, tree_potentials
 
 
 def kappa(inst, p):
@@ -172,7 +172,7 @@ def polytrope_build(inst, basis, p):
     """The polytrope of offset p, built from its class's canonical offset.
     An offset of another length than the arc count raises ValueError."""
     _require_length(p, inst.graph.m, "offset", "arcs")
-    z = basis.apply(tuple(int(x) for x in p))
+    z = basis.apply(integers(p))
     # Offsets with the same cycle offset describe the same torus region, so
     # build from the canonical class representative; dist then depends on z
     # only, not on which preimage the caller happened to pass.
@@ -225,25 +225,12 @@ def anchor_timetable(pi, root_index):
 def tropical_vertices(poly, root=None):
     """The n generating timetables: row i of the distance matrix, anchored
     at the root vertex (default: first declared vertex).  Every returned
-    timetable satisfies timetable_membership."""
+    timetable satisfies each canonical inequality pi_j - pi_i <= dist(i,
+    j) of the class."""
     if not poly.nonempty:
         raise EmptyPolytrope("empty class has no tropical vertices")
     r = _root_index(poly, root)
     return tuple(anchor_timetable(row, r) for row in poly.dist)
-
-
-def timetable_membership(poly, pi):
-    """Does the (integer) timetable satisfy every canonical inequality
-    pi_j - pi_i <= dist(i, j) of this offset class?  A timetable of another
-    length than the vertex count raises ValueError."""
-    if not poly.nonempty:
-        raise EmptyPolytrope("membership in an empty class")
-    n = poly.n
-    _require_length(pi, n, "timetable", "vertices")
-    dist = poly.dist
-    return all(
-        pi[j] - pi[i] <= dist[i][j] for i in range(n) for j in range(n) if i != j
-    )
 
 
 def _require_length(values, count, what, unit):
@@ -346,7 +333,7 @@ def steps(basis, z):
     A z of another length than the basis raises ValueError."""
     if len(z) != basis.mu:
         raise ValueError(f"cycle offset has {len(z)} entries, the basis has {basis.mu} rows")
-    z = tuple(int(v) for v in z)
+    z = integers(z)
     return {
         tuple(v + sign * c for v, c in zip(z, col)) for col in basis.moves for sign in (1, -1)
     }

@@ -272,6 +272,12 @@ def box_points(inst, basis, cap=DEFAULT_WIDTH_CAP):
     return itertools.product(*ranges)
 
 
+def in_polytrope(poly, pi):
+    """Does timetable ``pi`` satisfy every canonical inequality
+    pi_j - pi_i <= dist(i, j) of the nonempty class ``poly``?"""
+    return all(pi[j] - pi[i] <= d for i, row in enumerate(poly.dist) for j, d in enumerate(row))
+
+
 def lattice_points_by_box_scan(inst, basis, cap=DEFAULT_WIDTH_CAP):
     """Reference for ``zonotopes.lattice_points``: ``polytrope_nonempty``
     of its offset, one Bellman-Ford, for every ``box_points`` point."""

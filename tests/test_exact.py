@@ -4,11 +4,9 @@ import random
 
 import pytest
 
-import peritrope.exact
 import peritrope.fixedlp
 import peritrope.search
 from peritrope import (
-    CrosscheckMismatch,
     CycleBasis,
     Digraph,
     EnumerationCapExceeded,
@@ -17,7 +15,6 @@ from peritrope import (
     OrientedCycle,
     PespInstance,
     brute_force_timetable,
-    crosscheck,
     default_basis,
     fundamental_cycle_basis,
     offset_for,
@@ -94,9 +91,7 @@ def test_both_oracles_report_infeasibility():
         solve_exact(inst)
     with pytest.raises(Infeasible):
         brute_force_timetable(inst)
-    report = crosscheck(inst)
-    assert not report.feasible
-    assert report.objective is None
+    assert _both_oracles(inst) is None
 
 
 def test_brute_force_caps():
@@ -105,56 +100,48 @@ def test_brute_force_caps():
         brute_force_timetable(inst, max_period=5)
 
 
+def _outcome(solve, inst, basis):
+    try:
+        return solve(inst, basis)
+    except Infeasible:
+        return None
+
+
+def _both_oracles(inst, basis=None):
+    """The common objective of ``solve_exact`` and ``brute_force_timetable``,
+    or None when both report infeasible; each solution must pass
+    ``verify_solution``."""
+    if basis is None:
+        basis = default_basis(inst.graph)
+    exact = _outcome(solve_exact, inst, basis)
+    grid = _outcome(brute_force_timetable, inst, basis)
+    assert (exact is None) == (grid is None)
+    if exact is None:
+        return None
+    assert exact.objective == grid.objective
+    assert verify_solution(inst, basis, exact) == []
+    assert verify_solution(inst, basis, grid) == []
+    return exact.objective
+
+
 def test_crosscheck_triangle():
     inst, basis = _triangle()
-    report = crosscheck(inst, basis)
-    assert report.feasible
-    assert report.objective == 14
-    assert report.exact.objective == report.grid.objective == 14
+    assert _both_oracles(inst, basis) == 14
 
 
 def test_crosscheck_tree_instance():
     inst = parse_instance("PERIOD 10\nARC a b 2 6 3\n")
-    report = crosscheck(inst)
-    assert report.feasible
-    assert report.objective == 6
-    assert report.exact.tension == (2,)
+    assert _both_oracles(inst) == 6
+    assert solve_exact(inst).tension == (2,)
 
 
 def test_crosscheck_on_random_instances():
-    checked = 0
+    feasible = 0
     for seed in range(25):
         rng = random.Random(6000 + seed)
         inst = random_instance(rng, max_vertices=4, max_arcs=6, max_period=9)
-        report = crosscheck(inst)
-        if report.feasible:
-            assert report.exact.objective == report.grid.objective
-        checked += 1
-    assert checked == 25
-
-
-def test_crosscheck_raises_on_a_lying_oracle(monkeypatch):
-    inst, basis = _triangle()
-    good = brute_force_timetable(inst, basis)
-    lying = good._replace(objective=good.objective + 1)
-    monkeypatch.setattr(peritrope.exact, "brute_force_timetable", lambda *a, **k: lying)
-    with pytest.raises(CrosscheckMismatch) as err:
-        crosscheck(inst, basis)
-    assert err.value.exact.objective == 14
-    assert err.value.grid.objective == 15
-
-
-def test_crosscheck_raises_on_one_sided_infeasibility(monkeypatch):
-    inst, basis = _triangle()
-
-    def refuse(*args, **kwargs):
-        raise Infeasible("pretend the grid is empty")
-
-    monkeypatch.setattr(peritrope.exact, "brute_force_timetable", refuse)
-    with pytest.raises(CrosscheckMismatch) as err:
-        crosscheck(inst, basis)
-    assert err.value.grid is None
-    assert err.value.exact is not None
+        feasible += _both_oracles(inst) is not None
+    assert feasible > 0
 
 
 def test_verify_solution_spots_corruption():
@@ -166,13 +153,6 @@ def test_verify_solution_spots_corruption():
     assert verify_solution(inst, basis, bad_offset)
     bad_value = sol._replace(objective=13)
     assert verify_solution(inst, basis, bad_value)
-
-
-def _outcome(solve, inst, basis):
-    try:
-        return solve(inst, basis)
-    except Infeasible:
-        return None
 
 
 def test_solve_exact_matches_the_full_scan():
@@ -191,8 +171,7 @@ def test_solve_exact_matches_the_full_scan():
             solved += expected is not None
             non_fundamental += expected is not None and basis.tree is None
         if inst.graph.n <= 5 and inst.period <= 10:
-            report = crosscheck(inst)
-            assert report.objective == (None if expected is None else expected.objective)
+            assert _both_oracles(inst) == (None if expected is None else expected.objective)
             graded += 1
     assert solved >= 150 and non_fundamental >= 30 and graded >= 40
 

@@ -7,7 +7,9 @@ encoder; ``cli._json_text`` writes those bytes), no import upward from
 the polytrope layer (``polytropes`` and ``fixedlp``) into the modules
 built on it, no ``dataclasses`` import, and no import the module does
 not read.  Every function that ``bench/tracer.py`` wraps by name is still
-there to wrap.
+there to wrap, and every top-level function and class is reached by name
+from a command, an acceptance criterion, an oracle or a traced target,
+or is kept on purpose.
 
 Each command is one process, so start-up is part of its cost.
 ``dataclasses`` loads ``inspect``, ``ast``, ``dis`` and ``tokenize``,
@@ -339,18 +341,26 @@ def test_an_import_is_read_by_name_and_annotations_need_an_annotation():
     assert unused_imports(reexport, reexports=True) == [(3, "render")]
 
 
-def test_every_traced_target_is_a_callable_of_the_package():
-    """``bench/tracer.py`` looks up each (module, name) of its ``TARGETS``
-    with ``getattr``, so a traced benchmark run fails on a name the
-    package no longer has.  The tuple is read from the source, not
-    imported."""
-    tracer = pathlib.Path(__file__).parent.parent / "bench" / "tracer.py"
-    targets = next(
+ROOT = pathlib.Path(__file__).parent.parent
+
+
+def traced_targets():
+    """The (module, name) pairs of ``bench/tracer.py``'s ``TARGETS``, read
+    from the source, not imported."""
+    tracer = ROOT / "bench" / "tracer.py"
+    return next(
         ast.literal_eval(node.value)
         for node in ast.parse(tracer.read_text(encoding="utf-8")).body
         if isinstance(node, ast.Assign)
         and [getattr(t, "id", None) for t in node.targets] == ["TARGETS"]
     )
+
+
+def test_every_traced_target_is_a_callable_of_the_package():
+    """``bench/tracer.py`` looks up each (module, name) of its ``TARGETS``
+    with ``getattr``, so a traced benchmark run fails on a name the
+    package no longer has."""
+    targets = traced_targets()
     assert ("graphs", "spanning_trees") in targets and ("search", "initial_solution") in targets
     missing = [
         f"{module}.{name}"
@@ -358,3 +368,116 @@ def test_every_traced_target_is_a_callable_of_the_package():
         if not callable(getattr(importlib.import_module(f"peritrope.{module}"), name, None))
     ]
     assert missing == []
+
+
+def _module_names(source):
+    """(bindings, imported, modules) of a module: its top-level functions,
+    classes and assignment targets by name; each name bound by ``from .x
+    import y`` as (x, y); each module bound by ``from . import x``."""
+    tree = ast.parse(source)
+    bindings, imported, modules = {}, {}, {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bindings[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bindings.update((n.id, node) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module:
+                    imported[alias.asname or alias.name] = (node.module, alias.name)
+                else:
+                    modules[alias.asname or alias.name] = alias.name
+    return bindings, imported, modules
+
+
+def unreached(sources, roots):
+    """"module.name" of each top-level function and class in ``sources``
+    ({module: source}) that no chain of references reaches from ``roots``,
+    (module, name) pairs.  A definition refers to each name it reads that
+    its module binds or imports from a sibling, and to ``x.name`` for a
+    sibling module x.  Dunder functions, which the interpreter calls, are
+    not checked."""
+    graph = {module: _module_names(source) for module, source in sources.items()}
+
+    def resolve(module, name):
+        while name not in graph[module][0] and name in graph[module][1]:
+            module, name = graph[module][1][name]
+        return (module, name) if name in graph[module][0] else None
+
+    def references(module, node):
+        bindings, imported, modules = graph[module]
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name) and (n.id in bindings or n.id in imported):
+                yield resolve(module, n.id)
+            elif isinstance(n, ast.Attribute) and getattr(n.value, "id", None) in modules:
+                yield resolve(modules[n.value.id], n.attr)
+
+    todo = [resolve(module, name) for module, name in roots]
+    seen = set()
+    while todo:
+        key = todo.pop()
+        if key is not None and key not in seen:
+            seen.add(key)
+            todo += references(key[0], graph[key[0]][0][key[1]])
+    return sorted(
+        f"{module}.{name}"
+        for module, (bindings, _, _) in graph.items()
+        for name, node in bindings.items()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not name.startswith("__")
+        and (module, name) not in seen
+    )
+
+
+# Checkers and conversions that no command runs, kept on purpose.
+KEEP = (
+    ("exact", "verify_solution"),  # the Solution certificate check the oracle tests run
+    ("graphs", "verify_kernel_property"),  # checks that a cycle basis spans the cycle space
+    ("instances", "serialize_instance"),  # the inverse of parse_instance
+    ("polytropes", "tension_to_timetable"),  # the inverse of timetable_to_tension
+    ("errors", "NotATension"),  # what tension_to_timetable raises
+    ("zonotopes", "structure_for_tree"),  # the structure a tree pins, for checking tiles
+    ("zonotopes", "tile_contains_scaled"),  # a tile's membership test on its own frame
+)
+
+
+def reachability_roots():
+    """``cli.main``, the names the acceptance tests import (the renderers
+    through the package's lazy ``__getattr__``), the two oracles and the
+    traced targets."""
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in acceptance.body
+        if isinstance(node, ast.ImportFrom) and node.module == "peritrope"
+        for alias in node.names
+    ]
+    roots = [("render" if name in peritrope._RENDERERS else "__init__", name) for name in imported]
+    roots += [("cli", "main"), ("exact", "brute_force_timetable"), ("fixedlp", "brute_force_fixed_offset")]
+    return roots + list(traced_targets())
+
+
+def test_src_holds_only_what_a_root_reaches():
+    """Every top-level function and class of the package is reached from
+    a root, or kept on purpose; a kept one that a root reaches leaves
+    ``KEEP``."""
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+    assert unreached(sources, reachability_roots()) == sorted(f"{m}.{n}" for m, n in KEEP)
+
+
+def test_unreached_definitions_are_found():
+    sources = {
+        "__init__": "from .a import f\n",
+        "a": (
+            "from . import b\nfrom .b import C as D\nLIMIT = b.g\n"
+            "def f():\n    return D()\ndef unused():\n    return f()\n"
+        ),
+        "b": (
+            "def g():\n    return h\ndef h():\n    pass\nclass C:\n    pass\n"
+            "def __getattr__(name):\n    pass\n"
+        ),
+    }
+    assert unreached(sources, [("__init__", "f")]) == ["a.unused", "b.g", "b.h"]
+    assert unreached(sources, [("a", "LIMIT"), ("a", "unused")]) == []

@@ -31,7 +31,6 @@ from peritrope import (
     polytrope_build,
     polytrope_nonempty,
     tension_to_timetable,
-    timetable_membership,
     timetable_to_tension,
     tropical_vertices,
     width,
@@ -43,6 +42,7 @@ from helpers import (
     count_bellman_ford,
     dense_apply,
     equality_classes,
+    in_polytrope,
     random_bases,
     random_connected_digraph,
     random_instance,
@@ -184,7 +184,7 @@ def test_tropical_vertices_satisfy_membership():
     for p in ((0, 0, 0), (0, 0, 1), (0, 0, 2)):
         poly = polytrope_build(inst, basis, p)
         for pi in tropical_vertices(poly):
-            assert timetable_membership(poly, pi)
+            assert in_polytrope(poly, pi)
 
 
 def test_tropical_vertices_on_empty_class():
@@ -211,10 +211,24 @@ def test_zero_weight_two_cycle_drops_the_dimension():
 def test_membership():
     inst, basis = _triangle()
     hexagon = polytrope_build(inst, basis, (0, 0, 1))
-    assert timetable_membership(hexagon, (0, 8, 2))
-    assert timetable_membership(hexagon, tuple(v + 17 for v in (0, 8, 2)))
+    assert in_polytrope(hexagon, (0, 8, 2))
+    assert in_polytrope(hexagon, tuple(v + 17 for v in (0, 8, 2)))
     zero = polytrope_build(inst, basis, (0, 0, 0))
-    assert not timetable_membership(zero, (0, 8, 2))
+    assert not in_polytrope(zero, (0, 8, 2))
+
+
+def test_offsets_must_be_integral():
+    """``polytrope_build`` and ``steps`` used to truncate: (0.7, 0, 0)
+    built the class of (0, 0, 0), and the steps from (0.9,) were those
+    from (0,)."""
+    inst, basis = _triangle()
+    steps = peritrope.polytropes.steps
+    with pytest.raises(ValueError, match=r"^0\.7 is not an integer$"):
+        polytrope_build(inst, basis, (0.7, 0, 0))
+    with pytest.raises(ValueError, match=r"^0\.9 is not an integer$"):
+        steps(basis, (0.9,))
+    assert polytrope_build(inst, basis, (-1.0, 0, True)) == polytrope_build(inst, basis, (-1, 0, 1))
+    assert steps(basis, (True,)) == steps(basis, (1,)) == {(0,), (2,)}
 
 
 def test_timetable_to_tension_examples():
@@ -442,7 +456,7 @@ def test_sampled_timetables_never_sit_in_two_classes():
     rng = random.Random(11)
     for _ in range(200):
         pi = tuple(rng.randrange(10) for _ in range(3))
-        hits = [p.cycle_offset for p in polys if timetable_membership(p, pi)]
+        hits = [p.cycle_offset for p in polys if in_polytrope(p, pi)]
         assert len(hits) <= 1
 
 
@@ -503,18 +517,6 @@ def test_polytrope_build_rejects_an_offset_of_the_wrong_length():
         with pytest.raises(ValueError, match=f"^offset has {len(p)} entries, the instance has {m} arcs$"):
             polytrope_build(inst, basis, p)
     assert polytrope_build(tree, default_basis(tree.graph), (5,)).nonempty
-
-
-def test_timetable_membership_rejects_a_timetable_of_the_wrong_length():
-    """A long timetable used to be read up to the vertex count, so that
-    (0, 3, 9, 100) sat in the z = 0 class of the triangle; a short one
-    raised an untyped IndexError."""
-    inst, basis = _triangle()
-    poly = polytrope_build(inst, basis, (0, 0, 0))
-    assert timetable_membership(poly, (0, 3, 9))
-    for pi in ((0, 3, 9, 100), (0, 3)):
-        with pytest.raises(ValueError, match=f"^timetable has {len(pi)} entries, the instance has 3 vertices$"):
-            timetable_membership(poly, pi)
 
 
 def test_the_class_kernel_matches_the_distance_matrix_classes():

@@ -14,7 +14,6 @@ import pytest
 
 from peritrope import (
     ContractionResult,
-    CrosscheckReport,
     CycleBasis,
     Digraph,
     DualityEntry,
@@ -61,7 +60,7 @@ def _entry():
 _GRAPH = "Digraph(vertices=('a', 'b', 'c'), arcs=(('a', 'b'), ('a', 'c'), ('b', 'c')))"
 _INSTANCE = (
     f"PespInstance(graph={_GRAPH}, period=10, lower=(3, 2, 4), upper=(12, 10, 13),"
-    " weight=(1, 1, 1), span_relaxed=False)"
+    " weight=(1, 1, 1))"
 )
 _BASIS = "CycleBasis(cycles=(OrientedCycle(signature=(1, -1, 1)),), tree=(0, 1))"
 _STRUCTURE = "SpanningTreeStructure(tree=(0, 1), at_lower=frozenset({1}), at_upper=frozenset({0}))"
@@ -104,10 +103,6 @@ RECORDS = {
         lambda: Polytrope((0, 0, 1), (1,), None, -1, 10, ("a", "b", "c")),
         "Polytrope(offset=(0, 0, 1), cycle_offset=(1,), dist=None, dimension=-1, period=10,"
         " vertex_ids=('a', 'b', 'c'))",
-    ),
-    "CrosscheckReport": (
-        lambda: CrosscheckReport(True, 14, _solution(), _solution()),
-        f"CrosscheckReport(feasible=True, objective=14, exact={_SOLUTION}, grid={_SOLUTION})",
     ),
     "ZonotopeDescriptor": (
         lambda: ZonotopeDescriptor(_basis(), 10, ((9,), (-8,), (9,)), (5,)),
@@ -213,9 +208,9 @@ def test_the_validating_constructors_normalize_their_fields():
     basis = CycleBasis(cycles=[OrientedCycle([1, -1, 1])], tree=[1, 0])
     assert basis.cycles == (OrientedCycle((1, -1, 1)),) and basis.tree == (0, 1)
     assert CycleBasis([]).tree is None
-    inst = PespInstance(g, 10, [3.0, 2, 4], [12, 10, 13], [1, 1, 1], span_relaxed=True)
+    inst = PespInstance(g, 10.0, [3.0, 2, 4], [12, 10, 13], [1, 1, True])
     assert inst.lower == (3, 2, 4) and type(inst.lower[0]) is int
-    assert inst.span_relaxed and not _instance().span_relaxed
+    assert inst == _instance() and type(inst.period) is int and type(inst.weight[2]) is int
     structure = SpanningTreeStructure([2, 0, 1], [2], {0, 1})
     assert structure.tree == (0, 1, 2)
     assert structure.at_lower == frozenset({2}) and type(structure.at_upper) is frozenset
@@ -233,6 +228,11 @@ def test_the_validating_constructors_normalize_their_fields():
         ),
         (lambda: SpanningTreeStructure([0, 1], {0, 1}, {1}), "must partition the tree"),
         (lambda: SpanningTreeStructure([0, 1], {0}, set()), "must partition the tree"),
+        # A period of 10.5 once passed validate and broke solve_exact with
+        # a bare TypeError; a lower bound of 3.5 once became 3.
+        (lambda: PespInstance(_graph(), 10.5, [3, 2, 4], [7, 6, 9], [1, 1, 1]), r"^10\.5 is not an integer$"),
+        (lambda: PespInstance(_graph(), 10, [3.5, 2, 4], [7, 6, 9], [1, 1, 1]), r"^3\.5 is not an integer$"),
+        (lambda: OrientedCycle([0.5, 1]), r"^0\.5 is not an integer$"),
     ],
 )
 def test_the_validating_constructors_refuse_bad_fields(build, message):

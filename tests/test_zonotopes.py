@@ -477,10 +477,11 @@ def test_tiles_flat_on_a_zero_span_arc_record_no_point():
 
 
 def test_a_tile_holding_two_points_records_the_first():
-    """Spans of one whole period (allowed on relaxed limit instances) give
-    each co-tree arc two admissible offsets, so every tile of this triangle
-    holds two lattice points and records the smaller one."""
-    inst = PespInstance(triangle_graph(), 10, (0, 0, 0), (10, 10, 10), (1, 1, 1), span_relaxed=True)
+    """Spans of one whole period (which ``validate`` refuses, but the tiling
+    takes as given) give each co-tree arc two admissible offsets, so every
+    tile of this triangle holds two lattice points and records the smaller
+    one."""
+    inst = PespInstance(triangle_graph(), 10, (0, 0, 0), (10, 10, 10), (1, 1, 1))
     basis = default_basis(inst.graph)
     tiles = fine_tiling(inst, basis, root="v1")
     assert [t.lattice_point for t in tiles] == [(-1,), (0,), (1,)]
@@ -757,14 +758,14 @@ def test_one_kernel_builds_each_cotree_and_translation_once(monkeypatch):
 def _tiling_cases():
     """Multigraph instances (zero-span, parallel and antiparallel arcs)
     under the four ``random_bases`` (the rational one has d = 2), each tiled from
-    a random root; then the span-relaxed triangle, whose tiles hold two
-    points each."""
+    a random root; then the triangle with spans of one period, whose tiles
+    hold two points each."""
     for seed in range(60):
         rng = random.Random(1300 + seed)
         inst = _multigraph_instance(rng)
         for b in random_bases(rng, inst.graph):
             yield inst, b, rng.choice(inst.graph.vertices)
-    inst = PespInstance(triangle_graph(), 10, (0, 0, 0), (10, 10, 10), (1, 1, 1), span_relaxed=True)
+    inst = PespInstance(triangle_graph(), 10, (0, 0, 0), (10, 10, 10), (1, 1, 1))
     yield inst, default_basis(inst.graph), "v1"
 
 
