@@ -28,6 +28,7 @@ from .fixedlp import (
     minimize_over_polytrope,
 )
 from .graphs import (
+    Budget,
     CycleBasis,
     Digraph,
     OrientedCycle,

@@ -1,18 +1,14 @@
 """Command line front end: solve, analyze, polytropes, tile, render.
 
 Exit codes: 0 success/feasible, 1 usage or input errors, 2 infeasible or
-heuristic failure, 3 enumeration cap exceeded.  ``_parse_argv`` reads argv
+heuristic failure, 3 work budget (``--cap-work``) spent; a stopped exact
+solve writes its proven gap on stderr.  ``_parse_argv`` reads argv
 by one flag table as the argparse parser it replaced did, minus its start-up.
 
 Every JSON payload is written by ``_json_text``, whose bytes are those of
-``json.dumps(payload, indent=2)``: with an indent, ``json.dumps`` falls
-back to its pure-Python encoder, which was a fifth of ``analyze``'s time.
-The writer knows only what the commands emit (str-keyed dicts, lists,
-str, int, bool and None) and raises TypeError on anything else, with one
-exception: a ``_TileList`` writes its own text at the indentation the
-writer hands it.  The tile list is about 95 % of the output of
-``analyze`` and ``tile``, and building one dict per tile only for the
-writer to walk it once cost as much again as writing the text.
+``json.dumps(payload, indent=2)``, whose pure-Python encoder was a fifth
+of ``analyze``'s time.  A ``_TileList``, about 95 % of the output of
+``analyze`` and ``tile``, writes its own text, building no dict per tile.
 """
 
 import math
@@ -32,11 +28,10 @@ from .errors import (
     RetriesExhausted,
 )
 from .exact import solve_exact
-from .graphs import default_basis, fundamental_cycle_basis
+from .graphs import DEFAULT_WORK, Budget, default_basis, fundamental_cycle_basis
 from .instances import contract_fixed_arcs, parse_instance
 from .search import tns_restarts, trace_to_jsonl
 from .zonotopes import (
-    DEFAULT_WIDTH_CAP,
     TileKernel,
     duality_check,
     enumerate_polytropes,
@@ -160,7 +155,7 @@ def cmd_solve(args):
     inst = _load_instance(args)
     basis = _basis_for(args, inst.graph)
     if args.method == "exact":
-        sol = solve_exact(inst, basis, width_cap=args.cap_width)
+        sol = solve_exact(inst, basis, Budget(args.cap_work))
     else:
         sol, trace = tns_restarts(inst, basis, args.restarts, args.max_iter, args.seed)
         if args.trace:
@@ -236,14 +231,15 @@ class _TileList:
         out.append("[" + tile + ("," + tile).join(rows) + newline + "]" if rows else "[]")
 
 
-def _tiling_section(kernel, root, points):
+def _tiling_section(kernel, root, points, budget):
     """The tile list (a ``_TileList``), validation and duality payloads of
     the fine tiling of the ``kernel``'s instance and basis, whose lattice
-    points are ``points``; tiling and validation share the kernel."""
+    points are ``points``; tiling and validation share the kernel, and all
+    three the ``budget``."""
     inst, basis = kernel.inst, kernel.basis
-    tiles = fine_tiling(inst, basis, root, kernel)
-    tiling_report = validate_tiling(inst, basis, tiles, points, kernel)
-    duality = duality_check(inst, basis, root, tiles=tiles)
+    tiles = fine_tiling(inst, basis, root, kernel, budget)
+    tiling_report = validate_tiling(inst, basis, tiles, points, kernel, budget)
+    duality = duality_check(inst, basis, root, tiles, budget)
     validation = {
         "tile_count": tiling_report.tile_count,
         "volume_match": tiling_report.volume_match,
@@ -271,9 +267,9 @@ def cmd_analyze(args):
         "volume": str(bounds.volume),
         "width": bounds.width,
     }
-    capped = False
+    capped, budget = False, Budget(args.cap_work)
     try:
-        points = lattice_points(inst, basis, cap=args.cap_width)
+        points = lattice_points(inst, basis, budget)
         report["lattice_points"] = [list(z) for z in points]
     except EnumerationCapExceeded:
         capped = True
@@ -293,7 +289,7 @@ def cmd_analyze(args):
     if not capped:
         try:
             report["tiling"], report["validation"], report["duality"] = _tiling_section(
-                kernel, root, points
+                kernel, root, points, budget
             )
         except EnumerationCapExceeded:
             capped = True
@@ -308,7 +304,7 @@ def cmd_analyze(args):
 def cmd_polytropes(args):
     inst = _load_instance(args)
     basis = _basis_for(args, inst.graph)
-    polys = enumerate_polytropes(inst, basis, cap=args.cap_width)
+    polys = enumerate_polytropes(inst, basis, Budget(args.cap_work))
     if args.json or args.out:
         payload = [
             {
@@ -329,8 +325,9 @@ def cmd_polytropes(args):
 
 def cmd_tile(args):
     inst, root, basis, arc_map = _contracted(args)
-    points = lattice_points(inst, basis, cap=args.cap_width)
-    tiles, validation, duality = _tiling_section(TileKernel(inst, basis), root, points)
+    budget = Budget(args.cap_work)
+    points = lattice_points(inst, basis, budget)
+    tiles, validation, duality = _tiling_section(TileKernel(inst, basis), root, points, budget)
     payload = {
         "root": root if root is not None else inst.graph.vertices[0],
         "tiles": tiles,
@@ -353,9 +350,9 @@ def cmd_render(args):
                 "torus rendering needs exactly 3 vertices once the fixed arcs"
                 f" are contracted, and this file leaves {inst.graph.n}"
             )
-        svg = render_torus(inst, basis, width_cap=args.cap_width)
+        svg = render_torus(inst, basis, Budget(args.cap_work))
     else:
-        svg = render_zonotope(inst, basis, root=root, width_cap=args.cap_width)
+        svg = render_zonotope(inst, basis, root, Budget(args.cap_work))
     _emit(args, svg)
     return 0
 
@@ -365,7 +362,7 @@ def cmd_render(args):
 # str, int, an int n for at least n, a tuple of choices, or None (a switch).
 _SHARED = (
     ("--basis-tree", str, "auto", "ARCS", "comma-separated basis tree arc indices, or 'auto'"),
-    ("--cap-width", 0, DEFAULT_WIDTH_CAP, "N", "refuse lattice enumerations beyond N box points"),
+    ("--cap-work", 0, DEFAULT_WORK, "N", "stop after N units of enumeration work"),
     ("--out", str, None, "FILE", "write output here"),
 )
 _ROOT = ("--root", str, None, "VERTEX", "root vertex id")
@@ -483,6 +480,10 @@ def main(argv=None):
         return args.func(args)
     except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if args.command == "solve":
+            lower, incumbent = exc.gap
+            found = "" if incumbent is None else f", incumbent {incumbent}"
+            print(f"gap: least open lower {lower}{found}", file=sys.stderr)
         return 3
     except (Infeasible, RetriesExhausted, InfeasibleFixedCycle, EmptyPolytrope) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,11 @@ class NotASpanningTree(PeritropeError):
 
 
 class EnumerationCapExceeded(PeritropeError):
-    """An enumeration (spanning trees, lattice points) outgrew its cap."""
+    """A command's work ``graphs.Budget`` ran out in ``layer`` after
+    ``spent`` units, or an oracle outgrew its grid.  A stopped solve sets
+    ``gap``: (least open lower, incumbent objective or None)."""
+
+    layer = spent = gap = None
 
 
 class InvariantViolation(PeritropeError):

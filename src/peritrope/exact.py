@@ -1,14 +1,11 @@
 """Ground-truth solvers: optimize every polytrope that can win, or
 exhaust timetables.
 
-``solve_exact`` is exact but not exhaustive: one best-first search over
-the prefixes of the box points, described in ``search``, solves only the
-offsets that can still win, and learns from each solve a cut or a row
-that prunes the rest.  One ``search.OffsetMemo`` answers every bound,
-optimum, row and rebuilt solution, and runs the invariant checks on
-them.  ``brute_force_timetable`` is deliberate brute force.  It anchors
-the heuristic and the geometry, so it shares nothing with the code it
-checks beyond the basic instance plumbing.
+``solve_exact`` is exact but not exhaustive: the best-first search of
+``search.OffsetMemo`` solves only the offsets that can still win, and
+checks every answer it rests on.  ``brute_force_timetable`` is deliberate
+brute force; it anchors the heuristic and the geometry, so it shares
+nothing with the code it checks beyond the basic instance plumbing.
 """
 
 import itertools
@@ -17,22 +14,24 @@ from .errors import EnumerationCapExceeded, Infeasible
 from .graphs import default_basis
 from .polytropes import timetable_to_tension
 from .search import OffsetMemo, solution_from_timetable
-from .zonotopes import DEFAULT_WIDTH_CAP, _capped_box
 
 
-def solve_exact(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP):
+def solve_exact(inst, basis=None, budget=None):
     """Global optimum over the nonempty polytropes; ties break toward the
-    smaller cycle offset.  The box is capped at ``width_cap`` points, as
-    ``lattice_points`` is, and searched from its root prefix () by
-    ``OffsetMemo.least_optimum``."""
+    smaller cycle offset.  ``OffsetMemo.least_optimum`` searches the box from
+    its root prefix (), charged to ``budget`` (None: a fresh ``Budget``); one
+    that runs out in the optimal face leaves the gap closed at the optimum."""
     if basis is None:
         basis = default_basis(inst.graph)
-    _capped_box(inst, basis, width_cap)
-    memo = OffsetMemo(inst, basis)
+    memo = OffsetMemo(inst, basis, budget)
     z = memo.least_optimum([(memo.bound(()), ())])
     if z is None:
         raise Infeasible("no feasible cycle offset: the zonotope holds no lattice point")
-    return memo.solution(z)
+    try:
+        return memo.solution(z)
+    except EnumerationCapExceeded as stop:
+        stop.gap = (memo.leaves[z].objective,) * 2
+        raise
 
 
 def brute_force_timetable(inst, basis=None, max_vertices=5, max_period=30):

@@ -12,23 +12,14 @@ shortest paths keep them feasible, one Dijkstra on reduced costs per
 phase (Ahuja, Magnanti & Orlin, "Network Flows", 1993, ch. 9).
 
 ``minimize_over_polytrope`` runs two steps.  ``certified_optimum``
-returns the optimum with its O(m) certificate, the potentials and the
-flow, or raises Infeasible with an empty polytrope's negative cycle;
-only the edge costs depend on p, so the flow is feasible at every
-offset, and its dual value there is a cut, an affine lower bound on
-every other polytrope's optimum.  ``optimal_vertex`` reads the optimal
-face off both: by complementary slackness it is kappa plus equality on
-every edge that carries flow, whose equality classes the class kernel
-of ``polytropes`` takes from the edges of reduced cost zero.  Ties break
-toward the lexicographically smallest normalized timetable among the
-face's vertices: a point is its own answer, and a larger face grows its
-vertices as the spanning trees of its classes' quotient graph with
-every arc doubled.
-
-``cycle_relaxation_bound`` bounds that optimum from below without
-solving: every tension of a polytrope with cycle offset z meets
-gamma_k.x = T z_k for each basis row gamma_k, so keeping one row and the
-arc bounds is a relaxation, a continuous knapsack solved greedily.
+returns the optimum with its certificate, whose flow is feasible at
+every offset, so its dual value there is a cut on every other
+polytrope's optimum.  ``optimal_vertex`` reads the optimal face off it
+(equality on every edge that carries flow) and grows the face's vertices
+as the spanning trees of its classes' quotient graph, every arc doubled,
+the least normalized timetable winning; their Kirchhoff count is charged
+to the command's ``graphs.Budget`` before the first.
+``cycle_relaxation_bound`` bounds the optimum from below without solving.
 """
 
 import itertools
@@ -38,9 +29,10 @@ from functools import cmp_to_key
 
 from .errors import EnumerationCapExceeded, Infeasible, InvariantViolation
 from .graphs import (
-    DEFAULT_ENUMERATION_CAP,
+    Budget,
     Digraph,
     _require_connected,
+    count_spanning_trees_determinant,
     greedy_spanning_tree,
     grow_spanning_trees,
     tree_potentials,
@@ -124,7 +116,7 @@ def _reduced_cost_flow(adjacency, cost, supply, phi):
     return flow
 
 
-def _least_face_vertex(inst, p, rep, delta):
+def _least_face_vertex(inst, p, rep, delta, budget):
     """(normalized timetable, pi) of the least vertex, by that key, of the
     face with equality classes ``rep`` and offsets ``delta``.
 
@@ -133,7 +125,7 @@ def _least_face_vertex(inst, p, rep, delta):
     quotient graph on the classes.  With every quotient arc doubled, pinned
     at its lower bound and at its upper, each structure is one spanning tree
     of the doubled graph: tau quotient trees on k classes give tau * 2^(k-1),
-    so the scaled cap still counts ``DEFAULT_ENUMERATION_CAP`` quotient trees.
+    all charged to ``budget`` before the first.
     """
     T = inst.period
     reps = sorted(set(rep))
@@ -156,8 +148,9 @@ def _least_face_vertex(inst, p, rep, delta):
             key = (normalize_timetable(pi, 0, T), pi)
             least = min(least or key, key)
 
-    cap = DEFAULT_ENUMERATION_CAP << (len(reps) - 1)
-    grow_spanning_trees(Digraph(range(len(reps)), arcs), keep_least, pinned, pinned, cap=cap)
+    quotient = Digraph(range(len(reps)), arcs)
+    budget.charge("face vertices", count_spanning_trees_determinant(quotient))
+    grow_spanning_trees(quotient, keep_least, pinned, pinned)
     if least is None:
         raise InvariantViolation("the optimal face of a nonempty polytrope has no vertex")
     return least
@@ -214,11 +207,12 @@ def certified_optimum(inst, p, objective=None):
     return PolytropeOptimum(tuple(p), primal, phi, flow, (const, slope))
 
 
-def optimal_vertex(inst, optimum):
-    """Step two: the least vertex of the optimal face of ``optimum``."""
+def optimal_vertex(inst, optimum, budget=None):
+    """Step two: the least vertex of the optimal face of ``optimum``, its
+    structures charged to ``budget`` (None: a fresh ``Budget``)."""
     p = optimum.offset
     classes = _face_classes(inst.graph.n, kappa(inst, p), optimum.potentials, optimum.flow)
-    timetable, pi = _least_face_vertex(inst, p, *classes)
+    timetable, pi = _least_face_vertex(inst, p, *classes, budget or Budget())
     pairs = inst.graph.arc_index_pairs
     x = tuple(pi[j] - pi[i] + inst.period * p[a] for a, (i, j) in enumerate(pairs))
     return FixedOffsetResult(timetable, x, optimum.objective)

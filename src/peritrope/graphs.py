@@ -1,4 +1,5 @@
-"""Directed multigraphs, cycle bases, and desk-scale enumerations.
+"""Directed multigraphs, cycle bases, desk-scale enumerations, and the
+work ``Budget`` that bounds every enumeration of a command.
 
 Vertices are arbitrary hashable ids kept in declaration order; arcs are
 (tail, head) pairs addressed by their position in the arc sequence.
@@ -6,32 +7,49 @@ Parallel and antiparallel arcs are allowed, self-loops are not.
 
 Four kernels serve the package.  ``greedy_forest`` is its one
 union-find.  ``tree_walk`` is its depth-first walk of an arc set from a
-root, and ``spanning_tree_walk`` checks that the arcs form a spanning
-tree; ``tree_potentials``, its one walk into vertex potentials, visits
-the vertices in ``tree_walk``'s order.
-``grow_spanning_trees`` is its one spanning tree enumeration: it grows
-every tree from a root, with the arcs it runs each way and the
-potentials of a difference per arc, for ``spanning_trees``, the tiles
-of ``zonotopes.fine_tiling`` and the optimal face vertices of
-``fixedlp``.  ``_eliminate`` is its one exact elimination, a
-fraction-free (Bareiss) Gauss-Jordan: it gives the determinants (the
-zonotope volume, the tree count), the rank tests of
-``verify_kernel_property`` and of the co-tree choice, and through
-``_inverse_frame`` the frames (d, d * G^-1) of the tiles of
-``zonotopes`` and of each basis's co-tree.
+root, and ``tree_potentials``, its one walk into vertex potentials,
+visits the vertices in the same order.  ``grow_spanning_trees`` is its
+one spanning tree enumeration, for ``spanning_trees``, the tiles of
+``zonotopes.fine_tiling`` and the optimal face vertices of ``fixedlp``,
+each of which charges its budget the Kirchhoff count before the first
+tree.  ``_eliminate`` is its one exact elimination, a fraction-free
+(Bareiss) Gauss-Jordan, for the determinants, the rank tests and, through
+``_inverse_frame``, the frames (d, d * G^-1) of tiles and co-trees.
 
 ``CycleBasis.cotree_frame`` is the one place that decides which integer
 offset represents a cycle offset: offset preimages, scaled-point tests
 and the co-tree determinant d all go through it.
 """
 
-import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import cached_property
 
 from .errors import DisconnectedGraph, EnumerationCapExceeded, NotASpanningTree
 
-DEFAULT_ENUMERATION_CAP = 100_000
+DEFAULT_WORK = 1_000_000
+RETRY_POOL = 100_000
+
+
+class Budget:
+    """The work units one command may spend (None: no limit), charged by
+    each enumerating layer as it works, or up front where the count is
+    known; a charge past ``units`` spends nothing and raises
+    EnumerationCapExceeded naming the layer."""
+
+    __slots__ = ("units", "spent")
+
+    def __init__(self, units=DEFAULT_WORK):
+        self.units, self.spent = units, 0
+
+    def charge(self, layer, units=1):
+        if self.units is not None and self.spent + units > self.units:
+            stop = EnumerationCapExceeded(
+                f"the work budget of {self.units} units ran out in {layer}:"
+                f" {self.spent} spent, {units} more asked"
+            )
+            stop.layer, stop.spent = layer, self.spent
+            raise stop
+        self.spent += units
 
 
 def integers(values):
@@ -103,9 +121,9 @@ class Digraph(namedtuple("Digraph", "vertices arcs")):
     @cached_property
     def retry_trees(self):
         """The trees ``search.initial_solution`` retries with: ``spanning_trees``
-        of the graph, or the greedy tree alone beyond ``DEFAULT_ENUMERATION_CAP``."""
+        of the graph, or the greedy tree alone beyond ``RETRY_POOL`` trees."""
         try:
-            return spanning_trees(self, DEFAULT_ENUMERATION_CAP)
+            return spanning_trees(self, Budget(RETRY_POOL))
         except EnumerationCapExceeded:
             return (greedy_spanning_tree(self),)
 
@@ -219,10 +237,8 @@ class CycleBasis(namedtuple("CycleBasis", "cycles tree")):
         |det M|: 1 exactly for an integral basis, 0 for dependent rows,
         which leave C short and ``entries`` None.
         ``entries`` lists the nonzero entries of d * Gamma_C^-1 column by
-        column as (arc, coefficient, k) triples: k is the column, and the
-        row is indexed by its arc in C.  One flat tuple keeps the product
-        with a cycle offset to one loop, as cheap as a copy on a
-        fundamental basis.
+        column as (arc, coefficient, k) triples, k the column and the row
+        indexed by its arc in C: the product with a cycle offset is one loop.
         """
         if self.tree is not None:
             cotree = self.row_cotree_arcs
@@ -311,28 +327,27 @@ def verify_kernel_property(basis, g):
     return _eliminate(gram) is not None
 
 
-def spanning_trees(g, cap=DEFAULT_ENUMERATION_CAP):
+def spanning_trees(g, budget=None):
     """All spanning trees of the underlying multigraph, as sorted tuples of
     arc indices, in canonical (sorted) order.  Parallel arcs give distinct
-    trees.  Raises EnumerationCapExceeded beyond ``cap`` trees."""
+    trees.  Their count is charged to ``budget`` (None: a fresh
+    ``Budget``) before the first."""
+    (budget or Budget()).charge("spanning trees", count_spanning_trees_determinant(g))
     found = []
 
     def keep(tree, *_):
         found.append(tuple(sorted(tree)))
 
     zeros = (0,) * g.m
-    grow_spanning_trees(g, keep, zeros, zeros, cap=cap)
+    grow_spanning_trees(g, keep, zeros, zeros)
     found.sort()
     return tuple(found)
 
 
-def grow_spanning_trees(g, visit, away, toward, root=0, cap=DEFAULT_ENUMERATION_CAP):
+def grow_spanning_trees(g, visit, away, toward, root=0):
     """Call ``visit(tree, run_toward, run_away, pi)`` once per spanning
     tree of the underlying multigraph, each grown from the vertex of index
-    ``root``; raises DisconnectedGraph, and EnumerationCapExceeded when
-    the Kirchhoff count (``count_spanning_trees_determinant``) is above
-    ``cap``, before any tree.  The count is taken only when the bound
-    C(m, n - 1) on it is above ``cap``.
+    ``root``; raises DisconnectedGraph before any tree.
 
     ``tree`` lists the tree's arcs in the order they were grown,
     ``run_away`` and ``run_toward`` those the tree runs away from and
@@ -357,8 +372,6 @@ def grow_spanning_trees(g, visit, away, toward, root=0, cap=DEFAULT_ENUMERATION_
     limit.
     """
     _require_connected(g)
-    if math.comb(g.m, g.n - 1) > cap and count_spanning_trees_determinant(g) > cap:
-        raise EnumerationCapExceeded(f"more than {cap} spanning trees")
     pairs = g.arc_index_pairs
     incident = [0] * g.n
     for a, (i, j) in enumerate(pairs):
@@ -467,11 +480,6 @@ def tree_walk(g, tree, root=0):
     w -> v.  An arc set with cycles is walked in the order of ``tree``, and
     an arc that closes a cycle is skipped; vertices the arcs do not reach
     get no step.
-
-    Connectivity, cycle bases and the structure of a given tree read its
-    steps; potentials come from ``tree_potentials``, which walks in the
-    same order, and the tiles of ``zonotopes.fine_tiling`` take theirs
-    from ``grow_spanning_trees``.
     """
     pairs = g.arc_index_pairs
     adj = [[] for _ in range(g.n)]
@@ -544,13 +552,21 @@ def default_basis(g):
 
 def count_spanning_trees_determinant(g):
     """Spanning tree count of the underlying multigraph via a reduced
-    Laplacian determinant (integer arithmetic throughout)."""
+    Laplacian determinant (integer arithmetic throughout).  An arc at a
+    vertex of degree 1 is in every tree, so such vertices are peeled off
+    first, and a tree or path costs no elimination."""
     _require_connected(g)
-    n = g.n
-    if n == 1:
-        return 1
-    lap = [[0] * n for _ in range(n)]
-    for i, j in g.arc_index_pairs:
+    pairs = g.arc_index_pairs
+    while True:
+        degree = Counter(v for pair in pairs for v in pair)
+        kept = [(i, j) for i, j in pairs if degree[i] > 1 < degree[j]]
+        if len(kept) == len(pairs):
+            break
+        pairs = kept
+    index = {v: k for k, v in enumerate(degree)}  # a tree peels to the empty determinant, 1
+    lap = [[0] * len(index) for _ in index]
+    for i, j in pairs:
+        i, j = index[i], index[j]
         lap[i][i] += 1
         lap[j][j] += 1
         lap[i][j] -= 1

@@ -89,13 +89,7 @@ def parse_instance(text):
         raise ParseError(0, str(exc)) from exc
     if not graph.is_connected():
         raise DisconnectedGraph("instance graph is not connected")
-    inst = PespInstance(
-        graph,
-        period,
-        tuple(b[0] for b in bounds),
-        tuple(b[1] for b in bounds),
-        tuple(b[2] for b in bounds),
-    )
+    inst = PespInstance(graph, period, *(zip(*bounds) if bounds else ((), (), ())))
     report = validate(inst)
     for arc, message in report.arc_violations:
         raise InvalidBounds(arc, message)
@@ -235,12 +229,6 @@ def contract_fixed_arcs(inst):
 
     new_vertices = tuple(rep_name[r] for r in reps)
     new_graph = Digraph(new_vertices, tuple(new_arcs))
-    new_inst = PespInstance(
-        new_graph,
-        T,
-        tuple(b[0] for b in new_bounds),
-        tuple(b[1] for b in new_bounds),
-        tuple(b[2] for b in new_bounds),
-    )
+    new_inst = PespInstance(new_graph, T, *(zip(*new_bounds) if new_bounds else ((), (), ())))
     return ContractionResult(new_inst, vertex_map, offset, tuple(arc_map))
 

@@ -17,7 +17,7 @@ for its dimension, and of the optimal face of a solve, for ``fixedlp``.
 from collections import namedtuple
 
 from .errors import DisconnectedGraph, EmptyPolytrope, Infeasible, NotATension
-from .graphs import _require_connected, integers, tree_potentials
+from .graphs import Budget, _require_connected, integers, tree_potentials
 
 
 def kappa(inst, p):
@@ -176,18 +176,21 @@ def polytrope_build(inst, basis, p):
     # Offsets with the same cycle offset describe the same torus region, so
     # build from the canonical class representative; dist then depends on z
     # only, not on which preimage the caller happened to pass.
-    return _polytrope_at(inst, z, offset_for(inst, basis, z))
+    return _polytrope_at(inst, z, offset_for(inst, basis, z), Budget())
 
 
-def _polytrope_at(inst, z, p):
+def _polytrope_at(inst, z, p, budget):
     """The polytrope of cycle offset z from its canonical offset p
-    (``offset_for``), which a caller that already holds it passes on."""
+    (``offset_for``), which a caller that already holds it passes on; each
+    Kleene-star row is charged to ``budget``."""
     g = inst.graph
     _require_connected(g)
+    budget.charge("Kleene-star rows")
     edges = kappa(inst, p)
     first = _potentials(g.n, edges, 0)
     if first is None:
         return Polytrope(p, z, None, -1, inst.period, g.vertices)
+    budget.charge("Kleene-star rows", g.n - 1)
     # kappa(p) is strongly connected, so each run from a source is its row.
     rows = [first] + [_potentials(g.n, edges, i) for i in range(1, g.n)]
     # Row 0 is a shortest path length from vertex 0, so feasible potentials.

@@ -7,8 +7,8 @@ final emission step, so repeated renders are byte-identical.
 
 from fractions import Fraction
 
+from .graphs import Budget
 from .zonotopes import (
-    DEFAULT_WIDTH_CAP,
     enumerate_polytropes,
     fine_tiling,
     lattice_points,
@@ -147,9 +147,10 @@ def _svg_header(width, height):
     ]
 
 
-def render_torus(inst, basis, width_cap=DEFAULT_WIDTH_CAP):
+def render_torus(inst, basis, budget=None):
     """One fundamental domain of the timetable torus with every offset
-    class drawn and labeled by its offset vector."""
+    class drawn and labeled by its offset vector; the classes are charged
+    to ``budget`` (None: a fresh ``Budget``)."""
     g = inst.graph
     if g.n != 3:
         raise ValueError("torus rendering needs exactly 3 vertices")
@@ -162,7 +163,7 @@ def render_torus(inst, basis, width_cap=DEFAULT_WIDTH_CAP):
 
     lines = _svg_header(size, size)
     lines.append(f'<rect width="{size}" height="{size}" fill="white"/>')
-    polys = enumerate_polytropes(inst, basis, cap=width_cap)
+    polys = enumerate_polytropes(inst, basis, budget)
     labels = []
     for color_idx, poly in enumerate(polys):
         polygon = polytrope_polygon(poly)
@@ -209,15 +210,17 @@ def render_torus(inst, basis, width_cap=DEFAULT_WIDTH_CAP):
     return "\n".join(lines) + "\n"
 
 
-def render_zonotope(inst, basis, root=None, width_cap=DEFAULT_WIDTH_CAP):
+def render_zonotope(inst, basis, root=None, budget=None):
     """The offset zonotope with its spanning tree tiling and lattice
-    points; supported up to dimension two."""
+    points, both charged to ``budget`` (None: a fresh ``Budget``);
+    supported up to dimension two."""
     mu = basis.mu
     if mu > 2:
         raise ValueError("zonotope rendering supports dimension at most 2")
     T = inst.period
-    points = lattice_points(inst, basis, cap=width_cap)
-    tiles = fine_tiling(inst, basis, root)
+    budget = budget or Budget()
+    points = lattice_points(inst, basis, budget)
+    tiles = fine_tiling(inst, basis, root, budget=budget)
     if mu == 0:
         lines = _svg_header(60, 60)
         lines.append('<rect width="60" height="60" fill="white"/>')

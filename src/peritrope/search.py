@@ -19,17 +19,15 @@ none, so the argmin survives; ``neighbourhood_graph`` keeps every leaf.
 An empty z's failed solve hands over its negative cycle, which
 ``zonotopes.learn_row`` turns into an Odijk row lo <= ty.z <= hi that
 every nonempty offset meets (Odijk, Transportation Research B 30, 1996).
-Only an offset a caller takes has its vertex built.
+Only an offset a caller takes has its vertex built.  Every node graded
+and every offset solved is a unit of the memo's ``graphs.Budget``; one
+that runs out leaves the proven gap [least open lower, incumbent] on its
+error.  The tns walks have no work limit.
 
-``OffsetMemo`` owns the per-offset answers of a solve (bounds, optima
-with their cuts, steps, rows, solutions) and the invariant checks the
-search rests on, which ``solve_exact``, ``tns`` and ``neighbourhood_graph``
-all run: the relaxation rules out no box point or prefix, no optimum lies
-below its bound, its own cut or its key, a vertex rebuilds into its own z
-and objective, and a row rules out its own z but no offset solved
-nonempty (``learn_row``).  The answers depend only on the instance, the
-basis and z: ``tns_restarts`` shares one memo between its walks, and
-``tns`` builds a fresh one when it is not given one.
+``OffsetMemo`` owns the per-offset answers of a solve and the invariant
+checks the search rests on (its methods say which).  The answers depend
+only on the instance, the basis and z: ``tns_restarts`` shares one memo
+between its walks, and ``tns`` builds a fresh one when it is not given one.
 """
 
 import json
@@ -38,7 +36,7 @@ from collections import namedtuple
 
 from .errors import Infeasible, InvariantViolation, RetriesExhausted
 from .fixedlp import certified_optimum, cycle_relaxation_bound, optimal_vertex
-from .graphs import default_basis, greedy_spanning_tree, tree_potentials
+from .graphs import Budget, default_basis, greedy_spanning_tree, tree_potentials
 from .polytropes import (
     _require_length,
     cycle_offset_form,
@@ -48,10 +46,8 @@ from .polytropes import (
     timetable_to_tension,
 )
 from .zonotopes import (
-    DEFAULT_WIDTH_CAP,
     BoxSearch,
     _box_integer_ranges,
-    _capped_box,
     _require_integral,
     learn_row,
     suffix_extremes,
@@ -107,11 +103,12 @@ def initial_solution(inst, seed=0, basis=None):
 class OffsetMemo(BoxSearch):
     """The per-offset answers of one solve on one instance and basis, each
     computed on first use, kept and checked, and the search of its box, with
-    the optima as leaves.  A basis that is not integral raises ValueError."""
+    the optima as leaves, charged to ``budget`` (None: a fresh ``Budget``).
+    A basis that is not integral raises ValueError."""
 
-    def __init__(self, inst, basis):
+    def __init__(self, inst, basis, budget=None):
         _require_integral(basis)
-        super().__init__(_box_integer_ranges(inst, basis))
+        super().__init__(_box_integer_ranges(inst, basis), budget or Budget(), "offset search")
         self.inst = inst
         self.basis = basis
         self._bound = cycle_relaxation_bound(inst, basis)
@@ -179,7 +176,7 @@ class OffsetMemo(BoxSearch):
         sol = self._solutions.get(z)
         if sol is None:
             found = self.leaves[z]
-            vertex = optimal_vertex(self.inst, found).timetable
+            vertex = optimal_vertex(self.inst, found, self.budget).timetable
             sol = solution_from_timetable(self.inst, self.basis, vertex)
             if sol.cycle_offset != z or sol.objective != found.objective:
                 raise InvariantViolation(
@@ -211,11 +208,11 @@ def tns(inst, basis, start, max_iterations=100, memo=None):
     a step must skip; every other offset the walk took has an optimum at or
     above the current objective, which no move can reach again.  Returns the
     best solution and the visit trace.  ``memo`` is an ``OffsetMemo`` of the
-    same instance and basis to reuse; a fresh one is used when it is None."""
+    same instance and basis to reuse (None: a fresh one, no work limit)."""
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
     if memo is None:
-        memo = OffsetMemo(inst, basis)
+        memo = OffsetMemo(inst, basis, Budget(None))
     elif memo.inst is not inst or memo.basis is not basis:
         raise ValueError("the offset memo belongs to another instance or basis")
     current = start
@@ -237,11 +234,11 @@ def tns_restarts(inst, basis, restarts=1, max_iterations=100, seed=0):
     ``seed + k`` and makes at most ``max_iterations`` moves.  Returns the
     solution and trace of the first walk that reaches the lowest objective;
     raises RetriesExhausted when no walk finds a start.  Both counts are
-    checked before any start is drawn."""
+    checked before any start is drawn.  The walks have no work limit."""
     for name, count in (("restarts", restarts), ("max_iterations", max_iterations)):
         if count < 1:
             raise ValueError(f"{name} must be at least 1")
-    memo = OffsetMemo(inst, basis)
+    memo = OffsetMemo(inst, basis, Budget(None))
     best = None
     for attempt in range(restarts):
         try:
@@ -264,12 +261,11 @@ class NeighbourhoodGraph(namedtuple("NeighbourhoodGraph", "nodes edges objective
     __slots__ = ()
 
 
-def neighbourhood_graph(inst, basis, width_cap=DEFAULT_WIDTH_CAP):
+def neighbourhood_graph(inst, basis, budget=None):
     """Undirected graph on the ``lattice_points``, one edge per basis
     column step, each node annotated with its exact polytrope optimum, as
-    the memo's search with no limit solves and keeps them."""
-    _capped_box(inst, basis, width_cap)  # the cap error before the memo's basis error
-    memo = OffsetMemo(inst, basis)
+    the memo's search with no limit solves them, charged to ``budget``."""
+    memo = OffsetMemo(inst, basis, budget)
 
     def keep(z, lower, relax):
         memo.optimum(z, lower, relax)  # kept in memo.leaves, not handed back: no stop

@@ -9,27 +9,18 @@ coordinate is divisible by T.
 ``BoxSearch`` is the one search over box prefixes, for ``search.OffsetMemo``
 and for ``lattice_points``, whose key (0, prefix) pops in sorted box order;
 it learns an Odijk row from each empty point (``learn_row``) to prune the rest.
+One ``TileKernel`` per (inst, basis) builds the tiles a structure implies,
+for ``fine_tiling`` and ``validate_tiling``, and holds the volume, one Gram
+determinant, that they and ``width_bound_report`` read.  A foreign tile,
+and ``tile_contains_scaled``, test points against the frame (d, d * G^-1)
+of ``graphs._inverse_frame``.  ``duality_check`` compares each tile's
+pinned timetable with the root's row of the Kleene star.  Fractions
+appear only in volumes and the width bound chain.
 
-The volume is one Gram determinant over the nonzeros of the basis rows.
-One ``TileKernel`` per (inst, basis) builds the tiles a structure
-implies, for ``fine_tiling`` and ``validate_tiling``, and holds the volume
-they and ``width_bound_report`` read.  ``CycleBasis.cotree_frame`` gives
-its d and every offset preimage and scaled-point test here.  Lattice
-points are never stored: each is a sum of the Gamma columns of co-tree
-arcs, read off the potentials of the pinned tensions x of its own tile,
-which ``fine_tiling`` takes from
-``graphs.grow_spanning_trees`` (it grows each tree from the root, and so
-orients it) and validation from ``graphs.tree_potentials`` of the tile's
-structure; validation trusts the points only for implied tiles, the ones
-equal to the kernel's.  A foreign tile, and ``tile_contains_scaled``,
-invert the generator matrix G into a frame (d, d * G^-1) with |d| = |det
-G| by ``graphs._inverse_frame``, which builds the basis co-tree frames
-too; a point lies in the tile when every coordinate of d * G^-1 applied
-to its offset from the translation is between 0 and d.
-``duality_check`` compares each tile's pinned timetable with the root's
-row of the Kleene star, one offset preimage and one Bellman-Ford per
-lattice point, and builds no polytrope.
-Fractions appear only in volumes and the width bound chain.
+No enumeration here is refused for the size of its box.  Each charges
+the command's ``graphs.Budget`` as it works: a node graded or a point
+tested, a Kleene-star row, a foreign tile's 2^mu corners, and a tiling
+mu units a tile, its Kirchhoff count, before the first tile.
 """
 
 import math
@@ -40,6 +31,7 @@ from heapq import heappop, heappush
 
 from .errors import EnumerationCapExceeded, FixedArcPresent, InvariantViolation
 from .graphs import (
+    Budget,
     _eliminate,
     _inverse_frame,
     _require_connected,
@@ -60,8 +52,6 @@ from .polytropes import (
     offset_from_cycle_offset,
     tension_system_feasible,
 )
-
-DEFAULT_WIDTH_CAP = 10_000
 
 
 class ZonotopeDescriptor(namedtuple("ZonotopeDescriptor", "basis period generators translation")):
@@ -141,16 +131,6 @@ def _require_integral(basis):
         raise ValueError(f"basis is not integral: its co-tree minors have |det| {d}, not 1")
 
 
-def _capped_box(inst, basis, cap):
-    """The box's integer ranges; more than ``cap`` points raise
-    EnumerationCapExceeded, but an empty basis's one point () is uncapped."""
-    box = _box_integer_ranges(inst, basis)
-    count = math.prod(map(len, box))
-    if box and count > cap:
-        raise EnumerationCapExceeded(f"box holds {count} integer points, cap is {cap}")
-    return box
-
-
 def odijk_row(inst, basis, gamma):
     """The Odijk row (ty, lo, hi) of the oriented cycle gamma, lo <= ty.z <=
     hi for every nonempty z: gamma.p = ty'.z / d (``cycle_offset_form``) in
@@ -185,12 +165,13 @@ def suffix_extremes(ty, box):
     return low[::-1], high[::-1]
 
 
-def enumerate_polytropes(inst, basis, cap=DEFAULT_WIDTH_CAP):
-    """The polytropes of the ``lattice_points``; a disconnected graph
-    raises DisconnectedGraph before any Bellman-Ford."""
+def enumerate_polytropes(inst, basis, budget=None):
+    """The polytropes of the ``lattice_points``, both charged to ``budget``
+    (None: a fresh ``Budget``); DisconnectedGraph before any Bellman-Ford."""
     _require_connected(inst.graph)
-    points = lattice_points(inst, basis, cap=cap)
-    return tuple(_polytrope_at(inst, z, offset_for(inst, basis, z)) for z in points)
+    budget = budget or Budget()
+    points = lattice_points(inst, basis, budget)
+    return tuple(_polytrope_at(inst, z, offset_for(inst, basis, z), budget) for z in points)
 
 
 class BoxSearch:
@@ -198,12 +179,15 @@ class BoxSearch:
     ``forms`` (ty, low, high, lo, hi, const), low[k] and high[k] the least
     and greatest ty.z over box rows k..: a cut, objective >= const + ty.z,
     or a row (const None), lo <= ty.z <= hi if z is nonempty.  ``leaves``
-    holds the answers a leaf keeps of whole z's."""
+    holds the answers a leaf keeps of whole z's.  Every node graded and
+    every leaf is one unit of ``budget``, charged to ``layer``."""
 
-    def __init__(self, box):
+    def __init__(self, box, budget, layer):
         self.box = box
         self.forms = []
         self.leaves = {}
+        self.budget = budget
+        self.layer = layer
 
     def grade(self, prefix, relax, sums):
         """The heap entry (lower, prefix, relax, sums) of a prefix whose sums
@@ -224,38 +208,48 @@ class BoxSearch:
         ``relax`` gives a child its relax.  A popped node, but a whole z in
         ``leaves``, is dropped or pushed back when forms learned since its
         push rule it out or raise its lower; else it is expanded or, as a
-        whole z, handed with its lower and relax to ``leaf``."""
+        whole z, handed with its lower and relax to ``leaf``.  The error of a
+        budget that runs out gets the ``gap`` (least open lower, best or None)."""
         box, forms, leaves = self.box, self.forms, self.leaves
+        charge, layer = self.budget.charge, self.layer
         heap = sorted((r, p, r, []) for r, p in nodes if r is not None)  # sorted: a heap
-        while heap and heap[0] < best:
-            lower, prefix, own, sums = heappop(heap)
-            if len(sums) < len(forms) and prefix not in leaves:
-                sums += [sum(map(int.__mul__, f[0], prefix)) for f in forms[len(sums) :]]
-                entry = self.grade(prefix, own, sums)
-                if entry is None or entry[0] > lower:
-                    if entry is not None:
-                        heappush(heap, entry)
+        start = best
+        try:
+            while heap and heap[0] < best:
+                lower, prefix, own, sums = heappop(heap)
+                if len(sums) < len(forms) and prefix not in leaves:
+                    sums += [sum(map(int.__mul__, f[0], prefix)) for f in forms[len(sums) :]]
+                    charge(layer)
+                    entry = self.grade(prefix, own, sums)
+                    if entry is None or entry[0] > lower:
+                        if entry is not None:
+                            heappush(heap, entry)
+                        continue
+                k = len(prefix)
+                if k == len(box):
+                    charge(layer)
+                    found = leaf(prefix, lower, own)
+                    if found is not None:
+                        best = min(best, (found.objective, prefix))
                     continue
-            k = len(prefix)
-            if k == len(box):
-                found = leaf(prefix, lower, own)
-                if found is not None:
-                    best = min(best, (found.objective, prefix))
-                continue
-            coefficients = [(s, f[0][k]) for s, f in zip(sums, forms)]
-            for v in box[k]:
-                child = prefix + (v,)
-                entry = self.grade(child, relax(child), [s + t * v for s, t in coefficients])
-                if entry is not None and entry < best:
-                    heappush(heap, entry)
+                charge(layer, len(box[k]))
+                coefficients = [(s, f[0][k]) for s, f in zip(sums, forms)]
+                for v in box[k]:
+                    child = prefix + (v,)
+                    entry = self.grade(child, relax(child), [s + t * v for s, t in coefficients])
+                    if entry is not None and entry < best:
+                        heappush(heap, entry)
+        except EnumerationCapExceeded as stop:
+            stop.gap = lower, None if best is start else best[0]
+            raise
         return best
 
 
-def lattice_points(inst, basis, cap=DEFAULT_WIDTH_CAP):
+def lattice_points(inst, basis, budget=None):
     """The feasible cycle offsets, in sorted order, by the ``BoxSearch``
-    with key (0, prefix) and one Bellman-Ford per point it reaches; more
-    than ``cap`` box points raise EnumerationCapExceeded before any."""
-    box = _capped_box(inst, basis, cap)
+    with key (0, prefix) and one Bellman-Ford per point it reaches, charged
+    to ``budget`` (None: a fresh ``Budget``)."""
+    box = _box_integer_ranges(inst, basis)
     if not all(box):
         return ()
     # Under a basis that is not integral, the corner (each r[False]), the
@@ -263,7 +257,7 @@ def lattice_points(inst, basis, cap=DEFAULT_WIDTH_CAP):
     # offset lattice: one raises ValueError if any point has no integer offset.
     for k in (k for k, r in enumerate(box) if len(r) > 1 and abs(basis.cotree_frame[1]) != 1):
         offset_for(inst, basis, tuple(r[j == k] for j, r in enumerate(box)))
-    search, points = BoxSearch(box), []
+    search, points = BoxSearch(box, budget or Budget(), "lattice points"), []
 
     def leaf(z, lower, relax):
         edges, parent = kappa(inst, offset_for(inst, basis, z)), {}
@@ -373,20 +367,14 @@ def tile_contains_scaled(tile, scaled_point):
 class TileKernel:
     """The tiles one (inst, basis) implies, built from their parts.
 
-    Per instance it holds the scaled columns (``_scaled_columns``), one
-    row (i, j, l_a, u_a, Gamma column of a) per arc a = (i, j), Gamma l
-    for the lower bounds l, and d = |d| of ``basis.cotree_frame``.  Two
-    memos fill on first use.  Per tree, its co-tree entry: the rows of
-    the co-tree (a set difference), the generators (the co-tree's scaled
-    columns) and the tile's |det| = d * (the co-tree spans).  Per
-    frozenset of arcs pinned at their upper bound, the translation
-    Gamma x = Gamma l + their scaled columns.  Both depend on the tree or
-    on the upper set alone, so a value is exact for every tile that
-    shares it.  Lattice points depend on the potentials of the pinned
-    tensions (the growth's, or ``tree_potentials``') and are computed per
-    tile by ``points``, never stored.  Build one per tiling;
-    ``fine_tiling`` and ``validate_tiling`` each build their own when none
-    is given."""
+    Per instance it holds the scaled columns, one row (i, j, l_a, u_a,
+    Gamma column of a) per arc a = (i, j), Gamma l and d = |d| of
+    ``basis.cotree_frame``.  Two memos fill on first use: per sorted tree,
+    its co-tree entry (the co-tree's rows, its scaled columns as the
+    generators, and |det| = d * the co-tree spans), and per frozenset of
+    arcs pinned at their upper bound, the translation Gamma l + their
+    scaled columns.  Lattice points depend on the potentials of the
+    pinned tensions and are computed per tile by ``points``, never stored."""
 
     def __init__(self, inst, basis):
         self.inst = inst
@@ -475,16 +463,17 @@ def _own_kernel(inst, basis, kernel):
     return kernel
 
 
-def fine_tiling(inst, basis, root=None, kernel=None):
-    """One tile per spanning tree, pinned by the root orientation, in
-    sorted tree order.  Each tile records the first lattice point (in
-    sorted order) it contains, if any.  ``grow_spanning_trees`` grows each
-    tree from the root with the potentials of its pinned tensions, upper
-    bounds on the arcs run away from the root and lower bounds on those
-    run toward it, so no tree is walked.  ``kernel`` is a ``TileKernel`` of
-    the same instance and basis to share; a fresh one is used when None."""
+def fine_tiling(inst, basis, root=None, kernel=None, budget=None):
+    """One tile per spanning tree, pinned by the root orientation (upper
+    bounds on the arcs run away from the root), in sorted tree order, with
+    the first lattice point it contains or None.  ``grow_spanning_trees``
+    hands each tree its potentials, so no tree is walked.  ``kernel`` is a
+    ``TileKernel`` of the same instance and basis to share (None: a fresh
+    one).  A tile is mu units of ``budget`` (None: a fresh ``Budget``), all
+    charged by the Kirchhoff count before the first."""
     g = inst.graph
     kernel = _own_kernel(inst, basis, kernel)
+    (budget or Budget()).charge("tiling", basis.mu * count_spanning_trees_determinant(g))
     translations = kernel._translations
     tiles = []
 
@@ -524,7 +513,7 @@ class TilingReport(
         )
 
 
-def validate_tiling(inst, basis, tiles, points=None, kernel=None):
+def validate_tiling(inst, basis, tiles, points=None, kernel=None, budget=None):
     """Certify a tiling: nonzero tile volumes summing exactly to the
     zonotope volume, every tile inside the zonotope, the tiles' lattice
     points exactly ``points`` (the sorted ``lattice_points``, computed
@@ -541,11 +530,13 @@ def validate_tiling(inst, basis, tiles, points=None, kernel=None):
     Independent of the walk: the volume match (Cauchy-Binet sums
     d * (co-tree spans) over all co-trees), the cover (equality with the
     Bellman-Ford ``lattice_points``), and ``duality_check``.  ``kernel``
-    is shared as in ``fine_tiling``."""
+    is shared as in ``fine_tiling``; the points and the corners of foreign
+    tiles are charged to ``budget`` (None: a fresh ``Budget``)."""
     T = inst.period
     kernel = _own_kernel(inst, basis, kernel)
+    budget = budget or Budget()
     if points is None:
-        points = lattice_points(inst, basis)
+        points = lattice_points(inst, basis, budget)
     vol = kernel.zonotope_volume
     dets, inside, held = [], [], []
     for tile in tiles:
@@ -563,7 +554,7 @@ def validate_tiling(inst, basis, tiles, points=None, kernel=None):
                 continue
         frame = _inverse_frame(tile.generators)
         dets.append(abs(frame[0]) if frame else 0)
-        inside.append(_tile_inside(inst, basis, tile))
+        inside.append(_tile_inside(inst, basis, tile, budget))
         scaled = ((z, [T * v for v in z]) for z in points)
         held.append([z for z, x in scaled if _frame_contains(frame, tile.translation, x)])
     tile_sum = Fraction(sum(dets), T**basis.mu)
@@ -584,8 +575,10 @@ def validate_tiling(inst, basis, tiles, points=None, kernel=None):
     )
 
 
-def _tile_inside(inst, basis, tile):
-    """Every vertex of the tile, and so the tile, lies in the zonotope."""
+def _tile_inside(inst, basis, tile, budget):
+    """Every vertex of the tile, and so the tile, lies in the zonotope; its
+    2^mu vertices are charged to ``budget`` before the first test."""
+    budget.charge("tile corners", 2 ** len(tile.generators))
     vertices = [tile.translation]
     for col in tile.generators:
         vertices += [tuple(v + c for v, c in zip(vertex, col)) for vertex in vertices]
@@ -613,29 +606,30 @@ class DualityReport(namedtuple("DualityReport", "entries")):
         return all(e.feasible_vertex and e.matches_tropical_vertex for e in self.entries)
 
 
-def duality_check(inst, basis, root=None, tiles=None):
+def duality_check(inst, basis, root=None, tiles=None, budget=None):
     """For every tile holding a lattice point z: pinning the tree arcs to
     their bounds extends to a feasible tension whose timetable is the
     root's tropical vertex of the offset class of z.  ``tiles`` is the
-    ``fine_tiling`` for the same root, built here when not given.
+    ``fine_tiling`` for the same root, built here when not given; it and
+    each Kleene-star row are charged to ``budget`` (None: a fresh ``Budget``).
 
     The root's tropical vertex is the root's row of the Kleene star of
-    kappa(p) for the canonical offset p of z, that is the shortest path
-    lengths from the root in the doubled graph, so each distinct z takes
-    its offset p once and runs the Bellman-Ford kernel once from the
-    root, and no polytrope is built.  A negative cycle (an empty class)
-    matches nothing."""
+    kappa(p) for the canonical offset p of z, so each distinct z takes p
+    and one Bellman-Ford from the root, and no polytrope is built.  A
+    negative cycle (an empty class) matches nothing."""
     g = inst.graph
     T = inst.period
     ridx = _root_index(g, root)
+    budget = budget or Budget()
     if tiles is None:
-        tiles = fine_tiling(inst, basis, root)
+        tiles = fine_tiling(inst, basis, root, budget=budget)
     entries, rows = [], {}  # z -> (its offset p, the root's row or None for a negative cycle)
     for t, tile in enumerate(tiles):
         z = tile.lattice_point
         if z is None:
             continue
         if z not in rows:
+            budget.charge("Kleene-star rows")
             p = offset_for(inst, basis, z)
             rows[z] = p, _potentials(g.n, kappa(inst, p), ridx)
         p, row = rows[z]

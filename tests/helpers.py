@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import peritrope
 from peritrope import (
+    Budget,
     CycleBasis,
     Digraph,
     DisconnectedGraph,
@@ -38,7 +39,7 @@ from peritrope import (
 )
 from peritrope.cli import cmd_analyze, cmd_polytropes, cmd_render, cmd_solve, cmd_tile
 from peritrope.graphs import (
-    DEFAULT_ENUMERATION_CAP,
+    DEFAULT_WORK,
     _inverse_frame,
     greedy_forest,
     tree_potentials,
@@ -50,7 +51,6 @@ from peritrope.polytropes import (
     tropical_vertices,
 )
 from peritrope.zonotopes import (
-    DEFAULT_WIDTH_CAP,
     DualityEntry,
     DualityReport,
     Tile,
@@ -65,6 +65,11 @@ from peritrope.zonotopes import (
     volume,
     width,
 )
+
+
+# The references' own caps: box points scanned, and trees or arborescences listed.
+BOX_CAP = 10_000
+TREE_CAP = 100_000
 
 
 def triangle_graph():
@@ -131,11 +136,11 @@ def _common_flags(parser, root=False, json=False):
     if root:
         parser.add_argument("--root", default=None, help="root vertex id")
     parser.add_argument(
-        "--cap-width",
+        "--cap-work",
         type=_at_least(0),
-        default=DEFAULT_WIDTH_CAP,
+        default=DEFAULT_WORK,
         metavar="N",
-        help="refuse lattice enumerations beyond N box points",
+        help="stop after N units of enumeration work",
     )
     if json:
         parser.add_argument("--json", action="store_true", help="machine-readable output")
@@ -258,7 +263,7 @@ def varied_instance(rng, max_vertices=6, max_arcs=9, max_period=10):
     return inst._replace(upper=upper, weight=weight)
 
 
-def box_points(inst, basis, cap=DEFAULT_WIDTH_CAP):
+def box_points(inst, basis, cap=BOX_CAP):
     """The integer points of the box, an iterable in sorted order, without
     a feasibility test; raises EnumerationCapExceeded, before any point,
     when there are more than ``cap`` of them.  An empty basis has the one
@@ -278,14 +283,14 @@ def in_polytrope(poly, pi):
     return all(pi[j] - pi[i] <= d for i, row in enumerate(poly.dist) for j, d in enumerate(row))
 
 
-def lattice_points_by_box_scan(inst, basis, cap=DEFAULT_WIDTH_CAP):
+def lattice_points_by_box_scan(inst, basis, cap=BOX_CAP):
     """Reference for ``zonotopes.lattice_points``: ``polytrope_nonempty``
     of its offset, one Bellman-Ford, for every ``box_points`` point."""
     points = box_points(inst, basis, cap)
     return tuple(z for z in points if polytrope_nonempty(inst, offset_for(inst, basis, z)))
 
 
-def solve_exact_by_full_scan(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP):
+def solve_exact_by_full_scan(inst, basis=None, width_cap=BOX_CAP):
     """Reference for solve_exact: optimize the polytrope of every lattice
     point and keep the (objective, z) minimum."""
     if basis is None:
@@ -298,7 +303,7 @@ def solve_exact_by_full_scan(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP):
     return solution_from_timetable(inst, basis, best.timetable)
 
 
-def solve_exact_by_box_scan(inst, basis=None, width_cap=DEFAULT_WIDTH_CAP):
+def solve_exact_by_box_scan(inst, basis=None, width_cap=BOX_CAP):
     """Reference for solve_exact's bounded order: Bellman-Ford on every box
     point (``lattice_points_by_box_scan``), then optimize the nonempty ones in
     ascending (bound, z) order until a bound exceeds the best objective."""
@@ -375,9 +380,9 @@ def count_polytrope_solves(monkeypatch, module):
         solves.append(args[1])
         return result
 
-    def vertex(inst, found):
+    def vertex(inst, found, *budget):
         vertices.append(found.offset)
-        return build(inst, found)
+        return build(inst, found, *budget)
 
     monkeypatch.setattr(module, "certified_optimum", optimum)
     monkeypatch.setattr(module, "optimal_vertex", vertex)
@@ -729,7 +734,7 @@ def _face_vertices_by_distances(inst, p, dist):
             lower.append(inst.lower[a] - shift)
             upper.append(inst.upper[a] - shift)
     q = Digraph(tuple(range(len(reps))), tuple(arcs))
-    for tree in spanning_trees(q, DEFAULT_ENUMERATION_CAP):
+    for tree in spanning_trees(q, Budget(TREE_CAP)):
         for mask in range(1 << len(tree)):
             pinned = [None] * q.m
             for k, b in enumerate(tree):
@@ -794,7 +799,7 @@ def spanning_trees_by_subsets(g):
     return tuple(trees)
 
 
-def spanning_trees_by_contraction(g, cap=DEFAULT_ENUMERATION_CAP):
+def spanning_trees_by_contraction(g, cap=TREE_CAP):
     """Reference for ``spanning_trees``: the contraction-deletion
     recursion, which takes the first arc into the tree (contracting it)
     and then leaves it out when a union-find finds the rest still
@@ -954,7 +959,7 @@ def solve_parallelotope_coords(generators, translation, scaled_point):
     return rhs
 
 
-def validate_tiling_by_frame_scan(inst, basis, tiles, width_cap=DEFAULT_WIDTH_CAP):
+def validate_tiling_by_frame_scan(inst, basis, tiles, width_cap=BOX_CAP):
     """Reference for ``zonotopes.validate_tiling``: every tile is treated
     as foreign.  Its |det| is its frame's, it is inside when each of its
     vertices is (``tile_inside_by_corners``), and it holds the lattice
@@ -1056,7 +1061,7 @@ def gbar(g):
     return Gbar(Digraph(g.vertices, tuple(forward + reverse)), origin)
 
 
-def arborescences_rooted(g, root, cap=DEFAULT_ENUMERATION_CAP):
+def arborescences_rooted(g, root, cap=TREE_CAP):
     """Tree-count oracle: all spanning arborescences directed away from
     ``root``.  In the doubled graph every spanning tree orients uniquely
     away from any root, so their number is the spanning tree count.

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import pathlib
+import re
 from fractions import Fraction
 
 import pytest
@@ -10,13 +11,22 @@ from hypothesis import strategies as st
 
 from helpers import argparse_reference, count_bellman_ford, random_corpus, run_cli
 from peritrope import (
+    Budget,
+    EnumerationCapExceeded,
     SpanningTreeStructure,
     Tile,
     cli,
     contract_fixed_arcs,
+    default_basis,
+    duality_check,
+    enumerate_polytropes,
     fine_tiling,
+    lattice_points,
     parse_instance,
     serialize_instance,
+    solve_exact,
+    spanning_trees,
+    validate_tiling,
 )
 from peritrope.cli import main
 
@@ -326,12 +336,12 @@ def test_json_is_a_flag_of_polytropes_alone(tri, command, capsys):
 @pytest.mark.parametrize(
     "flags, message",
     [
-        (["--cap-width", "-1"], "argument --cap-width: must be at least 0, got -1"),
+        (["--cap-work", "-1"], "argument --cap-work: must be at least 0, got -1"),
         (["--method", "tns", "--restarts", "0"], "argument --restarts: must be at least 1, got 0"),
         (["--method", "tns", "--restarts", "-3"], "argument --restarts: must be at least 1, got -3"),
         (["--method", "exact", "--max-iter", "0"], "argument --max-iter: must be at least 1, got 0"),
     ],
-    ids=("cap-width", "restarts-0", "restarts-negative", "max-iter-exact"),
+    ids=("cap-work", "restarts-0", "restarts-negative", "max-iter-exact"),
 )
 def test_out_of_range_counts_are_usage_errors(tri, flags, message, capsys):
     assert main(["solve", tri, *flags]) == 1
@@ -357,12 +367,55 @@ def test_infeasible_exit_code(tmp_path):
 
 
 def test_solve_over_the_cap_exits_3_before_any_bellman_ford(tri, monkeypatch, capsys):
+    """The root's three children are charged before they are graded, so two
+    units stop the search before any solve; the gap is the root's bound."""
     runs = count_bellman_ford(monkeypatch)
-    assert main(["solve", tri, "--cap-width", "2"]) == 3
+    assert main(["solve", tri, "--cap-work", "2"]) == 3
     assert runs == []
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: box holds 3 integer points, cap is 2\n"
+    assert captured.err == (
+        "error: the work budget of 2 units ran out in offset search: 0 spent, 3 more asked\n"
+        "gap: least open lower 14\n"
+    )
+
+
+def _gap(err):
+    """(least open lower, incumbent or None) of a stopped solve's stderr."""
+    match = re.search(r"^gap: least open lower (-?\d+)(?:, incumbent (-?\d+))?$", err, re.M)
+    return int(match[1]), None if match[2] is None else int(match[2])
+
+
+@pytest.mark.parametrize("instance", ["s8800", "l5", "bench7"])
+def test_a_stopped_solve_brackets_the_optimum(instance, capsys):
+    """Under budgets from one unit to one short of the whole solve, each
+    run exits 3 with nothing on stdout, and its stderr gap holds the
+    cap-lifted optimum: least open lower <= optimum <= incumbent."""
+    path = str(GOLDEN / f"{instance}.pesp")
+    optimum = json.loads((GOLDEN / f"{instance}.solve.json").read_text())["objective"]
+    spent = Budget()
+    solve_exact(parse_instance(pathlib.Path(path).read_text()), budget=spent)
+    budgets = sorted({1, 10, 100, 1000, spent.spent // 2, spent.spent - 1} - {0})
+    incumbents = 0
+    for units in (units for units in budgets if units < spent.spent):
+        assert main(["solve", path, "--cap-work", str(units)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lower, incumbent = _gap(captured.err)
+        assert lower <= optimum <= (optimum if incumbent is None else incumbent), units
+        incumbents += incumbent is not None
+    assert incumbents >= 1 and main(["solve", path, "--cap-work", str(spent.spent)]) == 0
+
+
+def test_a_zero_weight_solve_stops_in_the_face_vertices(capsys):
+    """zero9's first optimal face is its whole polytrope, 56,320 structures,
+    charged before the first: a small budget finds the optimum and stops
+    there, with the gap closed."""
+    assert main(["solve", str(GOLDEN / "zero9.pesp"), "--cap-work", "1000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert " ran out in face vertices: " in captured.err and ", 56320 more asked\n" in captured.err
+    assert _gap(captured.err) == (0, 0)
 
 
 @pytest.mark.parametrize(
@@ -399,14 +452,17 @@ def test_antiparallel_pair_without_an_offset_exits_2_and_writes_nothing(
     ids=" ".join,
 )
 def test_cap_exceeded_analyze(tri, command, capsys):
-    """``--cap-width`` caps the box points of every command that enumerates
-    them (exact ``solve``: see above): the triangle's box holds 3 points,
-    so each exits 3 under a cap of 2, analyze with a partial report."""
-    assert main([command[0], tri, "--cap-width", "2", *command[1:]]) == 3
+    """``--cap-work`` bounds every command that enumerates the box (exact
+    ``solve``: see above): the triangle's walk charges its root's 3
+    children first, so each exits 3 under 2 units, analyze with a
+    partial report."""
+    assert main([command[0], tri, "--cap-work", "2", *command[1:]]) == 3
     captured = capsys.readouterr()
     if command[0] != "analyze":
         assert captured.out == ""
-        assert captured.err.startswith("error: box holds 3 integer points")
+        assert captured.err == (
+            "error: the work budget of 2 units ran out in lattice points: 0 spent, 3 more asked\n"
+        )
         return
     payload = json.loads(captured.out)
     assert payload["cap_exceeded"] is True
@@ -414,12 +470,43 @@ def test_cap_exceeded_analyze(tri, command, capsys):
     assert "lattice_points" not in payload
 
 
+def _stops():
+    """(layer, run, units): ``run(budget)`` charges ``layer`` past a budget
+    of ``units``, on the triangle, the square and zero9."""
+    tri = parse_instance(TRIANGLE)
+    basis = default_basis(tri.graph)
+    walk = Budget()
+    points = lattice_points(tri, basis, walk)
+    tiles = fine_tiling(tri, basis)
+    foreign = [tiles[0]._replace(translation=tuple(v + 1 for v in tiles[0].translation))]
+    zero9 = parse_instance((GOLDEN / "zero9.pesp").read_text())
+    return (
+        ("offset search", lambda budget: solve_exact(tri, basis, budget), 2),
+        ("face vertices", lambda budget: solve_exact(zero9, budget=budget), 1000),
+        ("lattice points", lambda budget: lattice_points(tri, basis, budget), 2),
+        ("Kleene-star rows", lambda budget: enumerate_polytropes(tri, basis, budget), walk.spent),
+        ("Kleene-star rows", lambda budget: duality_check(tri, basis, tiles=tiles, budget=budget), 0),
+        ("tiling", lambda budget: fine_tiling(tri, basis, budget=budget), 0),
+        ("tile corners", lambda budget: validate_tiling(tri, basis, foreign, points, budget=budget), 1),
+        ("spanning trees", lambda budget: spanning_trees(tri.graph, budget), 2),
+    )
+
+
+def test_the_error_names_each_charged_layer():
+    """Every layer that charges the budget names itself, and the units
+    spent before it, in the error that stops it."""
+    for layer, run, units in _stops():
+        with pytest.raises(EnumerationCapExceeded) as stop:
+            run(Budget(units))
+        assert (stop.value.layer, stop.value.spent <= units) == (layer, True)
+        assert f" units ran out in {layer}: {stop.value.spent} spent, " in str(stop.value)
+
+
 def test_solve_tns_ignores_the_width_cap(tri, tmp_path, capsys):
-    """tns walks from a start and enumerates no box, so ``--cap-width 0``
-    (below the triangle's 3 box points) leaves its output and trace as
-    they are."""
+    """tns walks from a start and enumerates no box, so ``--cap-work 0``
+    leaves its output and trace as they are."""
     written = []
-    for extra in ([], ["--cap-width", "0"]):
+    for extra in ([], ["--cap-work", "0"]):
         trace = tmp_path / f"trace{len(written)}.jsonl"
         args = ["solve", tri, "--method", "tns", "--restarts", "2", "--trace", str(trace)]
         assert main(args + extra) == 0
@@ -471,10 +558,7 @@ MORE_GOLDENS += [("zero9", ["solve"], "solve.json")]
 MORE_GOLDENS += [
     ("mu6", ["solve", "--method", "tns", "--seed", "6", "--max-iter", "2"], "tns-cap2.json")
 ]
-MORE_GOLDENS += [
-    (name, ["polytropes", "--json", "--cap-width", "20000"], "polytropes.json")
-    for name in ("l5", "s8800")
-]
+MORE_GOLDENS += [(name, ["polytropes", "--json"], "polytropes.json") for name in ("l5", "s8800")]
 
 
 @pytest.mark.parametrize(
@@ -494,7 +578,7 @@ def test_solve_polytropes_and_render_goldens_are_byte_identical(
     zero9 is a ``bench/gen`` instance (n = 9, m = 13, ``random.Random(1)``)
     with every weight 0, so its first optimal face is a whole polytrope,
     56,320 spanning tree structures.  l5.polytropes (112 of 17,496 box
-    points, above the default cap) was written by building the polytrope
+    points) was written by building the polytrope
     of every box point; s8800.polytropes (183 of 12,288 box points) was
     written before the box search, by a depth-first walk of the box."""
     trace = tmp_path / "trace.jsonl"
@@ -509,9 +593,10 @@ def test_solve_polytropes_and_render_goldens_are_byte_identical(
 
 @pytest.mark.parametrize("instance", ["s8800", "l5"])
 def test_frontier_solves_are_byte_identical(instance, monkeypatch, capsys):
-    """``tests/golden/<instance>.solve.json`` is the stdout of ``solve
-    --cap-width 1000000`` on instances whose boxes are above the default
-    cap.  s8800 is the scaling instance of seed 8800: ``PERIOD 12`` and
+    """``tests/golden/<instance>.solve.json`` is the stdout of ``solve`` at
+    the default budget, written when a box count capped the solve instead
+    and these boxes were over it.  s8800 is the scaling instance of seed
+    8800: ``PERIOD 12`` and
     one ``ARC v<i> v<j> l u w`` line per arc, the arcs from
     ``bench/gen.random_arcs(rng, 18, 27)`` and then the bounds from
     ``random_bounds(rng, 27)``, with ``rng = random.Random(8800)`` (mu =
@@ -522,7 +607,7 @@ def test_frontier_solves_are_byte_identical(instance, monkeypatch, capsys):
     Bellman-Fords (15: one per polytrope solve, empty ones included),
     where a scan of the box runs one a point."""
     runs = count_bellman_ford(monkeypatch)
-    assert main(["solve", str(GOLDEN / f"{instance}.pesp"), "--cap-width", "1000000"]) == 0
+    assert main(["solve", str(GOLDEN / f"{instance}.pesp")]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{instance}.solve.json").read_text()
     assert instance != "s8800" or len(runs) <= 30
 

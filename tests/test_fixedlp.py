@@ -10,6 +10,7 @@ import peritrope.fixedlp
 import peritrope.polytropes
 import peritrope.search
 from peritrope import (
+    Budget,
     CycleBasis,
     Digraph,
     DisconnectedGraph,
@@ -30,7 +31,7 @@ from peritrope import (
 )
 from peritrope.fixedlp import certified_optimum, optimal_vertex
 from peritrope.polytropes import kappa
-from peritrope.zonotopes import _box_integer_ranges, lattice_points, odijk_box
+from peritrope.zonotopes import _box_integer_ranges, lattice_points, odijk_box, width
 from helpers import (
     box_points,
     check_certificate,
@@ -251,16 +252,16 @@ def test_the_face_grows_each_structure_once(monkeypatch):
     assert res == enumerate_fixed_offset(inst, p, objective)
 
 
-def test_tree_cap_propagates(monkeypatch):
-    """DEFAULT_ENUMERATION_CAP bounds the quotient trees of the optimal
-    face: the cap on the doubled quotient is scaled by 2^(k - 1) on k
-    classes, so it refuses exactly above the square's 12 trees."""
+def test_tree_cap_propagates():
+    """The optimal face's structures are charged to the budget before the
+    first: 12 quotient trees times 2^(k - 1) bound patterns on k = 4
+    classes, so 95 units refuse and 96 pay for the vertex."""
     inst, p, objective = _full_square_face()
-    monkeypatch.setattr(peritrope.fixedlp, "DEFAULT_ENUMERATION_CAP", 11)
-    with pytest.raises(EnumerationCapExceeded):
-        minimize_over_polytrope(inst, p, objective)
-    monkeypatch.setattr(peritrope.fixedlp, "DEFAULT_ENUMERATION_CAP", 12)
-    assert minimize_over_polytrope(inst, p, objective).objective == 0
+    optimum = certified_optimum(inst, p, objective)
+    with pytest.raises(EnumerationCapExceeded, match=" ran out in face vertices: 0 spent, 96 "):
+        optimal_vertex(inst, optimum, Budget(95))
+    budget = Budget(96)
+    assert optimal_vertex(inst, optimum, budget).objective == 0 and budget.spent == 96
 
 
 def test_a_solve_walks_no_tree(monkeypatch):
@@ -312,10 +313,8 @@ def _flow_oracle_cases():
         else:
             inst = random_instance(rng, max_vertices=6, max_arcs=8, max_period=10)
         g = inst.graph
-        try:
-            polys = enumerate_polytropes(inst, default_basis(g), cap=60)
-        except EnumerationCapExceeded:
-            polys = ()
+        basis = default_basis(g)
+        polys = enumerate_polytropes(inst, basis) if width(inst, basis) <= 60 else ()
         offsets = [poly.offset for poly in polys[:4]]
         for p in offsets[:2]:
             shift = [rng.randint(-2, 2) for _ in range(g.n)]

@@ -6,6 +6,7 @@ from functools import cached_property
 import pytest
 
 from peritrope import (
+    Budget,
     CycleBasis,
     Digraph,
     DisconnectedGraph,
@@ -25,7 +26,7 @@ from peritrope import (
     tension_to_timetable,
     verify_kernel_property,
 )
-from peritrope import contract_fixed_arcs, graphs, parse_instance
+from peritrope import contract_fixed_arcs, fine_tiling, graphs, parse_instance, zonotopes
 from peritrope.graphs import _eliminate, _inverse_frame, greedy_forest, tree_potentials, tree_walk
 from helpers import (
     _bareiss_det,
@@ -220,8 +221,10 @@ def test_spanning_trees_square_count():
 
 
 def test_spanning_trees_cap():
-    with pytest.raises(EnumerationCapExceeded):
-        spanning_trees(square_graph(), cap=5)
+    with pytest.raises(EnumerationCapExceeded, match=" ran out in spanning trees: 0 spent, 12 "):
+        spanning_trees(square_graph(), Budget(11))
+    budget = Budget(12)
+    assert len(spanning_trees(square_graph(), budget)) == 12 and budget.spent == 12
 
 
 def _random_multigraph(rng):
@@ -235,19 +238,18 @@ def _random_multigraph(rng):
     return Digraph(g.vertices, tuple(arcs))
 
 
-def _outcome(enumerate_trees, g, cap):
+def _outcome(enumerate_trees):
     try:
-        return enumerate_trees(g, cap=cap)
-    except EnumerationCapExceeded as exc:
-        return str(exc)
+        return enumerate_trees()
+    except EnumerationCapExceeded:
+        return "refused"
 
 
 def test_spanning_trees_match_the_subset_oracle_on_multigraphs():
     """The same sorted trees as every (n - 1)-arc subset a union-find
     takes and as the contraction-deletion recursion, and
-    EnumerationCapExceeded exactly when the count passes the cap, with
-    the recursion's message: a cap of count - 1 raises, a cap of count
-    does not."""
+    EnumerationCapExceeded exactly where the recursion passes its cap:
+    a budget of count - 1 units refuses, a budget of count does not."""
     total = 0
     for seed in range(200):
         g = _random_multigraph(random.Random(4000 + seed))
@@ -257,9 +259,9 @@ def test_spanning_trees_match_the_subset_oracle_on_multigraphs():
         count = len(trees)
         total += count
         for cap in {0, count // 2, count - 1, count}:
-            expected = trees if cap == count else f"more than {cap} spanning trees"
-            assert _outcome(spanning_trees, g, cap) == expected
-            assert _outcome(spanning_trees_by_contraction, g, cap) == expected
+            expected = trees if cap == count else "refused"
+            assert _outcome(lambda: spanning_trees(g, Budget(cap))) == expected
+            assert _outcome(lambda: spanning_trees_by_contraction(g, cap)) == expected
     assert total >= 2000, total
 
 
@@ -267,7 +269,8 @@ def test_a_single_vertex_has_the_empty_tree():
     g = Digraph(("v",), ())
     for enumerate_trees in (spanning_trees, spanning_trees_by_contraction):
         assert enumerate_trees(g) == ((),)
-        assert _outcome(enumerate_trees, g, 0) == "more than 0 spanning trees"
+    assert _outcome(lambda: spanning_trees(g, Budget(0))) == "refused"
+    assert _outcome(lambda: spanning_trees_by_contraction(g, 0)) == "refused"
     assert spanning_trees_by_subsets(g) == ((),)
 
 
@@ -320,27 +323,35 @@ def test_tree_growth_work_is_bounded_by_the_trees_visited():
     assert 0 < differences.reads <= (cap + 1) * (g.n - 1)
 
 
-def test_a_graph_over_the_tree_cap_is_refused_before_any_growth():
-    """The Kirchhoff count (7^5 = 16,807 trees) decides the cap: no tree
-    is visited and no difference is read."""
+def test_a_graph_over_the_tree_cap_is_refused_before_any_growth(monkeypatch):
+    """The Kirchhoff count (7^5 = 16,807 trees) is charged up front: a
+    tree list, one unit a tree, or a tiling, mu units a tile, that the
+    units left cannot pay for starts no growth."""
     g = _core_with_pendant_arcs()
     trees = count_spanning_trees_determinant(g)
-    differences = _CountedReads((0,) * g.m)
-    visited = []
-
-    def visit(tree, run_toward, run_away, pi):
-        visited.append(tuple(tree))
-
-    with pytest.raises(EnumerationCapExceeded, match=f"^more than {trees - 1} spanning trees$"):
-        graphs.grow_spanning_trees(g, visit, differences, differences, cap=trees - 1)
-    assert trees == 7**5 and visited == [] and differences.reads == 0
+    grown = []
+    monkeypatch.setattr(graphs, "grow_spanning_trees", lambda *args: grown.append(args))
+    monkeypatch.setattr(zonotopes, "grow_spanning_trees", lambda *args: grown.append(args))
+    inst = PespInstance(g, 10, (1,) * g.m, (5,) * g.m, (1,) * g.m)
+    basis = default_basis(g)
+    refusals = (
+        (lambda budget: spanning_trees(g, budget), "spanning trees", trees),
+        (lambda budget: fine_tiling(inst, basis, budget=budget), "tiling", basis.mu * trees),
+    )
+    for enumerate_trees, layer, units in refusals:
+        budget = Budget(units + 6)
+        budget.charge("earlier work", 7)
+        message = f"^the work budget of {units + 6} units ran out in {layer}: 7 spent, {units} more"
+        with pytest.raises(EnumerationCapExceeded, match=message):
+            enumerate_trees(budget)
+        assert budget.spent == 7
+    assert trees == 7**5 and basis.mu == 15 and grown == []
 
 
 def test_the_tree_count_is_taken_only_where_the_cap_can_bind(monkeypatch):
-    """A graph has at most C(m, n - 1) spanning trees, so below that bound
-    the cap cannot bind and no determinant is taken; above it the
-    Kirchhoff count still decides, and a disconnected graph still fails
-    first even where the bound is 0."""
+    """The count is taken where a budget is charged, once per tree list and
+    before its growth; the growth itself takes none, and a disconnected
+    graph fails in the count, before any growth."""
     calls = []
     determinant = graphs.count_spanning_trees_determinant
 
@@ -349,15 +360,17 @@ def test_the_tree_count_is_taken_only_where_the_cap_can_bind(monkeypatch):
         return determinant(g)
 
     monkeypatch.setattr(graphs, "count_spanning_trees_determinant", counted)
-    g = square_graph()  # C(6, 3) = 20 trees at most, 12 in fact
-    assert len(spanning_trees(g)) == len(spanning_trees(g, cap=20)) == 12
-    assert calls == []
-    with pytest.raises(EnumerationCapExceeded, match="^more than 11 spanning trees$"):
-        spanning_trees(g, cap=11)
-    assert len(spanning_trees(g, cap=19)) == 12 and calls == [g, g]
+    g = square_graph()
+    budget = Budget()
+    assert len(spanning_trees(g, budget)) == 12 and calls == [g] and budget.spent == 12
+    zeros = (0,) * g.m
+    graphs.grow_spanning_trees(g, lambda *tree: None, zeros, zeros)
+    with pytest.raises(EnumerationCapExceeded, match="^the work budget of 11 units ran out in "):
+        spanning_trees(g, Budget(11))
+    assert calls == [g, g]
     with pytest.raises(DisconnectedGraph):
         spanning_trees(Digraph(("a", "b", "c", "d"), (("a", "b"), ("c", "d"))))
-    assert len(calls) == 2
+    assert len(calls) == 3
 
 
 class _CountedPairs(Digraph):

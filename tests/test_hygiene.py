@@ -5,8 +5,10 @@ renderer, no state that outlives a call (a module-level container or a
 indented ``json.dump``/``json.dumps`` (an indent selects the pure-Python
 encoder; ``cli._json_text`` writes those bytes), no import upward from
 the polytrope layer (``polytropes`` and ``fixedlp``) into the modules
-built on it, no ``dataclasses`` import, and no import the module does
-not read.  Every function that ``bench/tracer.py`` wraps by name is still
+built on it, no ``dataclasses`` import, no ``numpy``, ``scipy`` or
+``networkx`` import (CI installs only pytest and hypothesis, and every
+solver path stays in exact integers), and no import the module does not
+read.  Every function that ``bench/tracer.py`` wraps by name is still
 there to wrap, and every top-level function and class is reached by name
 from a command, an acceptance criterion, an oracle or a traced target,
 or is kept on purpose.
@@ -215,8 +217,9 @@ def test_package_imports_are_found():
     assert package_imports(source) == {"graphs", "zonotopes", "cli", "search", "exact", "render"}
 
 
-def dataclasses_imports(source):
-    """Line numbers of every ``dataclasses`` import, also inside functions."""
+def imports_of(source, modules):
+    """Line numbers of every import of a module whose top-level name is in
+    ``modules``, also inside functions; relative imports are the package's."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -225,9 +228,14 @@ def dataclasses_imports(source):
             names = [node.module or ""]
         else:
             continue
-        if any(name.split(".")[0] == "dataclasses" for name in names):
+        if any(name.split(".")[0] in modules for name in names):
             found.append(node.lineno)
     return found
+
+
+def dataclasses_imports(source):
+    """Line numbers of every ``dataclasses`` import, also inside functions."""
+    return imports_of(source, {"dataclasses"})
 
 
 def test_no_dataclasses_import():
@@ -237,6 +245,34 @@ def test_no_dataclasses_import():
         for line in dataclasses_imports(p.read_text(encoding="utf-8"))
     ]
     assert found == []
+
+
+NUMERICAL = {"numpy", "scipy", "networkx"}
+
+
+def test_no_numpy_scipy_or_networkx_import():
+    found = [
+        f"{p.name}:{line}"
+        for p in MODULES
+        for line in imports_of(p.read_text(encoding="utf-8"), NUMERICAL)
+    ]
+    assert found == []
+
+
+def test_numerical_imports_are_found():
+    source = (
+        "import numpy as np\nfrom scipy.optimize import milp\nimport json, networkx\n"
+        "def f():\n    import scipy.sparse\n    from networkx.algorithms import tree\n"
+    )
+    assert imports_of(source, NUMERICAL) == [1, 2, 3, 5, 6]
+
+
+def test_a_source_without_numerical_imports_passes():
+    source = (
+        "import numbers\nfrom .numpy_free import solve\nfrom . import scipy_like\n"
+        "NOTE = 'import numpy'\ndef f(networkx):\n    return networkx.scipy\n"
+    )
+    assert imports_of(source, NUMERICAL) == []
 
 
 def test_dataclasses_imports_are_found():

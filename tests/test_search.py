@@ -9,6 +9,7 @@ import peritrope.polytropes
 import peritrope.search
 import peritrope.zonotopes
 from peritrope import (
+    Budget,
     CycleBasis,
     Digraph,
     EnumerationCapExceeded,
@@ -137,7 +138,7 @@ def test_tns_restarts_enumerate_the_tree_pool_at_most_once(monkeypatch):
     list: one ``spanning_trees`` call per graph when first attempts fail,
     none when every first attempt lands, and none for a later solve on the
     same graph.  The starts are those of a fresh graph per start, also when
-    the list falls back to the greedy tree beyond the cap."""
+    the list falls back to the greedy tree beyond its pool of trees."""
     calls = _count_spanning_trees(monkeypatch)
     for restarts in (1, 3, 5):
         inst = parse_instance(RETRIED)
@@ -159,7 +160,7 @@ def test_tns_restarts_enumerate_the_tree_pool_at_most_once(monkeypatch):
             pass
         counts.append(len(calls))
     assert set(counts) == {0, 1}, counts
-    monkeypatch.setattr(peritrope.graphs, "DEFAULT_ENUMERATION_CAP", 1)
+    monkeypatch.setattr(peritrope.graphs, "RETRY_POOL", 1)
     inst = parse_instance(RETRIED)
     calls.clear()
     starts = [initial_solution(inst, seed=k) for k in range(4)]
@@ -344,7 +345,9 @@ def test_neighbourhood_graph_solves_only_the_lattice_points(monkeypatch):
     place of 323.  Each solve is the one test of its box point, so no
     separate ``lattice_points`` walk (46 runs) comes first: the 35 nodes
     and 9 empty offsets are solved once each, and the rows of the empty
-    ones rule out the rest of the box.  The cap error is the box's."""
+    ones rule out the rest of the box.  Its gradings, its solves and the
+    optimal faces of its nodes are charged to the budget: one unit too few
+    stops the last face, and 50 units the search."""
     inst = parse_instance((GOLDEN / "mu6.pesp").read_text())
     basis = default_basis(inst.graph)
     nodes = lattice_points_by_box_scan(inst, basis)
@@ -354,11 +357,14 @@ def test_neighbourhood_graph_solves_only_the_lattice_points(monkeypatch):
     moves = peritrope.polytropes.steps
     edges = sorted({tuple(sorted((z, y))) for z in nodes for y in moves(basis, z) if y in objective})
     tested = count_bellman_ford(monkeypatch)
-    graph = neighbourhood_graph(inst, basis)
+    budget = Budget()
+    graph = neighbourhood_graph(inst, basis, budget)
     assert (graph.nodes, list(graph.edges), graph.objective) == (nodes, edges, objective)
     assert len(tested) == 35 + 9 and len(nodes) == 35 and width(inst, basis) == 288
-    with pytest.raises(EnumerationCapExceeded, match="^box holds 288 integer points, cap is 287$"):
-        neighbourhood_graph(inst, basis, width_cap=287)
+    assert neighbourhood_graph(inst, basis, Budget(budget.spent)) == graph
+    for units, layer in ((budget.spent - 1, "face vertices"), (50, "offset search")):
+        with pytest.raises(EnumerationCapExceeded, match=f" ran out in {layer}: "):
+            neighbourhood_graph(inst, basis, Budget(units))
 
 
 _CALLERS = {
@@ -731,9 +737,7 @@ def test_the_search_bounds_each_whole_offset_once_and_hands_that_bound_on(monkey
 
     monkeypatch.setattr(peritrope.search, "cycle_relaxation_bound", counting)
     monkeypatch.setattr(OffsetMemo, "optimum", optimum)
-    runs = [lambda: solve_exact(inst, basis, width_cap=20_000)]
-    if name != "s8800":  # above the default cap
-        runs.append(lambda: neighbourhood_graph(inst, basis))
+    runs = [lambda: solve_exact(inst, basis), lambda: neighbourhood_graph(inst, basis)]
     raised = 0
     for run in runs:
         bounded.clear()

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from peritrope import (
+    Budget,
     CycleBasis,
     Digraph,
     EnumerationCapExceeded,
@@ -134,9 +135,14 @@ def test_scaled_membership_hits_the_segment_ends():
 
 
 def test_lattice_cap():
+    """The walk's gradings and Bellman-Fords are charged to its budget, and
+    one too few units stop it in the lattice points layer."""
     sq = square_instance()
-    with pytest.raises(EnumerationCapExceeded):
-        lattice_points(sq, square_basis(), cap=5)
+    budget = Budget()
+    points = lattice_points(sq, square_basis(), budget)
+    assert lattice_points(sq, square_basis(), Budget(budget.spent)) == points
+    with pytest.raises(EnumerationCapExceeded, match=" ran out in lattice points: "):
+        lattice_points(sq, square_basis(), Budget(budget.spent - 1))
 
 
 # mu 1,199 and a one-point box: a recursive walk, one Python frame per box
@@ -1042,7 +1048,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 def _duality_corpus():
     """(inst, basis) pairs: the worked instances, the golden instance
     files (fixed arcs contracted, as ``analyze`` does) but the frontier
-    solves s8800 and l5, whose spanning trees are over the cap, and 200
+    solves s8800 and l5, whose tilings are over the default budget, and 200
     seeded random instances, of which the first 100 are the acceptance
     corpus."""
     yield _triangle()
