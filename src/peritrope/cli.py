@@ -305,21 +305,12 @@ def cmd_polytropes(args):
     inst = _load_instance(args)
     basis = _basis_for(args, inst.graph)
     polys = enumerate_polytropes(inst, basis, Budget(args.cap_work))
-    if args.json or args.out:
-        payload = [
-            {
-                "cycle_offset": list(p.cycle_offset),
-                "offset": list(p.offset),
-                "dimension": p.dimension,
-            }
-            for p in polys
-        ]
+    if args.json:
+        fields = [(list(p.cycle_offset), list(p.offset), p.dimension) for p in polys]
+        payload = [dict(zip(("cycle_offset", "offset", "dimension"), f)) for f in fields]
         _emit(args, _json_text(payload) + "\n")
     else:
-        for p in polys:
-            sys.stdout.write(
-                f"z={tuple(p.cycle_offset)} dim={p.dimension} p={tuple(p.offset)}\n"
-            )
+        _emit(args, "".join(f"z={p.cycle_offset} dim={p.dimension} p={p.offset}\n" for p in polys))
     return 0
 
 

@@ -10,14 +10,17 @@ One Bellman-Ford kernel, ``_potentials``, finds every shortest path here,
 in exact integer arithmetic like everything else; when it fails, its
 parent edges lead ``negative_cycle`` to the cycle that proves the class
 empty.  One class kernel, ``_face_classes``, finds the equality classes
-(vertices tied by a zero cycle) from feasible potentials: of a polytrope,
-for its dimension, and of the optimal face of a solve, for ``fixedlp``.
+(vertices tied by a zero cycle) from any feasible potentials: of a
+polytrope, for its dimension, and of the optimal face of a solve, for
+``fixedlp``.  A ``Polytrope`` is its offset, cycle offset and dimension;
+its Kleene star, n more runs, is built only when ``dist`` is read.
 """
 
 from collections import namedtuple
+from functools import cached_property
 
 from .errors import DisconnectedGraph, EmptyPolytrope, Infeasible, NotATension
-from .graphs import Budget, _require_connected, integers, tree_potentials
+from .graphs import _require_connected, integers, tree_potentials
 
 
 def kappa(inst, p):
@@ -149,23 +152,27 @@ def polytrope_nonempty(inst, p):
     return _potentials(inst.graph.n, kappa(inst, p)) is not None
 
 
-class Polytrope(namedtuple("Polytrope", "offset cycle_offset dist dimension period vertex_ids")):
-    """One offset class: representative p, key z, canonical distance matrix.
-
-    ``dist`` is None exactly when the class is empty.  ``dimension`` is -1
-    for the empty class, otherwise one less than the number of components
-    of the zero-cycle equality graph.
-    """
-
-    __slots__ = ()
+class Polytrope(namedtuple("Polytrope", "offset cycle_offset dimension instance")):
+    """One offset class: canonical offset p, key z, and dimension, -1 for
+    the empty class, else one less than the number of its equality classes.
+    ``dist``, the Kleene star of kappa(p) (None for the empty class), runs
+    its n rows on first read and keeps them in the record's __dict__."""
 
     @property
     def nonempty(self):
-        return self.dist is not None
+        return self.dimension >= 0
 
     @property
     def n(self):
-        return len(self.vertex_ids)
+        return self.instance.graph.n
+
+    @cached_property
+    def dist(self):
+        if not self.nonempty:
+            return None
+        edges = kappa(self.instance, self.offset)
+        # kappa(p) is strongly connected, so each run from a source is its row.
+        return tuple(tuple(_potentials(self.n, edges, i)) for i in range(self.n))
 
 
 def polytrope_build(inst, basis, p):
@@ -176,27 +183,17 @@ def polytrope_build(inst, basis, p):
     # Offsets with the same cycle offset describe the same torus region, so
     # build from the canonical class representative; dist then depends on z
     # only, not on which preimage the caller happened to pass.
-    return _polytrope_at(inst, z, offset_for(inst, basis, z), Budget())
-
-
-def _polytrope_at(inst, z, p, budget):
-    """The polytrope of cycle offset z from its canonical offset p
-    (``offset_for``), which a caller that already holds it passes on; each
-    Kleene-star row is charged to ``budget``."""
-    g = inst.graph
-    _require_connected(g)
-    budget.charge("Kleene-star rows")
+    p = offset_for(inst, basis, z)
+    _require_connected(inst.graph)
     edges = kappa(inst, p)
-    first = _potentials(g.n, edges, 0)
-    if first is None:
-        return Polytrope(p, z, None, -1, inst.period, g.vertices)
-    budget.charge("Kleene-star rows", g.n - 1)
-    # kappa(p) is strongly connected, so each run from a source is its row.
-    rows = [first] + [_potentials(g.n, edges, i) for i in range(1, g.n)]
-    # Row 0 is a shortest path length from vertex 0, so feasible potentials.
-    rep, _ = _face_classes(g.n, edges, first)
-    dimension = len(set(rep)) - 1
-    return Polytrope(p, z, tuple(map(tuple, rows)), dimension, inst.period, g.vertices)
+    return _polytrope(inst, z, p, edges, _potentials(inst.graph.n, edges))
+
+
+def _polytrope(inst, z, p, edges, phi):
+    """The polytrope of cycle offset z, canonical offset p and kappa(p) =
+    ``edges``, from any feasible potentials ``phi`` (None: it is empty)."""
+    dimension = -1 if phi is None else len(set(_face_classes(inst.graph.n, edges, phi)[0])) - 1
+    return Polytrope(p, z, dimension, inst)
 
 
 def normalize_timetable(pi, root, period):
@@ -205,12 +202,11 @@ def normalize_timetable(pi, root, period):
     return tuple((x - base) % period for x in pi)
 
 
-def _root_index(poly_or_graph, root):
-    ids = poly_or_graph.vertex_ids if isinstance(poly_or_graph, Polytrope) else poly_or_graph.vertices
+def _root_index(g, root):
     if root is None:
         return 0
-    if root in ids:
-        return ids.index(root)
+    if root in g.vertices:
+        return g.vertices.index(root)
     raise ValueError(f"unknown vertex {root!r}")
 
 
@@ -232,7 +228,7 @@ def tropical_vertices(poly, root=None):
     j) of the class."""
     if not poly.nonempty:
         raise EmptyPolytrope("empty class has no tropical vertices")
-    r = _root_index(poly, root)
+    r = _root_index(poly.instance.graph, root)
     return tuple(anchor_timetable(row, r) for row in poly.dist)
 
 

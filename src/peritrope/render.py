@@ -107,7 +107,7 @@ def polytrope_polygon(poly):
     if not poly.nonempty:
         return ()
     d = poly.dist
-    bound = max(abs(v) for row in d for v in row) + poly.period + 1
+    bound = max(abs(v) for row in d for v in row) + poly.instance.period + 1
     square = [
         (Fraction(-bound), Fraction(-bound)),
         (Fraction(bound), Fraction(-bound)),

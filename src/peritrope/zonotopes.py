@@ -7,8 +7,9 @@ divided by T.  A point is a lattice point exactly when every scaled
 coordinate is divisible by T.
 
 ``BoxSearch`` is the one search over box prefixes, for ``search.OffsetMemo``
-and for ``lattice_points``, whose key (0, prefix) pops in sorted box order;
-it learns an Odijk row from each empty point (``learn_row``) to prune the rest.
+and for the lattice walk that ``lattice_points`` and ``enumerate_polytropes``
+share, whose key (0, prefix) pops in sorted box order; it learns an Odijk
+row from each empty point (``learn_row``) to prune the rest.
 One ``TileKernel`` per (inst, basis) builds the tiles a structure implies,
 for ``fine_tiling`` and ``validate_tiling``, and holds the volume, one Gram
 determinant, that they and ``width_bound_report`` read.  A foreign tile,
@@ -19,14 +20,14 @@ appear only in volumes and the width bound chain.
 
 No enumeration here is refused for the size of its box.  Each charges
 the command's ``graphs.Budget`` as it works: a node graded or a point
-tested, a Kleene-star row, a foreign tile's 2^mu corners, and a tiling
-mu units a tile, its Kirchhoff count, before the first tile.
+tested, a root's row in ``duality_check``, a foreign tile's 2^mu corners,
+and a tiling mu units a tile, its Kirchhoff count, before the first tile.
 """
 
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from heapq import heappop, heappush
 
 from .errors import EnumerationCapExceeded, FixedArcPresent, InvariantViolation
@@ -41,7 +42,7 @@ from .graphs import (
     tree_potentials,
 )
 from .polytropes import (
-    _polytrope_at,
+    _polytrope,
     _potentials,
     _root_index,
     anchor_timetable,
@@ -165,15 +166,6 @@ def suffix_extremes(ty, box):
     return low[::-1], high[::-1]
 
 
-def enumerate_polytropes(inst, basis, budget=None):
-    """The polytropes of the ``lattice_points``, both charged to ``budget``
-    (None: a fresh ``Budget``); DisconnectedGraph before any Bellman-Ford."""
-    _require_connected(inst.graph)
-    budget = budget or Budget()
-    points = lattice_points(inst, basis, budget)
-    return tuple(_polytrope_at(inst, z, offset_for(inst, basis, z), budget) for z in points)
-
-
 class BoxSearch:
     """One best-first search over the prefixes of the box points.  Learned
     ``forms`` (ty, low, high, lo, hi, const), low[k] and high[k] the least
@@ -249,6 +241,21 @@ def lattice_points(inst, basis, budget=None):
     """The feasible cycle offsets, in sorted order, by the ``BoxSearch``
     with key (0, prefix) and one Bellman-Ford per point it reaches, charged
     to ``budget`` (None: a fresh ``Budget``)."""
+    return _lattice_walk(inst, basis, budget, lambda z, p, edges, phi: z)
+
+
+def enumerate_polytropes(inst, basis, budget=None):
+    """The polytropes of the ``lattice_points``, from the same walk and
+    charged to ``budget`` alike: each point's dimension is read off the
+    potentials its Bellman-Ford found, and no Kleene-star row is built.
+    DisconnectedGraph before any Bellman-Ford."""
+    _require_connected(inst.graph)
+    return _lattice_walk(inst, basis, budget, partial(_polytrope, inst))
+
+
+def _lattice_walk(inst, basis, budget, keep):
+    """``keep(z, p, edges, phi)`` of each lattice point z in sorted order,
+    p its offset, ``edges`` kappa(p) and phi its Bellman-Ford's potentials."""
     box = _box_integer_ranges(inst, basis)
     if not all(box):
         return ()
@@ -257,18 +264,21 @@ def lattice_points(inst, basis, budget=None):
     # offset lattice: one raises ValueError if any point has no integer offset.
     for k in (k for k, r in enumerate(box) if len(r) > 1 and abs(basis.cotree_frame[1]) != 1):
         offset_for(inst, basis, tuple(r[j == k] for j, r in enumerate(box)))
-    search, points = BoxSearch(box, budget or Budget(), "lattice points"), []
+    search, points, kept = BoxSearch(box, budget or Budget(), "lattice points"), [], []
 
     def leaf(z, lower, relax):
-        edges, parent = kappa(inst, offset_for(inst, basis, z)), {}
-        if _potentials(inst.graph.n, edges, parent=parent) is not None:
+        p = offset_for(inst, basis, z)
+        edges, parent = kappa(inst, p), {}
+        phi = _potentials(inst.graph.n, edges, parent=parent)
+        if phi is not None:
             points.append(z)
+            kept.append(keep(z, p, edges, phi))
         else:
             row = learn_row(inst, basis, box, z, negative_cycle(edges, parent), points)
             search.forms.append(row)
 
     search.run([(0, ())], (1, ()), lambda prefix: 0, leaf)
-    return tuple(points)
+    return tuple(kept)
 
 
 def volume(inst, basis):

@@ -248,6 +248,16 @@ def test_one_volume_per_command(command, monkeypatch, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"mu6.{command}.json").read_bytes()
 
 
+@pytest.mark.parametrize("flags, golden", [([], "txt"), (["--json"], "json")])
+def test_polytropes_out_keeps_the_format_json_chooses(flags, golden, tmp_path, capsys):
+    """``--out`` moves the output of ``polytropes`` into the file and leaves
+    its format alone: one line per polytrope unless ``--json`` is given."""
+    out = tmp_path / "out"
+    assert main(["polytropes", str(GOLDEN / "mu6.pesp"), "--out", str(out), *flags]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == (GOLDEN / f"mu6.polytropes.{golden}").read_bytes()
+
+
 @pytest.mark.parametrize("command", ["analyze", "tile"])
 def test_tiling_and_validation_share_one_kernel(square, command, monkeypatch, capsys):
     """The tiling and its validation run on one ``TileKernel``: the
@@ -475,8 +485,7 @@ def _stops():
     of ``units``, on the triangle, the square and zero9."""
     tri = parse_instance(TRIANGLE)
     basis = default_basis(tri.graph)
-    walk = Budget()
-    points = lattice_points(tri, basis, walk)
+    points = lattice_points(tri, basis)
     tiles = fine_tiling(tri, basis)
     foreign = [tiles[0]._replace(translation=tuple(v + 1 for v in tiles[0].translation))]
     zero9 = parse_instance((GOLDEN / "zero9.pesp").read_text())
@@ -484,7 +493,7 @@ def _stops():
         ("offset search", lambda budget: solve_exact(tri, basis, budget), 2),
         ("face vertices", lambda budget: solve_exact(zero9, budget=budget), 1000),
         ("lattice points", lambda budget: lattice_points(tri, basis, budget), 2),
-        ("Kleene-star rows", lambda budget: enumerate_polytropes(tri, basis, budget), walk.spent),
+        ("lattice points", lambda budget: enumerate_polytropes(tri, basis, budget), 2),
         ("Kleene-star rows", lambda budget: duality_check(tri, basis, tiles=tiles, budget=budget), 0),
         ("tiling", lambda budget: fine_tiling(tri, basis, budget=budget), 0),
         ("tile corners", lambda budget: validate_tiling(tri, basis, foreign, points, budget=budget), 1),
@@ -559,6 +568,7 @@ MORE_GOLDENS += [
     ("mu6", ["solve", "--method", "tns", "--seed", "6", "--max-iter", "2"], "tns-cap2.json")
 ]
 MORE_GOLDENS += [(name, ["polytropes", "--json"], "polytropes.json") for name in ("l5", "s8800")]
+MORE_GOLDENS += [("mu6", ["polytropes"], "polytropes.txt")]
 
 
 @pytest.mark.parametrize(
@@ -580,7 +590,9 @@ def test_solve_polytropes_and_render_goldens_are_byte_identical(
     56,320 spanning tree structures.  l5.polytropes (112 of 17,496 box
     points) was written by building the polytrope
     of every box point; s8800.polytropes (183 of 12,288 box points) was
-    written before the box search, by a depth-first walk of the box."""
+    written before the box search, by a depth-first walk of the box.
+    mu6.polytropes.txt, the text form, was written while each polytrope
+    still built its Kleene star."""
     trace = tmp_path / "trace.jsonl"
     tns = "tns" in command
     argv = [command[0], str(GOLDEN / f"{instance}.pesp"), *command[1:]]

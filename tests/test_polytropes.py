@@ -5,10 +5,12 @@ import random
 import pytest
 
 import peritrope.polytropes
+import peritrope.zonotopes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peritrope import (
+    Budget,
     CycleBasis,
     Digraph,
     DisconnectedGraph,
@@ -23,6 +25,7 @@ from peritrope import (
     enumerate_polytropes,
     fine_tiling,
     kappa,
+    lattice_points,
     neighbors,
     normalize_timetable,
     offset_for,
@@ -45,6 +48,7 @@ from helpers import (
     in_polytrope,
     random_bases,
     random_connected_digraph,
+    random_corpus,
     random_instance,
     shortest_path_matrix,
     square_basis,
@@ -352,33 +356,43 @@ def test_neighbors_tree_instance():
     assert neighbors(inst, basis, ()) == set()
 
 
-def test_enumerate_polytropes_runs_one_run_per_walked_point_and_n_per_nonempty(monkeypatch):
+def test_enumerate_polytropes_runs_one_run_per_walked_point(monkeypatch):
     """``lattice_points`` runs one virtual-source Bellman-Ford per box
-    point its walk reaches; each nonempty point then runs its n rows, from
-    vertex 0 on.  A full box, the triangle's, so costs one run more per
-    polytrope than a scan whose row 0 is its emptiness test: 12 against 9.
-    On l5 the walk reaches 156 of the 17,496 box points, and the
-    polytropes are those of ``tests/golden/l5.polytropes.json``, written
-    by building the polytrope of every box point."""
-    l5 = parse_instance((GOLDEN / "l5.pesp").read_text())
-    cases = [_triangle(), (square_instance(), square_basis()), (l5, default_basis(l5.graph))]
-    expected = [_per_point_polytropes(inst, basis) for inst, basis in cases[:2]]
-    expected.append(json.loads((GOLDEN / "l5.polytropes.json").read_text()))
+    point its walk reaches, and ``enumerate_polytropes`` runs that walk and
+    no run beyond it, and spends the same units: each dimension is read
+    off the walk's own potentials, and no Kleene-star row runs until
+    ``dist`` is read.  The walk reaches the triangle's 3 box points, the
+    square's 12, 156 of l5's 17,496 and 201 of s8800's 12,288.  The
+    polytropes are those of ``polytrope_build`` at every nonempty box
+    point (triangle, square) or of the goldens, written by building the
+    polytrope of every box point (l5, s8800)."""
+    cases = [_triangle(), (square_instance(), square_basis())]
+    expected = [_as_json(_per_point_polytropes(inst, basis)) for inst, basis in cases]
+    for name in ("l5", "s8800"):
+        inst = parse_instance((GOLDEN / f"{name}.pesp").read_text())
+        cases.append((inst, default_basis(inst.graph)))
+        expected.append(json.loads((GOLDEN / f"{name}.polytropes.json").read_text()))
     runs = count_bellman_ford(monkeypatch)
     walked = []
     for (inst, basis), want in zip(cases, expected):
         n = inst.graph.n
-        polys = enumerate_polytropes(inst, basis)
-        if isinstance(want, list):  # the golden's JSON, as ``peritrope polytropes --json``
-            polys = [
-                {"cycle_offset": list(z), "offset": list(p), "dimension": dim}
-                for p, z, _, dim, _, _ in polys
-            ]
-        assert polys == want
-        walked.append(runs.count((n, None)))
-        assert runs == [(n, None)] * walked[-1] + [(n, i) for _ in polys for i in range(n)]
-        runs.clear()
-    assert walked == [3, 12, 156] and width(*cases[2]) == 17_496
+        spent = []
+        for walk in (lattice_points, enumerate_polytropes):
+            budget = Budget()
+            found = walk(inst, basis, budget)
+            spent.append((tuple(runs), budget.spent))
+            runs.clear()
+        assert spent[0] == spent[1]
+        walked.append(len(spent[0][0]))
+        assert spent[0][0] == ((n, None),) * walked[-1]
+        assert _as_json(found) == want
+    assert walked == [3, 12, 156, 201]
+    assert width(*cases[2]) == 17_496 and width(*cases[3]) == 12_288
+
+
+def _as_json(polys):
+    """The polytropes as ``peritrope polytropes --json`` writes them."""
+    return [{"cycle_offset": list(z), "offset": list(p), "dimension": dim} for p, z, dim, _ in polys]
 
 
 def _per_point_polytropes(inst, basis, cap=10_000):
@@ -407,9 +421,10 @@ def test_a_disconnected_instance_builds_no_polytrope(monkeypatch):
 def test_each_walked_point_gets_one_offset_preimage(monkeypatch):
     """``lattice_points`` takes one ``offset_from_cycle_offset`` per box
     point its walk reaches, and no other under an integral basis;
-    ``enumerate_polytropes`` takes one more per polytrope, and
-    ``duality_check`` one per distinct lattice point of its tiles (11 for
-    the square's 12 checked tiles), kept beside that point's root row.
+    ``enumerate_polytropes`` takes those and no more, each polytrope
+    keeping its point's, and ``duality_check`` one per distinct lattice
+    point of its tiles (11 for the square's 12 checked tiles), kept beside
+    that point's root row.
     The polytropes are the ones ``polytrope_build`` gives at each
     nonempty box point: on the square, and on s8800, where the walk
     reaches 201 of the 12,288 box points."""
@@ -430,7 +445,7 @@ def test_each_walked_point_gets_one_offset_preimage(monkeypatch):
     for (inst, basis), want in zip(cases, expected):
         assert enumerate_polytropes(inst, basis) == want
         walked.append(runs.count((inst.graph.n, None)))
-        assert len(calls) == walked[-1] + len(want)
+        assert len(calls) == walked[-1]
         calls.clear()
         runs.clear()
     assert walked == [12, 201] and width(*cases[1]) == 12_288
@@ -438,6 +453,71 @@ def test_each_walked_point_gets_one_offset_preimage(monkeypatch):
     assert report.checked == 12 and report.ok
     assert len(calls) == len(set(calls)) == 11
     assert set(calls) == {t.lattice_point for t in tiles} - {None}
+
+
+def test_the_walks_potentials_give_the_classes_of_kleene_row_0(monkeypatch):
+    """A polytrope's dimension is read off the potentials the lattice
+    walk's Bellman-Ford found at its point.  Any feasible potentials give
+    the same equality classes, since a zero cycle is tight at every point:
+    on ``random_corpus(150)`` and the l5 and s8800 goldens, ``_face_classes``
+    of the walk's potentials and of ``dist[0]``, row 0 of the Kleene star,
+    agree on every class."""
+    honest = peritrope.zonotopes._polytrope
+    seen = []
+
+    def recording(inst, z, p, edges, phi):
+        seen.append((honest(inst, z, p, edges, phi), edges, phi))
+        return seen[-1][0]
+
+    monkeypatch.setattr(peritrope.zonotopes, "_polytrope", recording)
+    cases = [(inst, basis) for inst, basis, _, _ in random_corpus(150)]
+    for name in ("l5", "s8800"):
+        inst = parse_instance((GOLDEN / f"{name}.pesp").read_text())
+        cases.append((inst, default_basis(inst.graph)))
+    checked = 0
+    for inst, basis in cases:
+        assert enumerate_polytropes(inst, basis) == tuple(poly for poly, _, _ in seen)
+        for poly, edges, phi in seen:
+            rep = _face_classes(poly.n, edges, phi)[0]
+            assert rep == _face_classes(poly.n, edges, list(poly.dist[0]))[0], poly
+            assert poly.dimension == len(set(rep)) - 1
+        checked += len(seen)
+        seen.clear()
+    assert checked == 184 + 112 + 183, checked
+
+
+def test_dist_runs_its_n_rows_once_on_first_read(monkeypatch):
+    """``dist`` runs the n Kleene-star rows, from vertex 0 on, when first
+    read, and a second read takes the kept matrix; an empty class reads
+    None and runs nothing."""
+    runs = count_bellman_ford(monkeypatch)
+    for inst, basis in (_triangle(), (square_instance(), square_basis())):
+        n = inst.graph.n
+        polys = enumerate_polytropes(inst, basis)
+        runs.clear()
+        for poly in polys:
+            first = poly.dist
+            assert poly.dist is first and len(first) == n
+            assert runs == [(n, i) for i in range(n)]
+            runs.clear()
+    empty = polytrope_build(*_triangle(), (0, 0, 3))
+    runs.clear()
+    assert empty.dist is None and empty.dist is None and runs == []
+
+
+def test_tropical_vertices_of_an_enumerated_polytrope_match_polytrope_build():
+    """An enumerated polytrope equals ``polytrope_build``'s at its offset,
+    and so do its tropical vertices, from the default root and from the
+    last vertex, on the triangle, the square and mu6."""
+    mu6 = parse_instance((GOLDEN / "mu6.pesp").read_text())
+    cases = [_triangle(), (square_instance(), square_basis()), (mu6, default_basis(mu6.graph))]
+    for inst, basis in cases:
+        last = inst.graph.vertices[-1]
+        for poly in enumerate_polytropes(inst, basis):
+            built = polytrope_build(inst, basis, poly.offset)
+            assert poly == built
+            for root in (None, last):
+                assert tropical_vertices(poly, root) == tropical_vertices(built, root)
 
 
 def test_enumerate_polytropes_counts():

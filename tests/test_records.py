@@ -99,10 +99,11 @@ RECORDS = {
         "NeighbourhoodGraph(nodes=((0,), (1,)), edges=(((0,), (1,)),),"
         " objective={(0,): 14, (1,): 14})",
     ),
+    # A polytrope holds its instance and no distance matrix: ``dist`` is
+    # built on first read, off the fields.
     "Polytrope": (
-        lambda: Polytrope((0, 0, 1), (1,), None, -1, 10, ("a", "b", "c")),
-        "Polytrope(offset=(0, 0, 1), cycle_offset=(1,), dist=None, dimension=-1, period=10,"
-        " vertex_ids=('a', 'b', 'c'))",
+        lambda: Polytrope((0, 0, 1), (1,), -1, _instance()),
+        f"Polytrope(offset=(0, 0, 1), cycle_offset=(1,), dimension=-1, instance={_INSTANCE})",
     ),
     "ZonotopeDescriptor": (
         lambda: ZonotopeDescriptor(_basis(), 10, ((9,), (-8,), (9,)), (5,)),

@@ -1105,9 +1105,9 @@ def test_duality_check_builds_no_polytrope(monkeypatch):
     def refuse(*args):
         raise AssertionError("duality_check built a polytrope")
 
-    for module in (polytropes, zonotopes):
-        for name in ("_polytrope_at", "tropical_vertices"):
-            monkeypatch.setattr(module, name, refuse, raising=False)
+    patched = [(polytropes, "Polytrope"), (polytropes, "_polytrope"), (zonotopes, "_polytrope")]
+    for module, name in patched + [(polytropes, "tropical_vertices")]:
+        monkeypatch.setattr(module, name, refuse)
     sq, basis = square_instance(), square_basis()
     tiles = fine_tiling(sq, basis, "v2")
     runs = count_bellman_ford(monkeypatch)
