@@ -14,7 +14,6 @@ of ``analyze``'s time.  A ``_TileList``, about 95 % of the output of
 import math
 import re
 import sys
-from itertools import filterfalse
 from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
@@ -210,23 +209,27 @@ class _TileList:
         def leaves(values, text=str):
             return opened + join(map(text, values)) + close if values else "[]"
 
-        # Tiles share most arcs and translation values; each is written once.
+        # Tiles share most arcs, pinned arc sets (the frozensets L and U of
+        # their structures) and translations; the text of each is built once.
         T = self.period
-        values = {v for tr in {t.translation for t in self.tiles} for v in tr}
-        ratio = {v: encode_basestring_ascii(_ratio(v, T)) for v in values}.__getitem__
-        m = max((t.structure.tree[-1] + 1 for t in self.tiles if t.structure.tree), default=0)
+        structures = [t.structure for t in self.tiles]
+        m = max((s.tree[-1] + 1 for s in structures if s.tree), default=0)
         arc = list(map(str, range(m))).__getitem__
+        pinned = {pins: leaves(sorted(pins), arc) for pins in {p for s in structures for p in s[1:]}}
+        shifts = {t.translation for t in self.tiles}
+        values = {v for tr in shifts for v in tr}
+        ratio = {v: encode_basestring_ascii(_ratio(v, T)) for v in values}.__getitem__
+        shift = {tr: leaves(tr, ratio) for tr in shifts}
         tree, lower, upper = '{%s"tree": ' % key, ',%s"L": ' % key, ',%s"U": ' % key
         translation, point = ',%s"translation": ' % key, ',%s"lattice_point": ' % key
         rows = []
         for t in self.tiles:
             s = t.structure
-            at_upper = s.at_upper.__contains__
             z = t.lattice_point
             rows.append("".join((
-                tree, leaves(s.tree, arc), lower, leaves([*filterfalse(at_upper, s.tree)], arc),
-                upper, leaves([*filter(at_upper, s.tree)], arc), translation,
-                leaves(t.translation, ratio), point, "null" if z is None else leaves(z), tile, "}",
+                tree, leaves(s.tree, arc), lower, pinned[s.at_lower], upper, pinned[s.at_upper],
+                translation, shift[t.translation], point, "null" if z is None else leaves(z),
+                tile, "}",
             )))
         out.append("[" + tile + ("," + tile).join(rows) + newline + "]" if rows else "[]")
 
@@ -267,12 +270,12 @@ def cmd_analyze(args):
         "volume": str(bounds.volume),
         "width": bounds.width,
     }
-    capped, budget = False, Budget(args.cap_work)
+    stop, budget = None, Budget(args.cap_work)
     try:
         points = lattice_points(inst, basis, budget)
         report["lattice_points"] = [list(z) for z in points]
-    except EnumerationCapExceeded:
-        capped = True
+    except EnumerationCapExceeded as exc:
+        stop = exc
     report["box"] = [[_ratio(lo, T), _ratio(hi, T)] for lo, hi in odijk_box(inst, basis)]
     report["bound_chain"] = {
         "width": bounds.width,
@@ -286,19 +289,21 @@ def cmd_analyze(args):
         "holds": bounds.chain_holds,
         "infeasible": bounds.infeasible,
     }
-    if not capped:
+    if stop is None:
         try:
             report["tiling"], report["validation"], report["duality"] = _tiling_section(
                 kernel, root, points, budget
             )
-        except EnumerationCapExceeded:
-            capped = True
+        except EnumerationCapExceeded as exc:
+            stop = exc
     if arc_map is not None:
         report["contracted"] = True
-    if capped:
+    if stop is not None:
         report["cap_exceeded"] = True
     _emit(args, _json_text(report) + "\n")
-    return 3 if capped else 0
+    if stop is not None:
+        raise stop  # after the partial report: ``main`` names its layer and exits 3
+    return 0
 
 
 def cmd_polytropes(args):

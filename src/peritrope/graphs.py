@@ -12,9 +12,12 @@ visits the vertices in the same order.  ``grow_spanning_trees`` is its
 one spanning tree enumeration, for ``spanning_trees``, the tiles of
 ``zonotopes.fine_tiling`` and the optimal face vertices of ``fixedlp``,
 each of which charges its budget the Kirchhoff count before the first
-tree.  ``_eliminate`` is its one exact elimination, a fraction-free
-(Bareiss) Gauss-Jordan, for the determinants, the rank tests and, through
-``_inverse_frame``, the frames (d, d * G^-1) of tiles and co-trees.
+tree.  That count, ``count_spanning_trees_determinant``, is taken once per
+graph and kept on it, so every charge of one graph, and the bound chain of
+``zonotopes.width_bound_report``, read one elimination.  ``_eliminate``
+is its one exact elimination, a fraction-free (Bareiss) Gauss-Jordan, for
+the determinants, the rank tests and, through ``_inverse_frame``, the
+frames (d, d * G^-1) of tiles and co-trees.
 
 ``CycleBasis.cotree_frame`` is the one place that decides which integer
 offset represents a cycle offset: offset preimages, scaled-point tests
@@ -117,6 +120,10 @@ class Digraph(namedtuple("Digraph", "vertices arcs")):
     @cached_property
     def _connected(self):
         return self.n > 0 and len(tree_walk(self, range(self.m))) == self.n - 1
+
+    @cached_property
+    def _tree_count(self):
+        return _kirchhoff(self.arc_index_pairs)
 
     @cached_property
     def retry_trees(self):
@@ -552,11 +559,19 @@ def default_basis(g):
 
 def count_spanning_trees_determinant(g):
     """Spanning tree count of the underlying multigraph via a reduced
-    Laplacian determinant (integer arithmetic throughout).  An arc at a
-    vertex of degree 1 is in every tree, so such vertices are peeled off
-    first, and a tree or path costs no elimination."""
+    Laplacian determinant (integer arithmetic throughout), taken once per
+    graph and kept on it, so every charge of the same graph reads the one
+    Kirchhoff count; DisconnectedGraph first on a graph that is not
+    connected."""
     _require_connected(g)
-    pairs = g.arc_index_pairs
+    return g._tree_count
+
+
+def _kirchhoff(pairs):
+    """The reduced Laplacian determinant of the connected multigraph of the
+    arc index ``pairs``.  An arc at a vertex of degree 1 is in every tree,
+    so such vertices are peeled off first, and a tree or path costs no
+    elimination."""
     while True:
         degree = Counter(v for pair in pairs for v in pair)
         kept = [(i, j) for i, j in pairs if degree[i] > 1 < degree[j]]

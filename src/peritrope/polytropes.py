@@ -105,35 +105,51 @@ def _face_classes(n, edges, phi, flow=None):
     ``phi`` is feasible for the face graph (the edges plus the reversal of
     every edge that carries flow), so a cycle of that graph has length
     zero exactly when each of its edges has reduced cost zero: the classes
-    are the strongly connected components of those edges.
+    are the strongly connected components of those edges, found in one
+    iterative pass of Tarjan's algorithm (SIAM J. Comput. 1, 1972).
     """
     ahead = [[] for _ in range(n)]
-    behind = [[] for _ in range(n)]
     for k, (t, h, c) in enumerate(edges):
         if c + phi[t] == phi[h]:
             ahead[t].append(h)
-            behind[h].append(t)
             if flow and flow[k]:
                 ahead[h].append(t)
-                behind[t].append(h)
-    rep = [None] * n
-    for v in range(n):
-        if rep[v] is None:
-            for u in _reach(ahead, v) & _reach(behind, v):
-                rep[u] = v
+    # order[v]: v's discovery number; low[v]: the least one v reaches
+    # through its subtree and one edge back to ``stack``, which holds the
+    # vertices found and not yet given their rep.
+    rep, order, low, stack, found = [None] * n, [None] * n, [0] * n, [], 0
+    for root in range(n):
+        if order[root] is not None:
+            continue
+        order[root] = low[root] = found
+        found += 1
+        stack.append(root)
+        path = [(root, iter(ahead[root]))]
+        while path:
+            v, heads = path[-1]
+            for w in heads:
+                if order[w] is None:
+                    order[w] = low[w] = found
+                    found += 1
+                    stack.append(w)
+                    path.append((w, iter(ahead[w])))
+                    break
+                if rep[w] is None and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == order[v]:  # v roots a component: it and all above it
+                    start = len(stack) - 1
+                    while stack[start] != v:
+                        start -= 1
+                    component = stack[start:]
+                    del stack[start:]
+                    least = min(component)
+                    for u in component:
+                        rep[u] = least
     return rep, [phi[v] - phi[r] for v, r in enumerate(rep)]
-
-
-def _reach(adj, root):
-    """The set of vertices reachable from ``root`` in adjacency ``adj``."""
-    seen = {root}
-    stack = [root]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
 
 
 def tension_system_feasible(inst, base):

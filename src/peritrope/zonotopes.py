@@ -16,12 +16,15 @@ determinant, that they and ``width_bound_report`` read.  A foreign tile,
 and ``tile_contains_scaled``, test points against the frame (d, d * G^-1)
 of ``graphs._inverse_frame``.  ``duality_check`` compares each tile's
 pinned timetable with the root's row of the Kleene star.  Fractions
-appear only in volumes and the width bound chain.
+appear only in volumes and the width bound chain, which computes in
+integers and builds one Fraction per value it reports.
 
 No enumeration here is refused for the size of its box.  Each charges
 the command's ``graphs.Budget`` as it works: a node graded or a point
 tested, a root's row in ``duality_check``, a foreign tile's 2^mu corners,
 and a tiling mu units a tile, its Kirchhoff count, before the first tile.
+That count is the graph's one ``count_spanning_trees_determinant``, which
+``width_bound_report`` reads too: one Laplacian elimination per graph.
 """
 
 import math
@@ -314,13 +317,6 @@ class SpanningTreeStructure(namedtuple("SpanningTreeStructure", "tree at_lower a
             raise ValueError("lower/upper arcs must partition the tree")
         return tuple.__new__(cls, (tree, at_lower, at_upper))
 
-    @classmethod
-    def _grown(cls, tree, at_lower, at_upper):
-        """The structure of the sorted ``tree`` as grown from the root,
-        whose frozensets ``at_lower`` and ``at_upper`` partition it by
-        construction, so ``__new__`` has nothing to check."""
-        return tuple.__new__(cls, (tree, at_lower, at_upper))
-
 
 def structure_for_tree(g, tree, root=None):
     """Pin each tree arc by orienting the tree away from the root: arcs
@@ -390,11 +386,16 @@ class TileKernel:
         self.inst = inst
         self.basis = basis
         self._d = abs(basis.cotree_frame[1])
-        self._span = inst.span
-        self._columns = _scaled_columns(inst, basis)
+        self._period = inst.period
+        self._span = span = inst.span
+        # Gamma's columns, read once for the rows and the scaled columns.
+        columns = list(zip(*basis.gamma)) or [()] * inst.graph.m
+        self._columns = [tuple(c * s for c in col) for col, s in zip(columns, span)]
         self._rows = [
-            (i, j, inst.lower[a], inst.upper[a], basis.column(a))
-            for a, (i, j) in enumerate(inst.graph.arc_index_pairs)
+            (i, j, lower, upper, col)
+            for (i, j), lower, upper, col in zip(
+                inst.graph.arc_index_pairs, inst.lower, inst.upper, columns
+            )
         ]
         self._base = basis.apply(inst.lower)
         self._arcs = frozenset(range(inst.graph.m))
@@ -446,7 +447,7 @@ class TileKernel:
         rows, _, det = entry
         if not det:
             return []
-        T = self.inst.period
+        T = self._period
         choices = []
         for i, j, lower, upper, column in rows:
             delta = pi[j] - pi[i]
@@ -484,18 +485,22 @@ def fine_tiling(inst, basis, root=None, kernel=None, budget=None):
     g = inst.graph
     kernel = _own_kernel(inst, basis, kernel)
     (budget or Budget()).charge("tiling", basis.mu * count_spanning_trees_determinant(g))
-    translations = kernel._translations
+    cotree, points = kernel.cotree, kernel.points
+    translations, translation = kernel._translations, kernel.translation
+    new = tuple.__new__
     tiles = []
 
     def add_tile(grown, run_toward, run_away, pi):
         tree = tuple(sorted(grown))
         at_upper = frozenset(run_away)
-        entry = kernel.cotree(tree)
-        points = kernel.points(entry, pi)
-        structure = SpanningTreeStructure._grown(tree, frozenset(run_toward), at_upper)
+        entry = cotree(tree)
+        held = points(entry, pi)
+        # Built by tuple.__new__: the grown frozensets partition the sorted
+        # tree, so the structure's check could find nothing.
+        structure = new(SpanningTreeStructure, (tree, frozenset(run_toward), at_upper))
         # Trees share upper sets, so most translations are memo hits, read inline.
-        translation = translations.get(at_upper) or kernel.translation(at_upper)
-        tiles.append(Tile(structure, entry[1], translation, min(points, default=None)))
+        shift = translations.get(at_upper) or translation(at_upper)
+        tiles.append(new(Tile, (structure, entry[1], shift, min(held) if held else None)))
 
     grow_spanning_trees(g, add_tile, inst.upper, inst.lower, _root_index(g, root))
     tiles.sort(key=lambda tile: tile.structure.tree)
@@ -548,19 +553,25 @@ def validate_tiling(inst, basis, tiles, points=None, kernel=None, budget=None):
     if points is None:
         points = lattice_points(inst, basis, budget)
     vol = kernel.zonotope_volume
+    g = inst.graph
+    cotrees, cotree, points_of = kernel._cotrees, kernel.cotree, kernel.points
+    translations, translation = kernel._translations, kernel.translation
     dets, inside, held = [], [], []
     for tile in tiles:
         structure = tile.structure
-        pi = tree_potentials(inst.graph, structure.tree, _pinned_tensions(inst, structure))
+        tree = structure.tree
+        pi = tree_potentials(g, tree, _pinned_tensions(inst, structure))
         # A tree that does not reach every vertex implies no tile.
         if None not in pi:
-            entry = kernel.cotree(structure.tree)
+            # A kernel shared with the tiling holds every entry: read inline.
+            entry = cotrees.get(tree) or cotree(tree)
             if entry[1] == tile.generators and (
-                kernel.translation(structure.at_upper) == tile.translation
+                (translations.get(structure.at_upper) or translation(structure.at_upper))
+                == tile.translation
             ):
                 dets.append(entry[2])
                 inside.append(True)
-                held.append(sorted(kernel.points(entry, pi)))
+                held.append(sorted(points_of(entry, pi)))
                 continue
         frame = _inverse_frame(tile.generators)
         dets.append(abs(frame[0]) if frame else 0)
@@ -679,41 +690,43 @@ def width_bound_report(inst, basis, kernel=None):
     """Exact rational sandwich for the zonotope volume in terms of the
     width, plus the spanning-tree versus cycle-length product comparison.
     A width of zero short-circuits into infeasibility evidence.  ``kernel``
-    is a ``TileKernel`` of the same instance and basis to take the volume of."""
+    is a ``TileKernel`` of the same instance and basis to take the volume of.
+
+    Each row k's slack is s_k / T for the integer sum s_k of its arc spans,
+    so the chain is integer products over the common denominator T^mu:
+    lower trees eps^mu, slack product prod s_k, and refined upper
+    W prod s_k / prod max(floor(s_k / T), 1); one Fraction per value."""
     T = inst.period
     mu = basis.mu
     ranges = _box_integer_ranges(inst, basis)
-    w = math.prod(len(r) for r in ranges)
+    w = math.prod(map(len, ranges))
     trees = count_spanning_trees_determinant(inst.graph)
     span = inst.span
     eps = min(span) if span else 0
     vol = (volume(inst, basis) if kernel is None
            else _own_kernel(inst, basis, kernel).zonotope_volume)
     rows = basis._sparse_rows[0]
-    slacks = tuple(Fraction(sum(span[a] for a, _ in row), T) for row in rows)
+    sums = [sum([span[a] for a, _ in row]) for row in rows]
+    product, scale = math.prod(sums), T**mu
+    slacks = tuple(Fraction(s, T) for s in sums)
     lengths = tuple(map(len, rows))
-    lower = trees * Fraction(eps, T) ** mu if mu else Fraction(trees)
-    slack_product = math.prod(slacks, start=Fraction(1))
-    length_product = math.prod(lengths, start=1)
+    lower = Fraction(trees * eps**mu, scale)
+    slack_product = Fraction(product, scale)
     # The chain needs W >= 1.  A width of zero reports the empty box rows
     # as infeasibility evidence instead (the tree/length comparison and the
-    # volume sandwich below W are unconditional, so they stay).
+    # volume sandwich below W are unconditional, so they stay), and both
+    # upper bounds are 0.
     bad = tuple(
         (k, *(Fraction(v, T) for v in odijk_range(inst, rows[k])))
         for k, r in enumerate(ranges)
         if not r
     )
-    refined = coarse = Fraction(0)
-    chain = strict_vacuous = False
-    if w:
-        refined = w * math.prod(
-            (s / max(math.floor(s), 1) for s in slacks), start=Fraction(1)
-        )
-        coarse = Fraction(w * 2**mu)
-        strict_vacuous = mu == 0
-        chain = lower <= vol <= slack_product <= refined and (
-            refined <= coarse if strict_vacuous else refined < coarse
-        )
+    refined = Fraction(w * product, scale * math.prod([max(s // T, 1) for s in sums]))
+    coarse = Fraction(w * 2**mu)
+    strict_vacuous = w > 0 and mu == 0
+    chain = w > 0 and lower <= vol <= slack_product <= refined and (
+        refined <= coarse if strict_vacuous else refined < coarse
+    )
     return WidthBoundReport(
         width=w,
         mu=mu,
@@ -728,7 +741,7 @@ def width_bound_report(inst, basis, kernel=None):
         coarse_upper=coarse,
         chain_holds=chain,
         strict_upper_vacuous=strict_vacuous,
-        trees_within_length_product=trees <= length_product,
+        trees_within_length_product=trees <= math.prod(lengths),
         infeasible=w == 0,
         infeasible_cycles=bad,
     )

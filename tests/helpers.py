@@ -41,6 +41,7 @@ from peritrope.cli import cmd_analyze, cmd_polytropes, cmd_render, cmd_solve, cm
 from peritrope.graphs import (
     DEFAULT_WORK,
     _inverse_frame,
+    count_spanning_trees_determinant,
     greedy_forest,
     tree_potentials,
     tree_walk,
@@ -56,11 +57,13 @@ from peritrope.zonotopes import (
     Tile,
     TileKernel,
     TilingReport,
+    WidthBoundReport,
     _box_integer_ranges,
     _frame_contains,
     _pinned_tensions,
     _scaled_columns,
     fine_tiling,
+    odijk_box,
     scaled_point_in_zonotope,
     volume,
     width,
@@ -886,6 +889,57 @@ def volume_by_tree_sum(inst):
             term *= Fraction(inst.span[a], T)
         total += term
     return total
+
+
+def width_bound_by_fractions(inst, basis):
+    """Reference for ``zonotopes.width_bound_report``: the bound chain by
+    its Fraction formulas, each slack s_k / T a Fraction and every product
+    and quotient taken in Fractions, from the dense cycle-matrix rows, a
+    fresh copy of the graph for the tree count, and ``odijk_box``."""
+    T, mu, span = inst.period, basis.mu, inst.span
+    w = width(inst, basis)
+    g = inst.graph
+    trees = count_spanning_trees_determinant(Digraph(g.vertices, g.arcs))
+    eps = min(span) if span else 0
+    vol = volume(inst, basis)
+    slacks = tuple(
+        Fraction(sum(span[a] for a, x in enumerate(row) if x), T) for row in basis.gamma
+    )
+    lengths = tuple(sum(1 for x in row if x) for row in basis.gamma)
+    lower = trees * Fraction(eps, T) ** mu if mu else Fraction(trees)
+    slack_product = math.prod(slacks, start=Fraction(1))
+    bad = tuple(
+        (k, Fraction(lo, T), Fraction(hi, T))
+        for k, (lo, hi) in enumerate(odijk_box(inst, basis))
+        if -(-lo // T) > hi // T
+    )
+    refined = coarse = Fraction(0)
+    chain = strict_vacuous = False
+    if w:
+        refined = w * math.prod((s / max(math.floor(s), 1) for s in slacks), start=Fraction(1))
+        coarse = Fraction(w * 2**mu)
+        strict_vacuous = mu == 0
+        chain = lower <= vol <= slack_product <= refined and (
+            refined <= coarse if strict_vacuous else refined < coarse
+        )
+    return WidthBoundReport(
+        width=w,
+        mu=mu,
+        num_spanning_trees=trees,
+        epsilon=eps,
+        volume=vol,
+        cycle_slacks=slacks,
+        cycle_lengths=lengths,
+        lower_bound=lower,
+        slack_product=slack_product,
+        refined_upper=refined,
+        coarse_upper=coarse,
+        chain_holds=chain,
+        strict_upper_vacuous=strict_vacuous,
+        trees_within_length_product=trees <= math.prod(lengths),
+        infeasible=w == 0,
+        infeasible_cycles=bad,
+    )
 
 
 def dense_apply(basis, v):

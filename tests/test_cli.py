@@ -283,6 +283,32 @@ def test_tiling_and_validation_share_one_kernel(square, command, monkeypatch, ca
     assert len(cotrees) == len(set(cotrees)) == 12
 
 
+def test_one_analyze_runs_one_laplacian_elimination_per_graph(monkeypatch, tmp_path):
+    """The bound chain and the tiling's up-front charge both read the tree
+    count of bench7's contracted graph, and the graph eliminates its
+    Laplacian once for the two; the output stays the golden's."""
+    from peritrope import graphs, zonotopes
+
+    eliminated, read = [], []
+    kirchhoff, count = graphs._kirchhoff, zonotopes.count_spanning_trees_determinant
+
+    def eliminate(pairs):
+        eliminated.append(pairs)
+        return kirchhoff(pairs)
+
+    def counted(g):
+        read.append(g)
+        return count(g)
+
+    monkeypatch.setattr(graphs, "_kirchhoff", eliminate)
+    monkeypatch.setattr(zonotopes, "count_spanning_trees_determinant", counted)
+    out = tmp_path / "analyze.json"
+    assert main(["analyze", str(GOLDEN / "bench7.pesp"), "--root", "e4", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "bench7.analyze.json").read_bytes()
+    assert len(read) == 2 and read[0] is read[1]
+    assert eliminated == [read[0].arc_index_pairs]
+
+
 def test_render_to_file(tri, tmp_path):
     out = tmp_path / "torus.svg"
     assert main(["render", tri, "--out", str(out)]) == 0
@@ -464,15 +490,15 @@ def test_antiparallel_pair_without_an_offset_exits_2_and_writes_nothing(
 def test_cap_exceeded_analyze(tri, command, capsys):
     """``--cap-work`` bounds every command that enumerates the box (exact
     ``solve``: see above): the triangle's walk charges its root's 3
-    children first, so each exits 3 under 2 units, analyze with a
-    partial report."""
+    children first, so each exits 3 under 2 units and names the layer on
+    stderr, analyze too, after its partial report."""
     assert main([command[0], tri, "--cap-work", "2", *command[1:]]) == 3
     captured = capsys.readouterr()
+    assert captured.err == (
+        "error: the work budget of 2 units ran out in lattice points: 0 spent, 3 more asked\n"
+    )
     if command[0] != "analyze":
         assert captured.out == ""
-        assert captured.err == (
-            "error: the work budget of 2 units ran out in lattice points: 0 spent, 3 more asked\n"
-        )
         return
     payload = json.loads(captured.out)
     assert payload["cap_exceeded"] is True
@@ -551,6 +577,21 @@ def test_golden_outputs_are_byte_identical(name, instance, options, command):
     result = run_cli([command, str(GOLDEN / f"{instance}.pesp"), *options])
     assert result.returncode == 0, result.stderr
     assert result.stdout == (GOLDEN / f"{name}.{command}.json").read_bytes()
+
+
+def test_analyze_stops_at_the_tiling_charge_of_l5():
+    """``tests/golden/l5.analyze.json`` is the stdout of ``analyze`` on l5
+    at the default budget: the lattice points (1,590 units), the box and
+    the bound chain, then the tiling's up-front charge, mu = 10 times its
+    385,888 trees, runs the budget out, exit 3 with the layer on stderr.
+    The tree count is the one the bound chain read."""
+    result = run_cli(["analyze", str(GOLDEN / "l5.pesp")])
+    assert result.returncode == 3
+    assert result.stdout == (GOLDEN / "l5.analyze.json").read_bytes()
+    assert result.stderr == (
+        b"error: the work budget of 1000000 units ran out in tiling:"
+        b" 1590 spent, 3858880 more asked\n"
+    )
 
 
 MORE_GOLDENS = [

@@ -631,6 +631,43 @@ def test_the_class_kernel_matches_the_distance_matrix_classes():
     assert seen >= {(n, d) for n in range(2, 7) for d in range(n)}, seen
 
 
+def _chain(rng, n, fixed):
+    """A path on n vertices, numbered in shuffled order and each arc run
+    either way, whose arcs are fixed (zero span) with probability
+    ``fixed``: every class is a run of vertices joined by fixed arcs."""
+    labels = list(range(n))
+    rng.shuffle(labels)
+    arcs, lower, upper = [], [], []
+    for a, b in zip(labels, labels[1:]):
+        arcs.append((a, b) if rng.random() < 0.5 else (b, a))
+        low = rng.randint(0, 9)
+        lower.append(low)
+        upper.append(low if rng.random() < fixed else low + rng.randint(1, 9))
+    g = Digraph(tuple(range(n)), tuple(arcs))
+    return PespInstance(g, 10, tuple(lower), tuple(upper), (1,) * (n - 1))
+
+
+def test_the_class_kernel_matches_the_distance_matrix_on_long_chains():
+    """On paths of 60 to 90 vertices whose classes are mostly singletons,
+    and on one of 3000 vertices, past the recursion limit, with no fixed
+    arc, ``_face_classes`` gives the classes of the distance-matrix
+    oracle and each vertex's offset from its class's smallest vertex."""
+    rng = random.Random(6400)
+    for fixed in (0.0, 0.1, 0.1, 0.3, 1.0):
+        inst = _chain(rng, rng.randint(60, 90), fixed)
+        n, edges = inst.graph.n, kappa(inst, (0,) * inst.graph.m)
+        dist = shortest_path_matrix(n, edges)
+        rep = equality_classes(dist)
+        assert _face_classes(n, edges, _potentials(n, edges)) == (
+            list(rep),
+            [dist[r][v] for v, r in enumerate(rep)],
+        )
+        assert (len(set(rep)) == n) is (fixed == 0) and (len(set(rep)) == 1) is (fixed == 1)
+    inst = _chain(rng, 3000, 0.0)
+    n, edges = inst.graph.n, kappa(inst, (0,) * inst.graph.m)
+    assert _face_classes(n, edges, _potentials(n, edges)) == (list(range(n)), [0] * n)
+
+
 @settings(max_examples=50)
 @given(st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-4, 4)))
 def test_offset_preimage_property(z):

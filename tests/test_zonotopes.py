@@ -62,6 +62,7 @@ from helpers import (
     validate_tiling_by_frame_scan,
     volume_by_minor_sum,
     volume_by_tree_sum,
+    width_bound_by_fractions,
 )
 
 TREE_TEXT = "PERIOD 10\nARC a b 2 6 1\n"
@@ -1259,3 +1260,43 @@ def test_width_bound_report_builds_the_odijk_box_once(monkeypatch, name):
     assert len(calls) == 1
     assert rep.infeasible_cycles == empty
     assert rep.infeasible == bool(empty) == (name == "two rows, one empty")
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def _bound_cases():
+    """The ``random_corpus`` under its default basis and, at mu >= 2, each
+    of its ``random_bases`` (one with d = 2), a tree, then every golden
+    instance, contracted where it has a fixed arc, under its default basis."""
+    for inst, basis, _, rng in random_corpus(40):
+        yield inst, basis
+        if basis.mu >= 2:
+            for other in random_bases(rng, inst.graph):
+                yield inst, other
+    tree = parse_instance(TREE_TEXT)
+    yield tree, default_basis(tree.graph)
+    for path in sorted(GOLDEN.glob("*.pesp")):
+        inst = parse_instance(path.read_text())
+        if any(l == u for l, u in zip(inst.lower, inst.upper)):
+            inst = contract_fixed_arcs(inst).instance
+        yield inst, default_basis(inst.graph)
+
+
+def test_the_integer_bound_chain_equals_the_fraction_formulas():
+    """Every field of the report, computed from integer row sums over the
+    common denominator T^mu, equals the Fraction formulas of
+    ``width_bound_by_fractions``, type included (the reprs match: Fraction,
+    int and bool alike), on feasible and infeasible boxes and under a
+    basis that is not integral."""
+    seen = dict.fromkeys(("infeasible", "not integral", "mu 0", "goldens"), 0)
+    for inst, basis in _bound_cases():
+        rep = width_bound_report(inst, basis)
+        reference = width_bound_by_fractions(inst, basis)
+        assert repr(rep) == repr(reference), (inst, basis)
+        assert rep == reference
+        seen["infeasible"] += rep.infeasible
+        seen["not integral"] += abs(basis.cotree_frame[1]) != 1
+        seen["mu 0"] += rep.mu == 0
+        seen["goldens"] += rep.num_spanning_trees > 10_000
+    assert min(seen.values()) >= 1, seen
