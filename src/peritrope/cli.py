@@ -55,7 +55,14 @@ def _basis_for(args, g, arc_map=None):
     spanning tree of the contracted graph."""
     if args.basis_tree == "auto":
         return default_basis(g)
-    arcs = tuple(int(part) for part in args.basis_tree.split(","))
+    arcs = []
+    for part in args.basis_tree.split(","):
+        try:
+            arcs.append(int(part))
+        except ValueError:
+            raise ValueError(
+                f"--basis-tree takes comma-separated arc indices or 'auto', not {part!r}"
+            ) from None
     if arc_map is None:
         return fundamental_cycle_basis(g, arcs)
     if any(not 0 <= a < len(arc_map) for a in arcs):

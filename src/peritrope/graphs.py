@@ -26,6 +26,7 @@ and the co-tree determinant d all go through it.
 
 from collections import Counter, namedtuple
 from functools import cached_property
+from itertools import compress
 
 from .errors import DisconnectedGraph, EnumerationCapExceeded, NotASpanningTree
 
@@ -570,15 +571,27 @@ def count_spanning_trees_determinant(g):
 def _kirchhoff(pairs):
     """The reduced Laplacian determinant of the connected multigraph of the
     arc index ``pairs``.  An arc at a vertex of degree 1 is in every tree,
-    so such vertices are peeled off first, and a tree or path costs no
-    elimination."""
-    while True:
-        degree = Counter(v for pair in pairs for v in pair)
-        kept = [(i, j) for i, j in pairs if degree[i] > 1 < degree[j]]
-        if len(kept) == len(pairs):
-            break
-        pairs = kept
-    index = {v: k for k, v in enumerate(degree)}  # a tree peels to the empty determinant, 1
+    so such vertices are peeled off first, from a worklist kept with one
+    degree count, and a tree or path costs no elimination."""
+    degree = Counter(v for pair in pairs for v in pair)
+    at = {v: [] for v in degree}
+    for k, pair in enumerate(pairs):
+        for v in pair:
+            at[v].append(k)
+    kept = [True] * len(pairs)
+    leaves = [v for v, d in degree.items() if d == 1]
+    while leaves:
+        v = leaves.pop()
+        if degree[v] == 1:  # 0 when its last arc went with its neighbour
+            k = next(k for k in at[v] if kept[k])
+            kept[k] = False
+            for w in pairs[k]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    leaves.append(w)
+    pairs = list(compress(pairs, kept))
+    vertices = dict.fromkeys(v for pair in pairs for v in pair)  # a tree peels to none: det 1
+    index = {v: k for k, v in enumerate(vertices)}
     lap = [[0] * len(index) for _ in index]
     for i, j in pairs:
         i, j = index[i], index[j]

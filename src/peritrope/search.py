@@ -16,9 +16,9 @@ with the root prefix () for ``solve_exact`` and with the current offset's
 steps but the start's for a ``tns`` step, and stops at the first key
 above the best (objective, z), or above the caller's limit while there is
 none, so the argmin survives; ``neighbourhood_graph`` keeps every leaf.
-An empty z's failed solve hands over its negative cycle, which
-``zonotopes.learn_row`` turns into an Odijk row lo <= ty.z <= hi that
-every nonempty offset meets (Odijk, Transportation Research B 30, 1996).
+An empty z's negative cycle becomes an Odijk row lo <= ty.z <= hi that
+every nonempty offset meets (Odijk, Transportation Research B 30, 1996),
+by ``BoxSearch.learn_row``; a solved z's cut enters by ``learn_cut``.
 Only an offset a caller takes has its vertex built.  Every node graded
 and every offset solved is a unit of the memo's ``graphs.Budget``; one
 that runs out leaves the proven gap [least open lower, incumbent] on its
@@ -39,19 +39,12 @@ from .fixedlp import certified_optimum, cycle_relaxation_bound, optimal_vertex
 from .graphs import Budget, default_basis, greedy_spanning_tree, tree_potentials
 from .polytropes import (
     _require_length,
-    cycle_offset_form,
     normalize_timetable,
     offset_for,
     steps,
     timetable_to_tension,
 )
-from .zonotopes import (
-    BoxSearch,
-    _box_integer_ranges,
-    _require_integral,
-    learn_row,
-    suffix_extremes,
-)
+from .zonotopes import BoxSearch, _require_integral
 
 
 class Solution(namedtuple("Solution", "timetable tension periodic_offset cycle_offset objective")):
@@ -108,9 +101,7 @@ class OffsetMemo(BoxSearch):
 
     def __init__(self, inst, basis, budget=None):
         _require_integral(basis)
-        super().__init__(_box_integer_ranges(inst, basis), budget or Budget(), "offset search")
-        self.inst = inst
-        self.basis = basis
+        super().__init__(inst, basis, budget, "offset search")
         self._bound = cycle_relaxation_bound(inst, basis)
         self._top = sum(max(w * l, w * u) for w, l, u in zip(inst.weight, inst.lower, inst.upper))
         self._solutions = {}
@@ -141,8 +132,8 @@ class OffsetMemo(BoxSearch):
     def optimum(self, z, learned=None, relax=None):
         """The ``certified_optimum`` of z, or None when it is empty;
         ``learned`` is a bound from the cuts learned before its solve (None:
-        unchecked), ``relax`` z's ``bound`` (None: taken here).  Its cut, or
-        the ``learn_row`` row of an empty z's negative cycle, joins the forms;
+        unchecked), ``relax`` z's ``bound`` (None: taken here).  ``learn_cut``
+        learns its cut, ``learn_row`` the row of an empty z's negative cycle;
         an optimum below either bound or its own cut raises InvariantViolation."""
         if z not in self.leaves:
             try:
@@ -150,13 +141,9 @@ class OffsetMemo(BoxSearch):
             except Infeasible as empty:
                 found = None
                 nonempty = (y for y, other in self.leaves.items() if other is not None)
-                row = learn_row(self.inst, self.basis, self.box, z, empty.cycle, nonempty)
-                self.forms.append(row)
+                self.learn_row(z, empty.cycle, nonempty)
             if found is not None:
-                ty, d = cycle_offset_form(self.basis, found.cut[1])
-                ty = [self.inst.period * d * v for v in ty]
-                self.forms.append((ty, *suffix_extremes(ty, self.box), None, None, found.cut[0]))
-                own = found.cut[0] + sum(map(int.__mul__, ty, z))
+                own = self.learn_cut(z, *found.cut)
                 cut = own if learned is None else max(own, learned)
                 relax = self.bound(z) if relax is None else relax
                 floors = (relax, "its cycle relaxation bound"), (cut, "the learned cut")

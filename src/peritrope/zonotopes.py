@@ -6,10 +6,10 @@ all arithmetic stays on integers; the real value is the stored value
 divided by T.  A point is a lattice point exactly when every scaled
 coordinate is divisible by T.
 
-``BoxSearch`` is the one search over box prefixes, for ``search.OffsetMemo``
-and for the lattice walk that ``lattice_points`` and ``enumerate_polytropes``
-share, whose key (0, prefix) pops in sorted box order; it learns an Odijk
-row from each empty point (``learn_row``) to prune the rest.
+``BoxSearch`` is the one search over prefixes of the Odijk box it builds,
+for ``search.OffsetMemo`` and the lattice walk of ``lattice_points`` and
+``enumerate_polytropes`` (key (0, prefix), in sorted box order); forms
+enter only as ``learn_row``'s Odijk rows and ``learn_cut``'s cuts.
 One ``TileKernel`` per (inst, basis) builds the tiles a structure implies,
 for ``fine_tiling`` and ``validate_tiling``, and holds the volume, one Gram
 determinant, that they and ``width_bound_report`` read.  A foreign tile,
@@ -145,19 +145,6 @@ def odijk_row(inst, basis, gamma):
     return [v if d > 0 else -v for v in ty], -(-lo * abs(d) // T), hi * abs(d) // T
 
 
-def learn_row(inst, basis, box, z, gamma, nonempty):
-    """The ``odijk_row`` of gamma, the negative cycle of the empty offset z,
-    as a ``BoxSearch`` form over the box; one that leaves z open or rules
-    out an offset of the iterable ``nonempty`` raises InvariantViolation."""
-    ty, lo, hi = odijk_row(inst, basis, gamma)
-    if lo <= sum(map(int.__mul__, ty, z)) <= hi:
-        raise InvariantViolation(f"the row learned at the empty offset {z} leaves it open")
-    for z2 in nonempty:
-        if not lo <= sum(map(int.__mul__, ty, z2)) <= hi:
-            raise InvariantViolation(f"the row of {z} rules out {z2}, which is nonempty")
-    return ty, *suffix_extremes(ty, box), lo, hi, None
-
-
 def suffix_extremes(ty, box):
     """(low, high): low[k] and high[k] the least and greatest ty.z over the
     box rows k.., so low[mu] = high[mu] = 0."""
@@ -170,19 +157,42 @@ def suffix_extremes(ty, box):
 
 
 class BoxSearch:
-    """One best-first search over the prefixes of the box points.  Learned
-    ``forms`` (ty, low, high, lo, hi, const), low[k] and high[k] the least
-    and greatest ty.z over box rows k..: a cut, objective >= const + ty.z,
-    or a row (const None), lo <= ty.z <= hi if z is nonempty.  ``leaves``
-    holds the answers a leaf keeps of whole z's.  Every node graded and
-    every leaf is one unit of ``budget``, charged to ``layer``."""
+    """One best-first search over the prefixes of the points of the Odijk
+    box of (inst, basis).  Learned ``forms`` (ty, low, high, lo, hi, const),
+    low[k] and high[k] the least and greatest ty.z over box rows k..: a cut
+    (``learn_cut``), objective >= const + ty.z, or a row (``learn_row``,
+    const None), lo <= ty.z <= hi if z is nonempty.  ``leaves`` holds the
+    answers a leaf keeps of whole z's.  Every node graded and every leaf is
+    one unit of ``budget`` (None: a fresh ``Budget``), charged to ``layer``."""
 
-    def __init__(self, box, budget, layer):
-        self.box = box
+    def __init__(self, inst, basis, budget, layer):
+        self.inst, self.basis = inst, basis
+        self.box = _box_integer_ranges(inst, basis)
         self.forms = []
         self.leaves = {}
-        self.budget = budget
+        self.budget = budget or Budget()
         self.layer = layer
+
+    def learn_row(self, z, gamma, nonempty):
+        """Learn the ``odijk_row`` of gamma, the negative cycle of the empty
+        offset z; one that leaves z open or rules out an offset of the
+        iterable ``nonempty`` raises InvariantViolation."""
+        ty, lo, hi = odijk_row(self.inst, self.basis, gamma)
+        if lo <= sum(map(int.__mul__, ty, z)) <= hi:
+            raise InvariantViolation(f"the row learned at the empty offset {z} leaves it open")
+        for z2 in nonempty:
+            if not lo <= sum(map(int.__mul__, ty, z2)) <= hi:
+                raise InvariantViolation(f"the row of {z} rules out {z2}, which is nonempty")
+        self.forms.append((ty, *suffix_extremes(ty, self.box), lo, hi, None))
+
+    def learn_cut(self, z, const, slope):
+        """Learn the cut const + T slope.p of a solved offset's flow as const
+        + ty.z, ty the ``cycle_offset_form`` of slope times T d (d = +-1 on
+        an integral basis); returns its value at z."""
+        ty, d = cycle_offset_form(self.basis, slope)
+        ty = [self.inst.period * d * v for v in ty]
+        self.forms.append((ty, *suffix_extremes(ty, self.box), None, None, const))
+        return const + sum(map(int.__mul__, ty, z))
 
     def grade(self, prefix, relax, sums):
         """The heap entry (lower, prefix, relax, sums) of a prefix whose sums
@@ -259,7 +269,8 @@ def enumerate_polytropes(inst, basis, budget=None):
 def _lattice_walk(inst, basis, budget, keep):
     """``keep(z, p, edges, phi)`` of each lattice point z in sorted order,
     p its offset, ``edges`` kappa(p) and phi its Bellman-Ford's potentials."""
-    box = _box_integer_ranges(inst, basis)
+    search, points, kept = BoxSearch(inst, basis, budget, "lattice points"), [], []
+    box = search.box
     if not all(box):
         return ()
     # Under a basis that is not integral, the corner (each r[False]), the
@@ -267,7 +278,6 @@ def _lattice_walk(inst, basis, budget, keep):
     # offset lattice: one raises ValueError if any point has no integer offset.
     for k in (k for k, r in enumerate(box) if len(r) > 1 and abs(basis.cotree_frame[1]) != 1):
         offset_for(inst, basis, tuple(r[j == k] for j, r in enumerate(box)))
-    search, points, kept = BoxSearch(box, budget or Budget(), "lattice points"), [], []
 
     def leaf(z, lower, relax):
         p = offset_for(inst, basis, z)
@@ -277,8 +287,7 @@ def _lattice_walk(inst, basis, budget, keep):
             points.append(z)
             kept.append(keep(z, p, edges, phi))
         else:
-            row = learn_row(inst, basis, box, z, negative_cycle(edges, parent), points)
-            search.forms.append(row)
+            search.learn_row(z, negative_cycle(edges, parent), points)
 
     search.run([(0, ())], (1, ()), lambda prefix: 0, leaf)
     return tuple(kept)

@@ -413,16 +413,16 @@ def drop_learned_cuts(monkeypatch):
 
 
 def drop_learned_rows(monkeypatch):
-    """Patch ``search.learn_row`` to hand ``OffsetMemo``, in place of the
-    Odijk row of each empty offset's negative cycle, the row ty = 0 with
-    0 <= ty.z <= 0, which rules out no offset: the search prunes by the
-    relaxation bound and the learned cuts alone."""
+    """Patch ``OffsetMemo.learn_row`` to learn, in place of the Odijk row
+    of each empty offset's negative cycle, the row ty = 0 with 0 <= ty.z <=
+    0, which rules out no offset: the search prunes by the relaxation bound
+    and the learned cuts alone."""
 
-    def inert(inst, basis, box, z, gamma, nonempty):
-        zeros = [0] * (len(box) + 1)  # ty, and its least and greatest sums
-        return zeros[1:], zeros, zeros, 0, 0, None
+    def inert(memo, z, gamma, nonempty):
+        zeros = [0] * (len(memo.box) + 1)  # ty, and its least and greatest sums
+        memo.forms.append((zeros[1:], zeros, zeros, 0, 0, None))
 
-    monkeypatch.setattr(peritrope.search, "learn_row", inert)
+    monkeypatch.setattr(peritrope.search.OffsetMemo, "learn_row", inert)
 
 
 def check_certificate(inst, p, found, objective=None):

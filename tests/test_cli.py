@@ -819,6 +819,24 @@ def test_a_basis_tree_that_misses_the_contracted_tree_is_a_usage_error(
     )
 
 
+@pytest.mark.parametrize("listed, entry", [("x", "x"), ("1,,2", ""), ("1.5", "1.5")])
+@pytest.mark.parametrize("command", ["solve", "analyze"])
+def test_a_basis_tree_entry_that_is_no_arc_index_is_a_usage_error(
+    tmp_path, capsys, command, listed, entry
+):
+    """An entry that is not an integer is named with the flag, on a plain
+    instance (solve) and on one with a fixed arc contracted (analyze)."""
+    path = tmp_path / "fixed.pesp"
+    path.write_text(FIXED_FIRST)
+    instance = str(GOLDEN / "mu6.pesp") if command == "solve" else str(path)
+    assert main([command, instance, "--basis-tree", listed]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --basis-tree takes comma-separated arc indices or 'auto', not {entry!r}\n"
+    )
+
+
 def test_repeated_runs_are_byte_identical(tri, tmp_path):
     first = run_cli(["solve", tri])
     second = run_cli(["solve", tri])

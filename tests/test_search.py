@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -39,6 +40,7 @@ from peritrope import (
     width,
 )
 from peritrope.fixedlp import cycle_relaxation_bound
+from peritrope.zonotopes import BoxSearch
 from helpers import (
     box_points,
     check_empty_certificate,
@@ -467,14 +469,14 @@ def test_every_learned_row_is_an_oriented_cycle_that_rules_out_only_empty_offset
     # oriented cycle of the graph that proves its offset empty
     # (``check_empty_certificate``) and is negative there as oriented, and
     # every box point it rules out is empty.
-    honest = peritrope.search.learn_row
+    honest = OffsetMemo.learn_row
     cycles = []
 
-    def recording(inst, basis, box, z, gamma, nonempty):
+    def recording(memo, z, gamma, nonempty):
         cycles.append(gamma)
-        return honest(inst, basis, box, z, gamma, nonempty)
+        honest(memo, z, gamma, nonempty)
 
-    monkeypatch.setattr(peritrope.search, "learn_row", recording)
+    monkeypatch.setattr(OffsetMemo, "learn_row", recording)
     learned = ruled_out = 0
     for inst, basis, _, _ in random_corpus(100):
         T = inst.period
@@ -500,6 +502,45 @@ def test_every_learned_row_is_an_oriented_cycle_that_rules_out_only_empty_offset
             ruled_out += len(out)
         learned += len(cycles)
     assert learned >= 180 and ruled_out >= 1500
+
+
+@pytest.mark.parametrize(
+    "name, rows, cuts, units, points, walk_rows",
+    [("s8800", 4, 11, 9_584, 183, 18), ("l5", 14, 19, 4_399, 112, 44)],
+)
+def test_every_form_enters_through_learn_row_or_learn_cut(
+    monkeypatch, name, rows, cuts, units, points, walk_rows
+):
+    """Each form of the memo of ``solve_exact`` and of the lattice walk of
+    ``lattice_points`` is one call of ``BoxSearch.learn_row`` or
+    ``learn_cut``, and both do the work pinned on the golden: the memo's
+    rows, cuts and offset search units, the walk's points and rows."""
+    calls, spent = {}, Counter()
+    for method in ("learn_row", "learn_cut"):
+        honest = getattr(BoxSearch, method)
+
+        def counting(search, *args, honest=honest, method=method):
+            calls.setdefault(search, Counter())[method] += 1
+            return honest(search, *args)
+
+        monkeypatch.setattr(BoxSearch, method, counting)
+    charge = Budget.charge
+
+    def tallied(budget, layer, units=1):
+        charge(budget, layer, units)
+        spent[layer] += units
+
+    monkeypatch.setattr(Budget, "charge", tallied)
+    inst = parse_instance((GOLDEN / f"{name}.pesp").read_text())
+    basis = default_basis(inst.graph)
+    solve_exact(inst, basis)
+    assert len(lattice_points(inst, basis)) == points
+    memo, walk = calls
+    assert isinstance(memo, OffsetMemo) and not isinstance(walk, OffsetMemo)
+    assert calls[memo] == {"learn_row": rows, "learn_cut": cuts}
+    assert len(memo.forms) == rows + cuts and sum(f[5] is None for f in memo.forms) == rows
+    assert calls[walk] == {"learn_row": walk_rows} and len(walk.forms) == walk_rows
+    assert spent["offset search"] == units
 
 
 def _restart_instances(count):

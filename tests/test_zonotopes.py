@@ -187,14 +187,14 @@ def test_every_row_the_walk_learns_proves_its_point_empty(monkeypatch):
     """Each row comes from the negative cycle of an empty box point, which
     ``check_empty_certificate`` accepts; the walk runs one virtual-source
     Bellman-Ford per point it reaches, a nonempty one or a row's."""
-    honest = zonotopes.learn_row
+    honest = zonotopes.BoxSearch.learn_row
     learned = []
 
-    def recording(inst, basis, box, z, gamma, nonempty):
+    def recording(search, z, gamma, nonempty):
         learned.append((z, gamma))
-        return honest(inst, basis, box, z, gamma, nonempty)
+        honest(search, z, gamma, nonempty)
 
-    monkeypatch.setattr(zonotopes, "learn_row", recording)
+    monkeypatch.setattr(zonotopes.BoxSearch, "learn_row", recording)
     runs = count_bellman_ford(monkeypatch)
     rows = 0
     for inst, basis in _lattice_cases():
