@@ -31,7 +31,6 @@ from .graphs import (
     Budget,
     CycleBasis,
     Digraph,
-    OrientedCycle,
     count_spanning_trees_determinant,
     default_basis,
     fundamental_cycle_basis,

@@ -163,7 +163,9 @@ def cmd_solve(args):
     if args.method == "exact":
         sol = solve_exact(inst, basis, Budget(args.cap_work))
     else:
-        sol, trace = tns_restarts(inst, basis, args.restarts, args.max_iter, args.seed)
+        sol, trace = tns_restarts(
+            inst, basis, args.restarts, args.max_iter, args.seed, Budget(args.cap_work)
+        )
         if args.trace:
             with open(args.trace, "w", encoding="utf-8") as handle:
                 handle.write(trace_to_jsonl(trace))
@@ -483,7 +485,7 @@ def main(argv=None):
         return args.func(args)
     except EnumerationCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if args.command == "solve":
+        if args.command == "solve" and args.method == "exact":
             lower, incumbent = exc.gap
             found = "" if incumbent is None else f", incumbent {incumbent}"
             print(f"gap: least open lower {lower}{found}", file=sys.stderr)

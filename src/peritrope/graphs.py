@@ -19,6 +19,7 @@ is its one exact elimination, a fraction-free (Bareiss) Gauss-Jordan, for
 the determinants, the rank tests and, through ``_inverse_frame``, the
 frames (d, d * G^-1) of tiles and co-trees.
 
+A ``CycleBasis`` is its cycle matrix Gamma, rows of ints, and its tree.
 ``CycleBasis.cotree_frame`` is the one place that decides which integer
 offset represents a cycle offset: offset preimages, scaled-point tests
 and the co-tree determinant d all go through it.
@@ -35,10 +36,10 @@ RETRY_POOL = 100_000
 
 
 class Budget:
-    """The work units one command may spend (None: no limit), charged by
-    each enumerating layer as it works, or up front where the count is
-    known; a charge past ``units`` spends nothing and raises
-    EnumerationCapExceeded naming the layer."""
+    """The work units one command may spend, charged by each enumerating
+    layer as it works, or up front where the count is known; a charge past
+    ``units`` spends nothing and raises EnumerationCapExceeded naming the
+    layer."""
 
     __slots__ = ("units", "spent")
 
@@ -46,7 +47,7 @@ class Budget:
         self.units, self.spent = units, 0
 
     def charge(self, layer, units=1):
-        if self.units is not None and self.spent + units > self.units:
+        if self.spent + units > self.units:
             stop = EnumerationCapExceeded(
                 f"the work budget of {self.units} units ran out in {layer}:"
                 f" {self.spent} spent, {units} more asked"
@@ -136,58 +137,18 @@ class Digraph(namedtuple("Digraph", "vertices arcs")):
             return (greedy_spanning_tree(self),)
 
 
-class OrientedCycle:
-    """A circuit given by its signed arc incidence vector (entries -1/0/+1).
+class CycleBasis(namedtuple("CycleBasis", "gamma tree")):
+    """An ordered integral cycle basis: ``gamma``, the rows of its cycle
+    matrix, one signed arc incidence vector per cycle made ints by
+    ``integers``; ``tree`` is set when it is fundamental."""
 
-    A plain class, not a tuple, since its length is its support's."""
-
-    __slots__ = ("signature",)
-
-    def __init__(self, signature):
-        object.__setattr__(self, "signature", integers(signature))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return OrientedCycle, (self.signature,)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.signature == other.signature
-
-    def __hash__(self):
-        return hash((self.signature,))
-
-    def __repr__(self):
-        return f"OrientedCycle(signature={self.signature!r})"
-
-    @property
-    def support(self):
-        return tuple(a for a, s in enumerate(self.signature) if s != 0)
-
-    def __len__(self):
-        return len(self.support)
-
-
-class CycleBasis(namedtuple("CycleBasis", "cycles tree")):
-    """An ordered integral cycle basis; ``tree`` is set when it is fundamental."""
-
-    def __new__(cls, cycles, tree=None):
-        return tuple.__new__(cls, (tuple(cycles), None if tree is None else tuple(sorted(tree))))
+    def __new__(cls, gamma, tree=None):
+        tree = None if tree is None else tuple(sorted(tree))
+        return tuple.__new__(cls, (tuple(map(integers, gamma)), tree))
 
     @property
     def mu(self):
-        return len(self.cycles)
-
-    @cached_property
-    def gamma(self):
-        """Rows of the cycle matrix, one signed incidence vector per cycle."""
-        return tuple(c.signature for c in self.cycles)
+        return len(self.gamma)
 
     def column(self, a):
         return tuple(row[a] for row in self.gamma)
@@ -275,7 +236,7 @@ class CycleBasis(namedtuple("CycleBasis", "cycles tree")):
         """Same basis with rows reordered; stays fundamental if it was."""
         if sorted(order) != list(range(self.mu)):
             raise ValueError("order must be a permutation of the rows")
-        return CycleBasis(tuple(self.cycles[k] for k in order), self.tree)
+        return CycleBasis([self.gamma[k] for k in order], self.tree)
 
 
 def _require_connected(g):
@@ -303,7 +264,7 @@ def fundamental_cycle_basis(g, tree):
     for v, w, a, s in steps:
         path[w] = {**path[v], a: s}
 
-    cycles = []
+    gamma = []
     for a, (i, j) in enumerate(g.arc_index_pairs):
         if a in in_tree:
             continue
@@ -311,13 +272,13 @@ def fundamental_cycle_basis(g, tree):
         sig[a] = 1
         for b in tree_ids:
             sig[b] = path[i].get(b, 0) - path[j].get(b, 0)
-        cycles.append(OrientedCycle(tuple(sig)))
-    return CycleBasis(tuple(cycles), tuple(tree_ids))
+        gamma.append(sig)
+    return CycleBasis(gamma, tree_ids)
 
 
 def verify_kernel_property(basis, g):
-    """True iff every row is a circuit (B times signature = 0) and the rows
-    are linearly independent, that is their Gram determinant is nonzero."""
+    """True iff every row is a circuit (B row = 0, B the incidence matrix)
+    and the rows are linearly independent: their Gram determinant is nonzero."""
     pairs = g.arc_index_pairs
     for row in basis.gamma:
         if len(row) != g.m:

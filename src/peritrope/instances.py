@@ -72,6 +72,8 @@ def parse_instance(text):
             if len(fields) != 6:
                 raise ParseError(line_no, "ARC takes tail head lower upper weight")
             tail, head = fields[1], fields[2]
+            if tail == head:
+                raise ParseError(line_no, f"arc {len(arcs)} is a self-loop at {tail}")
             lo, hi, w = (_int_field(x, line_no) for x in fields[3:6])
             arcs.append((tail, head))
             bounds.append((lo, hi, w))
@@ -83,10 +85,7 @@ def parse_instance(text):
             raise ParseError(line_no, f"unknown directive {fields[0]}")
     if period is None:
         raise ParseError(0, "missing PERIOD")
-    try:
-        graph = Digraph(tuple(events), tuple(arcs))
-    except ValueError as exc:
-        raise ParseError(0, str(exc)) from exc
+    graph = Digraph(events, arcs)
     if not graph.is_connected():
         raise DisconnectedGraph("instance graph is not connected")
     inst = PespInstance(graph, period, *(zip(*bounds) if bounds else ((), (), ())))

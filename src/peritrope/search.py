@@ -20,9 +20,9 @@ An empty z's negative cycle becomes an Odijk row lo <= ty.z <= hi that
 every nonempty offset meets (Odijk, Transportation Research B 30, 1996),
 by ``BoxSearch.learn_row``; a solved z's cut enters by ``learn_cut``.
 Only an offset a caller takes has its vertex built.  Every node graded
-and every offset solved is a unit of the memo's ``graphs.Budget``; one
-that runs out leaves the proven gap [least open lower, incumbent] on its
-error.  The tns walks have no work limit.
+and every offset solved is a unit of the memo's ``graphs.Budget``, in
+``solve_exact`` and in the tns walks alike; a ``solve_exact`` whose budget
+runs out leaves the proven gap [least open lower, incumbent] on its error.
 
 ``OffsetMemo`` owns the per-offset answers of a solve and the invariant
 checks the search rests on (its methods say which).  The answers depend
@@ -36,7 +36,7 @@ from collections import namedtuple
 
 from .errors import Infeasible, InvariantViolation, RetriesExhausted
 from .fixedlp import certified_optimum, cycle_relaxation_bound, optimal_vertex
-from .graphs import Budget, default_basis, greedy_spanning_tree, tree_potentials
+from .graphs import default_basis, greedy_spanning_tree, tree_potentials
 from .polytropes import (
     _require_length,
     normalize_timetable,
@@ -195,11 +195,12 @@ def tns(inst, basis, start, max_iterations=100, memo=None):
     a step must skip; every other offset the walk took has an optimum at or
     above the current objective, which no move can reach again.  Returns the
     best solution and the visit trace.  ``memo`` is an ``OffsetMemo`` of the
-    same instance and basis to reuse (None: a fresh one, no work limit)."""
+    same instance and basis to reuse (None: a fresh one on a fresh
+    ``Budget``)."""
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
     if memo is None:
-        memo = OffsetMemo(inst, basis, Budget(None))
+        memo = OffsetMemo(inst, basis)
     elif memo.inst is not inst or memo.basis is not basis:
         raise ValueError("the offset memo belongs to another instance or basis")
     current = start
@@ -215,17 +216,18 @@ def tns(inst, basis, start, max_iterations=100, memo=None):
     return current, tuple(trace)
 
 
-def tns_restarts(inst, basis, restarts=1, max_iterations=100, seed=0):
+def tns_restarts(inst, basis, restarts=1, max_iterations=100, seed=0, budget=None):
     """Best of ``restarts`` tns walks (at least 1), all sharing one
-    ``OffsetMemo``.  Walk k starts from ``initial_solution`` with seed
-    ``seed + k`` and makes at most ``max_iterations`` moves.  Returns the
-    solution and trace of the first walk that reaches the lowest objective;
-    raises RetriesExhausted when no walk finds a start.  Both counts are
-    checked before any start is drawn.  The walks have no work limit."""
+    ``OffsetMemo`` charged to ``budget`` (None: a fresh ``Budget``).  Walk k
+    starts from ``initial_solution`` with seed ``seed + k`` and makes at
+    most ``max_iterations`` moves.  Returns the solution and trace of the
+    first walk that reaches the lowest objective; raises RetriesExhausted
+    when no walk finds a start.  Both counts are checked before any start
+    is drawn."""
     for name, count in (("restarts", restarts), ("max_iterations", max_iterations)):
         if count < 1:
             raise ValueError(f"{name} must be at least 1")
-    memo = OffsetMemo(inst, basis, Budget(None))
+    memo = OffsetMemo(inst, basis, budget)
     best = None
     for attempt in range(restarts):
         try:

@@ -21,7 +21,6 @@ from peritrope import (
     EnumerationCapExceeded,
     FixedOffsetResult,
     Infeasible,
-    OrientedCycle,
     PespInstance,
     RetriesExhausted,
     SpanningTreeStructure,
@@ -227,8 +226,8 @@ def random_bases(rng, g):
     return (
         basis,
         basis.permuted(tuple(order)),
-        CycleBasis(tuple(map(OrientedCycle, (c0, plus, *rest)))),
-        CycleBasis(tuple(map(OrientedCycle, (plus, minus, *rest)))),
+        CycleBasis((c0, plus, *rest)),
+        CycleBasis((plus, minus, *rest)),
     )
 
 

@@ -26,6 +26,8 @@ from peritrope import (
     serialize_instance,
     solve_exact,
     spanning_trees,
+    tns_restarts,
+    trace_to_jsonl,
     validate_tiling,
 )
 from peritrope.cli import main
@@ -395,6 +397,14 @@ def test_a_trace_of_an_exact_solve_is_a_usage_error(tri, tmp_path, capsys):
     assert not trace.exists()
 
 
+def test_a_self_loop_is_an_input_error_naming_its_line(tmp_path, capsys):
+    path = tmp_path / "loop.pesp"
+    path.write_text("PERIOD 10\nARC a b 1 2 1\nARC b b 1 2 1\n")
+    assert main(["solve", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: line 3: arc 1 is a self-loop at b\n"
+
+
 def test_infeasible_exit_code(tmp_path):
     path = tmp_path / "infeasible.pesp"
     path.write_text(INFEASIBLE)
@@ -537,19 +547,55 @@ def test_the_error_names_each_charged_layer():
         assert f" units ran out in {layer}: {stop.value.spent} spent, " in str(stop.value)
 
 
-def test_solve_tns_ignores_the_width_cap(tri, tmp_path, capsys):
-    """tns walks from a start and enumerates no box, so ``--cap-work 0``
-    leaves its output and trace as they are."""
-    written = []
-    for extra in ([], ["--cap-work", "0"]):
-        trace = tmp_path / f"trace{len(written)}.jsonl"
-        args = ["solve", tri, "--method", "tns", "--restarts", "2", "--trace", str(trace)]
-        assert main(args + extra) == 0
-        written.append((capsys.readouterr(), trace.read_bytes()))
-    assert written[0] == written[1]
-
-
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def test_solve_tns_spends_the_work_budget(tmp_path, capsys):
+    """``--cap-work`` bounds a tns solve like every other command: on s8800
+    a budget of 0 stops the first grading of the offset search with exit 3,
+    no output and no trace.  The default budget does not bind: the output
+    and trace are those of a walk on a budget that cannot run out."""
+    trace = tmp_path / "trace.jsonl"
+    path = GOLDEN / "s8800.pesp"
+    args = ["solve", str(path), "--method", "tns", "--trace", str(trace)]
+    assert main(args + ["--cap-work", "0"]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "error: the work budget of 0 units ran out in offset search: 0 spent, 1 more asked\n",
+    )
+    assert not trace.exists()
+    assert main(args) == 0
+    inst = parse_instance(path.read_text())
+    basis = default_basis(inst.graph)
+    sol, walk = tns_restarts(inst, basis, budget=Budget(10**18))
+    payload = cli._json_text(cli._solution_payload(inst, basis, sol)) + "\n"
+    assert capsys.readouterr() == (payload, "")
+    assert trace.read_text() == trace_to_jsonl(walk)
+
+
+def test_a_stopped_tns_writes_one_error_line_and_no_gap(tmp_path, capsys):
+    """Under every budget short of the whole walk of mu6's tns golden, the
+    solve exits 3 with one error line, no gap (some stops are in the face
+    vertices, which have none), no output and no trace; the whole spend
+    writes the golden."""
+    path = GOLDEN / "mu6.pesp"
+    inst = parse_instance(path.read_text())
+    spent = Budget()
+    tns_restarts(inst, default_basis(inst.graph), 3, seed=1, budget=spent)
+    trace = tmp_path / "trace.jsonl"
+    args = ["solve", str(path), "--method", "tns", "--restarts", "3", "--seed", "1"]
+    args += ["--trace", str(trace), "--cap-work"]
+    layers = set()
+    for units in range(spent.spent):
+        assert main(args + [str(units)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and not trace.exists()
+        stop = re.fullmatch(r"error: the work budget of \d+ units ran out in (.+?): .*\n", err)
+        layers.add(stop[1])
+    assert layers == {"offset search", "face vertices"}
+    assert main(args + [str(spent.spent)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "mu6.tns.json").read_text()
+    assert trace.read_text() == (GOLDEN / "mu6.tns.jsonl").read_text()
 
 
 @pytest.mark.parametrize("command", ["analyze", "tile"])

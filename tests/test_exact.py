@@ -12,7 +12,6 @@ from peritrope import (
     EnumerationCapExceeded,
     Infeasible,
     InvariantViolation,
-    OrientedCycle,
     PespInstance,
     brute_force_timetable,
     default_basis,
@@ -271,7 +270,7 @@ def test_an_offset_a_cut_skips_still_needs_an_integer_offset(monkeypatch):
     )
     inst = PespInstance(graph, 8, (6, 4, 2, 5, 5), (6, 11, 9, 8, 12), (2, 4, 4, 1, 4))
     rows = ((1, -1, 1, 2, 0), (1, -1, -1, 0, 0), (0, 1, 0, -1, 1))
-    basis = CycleBasis(tuple(map(OrientedCycle, rows)))
+    basis = CycleBasis(rows)
     assert basis.cotree_frame[1] == -2
     for learn in (False, True):
         with monkeypatch.context() as patch:
@@ -321,7 +320,7 @@ def test_an_empty_relaxation_at_a_lattice_point_is_an_invariant_violation(monkey
     # A hand-built row on arc 2 alone cannot close its gap at z = 0, a
     # lattice point that Bellman-Ford found nonempty.
     inst, basis = _triangle()
-    lone = CycleBasis((OrientedCycle((0, 0, 1)),))
+    lone = CycleBasis([(0, 0, 1)])
     monkeypatch.setattr(
         peritrope.search, "cycle_relaxation_bound", lambda i, b: cycle_relaxation_bound(i, lone)
     )

@@ -18,7 +18,6 @@ from peritrope import (
     Infeasible,
     InvariantViolation,
     OffsetMemo,
-    OrientedCycle,
     PespInstance,
     brute_force_fixed_offset,
     cycle_relaxation_bound,
@@ -614,7 +613,7 @@ def test_a_row_that_cannot_close_its_gap_rules_its_offset_out():
     assert [bound((z,)) for z in range(-1, 4)] == [None, 14, 14, 24, None]
     # A hand-built row on arc 2 alone: x2 in [4, 13] never equals 10 z
     # for z = 0 or 2, and both are lattice points of the real basis.
-    lone = cycle_relaxation_bound(inst, CycleBasis((OrientedCycle((0, 0, 1)),)))
+    lone = cycle_relaxation_bound(inst, CycleBasis([(0, 0, 1)]))
     assert [lone((z,)) for z in (0, 1, 2)] == [None, 15, None]
 
 
@@ -623,7 +622,7 @@ def test_cycle_relaxation_bound_rounds_a_partial_move_up():
     # 4, so closing 2 x0 + x1 = 5 z costs 3/2 per unit on arc 0 first.
     g = Digraph(("a", "b"), (("a", "b"), ("b", "a")))
     inst = PespInstance(g, 5, (0, 0), (5, 5), (3, 4))
-    bound = cycle_relaxation_bound(inst, CycleBasis((OrientedCycle((2, 1)),)))
+    bound = cycle_relaxation_bound(inst, CycleBasis([(2, 1)]))
     assert [bound((z,)) for z in range(4)] == [0, 8, 15, 15 + 20]
     assert bound((4,)) is None
 

@@ -60,6 +60,12 @@ def test_parse_errors_carry_line_numbers():
         parse_instance("PERIOD 10\nPERIOD 10\nARC a b 0 1 1\n")
 
 
+def test_a_self_loop_is_refused_on_its_own_line():
+    with pytest.raises(ParseError, match=r"^line 3: arc 1 is a self-loop at b$") as err:
+        parse_instance("PERIOD 10\nARC a b 1 2 1\nARC b b 1 2 1\n")
+    assert err.value.line_no == 3
+
+
 def test_parse_rejects_bad_bounds():
     with pytest.raises(InvalidBounds) as err:
         parse_instance("PERIOD 10\nARC a b 3 14 1\n")

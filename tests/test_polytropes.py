@@ -17,7 +17,6 @@ from peritrope import (
     EmptyPolytrope,
     Infeasible,
     NotATension,
-    OrientedCycle,
     PespInstance,
     anchor_timetable,
     default_basis,
@@ -408,7 +407,7 @@ def test_a_disconnected_instance_builds_no_polytrope(monkeypatch):
     polytropes raises DisconnectedGraph before any Bellman-Ford."""
     g = Digraph(tuple("abcd"), (("a", "b"), ("b", "a"), ("c", "d")))
     inst = PespInstance(g, 10, (2,) * 3, (6,) * 3, (1,) * 3)
-    basis = CycleBasis((OrientedCycle((1, 1, 0)),))
+    basis = CycleBasis([(1, 1, 0)])
     runs = count_bellman_ford(monkeypatch)
     for p in ((0, 0, 0), (0, 1, 0), (1, 1, 0)):
         with pytest.raises(DisconnectedGraph):
@@ -681,7 +680,7 @@ def test_offset_preimage_without_tree_annotation():
     fundamental = square_basis()
     sig0 = fundamental.gamma[0]
     sig1 = tuple(a + b for a, b in zip(fundamental.gamma[0], fundamental.gamma[1]))
-    anon = CycleBasis((OrientedCycle(sig0), OrientedCycle(sig1), fundamental.cycles[2]))
+    anon = CycleBasis((sig0, sig1, fundamental.gamma[2]))
     z = (2, -1, 3)
     p = offset_from_cycle_offset(anon, z)
     assert tuple(sum(r[a] * p[a] for a in range(6)) for r in anon.gamma) == z
@@ -715,7 +714,7 @@ def test_offset_from_cycle_offset_under_every_basis_kind():
         with pytest.raises(ValueError, match="^no integer offset maps to this cycle offset$"):
             offset_from_cycle_offset(rational, off_image)
         c0, _, *rest = rational.gamma
-        repeated = CycleBasis(tuple(map(OrientedCycle, (c0, c0, *rest))))
+        repeated = CycleBasis((c0, c0, *rest))
         with pytest.raises(ValueError, match="^cycle matrix does not have full row rank$"):
             offset_from_cycle_offset(repeated, (0,) * repeated.mu)
     assert checked >= 400, checked

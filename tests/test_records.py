@@ -1,10 +1,9 @@
 """The package's records: value semantics, frozen fields, validation.
 
-Every record is a ``collections.namedtuple`` subclass, except
-``OrientedCycle``, whose ``len`` is its support's and which is therefore a
-plain class.  Their repr, equality and hash are those of the frozen
-dataclasses they replace; the repr strings below were recorded from those
-dataclasses."""
+Every record is a ``collections.namedtuple`` subclass.  Their repr,
+equality and hash are those of the frozen dataclasses they replace; the
+repr strings below were recorded from those dataclasses, but for
+``CycleBasis``, whose rows are now its field ``gamma``."""
 
 import copy
 import pickle
@@ -20,7 +19,6 @@ from peritrope import (
     DualityReport,
     FixedOffsetResult,
     NeighbourhoodGraph,
-    OrientedCycle,
     PespInstance,
     Polytrope,
     Solution,
@@ -38,7 +36,7 @@ def _graph():
 
 
 def _basis():
-    return CycleBasis([OrientedCycle([1, -1, 1])], tree=[1, 0])
+    return CycleBasis([[1, -1, 1]], tree=[1, 0])
 
 
 def _instance():
@@ -62,7 +60,7 @@ _INSTANCE = (
     f"PespInstance(graph={_GRAPH}, period=10, lower=(3, 2, 4), upper=(12, 10, 13),"
     " weight=(1, 1, 1))"
 )
-_BASIS = "CycleBasis(cycles=(OrientedCycle(signature=(1, -1, 1)),), tree=(0, 1))"
+_BASIS = "CycleBasis(gamma=((1, -1, 1),), tree=(0, 1))"
 _STRUCTURE = "SpanningTreeStructure(tree=(0, 1), at_lower=frozenset({1}), at_upper=frozenset({0}))"
 _SOLUTION = (
     "Solution(timetable=(0, 3, 7), tension=(3, 7, 4), periodic_offset=(0, 0, 0),"
@@ -76,7 +74,6 @@ _ENTRY = (
 # name -> (factory, repr of the same record as a dataclass)
 RECORDS = {
     "Digraph": (_graph, _GRAPH),
-    "OrientedCycle": (lambda: OrientedCycle([1, -1, 1]), "OrientedCycle(signature=(1, -1, 1))"),
     "CycleBasis": (_basis, _BASIS),
     "PespInstance": (_instance, _INSTANCE),
     "ValidationReport": (
@@ -143,10 +140,6 @@ RECORDS = {
 UNHASHABLE = {"ValidationReport", "ContractionResult", "NeighbourhoodGraph"}
 
 
-def _fields(record):
-    return getattr(type(record), "_fields", ("signature",))
-
-
 @pytest.mark.parametrize("name", RECORDS)
 def test_the_repr_is_the_dataclass_repr(name):
     factory, text = RECORDS[name]
@@ -158,7 +151,7 @@ def test_equality_and_hash_go_by_field_values(name):
     factory = RECORDS[name][0]
     a, b = factory(), factory()
     assert a is not b and a == b and not a != b
-    values = tuple(getattr(a, f) for f in _fields(a))
+    values = tuple(getattr(a, f) for f in a._fields)
     if name in UNHASHABLE:
         with pytest.raises(TypeError):
             hash(a)
@@ -170,15 +163,14 @@ def test_equality_and_hash_go_by_field_values(name):
 def test_records_with_other_field_values_differ():
     assert _solution() != _solution()._replace(objective=15)
     assert _graph() != Digraph(["a", "b", "c"], [("a", "b"), ("a", "c"), ("c", "b")])
-    assert OrientedCycle([1, -1]) != OrientedCycle([1, 1])
-    assert OrientedCycle([1, -1]) != (1, -1) and OrientedCycle([1, -1]) != ((1, -1),)
-    assert _basis() != CycleBasis(_basis().cycles)
+    assert CycleBasis([[1, -1]]) != CycleBasis([[1, 1]])
+    assert _basis() != CycleBasis(_basis().gamma)
 
 
 @pytest.mark.parametrize("name", RECORDS)
 def test_assigning_or_deleting_a_field_raises(name):
     record = RECORDS[name][0]()
-    for field in _fields(record):
+    for field in record._fields:
         before = getattr(record, field)
         with pytest.raises(AttributeError):
             setattr(record, field, None)
@@ -198,16 +190,17 @@ def test_cached_properties_live_on_graphs_and_bases():
     g, basis = _graph(), _basis()
     assert g.vindex is g.vindex and g.vindex == {"a": 0, "b": 1, "c": 2}
     assert g.arc_index_pairs == ((0, 1), (0, 2), (1, 2)) and g.is_connected()
-    assert basis.gamma is basis.gamma and basis.gamma == ((1, -1, 1),)
-    assert basis.row_cotree_arcs == (2,)
+    assert basis.row_cotree_arcs is basis.row_cotree_arcs and basis.row_cotree_arcs == (2,)
+    # The rows are the record's field, not a property computed from it.
+    assert CycleBasis._fields == ("gamma", "tree") and "gamma" not in vars(CycleBasis)
 
 
 def test_the_validating_constructors_normalize_their_fields():
     g = _graph()
     assert g.vertices == ("a", "b", "c") and g.arcs == (("a", "b"), ("a", "c"), ("b", "c"))
-    assert OrientedCycle([1, -1.0, True]).signature == (1, -1, 1)
-    basis = CycleBasis(cycles=[OrientedCycle([1, -1, 1])], tree=[1, 0])
-    assert basis.cycles == (OrientedCycle((1, -1, 1)),) and basis.tree == (0, 1)
+    basis = CycleBasis([[1, -1.0, True]], tree=[1, 0])
+    assert basis.gamma == ((1, -1, 1),) and basis.tree == (0, 1)
+    assert {type(v) for v in basis.gamma[0]} == {int} and basis == _basis()
     assert CycleBasis([]).tree is None
     inst = PespInstance(g, 10.0, [3.0, 2, 4], [12, 10, 13], [1, 1, True])
     assert inst.lower == (3, 2, 4) and type(inst.lower[0]) is int
@@ -233,7 +226,7 @@ def test_the_validating_constructors_normalize_their_fields():
         # a bare TypeError; a lower bound of 3.5 once became 3.
         (lambda: PespInstance(_graph(), 10.5, [3, 2, 4], [7, 6, 9], [1, 1, 1]), r"^10\.5 is not an integer$"),
         (lambda: PespInstance(_graph(), 10, [3.5, 2, 4], [7, 6, 9], [1, 1, 1]), r"^3\.5 is not an integer$"),
-        (lambda: OrientedCycle([0.5, 1]), r"^0\.5 is not an integer$"),
+        (lambda: CycleBasis([[0.5, 1]]), r"^0\.5 is not an integer$"),
     ],
 )
 def test_the_validating_constructors_refuse_bad_fields(build, message):

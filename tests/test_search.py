@@ -16,7 +16,6 @@ from peritrope import (
     EnumerationCapExceeded,
     InvariantViolation,
     OffsetMemo,
-    OrientedCycle,
     PeritropeError,
     PespInstance,
     RetriesExhausted,
@@ -823,7 +822,7 @@ def test_an_empty_relaxation_at_a_neighbour_is_an_invariant_violation(monkeypatc
     middle = minimize_over_polytrope(inst, offset_for(inst, basis, (1,)))
     start = solution_from_timetable(inst, basis, middle.timetable)
     assert start.cycle_offset == (1,)
-    lone = CycleBasis((OrientedCycle((0, 0, 1)),))
+    lone = CycleBasis([(0, 0, 1)])
     monkeypatch.setattr(
         peritrope.search, "cycle_relaxation_bound", lambda i, b: cycle_relaxation_bound(i, lone)
     )
