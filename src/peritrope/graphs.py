@@ -140,11 +140,15 @@ class Digraph(namedtuple("Digraph", "vertices arcs")):
 class CycleBasis(namedtuple("CycleBasis", "gamma tree")):
     """An ordered integral cycle basis: ``gamma``, the rows of its cycle
     matrix, one signed arc incidence vector per cycle made ints by
-    ``integers``; ``tree`` is set when it is fundamental."""
+    ``integers``, all of one length (ValueError else); ``tree`` is set when
+    it is fundamental."""
 
     def __new__(cls, gamma, tree=None):
         tree = None if tree is None else tuple(sorted(tree))
-        return tuple.__new__(cls, (tuple(map(integers, gamma)), tree))
+        gamma = tuple(map(integers, gamma))
+        if len({len(row) for row in gamma}) > 1:
+            raise ValueError("the rows of a cycle matrix differ in length")
+        return tuple.__new__(cls, (gamma, tree))
 
     @property
     def mu(self):
@@ -155,19 +159,15 @@ class CycleBasis(namedtuple("CycleBasis", "gamma tree")):
 
     @cached_property
     def _sparse_rows(self):
-        """The (arc, coefficient) pairs of each row's nonzero entries, and
-        the length every row shares (None when the lengths differ)."""
-        lengths = {len(row) for row in self.gamma}
-        rows = tuple(tuple((a, s) for a, s in enumerate(row) if s) for row in self.gamma)
-        return rows, lengths.pop() if len(lengths) == 1 else None
+        """The (arc, coefficient) pairs of each row's nonzero entries."""
+        return tuple(tuple((a, s) for a, s in enumerate(row) if s) for row in self.gamma)
 
     def apply(self, v):
         """Gamma v for a vector v with one entry per arc (offsets, tensions,
         bounds); a vector of another length raises ValueError."""
-        rows, m = self._sparse_rows
-        if rows and len(v) != m:
+        if self.gamma and len(v) != len(self.gamma[0]):
             raise ValueError(f"a vector of length {len(v)} does not fit the cycle matrix")
-        return tuple([sum([s * v[a] for a, s in row]) for row in rows])
+        return tuple([sum([s * v[a] for a, s in row]) for row in self._sparse_rows])
 
     @cached_property
     def moves(self):
@@ -186,7 +186,7 @@ class CycleBasis(namedtuple("CycleBasis", "gamma tree")):
             raise ValueError("basis is not fundamental (no tree attached)")
         tree_set = set(self.tree)
         owners = []
-        for k, row in enumerate(self._sparse_rows[0]):
+        for k, row in enumerate(self._sparse_rows):
             outside = [(a, s) for a, s in row if a not in tree_set]
             if len(outside) != 1 or outside[0][1] != 1:
                 raise ValueError(f"row {k} is not a fundamental cycle of the attached tree")

@@ -89,11 +89,8 @@ def parse_instance(text):
     if not graph.is_connected():
         raise DisconnectedGraph("instance graph is not connected")
     inst = PespInstance(graph, period, *(zip(*bounds) if bounds else ((), (), ())))
-    report = validate(inst)
-    for arc, message in report.arc_violations:
+    for arc, message in validate(inst).arc_violations:
         raise InvalidBounds(arc, message)
-    if report.messages:
-        raise ParseError(0, "; ".join(report.messages))
     return inst
 
 

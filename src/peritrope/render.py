@@ -30,7 +30,8 @@ MARGIN = 30
 
 
 def _fmt(value):
-    """Exact decimal when the denominator allows it, else 4 places."""
+    """Exact decimal when the denominator allows it, else 4 places rounded
+    half up; integers throughout."""
     f = value if isinstance(value, Fraction) else Fraction(value)
     num, den = f.numerator, f.denominator
     if den == 1:
@@ -42,13 +43,10 @@ def _fmt(value):
     while d % 5 == 0:
         d //= 5
         k5 += 1
-    if d == 1:
-        k = max(k2, k5)
-        scaled = abs(num) * 10**k // den
-        whole, frac = divmod(scaled, 10**k)
-        text = f"{whole}.{frac:0{k}d}".rstrip("0").rstrip(".")
-    else:
-        text = f"{abs(float(f)):.4f}".rstrip("0").rstrip(".")
+    k = max(k2, k5) if d == 1 else 4
+    # Exact when d == 1; else no value lies on a half, where rounding rules differ.
+    whole, frac = divmod((2 * abs(num) * 10**k + den) // (2 * den), 10**k)
+    text = f"{whole}.{frac:0{k}d}".rstrip("0").rstrip(".")
     if num < 0 and text != "0":
         text = "-" + text
     return text

@@ -140,8 +140,7 @@ class OffsetMemo(BoxSearch):
                 found = certified_optimum(self.inst, offset_for(self.inst, self.basis, z))
             except Infeasible as empty:
                 found = None
-                nonempty = (y for y, other in self.leaves.items() if other is not None)
-                self.learn_row(z, empty.cycle, nonempty)
+                self.learn_row(z, empty.cycle)
             if found is not None:
                 own = self.learn_cut(z, *found.cut)
                 cut = own if learned is None else max(own, learned)

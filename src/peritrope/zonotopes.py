@@ -9,10 +9,12 @@ coordinate is divisible by T.
 ``BoxSearch`` is the one search over prefixes of the Odijk box it builds,
 for ``search.OffsetMemo`` and the lattice walk of ``lattice_points`` and
 ``enumerate_polytropes`` (key (0, prefix), in sorted box order); forms
-enter only as ``learn_row``'s Odijk rows and ``learn_cut``'s cuts.
+enter only as ``learn_row``'s Odijk rows and ``learn_cut``'s cuts, and
+its ``leaves`` are the one record of the points it solved.
 One ``TileKernel`` per (inst, basis) builds the tiles a structure implies,
-for ``fine_tiling`` and ``validate_tiling``, and holds the volume, one Gram
-determinant, that they and ``width_bound_report`` read.  A foreign tile,
+for ``fine_tiling`` and ``validate_tiling``, from two tables that fill
+themselves on lookup, and holds the volume, one Gram determinant, that
+they and ``width_bound_report`` read.  A foreign tile,
 and ``tile_contains_scaled``, test points against the frame (d, d * G^-1)
 of ``graphs._inverse_frame``.  ``duality_check`` compares each tile's
 pinned timetable with the root's row of the Kleene star.  Fractions
@@ -94,7 +96,7 @@ def odijk_box(inst, basis):
     row k spans [sum of lower bounds along the cycle minus upper bounds
     against it, and vice versa].  The box is the tightest axis-aligned one
     containing the zonotope."""
-    return tuple(odijk_range(inst, row) for row in basis._sparse_rows[0])
+    return tuple(odijk_range(inst, row) for row in basis._sparse_rows)
 
 
 def odijk_range(inst, terms):
@@ -161,8 +163,9 @@ class BoxSearch:
     box of (inst, basis).  Learned ``forms`` (ty, low, high, lo, hi, const),
     low[k] and high[k] the least and greatest ty.z over box rows k..: a cut
     (``learn_cut``), objective >= const + ty.z, or a row (``learn_row``,
-    const None), lo <= ty.z <= hi if z is nonempty.  ``leaves`` holds the
-    answers a leaf keeps of whole z's.  Every node graded and every leaf is
+    const None), lo <= ty.z <= hi if z is nonempty.  ``leaves`` is the one
+    record of what the search found: the answer a leaf keeps of each whole z
+    it solved, None for an empty one.  Every node graded and every leaf is
     one unit of ``budget`` (None: a fresh ``Budget``), charged to ``layer``."""
 
     def __init__(self, inst, basis, budget, layer):
@@ -173,15 +176,15 @@ class BoxSearch:
         self.budget = budget or Budget()
         self.layer = layer
 
-    def learn_row(self, z, gamma, nonempty):
+    def learn_row(self, z, gamma):
         """Learn the ``odijk_row`` of gamma, the negative cycle of the empty
-        offset z; one that leaves z open or rules out an offset of the
-        iterable ``nonempty`` raises InvariantViolation."""
+        offset z; one that leaves z open or rules out a z2 of ``leaves``
+        that holds an answer (not None) raises InvariantViolation."""
         ty, lo, hi = odijk_row(self.inst, self.basis, gamma)
         if lo <= sum(map(int.__mul__, ty, z)) <= hi:
             raise InvariantViolation(f"the row learned at the empty offset {z} leaves it open")
-        for z2 in nonempty:
-            if not lo <= sum(map(int.__mul__, ty, z2)) <= hi:
+        for z2, answer in self.leaves.items():
+            if answer is not None and not lo <= sum(map(int.__mul__, ty, z2)) <= hi:
                 raise InvariantViolation(f"the row of {z} rules out {z2}, which is nonempty")
         self.forms.append((ty, *suffix_extremes(ty, self.box), lo, hi, None))
 
@@ -268,9 +271,11 @@ def enumerate_polytropes(inst, basis, budget=None):
 
 def _lattice_walk(inst, basis, budget, keep):
     """``keep(z, p, edges, phi)`` of each lattice point z in sorted order,
-    p its offset, ``edges`` kappa(p) and phi its Bellman-Ford's potentials."""
-    search, points, kept = BoxSearch(inst, basis, budget, "lattice points"), [], []
-    box = search.box
+    p its offset, ``edges`` kappa(p) and phi its Bellman-Ford's potentials,
+    read off the search's ``leaves``, which fill in sorted box order and
+    hold None at each empty z."""
+    search = BoxSearch(inst, basis, budget, "lattice points")
+    box, leaves = search.box, search.leaves
     if not all(box):
         return ()
     # Under a basis that is not integral, the corner (each r[False]), the
@@ -283,14 +288,12 @@ def _lattice_walk(inst, basis, budget, keep):
         p = offset_for(inst, basis, z)
         edges, parent = kappa(inst, p), {}
         phi = _potentials(inst.graph.n, edges, parent=parent)
-        if phi is not None:
-            points.append(z)
-            kept.append(keep(z, p, edges, phi))
-        else:
-            search.learn_row(z, negative_cycle(edges, parent), points)
+        if phi is None:
+            search.learn_row(z, negative_cycle(edges, parent))
+        leaves[z] = None if phi is None else keep(z, p, edges, phi)
 
     search.run([(0, ())], (1, ()), lambda prefix: 0, leaf)
-    return tuple(kept)
+    return tuple(kept for kept in leaves.values() if kept is not None)
 
 
 def volume(inst, basis):
@@ -302,7 +305,7 @@ def volume(inst, basis):
     the sum of the tile volumes.  d = 1 for integral bases.  The Gram
     matrix is summed column by column over ``basis._sparse_rows``."""
     columns = [[] for _ in inst.span]
-    for k, row in enumerate(basis._sparse_rows[0]):
+    for k, row in enumerate(basis._sparse_rows):
         for a, x in row:
             columns[a].append((k, x))
     gram = [[0] * basis.mu for _ in range(basis.mu)]
@@ -379,71 +382,76 @@ def tile_contains_scaled(tile, scaled_point):
     return _frame_contains(_inverse_frame(tile.generators), tile.translation, scaled_point)
 
 
+class _Table(dict):
+    """A memo whose lookup of a missing key builds, stores and returns
+    ``build(key)``."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+def _build_cotree(columns, all_rows, span, d, arcs, tree):
+    """The co-tree entry (rows, generators, |det|) of the sorted ``tree``."""
+    rows, generators, det = [], [], d
+    # One loop for all three: a comprehension each took twice as long.
+    for a in sorted(arcs.difference(tree)):
+        rows.append(all_rows[a])
+        generators.append(columns[a])
+        det *= span[a]
+    return rows, tuple(generators), det
+
+
+def _build_translation(columns, base, at_upper):
+    """``base`` plus the scaled columns of the arcs of ``at_upper``."""
+    return tuple(map(sum, zip(base, *[columns[a] for a in at_upper])))
+
+
 class TileKernel:
     """The tiles one (inst, basis) implies, built from their parts.
 
-    Per instance it holds the scaled columns, one row (i, j, l_a, u_a,
+    Per instance it reads the scaled columns, one row (i, j, l_a, u_a,
     Gamma column of a) per arc a = (i, j), Gamma l and d = |d| of
-    ``basis.cotree_frame``.  Two memos fill on first use: per sorted tree,
-    its co-tree entry (the co-tree's rows, its scaled columns as the
-    generators, and |det| = d * the co-tree spans), and per frozenset of
-    arcs pinned at their upper bound, the translation Gamma l + their
-    scaled columns.  Lattice points depend on the potentials of the
+    ``basis.cotree_frame``, and hands them to two tables that fill
+    themselves on lookup: ``cotrees[tree]``, per sorted tree, its co-tree
+    entry (rows, generators, |det|): the co-tree's rows, its scaled columns
+    and d * the co-tree spans; and ``translations[at_upper]``, per
+    frozenset of arcs pinned at their upper bound, the translation Gamma l
+    + their scaled columns.  Lattice points depend on the potentials of the
     pinned tensions and are computed per tile by ``points``, never stored."""
 
     def __init__(self, inst, basis):
         self.inst = inst
         self.basis = basis
-        self._d = abs(basis.cotree_frame[1])
         self._period = inst.period
-        self._span = span = inst.span
+        self._origin = (0,) * basis.mu
+        span = inst.span
         # Gamma's columns, read once for the rows and the scaled columns.
         columns = list(zip(*basis.gamma)) or [()] * inst.graph.m
-        self._columns = [tuple(c * s for c in col) for col, s in zip(columns, span)]
-        self._rows = [
+        scaled = [tuple(c * s for c in col) for col, s in zip(columns, span)]
+        rows = [
             (i, j, lower, upper, col)
             for (i, j), lower, upper, col in zip(
                 inst.graph.arc_index_pairs, inst.lower, inst.upper, columns
             )
         ]
-        self._base = basis.apply(inst.lower)
-        self._arcs = frozenset(range(inst.graph.m))
-        self._origin = (0,) * basis.mu
-        self._cotrees = {}
-        self._translations = {}
+        d, arcs = abs(basis.cotree_frame[1]), frozenset(range(inst.graph.m))
+        # The builders hold the kernel's parts, not the kernel: bound methods
+        # put each kernel in a reference cycle, and the zonotope-analyze
+        # benchmark ran about 5 % slower.
+        self.cotrees = _Table(partial(_build_cotree, scaled, rows, span, d, arcs))
+        self.translations = _Table(partial(_build_translation, scaled, basis.apply(inst.lower)))
 
     @cached_property
     def zonotope_volume(self):
         """``volume`` of the kernel's instance and basis."""
         return volume(self.inst, self.basis)
-
-    def cotree(self, tree):
-        """The co-tree entry (rows, generators, |det|) of the sorted ``tree``."""
-        entry = self._cotrees.get(tree)
-        if entry is None:
-            entry = self._cotrees[tree] = self._build_cotree(tree)
-        return entry
-
-    def _build_cotree(self, tree):
-        columns, all_rows, span = self._columns, self._rows, self._span
-        rows, generators, det = [], [], self._d
-        # One loop for all three: a comprehension each took twice as long.
-        for a in sorted(self._arcs.difference(tree)):
-            rows.append(all_rows[a])
-            generators.append(columns[a])
-            det *= span[a]
-        return rows, tuple(generators), det
-
-    def translation(self, at_upper):
-        """Gamma x for the pinned tensions x of the frozenset ``at_upper``."""
-        found = self._translations.get(at_upper)
-        if found is None:
-            found = self._translations[at_upper] = self._build_translation(at_upper)
-        return found
-
-    def _build_translation(self, at_upper):
-        columns = self._columns
-        return tuple(map(sum, zip(self._base, *[columns[a] for a in at_upper])))
 
     def points(self, entry, pi):
         """The lattice points, unsorted, of the tile with the co-tree
@@ -494,21 +502,19 @@ def fine_tiling(inst, basis, root=None, kernel=None, budget=None):
     g = inst.graph
     kernel = _own_kernel(inst, basis, kernel)
     (budget or Budget()).charge("tiling", basis.mu * count_spanning_trees_determinant(g))
-    cotree, points = kernel.cotree, kernel.points
-    translations, translation = kernel._translations, kernel.translation
+    cotrees, translations, points = kernel.cotrees, kernel.translations, kernel.points
     new = tuple.__new__
     tiles = []
 
     def add_tile(grown, run_toward, run_away, pi):
         tree = tuple(sorted(grown))
         at_upper = frozenset(run_away)
-        entry = cotree(tree)
+        entry = cotrees[tree]
         held = points(entry, pi)
         # Built by tuple.__new__: the grown frozensets partition the sorted
         # tree, so the structure's check could find nothing.
         structure = new(SpanningTreeStructure, (tree, frozenset(run_toward), at_upper))
-        # Trees share upper sets, so most translations are memo hits, read inline.
-        shift = translations.get(at_upper) or translation(at_upper)
+        shift = translations[at_upper]
         tiles.append(new(Tile, (structure, entry[1], shift, min(held) if held else None)))
 
     grow_spanning_trees(g, add_tile, inst.upper, inst.lower, _root_index(g, root))
@@ -563,8 +569,7 @@ def validate_tiling(inst, basis, tiles, points=None, kernel=None, budget=None):
         points = lattice_points(inst, basis, budget)
     vol = kernel.zonotope_volume
     g = inst.graph
-    cotrees, cotree, points_of = kernel._cotrees, kernel.cotree, kernel.points
-    translations, translation = kernel._translations, kernel.translation
+    cotrees, translations, points_of = kernel.cotrees, kernel.translations, kernel.points
     dets, inside, held = [], [], []
     for tile in tiles:
         structure = tile.structure
@@ -572,12 +577,8 @@ def validate_tiling(inst, basis, tiles, points=None, kernel=None, budget=None):
         pi = tree_potentials(g, tree, _pinned_tensions(inst, structure))
         # A tree that does not reach every vertex implies no tile.
         if None not in pi:
-            # A kernel shared with the tiling holds every entry: read inline.
-            entry = cotrees.get(tree) or cotree(tree)
-            if entry[1] == tile.generators and (
-                (translations.get(structure.at_upper) or translation(structure.at_upper))
-                == tile.translation
-            ):
+            entry = cotrees[tree]
+            if entry[1] == tile.generators and translations[structure.at_upper] == tile.translation:
                 dets.append(entry[2])
                 inside.append(True)
                 held.append(sorted(points_of(entry, pi)))
@@ -714,7 +715,7 @@ def width_bound_report(inst, basis, kernel=None):
     eps = min(span) if span else 0
     vol = (volume(inst, basis) if kernel is None
            else _own_kernel(inst, basis, kernel).zonotope_volume)
-    rows = basis._sparse_rows[0]
+    rows = basis._sparse_rows
     sums = [sum([span[a] for a, _ in row]) for row in rows]
     product, scale = math.prod(sums), T**mu
     slacks = tuple(Fraction(s, T) for s in sums)

@@ -417,7 +417,7 @@ def drop_learned_rows(monkeypatch):
     0, which rules out no offset: the search prunes by the relaxation bound
     and the learned cuts alone."""
 
-    def inert(memo, z, gamma, nonempty):
+    def inert(memo, z, gamma):
         zeros = [0] * (len(memo.box) + 1)  # ty, and its least and greatest sums
         memo.forms.append((zeros[1:], zeros, zeros, 0, 0, None))
 
@@ -857,8 +857,8 @@ def fine_tiling_by_tree_walks(inst, basis, root=None):
                 at_lower.append(a)
                 pi[w] = pi[v] - inst.lower[a]
         structure = SpanningTreeStructure(tree, at_lower, at_upper)
-        entry = kernel.cotree(structure.tree)
-        translation = kernel.translation(structure.at_upper)
+        entry = kernel.cotrees[structure.tree]
+        translation = kernel.translations[structure.at_upper]
         points = kernel.points(entry, pi)
         tiles.append(Tile(structure, entry[1], translation, min(points, default=None)))
     return tuple(tiles)

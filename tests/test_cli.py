@@ -267,18 +267,18 @@ def test_tiling_and_validation_share_one_kernel(square, command, monkeypatch, ca
     from peritrope import zonotopes
 
     kernels, cotrees = [], []
-    real_init, real_build = zonotopes.TileKernel.__init__, zonotopes.TileKernel._build_cotree
+    real_init, real_build = zonotopes.TileKernel.__init__, zonotopes._build_cotree
 
     def init(self, *args):
         kernels.append(self)
         real_init(self, *args)
 
-    def build(self, tree):
-        cotrees.append(tree)
-        return real_build(self, tree)
+    def build(*parts_and_tree):
+        cotrees.append(parts_and_tree[-1])
+        return real_build(*parts_and_tree)
 
     monkeypatch.setattr(zonotopes.TileKernel, "__init__", init)
-    monkeypatch.setattr(zonotopes.TileKernel, "_build_cotree", build)
+    monkeypatch.setattr(zonotopes, "_build_cotree", build)
     assert main([command, square]) == 0
     assert json.loads(capsys.readouterr().out)["validation"]["ok"] is True
     assert len(kernels) == 1

@@ -136,7 +136,8 @@ def test_apply_multiplies_by_the_cycle_matrix():
     v = (2, -1, 0, 5, 3, 7)
     assert basis.apply(v) == (2, 5, 7)
     for wrong in (v[:5], v + (1,)):
-        with pytest.raises(ValueError):
+        message = f"^a vector of length {len(wrong)} does not fit the cycle matrix$"
+        with pytest.raises(ValueError, match=message):
             basis.apply(wrong)
     tree = fundamental_cycle_basis(Digraph(("a", "b"), (("a", "b"),)), (0,))
     for empty in (tree, CycleBasis(())):
@@ -720,7 +721,7 @@ def test_kernel_property_matches_the_rational_rank():
                 basis,
                 CycleBasis(rows + [c0]),
                 CycleBasis([c0, c1, [2 * x - y for x, y in zip(c0, c1)]]),
-                CycleBasis([c0[:-1], *rows[1:]]),
+                CycleBasis([row[:-1] for row in rows]),
             ]
             for k, variant in enumerate(variants):
                 expected = _parent_kernel_property(variant, g)

@@ -1,17 +1,18 @@
 """Checks on the package source itself: no ``assert`` (``python -O`` strips
-it, so invariants raise typed errors), no floating point outside the SVG
-renderer, no state that outlives a call (a module-level container or a
-``functools`` cache would grow with its inputs across calls), and no
-indented ``json.dump``/``json.dumps`` (an indent selects the pure-Python
-encoder; ``cli._json_text`` writes those bytes), no import upward from
-the polytrope layer (``polytropes`` and ``fixedlp``) into the modules
-built on it, no ``dataclasses`` import, no ``numpy``, ``scipy`` or
-``networkx`` import (CI installs only pytest and hypothesis, and every
-solver path stays in exact integers), and no import the module does not
-read.  Every function that ``bench/tracer.py`` wraps by name is still
-there to wrap, and every top-level function and class is reached by name
-from a command, an acceptance criterion, an oracle or a traced target,
-or is kept on purpose.
+it, so invariants raise typed errors), no floating point (the SVG
+renderer rounds its decimals in integers too), no state that outlives a
+call (a module-level container or a ``functools`` cache would grow with
+its inputs across calls), and no indented ``json.dump``/``json.dumps``
+(an indent selects the pure-Python encoder; ``cli._json_text`` writes
+those bytes), no import upward from the polytrope layer (``polytropes``
+and ``fixedlp``) into the modules built on it, no ``dataclasses``
+import, no ``numpy``, ``scipy`` or ``networkx`` import (CI installs only
+pytest and hypothesis, and every solver path stays in exact integers),
+and no import the module does not read.  Every function that
+``bench/tracer.py`` wraps by name is still there to wrap, and every
+top-level function and class is reached by name from a command, an
+acceptance criterion, an oracle or a traced target, or is kept on
+purpose.
 
 Each command is one process, so start-up is part of its cost.
 ``dataclasses`` loads ``inspect``, ``ast``, ``dis`` and ``tokenize``,
@@ -95,11 +96,10 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_no_floating_point_outside_render():
+def test_no_floating_point():
     found = [
         f"{p.name}:{n.lineno}"
         for p in MODULES
-        if p.name != "render.py"
         for n in _nodes(p)
         if (isinstance(n, ast.Name) and n.id == "float")
         or (isinstance(n, ast.Constant) and isinstance(n.value, float))

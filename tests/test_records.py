@@ -227,6 +227,8 @@ def test_the_validating_constructors_normalize_their_fields():
         (lambda: PespInstance(_graph(), 10.5, [3, 2, 4], [7, 6, 9], [1, 1, 1]), r"^10\.5 is not an integer$"),
         (lambda: PespInstance(_graph(), 10, [3.5, 2, 4], [7, 6, 9], [1, 1, 1]), r"^3\.5 is not an integer$"),
         (lambda: CycleBasis([[0.5, 1]]), r"^0\.5 is not an integer$"),
+        # A ragged matrix once passed: the triangle's volume came out 153/100.
+        (lambda: CycleBasis([[1, -1, 1], [1, 0]]), "^the rows of a cycle matrix differ in length$"),
     ],
 )
 def test_the_validating_constructors_refuse_bad_fields(build, message):

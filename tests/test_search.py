@@ -452,13 +452,21 @@ def test_a_row_that_leaves_its_own_offset_open_is_an_invariant_violation(monkeyp
 def test_a_row_that_rules_out_a_nonempty_offset_is_an_invariant_violation(monkeypatch):
     # The range (1, 0) holds no integer, so the shared row rules out every
     # offset.  The first walk on mu6 solves nonempty offsets before its
-    # first empty one, whose row then rules them out.
+    # first empty one, whose row then rules them out; so does the lattice
+    # walk, in box order, on corpus instance 15.
     inst = parse_instance((GOLDEN / "mu6.pesp").read_text())
     basis = default_basis(inst.graph)
+    corpus, corpus_basis, _, _ = random_corpus(16)[15]
+    points = lattice_points(corpus, corpus_basis)
+    assert min(points) < min(z for z in box_points(corpus, corpus_basis) if z not in points)
     honest = peritrope.zonotopes.odijk_row
     monkeypatch.setattr(peritrope.zonotopes, "odijk_row", lambda *args: (honest(*args)[0], 1, 0))
-    with pytest.raises(InvariantViolation, match=r"rules out .*, which is nonempty$"):
-        tns_restarts(inst, basis, 3, seed=1)
+    for run in (
+        lambda: tns_restarts(inst, basis, 3, seed=1),
+        lambda: lattice_points(corpus, corpus_basis),
+    ):
+        with pytest.raises(InvariantViolation, match=r"rules out .*, which is nonempty$"):
+            run()
 
 
 def test_every_learned_row_is_an_oriented_cycle_that_rules_out_only_empty_offsets(monkeypatch):
@@ -471,9 +479,9 @@ def test_every_learned_row_is_an_oriented_cycle_that_rules_out_only_empty_offset
     honest = OffsetMemo.learn_row
     cycles = []
 
-    def recording(memo, z, gamma, nonempty):
+    def recording(memo, z, gamma):
         cycles.append(gamma)
-        honest(memo, z, gamma, nonempty)
+        honest(memo, z, gamma)
 
     monkeypatch.setattr(OffsetMemo, "learn_row", recording)
     learned = ruled_out = 0

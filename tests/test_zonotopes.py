@@ -189,9 +189,9 @@ def test_every_row_the_walk_learns_proves_its_point_empty(monkeypatch):
     honest = zonotopes.BoxSearch.learn_row
     learned = []
 
-    def recording(search, z, gamma, nonempty):
+    def recording(search, z, gamma):
         learned.append((z, gamma))
-        honest(search, z, gamma, nonempty)
+        honest(search, z, gamma)
 
     monkeypatch.setattr(zonotopes.BoxSearch, "learn_row", recording)
     runs = count_bellman_ford(monkeypatch)
@@ -678,7 +678,7 @@ def test_tampering_is_caught_on_a_kernel_shared_with_the_tiling(tamper_test, mon
     assert kernels
     for kernel in kernels:
         assert {use for use, k in served if k is kernel} == {"tiling", "validation"}
-        assert kernel._cotrees and kernel._translations
+        assert kernel.cotrees and kernel.translations
 
 
 @pytest.mark.parametrize("function", ("fine_tiling", "validate_tiling"))
@@ -727,12 +727,15 @@ def test_one_kernel_builds_each_cotree_and_translation_once(monkeypatch):
     for each tile by each of the two.  Separate kernels build each twice."""
     built = {name: [] for name in ("_build_cotree", "_build_translation", "points")}
     for name, calls in built.items():
+        # The builders take the kernel's parts and then the key; points
+        # takes the kernel and then the co-tree entry.
+        owner, at = (TileKernel, 1) if name == "points" else (zonotopes, -1)
 
-        def counted(self, first, *rest, real=getattr(TileKernel, name), calls=calls):
-            calls.append(first)
-            return real(self, first, *rest)
+        def counted(*args, real=getattr(owner, name), calls=calls, at=at):
+            calls.append(args[at])
+            return real(*args)
 
-        monkeypatch.setattr(TileKernel, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     seen = dict.fromkeys(("cases", "repeated translations"), 0)
     cases = [(square_instance(), square_basis(), "v2")] + list(_tiling_cases())[:40]
     for inst, basis, root in cases:
