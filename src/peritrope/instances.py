@@ -43,8 +43,7 @@ def parse_instance(text):
     if isinstance(text, bytes):
         text = text.decode("utf-8")
     period = None
-    events = []
-    seen_events = set()
+    events = {}  # each id in order of first use: True once an EVENT line declares it
     arcs = []
     bounds = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -64,10 +63,10 @@ def parse_instance(text):
         elif kind == "EVENT":
             if len(fields) != 2:
                 raise ParseError(line_no, "EVENT takes one id")
-            if fields[1] in seen_events:
-                raise ParseError(line_no, f"duplicate event {fields[1]}")
-            seen_events.add(fields[1])
-            events.append(fields[1])
+            if fields[1] in events:
+                raise ParseError(line_no, f"duplicate event {fields[1]}" if events[fields[1]]
+                                 else f"event {fields[1]} is declared after an arc that uses it")
+            events[fields[1]] = True
         elif kind == "ARC":
             if len(fields) != 6:
                 raise ParseError(line_no, "ARC takes tail head lower upper weight")
@@ -77,10 +76,8 @@ def parse_instance(text):
             lo, hi, w = (_int_field(x, line_no) for x in fields[3:6])
             arcs.append((tail, head))
             bounds.append((lo, hi, w))
-            for v in (tail, head):
-                if v not in seen_events:
-                    seen_events.add(v)
-                    events.append(v)
+            events.setdefault(tail, False)
+            events.setdefault(head, False)
         else:
             raise ParseError(line_no, f"unknown directive {fields[0]}")
     if period is None:

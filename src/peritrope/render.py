@@ -1,9 +1,9 @@
-"""Deterministic SVG pictures: the decomposed timetable torus for
-three-event instances, and the offset zonotope in dimension at most two.
-
-All geometry runs on exact fractions; numbers are only formatted at the
-final emission step, so repeated renders are byte-identical.
-"""
+"""Deterministic SVG pictures: the decomposed timetable torus of a
+three-event instance, each polytrope the square clipped by its six
+Kleene-star half-planes, and the offset zonotope in dimension at most two.
+All geometry runs on exact fractions, so clipping keeps polygons strictly
+convex; numbers are formatted only at the final emission step, so repeated
+renders are byte-identical."""
 
 from fractions import Fraction
 
@@ -53,7 +53,17 @@ def _fmt(value):
 
 
 def _clip_halfplane(points, a, b, c):
-    """Keep the part of a convex polygon with a*x + b*y <= c."""
+    """Keep the part of a convex polygon in H: a*x + b*y <= c, the vertices
+    in H and each point where an edge crosses the line L: a*x + b*y = c.
+    In exact arithmetic a strictly convex polygon P clips, once ``_tidy``
+    drops repeats, to a strictly convex polygon, a segment, a point or
+    nothing.  Proof: kept vertices are corners of P, so of P & H.  On an edge
+    with one end in H and one strictly outside, the crossing repeats the end
+    in H if it is on L; else L cuts the edge strictly inside and the crossing
+    is a corner of P & H.  An edge on L adds no point: L supports P, so P & H
+    is P or that edge.  Segments and points clip alike, repeats stay repeats
+    through later clips, and the square and the shifted polytrope polygons
+    start strictly convex."""
     out = []
     for idx, p in enumerate(points):
         q = points[(idx + 1) % len(points)]
@@ -69,32 +79,15 @@ def _clip_halfplane(points, a, b, c):
 
 
 def _tidy(points):
-    """Drop repeated and collinear vertices."""
+    """Drop repeated vertices, the last one too when it repeats the first.
+    Clipping makes no other vertex redundant (see ``_clip_halfplane``)."""
     pts = []
     for p in points:
         if not pts or p != pts[-1]:
             pts.append(p)
     if len(pts) > 1 and pts[0] == pts[-1]:
         pts.pop()
-    changed = True
-    while changed and len(pts) >= 3:
-        changed = False
-        for i in range(len(pts)):
-            a, b, c = pts[i - 1], pts[i], pts[(i + 1) % len(pts)]
-            cross = (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
-            if cross == 0:
-                pts.pop(i)
-                changed = True
-                break
     return tuple(pts)
-
-
-def _area2(points):
-    total = Fraction(0)
-    for i, p in enumerate(points):
-        q = points[(i + 1) % len(points)]
-        total += p[0] * q[1] - q[0] * p[1]
-    return abs(total)
 
 
 def polytrope_polygon(poly):
@@ -106,12 +99,7 @@ def polytrope_polygon(poly):
         return ()
     d = poly.dist
     bound = max(abs(v) for row in d for v in row) + poly.instance.period + 1
-    square = [
-        (Fraction(-bound), Fraction(-bound)),
-        (Fraction(bound), Fraction(-bound)),
-        (Fraction(bound), Fraction(bound)),
-        (Fraction(-bound), Fraction(bound)),
-    ]
+    lo, hi = Fraction(-bound), Fraction(bound)
     halfplanes = [
         (1, 0, d[0][1]),
         (-1, 0, d[1][0]),
@@ -120,11 +108,9 @@ def polytrope_polygon(poly):
         (-1, 1, d[1][2]),
         (1, -1, d[2][1]),
     ]
-    pts = square
+    pts = [(lo, lo), (hi, lo), (hi, hi), (lo, hi)]
     for a, b, c in halfplanes:
         pts = _clip_halfplane(pts, a, b, c)
-        if not pts:
-            return ()
     return _tidy(pts)
 
 
@@ -181,7 +167,7 @@ def render_torus(inst, basis, budget=None):
                     if not piece:
                         break
                 piece = _tidy(piece)
-                if len(piece) < 3 or _area2(piece) == 0:
+                if len(piece) < 3:
                     continue
                 coords = " ".join(
                     f"{_fmt(px)},{_fmt(py)}" for px, py in (to_svg(x, y) for x, y in piece)

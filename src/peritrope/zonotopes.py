@@ -348,10 +348,6 @@ class Tile(namedtuple("Tile", "structure generators translation lattice_point"))
 
     __slots__ = ()
 
-    @property
-    def mu(self):
-        return len(self.generators)
-
 
 def _pinned_tensions(inst, structure):
     """Tree arcs at the bound their structure pins them to, co-tree arcs at
@@ -713,8 +709,7 @@ def width_bound_report(inst, basis, kernel=None):
     trees = count_spanning_trees_determinant(inst.graph)
     span = inst.span
     eps = min(span) if span else 0
-    vol = (volume(inst, basis) if kernel is None
-           else _own_kernel(inst, basis, kernel).zonotope_volume)
+    vol = _own_kernel(inst, basis, kernel).zonotope_volume
     rows = basis._sparse_rows
     sums = [sum([span[a] for a, _ in row]) for row in rows]
     product, scale = math.prod(sums), T**mu

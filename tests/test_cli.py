@@ -650,6 +650,7 @@ MORE_GOLDENS = [
     )
 ] + [(name, ["render", "--what", "zonotope"], "zonotope.svg") for name in ("triangle", "square5")]
 MORE_GOLDENS += [("triangle", ["render", "--what", "torus"], "torus.svg")]
+MORE_GOLDENS += [("seg3", ["render"], "torus.svg")]
 MORE_GOLDENS += [("zero9", ["solve"], "solve.json")]
 MORE_GOLDENS += [
     ("mu6", ["solve", "--method", "tns", "--seed", "6", "--max-iter", "2"], "tns-cap2.json")
@@ -671,7 +672,9 @@ def test_solve_polytropes_and_render_goldens_are_byte_identical(
     the golden's file with ``.jsonl`` for ``.json``.  mu6.tns-cap2 is a
     walk that ``--max-iter 2`` stops after two of its four moves.  square5
     is the square without its last arc (mu = 2, seven tiles), the largest
-    golden a zonotope picture can show.
+    golden a zonotope picture can show.  seg3's torus has a polytrope that
+    is a segment, which draws nothing, and a shifted copy of the other that
+    the frame clips to nothing.
     zero9 is a ``bench/gen`` instance (n = 9, m = 13, ``random.Random(1)``)
     with every weight 0, so its first optimal face is a whole polytrope,
     56,320 spanning tree structures.  l5.polytropes (112 of 17,496 box

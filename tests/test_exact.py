@@ -152,6 +152,8 @@ def test_verify_solution_spots_corruption():
     assert verify_solution(inst, basis, bad_offset)
     bad_value = sol._replace(objective=13)
     assert verify_solution(inst, basis, bad_value)
+    out_of_bounds = sol._replace(tension=(99, *sol.tension[1:]))
+    assert "arc 0: tension 99 outside bounds" in verify_solution(inst, basis, out_of_bounds)
 
 
 def test_solve_exact_matches_the_full_scan():

@@ -751,6 +751,16 @@ def test_a_mutated_flow_or_potential_fails_both_certificate_checks(monkeypatch, 
             certified_optimum(inst, offset_for(inst, basis, z))
 
 
+def test_a_flow_that_leaves_the_supplies_unbalanced_fails_its_certificate(monkeypatch):
+    inst = triangle_instance()
+    basis = default_basis(inst.graph)
+    monkeypatch.setattr(
+        peritrope.fixedlp, "_reduced_cost_flow", lambda adjacency, cost, supply, phi: [0] * len(cost)
+    )
+    with pytest.raises(InvariantViolation, match="^the flow fails its certificate: "):
+        certified_optimum(inst, offset_for(inst, basis, (0,)))
+
+
 def test_a_cut_planted_above_an_optimum_fails_both_checks(monkeypatch):
     inst = square_instance()
     basis = square_basis()

@@ -126,6 +126,14 @@ def test_fundamental_basis_rows_ordered_by_cotree_arc():
         assert basis.gamma[k][a] == 1
 
 
+def test_row_cotree_arcs_needs_a_fundamental_basis():
+    with pytest.raises(ValueError, match=r"^basis is not fundamental \(no tree attached\)$"):
+        CycleBasis([(1, -1, 1)]).row_cotree_arcs
+    message = "^row 0 is not a fundamental cycle of the attached tree$"
+    with pytest.raises(ValueError, match=message):
+        CycleBasis([(1, -1, 1)], tree=(0,)).row_cotree_arcs
+
+
 def test_apply_multiplies_by_the_cycle_matrix():
     """On the square, on a mu = 0 basis (no rows: every vector maps to (),
     whatever its length), and on seeded random bases (fundamental,

@@ -1,10 +1,12 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from peritrope import (
+    Digraph,
     DisconnectedGraph,
     Infeasible,
     InfeasibleFixedCycle,
@@ -19,6 +21,7 @@ from peritrope import (
     timetable_to_tension,
     validate,
 )
+from peritrope import cli
 from helpers import random_instance, triangle_instance
 
 TRIANGLE_TEXT = """\
@@ -79,6 +82,62 @@ def test_parse_rejects_disconnected():
         parse_instance("PERIOD 10\nEVENT a\nEVENT b\nEVENT c\nARC a b 0 1 1\n")
     with pytest.raises(DisconnectedGraph):
         parse_instance("PERIOD 10\nEVENT a\nEVENT b\n")
+
+
+REFUSALS = [
+    ("PERIOD 10 12\n", ParseError, "line 1: PERIOD takes one integer"),
+    ("PERIOD 0\n", ParseError, "line 1: period must be positive"),
+    ("PERIOD -3\n", ParseError, "line 1: period must be positive"),
+    ("PERIOD 10\nEVENT a b\n", ParseError, "line 2: EVENT takes one id"),
+    ("PERIOD 10\nEVENT a\nEVENT a\n", ParseError, "line 3: duplicate event a"),
+    (
+        "PERIOD 10\nARC a b 1 3 1\nEVENT a\n",
+        ParseError,
+        "line 3: event a is declared after an arc that uses it",
+    ),
+    ("PERIOD 10\nNODE a\n", ParseError, "line 2: unknown directive NODE"),
+    ("PERIOD 1x\n", ParseError, "line 1: not an integer: 1x"),
+    ("PERIOD 10\nARC a b 0 x 1\n", ParseError, "line 2: not an integer: x"),
+    ("PERIOD 10\nARC a b 5 3 1\n", InvalidBounds, "arc 0: upper bound 3 below lower 5"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, kind, message",
+    REFUSALS,
+    ids=[
+        "period-two-fields",
+        "period-zero",
+        "period-negative",
+        "event-two-ids",
+        "event-twice",
+        "event-after-arc",
+        "unknown-directive",
+        "period-not-integer",
+        "arc-not-integer",
+        "upper-below-lower",
+    ],
+)
+def test_each_refusal_of_the_text_format_names_its_fault(text, kind, message):
+    """An EVENT line for an id an arc already used is refused as late, not
+    as a duplicate: EVENT lines pre-declare vertices."""
+    with pytest.raises(kind, match=f"^{re.escape(message)}$"):
+        parse_instance(text)
+
+
+def test_the_cli_reports_a_refused_line_on_one_stderr_line(tmp_path, capsys):
+    path = tmp_path / "late.pesp"
+    path.write_text("PERIOD 10\nARC a b 1 3 1\nEVENT a\n")
+    assert cli.main(["solve", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: line 3: event a is declared after an arc that uses it\n"
+
+
+def test_validate_reports_a_bad_period_and_a_disconnected_graph():
+    g = Digraph(("a", "b", "c"), (("a", "b"),))
+    report = validate(PespInstance(g, 0, (0,), (1,), (1,)))
+    assert report.messages == ["period 0 is not positive", "graph is not connected"]
 
 
 def test_roundtrip_is_identity_on_canonical_form():

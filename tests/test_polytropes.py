@@ -545,6 +545,11 @@ def test_offset_from_cycle_offset_fundamental():
     assert offset_from_cycle_offset(basis, (0,)) == (0, 0, 0)
 
 
+def test_offset_from_cycle_offset_refuses_an_empty_basis():
+    with pytest.raises(ValueError, match="^cannot size the offset vector of an empty basis$"):
+        offset_from_cycle_offset(CycleBasis([]), ())
+
+
 @pytest.mark.parametrize("z", [(1, 7, 9), ()], ids=("long", "empty"))
 def test_offset_from_cycle_offset_rejects_a_z_of_the_wrong_length(z):
     _, basis = _triangle()

@@ -1,3 +1,5 @@
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +15,7 @@ from peritrope import (
     render_torus,
     render_zonotope,
 )
-from peritrope.render import _fmt
+from peritrope.render import _clip_halfplane, _fmt, _tidy
 from helpers import square_basis, square_instance, triangle_instance
 
 
@@ -39,6 +41,74 @@ def test_fmt():
     assert _fmt(Fraction(-1, 100000)) == "-0.00001"
 
 
+def _turn(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def _twice_area(points):
+    return sum(p[0] * q[1] - q[0] * p[1] for p, q in zip(points, points[1:] + points[:1]))
+
+
+def _strictly_convex_polygon(rng):
+    """The hull of random Fraction points, counterclockwise, with every
+    collinear point dropped."""
+    while True:
+        points = sorted(
+            {
+                tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 3)) for _ in "xy")
+                for _ in range(rng.randint(3, 9))
+            }
+        )
+        lower, upper = [], []
+        for chain, sweep in ((lower, points), (upper, points[::-1])):
+            for p in sweep:
+                while len(chain) >= 2 and _turn(chain[-2], chain[-1], p) <= 0:
+                    chain.pop()
+                chain.append(p)
+        hull = lower[:-1] + upper[:-1]
+        if len(hull) >= 3:
+            return hull
+
+
+def _halfplane(rng, shape):
+    """(a, b, c) of a random half-plane a*x + b*y <= c: a random line, a
+    line through a vertex of ``shape``, or the line along one of its edges,
+    with either side kept."""
+    kind = rng.choice(("any", "vertex", "edge"))
+    i = rng.randrange(len(shape))
+    p, q = shape[i], shape[(i + 1) % len(shape)]
+    if kind == "edge" and p != q:
+        a, b = q[1] - p[1], p[0] - q[0]
+    else:
+        a, b = (Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in "ab")
+        a = a if a or b else Fraction(1)
+    c = Fraction(rng.randint(-40, 40), rng.randint(1, 4)) if kind == "any" else a * p[0] + b * p[1]
+    sign = rng.choice((1, -1))
+    return sign * a, sign * b, sign * c
+
+
+def test_clipping_keeps_polygons_strictly_convex():
+    """One to three clips of a random strictly convex polygon, tidied once
+    as ``render_torus`` does, leave no repeated vertex, no three
+    consecutive vertices collinear, and a nonzero area on every result
+    with three or more vertices; every outcome, from nothing to a polygon,
+    occurs."""
+    rng = random.Random(7)
+    outcomes = Counter()
+    for _ in range(2500):
+        pts = _strictly_convex_polygon(rng)
+        for _ in range(rng.randint(1, 3)):
+            if pts:
+                pts = _clip_halfplane(pts, *_halfplane(rng, _tidy(pts)))
+        pts = _tidy(pts)
+        assert len(set(pts)) == len(pts)
+        if len(pts) >= 3:
+            assert all(_turn(pts[i - 2], pts[i - 1], pts[i]) != 0 for i in range(len(pts)))
+            assert _twice_area(pts) != 0
+        outcomes[min(len(pts), 3)] += 1
+    assert sorted(outcomes) == [0, 1, 2, 3], outcomes
+
+
 def test_polygon_vertex_counts():
     inst, basis = _triangle()
     counts = []
@@ -53,6 +123,18 @@ def test_polygon_needs_three_vertices():
     poly = polytrope_build(sq, square_basis(), (0, 1, 0, 0, 0, 1))
     with pytest.raises(ValueError):
         polytrope_polygon(poly)
+
+
+def test_an_empty_class_has_no_polygon():
+    inst, basis = _triangle()
+    poly = polytrope_build(inst, basis, (0, 0, 3))
+    assert not poly.nonempty
+    assert polytrope_polygon(poly) == ()
+
+
+def test_the_torus_needs_three_vertices():
+    with pytest.raises(ValueError, match="^torus rendering needs exactly 3 vertices$"):
+        render_torus(square_instance(), square_basis())
 
 
 def test_torus_render_markers():

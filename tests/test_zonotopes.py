@@ -134,6 +134,14 @@ def test_scaled_membership_hits_the_segment_ends():
     assert not scaled_point_in_zonotope(inst, basis, (24,))
 
 
+def test_the_zonotope_of_a_tree_instance_is_the_origin_alone():
+    inst = parse_instance("PERIOD 10\nARC a b 2 6 3\n")
+    basis = default_basis(inst.graph)
+    assert basis.mu == 0
+    assert scaled_point_in_zonotope(inst, basis, ())
+    assert not scaled_point_in_zonotope(inst, basis, (0,))
+
+
 def test_lattice_cap():
     """The walk's gradings and Bellman-Fords are charged to its budget, and
     one too few units stop it in the lattice points layer."""
