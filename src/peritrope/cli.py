@@ -36,7 +36,6 @@ from .zonotopes import (
     enumerate_polytropes,
     fine_tiling,
     lattice_points,
-    odijk_box,
     validate_tiling,
     width_bound_report,
 )
@@ -270,7 +269,8 @@ def _tiling_section(kernel, root, points, budget):
 def cmd_analyze(args):
     inst, root, basis, arc_map = _contracted(args)
     T = inst.period
-    # One kernel, so the bounds and the validation share one volume.
+    # One kernel, so the bounds, the "box" section and the validation share
+    # one volume and one Odijk box.
     kernel = TileKernel(inst, basis)
     bounds = width_bound_report(inst, basis, kernel)
     report = {
@@ -285,7 +285,7 @@ def cmd_analyze(args):
         report["lattice_points"] = [list(z) for z in points]
     except EnumerationCapExceeded as exc:
         stop = exc
-    report["box"] = [[_ratio(lo, T), _ratio(hi, T)] for lo, hi in odijk_box(inst, basis)]
+    report["box"] = [[_ratio(lo, T), _ratio(hi, T)] for lo, hi in kernel.box]
     report["bound_chain"] = {
         "width": bounds.width,
         "num_spanning_trees": bounds.num_spanning_trees,

@@ -5,11 +5,14 @@ Vertices are arbitrary hashable ids kept in declaration order; arcs are
 (tail, head) pairs addressed by their position in the arc sequence.
 Parallel and antiparallel arcs are allowed, self-loops are not.
 
-Four kernels serve the package.  ``greedy_forest`` is its one
-union-find.  ``tree_walk`` is its depth-first walk of an arc set from a
-root, and ``tree_potentials``, its one walk into vertex potentials,
-visits the vertices in the same order.  ``grow_spanning_trees`` is its
-one spanning tree enumeration, for ``spanning_trees``, the tiles of
+Four kernels serve the package, beside ``Digraph.incidence``, a graph's
+one adjacency (each vertex's arcs in arc order), which the walks, the
+tree growth, the Kirchhoff count and the doubled graph read.
+``greedy_forest`` is its one union-find.  ``tree_walk`` is its
+depth-first walk of an arc set from a root, in arc order, and
+``tree_potentials``, its one walk into vertex potentials, visits the
+vertices in the same order.  ``grow_spanning_trees`` is its one
+spanning tree enumeration, for ``spanning_trees``, the tiles of
 ``zonotopes.fine_tiling`` and the optimal face vertices of ``fixedlp``,
 each of which charges its budget the Kirchhoff count before the first
 tree.  That count, ``count_spanning_trees_determinant``, is taken once per
@@ -25,7 +28,7 @@ offset represents a cycle offset: offset preimages, scaled-point tests
 and the co-tree determinant d all go through it.
 """
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import cached_property
 from itertools import compress
 
@@ -103,15 +106,27 @@ class Digraph(namedtuple("Digraph", "vertices arcs")):
         return tuple((vi[t], vi[h]) for t, h in self.arcs)
 
     @cached_property
+    def incidence(self):
+        """Per vertex index, (arc, other end, True when the arc leaves the
+        vertex) for each arc at it, in arc order: the graph's one adjacency."""
+        at = [[] for _ in self.vertices]
+        for a, (i, j) in enumerate(self.arc_index_pairs):
+            at[i].append((a, j, True))
+            at[j].append((a, i, False))
+        return tuple(map(tuple, at))
+
+    @cached_property
     def doubled_adjacency(self):
         """(out, into) of the doubled graph of ``polytropes.kappa`` (edge a
-        is arc a, edge m + a its reversal): (head, edge) per edge out of v
-        in out[v], (tail, edge) per edge into v in into[v], in edge order."""
-        out, into = [[] for _ in self.vertices], [[] for _ in self.vertices]
-        pairs = self.arc_index_pairs
-        for k, (t, h) in enumerate(pairs + tuple((j, i) for i, j in pairs)):
-            out[t].append((h, k))
-            into[h].append((t, k))
+        is arc a, edge m + a its reversal), read off ``incidence``: (head,
+        edge) per edge out of v in out[v], (tail, edge) per edge into v in
+        into[v], the forward copies, then the reversals, each in arc order."""
+        m, out, into = self.m, [], []
+        for arcs in self.incidence:
+            leaving = [(w, a) for a, w, leaves in arcs if leaves]
+            entering = [(w, a) for a, w, leaves in arcs if not leaves]
+            out.append(leaving + [(w, m + a) for w, a in entering])
+            into.append(entering + [(w, m + a) for w, a in leaving])
         return out, into
 
     def is_connected(self):
@@ -125,16 +140,15 @@ class Digraph(namedtuple("Digraph", "vertices arcs")):
 
     @cached_property
     def _tree_count(self):
-        return _kirchhoff(self.arc_index_pairs)
+        return _kirchhoff(self)
 
     @cached_property
     def retry_trees(self):
         """The trees ``search.initial_solution`` retries with: ``spanning_trees``
         of the graph, or the greedy tree alone beyond ``RETRY_POOL`` trees."""
-        try:
-            return spanning_trees(self, Budget(RETRY_POOL))
-        except EnumerationCapExceeded:
+        if count_spanning_trees_determinant(self) > RETRY_POOL:
             return (greedy_spanning_tree(self),)
+        return spanning_trees(self)
 
 
 class CycleBasis(namedtuple("CycleBasis", "gamma tree")):
@@ -279,17 +293,11 @@ def fundamental_cycle_basis(g, tree):
 def verify_kernel_property(basis, g):
     """True iff every row is a circuit (B row = 0, B the incidence matrix)
     and the rows are linearly independent: their Gram determinant is nonzero."""
-    pairs = g.arc_index_pairs
     for row in basis.gamma:
-        if len(row) != g.m:
-            return False
-        net = [0] * g.n
-        for a, s in enumerate(row):
-            if s:
-                i, j = pairs[a]
-                net[i] += s
-                net[j] -= s
-        if any(net):
+        # (B row)[v]: the row's net flow out of v, summed over v's arcs.
+        if len(row) != g.m or any(
+            sum([row[a] if leaves else -row[a] for a, _, leaves in arcs]) for arcs in g.incidence
+        ):
             return False
     gamma = basis.gamma
     gram = [[sum(x * y for x, y in zip(r, q)) for q in gamma] for r in gamma]
@@ -342,10 +350,7 @@ def grow_spanning_trees(g, visit, away, toward, root=0):
     """
     _require_connected(g)
     pairs = g.arc_index_pairs
-    incident = [0] * g.n
-    for a, (i, j) in enumerate(pairs):
-        incident[i] |= 1 << a
-        incident[j] |= 1 << a
+    incident = [sum([1 << a for a, _, _ in arcs]) for arcs in g.incidence]
     pi = [0] * g.n
     tree, run_toward, run_away = [], [], []
 
@@ -446,26 +451,21 @@ def tree_walk(g, tree, root=0):
     """The steps (v, w, a, s) of a depth-first walk from the root over the
     arcs of ``tree`` (arc indices): arc a joins the reached vertex v to the
     new vertex w, with s = +1 when it runs v -> w and -1 when it runs
-    w -> v.  An arc set with cycles is walked in the order of ``tree``, and
-    an arc that closes a cycle is skipped; vertices the arcs do not reach
-    get no step.
+    w -> v.  The walk takes each vertex's arcs in arc order, whatever the
+    order of ``tree``, and skips an arc that closes a cycle; vertices the
+    arcs do not reach get no step.
     """
-    pairs = g.arc_index_pairs
-    adj = [[] for _ in range(g.n)]
-    for a in tree:
-        i, j = pairs[a]
-        adj[i].append((j, a, 1))
-        adj[j].append((i, a, -1))
+    in_tree, incidence = set(tree), g.incidence
     seen = [False] * g.n
     seen[root] = True
     stack = [root]
     steps = []
     while stack:
         v = stack.pop()
-        for w, a, s in adj[v]:
-            if not seen[w]:
+        for a, w, leaves in incidence[v]:
+            if not seen[w] and a in in_tree:
                 seen[w] = True
-                steps.append((v, w, a, s))
+                steps.append((v, w, a, 1 if leaves else -1))
                 stack.append(w)
     return steps
 
@@ -490,26 +490,20 @@ def spanning_tree_walk(g, tree, root=0):
 def tree_potentials(g, tree, differences, root=0):
     """Vertex potentials with pi[root] = 0 and pi_head - pi_tail =
     differences[a] along every arc a of ``tree`` (arc indices;
-    ``differences`` is indexed by arc), reached in ``tree_walk``'s order,
-    so on an arc set with cycles the same arcs are skipped.  Vertices the
-    tree does not reach keep None, and callers rely on that to detect an
-    arc set that does not span.
+    ``differences`` is indexed by arc), reached in ``tree_walk``'s arc
+    order, whatever the order of ``tree``, so on an arc set with cycles
+    the same arcs are skipped.  Vertices the tree does not reach keep
+    None, and callers rely on that to detect an arc set that does not span.
     """
-    pairs = g.arc_index_pairs
-    adj = [[] for _ in range(g.n)]
-    for a in tree:
-        i, j = pairs[a]
-        x = differences[a]
-        adj[i].append((j, x))
-        adj[j].append((i, -x))
+    in_tree, incidence = set(tree), g.incidence
     pi = [None] * g.n
     pi[root] = 0
     stack = [root]
     while stack:
         v = stack.pop()
-        for w, x in adj[v]:
-            if pi[w] is None:
-                pi[w] = pi[v] + x
+        for a, w, leaves in incidence[v]:
+            if pi[w] is None and a in in_tree:
+                pi[w] = pi[v] + differences[a] if leaves else pi[v] - differences[a]
                 stack.append(w)
     return pi
 
@@ -529,22 +523,19 @@ def count_spanning_trees_determinant(g):
     return g._tree_count
 
 
-def _kirchhoff(pairs):
-    """The reduced Laplacian determinant of the connected multigraph of the
-    arc index ``pairs``.  An arc at a vertex of degree 1 is in every tree,
-    so such vertices are peeled off first, from a worklist kept with one
-    degree count, and a tree or path costs no elimination."""
-    degree = Counter(v for pair in pairs for v in pair)
-    at = {v: [] for v in degree}
-    for k, pair in enumerate(pairs):
-        for v in pair:
-            at[v].append(k)
+def _kirchhoff(g):
+    """The reduced Laplacian determinant of the connected multigraph g.  An
+    arc at a vertex of degree 1 is in every tree, so such vertices are
+    peeled off first, from a worklist kept with one degree count, and a
+    tree or path costs no elimination."""
+    pairs, at = g.arc_index_pairs, g.incidence
+    degree = list(map(len, at))
     kept = [True] * len(pairs)
-    leaves = [v for v, d in degree.items() if d == 1]
+    leaves = [v for v, d in enumerate(degree) if d == 1]
     while leaves:
         v = leaves.pop()
         if degree[v] == 1:  # 0 when its last arc went with its neighbour
-            k = next(k for k in at[v] if kept[k])
+            k = next(a for a, _, _ in at[v] if kept[a])
             kept[k] = False
             for w in pairs[k]:
                 degree[w] -= 1

@@ -13,13 +13,13 @@ enter only as ``learn_row``'s Odijk rows and ``learn_cut``'s cuts, and
 its ``leaves`` are the one record of the points it solved.
 One ``TileKernel`` per (inst, basis) builds the tiles a structure implies,
 for ``fine_tiling`` and ``validate_tiling``, from two tables that fill
-themselves on lookup, and holds the volume, one Gram determinant, that
-they and ``width_bound_report`` read.  A foreign tile,
-and ``tile_contains_scaled``, test points against the frame (d, d * G^-1)
-of ``graphs._inverse_frame``.  ``duality_check`` compares each tile's
-pinned timetable with the root's row of the Kleene star.  Fractions
-appear only in volumes and the width bound chain, which computes in
-integers and builds one Fraction per value it reports.
+themselves on lookup; it holds the volume, one Gram determinant, that
+they and ``width_bound_report`` read, and the Odijk box that report reads.
+A foreign tile, and ``tile_contains_scaled``, test points against the
+frame (d, d * G^-1) of ``graphs._inverse_frame``.  ``duality_check``
+compares each tile's pinned timetable with the root's row of the Kleene
+star.  Fractions appear only in volumes and the width bound chain, which
+computes in integers and builds one Fraction per value it reports.
 
 No enumeration here is refused for the size of its box.  Each charges
 the command's ``graphs.Budget`` as it works: a node graded or a point
@@ -108,15 +108,14 @@ def odijk_range(inst, terms):
     return lo, hi
 
 
-def _box_integer_ranges(inst, basis):
-    T = inst.period
-    return [range(-(-lo // T), hi // T + 1) for lo, hi in odijk_box(inst, basis)]
+def _integer_ranges(box, T):
+    return [range(-(-lo // T), hi // T + 1) for lo, hi in box]
 
 
 def width(inst, basis):
     """Product over basis cycles of how many integers the cycle offset can
     take inside the box; equals the number of lattice points of the box."""
-    return math.prod(len(r) for r in _box_integer_ranges(inst, basis))
+    return math.prod(map(len, _integer_ranges(odijk_box(inst, basis), inst.period)))
 
 
 def scaled_point_in_zonotope(inst, basis, point):
@@ -170,7 +169,7 @@ class BoxSearch:
 
     def __init__(self, inst, basis, budget, layer):
         self.inst, self.basis = inst, basis
-        self.box = _box_integer_ranges(inst, basis)
+        self.box = _integer_ranges(odijk_box(inst, basis), inst.period)
         self.forms = []
         self.leaves = {}
         self.budget = budget or Budget()
@@ -449,6 +448,11 @@ class TileKernel:
         """``volume`` of the kernel's instance and basis."""
         return volume(self.inst, self.basis)
 
+    @cached_property
+    def box(self):
+        """``odijk_box`` of the kernel's instance and basis."""
+        return odijk_box(self.inst, self.basis)
+
     def points(self, entry, pi):
         """The lattice points, unsorted, of the tile with the co-tree
         ``entry`` whose pinned tensions have the potentials ``pi``: Gamma p
@@ -696,7 +700,7 @@ def width_bound_report(inst, basis, kernel=None):
     """Exact rational sandwich for the zonotope volume in terms of the
     width, plus the spanning-tree versus cycle-length product comparison.
     A width of zero short-circuits into infeasibility evidence.  ``kernel``
-    is a ``TileKernel`` of the same instance and basis to take the volume of.
+    is a ``TileKernel`` of the same (inst, basis), whose volume and box it reads.
 
     Each row k's slack is s_k / T for the integer sum s_k of its arc spans,
     so the chain is integer products over the common denominator T^mu:
@@ -704,12 +708,13 @@ def width_bound_report(inst, basis, kernel=None):
     W prod s_k / prod max(floor(s_k / T), 1); one Fraction per value."""
     T = inst.period
     mu = basis.mu
-    ranges = _box_integer_ranges(inst, basis)
+    kernel = _own_kernel(inst, basis, kernel)
+    ranges = _integer_ranges(kernel.box, T)
     w = math.prod(map(len, ranges))
     trees = count_spanning_trees_determinant(inst.graph)
     span = inst.span
     eps = min(span) if span else 0
-    vol = _own_kernel(inst, basis, kernel).zonotope_volume
+    vol = kernel.zonotope_volume
     rows = basis._sparse_rows
     sums = [sum([span[a] for a, _ in row]) for row in rows]
     product, scale = math.prod(sums), T**mu
@@ -722,8 +727,8 @@ def width_bound_report(inst, basis, kernel=None):
     # volume sandwich below W are unconditional, so they stay), and both
     # upper bounds are 0.
     bad = tuple(
-        (k, *(Fraction(v, T) for v in odijk_range(inst, rows[k])))
-        for k, r in enumerate(ranges)
+        (k, Fraction(lo, T), Fraction(hi, T))
+        for k, ((lo, hi), r) in enumerate(zip(kernel.box, ranges))
         if not r
     )
     refined = Fraction(w * product, scale * math.prod([max(s // T, 1) for s in sums]))

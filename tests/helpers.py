@@ -57,8 +57,8 @@ from peritrope.zonotopes import (
     TileKernel,
     TilingReport,
     WidthBoundReport,
-    _box_integer_ranges,
     _frame_contains,
+    _integer_ranges,
     _pinned_tensions,
     _scaled_columns,
     fine_tiling,
@@ -272,7 +272,7 @@ def box_points(inst, basis, cap=BOX_CAP):
     point (), uncapped."""
     if basis.mu == 0:
         return ((),)
-    ranges = _box_integer_ranges(inst, basis)
+    ranges = _integer_ranges(odijk_box(inst, basis), inst.period)
     count = math.prod(len(r) for r in ranges)
     if count > cap:
         raise EnumerationCapExceeded(f"box holds {count} integer points, cap is {cap}")

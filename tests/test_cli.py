@@ -294,9 +294,9 @@ def test_one_analyze_runs_one_laplacian_elimination_per_graph(monkeypatch, tmp_p
     eliminated, read = [], []
     kirchhoff, count = graphs._kirchhoff, zonotopes.count_spanning_trees_determinant
 
-    def eliminate(pairs):
-        eliminated.append(pairs)
-        return kirchhoff(pairs)
+    def eliminate(g):
+        eliminated.append(g)
+        return kirchhoff(g)
 
     def counted(g):
         read.append(g)
@@ -308,7 +308,23 @@ def test_one_analyze_runs_one_laplacian_elimination_per_graph(monkeypatch, tmp_p
     assert main(["analyze", str(GOLDEN / "bench7.pesp"), "--root", "e4", "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "bench7.analyze.json").read_bytes()
     assert len(read) == 2 and read[0] is read[1]
-    assert eliminated == [read[0].arc_index_pairs]
+    assert len(eliminated) == 1 and eliminated[0] is read[0]
+
+
+@pytest.mark.parametrize("name", ["bench7", "l5"])
+def test_one_analyze_builds_two_odijk_boxes(monkeypatch, tmp_path, name):
+    """The bound chain and the "box" section read the kernel's one box and
+    the lattice walk builds the other; the stdout stays the golden's, also
+    on l5, whose tiling runs the budget out."""
+    from peritrope import zonotopes
+
+    built, real = [], zonotopes.odijk_box
+    monkeypatch.setattr(zonotopes, "odijk_box", lambda *a: built.append(a) or real(*a))
+    out = tmp_path / "analyze.json"
+    options, status = (["--root", "e4"], 0) if name == "bench7" else ([], 3)
+    assert main(["analyze", str(GOLDEN / f"{name}.pesp"), *options, "--out", str(out)]) == status
+    assert out.read_bytes() == (GOLDEN / f"{name}.analyze.json").read_bytes()
+    assert len(built) == 2
 
 
 def test_render_to_file(tri, tmp_path):

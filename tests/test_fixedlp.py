@@ -30,7 +30,7 @@ from peritrope import (
 )
 from peritrope.fixedlp import certified_optimum, optimal_vertex
 from peritrope.polytropes import kappa
-from peritrope.zonotopes import _box_integer_ranges, lattice_points, odijk_box, width
+from peritrope.zonotopes import _integer_ranges, lattice_points, odijk_box, width
 from helpers import (
     box_points,
     check_certificate,
@@ -533,7 +533,7 @@ def test_cycle_relaxation_bound_is_none_exactly_off_the_box():
             continue
         for kind, basis in enumerate(random_bases(rng, inst.graph)):
             bound = cycle_relaxation_bound(inst, basis)
-            box = _box_integer_ranges(inst, basis)
+            box = _integer_ranges(odijk_box(inst, basis), inst.period)
             grown = [range(r.start - 2, r.stop + 2) for r in box]
             if math.prod(map(len, grown)) > 5000:
                 continue
@@ -641,7 +641,8 @@ def test_cycle_relaxation_bound_matches_the_fraction_reference(seed, pick, data)
     basis = default_basis(inst.graph)
     if basis.mu >= 2:
         basis = random_bases(rng, inst.graph)[pick]
-    ranges = [range(r.start - 2, r.stop + 2) for r in _box_integer_ranges(inst, basis)]
+    box = _integer_ranges(odijk_box(inst, basis), inst.period)
+    ranges = [range(r.start - 2, r.stop + 2) for r in box]
     if math.prod(map(len, ranges)) > 2000:
         ranges = [(data.draw(st.sampled_from(r)),) for r in ranges]
     bound = cycle_relaxation_bound(inst, basis)
@@ -661,7 +662,7 @@ def test_a_prefix_bound_is_at_most_every_completion_and_none_exactly_off_the_box
     basis = default_basis(inst.graph)
     if basis.mu >= 2:
         basis = random_bases(rng, inst.graph)[pick]
-    box = _box_integer_ranges(inst, basis)
+    box = _integer_ranges(odijk_box(inst, basis), inst.period)
     reference = cycle_relaxation_bound_by_fractions(inst, basis)
     least = {}  # the least reference bound over the completions of a prefix
     for z in itertools.product(*box):

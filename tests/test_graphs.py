@@ -740,20 +740,26 @@ def test_kernel_property_matches_the_rational_rank():
     assert min(seen.values()) >= 50, seen
 
 
-def test_tree_potentials_match_the_stack_walk():
-    """``tree_potentials`` gives the potentials of the reference stack
-    walk, on spanning, cyclic, non-spanning and empty arc subsets from
-    every root; each ``tree_walk`` step's sign says which way its arc
-    runs."""
+def _seeded_walks():
+    """500 seeded (graph, arc subset, root, differences): spanning, cyclic,
+    non-spanning and empty subsets, in random order, from every root."""
     rng = random.Random(23)
-    kinds = {"spanning": 0, "cyclic": 0, "partial": 0, "empty": 0}
     for _ in range(500):
         g = random_connected_digraph(rng, max_vertices=7, max_arcs=12)
         tree = rng.sample(range(g.m), rng.randint(0, g.m))
         root = rng.randrange(g.n)
-        differences = [rng.randint(-9, 9) for _ in range(g.m)]
+        yield g, tree, root, [rng.randint(-9, 9) for _ in range(g.m)]
+
+
+def test_tree_potentials_match_the_stack_walk():
+    """``tree_potentials`` gives the potentials of the reference stack
+    walk over the subset in arc order, on spanning, cyclic, non-spanning
+    and empty arc subsets from every root; each ``tree_walk`` step's sign
+    says which way its arc runs."""
+    kinds = {"spanning": 0, "cyclic": 0, "partial": 0, "empty": 0}
+    for g, tree, root, differences in _seeded_walks():
         pi = tree_potentials(g, tree, differences, root)
-        assert pi == tree_potentials_by_stack_walk(g, tree, differences, root)
+        assert pi == tree_potentials_by_stack_walk(g, sorted(tree), differences, root)
         for v, w, a, s in tree_walk(g, tree, root):
             assert g.arc_index_pairs[a] == ((v, w) if s > 0 else (w, v))
         reached = g.n - pi.count(None)
@@ -766,6 +772,38 @@ def test_tree_potentials_match_the_stack_walk():
         else:
             kinds["spanning"] += 1
     assert min(kinds.values()) >= 20, kinds
+
+
+def test_walks_ignore_the_order_of_their_arc_set():
+    """``tree_walk`` and ``tree_potentials`` take each vertex's arcs in arc
+    order, so an arc subset, its reversal and a shuffle of it give the
+    same steps and potentials.  A walk in the order of the subset gives
+    other potentials on some subsets with cycles, which are counted."""
+    shuffle = random.Random(29)
+    differ = 0
+    for g, tree, root, differences in _seeded_walks():
+        orders = [tree, tree[::-1], shuffle.sample(tree, len(tree))]
+        walks = [tree_walk(g, arcs, root) for arcs in orders]
+        potentials = [tree_potentials(g, arcs, differences, root) for arcs in orders]
+        assert walks[1:] == walks[:-1] and potentials[1:] == potentials[:-1]
+        differ += any(
+            tree_potentials_by_stack_walk(g, arcs, differences, root) != potentials[0]
+            for arcs in orders
+        )
+    assert differ >= 100, differ
+
+
+def test_the_incidence_lists_each_arc_at_both_ends_in_arc_order():
+    """Every arc appears once at its tail, leaving it, and once at its
+    head, entering it; each vertex's arcs are in arc order."""
+    for g, *_ in _seeded_walks():
+        listed = sorted(
+            (a, *((v, w) if leaves else (w, v)))
+            for v, arcs in enumerate(g.incidence)
+            for a, w, leaves in arcs
+        )
+        assert listed == sorted(2 * [(a, i, j) for a, (i, j) in enumerate(g.arc_index_pairs)])
+        assert all([a for a, _, _ in arcs] == sorted(a for a, _, _ in arcs) for arcs in g.incidence)
 
 
 def test_errors_name_the_arc_the_walk_order_decides():

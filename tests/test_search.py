@@ -139,7 +139,8 @@ def test_tns_restarts_enumerate_the_tree_pool_at_most_once(monkeypatch):
     list: one ``spanning_trees`` call per graph when first attempts fail,
     none when every first attempt lands, and none for a later solve on the
     same graph.  The starts are those of a fresh graph per start, also when
-    the list falls back to the greedy tree beyond its pool of trees."""
+    the list is the greedy tree alone, since the Kirchhoff count is beyond
+    its pool of trees, and no tree is enumerated."""
     calls = _count_spanning_trees(monkeypatch)
     for restarts in (1, 3, 5):
         inst = parse_instance(RETRIED)
@@ -165,7 +166,7 @@ def test_tns_restarts_enumerate_the_tree_pool_at_most_once(monkeypatch):
     inst = parse_instance(RETRIED)
     calls.clear()
     starts = [initial_solution(inst, seed=k) for k in range(4)]
-    assert len(calls) == 1  # the capped enumeration is not retried
+    assert calls == []  # a count beyond the pool enumerates no tree
     assert inst.graph.retry_trees == (greedy_spanning_tree(inst.graph),)
     assert starts == [initial_solution(parse_instance(RETRIED), seed=k) for k in range(4)]
 

@@ -1248,9 +1248,8 @@ def test_width_bound_report_takes_the_volume_of_its_kernel(monkeypatch):
 
 @pytest.mark.parametrize("name", ["triangle", "square", "two rows, one empty", "mu6"])
 def test_width_bound_report_builds_the_odijk_box_once(monkeypatch, name):
-    """One box per report, where ``width``, the report itself and
-    ``_box_integer_ranges`` each built one; an empty row's ends come from
-    that row's ``odijk_range`` alone."""
+    """One box per report, the one its ``TileKernel`` holds; an empty
+    row's ends are that box row's."""
     inst, basis = {
         "triangle": _triangle,
         "square": lambda: (square_instance(), square_basis()),
